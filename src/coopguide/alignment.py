@@ -12,8 +12,10 @@ solution (no loss, exact for the quadratic problem) is exposed separately and
 doubles as the evaluation module's trajectory aligner.
 
 Degeneracy (too little secondary motion) is detected from the windowed path
-length and the smallest eigenvalue of the Fisher information J^T J at the
-solution.
+length and the smallest eigenvalue of the Fisher information J^T J.  Both
+depend on the detected positions alone (the eigenvalue is invariant under the
+heading), so :func:`window_observable` rejects an unobservable window before
+any solve is attempted.
 """
 
 from __future__ import annotations
@@ -358,8 +360,7 @@ def solve_alignment_arrays(
             residuals, s = _cost_terms(D, P, t, theta)
 
     final_cost = float(np.mean(soft_l1(s)))
-    min_eig = _fisher_min_eigenvalue(D, theta)
-    path_length = float(np.sum(np.linalg.norm(np.diff(D, axis=0), axis=1)))
+    path_length, min_eig = window_geometry(D)
     converged = tolerances_met and final_cost <= config.max_cost
     if with_drift:
         # refer the translation to the newest stamp so the transform is
@@ -386,16 +387,36 @@ def solve_alignment_arrays(
     )
 
 
-def _fisher_min_eigenvalue(D: np.ndarray, theta: float) -> float:
-    """Smallest eigenvalue of F = J^T J for the stacked residual Jacobian."""
+def window_geometry(D: np.ndarray) -> tuple[float, float]:
+    """(path length, smallest Fisher eigenvalue) of lidar positions D (N, 3).
+
+    The eigenvalue is the smallest of the Fisher information F = J^T J of the
+    stacked residual Jacobian J_i = [I3 | Rz'(theta) d_i].  F equals
+    [[n I3, b], [b^T, c]] with |b|^2 = (sum x)^2 + (sum y)^2 and
+    c = sum(x^2 + y^2), neither of which changes under a rotation about z,
+    so the eigenvalue does not depend on the heading.  Its smallest
+    eigenvalue is that of [[n, |b|], [|b|, c]]; it is taken as det / lambda_max
+    with det = n * sum |p_i - mean(p)|^2 over the planar positions, which
+    avoids the cancellation of the textbook root for near-stationary windows.
+    """
     n = D.shape[0]
-    rd = D @ rot_z_deriv(theta).T
-    F = np.empty((4, 4))
-    F[:3, :3] = n * np.eye(3)
-    F[:3, 3] = rd.sum(axis=0)
-    F[3, :3] = F[:3, 3]
-    F[3, 3] = float(np.sum(np.einsum("ij,ij->i", rd, rd)))
-    return float(np.linalg.eigvalsh(F)[0])
+    path_length = float(np.sum(np.linalg.norm(np.diff(D, axis=0), axis=1)))
+    xy = D[:, :2]
+    c = float(np.sum(xy * xy))
+    b_norm = float(np.linalg.norm(xy.sum(axis=0)))
+    lam_max = 0.5 * (n + c) + math.hypot(0.5 * (c - n), b_norm)
+    spread = float(np.sum((xy - xy.mean(axis=0)) ** 2))
+    return path_length, n * spread / lam_max
+
+
+def window_observable(D: np.ndarray, config: AlignmentConfig) -> bool:
+    """True when the window's geometry can pass :func:`degeneracy_check`.
+
+    Needs no solve: a window failing this test is rejected whatever the
+    solver returns, so callers skip the solve.
+    """
+    path_length, min_eig = window_geometry(D)
+    return path_length >= config.min_path_length and min_eig >= config.min_eigenvalue
 
 
 def degeneracy_check(

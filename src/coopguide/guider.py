@@ -32,6 +32,7 @@ from .alignment import (
     build_correspondence_arrays,
     degeneracy_check,
     solve_alignment_arrays,
+    window_observable,
 )
 from .geometry import (
     Detection,
@@ -308,6 +309,9 @@ class Guider:
         )
         if arrays is None:
             self._alignment_accepted = False
+            return
+        if not window_observable(arrays[1], self.align_config):
+            self._alignment_accepted = False  # no solve could pass the check
             return
         result = solve_alignment_arrays(*arrays, self._active_transform,
                                         self.align_config)

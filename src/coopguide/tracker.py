@@ -33,6 +33,7 @@ from .alignment import (
     build_correspondence_arrays,
     degeneracy_check,
     solve_alignment_arrays,
+    window_observable,
 )
 from .geometry import (
     Detection,
@@ -423,10 +424,11 @@ def try_initialize(
     """Attempt estimate initialization from per-track detection buffers.
 
     Runs the sliding-window alignment against the VIO buffer for each track
-    (in track-id order) and initializes from the first track whose solution
-    passes the degeneracy check: position from the newest detection, velocity
-    and heading from the rotated/shifted VIO pose at that stamp, covariance
-    from the configured priors.  Returns None when no track is accepted.
+    (in track-id order) whose window is observable, and initializes from the
+    first track whose solution passes the degeneracy check: position from
+    the newest detection, velocity and heading from the rotated/shifted VIO
+    pose at that stamp, covariance from the configured priors.  Returns None
+    when no track is accepted.
     """
     for track_id in sorted(per_track_buffers):
         dets = per_track_buffers[track_id]
@@ -438,6 +440,8 @@ def try_initialize(
         )
         if arrays is None:
             continue
+        if not window_observable(arrays[1], align_config):
+            continue  # no solve could pass the degeneracy check
         result = solve_alignment_arrays(*arrays, None, align_config)
         if not degeneracy_check(result, align_config.min_path_length,
                                 align_config.min_eigenvalue):

@@ -173,6 +173,7 @@ sweep.runs_per_value = 10
 """
 
 
+@pytest.mark.slow
 def test_criterion_5_drift_sweep(tmp_path):
     with criterion(5, "drift sweep 0-0.8 m/s, 10 seeds each") as d:
         cfg_path = tmp_path / "sweep.cfg"

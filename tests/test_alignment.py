@@ -14,6 +14,9 @@ from coopguide.alignment import (
     degeneracy_check,
     soft_l1,
     solve_alignment,
+    solve_alignment_arrays,
+    window_geometry,
+    window_observable,
 )
 from coopguide.geometry import Detection, Frame, RelativeTransform, TimedPose, rot_z, wrap_heading
 
@@ -321,6 +324,50 @@ def test_degeneracy_straight_segment_accepted():
     assert res.min_eigenvalue == pytest.approx(expected, rel=1e-9)
     assert expected > 0.0
     assert degeneracy_check(res, min_path_length=1.0, min_eigenvalue=min(1.0, expected / 2))
+
+
+def _geometry_windows(rng):
+    """Random lidar windows (N, 3): stationary clutter, short segments, circles."""
+    for _ in range(8):
+        n = int(rng.integers(10, 150))
+        yield "clutter", rng.uniform(-20.0, 20.0, 3) + rng.normal(0.0, 0.05, (n, 3))
+    for _ in range(8):
+        n = int(rng.integers(10, 150))
+        direction = rng.normal(0.0, 1.0, 3)
+        s = np.linspace(0.0, rng.uniform(0.1, 2.0), n)
+        yield "segment", (rng.uniform(-10.0, 10.0, 3)
+                          + s[:, None] * direction / np.linalg.norm(direction)
+                          + rng.normal(0.0, 0.01, (n, 3)))
+    for _ in range(8):
+        n = int(rng.integers(10, 150))
+        ang = np.linspace(0.0, rng.uniform(0.5, 2.0 * math.pi), n)
+        radius = rng.uniform(0.5, 6.0)
+        yield "circle", rng.uniform(-10.0, 10.0, 3) + np.column_stack(
+            [radius * np.cos(ang), radius * np.sin(ang), np.zeros(n)])
+
+
+def test_window_geometry_matches_oracle_and_gates_the_solve():
+    rng = np.random.default_rng(31)
+    cfg = AlignmentConfig()
+    failed = set()
+    for kind, D in _geometry_windows(rng):
+        path_length, min_eig = window_geometry(D)
+        assert path_length == pytest.approx(
+            sum(np.linalg.norm(b - a) for a, b in zip(D[:-1], D[1:])), rel=1e-12)
+        # the oracle's eigvalsh carries an absolute error of a few ulps of
+        # ||J^T J||, which dominates for stationary windows far from the origin
+        ulps = 64.0 * np.finfo(float).eps * (len(D) + float(np.sum(D[:, :2] ** 2)))
+        for theta in (0.0, 0.7, -2.5, math.pi):
+            assert min_eig == pytest.approx(oracle_fisher_min_eig(D, theta), rel=1e-9, abs=ulps)
+        theta_star = float(rng.uniform(-math.pi, math.pi))
+        P = D @ rot_z(theta_star).T + rng.uniform(-5.0, 5.0, 3) + rng.normal(0.0, 0.02, D.shape)
+        stamps = 0.1 * np.arange(len(D))
+        res = solve_alignment_arrays(stamps, D, P, None, cfg)
+        assert (res.path_length, res.min_eigenvalue) == (path_length, min_eig)
+        if not window_observable(D, cfg):
+            failed.add(kind)
+            assert not degeneracy_check(res, cfg.min_path_length, cfg.min_eigenvalue)
+    assert {"clutter", "segment"} <= failed
 
 
 def test_exact_recovery_property_small_paths():

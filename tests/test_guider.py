@@ -1,10 +1,12 @@
 """Guider pipeline: initialization, status machine, reference streaming."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
+from coopguide import guider
 from coopguide.alignment import AlignmentConfig
 from coopguide.geometry import Detection, Frame, RelativeTransform, TimedPose, rot_z, wrap_heading
 from coopguide.guider import (
@@ -156,6 +158,31 @@ def test_small_motion_freezes_transform():
     assert g.status(t) is GuiderStatus.TRANSFORM_FROZEN
     before = g.active_transform
     assert before is not None  # transform unchanged, not dropped
+
+
+def test_realign_freezes_unobservable_window_without_solving(monkeypatch):
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    solve = guider.solve_alignment_arrays
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(guider, "solve_alignment_arrays", counting_solve)
+    g._realign(t)
+    assert len(calls) == 1
+    assert g.status(t) is GuiderStatus.TRACKING
+    before = g.active_transform
+    # same VIO window, but the fused detections hover at one point
+    hover = secondary_position(t)
+    g._fused_detections = deque(Detection(0.1 * k, hover, 0.15, 0)
+                                for k in range(int(t / 0.1) + 1))
+    g._realign(t)
+    assert len(calls) == 1
+    assert g.status(t) is GuiderStatus.TRANSFORM_FROZEN
+    assert g.active_transform is before
 
 
 def test_transform_round_trip():

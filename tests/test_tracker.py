@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from coopguide import tracker
 from coopguide.alignment import AlignmentConfig
 from coopguide.geometry import Detection, Frame, TimedPose, rot_z, wrap_heading
 from coopguide.tracker import (
@@ -551,11 +552,15 @@ def test_try_initialize_recovers_pose_from_matching_track():
     assert abs(wrap_heading(result.transform.heading - theta_star)) < 1e-6
 
 
-def test_try_initialize_rejects_hovering_point_track():
+def test_try_initialize_rejects_hovering_point_track(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tracker, "solve_alignment_arrays",
+                        lambda *a, **k: calls.append(a))
     dets = [_det(0.1 * k, [3.0, 3.0, 1.0]) for k in range(60)]
     vio = [TimedPose(0.1 * k, Frame.VIO, np.array([0.05 * k, 0.0, 0.0]))
            for k in range(60)]
     assert try_initialize({0: dets}, vio, AlignmentConfig(), CFG) is None
+    assert calls == []  # rejected from the window geometry, without a solve
 
 
 def test_try_initialize_picks_matching_track_over_random_walk():
