@@ -14,12 +14,11 @@ Library layout:
 from .alignment import (
     AlignmentConfig,
     AlignmentResult,
-    Correspondence,
-    build_correspondences,
+    build_correspondence_arrays,
     closed_form_align,
     degeneracy_check,
     soft_l1,
-    solve_alignment,
+    solve_alignment_arrays,
 )
 from .config import ConfigError, ScenarioConfig, build_config, load_config_file
 from .evaluation import (
@@ -28,14 +27,12 @@ from .evaluation import (
     align_first_window,
     evaluate_log,
     mean_path_deviation,
-    split_tracked_rmse,
 )
 from .geometry import (
     Detection,
     Frame,
     RelativeTransform,
     TimedPose,
-    apply_transform,
     interpolate,
     wrap_heading,
 )
@@ -50,8 +47,6 @@ from .tracker import (
     TrackerState,
     associate,
     chi2_critical,
-    estimate_at,
-    insert_and_replay,
     make_heading_measurement,
     make_vio_measurement,
     predict,

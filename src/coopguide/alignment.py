@@ -6,7 +6,9 @@ frame V from timed position correspondences: find (t, theta) minimizing
     sum_i rho( || Rz(theta) @ d_i + t - p_i ||^2 )
 
 where d_i is a detected position in L, p_i the VIO position at the same time,
-and rho the soft-L1 loss.  A Levenberg-Marquardt loop with iteratively
+and rho the soft-L1 loss.  :func:`build_correspondence_arrays` builds the
+window's (stamps, d, p) arrays and :func:`solve_alignment_arrays` solves
+it.  A Levenberg-Marquardt loop with iteratively
 reweighted least squares handles the robust loss; a closed-form yaw-constrained
 solution (no loss, exact for the quadratic problem) is exposed separately and
 doubles as the evaluation module's trajectory aligner.
@@ -39,25 +41,6 @@ from .geometry import (
 
 class InsufficientDataError(ValueError):
     """Raised when a solve is attempted with too few correspondences."""
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """Time-matched (lidar position in L, VIO position in V) pair."""
-
-    stamp: float
-    lidar_position: np.ndarray
-    vio_position: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.lidar_position, dtype=float)
-        p = np.asarray(self.vio_position, dtype=float)
-        if d.shape != (3,) or p.shape != (3,):
-            raise ValueError("correspondence positions must be 3-vectors")
-        if not (math.isfinite(d[0] + d[1] + d[2]) and math.isfinite(p[0] + p[1] + p[2])):
-            raise ValueError("non-finite correspondence position")
-        object.__setattr__(self, "lidar_position", d)
-        object.__setattr__(self, "vio_position", p)
 
 
 @dataclass(frozen=True)
@@ -123,7 +106,14 @@ def build_correspondence_arrays(
     interp_tolerance: float = 0.1,
     max_gap: float = 1.0,
 ):
-    """Array form of :func:`build_correspondences`: (stamps, lidar, vio) or None."""
+    """Pair each windowed VIO pose with the detection track interpolated to it.
+
+    The window covers the last ``window`` seconds ending at the newest VIO
+    stamp.  VIO stamps outside the detection buffer's span (beyond the
+    interpolation tolerance) or inside a detection gap longer than
+    ``max_gap`` are skipped.  Returns ``(stamps (N,), lidar (N, 3),
+    vio (N, 3))``, or None when fewer than ``min_count`` pairs survive.
+    """
     if not detections or not vio_buffer or window <= 0:
         return None
     det_stamps = np.array([d.stamp for d in detections])
@@ -157,32 +147,6 @@ def build_correspondence_arrays(
     ])
     vio_positions = np.array([p.position for p in kept])
     return stamps, interp, vio_positions
-
-
-def build_correspondences(
-    detections: Sequence[Detection],
-    vio_buffer: Sequence[TimedPose],
-    window: float,
-    min_count: int = 10,
-    interp_tolerance: float = 0.1,
-    max_gap: float = 1.0,
-) -> list[Correspondence]:
-    """Pair each windowed VIO pose with the detection track interpolated to it.
-
-    The window covers the last ``window`` seconds ending at the newest VIO
-    stamp.  VIO stamps outside the detection buffer's span (beyond the
-    interpolation tolerance) are skipped.  Returns an empty list when fewer
-    than ``min_count`` pairs survive.
-    """
-    arrays = build_correspondence_arrays(detections, vio_buffer, window,
-                                         min_count, interp_tolerance, max_gap)
-    if arrays is None:
-        return []
-    stamps, lidar, vio = arrays
-    return [
-        Correspondence(float(ts), d, p)
-        for ts, d, p in zip(stamps, lidar, vio)
-    ]
 
 
 def closed_form_align(lidar_points: np.ndarray, vio_points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -219,12 +183,17 @@ def _cost_terms(D, P, t, theta, drift=None, tau=None):
     return residuals, s
 
 
-def solve_alignment(
-    corrs: Sequence[Correspondence],
+def solve_alignment_arrays(
+    stamps: np.ndarray,
+    D: np.ndarray,
+    P: np.ndarray,
     initial: Optional[RelativeTransform] = None,
     config: AlignmentConfig = AlignmentConfig(),
 ) -> AlignmentResult:
     """Robust LM minimization of the windowed correspondence cost.
+
+    ``stamps`` (N,), ``D`` (N, 3) lidar positions and ``P`` (N, 3) VIO
+    positions are the arrays :func:`build_correspondence_arrays` returns.
 
     ``converged`` is true only when the gradient/step/cost tolerances were
     met within the iteration budget AND the final mean robustified residual
@@ -239,20 +208,6 @@ def solve_alignment(
     constant-transform model is otherwise biased whenever the drift
     accumulated over the window rivals the windowed path length.
     """
-    stamps = np.array([c.stamp for c in corrs])
-    D = np.array([c.lidar_position for c in corrs])
-    P = np.array([c.vio_position for c in corrs])
-    return solve_alignment_arrays(stamps, D, P, initial, config)
-
-
-def solve_alignment_arrays(
-    stamps: np.ndarray,
-    D: np.ndarray,
-    P: np.ndarray,
-    initial: Optional[RelativeTransform] = None,
-    config: AlignmentConfig = AlignmentConfig(),
-) -> AlignmentResult:
-    """Array-based core of :func:`solve_alignment` (same contract)."""
     n = len(stamps)
     if n < config.min_correspondences:
         raise InsufficientDataError(

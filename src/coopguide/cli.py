@@ -107,7 +107,8 @@ def cmd_sweep(config_path: str, seed: Optional[int], out_dir: str, jobs: int) ->
         print("config error: sweep.runs_per_value must be >= 1", file=sys.stderr)
         return 1
     try:
-        build_config({**overrides, parameter: values[0]})
+        for value in values:  # reject a bad value before any run starts
+            build_config({**overrides, parameter: value})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -5,13 +5,15 @@ comments.  Every key has a documented default (see DEFAULTS and the README
 schema table); files only override.  Unknown keys are errors so sweep typos
 fail fast.  Values are coerced to the type of the default: int, float, bool
 ("true"/"false"), string, or a point list ("x,y,z; x,y,z" for positions,
-"x1,y1,x2,y2; ..." for wall segments).
+"x1,y1,x2,y2; ..." for wall segments).  The ``alignment.*``, ``tracker.*`` and
+``guider.*`` keys set the fields of the same name in AlignmentConfig,
+TrackerConfig and GuiderConfig; fields without a key keep their defaults.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional
 
 from .alignment import AlignmentConfig
@@ -191,6 +193,19 @@ def load_config_file(path: str) -> dict[str, Any]:
         return parse_config_text(fh.read())
 
 
+def _section_config(cls, section: str, values: Mapping[str, Any]):
+    """Dataclass ``cls`` with each field read from ``"<section>.<field>"``.
+
+    Fields without such a key keep their dataclass default.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        key = f"{section}.{f.name}"
+        if key in values:
+            kwargs[f.name] = values[key]
+    return cls(**kwargs)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully resolved scenario: flat effective mapping + typed sub-configs."""
@@ -218,39 +233,10 @@ class ScenarioConfig:
                               "trajectory.pattern = waypoints")
         if v["scenario.truth_log_decimation"] < 1:
             raise ConfigError("scenario.truth_log_decimation must be >= 1")
-        object.__setattr__(self, "alignment", AlignmentConfig(
-            window=v["alignment.window"],
-            min_correspondences=v["alignment.min_correspondences"],
-            min_path_length=v["alignment.min_path_length"],
-            max_cost=v["alignment.max_cost"],
-            min_eigenvalue=v["alignment.min_eigenvalue"],
-            max_iterations=v["alignment.max_iterations"],
-            max_detection_gap=v["alignment.max_detection_gap"],
-            estimate_drift=v["alignment.estimate_drift"],
-        ))
-        object.__setattr__(self, "tracker", TrackerConfig(
-            sigma_accel=v["tracker.sigma_accel"],
-            sigma_heading_accel=v["tracker.sigma_heading_accel"],
-            vio_velocity_sigma=v["tracker.vio_velocity_sigma"],
-            vio_heading_sigma=v["tracker.vio_heading_sigma"],
-            vio_heading_rate_sigma=v["tracker.vio_heading_rate_sigma"],
-            vio_delta_sigma=v["tracker.vio_delta_sigma"],
-            euclid_gate=v["tracker.euclid_gate"],
-            gate_p_value=v["tracker.gate_p_value"],
-            history_span=v["tracker.history_span"],
-            init_position_sigma=v["tracker.init_position_sigma"],
-            init_velocity_sigma=v["tracker.init_velocity_sigma"],
-            init_heading_sigma=v["tracker.init_heading_sigma"],
-            init_heading_rate_sigma=v["tracker.init_heading_rate_sigma"],
-        ))
-        object.__setattr__(self, "guider", GuiderConfig(
-            detection_staleness=v["guider.detection_staleness"],
-            vio_staleness=v["guider.vio_staleness"],
-            realign_period=v["guider.realign_period"],
-            reinit_reject_limit=v["guider.reinit_reject_limit"],
-            stream_horizon=v["guider.stream_horizon"],
-            ref_rate=v["guider.ref_rate"],
-        ))
+        for section, cls in (("alignment", AlignmentConfig),
+                             ("tracker", TrackerConfig),
+                             ("guider", GuiderConfig)):
+            object.__setattr__(self, section, _section_config(cls, section, v))
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]

@@ -16,7 +16,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .alignment import closed_form_align
-from .config import DEFAULTS, ScenarioConfig, coerce
+from .config import ScenarioConfig, build_config
 from .geometry import Frame, RelativeTransform
 from .simulator import EventLog, ReferencePath, generate_trajectory
 
@@ -118,27 +118,9 @@ def _visibility_flags(est_stamps: np.ndarray, det_stamps: np.ndarray,
     return age <= staleness
 
 
-def split_tracked_rmse(log: EventLog, staleness: float = 1.0
-                       ) -> tuple[Optional[float], Optional[float]]:
-    """Relative-localization RMSE split into visible / occluded samples."""
-    est_t, est_p, _, _ = log.estimates()
-    ts_t, ts_p, _ = log.truth("TS")
-    if len(est_t) == 0 or len(ts_t) == 0:
-        return None, None
-    truth_at = _interp_series(est_t, ts_t, ts_p)
-    err = np.linalg.norm(est_p - truth_at, axis=1)
-    visible = _visibility_flags(est_t, log.detection_stamps(0), staleness)
-    tracked = float(np.sqrt(np.mean(err[visible] ** 2))) if visible.any() else None
-    untracked = float(np.sqrt(np.mean(err[~visible] ** 2))) if (~visible).any() else None
-    return tracked, untracked
-
-
 def log_config(log: EventLog) -> ScenarioConfig:
     """Rebuild the effective scenario config from a log's header echo."""
-    values = dict(DEFAULTS)
-    for key, text in log.config_echo().items():
-        values[key] = coerce(key, text)
-    return ScenarioConfig(values)
+    return build_config(log.config_echo())
 
 
 def evaluate_log(log: EventLog) -> ErrorReport:

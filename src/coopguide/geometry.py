@@ -22,6 +22,7 @@ import bisect
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,9 @@ TWO_PI = 2.0 * math.pi
 
 #: Default tolerance (s) for interpolation queries slightly outside a buffer.
 STALE_TOLERANCE = 0.1
+
+#: ``bisect`` key for buffers of stamped records kept sorted by stamp.
+stamp_key = attrgetter("stamp")
 
 
 class Frame(str, Enum):
@@ -172,11 +176,6 @@ class RelativeTransform:
         )
 
 
-def apply_transform(transform: RelativeTransform, x) -> np.ndarray:
-    """Functional form of :meth:`RelativeTransform.apply`."""
-    return transform.apply(x)
-
-
 @dataclass(frozen=True)
 class TimedPose:
     """Stamped position + heading + velocity + heading rate in a named frame."""
@@ -256,36 +255,7 @@ def interpolate(buffer: Sequence[TimedPose], t: float, tolerance: float = STALE_
         return replace(first, stamp=t) if t != first.stamp else first
     if t >= last.stamp:
         return replace(last, stamp=t) if t != last.stamp else last
-    stamps = [p.stamp for p in buffer]
-    hi = bisect.bisect_left(stamps, t)
-    lo = hi - 1
-    if stamps[hi] == t:
+    hi = bisect.bisect_left(buffer, t, key=stamp_key)
+    if buffer[hi].stamp == t:
         return buffer[hi]
-    return _lerp_pose(buffer[lo], buffer[hi], t)
-
-
-def interpolate_position(stamps: np.ndarray, positions: np.ndarray, t: float,
-                         tolerance: float = STALE_TOLERANCE) -> np.ndarray:
-    """Interpolate an (N,) stamp array / (N, 3) position array at time ``t``.
-
-    Same clamping/staleness rules as :func:`interpolate`; used on detection
-    buffers, which carry no heading.
-    """
-    n = len(stamps)
-    if n == 0:
-        raise StaleQueryError("stale query: empty position buffer")
-    if t < stamps[0] - tolerance or t > stamps[-1] + tolerance:
-        raise StaleQueryError(
-            f"stale query: t={t:.6f} outside buffer span "
-            f"[{stamps[0]:.6f}, {stamps[-1]:.6f}] by more than {tolerance} s"
-        )
-    if t <= stamps[0]:
-        return positions[0]
-    if t >= stamps[-1]:
-        return positions[-1]
-    hi = int(np.searchsorted(stamps, t))
-    if stamps[hi] == t:
-        return positions[hi]
-    lo = hi - 1
-    u = (t - stamps[lo]) / (stamps[hi] - stamps[lo])
-    return positions[lo] + u * (positions[hi] - positions[lo])
+    return _lerp_pose(buffer[hi - 1], buffer[hi], t)

@@ -38,7 +38,10 @@ from .geometry import (
     Detection,
     Frame,
     RelativeTransform,
+    StaleQueryError,
     TimedPose,
+    interpolate,
+    stamp_key,
     wrap_heading,
 )
 from .tracker import (
@@ -111,7 +114,6 @@ class GuiderOutput:
     stamp: float
     secondary_pose_in_l: TimedPose
     transform_l_to_s: RelativeTransform
-    outgoing_refs: Optional[Trajectory]
     status: GuiderStatus
 
 
@@ -149,7 +151,6 @@ class Guider:
         self._buffer_span = buffer_span
         self._track_buffers: dict[int, deque[Detection]] = {}
         self._vio_buffer: list[TimedPose] = []
-        self._vio_stamps: list[float] = []
         self._history: Optional[HistoryBuffer] = None
         self._active_transform: Optional[RelativeTransform] = None
         self._fused_detections: deque[Detection] = deque()
@@ -160,7 +161,6 @@ class Guider:
         self._next_alignment_time = -np.inf
         self._next_init_attempt = -np.inf
         self._consecutive_rejects = 0
-        self._last_streamed: Optional[Trajectory] = None
         self._ingest_count = 0
         self._transform_memo: Optional[tuple[int, RelativeTransform]] = None
 
@@ -239,22 +239,24 @@ class Guider:
     def ingest_vio(self, pose: TimedPose) -> None:
         """Feed one VIO pose sample (arrival order may differ from stamps)."""
         self._ingest_count += 1
-        idx = bisect.bisect_right(self._vio_stamps, pose.stamp)
-        self._vio_stamps.insert(idx, pose.stamp)
-        self._vio_buffer.insert(idx, pose)
-        cutoff = self._vio_stamps[-1] - self._buffer_span
-        while self._vio_stamps[0] < cutoff:
-            del self._vio_stamps[0], self._vio_buffer[0]
+        buf = self._vio_buffer
+        buf.insert(bisect.bisect_right(buf, pose.stamp, key=stamp_key), pose)
+        cutoff = buf[-1].stamp - self._buffer_span
+        del buf[:bisect.bisect_left(buf, cutoff, key=stamp_key)]
         self._last_vio_time = max(self._last_vio_time or -np.inf, pose.stamp)
 
         if self._history is None:
             return
         theta = self._active_transform.heading if self._active_transform else None
         last_det = self._last_detection
+        vio_at_det = None
+        if last_det is not None and pose.stamp > last_det.stamp:
+            try:
+                vio_at_det = interpolate(buf, last_det.stamp,
+                                         self.align_config.interp_tolerance)
+            except StaleQueryError:
+                pass  # detection outside the VIO buffer: heading-only measurement
         try:
-            vio_at_det = None
-            if last_det is not None and pose.stamp > last_det.stamp:
-                vio_at_det = self._vio_at(last_det.stamp)
             if vio_at_det is not None:
                 z = make_vio_measurement(pose, last_det, vio_at_det, theta,
                                          self.tracker_config)
@@ -364,7 +366,6 @@ class Guider:
             stamp=t,
             secondary_pose_in_l=pose,
             transform_l_to_s=self._effective_transform(t),
-            outgoing_refs=self._last_streamed,
             status=self.status(t),
         )
 
@@ -393,37 +394,9 @@ class Guider:
             TrajectoryPoint(p.stamp, pos, p.heading + transform.heading)
             for p, pos in zip(window, positions)
         )
-        out = Trajectory(Frame.VIO, pts)
-        self._last_streamed = out
-        return out
+        return Trajectory(Frame.VIO, pts)
 
     # ----------------------------------------------------------------- helpers
-
-    def _vio_at(self, stamp: float) -> Optional[TimedPose]:
-        """VIO pose linearly interpolated at ``stamp`` (binary search)."""
-        stamps = self._vio_stamps
-        if not stamps:
-            return None
-        tol = self.align_config.interp_tolerance
-        if stamp < stamps[0] - tol or stamp > stamps[-1] + tol:
-            return None
-        if stamp <= stamps[0]:
-            return self._vio_buffer[0]
-        if stamp >= stamps[-1]:
-            return self._vio_buffer[-1]
-        hi = bisect.bisect_left(stamps, stamp)
-        if stamps[hi] == stamp:
-            return self._vio_buffer[hi]
-        a = self._vio_buffer[hi - 1]
-        b = self._vio_buffer[hi]
-        u = (stamp - a.stamp) / (b.stamp - a.stamp)
-        return TimedPose(
-            stamp, a.frame,
-            a.position + u * (b.position - a.position),
-            wrap_heading(a.heading + u * wrap_heading(b.heading - a.heading)),
-            a.velocity + u * (b.velocity - a.velocity),
-            a.heading_rate + u * (b.heading_rate - a.heading_rate),
-        )
 
     def _prune_deque(self, buf: deque, now: float) -> None:
         cutoff = now - self._buffer_span

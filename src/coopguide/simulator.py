@@ -23,6 +23,7 @@ is line-delimited ``TAG field ...`` text with shortest-round-trip floats.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, format_value
-from .geometry import Detection, Frame, TimedPose, rot_z, wrap_heading
+from .geometry import Detection, Frame, TimedPose, rot_z, stamp_key, wrap_heading
 from .guider import Guider, Trajectory, TrajectoryPoint
 
 
@@ -231,27 +232,6 @@ def make_drift(values) -> DriftModel:
     if model == "random_walk":
         return RandomWalkDrift(values["vio_drift.sigma"])
     return DriftModel()
-
-
-def vio_sample(
-    truth: TimedPose,
-    theta0: float,
-    t0: Sequence[float],
-    drift: DriftModel,
-    rng: Optional[np.random.Generator] = None,
-    noise_sigma: float = 0.0,
-) -> TimedPose:
-    """Map a ground-truth pose through the drifted VIO frame transform."""
-    R0 = rot_z(theta0)
-    pos = R0 @ truth.position + np.asarray(t0, float) + drift.offset
-    if noise_sigma > 0.0 and rng is not None:
-        pos = pos + rng.normal(0.0, noise_sigma, 3)
-    return TimedPose(
-        truth.stamp, Frame.VIO, pos,
-        wrap_heading(truth.heading + theta0),
-        R0 @ truth.velocity + drift.rate,
-        truth.heading_rate,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +467,13 @@ class PlantState:
 
 
 def _interp_refs(refs: Sequence[TrajectoryPoint], t: float) -> tuple[np.ndarray, float]:
+    """Reference (position, heading) at ``t``, held without tolerance at the ends."""
     if t <= refs[0].stamp:
         return refs[0].position, refs[0].heading
     if t >= refs[-1].stamp:
         return refs[-1].position, refs[-1].heading
-    lo, hi = 0, len(refs) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if refs[mid].stamp <= t:
-            lo = mid
-        else:
-            hi = mid
-    a, b = refs[lo], refs[hi]
+    hi = bisect.bisect_right(refs, t, key=stamp_key)
+    a, b = refs[hi - 1], refs[hi]
     u = (t - a.stamp) / (b.stamp - a.stamp)
     pos = a.position + u * (b.position - a.position)
     heading = wrap_heading(a.heading + u * wrap_heading(b.heading - a.heading))

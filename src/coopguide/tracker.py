@@ -351,12 +351,6 @@ class HistoryBuffer:
     def latest_state(self) -> TrackerState:
         return self._posts[-1] if self._posts else self.anchor_state
 
-    def latest_stamp_of(self, kind: MeasurementKind) -> Optional[float]:
-        for z in reversed(self.entries):
-            if z.kind == kind:
-                return z.stamp
-        return None
-
     def insert(self, z: Measurement) -> TrackerState:
         """Insert a measurement in stamp order and return the newest state."""
         if z.stamp < self.anchor_state.stamp - 1e-12:
@@ -402,17 +396,6 @@ class HistoryBuffer:
         idx = bisect.bisect_right(self._keys, (t, len(MeasurementKind)))
         state = self._posts[idx - 1] if idx > 0 else self.anchor_state
         return predict(state, max(0.0, t - state.stamp), self.config)
-
-
-def insert_and_replay(buffer: HistoryBuffer, z: Measurement) -> tuple[HistoryBuffer, TrackerState]:
-    """Functional wrapper around :meth:`HistoryBuffer.insert`."""
-    state = buffer.insert(z)
-    return buffer, state
-
-
-def estimate_at(buffer: HistoryBuffer, t: float) -> TrackerState:
-    """Functional wrapper around :meth:`HistoryBuffer.estimate_at`."""
-    return buffer.estimate_at(t)
 
 
 def try_initialize(

@@ -13,10 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from coopguide.alignment import AlignmentConfig, Correspondence, closed_form_align, solve_alignment
+from coopguide.alignment import AlignmentConfig, closed_form_align, solve_alignment_arrays
 from coopguide.cli import main
 from coopguide.config import build_config
-from coopguide.evaluation import evaluate_log, format_report, split_tracked_rmse
+from coopguide.evaluation import evaluate_log, format_report
 from coopguide.geometry import rot_z, wrap_heading
 from coopguide.simulator import EventLog, run_scenario
 from coopguide.tracker import (
@@ -57,9 +57,7 @@ def test_criterion_1_alignment_exact_recovery():
             t_star = rng.uniform(-10.0, 10.0, 3)
             theta_star = rng.uniform(-math.pi, math.pi)
             vio = pts @ rot_z(theta_star).T + t_star
-            corrs = [Correspondence(0.1 * k, p, v)
-                     for k, (p, v) in enumerate(zip(pts, vio))]
-            res = solve_alignment(corrs)
+            res = solve_alignment_arrays(0.1 * np.arange(len(pts)), pts, vio)
             assert res.converged
             assert np.linalg.norm(res.transform.translation - t_star) < 1e-6
             assert abs(wrap_heading(res.transform.heading - theta_star)) < 1e-8
@@ -85,9 +83,7 @@ def test_criterion_2_robust_alignment():
             for i in rng.choice(50, size=10, replace=False):
                 direction = rng.normal(0.0, 1.0, 3)
                 vio[i] += 5.0 * direction / np.linalg.norm(direction)
-            corrs = [Correspondence(0.1 * k, p, v)
-                     for k, (p, v) in enumerate(zip(pts, vio))]
-            res = solve_alignment(corrs, config=cfg)
+            res = solve_alignment_arrays(0.1 * np.arange(len(pts)), pts, vio, config=cfg)
             ok = (np.linalg.norm(res.transform.translation - t_star) < 0.05
                   and abs(wrap_heading(res.transform.heading - theta_star)) < 0.01)
             passed += int(ok)
@@ -239,7 +235,8 @@ def test_criterion_6_nlos_with_false_targets():
     with criterion(6, "NLOS loops with occluder wall and false targets") as d:
         log = run_scenario(build_config(NLOS_SCENARIO))
         assert not log.failed
-        tracked, untracked = split_tracked_rmse(log)
+        report = evaluate_log(log)
+        tracked, untracked = report.tracked_rmse, report.untracked_rmse
         assert tracked is not None and untracked is not None
         assert tracked < untracked
         assert tracked <= 0.25

@@ -7,13 +7,11 @@ import pytest
 
 from coopguide.alignment import (
     AlignmentConfig,
-    Correspondence,
     InsufficientDataError,
-    build_correspondences,
+    build_correspondence_arrays,
     closed_form_align,
     degeneracy_check,
     soft_l1,
-    solve_alignment,
     solve_alignment_arrays,
     window_geometry,
     window_observable,
@@ -81,13 +79,12 @@ def circle_points(n=50, radius=4.0, z=1.0):
 
 
 def make_corrs(points, t_star, theta_star, stamps=None):
+    """Correspondence arrays (stamps, lidar, vio) under a known transform."""
     R = rot_z(theta_star)
     if stamps is None:
         stamps = np.arange(len(points), dtype=float) * 0.1
-    return [
-        Correspondence(ts, p, R @ p + t_star)
-        for ts, p in zip(stamps, points)
-    ]
+    D = np.asarray(points, dtype=float)
+    return np.asarray(stamps, dtype=float), D, np.array([R @ p + t_star for p in D])
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +130,19 @@ def _vio(t, pos):
 def test_build_correspondences_midpoint_interpolation():
     dets = [_det(0.0, [0, 0, 0]), _det(1.0, [2, 0, 0])]
     vio = [_vio(0.5, [7.0, 8.0, 9.0])]
-    corrs = build_correspondences(dets, vio, window=10.0, min_count=1)
-    assert len(corrs) == 1
-    assert corrs[0].stamp == 0.5
-    assert np.allclose(corrs[0].lidar_position, [1.0, 0.0, 0.0])
-    assert np.allclose(corrs[0].vio_position, [7.0, 8.0, 9.0])
+    stamps, lidar, vio_positions = build_correspondence_arrays(
+        dets, vio, window=10.0, min_count=1)
+    assert len(stamps) == 1
+    assert stamps[0] == 0.5
+    assert np.allclose(lidar[0], [1.0, 0.0, 0.0])
+    assert np.allclose(vio_positions[0], [7.0, 8.0, 9.0])
 
 
 def test_build_correspondences_skips_out_of_span_stamps():
     dets = [_det(0.0, [0, 0, 0]), _det(1.0, [2, 0, 0])]
     vio = [_vio(0.5, [0, 0, 0]), _vio(1.5, [1, 1, 1])]  # 1.5 is 0.4 s beyond span
-    corrs = build_correspondences(dets, vio, window=10.0, min_count=1)
-    assert [c.stamp for c in corrs] == [0.5]
+    stamps, _, _ = build_correspondence_arrays(dets, vio, window=10.0, min_count=1)
+    assert stamps.tolist() == [0.5]
 
 
 def test_build_correspondences_identical_stamps_zero_error():
@@ -152,16 +150,16 @@ def test_build_correspondences_identical_stamps_zero_error():
     pts = np.column_stack([stamps, stamps ** 2, np.zeros_like(stamps)])
     dets = [_det(t, p) for t, p in zip(stamps, pts)]
     vio = [_vio(t, p + 5.0) for t, p in zip(stamps, pts)]
-    corrs = build_correspondences(dets, vio, window=10.0, min_count=1)
-    assert len(corrs) == len(stamps)
-    for c, p in zip(corrs, pts):
-        assert np.allclose(c.lidar_position, p, atol=1e-12)
+    got_stamps, lidar, _ = build_correspondence_arrays(dets, vio, window=10.0, min_count=1)
+    assert len(got_stamps) == len(stamps)
+    for d, p in zip(lidar, pts):
+        assert np.allclose(d, p, atol=1e-12)
 
 
 def test_build_correspondences_insufficient_returns_empty():
     dets = [_det(0.0, [0, 0, 0]), _det(1.0, [2, 0, 0])]
     vio = [_vio(0.5, [0, 0, 0])]
-    assert build_correspondences(dets, vio, window=10.0, min_count=5) == []
+    assert build_correspondence_arrays(dets, vio, window=10.0, min_count=5) is None
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +197,7 @@ def test_closed_form_matches_independent_oracle_on_noisy_data():
 def test_solve_alignment_identity_case():
     pts = circle_points(50)
     corrs = make_corrs(pts, np.zeros(3), 0.0)
-    res = solve_alignment(corrs, RelativeTransform.identity(Frame.LIDAR, Frame.VIO))
+    res = solve_alignment_arrays(*corrs, RelativeTransform.identity(Frame.LIDAR, Frame.VIO))
     assert res.converged
     assert res.final_cost == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(res.transform.translation, 0.0, atol=1e-9)
@@ -212,13 +210,10 @@ def test_solve_alignment_exact_recovery_noiseless():
     for _ in range(20):
         t_star = rng.uniform(-10, 10, 3)
         theta_star = rng.uniform(-math.pi, math.pi)
-        corrs = make_corrs(pts, t_star, theta_star)
-        res = solve_alignment(corrs)
+        _, D, P = corrs = make_corrs(pts, t_star, theta_star)
+        res = solve_alignment_arrays(*corrs)
         assert res.converged
-        t_cf, theta_cf = closed_form_align(
-            np.array([c.lidar_position for c in corrs]),
-            np.array([c.vio_position for c in corrs]),
-        )
+        t_cf, theta_cf = closed_form_align(D, P)
         assert np.allclose(res.transform.translation, t_star, atol=1e-6)
         assert abs(wrap_heading(res.transform.heading - theta_star)) < 1e-8
         assert np.allclose(res.transform.translation, t_cf, atol=1e-6)
@@ -230,29 +225,22 @@ def test_solve_alignment_robust_to_outliers():
     pts = circle_points(50)
     t_star = np.array([3.0, -2.0, 1.0])
     theta_star = -2.2
-    corrs = make_corrs(pts, t_star, theta_star)
-    vio = np.array([c.vio_position for c in corrs])
+    stamps, D, vio = make_corrs(pts, t_star, theta_star)
     vio += rng.normal(0.0, 0.05, size=vio.shape)
-    outliers = rng.choice(len(corrs), size=10, replace=False)
+    outliers = rng.choice(len(D), size=10, replace=False)
     for i in outliers:
         vio[i] += rng.normal(0.0, 1.0, 3) / np.linalg.norm(rng.normal(0.0, 1.0, 3)) * 5.0
-    corrs = [
-        Correspondence(c.stamp, c.lidar_position, v) for c, v in zip(corrs, vio)
-    ]
     # With 20% outliers in the set, the mean robustified residual stays high
     # (each 5 m outlier contributes rho(25) ~ 8.2); the cost gate is scenario
     # config, so open it here and check recovery accuracy.
     cfg = AlignmentConfig(max_cost=3.0)
-    res = solve_alignment(corrs, config=cfg)
+    res = solve_alignment_arrays(stamps, D, vio, config=cfg)
     assert res.converged
     assert np.linalg.norm(res.transform.translation - t_star) < 0.05
     assert abs(wrap_heading(res.transform.heading - theta_star)) < 0.01
     # oracle on the inlier subset only
-    inliers = np.setdiff1d(np.arange(len(corrs)), outliers)
-    t_or, theta_or = oracle_closed_form(
-        np.array([corrs[i].lidar_position for i in inliers]),
-        np.array([corrs[i].vio_position for i in inliers]),
-    )
+    inliers = np.setdiff1d(np.arange(len(D)), outliers)
+    t_or, theta_or = oracle_closed_form(D[inliers], vio[inliers])
     assert np.linalg.norm(res.transform.translation - t_or) < 0.05
     assert abs(wrap_heading(res.transform.heading - theta_or)) < 0.01
 
@@ -260,7 +248,7 @@ def test_solve_alignment_robust_to_outliers():
 def test_solve_alignment_insufficient_raises():
     corrs = make_corrs(circle_points(5), np.zeros(3), 0.0)
     with pytest.raises(InsufficientDataError):
-        solve_alignment(corrs)
+        solve_alignment_arrays(*corrs)
 
 
 def test_solve_alignment_cost_monotone_over_iterations():
@@ -268,26 +256,20 @@ def test_solve_alignment_cost_monotone_over_iterations():
     # never increases, so final cost from a far initial guess must not exceed
     # the initial cost.
     pts = circle_points(30)
-    corrs = make_corrs(pts, np.array([5.0, 5.0, 0.0]), 2.0)
+    _, D, P = corrs = make_corrs(pts, np.array([5.0, 5.0, 0.0]), 2.0)
     bad_init = RelativeTransform(np.array([-8.0, 3.0, 2.0]), -1.0, Frame.LIDAR, Frame.VIO)
-    D = np.array([c.lidar_position for c in corrs])
-    P = np.array([c.vio_position for c in corrs])
     r0 = D @ rot_z(-1.0).T + bad_init.translation - P
     cost0 = float(np.mean(soft_l1(np.sum(r0 * r0, axis=1))))
-    res = solve_alignment(corrs, bad_init)
+    res = solve_alignment_arrays(*corrs, bad_init)
     assert res.final_cost <= cost0
     assert res.converged
 
 
 def test_min_eigenvalue_invariant_under_vio_translation():
     pts = circle_points(40)
-    corrs_a = make_corrs(pts, np.zeros(3), 0.4)
-    corrs_b = [
-        Correspondence(c.stamp, c.lidar_position, c.vio_position + np.array([100.0, -50.0, 20.0]))
-        for c in corrs_a
-    ]
-    res_a = solve_alignment(corrs_a)
-    res_b = solve_alignment(corrs_b)
+    stamps, D, P = make_corrs(pts, np.zeros(3), 0.4)
+    res_a = solve_alignment_arrays(stamps, D, P)
+    res_b = solve_alignment_arrays(stamps, D, P + np.array([100.0, -50.0, 20.0]))
     assert res_a.min_eigenvalue == pytest.approx(res_b.min_eigenvalue, rel=1e-9)
 
 
@@ -298,7 +280,7 @@ def test_min_eigenvalue_invariant_under_vio_translation():
 def test_degeneracy_single_point_rejected():
     pts = np.tile(np.array([1.0, 2.0, 3.0]), (20, 1))
     corrs = make_corrs(pts, np.zeros(3), 0.0)
-    res = solve_alignment(corrs)
+    res = solve_alignment_arrays(*corrs)
     assert res.min_eigenvalue == pytest.approx(0.0, abs=1e-9)
     assert res.path_length == pytest.approx(0.0)
     assert not degeneracy_check(res, min_path_length=1.0, min_eigenvalue=1.0)
@@ -308,7 +290,7 @@ def test_degeneracy_circle_accepted_eig_matches_oracle():
     pts = circle_points(50, radius=4.0)
     theta_star = 0.3
     corrs = make_corrs(pts, np.array([1.0, 1.0, 0.0]), theta_star)
-    res = solve_alignment(corrs)
+    res = solve_alignment_arrays(*corrs)
     assert degeneracy_check(res, min_path_length=1.0, min_eigenvalue=1.0)
     expected = oracle_fisher_min_eig(pts, res.transform.heading)
     assert res.min_eigenvalue == pytest.approx(expected, rel=1e-9)
@@ -319,7 +301,7 @@ def test_degeneracy_straight_segment_accepted():
     s = np.linspace(0.0, 2.0, n)
     pts = np.column_stack([s, np.zeros(n), np.ones(n)])
     corrs = make_corrs(pts, np.array([0.5, 0.5, 0.0]), 1.0)
-    res = solve_alignment(corrs)
+    res = solve_alignment_arrays(*corrs)
     expected = oracle_fisher_min_eig(pts, res.transform.heading)
     assert res.min_eigenvalue == pytest.approx(expected, rel=1e-9)
     assert expected > 0.0
@@ -386,7 +368,7 @@ def test_exact_recovery_property_small_paths():
         t_star = rng.uniform(-10, 10, 3)
         theta_star = rng.uniform(-math.pi, math.pi)
         corrs = make_corrs(pts, t_star, theta_star)
-        res = solve_alignment(corrs, config=cfg)
+        res = solve_alignment_arrays(*corrs, config=cfg)
         assert res.converged
         assert np.allclose(res.transform.translation, t_star, atol=1e-6)
         assert abs(wrap_heading(res.transform.heading - theta_star)) < 1e-8

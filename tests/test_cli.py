@@ -133,6 +133,21 @@ def test_sweep_requires_sweep_section(tmp_path, capsys):
     assert "sweep.parameter" in capsys.readouterr().err
 
 
+def test_sweep_rejects_any_bad_value_before_running(tmp_path, capsys):
+    # only the second value is invalid: no run may start before it is caught
+    cfg = _write(tmp_path, "s.cfg", BASE_CFG + """
+sweep.parameter = trajectory.speed
+sweep.values = 0.5, -1.0
+sweep.runs_per_value = 1
+""")
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "aggregate.csv").exists()
+    assert not list(out.glob("run_*.report"))
+
+
 def test_default_out_dir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("COOPGUIDE_OUT_DIR", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)

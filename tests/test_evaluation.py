@@ -14,7 +14,6 @@ from coopguide.evaluation import (
     format_report,
     log_config,
     mean_path_deviation,
-    split_tracked_rmse,
 )
 from coopguide.geometry import rot_z
 from coopguide.simulator import EventLog, ReferencePath, generate_trajectory, run_scenario
@@ -134,9 +133,13 @@ def test_path_deviation_symmetric_mean():
 
 
 def _synthetic_log(errors_visible, errors_hidden):
-    """Log with constant-position truth and estimates offset by known errors."""
+    """Log with constant-position truth and estimates offset by known errors.
+
+    The echoed detection staleness is below the 0.2 s sample spacing, so the
+    tracked label matches the construction exactly.
+    """
     log = EventLog()
-    cfg = build_config({})
+    cfg = build_config({"guider.detection_staleness": 0.1})
     from coopguide.config import format_value
     for key, value in cfg.effective_items():
         log.append(("H", key, format_value(value)))
@@ -156,16 +159,15 @@ def _synthetic_log(errors_visible, errors_hidden):
 
 
 def test_split_tracked_rmse_constructed_fixture():
-    log = _synthetic_log(0.1, 0.3)
-    # staleness below the 0.2 s sample spacing so the tracked label matches
-    # the construction exactly
-    tracked, untracked = split_tracked_rmse(log, staleness=0.1)
+    report = evaluate_log(_synthetic_log(0.1, 0.3))
+    tracked, untracked = report.tracked_rmse, report.untracked_rmse
     assert tracked == pytest.approx(0.1, abs=1e-9)
     assert untracked == pytest.approx(0.3, abs=1e-9)
 
 
 def test_split_no_occlusion_reports_absent_untracked():
-    tracked, untracked = split_tracked_rmse(_all_visible_log(), staleness=1.0)
+    report = evaluate_log(_all_visible_log())  # echoes detection_staleness = 1.0
+    tracked, untracked = report.tracked_rmse, report.untracked_rmse
     assert untracked is None
     assert tracked == pytest.approx(0.1, abs=1e-9)
 

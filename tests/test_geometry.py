@@ -12,7 +12,6 @@ from coopguide.geometry import (
     StaleQueryError,
     TimedPose,
     interpolate,
-    interpolate_position,
     rot_z,
     wrap_heading,
 )
@@ -132,12 +131,6 @@ def test_interpolate_stale_query_raises():
         interpolate(buf, -0.2)
     # within tolerance: clamped, not raised
     assert np.allclose(interpolate(buf, 1.05).position, [1, 0, 0])
-
-
-def test_interpolate_position_matches_pose_interpolation():
-    stamps = np.array([0.0, 1.0])
-    positions = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    assert np.allclose(interpolate_position(stamps, positions, 0.5), [1.0, 0.0, 0.0])
 
 
 def test_detection_covariance_is_isotropic():

@@ -17,7 +17,7 @@ from coopguide.guider import (
     Trajectory,
     TrajectoryPoint,
 )
-from coopguide.tracker import TrackerConfig
+from coopguide.tracker import MeasurementKind, TrackerConfig
 
 THETA = 0.8
 T_OFFSET = np.array([5.0, -3.0, 1.0])
@@ -139,6 +139,29 @@ def test_vio_staleness_maps_to_heading_frozen():
     assert np.allclose(out.secondary_pose_in_l.position, secondary_position(t), atol=0.05)
     t = drive(g, t, t + 1.0)
     assert g.status(t) is GuiderStatus.TRACKING
+
+
+def test_ingest_vio_full_measurement_when_detection_inside_vio_buffer():
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    g.ingest_vio(vio_pose(t))
+    newest = g._history.entries[-1]
+    assert newest.stamp == t
+    assert newest.kind is MeasurementKind.VIO_FULL
+
+
+def test_ingest_vio_heading_measurement_when_detection_predates_vio_buffer():
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    last_detection = g._last_detection.stamp
+    # detections stop for longer than the window + 2 s the VIO buffer spans
+    t = drive(g, t, t + g.align_config.window + 3.0, det_on=False)
+    g.ingest_vio(vio_pose(t))
+    oldest_vio = g._vio_buffer[0].stamp
+    assert last_detection < oldest_vio - g.align_config.interp_tolerance
+    newest = g._history.entries[-1]
+    assert newest.stamp == t
+    assert newest.kind is MeasurementKind.VIO_HEADING
 
 
 def test_small_motion_freezes_transform():

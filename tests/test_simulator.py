@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from coopguide.config import ConfigError, build_config
-from coopguide.geometry import Frame, TimedPose, rot_z
+from coopguide.geometry import rot_z
 from coopguide.guider import TrajectoryPoint
 from coopguide.simulator import (
     ConstantVelocityDrift,
-    DriftModel,
     EventLog,
     LogParseError,
     PlantParams,
@@ -23,29 +22,13 @@ from coopguide.simulator import (
     polyline_distance,
     primary_pose,
     run_scenario,
-    vio_sample,
 )
 
 RNG = np.random.default_rng(0)
 
 
-def _pose(t, pos, heading=0.0, vel=(0, 0, 0), rate=0.0):
-    return TimedPose(t, Frame.LIDAR, np.asarray(pos, float), heading,
-                     np.asarray(vel, float), rate)
-
-
 # ---------------------------------------------------------------------------
-# vio_sample
-
-
-def test_vio_sample_zero_drift_is_initial_offset():
-    drift = DriftModel()
-    out = vio_sample(_pose(1.0, [1, 2, 3], heading=0.2), theta0=0.5,
-                     t0=[10, 0, 0], drift=drift)
-    expected = rot_z(0.5) @ np.array([1.0, 2.0, 3.0]) + np.array([10.0, 0, 0])
-    assert np.allclose(out.position, expected)
-    assert out.heading == pytest.approx(0.7)
-    assert out.frame is Frame.VIO
+# drift models
 
 
 def test_vio_sample_constant_drift_accumulates_linearly():
@@ -53,10 +36,9 @@ def test_vio_sample_constant_drift_accumulates_linearly():
     rng = np.random.default_rng(1)
     for _ in range(1000):  # 10 s at 100 Hz
         drift.step(0.01, rng)
-    out = vio_sample(_pose(10.0, [0, 0, 0]), theta0=0.0, t0=[0, 0, 0], drift=drift)
-    assert np.allclose(out.position, [1.0, 0.0, 0.0], atol=1e-9)
+    assert np.allclose(drift.offset, [1.0, 0.0, 0.0], atol=1e-9)
     # VIO-perceived velocity includes the drift rate
-    assert np.allclose(out.velocity, [0.1, 0.0, 0.0])
+    assert np.allclose(drift.rate, [0.1, 0.0, 0.0])
 
 
 def test_random_walk_drift_variance_growth():

@@ -18,8 +18,6 @@ from coopguide.tracker import (
     TrackerState,
     associate,
     chi2_critical,
-    estimate_at,
-    insert_and_replay,
     make_heading_measurement,
     make_vio_measurement,
     predict,
@@ -368,7 +366,7 @@ def test_in_order_insertion_equals_streaming():
     measurements = _random_measurements(rng, 12)
     buf = HistoryBuffer(anchor, span=10.0, config=CFG)
     for z in measurements:
-        buf, state = insert_and_replay(buf, z)
+        state = buf.insert(z)
     stream = anchor
     for z in measurements:
         stream = update(predict(stream, z.stamp - stream.stamp, CFG), z)
@@ -443,7 +441,7 @@ def test_estimate_at_newest_entry_equals_replay():
     buf = HistoryBuffer(anchor, span=10.0, config=CFG)
     for z in _random_measurements(rng, 8):
         state = buf.insert(z)
-    q = estimate_at(buf, buf.entries[-1].stamp)
+    q = buf.estimate_at(buf.entries[-1].stamp)
     assert np.allclose(q.mean, state.mean, atol=1e-12)
 
 
