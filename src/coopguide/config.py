@@ -146,6 +146,9 @@ def coerce(key: str, raw: Any) -> Any:
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     if isinstance(default, int):
+        if isinstance(raw, float) and not raw.is_integer():
+            # int() would truncate; sweep values reach here as floats
+            raise ConfigError(f"{key}: expected an integer, got {raw!r}")
         try:
             return int(raw)
         except (TypeError, ValueError) as exc:

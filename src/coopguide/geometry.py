@@ -215,10 +215,6 @@ class Detection:
             raise ValueError("non-finite detection position")
         object.__setattr__(self, "position", p)
 
-    @property
-    def covariance(self) -> np.ndarray:
-        return (self.sigma ** 2) * np.eye(3)
-
 
 def _lerp_pose(a: TimedPose, b: TimedPose, t: float) -> TimedPose:
     if b.stamp <= a.stamp:

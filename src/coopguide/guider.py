@@ -216,7 +216,7 @@ class Guider:
         if decision.accepted and decision.detection is not None:
             det = decision.detection
             z = Measurement(stamp, MeasurementKind.LIDAR_POSITION,
-                            det.position, det.covariance)
+                            det.position, np.full(3, det.sigma ** 2))
             try:
                 self._history.insert(z)
             except StaleMeasurementError:

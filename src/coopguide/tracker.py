@@ -1,11 +1,18 @@
 """Constant-velocity tracking of the secondary agent in the lidar-SLAM frame.
 
-An 8-state linear Kalman filter (position, velocity, heading, heading rate)
-fuses associated lidar detections with VIO-derived measurements.  Because
-detections arrive with processing delay and VIO samples with network delay,
-measurements can reach the filter out of order; a recalculating history
-buffer keeps recent measurements sorted by stamp and re-derives the state
-from the oldest retained entry whenever a late measurement is inserted.
+Four decoupled constant-velocity axis filters, for x, y, z and heading, each
+a (value, rate) pair with a 2x2 covariance, fuse associated lidar detections
+with VIO-derived measurements.  Diagonal priors, process noise that is
+block-diagonal over the axes and measurements of single components with
+diagonal noise never couple two axes, so this is exactly the 8-state filter
+over position, velocity, heading and heading rate (the decoupled CV model of
+Bar-Shalom, Li and Kirubarajan, *Estimation with Applications to Tracking
+and Navigation*, 2001, §6) in closed-form 2x2 and scalar algebra.
+
+Because detections arrive with processing delay and VIO samples with network
+delay, measurements can reach the filter out of order; a recalculating
+history buffer keeps recent measurements sorted by stamp and re-derives the
+state from the oldest retained entry whenever a late measurement is inserted.
 
 Measurement construction from VIO follows the loosely-coupled scheme: the
 position measurement chains the newest detection with the rotated VIO
@@ -44,8 +51,7 @@ from .geometry import (
     wrap_heading,
 )
 
-STATE_DIM = 8
-_IDX_HEADING = 6
+_HEADING_AXIS = 3   # state axes: x, y, z, heading
 
 
 class StaleMeasurementError(ValueError):
@@ -55,30 +61,18 @@ class StaleMeasurementError(ValueError):
 class MeasurementKind(IntEnum):
     """Measurement families; integer order is the same-stamp replay order."""
 
-    LIDAR_POSITION = 0   # 3-dim position from an associated detection
-    VIO_FULL = 1         # 8-dim position/velocity/heading/heading-rate
-    VIO_HEADING = 2      # 2-dim heading/heading-rate only
+    LIDAR_POSITION = 0   # x, y, z from an associated detection
+    VIO_FULL = 1         # x, y, z, vx, vy, vz, heading, heading rate
+    VIO_HEADING = 2      # heading, heading rate only
 
 
-_KIND_DIM = {
-    MeasurementKind.LIDAR_POSITION: 3,
-    MeasurementKind.VIO_FULL: 8,
-    MeasurementKind.VIO_HEADING: 2,
-}
-
-# Rows of the state observed by each kind (H is a pure selector of a
-# contiguous row range, so plain slices give views instead of copies).
-_KIND_ROWS = {
-    MeasurementKind.LIDAR_POSITION: slice(0, 3),
-    MeasurementKind.VIO_FULL: slice(0, 8),
-    MeasurementKind.VIO_HEADING: slice(6, 8),
-}
-
-# Index of the heading component inside the measurement vector, if any.
-_KIND_HEADING_IDX = {
-    MeasurementKind.LIDAR_POSITION: None,
-    MeasurementKind.VIO_FULL: 6,
-    MeasurementKind.VIO_HEADING: 0,
+#: (axes, components) of the state observed by each element of a kind's
+#: measurement vector, in vector order; component 0 is an axis's value and
+#: component 1 its rate.
+_KIND_AXES = {
+    MeasurementKind.LIDAR_POSITION: ((0, 1, 2), (0, 0, 0)),
+    MeasurementKind.VIO_FULL: ((0, 1, 2, 0, 1, 2, 3, 3), (0, 0, 0, 1, 1, 1, 0, 1)),
+    MeasurementKind.VIO_HEADING: ((3, 3), (0, 1)),
 }
 
 
@@ -103,7 +97,11 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class TrackerState:
-    """Filter state: stamp, 8-vector mean, 8x8 covariance."""
+    """Filter state: stamp, (4, 2) mean and (4, 2, 2) covariance.
+
+    Row ``a`` of the mean is axis ``a`` (x, y, z, heading) as (value, rate);
+    ``covariance[a]`` is that pair's 2x2 covariance.
+    """
 
     stamp: float
     mean: np.ndarray
@@ -112,48 +110,47 @@ class TrackerState:
     def __post_init__(self):
         m = np.asarray(self.mean, dtype=float)
         P = np.asarray(self.covariance, dtype=float)
-        if m.shape != (STATE_DIM,) or P.shape != (STATE_DIM, STATE_DIM):
-            raise ValueError("tracker state must be an 8-vector mean and 8x8 covariance")
-        if m[_IDX_HEADING] > math.pi or m[_IDX_HEADING] <= -math.pi:
+        heading = m[_HEADING_AXIS, 0]
+        if heading > math.pi or heading <= -math.pi:
             m = m.copy()
-            m[_IDX_HEADING] = wrap_heading(m[_IDX_HEADING])
+            m[_HEADING_AXIS, 0] = wrap_heading(heading)
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "covariance", P)
 
     @property
     def position(self) -> np.ndarray:
-        return self.mean[0:3]
+        return self.mean[0:3, 0]
 
     @property
     def velocity(self) -> np.ndarray:
-        return self.mean[3:6]
+        return self.mean[0:3, 1]
 
     @property
     def heading(self) -> float:
-        return float(self.mean[6])
+        return float(self.mean[_HEADING_AXIS, 0])
 
     @property
     def heading_rate(self) -> float:
-        return float(self.mean[7])
+        return float(self.mean[_HEADING_AXIS, 1])
 
 
 @dataclass(frozen=True)
 class Measurement:
-    """Stamped measurement with its covariance; dimension fixed by kind."""
+    """Stamped measurement with per-component noise variances (diagonal R)."""
 
     stamp: float
     kind: MeasurementKind
     value: np.ndarray
-    covariance: np.ndarray
+    variance: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.value, dtype=float)
-        R = np.asarray(self.covariance, dtype=float)
-        m = _KIND_DIM[self.kind]
-        if v.shape != (m,) or R.shape != (m, m):
+        r = np.asarray(self.variance, dtype=float)
+        m = len(_KIND_AXES[self.kind][0])
+        if v.shape != (m,) or r.shape != (m,):
             raise ValueError(f"{self.kind.name} measurement must be {m}-dimensional")
         object.__setattr__(self, "value", v)
-        object.__setattr__(self, "covariance", R)
+        object.__setattr__(self, "variance", r)
 
 
 @dataclass(frozen=True)
@@ -175,83 +172,72 @@ def chi2_critical(p_value: float, dof: int) -> float:
 
 
 def predict(state: TrackerState, dt: float, config: TrackerConfig = TrackerConfig()) -> TrackerState:
-    """Advance the constant-velocity model by dt >= 0 seconds."""
+    """Advance every axis's constant-velocity model by dt >= 0 seconds.
+
+    Per axis, P' = F P F^T + q Q with F = [[1, dt], [0, 1]] and the
+    continuous white-acceleration noise Q = [[dt^3/3, dt^2/2], [dt^2/2, dt]],
+    q = sigma_accel^2 for x, y, z and sigma_heading_accel^2 for heading.
+    """
     if dt < 0.0:
         raise ValueError(f"predict requires dt >= 0, got {dt}")
     if dt == 0.0:
         return state
-    m = state.mean
-    mean = m.copy()
-    mean[0:3] += dt * m[3:6]
-    mean[6] = wrap_heading(m[6] + dt * m[7])
+    mean = [[v + dt * w, w] for v, w in state.mean.tolist()]
+    mean[_HEADING_AXIS][0] = wrap_heading(mean[_HEADING_AXIS][0])
 
-    # P' = F P F^T expanded over the sparse transition (x += v dt, phi += w dt);
-    # cheaper than two 8x8 matmuls and numerically identical.
-    P = state.covariance.copy()
-    P[0:3, :] += dt * P[3:6, :]
-    P[6, :] += dt * P[7, :]
-    P[:, 0:3] += dt * P[:, 3:6]
-    P[:, 6] += dt * P[:, 7]
-
-    # Continuous white-acceleration process noise per axis pair.
-    q3 = dt ** 3 / 3.0
-    q2 = dt ** 2 / 2.0
     qa = config.sigma_accel ** 2
-    qh = config.sigma_heading_accel ** 2
-    for i in range(3):
-        P[i, i] += qa * q3
-        P[i, i + 3] += qa * q2
-        P[i + 3, i] += qa * q2
-        P[i + 3, i + 3] += qa * dt
-    P[6, 6] += qh * q3
-    P[6, 7] += qh * q2
-    P[7, 6] += qh * q2
-    P[7, 7] += qh * dt
-    return TrackerState(state.stamp + dt, mean, P)
+    noise = (qa, qa, qa, config.sigma_heading_accel ** 2)
+    q2 = dt ** 2 / 2.0
+    q3 = dt ** 3 / 3.0
+    cov = []
+    for ((p00, p01), (_, p11)), q in zip(state.covariance.tolist(), noise):
+        c01 = p01 + dt * p11 + q * q2
+        cov.append([[p00 + dt * (2.0 * p01 + dt * p11) + q * q3, c01],
+                    [c01, p11 + q * dt]])
+    return TrackerState(state.stamp + dt, mean, cov)
 
 
 def update(state: TrackerState, z: Measurement) -> TrackerState:
-    """Standard Kalman correction with heading-wrapped innovation.
+    """Kalman correction, one scalar measurement component at a time.
 
-    The posterior covariance is computed in the simple form and symmetrized,
-    which keeps it PSD to numerical tolerance (verified by the random-cycle
-    covariance test).
+    R is diagonal, so processing the components in sequence equals the joint
+    update.  A component observes one (axis, component) pair and changes
+    only that axis's 2x2 block, which is written back exactly symmetric.
+    The heading innovation is wrapped.
     """
     if abs(z.stamp - state.stamp) > 1e-9:
         raise ValueError(
             f"measurement stamp {z.stamp} does not match state stamp {state.stamp}; "
             "predict first"
         )
-    rows = _KIND_ROWS[z.kind]
-    P = state.covariance
-    y = z.value - state.mean[rows]
-    h_idx = _KIND_HEADING_IDX[z.kind]
-    if h_idx is not None:
-        y[h_idx] = wrap_heading(y[h_idx])
-    S = P[rows, rows] + z.covariance
-    PHt = P[:, rows]
-    try:
-        K = np.linalg.solve(S, PHt.T).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular innovation covariance") from exc
-
-    mean = state.mean + K @ y
-    mean[6] = wrap_heading(mean[6])
-
-    # P' = (I - K H) P = P - K (H P), symmetrized to stay PSD under round-off
-    P_new = P - K @ PHt.T
-    P_new = 0.5 * (P_new + P_new.T)
-    return TrackerState(state.stamp, mean, P_new)
+    mean = state.mean.tolist()
+    cov = state.covariance.tolist()
+    axes, components = _KIND_AXES[z.kind]
+    for value, r, a, c in zip(z.value.tolist(), z.variance.tolist(), axes, components):
+        (p00, p01), (_, p11) = cov[a]
+        g0, g1 = column = cov[a][c]   # P H^T, the observed column of P
+        s = column[c] + r             # innovation variance H P H^T + r
+        if not s > 0.0:
+            raise ValueError("singular innovation covariance")
+        y = value - mean[a][c]
+        if a == _HEADING_AXIS and c == 0:
+            y = wrap_heading(y)
+        k0, k1 = g0 / s, g1 / s
+        mean[a][0] += k0 * y
+        mean[a][1] += k1 * y
+        c01 = p01 - k0 * g1
+        cov[a] = [[p00 - k0 * g0, c01], [c01, p11 - k1 * g1]]
+    mean[_HEADING_AXIS][0] = wrap_heading(mean[_HEADING_AXIS][0])
+    return TrackerState(state.stamp, mean, cov)
 
 
 def innovation_gate(state: TrackerState, detection: Detection) -> float:
     """Squared Mahalanobis distance of a detection from the predicted state."""
-    y = detection.position - state.mean[0:3]
-    S = state.covariance[0:3, 0:3] + detection.covariance
-    try:
-        return float(y @ np.linalg.solve(S, y))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular innovation covariance") from exc
+    y = detection.position - state.position
+    s = state.covariance[0:3, 0, 0] + detection.sigma ** 2
+    if not np.all(s > 0.0):
+        raise ValueError("singular innovation covariance")
+    return float(np.sum(y * y / s))
 
 
 def associate(
@@ -269,7 +255,7 @@ def associate(
     critical = chi2_critical(p_value, 3)
     best: Optional[Detection] = None
     best_d2 = math.inf
-    pos = state.mean[0:3]
+    pos = state.position
     for det in detections:
         if float(np.linalg.norm(det.position - pos)) > euclid_gate:
             continue
@@ -304,12 +290,11 @@ def make_vio_measurement(
     z_v = r_lv @ vio.velocity
     z_phi = wrap_heading(vio.heading - theta)
     value = np.concatenate([z_x, z_v, [z_phi, vio.heading_rate]])
-    variances = np.concatenate([
-        np.full(3, last_detection.sigma ** 2 + config.vio_delta_sigma ** 2),
-        np.full(3, config.vio_velocity_sigma ** 2),
-        [config.vio_heading_sigma ** 2, config.vio_heading_rate_sigma ** 2],
-    ])
-    return Measurement(vio.stamp, MeasurementKind.VIO_FULL, value, np.diag(variances))
+    variance = np.array(
+        [last_detection.sigma ** 2 + config.vio_delta_sigma ** 2] * 3
+        + [config.vio_velocity_sigma ** 2] * 3
+        + [config.vio_heading_sigma ** 2, config.vio_heading_rate_sigma ** 2])
+    return Measurement(vio.stamp, MeasurementKind.VIO_FULL, value, variance)
 
 
 def make_heading_measurement(
@@ -321,8 +306,12 @@ def make_heading_measurement(
     if theta is None:
         raise ValueError("transform unavailable: no accepted alignment yet")
     value = np.array([wrap_heading(vio.heading - theta), vio.heading_rate])
-    cov = np.diag([config.vio_heading_sigma ** 2, config.vio_heading_rate_sigma ** 2])
-    return Measurement(vio.stamp, MeasurementKind.VIO_HEADING, value, cov)
+    variance = np.array([config.vio_heading_sigma ** 2, config.vio_heading_rate_sigma ** 2])
+    return Measurement(vio.stamp, MeasurementKind.VIO_HEADING, value, variance)
+
+
+def _entry_key(z: Measurement) -> tuple[float, int]:
+    return (z.stamp, z.kind)
 
 
 class HistoryBuffer:
@@ -341,7 +330,6 @@ class HistoryBuffer:
         self.span = span
         self.config = config
         self.entries: list[Measurement] = []
-        self._keys: list[tuple[float, int]] = []
         self._posts: list[TrackerState] = []
 
     def __len__(self) -> int:
@@ -363,10 +351,8 @@ class HistoryBuffer:
                 f"measurement at {z.stamp:.6f} is too stale: more than "
                 f"{self.span} s behind the newest entry"
             )
-        key = (z.stamp, int(z.kind))
-        idx = bisect.bisect_right(self._keys, key)
+        idx = bisect.bisect_right(self.entries, (z.stamp, z.kind), key=_entry_key)
         self.entries.insert(idx, z)
-        self._keys.insert(idx, key)
         self._posts.insert(idx, None)  # placeholder, recomputed below
         self._recompute_from(idx)
         self._prune()
@@ -384,7 +370,7 @@ class HistoryBuffer:
         cutoff = self.entries[-1].stamp - self.span
         while self.entries and self.entries[0].stamp < cutoff:
             self.anchor_state = self._posts[0]
-            del self.entries[0], self._keys[0], self._posts[0]
+            del self.entries[0], self._posts[0]
 
     def estimate_at(self, t: float) -> TrackerState:
         """State at time t: replay through entries with stamp <= t, then predict."""
@@ -393,7 +379,7 @@ class HistoryBuffer:
                 f"query at {t:.6f} precedes the buffer anchor at "
                 f"{self.anchor_state.stamp:.6f}"
             )
-        idx = bisect.bisect_right(self._keys, (t, len(MeasurementKind)))
+        idx = bisect.bisect_right(self.entries, (t, len(MeasurementKind)), key=_entry_key)
         state = self._posts[idx - 1] if idx > 0 else self.anchor_state
         return predict(state, max(0.0, t - state.stamp), self.config)
 
@@ -436,18 +422,15 @@ def try_initialize(
         except StaleQueryError:
             continue
         theta = result.transform.heading
-        r_lv = rot_z(-theta)
         # co-estimated VIO drift rate (zero unless enabled) is not real motion
-        mean = np.concatenate([
-            newest.position,
-            r_lv @ (vio_pose.velocity - result.drift_rate),
-            [wrap_heading(vio_pose.heading - theta), vio_pose.heading_rate],
+        velocity = rot_z(-theta) @ (vio_pose.velocity - result.drift_rate)
+        mean = np.column_stack([
+            np.append(newest.position, wrap_heading(vio_pose.heading - theta)),
+            np.append(velocity, vio_pose.heading_rate),
         ])
-        cov = np.diag(np.concatenate([
-            np.full(3, tracker_config.init_position_sigma ** 2),
-            np.full(3, tracker_config.init_velocity_sigma ** 2),
-            [tracker_config.init_heading_sigma ** 2,
-             tracker_config.init_heading_rate_sigma ** 2],
-        ]))
+        c = tracker_config
+        cov = np.zeros((4, 2, 2))
+        cov[:, 0, 0] = [c.init_position_sigma ** 2] * 3 + [c.init_heading_sigma ** 2]
+        cov[:, 1, 1] = [c.init_velocity_sigma ** 2] * 3 + [c.init_heading_rate_sigma ** 2]
         return TrackerState(newest.stamp, mean, cov), result, track_id
     return None

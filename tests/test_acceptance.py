@@ -97,7 +97,7 @@ def test_criterion_3_replay_equivalence():
         kinds = [MeasurementKind.LIDAR_POSITION, MeasurementKind.VIO_FULL,
                  MeasurementKind.VIO_HEADING]
         dims = {k: d_ for k, d_ in zip(kinds, (3, 8, 2))}
-        anchor = TrackerState(0.0, np.zeros(8), np.eye(8))
+        anchor = TrackerState(0.0, np.zeros((4, 2)), np.tile(np.eye(2), (4, 1, 1)))
         worst = 0.0
         for case in range(100):
             rng = np.random.default_rng(3000 + case)
@@ -109,7 +109,7 @@ def test_criterion_3_replay_equivalence():
                 m = dims[kind]
                 measurements.append(Measurement(
                     t, kind, rng.normal(0.0, 1.0, m),
-                    np.diag(rng.uniform(0.05, 0.5, m))))
+                    rng.uniform(0.05, 0.5, m)))
             ordered = HistoryBuffer(anchor, span=1e9, config=cfg)
             for z in measurements:
                 expected = ordered.insert(z)
@@ -129,10 +129,12 @@ def test_criterion_3_replay_equivalence():
 def test_criterion_4_gate_calibration():
     with criterion(4, "chi-square gate acceptance rate at p=0.95") as d:
         rng = np.random.default_rng(4000)
-        P = np.diag([0.2, 0.3, 0.1, 0.5, 0.5, 0.5, 0.1, 0.1])
-        state = TrackerState(0.0, np.zeros(8), P)
+        P = np.zeros((4, 2, 2))
+        P[:, 0, 0] = [0.2, 0.3, 0.1, 0.1]   # x, y, z, heading
+        P[:, 1, 1] = [0.5, 0.5, 0.5, 0.1]   # their rates
+        state = TrackerState(0.0, np.zeros((4, 2)), P)
         sigma = 0.15
-        L = np.linalg.cholesky(P[:3, :3] + sigma ** 2 * np.eye(3))
+        L = np.linalg.cholesky(np.diag(P[:3, 0, 0]) + sigma ** 2 * np.eye(3))
         accepted = 0
         trials = 10_000
         for _ in range(trials):

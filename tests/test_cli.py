@@ -148,6 +148,21 @@ sweep.runs_per_value = 1
     assert not list(out.glob("run_*.report"))
 
 
+def test_sweep_rejects_non_integral_value_for_integer_key(tmp_path, capsys):
+    # sweep values are parsed as floats; 1.5 laps must not run as 1 lap
+    cfg = _write(tmp_path, "s.cfg", BASE_CFG + """
+sweep.parameter = trajectory.laps
+sweep.values = 1, 1.5
+sweep.runs_per_value = 1
+""")
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "aggregate.csv").exists()
+    assert not list(out.glob("run_*.report"))
+
+
 def test_default_out_dir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("COOPGUIDE_OUT_DIR", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)

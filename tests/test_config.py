@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 from coopguide.alignment import AlignmentConfig
-from coopguide.config import DEFAULTS, build_config
+from coopguide.config import DEFAULTS, ConfigError, build_config
 from coopguide.guider import GuiderConfig
 from coopguide.tracker import TrackerConfig
 
@@ -35,3 +35,16 @@ def test_section_key_overrides_its_field():
     assert config.tracker.euclid_gate == 3.0
     assert config.guider.reinit_reject_limit == 5
     assert config.alignment.max_cost == AlignmentConfig().max_cost
+
+
+@pytest.mark.parametrize("key, raw", [("trajectory.laps", 1.5), ("scenario.seed", 2.9)])
+def test_integer_key_rejects_non_integral_number(key, raw):
+    # int() would silently truncate the value
+    with pytest.raises(ConfigError, match=key):
+        build_config({key: raw})
+
+
+def test_integer_key_accepts_integral_float():
+    # sweep values are parsed as floats, so 2.0 must still mean 2
+    value = build_config({"trajectory.laps": 2.0})["trajectory.laps"]
+    assert value == 2 and type(value) is int

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from coopguide.geometry import (
-    Detection,
     Frame,
     RelativeTransform,
     StaleQueryError,
@@ -132,7 +131,3 @@ def test_interpolate_stale_query_raises():
     # within tolerance: clamped, not raised
     assert np.allclose(interpolate(buf, 1.05).position, [1, 0, 0])
 
-
-def test_detection_covariance_is_isotropic():
-    d = Detection(stamp=0.0, position=np.array([1.0, 2.0, 3.0]), sigma=0.15, track_id=0)
-    assert np.allclose(d.covariance, 0.15 ** 2 * np.eye(3))

@@ -43,22 +43,96 @@ def oracle_chi2_critical(p, dof, lo=0.0, hi=100.0):
     return 0.5 * (lo + hi)
 
 
-def oracle_batch_ls(mean0, P0, measurements):
+def oracle_batch_ls(state0, measurements):
     """Information-form batch least squares for same-stamp linear updates."""
+    mean0, P0 = dense(state0)
     H_full = np.eye(8)
     lam = np.linalg.inv(P0)
     eta = lam @ mean0
     for z in measurements:
-        Rinv = np.linalg.inv(z.covariance)
+        Rinv = np.linalg.inv(np.diag(z.variance))
         lam = lam + H_full.T @ Rinv @ H_full
         eta = eta + H_full.T @ Rinv @ z.value
     P = np.linalg.inv(lam)
     return P @ eta, P
 
 
+# The 8-state vector (x, y, z, vx, vy, vz, heading, heading rate) as
+# (axis, component) pairs of the (4, 2) axis-filter layout.
+FLAT_AXES = (0, 1, 2, 0, 1, 2, 3, 3)
+FLAT_COMPONENTS = (0, 0, 0, 1, 1, 1, 0, 1)
+SAME_AXIS = np.equal.outer(FLAT_AXES, FLAT_AXES)
+
+
+def blocks(mean8, variances8):
+    """(4, 2) mean and (4, 2, 2) covariance of a diagonal 8-state prior."""
+    mean = np.zeros((4, 2))
+    cov = np.zeros((4, 2, 2))
+    mean[FLAT_AXES, FLAT_COMPONENTS] = mean8
+    cov[FLAT_AXES, FLAT_COMPONENTS, FLAT_COMPONENTS] = variances8
+    return mean, cov
+
+
+def dense(state):
+    """The 8-vector mean and 8x8 covariance that a state's axis blocks form."""
+    axes, comps = np.array(FLAT_AXES), np.array(FLAT_COMPONENTS)
+    P = state.covariance[axes[:, None], comps[:, None], comps[None, :]]
+    return state.mean[axes, comps], np.where(SAME_AXIS, P, 0.0)
+
+
+# Rows of the 8-state observed by each kind, and the index of the heading
+# inside the measurement vector (None when heading is not observed).
+DENSE_ROWS = {
+    MeasurementKind.LIDAR_POSITION: (slice(0, 3), None),
+    MeasurementKind.VIO_FULL: (slice(0, 8), 6),
+    MeasurementKind.VIO_HEADING: (slice(6, 8), 0),
+}
+
+
+def dense_predict(m, P, dt, config):
+    """Reference 8-state constant-velocity prediction with dense 8x8 algebra."""
+    mean = m.copy()
+    mean[0:3] += dt * m[3:6]
+    mean[6] = wrap_heading(m[6] + dt * m[7])
+    P = P.copy()
+    P[0:3, :] += dt * P[3:6, :]
+    P[6, :] += dt * P[7, :]
+    P[:, 0:3] += dt * P[:, 3:6]
+    P[:, 6] += dt * P[:, 7]
+    q3 = dt ** 3 / 3.0
+    q2 = dt ** 2 / 2.0
+    qa = config.sigma_accel ** 2
+    qh = config.sigma_heading_accel ** 2
+    for i in range(3):
+        P[i, i] += qa * q3
+        P[i, i + 3] += qa * q2
+        P[i + 3, i] += qa * q2
+        P[i + 3, i + 3] += qa * dt
+    P[6, 6] += qh * q3
+    P[6, 7] += qh * q2
+    P[7, 6] += qh * q2
+    P[7, 7] += qh * dt
+    return mean, P
+
+
+def dense_update(m, P, z):
+    """Reference joint Kalman correction with a dense gain and 8x8 covariance."""
+    rows, h_idx = DENSE_ROWS[z.kind]
+    y = z.value - m[rows]
+    if h_idx is not None:
+        y[h_idx] = wrap_heading(y[h_idx])
+    S = P[rows, rows] + np.diag(z.variance)
+    PHt = P[:, rows]
+    K = np.linalg.solve(S, PHt.T).T
+    mean = m + K @ y
+    mean[6] = wrap_heading(mean[6])
+    P_new = P - K @ PHt.T
+    return mean, 0.5 * (P_new + P_new.T)
+
+
 def make_state(stamp=0.0, pos=(0, 0, 0), vel=(0, 0, 0), heading=0.0, rate=0.0, var=1.0):
     mean = np.concatenate([np.asarray(pos, float), np.asarray(vel, float), [heading, rate]])
-    return TrackerState(stamp, mean, var * np.eye(8))
+    return TrackerState(stamp, *blocks(mean, np.full(8, var)))
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +167,9 @@ def test_predict_rejects_negative_dt():
 def test_predict_covariance_grows_and_stays_symmetric():
     s = make_state(var=0.1)
     out = predict(s, 1.0, CFG)
-    assert np.allclose(out.covariance, out.covariance.T)
-    assert np.all(np.diag(out.covariance) > np.diag(s.covariance))
+    P_out, P_s = dense(out)[1], dense(s)[1]
+    assert np.allclose(P_out, P_out.T)
+    assert np.all(np.diag(P_out) > np.diag(P_s))
 
 
 # ---------------------------------------------------------------------------
@@ -103,20 +178,20 @@ def test_predict_covariance_grows_and_stays_symmetric():
 
 def _lidar_meas(stamp, pos, sigma=1.0):
     return Measurement(stamp, MeasurementKind.LIDAR_POSITION,
-                       np.asarray(pos, float), sigma ** 2 * np.eye(3))
+                       np.asarray(pos, float), np.full(3, sigma ** 2))
 
 
 def test_update_equal_weight_fusion_1d_slice():
     s = make_state(var=1.0)
     out = update(s, _lidar_meas(0.0, [1.0, 0.0, 0.0], sigma=1.0))
-    assert out.mean[0] == pytest.approx(0.5)
-    assert out.covariance[0, 0] == pytest.approx(0.5)
+    assert out.mean[0, 0] == pytest.approx(0.5)
+    assert out.covariance[0, 0, 0] == pytest.approx(0.5)
 
 
 def test_update_non_informative_measurement_is_identity():
     s = make_state(pos=(1, 2, 3), vel=(0.5, 0, 0), var=2.0)
     z = Measurement(0.0, MeasurementKind.LIDAR_POSITION,
-                    np.array([50.0, 50.0, 50.0]), 1e14 * np.eye(3))
+                    np.array([50.0, 50.0, 50.0]), np.full(3, 1e14))
     out = update(s, z)
     assert np.allclose(out.mean, s.mean, atol=1e-9)
     assert np.allclose(out.covariance, s.covariance, atol=1e-9)
@@ -125,24 +200,25 @@ def test_update_non_informative_measurement_is_identity():
 def test_update_sequence_matches_batch_ls_oracle():
     rng = np.random.default_rng(21)
     mean0 = rng.normal(0, 1, 8) * 0.1  # keep heading far from the wrap boundary
-    P0 = np.diag(rng.uniform(0.5, 2.0, 8))
-    state = TrackerState(0.0, mean0, P0)
+    state0 = TrackerState(0.0, *blocks(mean0, rng.uniform(0.5, 2.0, 8)))
     measurements = []
     for _ in range(5):
         value = rng.normal(0, 0.5, 8) * 0.1
-        R = np.diag(rng.uniform(0.05, 0.5, 8))
+        R = rng.uniform(0.05, 0.5, 8)
         measurements.append(Measurement(0.0, MeasurementKind.VIO_FULL, value, R))
+    state = state0
     for z in measurements:
         state = update(state, z)
-    mean_b, P_b = oracle_batch_ls(mean0, P0, measurements)
-    assert np.allclose(state.mean, mean_b, atol=1e-9)
-    assert np.allclose(state.covariance, P_b, atol=1e-9)
+    mean_b, P_b = oracle_batch_ls(state0, measurements)
+    mean, P = dense(state)
+    assert np.allclose(mean, mean_b, atol=1e-9)
+    assert np.allclose(P, P_b, atol=1e-9)
 
 
 def test_update_wraps_heading_innovation_across_boundary():
     s = make_state(heading=3.1, var=1.0)
     z = Measurement(0.0, MeasurementKind.VIO_HEADING,
-                    np.array([-3.1, 0.0]), 1.0 * np.eye(2))
+                    np.array([-3.1, 0.0]), np.ones(2))
     out = update(s, z)
     # innovation is wrap(-3.1 - 3.1) = +0.083..., so heading moves up past pi
     expected = wrap_heading(3.1 + 0.5 * wrap_heading(-6.2))
@@ -150,10 +226,10 @@ def test_update_wraps_heading_innovation_across_boundary():
 
 
 def test_update_rejects_singular_innovation():
-    mean = np.zeros(8)
-    P = np.zeros((8, 8))
+    mean = np.zeros((4, 2))
+    P = np.zeros((4, 2, 2))
     s = TrackerState(0.0, mean, P)
-    z = Measurement(0.0, MeasurementKind.LIDAR_POSITION, np.zeros(3), np.zeros((3, 3)))
+    z = Measurement(0.0, MeasurementKind.LIDAR_POSITION, np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
         update(s, z)
 
@@ -172,13 +248,46 @@ def test_covariance_psd_through_random_cycles():
         kind = kinds[int(rng.integers(0, 3))]
         m = dims[kind]
         z = Measurement(state.stamp, kind, rng.normal(0, 1, m),
-                        np.diag(rng.uniform(0.01, 1.0, m)))
+                        rng.uniform(0.01, 1.0, m))
         state = update(state, z)
-        P = state.covariance
+        P = dense(state)[1]
         assert np.allclose(P, P.T, atol=1e-9)
         if i % 100 == 0:
             assert float(np.linalg.eigvalsh(P)[0]) > -1e-9
-    assert float(np.linalg.eigvalsh(state.covariance)[0]) > -1e-9
+    assert float(np.linalg.eigvalsh(dense(state)[1])[0]) > -1e-9
+
+
+def test_axis_filters_match_dense_8_state_oracle():
+    # Four 2-state axis filters are the 8-state filter: its covariance never
+    # couples two axes.  Heading measurements straddle +-pi so the state
+    # heading and the innovation wrap.
+    rng = np.random.default_rng(23)
+    state = make_state(heading=3.0, var=1.0)
+    mean8, P8 = dense(state)
+    kinds = list(MeasurementKind)
+    dims = {MeasurementKind.LIDAR_POSITION: 3, MeasurementKind.VIO_FULL: 8,
+            MeasurementKind.VIO_HEADING: 2}
+    wraps = 0
+    for _ in range(10_000):
+        dt = float(rng.uniform(0.0, 0.2))
+        state = predict(state, dt, CFG)
+        mean8, P8 = dense_predict(mean8, P8, dt, CFG)
+        kind = kinds[int(rng.integers(0, 3))]
+        value = rng.normal(0, 1, dims[kind])
+        h_idx = DENSE_ROWS[kind][1]
+        if h_idx is not None:
+            value[h_idx] = wrap_heading(math.pi + rng.normal(0, 0.5))
+        z = Measurement(state.stamp, kind, value, rng.uniform(0.01, 1.0, dims[kind]))
+        before = state.heading
+        state = update(state, z)
+        mean8, P8 = dense_update(mean8, P8, z)
+        wraps += abs(state.heading - before) > math.pi
+        mean, P = dense(state)
+        assert wrap_heading(mean[6] - mean8[6]) == pytest.approx(0.0, abs=1e-9)
+        assert np.allclose(np.delete(mean, 6), np.delete(mean8, 6), atol=1e-9)
+        assert np.allclose(P, P8, atol=1e-9)
+        assert np.all(P8[~SAME_AXIS] == 0.0)
+    assert wraps > 100
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +437,10 @@ def test_gate_calibration():
     rng = np.random.default_rng(40)
     accepted = 0
     trials = 10_000
-    P = np.diag([0.2, 0.3, 0.1, 0.5, 0.5, 0.5, 0.1, 0.1])
-    mean = np.zeros(8)
+    mean, P = blocks(np.zeros(8), [0.2, 0.3, 0.1, 0.5, 0.5, 0.5, 0.1, 0.1])
     state = TrackerState(0.0, mean, P)
     sigma = 0.15
-    L = np.linalg.cholesky(P[:3, :3] + sigma ** 2 * np.eye(3))
+    L = np.linalg.cholesky(np.diag(P[:3, 0, 0]) + sigma ** 2 * np.eye(3))
     for _ in range(trials):
         z = L @ rng.normal(0, 1, 3)  # innovation drawn from the modeled N(0, S)
         det = Detection(0.0, z, sigma, track_id=0)
@@ -356,7 +464,7 @@ def _random_measurements(rng, n, t0=0.0, spacing=0.05):
         m = {MeasurementKind.LIDAR_POSITION: 3, MeasurementKind.VIO_FULL: 8,
              MeasurementKind.VIO_HEADING: 2}[kind]
         out.append(Measurement(t, kind, rng.normal(0, 1, m),
-                               np.diag(rng.uniform(0.05, 0.5, m))))
+                               rng.uniform(0.05, 0.5, m)))
     return out
 
 
@@ -479,7 +587,7 @@ def test_detections_lost_position_dead_reckons_vio_chain():
                          heading=theta, vel=R_vl @ vel_l + drift_rate)
 
     z_v0 = make_vio_measurement(vio_at(0.0), det, vio_at(0.0), theta, CFG)
-    state = TrackerState(0.0, z_v0.value, 0.01 * np.eye(8))
+    state = TrackerState(0.0, *blocks(z_v0.value, np.full(8, 0.01)))
     buf = HistoryBuffer(state, span=1e9, config=CFG)
     chain = []
     for k in range(1, 40):
