@@ -8,10 +8,12 @@ frame V from timed position correspondences: find (t, theta) minimizing
 where d_i is a detected position in L, p_i the VIO position at the same time,
 and rho the soft-L1 loss.  :func:`build_correspondence_arrays` builds the
 window's (stamps, d, p) arrays and :func:`solve_alignment_arrays` solves
-it.  A Levenberg-Marquardt loop with iteratively
-reweighted least squares handles the robust loss; a closed-form yaw-constrained
-solution (no loss, exact for the quadratic problem) is exposed separately and
-doubles as the evaluation module's trajectory aligner.
+it.  Every solve starts from the closed-form least-squares optimum of the
+window's quadratic (non-robust) problem, drift term included when enabled;
+there is no warm start from an earlier transform.  A Levenberg-Marquardt
+loop with iteratively reweighted least squares then handles the robust loss.
+The closed-form yaw-constrained solution, :func:`closed_form_align`, doubles
+as the evaluation module's trajectory aligner.
 
 Degeneracy (too little secondary motion) is detected from the windowed path
 length and the smallest eigenvalue of the Fisher information J^T J.  Both
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -163,16 +165,36 @@ def closed_form_align(lidar_points: np.ndarray, vio_points: np.ndarray) -> tuple
         raise ValueError("point sets must be matching (N, 3) arrays")
     mu_a = a.mean(axis=0)
     mu_b = b.mean(axis=0)
-    ac = a - mu_a
-    bc = b - mu_b
+    theta = _procrustes_heading(a - mu_a, b - mu_b)
+    t = mu_b - rot_z(theta) @ mu_a
+    return t, wrap_heading(theta)
+
+
+def _procrustes_heading(ac: np.ndarray, bc: np.ndarray) -> float:
+    """Heading minimizing sum ||Rz(theta) ac_i - bc_i||^2 for residualized sets."""
     dot = float(np.sum(ac[:, 0] * bc[:, 0] + ac[:, 1] * bc[:, 1]))
     cross = float(np.sum(ac[:, 0] * bc[:, 1] - ac[:, 1] * bc[:, 0]))
     if dot == 0.0 and cross == 0.0:
-        theta = 0.0  # heading unobservable (e.g. single point); pick identity
-    else:
-        theta = math.atan2(cross, dot)
-    t = mu_b - rot_z(theta) @ mu_a
-    return t, wrap_heading(theta)
+        return 0.0  # heading unobservable (e.g. single point); pick identity
+    return math.atan2(cross, dot)
+
+
+def _drift_closed_form(tau: np.ndarray, D: np.ndarray, P: np.ndarray):
+    """(t, theta, r) minimizing sum ||Rz(theta) d_i + t + tau_i r - p_i||^2.
+
+    For a fixed heading, (t, r) is a per-axis linear fit on the regressors
+    1 and tau, which are orthogonal because tau is centred: t is the mean and
+    r the tau-projection of p - Rz d.  Removing both projections from D and P
+    eliminates (t, r); a rotation about z acts on the points and the
+    projection on the samples, so they commute and the heading is the planar
+    Procrustes solution of the residualized sets.
+    """
+    tt = float(tau @ tau)
+    Dr = D - D.mean(axis=0) - np.outer(tau, tau @ D / tt)
+    Pr = P - P.mean(axis=0) - np.outer(tau, tau @ P / tt)
+    theta = _procrustes_heading(Dr, Pr)
+    e = P - D @ rot_z(theta).T
+    return e.mean(axis=0), theta, tau @ e / tt
 
 
 def _cost_terms(D, P, t, theta, drift=None, tau=None):
@@ -187,13 +209,15 @@ def solve_alignment_arrays(
     stamps: np.ndarray,
     D: np.ndarray,
     P: np.ndarray,
-    initial: Optional[RelativeTransform] = None,
     config: AlignmentConfig = AlignmentConfig(),
 ) -> AlignmentResult:
     """Robust LM minimization of the windowed correspondence cost.
 
     ``stamps`` (N,), ``D`` (N, 3) lidar positions and ``P`` (N, 3) VIO
     positions are the arrays :func:`build_correspondence_arrays` returns.
+    The LM loop starts from the closed-form least-squares optimum of the
+    same window (the soft-L1 loss replaced by the squared residual), so a
+    noiseless window needs no LM step and there is no warm start.
 
     ``converged`` is true only when the gradient/step/cost tolerances were
     met within the iteration budget AND the final mean robustified residual
@@ -216,18 +240,11 @@ def solve_alignment_arrays(
     with_drift = config.estimate_drift
     if with_drift:
         tau = stamps - stamps.mean()
+        t, theta, drift = _drift_closed_form(tau, D, P)
     else:
-        tau = None
-    drift = np.zeros(3) if with_drift else None
+        tau = drift = None
+        t, theta = closed_form_align(D, P)
     n_params = 7 if with_drift else 4
-
-    if initial is not None and initial.valid:
-        t = initial.translation.copy()
-        theta = wrap_heading(initial.heading)
-    else:
-        # Midpoint-of-endpoints alignment with zero heading.
-        t = 0.5 * (P[0] + P[-1]) - 0.5 * (D[0] + D[-1])
-        theta = 0.0
 
     residuals, s = _cost_terms(D, P, t, theta, drift, tau)
     cost = 0.5 * float(np.sum(soft_l1(s)))

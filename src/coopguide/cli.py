@@ -149,6 +149,9 @@ def cmd_eval(log_path: str, out_dir: str) -> int:
         return 1
     try:
         report = evaluate_log(log)
+    except ConfigError as exc:  # the log's H config echo holds a bad value
+        print(f"log error: {exc}", file=sys.stderr)
+        return 1
     except EvaluationError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 1

@@ -315,8 +315,7 @@ class Guider:
         if not window_observable(arrays[1], self.align_config):
             self._alignment_accepted = False  # no solve could pass the check
             return
-        result = solve_alignment_arrays(*arrays, self._active_transform,
-                                        self.align_config)
+        result = solve_alignment_arrays(*arrays, self.align_config)
         if degeneracy_check(result, self.align_config.min_path_length,
                             self.align_config.min_eigenvalue):
             self._active_transform = result.transform

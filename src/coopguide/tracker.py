@@ -411,7 +411,7 @@ def try_initialize(
             continue
         if not window_observable(arrays[1], align_config):
             continue  # no solve could pass the degeneracy check
-        result = solve_alignment_arrays(*arrays, None, align_config)
+        result = solve_alignment_arrays(*arrays, align_config)
         if not degeneracy_check(result, align_config.min_path_length,
                                 align_config.min_eigenvalue):
             continue

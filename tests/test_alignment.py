@@ -8,6 +8,7 @@ import pytest
 from coopguide.alignment import (
     AlignmentConfig,
     InsufficientDataError,
+    _drift_closed_form,
     build_correspondence_arrays,
     closed_form_align,
     degeneracy_check,
@@ -16,7 +17,7 @@ from coopguide.alignment import (
     window_geometry,
     window_observable,
 )
-from coopguide.geometry import Detection, Frame, RelativeTransform, TimedPose, rot_z, wrap_heading
+from coopguide.geometry import Detection, Frame, TimedPose, rot_z, wrap_heading
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ def test_closed_form_matches_independent_oracle_on_noisy_data():
 def test_solve_alignment_identity_case():
     pts = circle_points(50)
     corrs = make_corrs(pts, np.zeros(3), 0.0)
-    res = solve_alignment_arrays(*corrs, RelativeTransform.identity(Frame.LIDAR, Frame.VIO))
+    res = solve_alignment_arrays(*corrs)
     assert res.converged
     assert res.final_cost == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(res.transform.translation, 0.0, atol=1e-9)
@@ -253,16 +254,64 @@ def test_solve_alignment_insufficient_raises():
 
 def test_solve_alignment_cost_monotone_over_iterations():
     # Instrumented indirectly: the damping contract guarantees accepted cost
-    # never increases, so final cost from a far initial guess must not exceed
-    # the initial cost.
+    # never increases, so the final cost must not exceed the robust cost at
+    # the closed-form start.
     pts = circle_points(30)
     _, D, P = corrs = make_corrs(pts, np.array([5.0, 5.0, 0.0]), 2.0)
-    bad_init = RelativeTransform(np.array([-8.0, 3.0, 2.0]), -1.0, Frame.LIDAR, Frame.VIO)
-    r0 = D @ rot_z(-1.0).T + bad_init.translation - P
+    t0, theta0 = closed_form_align(D, P)
+    r0 = D @ rot_z(theta0).T + t0 - P
     cost0 = float(np.mean(soft_l1(np.sum(r0 * r0, axis=1))))
-    res = solve_alignment_arrays(*corrs, bad_init)
+    res = solve_alignment_arrays(*corrs)
     assert res.final_cost <= cost0
     assert res.converged
+
+
+def _drifting_corrs(rng, theta_star, n=60):
+    """Noiseless (stamps, D, P, t*, r*) with P = Rz d + t* + (t - mean t) r*."""
+    ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+    radius = rng.uniform(1.0, 6.0)
+    D = rng.uniform(-10.0, 10.0, 3) + np.column_stack(
+        [radius * np.cos(ang), radius * np.sin(ang), rng.normal(0.0, 0.3, n)])
+    stamps = 100.0 + np.cumsum(rng.uniform(0.02, 0.05, n))
+    t_star = rng.uniform(-10.0, 10.0, 3)
+    r_star = rng.uniform(-1.0, 1.0, 3)
+    tau = stamps - stamps.mean()
+    P = D @ rot_z(theta_star).T + t_star + tau[:, None] * r_star
+    return stamps, D, P, t_star, r_star
+
+
+def _test_headings(rng):
+    return [math.pi, -math.pi + 1e-9, math.pi - 1e-7, *rng.uniform(-math.pi, math.pi, 20)]
+
+
+def test_drift_closed_form_recovers_exact_parameters():
+    rng = np.random.default_rng(41)
+    for theta_star in _test_headings(rng):
+        stamps, D, P, t_star, r_star = _drifting_corrs(rng, theta_star)
+        t, theta, r = _drift_closed_form(stamps - stamps.mean(), D, P)
+        assert abs(wrap_heading(theta - theta_star)) < 1e-9
+        assert np.allclose(t, t_star, atol=1e-9)
+        assert np.allclose(r, r_star, atol=1e-9)
+
+
+def test_noiseless_windows_converge_within_two_lm_iterations():
+    # the closed-form start is the window's optimum when there is no noise,
+    # so the LM loop only has to confirm it
+    rng = np.random.default_rng(43)
+    drift_cfg = AlignmentConfig(estimate_drift=True)
+    for theta_star in _test_headings(rng):
+        stamps, D, P, t_star, r_star = _drifting_corrs(rng, theta_star)
+        res = solve_alignment_arrays(stamps, D, P, drift_cfg)
+        assert res.converged and res.iterations <= 2
+        assert np.allclose(res.drift_rate, r_star, atol=1e-8)
+        t_newest = t_star + r_star * (stamps[-1] - stamps.mean())
+        assert np.allclose(res.transform.translation, t_newest, atol=1e-8)
+
+        P_fixed = D @ rot_z(theta_star).T + t_star
+        res = solve_alignment_arrays(stamps, D, P_fixed)
+        assert res.converged and res.iterations <= 2
+        assert np.allclose(res.transform.translation, t_star, atol=1e-8)
+        assert abs(wrap_heading(res.transform.heading - theta_star)) < 1e-9
 
 
 def test_min_eigenvalue_invariant_under_vio_translation():
@@ -344,7 +393,7 @@ def test_window_geometry_matches_oracle_and_gates_the_solve():
         theta_star = float(rng.uniform(-math.pi, math.pi))
         P = D @ rot_z(theta_star).T + rng.uniform(-5.0, 5.0, 3) + rng.normal(0.0, 0.02, D.shape)
         stamps = 0.1 * np.arange(len(D))
-        res = solve_alignment_arrays(stamps, D, P, None, cfg)
+        res = solve_alignment_arrays(stamps, D, P, cfg)
         assert (res.path_length, res.min_eigenvalue) == (path_length, min_eig)
         if not window_observable(D, cfg):
             failed.add(kind)
@@ -354,7 +403,7 @@ def test_window_geometry_matches_oracle_and_gates_the_solve():
 
 def test_exact_recovery_property_small_paths():
     # Spec invariant: >= 3 non-collocated noiseless points spanning >= 0.5 m
-    # recover exactly from zero initial guess.
+    # recover exactly.
     rng = np.random.default_rng(12)
     cfg = AlignmentConfig(min_correspondences=3)
     for _ in range(50):

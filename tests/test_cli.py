@@ -1,5 +1,13 @@
 """CLI contracts: exit codes, outputs, determinism, sweep aggregation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import coopguide
 from coopguide.cli import main
 
 BASE_CFG = """
@@ -95,6 +103,24 @@ def test_eval_truncated_log_exits_one_with_line_number(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("echo", ["H trajectory.laps 1.5", "H trajectory.pattern spiral"])
+def test_eval_corrupt_config_echo_exits_one(tmp_path, capsys, echo):
+    cfg = _write(tmp_path, "s.cfg", BASE_CFG)
+    out = tmp_path / "out"
+    main(["run", "--config", cfg, "--out", str(out)])
+    key = echo.split()[1]
+    lines = [echo if line.split()[:2] == ["H", key] else line
+             for line in (out / "events.log").read_text().splitlines()]
+    assert echo in lines
+    broken = tmp_path / "broken.log"
+    broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["eval", "--log", str(broken), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("log error:") and key in err
+
+
 def test_sweep_aggregate_cardinality_and_determinism(tmp_path):
     cfg = _write(tmp_path, "sweep.cfg", SWEEP_CFG)
     out_a, out_b = tmp_path / "sa", tmp_path / "sb"
@@ -173,3 +199,14 @@ def test_default_out_dir_env_var(tmp_path, monkeypatch, capsys):
     code = cli_mod.main(["run", "--config", cfg])
     assert code == 0
     assert (tmp_path / "envout" / "events.log").exists()
+
+
+def test_python_m_coopguide_runs_the_cli(tmp_path):
+    src = str(Path(coopguide.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "coopguide", "eval", "--log", str(tmp_path / "missing.log")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("log error:")

@@ -268,8 +268,8 @@ def test_drift_run_completes_with_nonempty_log():
     assert len(log.estimates()[0]) == 264
     assert len(list(log.iter_tag("DET"))) > 100
     report = evaluate_log(log)
-    assert report.rel_loc_rmse == pytest.approx(0.28572063375208073, rel=1e-9)
-    assert report.mean_path_deviation == pytest.approx(0.30978952257438963, rel=1e-9)
+    assert report.rel_loc_rmse == pytest.approx(0.2857272784914325, rel=1e-9)
+    assert report.mean_path_deviation == pytest.approx(0.309806977402241, rel=1e-9)
 
 
 def test_determinism_byte_identical():
