@@ -36,7 +36,7 @@ from .geometry import (
     interpolate,
     wrap_heading,
 )
-from .guider import Guider, GuiderConfig, GuiderOutput, GuiderStatus, Trajectory, TrajectoryPoint
+from .guider import Guider, GuiderConfig, GuiderOutput, GuiderStatus, Trajectory
 from .simulator import EventLog, run_scenario
 from .tracker import (
     GateDecision,

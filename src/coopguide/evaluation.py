@@ -146,7 +146,7 @@ def evaluate_log(log: EventLog) -> ErrorReport:
 
     desired = generate_trajectory(config.values)
     path = ReferencePath(config.values, desired)
-    start = desired.points[0].stamp
+    start = desired.stamps[0]
     mask = ts_t >= start
     deviation = mean_path_deviation(ts_p[mask], path)
 

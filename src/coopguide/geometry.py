@@ -57,14 +57,16 @@ class StaleQueryError(ValueError):
 def wrap_heading(angle):
     """Wrap an angle (scalar or ndarray) to the half-open interval (-pi, pi].
 
-    Raises ValueError on non-finite input.
+    Angles already in range come back unchanged, so an array and its
+    elements one by one give the same bits.  Raises ValueError on non-finite
+    input.
     """
     if isinstance(angle, np.ndarray):
         if not np.all(np.isfinite(angle)):
             raise ValueError("non-finite heading angle")
-        wrapped = angle - TWO_PI * np.ceil((angle - math.pi) / TWO_PI)
-        # ceil maps the upper boundary exactly: angle = pi stays pi.
-        return wrapped
+        # the shift formula alone would turn an in-range -0.0 into 0.0
+        outside = (angle <= -math.pi) | (angle > math.pi)
+        return np.where(outside, angle - TWO_PI * np.ceil((angle - math.pi) / TWO_PI), angle)
     if not math.isfinite(angle):
         raise ValueError(f"non-finite heading angle: {angle!r}")
     if -math.pi < angle <= math.pi:

@@ -69,44 +69,51 @@ class GuiderStatus(Enum):
     TRANSFORM_FROZEN = "transform_frozen"
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    stamp: float
-    position: np.ndarray
-    heading: float = 0.0
-
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float)
-        if p.shape != (3,):
-            raise ValueError("trajectory point position must be a 3-vector")
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "heading", wrap_heading(float(self.heading)))
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Ordered stamped position+heading references in a named frame."""
+    """Stamped position + heading references in a named frame, as arrays.
 
-    frame: Frame
-    points: tuple[TrajectoryPoint, ...]
+    ``stamps`` (N,) strictly increasing, ``positions`` (N, 3), ``headings``
+    (N,) wrapped to (-pi, pi]; every value finite.  The constructor checks
+    this; slices and transforms of a checked trajectory skip the checks.
+    """
 
-    def __post_init__(self):
-        pts = tuple(self.points)
-        stamps = tuple(p.stamp for p in pts)
-        for a, b in zip(stamps, stamps[1:]):
-            if b <= a:
-                raise ValueError("trajectory stamps must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_stamps", stamps)
+    __slots__ = ("frame", "stamps", "positions", "headings")
+
+    def __init__(self, frame: Frame, stamps, positions, headings):
+        stamps = np.asarray(stamps, dtype=float)
+        positions = np.asarray(positions, dtype=float)
+        headings = np.asarray(headings, dtype=float)
+        n = stamps.shape[0] if stamps.ndim == 1 else -1
+        if stamps.shape != (n,) or positions.shape != (n, 3) or headings.shape != (n,):
+            raise ValueError(
+                f"trajectory needs stamps (N,), positions (N, 3) and headings (N,), got "
+                f"{stamps.shape}, {positions.shape} and {headings.shape}")
+        if not (np.all(np.isfinite(stamps)) and np.all(np.isfinite(positions))):
+            raise ValueError("non-finite trajectory stamp or position")
+        if not np.all(stamps[1:] > stamps[:-1]):
+            raise ValueError("trajectory stamps must be strictly increasing")
+        self.frame, self.stamps, self.positions = frame, stamps, positions
+        self.headings = wrap_heading(headings)
+
+    @classmethod
+    def _unchecked(cls, frame: Frame, stamps, positions, headings) -> "Trajectory":
+        """Wrap arrays derived from a checked trajectory: no copy, no checks."""
+        traj = cls.__new__(cls)
+        traj.frame, traj.stamps, traj.positions, traj.headings = frame, stamps, positions, headings
+        return traj
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.stamps)
 
-    def slice_window(self, start: float, end: float) -> tuple[TrajectoryPoint, ...]:
-        """Points with start <= stamp <= end (binary search, inclusive)."""
-        lo = bisect.bisect_left(self._stamps, start)
-        hi = bisect.bisect_right(self._stamps, end)
-        return self.points[lo:hi]
+    def slice_window(self, start: float, end: float) -> "Trajectory":
+        """Points with start <= stamp <= end (binary search, inclusive).
+
+        The result's arrays are views into this trajectory's arrays.
+        """
+        lo = self.stamps.searchsorted(start, side="left")
+        hi = self.stamps.searchsorted(end, side="right")
+        return Trajectory._unchecked(self.frame, self.stamps[lo:hi], self.positions[lo:hi],
+                                     self.headings[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -384,16 +391,9 @@ class Guider:
             return None
         transform = self._effective_transform(t)
         window = desired.slice_window(t, t + self.config.stream_horizon)
-        if window:
-            positions = np.array([p.position for p in window]) @ transform.rotation.T
-            positions += transform.translation
-        else:
-            positions = ()
-        pts = tuple(
-            TrajectoryPoint(p.stamp, pos, p.heading + transform.heading)
-            for p, pos in zip(window, positions)
-        )
-        return Trajectory(Frame.VIO, pts)
+        positions = window.positions @ transform.rotation.T + transform.translation
+        return Trajectory._unchecked(Frame.VIO, window.stamps, positions,
+                                     wrap_heading(window.headings + transform.heading))
 
     # ----------------------------------------------------------------- helpers
 

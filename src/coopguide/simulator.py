@@ -23,7 +23,6 @@ is line-delimited ``TAG field ...`` text with shortest-round-trip floats.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -32,8 +31,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, format_value
-from .geometry import Detection, Frame, TimedPose, rot_z, stamp_key, wrap_heading
-from .guider import Guider, Trajectory, TrajectoryPoint
+from .geometry import Detection, Frame, TimedPose, rot_z, wrap_heading
+from .guider import Guider, Trajectory
 
 
 class LogParseError(ValueError):
@@ -344,18 +343,14 @@ def generate_trajectory(values) -> Trajectory:
         laps = values["trajectory.laps"]
         total = laps * 2.0 * math.pi * radius / speed
         omega = speed / radius
-        pts = []
-        n = int(math.floor(total / spacing))
-        for k in range(n + 1):
-            ts = k * spacing
-            ang = omega * ts
-            pts.append(TrajectoryPoint(
-                start + ts,
-                np.array([cx + radius * math.cos(ang),
-                          cy + radius * math.sin(ang), cz]),
-                wrap_heading(ang + math.pi / 2),
-            ))
-        return Trajectory(Frame.LIDAR, tuple(pts))
+        offsets = [k * spacing for k in range(int(math.floor(total / spacing)) + 1)]
+        angles = [omega * ts for ts in offsets]
+        return Trajectory(
+            Frame.LIDAR,
+            [start + ts for ts in offsets],
+            [(cx + radius * math.cos(ang), cy + radius * math.sin(ang), cz) for ang in angles],
+            [ang + math.pi / 2 for ang in angles],
+        )
     if pattern == "eight":
         radius = values["trajectory.radius"]
         laps = values["trajectory.laps"]
@@ -367,21 +362,15 @@ def generate_trajectory(values) -> Trajectory:
         arc = np.concatenate([[0.0], np.cumsum(seg)])
         lap_len = arc[-1]
         total = laps * lap_len / speed
-        n = int(math.floor(total / spacing))
-        pts = []
-        for k in range(n + 1):
-            ts = k * spacing
-            s = (speed * ts) % lap_len
-            ui = float(np.interp(s, arc, u))
-            px = cx + radius * math.sin(ui)
-            py = cy + radius * math.sin(ui) * math.cos(ui)
-            dx = math.cos(ui)
-            dy = math.cos(2.0 * ui)
-            pts.append(TrajectoryPoint(
-                start + ts, np.array([px, py, cz]),
-                math.atan2(dy, dx),
-            ))
-        return Trajectory(Frame.LIDAR, tuple(pts))
+        offsets = [k * spacing for k in range(int(math.floor(total / spacing)) + 1)]
+        params = [float(np.interp((speed * ts) % lap_len, arc, u)) for ts in offsets]
+        return Trajectory(
+            Frame.LIDAR,
+            [start + ts for ts in offsets],
+            [(cx + radius * math.sin(ui), cy + radius * math.sin(ui) * math.cos(ui), cz)
+             for ui in params],
+            [math.atan2(math.cos(2.0 * ui), math.cos(ui)) for ui in params],
+        )
     # waypoints: constant-speed polyline
     wps = values["trajectory.waypoints"]
     if isinstance(wps[0], float):
@@ -393,17 +382,15 @@ def generate_trajectory(values) -> Trajectory:
     seg_len = np.linalg.norm(seg_vec, axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg_len)])
     total = arc[-1] / speed
-    n = int(math.floor(total / spacing))
-    pts = []
-    for k in range(n + 1):
-        ts = k * spacing
+    offsets = [k * spacing for k in range(int(math.floor(total / spacing)) + 1)]
+    positions, headings = [], []
+    for ts in offsets:
         s = min(speed * ts, arc[-1])
         i = min(int(np.searchsorted(arc, s, side="right")) - 1, len(seg_len) - 1)
         u = (s - arc[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
-        pos = wp[i] + u * seg_vec[i]
-        heading = math.atan2(seg_vec[i][1], seg_vec[i][0])
-        pts.append(TrajectoryPoint(start + ts, pos, heading))
-    return Trajectory(Frame.LIDAR, tuple(pts))
+        positions.append(wp[i] + u * seg_vec[i])
+        headings.append(math.atan2(seg_vec[i][1], seg_vec[i][0]))
+    return Trajectory(Frame.LIDAR, [start + ts for ts in offsets], positions, headings)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +407,7 @@ class ReferencePath:
             self.radius = values["trajectory.radius"]
             self.polyline = None
         else:
-            self.polyline = np.array([p.position for p in trajectory.points])
+            self.polyline = trajectory.positions
             self.center = None
             self.radius = 0.0
 
@@ -466,23 +453,25 @@ class PlantState:
     heading_rate: float
 
 
-def _interp_refs(refs: Sequence[TrajectoryPoint], t: float) -> tuple[np.ndarray, float]:
+def _interp_refs(refs: Trajectory, t: float) -> tuple[list, float]:
     """Reference (position, heading) at ``t``, held without tolerance at the ends."""
-    if t <= refs[0].stamp:
-        return refs[0].position, refs[0].heading
-    if t >= refs[-1].stamp:
-        return refs[-1].position, refs[-1].heading
-    hi = bisect.bisect_right(refs, t, key=stamp_key)
-    a, b = refs[hi - 1], refs[hi]
-    u = (t - a.stamp) / (b.stamp - a.stamp)
-    pos = a.position + u * (b.position - a.position)
-    heading = wrap_heading(a.heading + u * wrap_heading(b.heading - a.heading))
-    return pos, heading
+    stamps = refs.stamps
+    hi = int(stamps.searchsorted(t, side="right"))
+    if hi == len(stamps):   # t >= last stamp
+        return refs.positions[-1].tolist(), float(refs.headings[-1])
+    if hi <= 1 and t <= stamps[0]:
+        return refs.positions[0].tolist(), float(refs.headings[0])
+    s0, s1 = stamps[hi - 1:hi + 1].tolist()
+    h0, h1 = refs.headings[hi - 1:hi + 1].tolist()
+    (x0, y0, z0), (x1, y1, z1) = refs.positions[hi - 1:hi + 1].tolist()
+    u = (t - s0) / (s1 - s0)
+    pos = [x0 + u * (x1 - x0), y0 + u * (y1 - y0), z0 + u * (z1 - z0)]
+    return pos, wrap_heading(h0 + u * wrap_heading(h1 - h0))
 
 
 def plant_step(
     state: PlantState,
-    pending_refs: Sequence[TrajectoryPoint],
+    pending_refs: Optional[Trajectory],
     t: float,
     dt: float,
     params: PlantParams,
@@ -495,7 +484,7 @@ def plant_step(
     target, target_heading = _interp_refs(pending_refs, t)
     # scalar math: this runs at the tick rate
     inv_tau = 1.0 / params.time_constant
-    px, py, pz = state.position
+    px, py, pz = state.position.tolist()
     vx = (target[0] - px) * inv_tau
     vy = (target[1] - py) * inv_tau
     vz = (target[2] - pz) * inv_tau
@@ -539,8 +528,8 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     dt = 1.0 / tick_rate
     desired = generate_trajectory(v)
     path = ReferencePath(v, desired)
-    traj_start = desired.points[0].stamp
-    traj_end = desired.points[-1].stamp
+    traj_start = float(desired.stamps[0])
+    traj_end = float(desired.stamps[-1])
     duration = v["scenario.duration"] or (traj_end + 5.0)
     n_ticks = int(round(duration * tick_rate))
 
@@ -565,13 +554,12 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
 
     guider = Guider(config.alignment, config.tracker, config.guider)
 
-    first = desired.points[0]
-    plant = PlantState(R0 @ first.position + t0,
-                       wrap_heading(first.heading + theta0),
+    plant = PlantState(R0 @ desired.positions[0] + t0,
+                       wrap_heading(float(desired.headings[0]) + theta0),
                        np.zeros(3), 0.0)
     plant_params = PlantParams(v["plant.time_constant"], v["plant.max_speed"],
                                v["plant.max_heading_rate"])
-    pending_refs: tuple[TrajectoryPoint, ...] = ()
+    pending_refs: Optional[Trajectory] = None
 
     log = EventLog()
     for key, value in config.effective_items():
@@ -677,22 +665,19 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
                 streamed = guider.transform_and_stream(desired, t)
             else:
                 # operator-assisted start: true transform until initialization
-                pts = tuple(
-                    TrajectoryPoint(p.stamp,
-                                    R0 @ p.position + t0 + drift.offset,
-                                    p.heading + theta0)
-                    for p in desired.slice_window(t, t + horizon)
-                )
-                if pts:
-                    streamed = Trajectory(Frame.VIO, pts)
+                # (R0 @ p per point: a batched matmul rounds differently)
+                window = desired.slice_window(t, t + horizon)
+                positions = [R0 @ p + t0 + drift.offset for p in window.positions]
+                streamed = Trajectory(Frame.VIO, window.stamps,
+                                      np.reshape(positions, (-1, 3)),
+                                      window.headings + theta0)
             if streamed is not None and len(streamed):
                 arrival = t + comm_mean + comm_jitter * float(ref_delay_rng.random())
-                log.append(("REF", t, arrival,
-                            tuple((p.stamp, float(p.position[0]),
-                                   float(p.position[1]), float(p.position[2]),
-                                   p.heading) for p in streamed.points)))
+                rows = np.column_stack([streamed.stamps, streamed.positions,
+                                        streamed.headings]).tolist()
+                log.append(("REF", t, arrival, tuple(map(tuple, rows))))
                 seq += 1
-                heapq.heappush(events, (arrival, seq, "ref", streamed.points))
+                heapq.heappush(events, (arrival, seq, "ref", streamed))
 
         if k % decim == 0:
             prim_pos, prim_heading = primary_pose(v, t)

@@ -95,43 +95,62 @@ class TrackerConfig:
     init_heading_rate_sigma: float = 0.2
 
 
-@dataclass(frozen=True)
 class TrackerState:
     """Filter state: stamp, (4, 2) mean and (4, 2, 2) covariance.
 
     Row ``a`` of the mean is axis ``a`` (x, y, z, heading) as (value, rate);
-    ``covariance[a]`` is that pair's 2x2 covariance.
+    ``covariance[a]`` is that pair's 2x2 covariance.  Both are held as
+    nested float lists, which ``predict``, ``update`` and
+    ``innovation_gate`` read directly; ``mean``, ``covariance`` and the
+    vector properties build arrays on request.  The constructor validates
+    its input and wraps the heading; the filter's own outputs skip it.
     """
 
-    stamp: float
-    mean: np.ndarray
-    covariance: np.ndarray
+    __slots__ = ("stamp", "_mean", "_cov")
 
-    def __post_init__(self):
-        m = np.asarray(self.mean, dtype=float)
-        P = np.asarray(self.covariance, dtype=float)
-        heading = m[_HEADING_AXIS, 0]
-        if heading > math.pi or heading <= -math.pi:
-            m = m.copy()
-            m[_HEADING_AXIS, 0] = wrap_heading(heading)
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "covariance", P)
+    def __init__(self, stamp: float, mean, covariance):
+        m = np.asarray(mean, dtype=float)
+        P = np.asarray(covariance, dtype=float)
+        if m.shape != (4, 2):
+            raise ValueError(f"mean must have shape (4, 2), got {m.shape}")
+        if P.shape != (4, 2, 2):
+            raise ValueError(f"covariance must have shape (4, 2, 2), got {P.shape}")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(P))):
+            raise ValueError("non-finite mean or covariance")
+        rows = m.tolist()
+        rows[_HEADING_AXIS][0] = wrap_heading(rows[_HEADING_AXIS][0])
+        self.stamp, self._mean, self._cov = stamp, rows, P.tolist()
+
+    @classmethod
+    def _unchecked(cls, stamp: float, mean: list, cov: list) -> "TrackerState":
+        """Wrap lists the filter built itself: no copy, no checks."""
+        state = cls.__new__(cls)
+        state.stamp, state._mean, state._cov = stamp, mean, cov
+        return state
+
+    @property
+    def mean(self) -> np.ndarray:
+        return np.array(self._mean)
+
+    @property
+    def covariance(self) -> np.ndarray:
+        return np.array(self._cov)
 
     @property
     def position(self) -> np.ndarray:
-        return self.mean[0:3, 0]
+        return np.array([row[0] for row in self._mean[:3]])
 
     @property
     def velocity(self) -> np.ndarray:
-        return self.mean[0:3, 1]
+        return np.array([row[1] for row in self._mean[:3]])
 
     @property
     def heading(self) -> float:
-        return float(self.mean[_HEADING_AXIS, 0])
+        return self._mean[_HEADING_AXIS][0]
 
     @property
     def heading_rate(self) -> float:
-        return float(self.mean[_HEADING_AXIS, 1])
+        return self._mean[_HEADING_AXIS][1]
 
 
 @dataclass(frozen=True)
@@ -182,7 +201,7 @@ def predict(state: TrackerState, dt: float, config: TrackerConfig = TrackerConfi
         raise ValueError(f"predict requires dt >= 0, got {dt}")
     if dt == 0.0:
         return state
-    mean = [[v + dt * w, w] for v, w in state.mean.tolist()]
+    mean = [[v + dt * w, w] for v, w in state._mean]
     mean[_HEADING_AXIS][0] = wrap_heading(mean[_HEADING_AXIS][0])
 
     qa = config.sigma_accel ** 2
@@ -190,11 +209,11 @@ def predict(state: TrackerState, dt: float, config: TrackerConfig = TrackerConfi
     q2 = dt ** 2 / 2.0
     q3 = dt ** 3 / 3.0
     cov = []
-    for ((p00, p01), (_, p11)), q in zip(state.covariance.tolist(), noise):
+    for ((p00, p01), (_, p11)), q in zip(state._cov, noise):
         c01 = p01 + dt * p11 + q * q2
         cov.append([[p00 + dt * (2.0 * p01 + dt * p11) + q * q3, c01],
                     [c01, p11 + q * dt]])
-    return TrackerState(state.stamp + dt, mean, cov)
+    return TrackerState._unchecked(state.stamp + dt, mean, cov)
 
 
 def update(state: TrackerState, z: Measurement) -> TrackerState:
@@ -210,8 +229,8 @@ def update(state: TrackerState, z: Measurement) -> TrackerState:
             f"measurement stamp {z.stamp} does not match state stamp {state.stamp}; "
             "predict first"
         )
-    mean = state.mean.tolist()
-    cov = state.covariance.tolist()
+    mean = list(map(list, state._mean))
+    cov = list(state._cov)   # updated blocks are replaced, never mutated
     axes, components = _KIND_AXES[z.kind]
     for value, r, a, c in zip(z.value.tolist(), z.variance.tolist(), axes, components):
         (p00, p01), (_, p11) = cov[a]
@@ -228,16 +247,20 @@ def update(state: TrackerState, z: Measurement) -> TrackerState:
         c01 = p01 - k0 * g1
         cov[a] = [[p00 - k0 * g0, c01], [c01, p11 - k1 * g1]]
     mean[_HEADING_AXIS][0] = wrap_heading(mean[_HEADING_AXIS][0])
-    return TrackerState(state.stamp, mean, cov)
+    return TrackerState._unchecked(state.stamp, mean, cov)
 
 
 def innovation_gate(state: TrackerState, detection: Detection) -> float:
     """Squared Mahalanobis distance of a detection from the predicted state."""
-    y = detection.position - state.position
-    s = state.covariance[0:3, 0, 0] + detection.sigma ** 2
-    if not np.all(s > 0.0):
-        raise ValueError("singular innovation covariance")
-    return float(np.sum(y * y / s))
+    r = detection.sigma ** 2
+    d2 = 0.0
+    for z, (x, _), ((p00, _), _) in zip(detection.position.tolist(), state._mean, state._cov):
+        y = z - x
+        s = p00 + r
+        if not s > 0.0:
+            raise ValueError("singular innovation covariance")
+        d2 += y * y / s
+    return d2
 
 
 def associate(

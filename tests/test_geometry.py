@@ -49,6 +49,24 @@ def test_wrap_heading_idempotent_and_bounded_bulk():
     assert np.allclose(k, np.round(k), atol=1e-6)
 
 
+def test_wrap_heading_array_matches_scalar_bit_for_bit():
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, math.pi + 1e-15]
+    angles = np.concatenate([rng.uniform(-20.0, 20.0, 100_000), special])
+    wrapped = wrap_heading(angles)
+    assert [repr(x) for x in wrapped.tolist()] == [repr(wrap_heading(a)) for a in angles.tolist()]
+    # -0.0 survives in an all-in-range array and beside an angle that wraps
+    for subset in (np.array([-0.0, 1.0, -1.0]), np.array([-0.0, 1.0, 4.0])):
+        got = [repr(x) for x in wrap_heading(subset).tolist()]
+        assert got == [repr(wrap_heading(a)) for a in subset.tolist()]
+
+
+def test_wrap_heading_array_rejects_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            wrap_heading(np.array([0.0, bad]))
+
+
 def test_apply_transform_identity():
     T = RelativeTransform.identity(Frame.LIDAR, Frame.VIO)
     assert np.allclose(T.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])

@@ -15,7 +15,6 @@ from coopguide.guider import (
     GuiderError,
     GuiderStatus,
     Trajectory,
-    TrajectoryPoint,
 )
 from coopguide.tracker import MeasurementKind, TrackerConfig
 
@@ -95,11 +94,65 @@ def test_empty_detection_batch_is_noop():
     assert g.status(0.0) is GuiderStatus.UNINITIALIZED
 
 
+def test_trajectory_rejects_malformed_arrays():
+    ok = dict(stamps=[0.0, 1.0], positions=np.zeros((2, 3)), headings=[0.0, 0.0])
+    assert len(Trajectory(Frame.LIDAR, **ok)) == 2
+    bad = [
+        dict(ok, positions=np.zeros((3, 3))),          # shape mismatches
+        dict(ok, positions=np.zeros((2, 2))),
+        dict(ok, headings=[0.0]),
+        dict(ok, stamps=[[0.0, 1.0]]),
+        dict(stamps=1.0, positions=np.zeros((1, 3)), headings=[0.0]),
+        dict(ok, stamps=[0.0, np.nan]),                # non-finite values
+        dict(ok, positions=[[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]]),
+        dict(ok, headings=[0.0, np.nan]),
+        dict(ok, stamps=[1.0, 1.0]),                   # not strictly increasing
+        dict(ok, stamps=[1.0, 0.0]),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            Trajectory(Frame.LIDAR, **kwargs)
+
+
+def test_trajectory_wraps_headings():
+    headings = [3 * math.pi / 2, -math.pi, math.pi, -0.0, 7.0]
+    traj = Trajectory(Frame.LIDAR, np.arange(5.0), np.zeros((5, 3)), headings)
+    assert [repr(h) for h in traj.headings.tolist()] == [repr(wrap_heading(h)) for h in headings]
+    assert np.all(traj.headings > -math.pi) and np.all(traj.headings <= math.pi)
+
+
+def test_slice_window_matches_brute_force_mask():
+    rng = np.random.default_rng(3)
+    stamps = np.cumsum(rng.uniform(0.1, 1.0, 50))
+    traj = Trajectory(Frame.LIDAR, stamps, rng.normal(size=(50, 3)), rng.uniform(-3, 3, 50))
+    windows = [
+        (stamps[10], stamps[20]),                      # both bounds on a stamp
+        (stamps[0], stamps[0]),                        # a single stamp
+        (stamps[-1], stamps[-1] + 5.0),
+        (stamps[5] + 1e-9, stamps[6] - 1e-9),          # between two stamps: empty
+        (-10.0, -1.0),                                 # before the trajectory: empty
+        (stamps[-1] + 1.0, stamps[-1] + 2.0),          # after it: empty
+        (stamps[30], stamps[29]),                      # reversed: empty
+    ]
+    windows += [tuple(sorted(rng.uniform(stamps[0] - 1.0, stamps[-1] + 1.0, 2)))
+                for _ in range(200)]
+    empty = 0
+    for start, end in windows:
+        mask = (start <= stamps) & (stamps <= end)
+        got = traj.slice_window(start, end)
+        assert got.frame is Frame.LIDAR and len(got) == mask.sum()
+        assert np.array_equal(got.stamps, stamps[mask])
+        assert np.array_equal(got.positions, traj.positions[mask])
+        assert np.array_equal(got.headings, traj.headings[mask])
+        empty += not mask.any()
+    assert empty >= 4
+
+
 def test_uninitialized_output_raises():
     g = make_guider()
     with pytest.raises(GuiderError):
         g.current_output(0.0)
-    traj = Trajectory(Frame.LIDAR, (TrajectoryPoint(1.0, np.zeros(3)),))
+    traj = Trajectory(Frame.LIDAR, [1.0], np.zeros((1, 3)), [0.0])
     with pytest.raises(GuiderError):
         g.transform_and_stream(traj, 0.0)
 
@@ -222,18 +275,19 @@ def test_transform_round_trip():
 def test_transform_and_stream_drops_completed_and_transforms():
     g = make_guider()
     t = drive(g, 0.0, 8.0)
-    pts = tuple(TrajectoryPoint(t - 5.0 + i, np.array([i, 0.0, 1.0]), 0.1 * i)
-                for i in range(20))
-    traj = Trajectory(Frame.LIDAR, pts)
+    i = np.arange(20)
+    traj = Trajectory(Frame.LIDAR, t - 5.0 + i,
+                      np.column_stack([i, np.zeros(20), np.ones(20)]), 0.1 * i)
     out = g.transform_and_stream(traj, t)
     # points with stamp < t dropped; horizon keeps stamps <= t + 10
-    kept = [p for p in pts if t <= p.stamp <= t + 10.0]
+    kept = [k for k in range(20) if t <= traj.stamps[k] <= t + 10.0]
     assert len(out) == len(kept)
     assert out.frame is Frame.VIO
     T = g.current_output(t).transform_l_to_s
-    for got, src in zip(out.points, kept):
-        assert np.allclose(got.position, T.apply(src.position), atol=1e-9)
-        assert got.heading == pytest.approx(wrap_heading(src.heading + T.heading), abs=1e-9)
+    for j, k in enumerate(kept):
+        assert np.allclose(out.positions[j], T.apply(traj.positions[k]), atol=1e-9)
+        assert out.headings[j] == pytest.approx(
+            wrap_heading(traj.headings[k] + T.heading), abs=1e-9)
 
 
 def test_streamed_references_recover_lidar_frame_trajectory():
@@ -242,16 +296,17 @@ def test_streamed_references_recover_lidar_frame_trajectory():
     # desired L-frame trajectory.
     g = make_guider()
     t = drive(g, 0.0, 10.0)
-    pts = tuple(TrajectoryPoint(t + 0.5 * i,
-                                secondary_position(t + 0.5 * i),
-                                secondary_heading(t + 0.5 * i))
-                for i in range(10))
-    out = g.transform_and_stream(Trajectory(Frame.LIDAR, pts), t)
+    stamps = [t + 0.5 * i for i in range(10)]
+    desired = Trajectory(Frame.LIDAR, stamps,
+                         [secondary_position(s) for s in stamps],
+                         [secondary_heading(s) for s in stamps])
+    out = g.transform_and_stream(desired, t)
     true_T = RelativeTransform(T_OFFSET, THETA, Frame.LIDAR, Frame.VIO)
     back = true_T.inverse()
-    for got, src in zip(out.points, pts):
-        assert np.allclose(back.apply(got.position), src.position, atol=0.02)
-        assert abs(wrap_heading(back.apply_heading(got.heading) - src.heading)) < 0.02
+    for got_p, got_h, src_p, src_h in zip(out.positions, out.headings,
+                                          desired.positions, desired.headings):
+        assert np.allclose(back.apply(got_p), src_p, atol=0.02)
+        assert abs(wrap_heading(back.apply_heading(got_h) - src_h)) < 0.02
 
 
 def test_stream_paused_when_heading_frozen():
@@ -259,7 +314,7 @@ def test_stream_paused_when_heading_frozen():
     t = drive(g, 0.0, 8.0)
     t = drive(g, t, t + 2.0, vio_on=False)
     assert g.status(t) is GuiderStatus.HEADING_FROZEN
-    traj = Trajectory(Frame.LIDAR, (TrajectoryPoint(t + 1.0, secondary_position(t)),))
+    traj = Trajectory(Frame.LIDAR, [t + 1.0], [secondary_position(t)], [0.0])
     assert g.transform_and_stream(traj, t) is None
 
 

@@ -1,0 +1,29 @@
+"""The byte-identity digest tool in tools/log_digests.py."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "log_digests.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("log_digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_lap_digest_is_hex_sha256_and_repeats():
+    tool = _tool()
+    config = tool.bench.make_config("drift_none", 7)
+    first = tool.digest(config)
+    assert re.fullmatch(r"[0-9a-f]{64}", first)
+    assert tool.digest(config) == first
+
+
+def test_run_set_has_53_distinct_labels():
+    labels = [label for label, _ in _tool().runs()]
+    assert len(labels) == len(set(labels)) == 53
+    assert "drift_sweep.cfg:vio_drift.x=0.4" in labels
+    assert sum(label.startswith("bench:") for label in labels) == 48

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from coopguide.config import ConfigError, build_config
-from coopguide.geometry import rot_z
-from coopguide.guider import TrajectoryPoint
+from coopguide.geometry import Frame, rot_z
+from coopguide.guider import Trajectory
 from coopguide.simulator import (
     ConstantVelocityDrift,
     EventLog,
@@ -108,7 +108,8 @@ def test_line_of_sight_basics():
 
 
 def _refs(points):
-    return tuple(TrajectoryPoint(t, np.asarray(p, float), h) for t, p, h in points)
+    stamps, positions, headings = zip(*points)
+    return Trajectory(Frame.VIO, stamps, positions, headings)
 
 
 def test_plant_step_equilibrium():
@@ -178,12 +179,12 @@ def test_generate_trajectory_circle_properties():
     v = build_config({"trajectory.laps": 2}).values
     traj = generate_trajectory(v)
     cx, cy, cz = v["trajectory.center"]
-    for p in traj.points:
-        r = math.hypot(p.position[0] - cx, p.position[1] - cy)
+    for p in traj.positions:
+        r = math.hypot(p[0] - cx, p[1] - cy)
         assert r == pytest.approx(4.0, abs=1e-9)
-        assert p.position[2] == cz
+        assert p[2] == cz
     # stamps advance at the configured spacing; length covers the laps
-    total = traj.points[-1].stamp - traj.points[0].stamp
+    total = traj.stamps[-1] - traj.stamps[0]
     assert total == pytest.approx(2 * 2 * math.pi * 4.0 / 0.5, abs=1.0)
 
 
@@ -194,8 +195,8 @@ def test_generate_trajectory_waypoints_constant_speed():
         "trajectory.speed": 1.0,
     }).values
     traj = generate_trajectory(v)
-    assert traj.points[-1].stamp - traj.points[0].stamp == pytest.approx(7.0, abs=0.5)
-    d = np.linalg.norm(traj.points[1].position - traj.points[0].position)
+    assert traj.stamps[-1] - traj.stamps[0] == pytest.approx(7.0, abs=0.5)
+    d = np.linalg.norm(traj.positions[1] - traj.positions[0])
     assert d == pytest.approx(1.0 * v["trajectory.spacing"], abs=1e-9)
 
 

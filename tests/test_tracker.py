@@ -139,6 +139,44 @@ def make_state(stamp=0.0, pos=(0, 0, 0), vel=(0, 0, 0), heading=0.0, rate=0.0, v
 # predict
 
 
+def _prior_blocks():
+    return np.zeros((4, 2)), np.tile(np.eye(2), (4, 1, 1))
+
+
+def test_state_rejects_non_finite_mean():
+    _, cov = _prior_blocks()
+    with pytest.raises(ValueError):
+        TrackerState(0.0, np.full((4, 2), np.nan), cov)
+    mean, cov = _prior_blocks()
+    cov[2, 1, 1] = np.inf
+    with pytest.raises(ValueError):
+        TrackerState(0.0, mean, cov)
+
+
+def test_state_rejects_wrong_mean_shape():
+    _, cov = _prior_blocks()
+    with pytest.raises(ValueError):
+        TrackerState(0.0, np.zeros((3, 2)), cov)
+
+
+def test_state_rejects_dense_8x8_covariance():
+    mean, _ = _prior_blocks()
+    with pytest.raises(ValueError):
+        TrackerState(0.0, mean, np.eye(8))
+
+
+def test_state_arrays_are_fresh_copies_with_wrapped_heading():
+    mean, cov = _prior_blocks()
+    mean[3, 0] = 3 * math.pi / 2
+    s = TrackerState(0.0, mean, cov)
+    assert s.heading == pytest.approx(-math.pi / 2, abs=1e-15)
+    s.mean[0, 0] = 99.0
+    s.covariance[0, 0, 0] = 99.0
+    s.position[0] = 99.0
+    assert s.mean[0, 0] == 0.0 and s.covariance[0, 0, 0] == 1.0 and s.position[0] == 0.0
+    assert s.mean.shape == (4, 2) and s.covariance.shape == (4, 2, 2)
+
+
 def test_predict_constant_velocity():
     s = make_state(pos=(0, 0, 0), vel=(1, 0, 0))
     out = predict(s, 0.5, CFG)
