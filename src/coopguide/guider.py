@@ -11,6 +11,8 @@ Degenerate input streams map to explicit statuses:
     - detections stale        -> DEAD_RECKONING_VIO (position rides the VIO chain)
     - VIO stale               -> HEADING_FROZEN (heading states stop updating,
       streaming pauses: without fresh VIO there is no valid V-frame anchor)
+    - non-finite VIO samples  -> dropped on ingest, so a stream of them reads
+      as VIO stale
     - last alignment rejected -> TRANSFORM_FROZEN (guidance continues with the
       previous transform)
 
@@ -20,6 +22,7 @@ All ingest and query calls must be externally serialized (single writer).
 from __future__ import annotations
 
 import bisect
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -41,6 +44,7 @@ from .geometry import (
     StaleQueryError,
     TimedPose,
     interpolate,
+    rot_z,
     stamp_key,
     wrap_heading,
 )
@@ -114,6 +118,16 @@ class Trajectory:
         hi = self.stamps.searchsorted(end, side="right")
         return Trajectory._unchecked(self.frame, self.stamps[lo:hi], self.positions[lo:hi],
                                      self.headings[lo:hi])
+
+    def mapped(self, translation, heading: float) -> "Trajectory":
+        """This L-frame trajectory mapped into V by ``Rz(heading) @ p + translation``.
+
+        Every streamed reference batch is made here, so a batch is rebuilt
+        bit for bit from its window, ``translation`` and ``heading``.
+        """
+        return Trajectory._unchecked(Frame.VIO, self.stamps,
+                                     self.positions @ rot_z(heading).T + translation,
+                                     wrap_heading(self.headings + heading))
 
 
 @dataclass(frozen=True)
@@ -244,7 +258,16 @@ class Guider:
                 self._attempt_reinitialization(stamp)
 
     def ingest_vio(self, pose: TimedPose) -> None:
-        """Feed one VIO pose sample (arrival order may differ from stamps)."""
+        """Feed one VIO pose sample (arrival order may differ from stamps).
+
+        A sample with a non-finite value is dropped before it is buffered, so
+        it cannot turn the filter state to NaN; a stream of them reads as
+        stale VIO (HEADING_FROZEN).
+        """
+        x, y, z = pose.position.tolist()
+        vx, vy, vz = pose.velocity.tolist()
+        if not all(map(math.isfinite, (pose.stamp, x, y, z, vx, vy, vz, pose.heading_rate))):
+            return
         self._ingest_count += 1
         buf = self._vio_buffer
         buf.insert(bisect.bisect_right(buf, pose.stamp, key=stamp_key), pose)
@@ -380,8 +403,9 @@ class Guider:
 
         Points with stamps before ``t`` are dropped (already completed); the
         remaining points within the streaming horizon are mapped through the
-        effective L->V transform.  Returns None when the guider is in a state
-        where streaming must pause (stale VIO); raises when uninitialized.
+        effective L->V transform, the one ``current_output(t)`` reports.
+        Returns None when the guider is in a state where streaming must pause
+        (stale VIO); raises when uninitialized.
         """
         if desired.frame != Frame.LIDAR:
             raise ValueError("desired trajectory must be given in the lidar frame")
@@ -391,9 +415,7 @@ class Guider:
             return None
         transform = self._effective_transform(t)
         window = desired.slice_window(t, t + self.config.stream_horizon)
-        positions = window.positions @ transform.rotation.T + transform.translation
-        return Trajectory._unchecked(Frame.VIO, window.stamps, positions,
-                                     wrap_heading(window.headings + transform.heading))
+        return window.mapped(transform.translation, transform.heading)
 
     # ----------------------------------------------------------------- helpers
 

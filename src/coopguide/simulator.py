@@ -15,10 +15,13 @@ True frame relation maintained by the engine:
 with (t0, theta0) the initial VIO frame offset and o(t) the accumulated
 position drift.  Until the guider initializes, the engine streams references
 through this true transform (operator-assisted start); afterwards the guider
-streams through its own estimate.
+streams through its own estimate.  Either way a batch is the desired
+trajectory's window [t, t + stream_horizon] mapped by ``Trajectory.mapped``.
 
 The event log is a chronological, replayable record stream; serialized form
-is line-delimited ``TAG field ...`` text with shortest-round-trip floats.
+is line-delimited ``TAG field ...`` text with shortest-round-trip floats.  A
+REF record keeps the transform its batch was mapped with, not the points;
+``streamed_references`` rebuilds the batches from it and the config echo.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, format_value
+from .config import ConfigError, ScenarioConfig, build_config, format_value
 from .geometry import Detection, Frame, TimedPose, rot_z, wrap_heading
 from .guider import Guider, Trajectory
 
@@ -47,6 +50,26 @@ class LogParseError(ValueError):
 # event log
 
 
+#: field converters of each record tag, in order (see ``EventLog``)
+_RECORD_FIELDS: dict[str, tuple] = {
+    "H": (str, str),
+    "TP": (float,) * 5,
+    "TS": (float,) * 5,
+    "DR": (float,) * 4,
+    "DET": (float, float, int, float, float, float, float),
+    "VIO": (float,) * 10,
+    "REF": (float, float, int, float, float, float, float),
+    "EST": (float, str) + (float,) * 8,
+    "FAIL": (float,),
+    "END": (float,),
+}
+
+
+def _convert(converter, field: str):
+    # map(_convert, ...) parses a record faster than a comprehension over zip
+    return converter(field)
+
+
 class EventLog:
     """Time-ordered record stream of one scenario run.
 
@@ -57,7 +80,8 @@ class EventLog:
         DR   t ox oy oz              -- accumulated VIO drift offset
         DET  t_meas t_arrive track x y z sigma
         VIO  t_meas t_arrive x y z vx vy vz phi omega   -- V-frame sample
-        REF  t_emit t_arrive n (stamp x y z heading)*n  -- streamed refs (V)
+        REF  t_emit t_arrive n tx ty tz theta  -- streamed batch of n points,
+             mapped L->V with (tx ty tz, theta); see ``streamed_references``
         EST  t status x y z phi tx ty tz theta          -- guider output
         FAIL t                       -- abort-radius failure
         END  t
@@ -108,24 +132,9 @@ class EventLog:
 
     # -- serialization -------------------------------------------------------
 
-    @staticmethod
-    def _format_field(x) -> str:
-        if isinstance(x, float):
-            return repr(x)
-        return str(x)
-
     def dumps(self) -> str:
-        lines = []
-        for rec in self.records:
-            if rec[0] == "REF":
-                tag, t_emit, t_arrive, pts = rec
-                flat = [tag, repr(t_emit), repr(t_arrive), str(len(pts))]
-                for p in pts:
-                    flat += [repr(float(v)) for v in p]
-                lines.append(" ".join(flat))
-            else:
-                lines.append(" ".join(self._format_field(x) for x in rec))
-        return "\n".join(lines) + "\n"
+        # str(float) is the shortest round-trip repr
+        return "\n".join([" ".join(map(str, rec)) for rec in self.records]) + "\n"
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -133,54 +142,26 @@ class EventLog:
 
     @classmethod
     def loads(cls, text: str) -> "EventLog":
+        """Parse ``dumps`` output: fields are single-space separated, and
+        every tag has an exact field count (an H value may be empty)."""
         log = cls()
+        records = log.records
         lineno = 0
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            parts = line.split()
-            tag = parts[0]
+            tag, *fields = line.split(" ")
             try:
-                if tag == "H":
-                    rec = ("H", parts[1], parts[2] if len(parts) > 2 else "")
-                elif tag in ("TP", "TS"):
-                    rec = (tag, *map(float, parts[1:6]))
-                    if len(parts) != 6:
-                        raise ValueError("expected 5 fields")
-                elif tag == "DR":
-                    if len(parts) != 5:
-                        raise ValueError("expected 4 fields")
-                    rec = (tag, *map(float, parts[1:5]))
-                elif tag == "DET":
-                    if len(parts) != 8:
-                        raise ValueError("expected 7 fields")
-                    rec = (tag, float(parts[1]), float(parts[2]), int(parts[3]),
-                           float(parts[4]), float(parts[5]), float(parts[6]),
-                           float(parts[7]))
-                elif tag == "VIO":
-                    if len(parts) != 11:
-                        raise ValueError("expected 10 fields")
-                    rec = (tag, *map(float, parts[1:11]))
-                elif tag == "REF":
-                    n = int(parts[3])
-                    vals = list(map(float, parts[4:]))
-                    if len(vals) != 5 * n:
-                        raise ValueError(f"expected {5 * n} point fields")
-                    pts = tuple(tuple(vals[5 * i:5 * i + 5]) for i in range(n))
-                    rec = (tag, float(parts[1]), float(parts[2]), pts)
-                elif tag == "EST":
-                    if len(parts) != 11:
-                        raise ValueError("expected 10 fields")
-                    rec = (tag, float(parts[1]), parts[2],
-                           *map(float, parts[3:11]))
-                elif tag in ("FAIL", "END"):
-                    rec = (tag, float(parts[1]))
-                else:
+                converters = _RECORD_FIELDS.get(tag)
+                if converters is None:
                     raise ValueError(f"unknown record tag {tag!r}")
-            except (ValueError, IndexError) as exc:
+                if len(fields) != len(converters):
+                    raise ValueError(f"{tag} record needs {len(converters)} fields, "
+                                     f"got {len(fields)}")
+                records.append((tag, *map(_convert, converters, fields)))
+            except ValueError as exc:
                 raise LogParseError(str(exc), lineno) from exc
-            log.append(rec)
-        if not log.records or log.records[-1][0] != "END":
+        if not records or records[-1][0] != "END":
             raise LogParseError("log is truncated: no END record", lineno + 1)
         return log
 
@@ -393,6 +374,27 @@ def generate_trajectory(values) -> Trajectory:
     return Trajectory(Frame.LIDAR, [start + ts for ts in offsets], positions, headings)
 
 
+def streamed_references(log: EventLog) -> list[tuple[float, float, Trajectory]]:
+    """(t_emit, t_arrive, batch in V) of every REF record of ``log``.
+
+    A batch is the desired trajectory of the log's config echo over
+    [t_emit, t_emit + guider.stream_horizon], mapped with the record's
+    transform: bit for bit the batch the run streamed.  Raises ValueError when
+    a record's point count does not match that window.
+    """
+    values = build_config(log.config_echo()).values
+    desired = generate_trajectory(values)
+    horizon = values["guider.stream_horizon"]
+    out = []
+    for _, t_emit, t_arrive, n, tx, ty, tz, heading in log.iter_tag("REF"):
+        window = desired.slice_window(t_emit, t_emit + horizon)
+        if len(window) != n:
+            raise ValueError(f"REF at t={t_emit!r} holds {n} points, "
+                             f"but its window holds {len(window)}")
+        out.append((t_emit, t_arrive, window.mapped(np.array([tx, ty, tz]), heading)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # reference path distance (abort checks and evaluation share the formula)
 
@@ -543,7 +545,6 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     drift = make_drift(v)
     theta0 = v["vio.initial_heading"]
     t0 = np.asarray(v["vio.initial_offset"], float)
-    R0 = rot_z(theta0)
 
     walls = v["nlos.walls"]
     if walls and isinstance(walls[0], float):
@@ -554,7 +555,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
 
     guider = Guider(config.alignment, config.tracker, config.guider)
 
-    plant = PlantState(R0 @ desired.positions[0] + t0,
+    plant = PlantState(rot_z(theta0) @ desired.positions[0] + t0,
                        wrap_heading(float(desired.headings[0]) + theta0),
                        np.zeros(3), 0.0)
     plant_params = PlantParams(v["plant.time_constant"], v["plant.max_speed"],
@@ -651,7 +652,6 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
 
         if t >= next_ref - eps:
             next_ref += ref_period
-            streamed: Optional[Trajectory] = None
             if guider.initialized:
                 out = guider.current_output(t)
                 T = out.transform_l_to_s
@@ -662,20 +662,15 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
                             out.secondary_pose_in_l.heading,
                             float(T.translation[0]), float(T.translation[1]),
                             float(T.translation[2]), T.heading))
+                translation, heading = T.translation, T.heading  # the batch's transform
                 streamed = guider.transform_and_stream(desired, t)
             else:
                 # operator-assisted start: true transform until initialization
-                # (R0 @ p per point: a batched matmul rounds differently)
-                window = desired.slice_window(t, t + horizon)
-                positions = [R0 @ p + t0 + drift.offset for p in window.positions]
-                streamed = Trajectory(Frame.VIO, window.stamps,
-                                      np.reshape(positions, (-1, 3)),
-                                      window.headings + theta0)
+                translation, heading = t0 + drift.offset, theta0
+                streamed = desired.slice_window(t, t + horizon).mapped(translation, heading)
             if streamed is not None and len(streamed):
                 arrival = t + comm_mean + comm_jitter * float(ref_delay_rng.random())
-                rows = np.column_stack([streamed.stamps, streamed.positions,
-                                        streamed.headings]).tolist()
-                log.append(("REF", t, arrival, tuple(map(tuple, rows))))
+                log.append(("REF", t, arrival, len(streamed), *translation.tolist(), heading))
                 seq += 1
                 heapq.heappush(events, (arrival, seq, "ref", streamed))
 

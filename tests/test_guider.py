@@ -194,6 +194,45 @@ def test_vio_staleness_maps_to_heading_frozen():
     assert g.status(t) is GuiderStatus.TRACKING
 
 
+def test_non_finite_vio_sample_is_dropped(monkeypatch):
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    assert g.status(t) is GuiderStatus.TRACKING
+    good = vio_pose(t)
+    nan, inf = float("nan"), float("inf")
+    g.ingest_vio(TimedPose(t, Frame.VIO, (nan, 0.0, 0.0), good.heading,
+                           good.velocity, good.heading_rate))
+    g.ingest_vio(TimedPose(t, Frame.VIO, good.position, good.heading,
+                           (0.0, inf, 0.0), good.heading_rate))
+    g.ingest_vio(TimedPose(t, Frame.VIO, good.position, good.heading, good.velocity, nan))
+    g.ingest_vio(TimedPose(nan, Frame.VIO, good.position, good.heading,
+                           good.velocity, good.heading_rate))
+    t = drive(g, t, t + 1.0)
+    out = g.current_output(t)
+    assert out.status is GuiderStatus.TRACKING
+    assert np.all(np.isfinite(out.secondary_pose_in_l.position))
+    assert np.allclose(out.secondary_pose_in_l.position, secondary_position(t), atol=0.05)
+    # persistent gate failures re-initialize over the VIO buffer without raising
+    calls = []
+    try_initialize = guider.try_initialize
+    monkeypatch.setattr(guider, "try_initialize",
+                        lambda *a: calls.append(1) or try_initialize(*a))
+    t = drive(g, t, t + 0.5, det_offset=(6.0, 0.0, 0.0))
+    assert calls
+    assert np.all(np.isfinite(g.current_output(t).secondary_pose_in_l.position))
+
+
+def test_stream_of_non_finite_vio_reads_as_heading_frozen():
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    for k in range(10):
+        tk = t + 0.1 * k
+        g.ingest_detections([detection(tk)])
+        g.ingest_vio(TimedPose(tk, Frame.VIO, (float("nan"), 0.0, 0.0)))
+    assert g.status(t + 1.0) is GuiderStatus.HEADING_FROZEN
+    assert np.all(np.isfinite(g.current_output(t + 1.0).secondary_pose_in_l.position))
+
+
 def test_ingest_vio_full_measurement_when_detection_inside_vio_buffer():
     g = make_guider()
     t = drive(g, 0.0, 8.0)

@@ -1,5 +1,6 @@
 """The byte-identity digest tool in tools/log_digests.py."""
 
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
@@ -27,3 +28,12 @@ def test_run_set_has_53_distinct_labels():
     assert len(labels) == len(set(labels)) == 53
     assert "drift_sweep.cfg:vio_drift.x=0.4" in labels
     assert sum(label.startswith("bench:") for label in labels) == 48
+
+
+def test_excluded_tag_leaves_its_lines_out_of_the_digest():
+    tool = _tool()
+    config = tool.bench.make_config("drift_none", 7)
+    lines = tool.run_scenario(config).dumps().splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith("REF "))
+    expected = hashlib.sha256(kept.encode("utf-8")).hexdigest()
+    assert tool.digest(config, ("REF",)) == expected != tool.digest(config)

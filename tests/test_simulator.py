@@ -1,11 +1,14 @@
 """Scenario engine: sensors, drift, plant, determinism, frame conservation."""
 
+import heapq
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coopguide.config import ConfigError, build_config
+from coopguide import simulator
+from coopguide.config import ConfigError, build_config, load_config_file
 from coopguide.geometry import Frame, rot_z
 from coopguide.guider import Trajectory
 from coopguide.simulator import (
@@ -22,7 +25,10 @@ from coopguide.simulator import (
     polyline_distance,
     primary_pose,
     run_scenario,
+    streamed_references,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 RNG = np.random.default_rng(0)
 
@@ -231,6 +237,77 @@ def test_event_log_truncated_raises_with_line_number():
     with pytest.raises(LogParseError) as exc_info:
         EventLog.loads("\n".join(corrupted))
     assert exc_info.value.lineno == idx + 1
+
+
+#: one well-formed line per record tag
+RECORD_LINES = {
+    "H": "H scenario.seed 5",
+    "TP": "TP 0.1 1.0 2.0 1.5 0.25",
+    "TS": "TS 0.1 1.0 2.0 1.5 -0.25",
+    "DR": "DR 0.1 0.01 0.0 -0.02",
+    "DET": "DET 0.1 0.15 0 1.0 2.0 1.5 0.1",
+    "VIO": "VIO 0.1 0.12 5.0 -3.0 1.0 0.1 0.2 0.0 0.7 0.125",
+    "REF": "REF 0.2 0.22 17 5.0 -3.0 1.0 0.7",
+    "EST": "EST 0.2 tracking 1.0 2.0 1.5 0.25 5.0 -3.0 1.0 0.7",
+    "FAIL": "FAIL 3.0",
+    "END": "END 3.0",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(RECORD_LINES))
+def test_event_log_rejects_wrong_field_count_on_every_tag(tag):
+    line = RECORD_LINES[tag]
+    log = EventLog.loads(f"END 0.0\n{line}\nEND 3.0\n")
+    assert log.dumps().splitlines()[1] == line
+    for broken in (line + " junk", line.rsplit(" ", 1)[0]):
+        with pytest.raises(LogParseError) as exc_info:
+            EventLog.loads(f"END 0.0\n{broken}\nEND 3.0\n")
+        assert exc_info.value.lineno == 2
+        assert "fields" in str(exc_info.value)
+
+
+def test_event_log_rejects_points_payload_ref_record():
+    # the earlier REF form: n then (stamp x y z heading) per point
+    old = "REF 0.2 0.22 2 0.2 1.0 2.0 1.5 0.1 0.3 1.0 2.1 1.5 0.2"
+    with pytest.raises(LogParseError) as exc_info:
+        EventLog.loads(f"{old}\nEND 3.0\n")
+    assert exc_info.value.lineno == 1
+
+
+@pytest.mark.parametrize("name", ["baseline.cfg", "nlos.cfg"])
+def test_streamed_references_rebuild_every_pushed_batch(monkeypatch, name):
+    pushed = []
+    push = heapq.heappush
+
+    def capture(heap, item):
+        if item[2] == "ref":
+            pushed.append(item)
+        push(heap, item)
+
+    cfg = build_config({**load_config_file(str(CONFIGS / name)),
+                        "trajectory.laps": 1, "scenario.duration": 20.0})
+    assert cfg["vio.initial_heading"] != 0.0  # pre-init batches are rotated too
+    monkeypatch.setattr(simulator.heapq, "heappush", capture)
+    log = run_scenario(cfg)
+    monkeypatch.undo()
+    rebuilt = streamed_references(EventLog.loads(log.dumps()))
+    assert len(rebuilt) == len(pushed) == len(list(log.iter_tag("REF")))
+    first_est = next(r[1] for r in log.iter_tag("EST"))
+    assert rebuilt[0][0] < first_est < rebuilt[-1][0]  # batches before and after init
+    for (t_emit, t_arrive, batch), (arrival, _, _, streamed) in zip(rebuilt, pushed):
+        assert t_arrive == arrival and t_emit < t_arrive
+        assert batch.frame is streamed.frame is Frame.VIO
+        for field in ("stamps", "positions", "headings"):
+            assert getattr(batch, field).tobytes() == getattr(streamed, field).tobytes()
+
+
+def test_streamed_references_rejects_point_count_mismatch():
+    log = run_scenario(build_config({"trajectory.laps": 1, "scenario.duration": 3.0}))
+    i = next(i for i, r in enumerate(log.records) if r[0] == "REF")
+    rec = log.records[i]
+    log.records[i] = rec[:3] + (rec[3] + 1,) + rec[4:]
+    with pytest.raises(ValueError, match="points"):
+        streamed_references(log)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Print ``label sha256`` of ``events.log`` for the byte-identity run set.
 
-    python3 tools/log_digests.py > digests.txt
+    python3 tools/log_digests.py [--exclude TAG ...] > digests.txt
 
 Run it from two checkouts and ``diff`` the outputs: a change that keeps
-behaviour leaves every line equal.  The set is 53 runs:
+behaviour leaves every line equal.  ``--exclude REF`` digests the log
+without its REF lines, to compare the rest across a change of the REF
+record's format.  The set is 53 runs:
 
 - every ``configs/*.cfg`` without a sweep section, at full length;
 - every config with a sweep section at the first, middle and last of its
@@ -18,6 +20,7 @@ writes to ``events.log``.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -49,15 +52,21 @@ def runs() -> list[tuple[str, ScenarioConfig]]:
     return out
 
 
-def digest(config: ScenarioConfig) -> str:
-    """sha256 of the event log one run of ``config`` writes."""
+def digest(config: ScenarioConfig, exclude: tuple[str, ...] = ()) -> str:
+    """sha256 of the event log one run of ``config`` writes, minus the
+    lines whose tag is in ``exclude``."""
     log = run_scenario(config)
+    log.records = [r for r in log.records if r[0] not in exclude]
     return hashlib.sha256(log.dumps().encode("utf-8")).hexdigest()
 
 
-def main() -> int:
+def main(argv: "list[str] | None" = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--exclude", action="append", default=[], metavar="TAG",
+                        help="leave this record tag out of every digest (repeatable)")
+    exclude = tuple(parser.parse_args(argv).exclude)
     for label, config in runs():
-        print(f"{label} {digest(config)}", flush=True)
+        print(f"{label} {digest(config, exclude)}", flush=True)
     return 0
 
 
