@@ -8,12 +8,15 @@ frame V from timed position correspondences: find (t, theta) minimizing
 where d_i is a detected position in L, p_i the VIO position at the same time,
 and rho the soft-L1 loss.  :func:`build_correspondence_arrays` builds the
 window's (stamps, d, p) arrays and :func:`solve_alignment_arrays` solves
-it.  Every solve starts from the closed-form least-squares optimum of the
-window's quadratic (non-robust) problem, drift term included when enabled;
-there is no warm start from an earlier transform.  A Levenberg-Marquardt
-loop with iteratively reweighted least squares then handles the robust loss.
-The closed-form yaw-constrained solution, :func:`closed_form_align`, doubles
-as the evaluation module's trajectory aligner.
+it by iteratively reweighted least squares.  Every weighted subproblem,
+drift term included when enabled, has an exact closed form: weighted
+centring (and, with drift, a weighted projection on the stamps) eliminates
+the translation (and the drift rate), and the heading is atan2 of the
+weighted planar cross and dot sums.  The first solve uses unit weights, so
+there is no warm start from an earlier transform, and the MAD-gated inlier
+refit is the same solve with 0/1 weights.  The unit-weight solve,
+:func:`closed_form_align`, doubles as the evaluation module's trajectory
+aligner.
 
 Degeneracy (too little secondary motion) is detected from the windowed path
 length and the smallest eigenvalue of the Fisher information J^T J.  Both
@@ -36,7 +39,6 @@ from .geometry import (
     RelativeTransform,
     TimedPose,
     rot_z,
-    rot_z_deriv,
     wrap_heading,
 )
 
@@ -54,11 +56,8 @@ class AlignmentConfig:
     min_path_length: float = 1.0
     max_cost: float = 0.09          # mean robustified residual
     min_eigenvalue: float = 1.0
-    max_iterations: int = 100
-    gradient_tolerance: float = 1e-10
-    step_tolerance: float = 1e-12
-    cost_tolerance: float = 1e-8    # relative cost decrease per accepted step
-    initial_damping: float = 1e-4
+    max_iterations: int = 100       # IRLS iteration budget
+    cost_tolerance: float = 1e-8    # relative cost decrease per iteration
     interp_tolerance: float = 0.1
     max_detection_gap: float = 1.0  # s; do not interpolate across longer gaps
     estimate_drift: bool = False    # co-estimate a linear VIO drift rate
@@ -155,54 +154,86 @@ def closed_form_align(lidar_points: np.ndarray, vio_points: np.ndarray) -> tuple
     """Yaw-constrained least-squares alignment, solved in closed form.
 
     Returns (t, theta) minimizing sum ||Rz(theta) a_i + t - b_i||^2 for
-    a = lidar_points (N, 3), b = vio_points (N, 3).  The optimal heading
-    comes from the planar cross/dot sums of the centered point sets and the
-    translation from the centroids.
+    a = lidar_points (N, 3), b = vio_points (N, 3): the unit-weight case of
+    the solver's weighted closed form.
     """
     a = np.asarray(lidar_points, dtype=float)
     b = np.asarray(vio_points, dtype=float)
     if a.shape != b.shape or a.ndim != 2 or a.shape[1] != 3 or a.shape[0] < 1:
         raise ValueError("point sets must be matching (N, 3) arrays")
-    mu_a = a.mean(axis=0)
-    mu_b = b.mean(axis=0)
-    theta = _procrustes_heading(a - mu_a, b - mu_b)
-    t = mu_b - rot_z(theta) @ mu_a
-    return t, wrap_heading(theta)
+    t, theta, _ = _weighted_closed_form(np.ones(len(a)), a, b)
+    return t, theta
 
 
-def _procrustes_heading(ac: np.ndarray, bc: np.ndarray) -> float:
-    """Heading minimizing sum ||Rz(theta) ac_i - bc_i||^2 for residualized sets."""
-    dot = float(np.sum(ac[:, 0] * bc[:, 0] + ac[:, 1] * bc[:, 1]))
-    cross = float(np.sum(ac[:, 0] * bc[:, 1] - ac[:, 1] * bc[:, 0]))
-    if dot == 0.0 and cross == 0.0:
-        return 0.0  # heading unobservable (e.g. single point); pick identity
-    return math.atan2(cross, dot)
+def _weighted_closed_form(w: np.ndarray, D: np.ndarray, P: np.ndarray, tau=None):
+    """(t, theta, r) minimizing sum w_i ||Rz(theta) d_i + t + tau_i r - p_i||^2.
 
-
-def _drift_closed_form(tau: np.ndarray, D: np.ndarray, P: np.ndarray):
-    """(t, theta, r) minimizing sum ||Rz(theta) d_i + t + tau_i r - p_i||^2.
-
-    For a fixed heading, (t, r) is a per-axis linear fit on the regressors
-    1 and tau, which are orthogonal because tau is centred: t is the mean and
-    r the tau-projection of p - Rz d.  Removing both projections from D and P
-    eliminates (t, r); a rotation about z acts on the points and the
-    projection on the samples, so they commute and the heading is the planar
-    Procrustes solution of the residualized sets.
+    Without ``tau`` the drift term is absent and r is None.  For a fixed
+    heading, (t, r) is a per-axis weighted linear fit on the regressors 1 and
+    tau.  Removing the weighted mean and the weighted projection on the
+    weight-centred tau from D and P eliminates (t, r); a rotation about z acts
+    on the points and the projection on the samples, so they commute and the
+    heading is the weighted planar Procrustes solution of the residualized
+    sets, theta = atan2(sum w cross, sum w dot).  t is referred to the tau
+    origin the caller uses, not to the weighted mean of tau.
     """
-    tt = float(tau @ tau)
-    Dr = D - D.mean(axis=0) - np.outer(tau, tau @ D / tt)
-    Pr = P - P.mean(axis=0) - np.outer(tau, tau @ P / tt)
-    theta = _procrustes_heading(Dr, Pr)
-    e = P - D @ rot_z(theta).T
-    return e.mean(axis=0), theta, tau @ e / tt
+    sw = float(np.sum(w))
+    mu_d = w @ D / sw
+    mu_p = w @ P / sw
+    Dc = D - mu_d
+    Pc = P - mu_p
+    if tau is not None:
+        tau_mean = float(w @ tau) / sw
+        tc = tau - tau_mean
+        wt = w * tc
+        tt = float(wt @ tc)
+        proj_d = wt @ D / tt
+        proj_p = wt @ P / tt
+        Dc = Dc - np.outer(tc, proj_d)
+        Pc = Pc - np.outer(tc, proj_p)
+    wx = w * Dc[:, 0]
+    wy = w * Dc[:, 1]
+    dot = float(wx @ Pc[:, 0] + wy @ Pc[:, 1])
+    cross = float(wx @ Pc[:, 1] - wy @ Pc[:, 0])
+    # (0, 0): heading unobservable (e.g. a single point); pick identity
+    theta = math.atan2(cross, dot) if dot != 0.0 or cross != 0.0 else 0.0
+    R = rot_z(theta)
+    t = mu_p - R @ mu_d
+    r = None
+    if tau is not None:
+        r = proj_p - R @ proj_d
+        t = t - tau_mean * r
+    return t, wrap_heading(theta), r
 
 
-def _cost_terms(D, P, t, theta, drift=None, tau=None):
+def _squared_residuals(D, P, t, theta, drift=None, tau=None) -> np.ndarray:
     residuals = D @ rot_z(theta).T + t - P
     if drift is not None:
         residuals = residuals + tau[:, None] * drift
-    s = np.einsum("ij,ij->i", residuals, residuals)
-    return residuals, s
+    return np.einsum("ij,ij->i", residuals, residuals)
+
+
+def _irls(D, P, tau, config: AlignmentConfig):
+    """IRLS on the soft-L1 cost from the unit-weight closed form.
+
+    Returns (t, theta, r, s, iterations, stopped): the last iterate, its
+    squared residuals, the number of weighted solves and whether the cost
+    test ended the loop within ``config.max_iterations``.
+    """
+    t, theta, r = _weighted_closed_form(np.ones(len(D)), D, P, tau)
+    s = _squared_residuals(D, P, t, theta, r, tau)
+    cost = float(np.sum(soft_l1(s)))
+    for iterations in range(1, config.max_iterations + 1):
+        t_new, theta_new, r_new = _weighted_closed_form(soft_l1_weight(s), D, P, tau)
+        s_new = _squared_residuals(D, P, t_new, theta_new, r_new, tau)
+        cost_new = float(np.sum(soft_l1(s_new)))
+        if cost_new > cost:
+            return t, theta, r, s, iterations, True  # round-off: keep the previous iterate
+        decrease = cost - cost_new
+        t, theta, r, s, cost = t_new, theta_new, r_new, s_new, cost_new
+        if decrease <= config.cost_tolerance * max(cost, 1e-300):
+            return t, theta, r, s, iterations, True
+    return t, theta, r, s, config.max_iterations, False
 
 
 def solve_alignment_arrays(
@@ -211,19 +242,25 @@ def solve_alignment_arrays(
     P: np.ndarray,
     config: AlignmentConfig = AlignmentConfig(),
 ) -> AlignmentResult:
-    """Robust LM minimization of the windowed correspondence cost.
+    """Robust IRLS minimization of the windowed correspondence cost.
 
     ``stamps`` (N,), ``D`` (N, 3) lidar positions and ``P`` (N, 3) VIO
     positions are the arrays :func:`build_correspondence_arrays` returns.
-    The LM loop starts from the closed-form least-squares optimum of the
-    same window (the soft-L1 loss replaced by the squared residual), so a
-    noiseless window needs no LM step and there is no warm start.
+    The start is the unit-weight closed form, the optimum of the same window
+    with the soft-L1 loss replaced by the squared residual, so a noiseless
+    window is solved before the first iteration and there is no warm start.
+    Each iteration sets the weights w_i = rho'(s_i) at the current residuals
+    and solves the weighted problem in closed form.  rho is concave in s, so
+    this is a majorize-minimize scheme and no iteration can raise the robust
+    cost.  The loop stops when the relative cost decrease is at most
+    ``config.cost_tolerance``; a cost that rises through round-off keeps the
+    previous iterate and also ends the loop.
 
-    ``converged`` is true only when the gradient/step/cost tolerances were
-    met within the iteration budget AND the final mean robustified residual
-    is at or below ``config.max_cost``.  Non-convergence is reported in the
-    result, not raised.  Raises :class:`InsufficientDataError` when fewer
-    than ``config.min_correspondences`` pairs are supplied.
+    ``converged`` is true only when the loop stopped that way within
+    ``config.max_iterations`` AND the final mean robustified residual is at
+    or below ``config.max_cost``.  Non-convergence is reported in the result,
+    not raised.  Raises :class:`InsufficientDataError` when fewer than
+    ``config.min_correspondences`` pairs are supplied.
 
     With ``config.estimate_drift`` a linear VIO drift rate is co-estimated
     (three extra parameters); the residual model becomes
@@ -238,86 +275,15 @@ def solve_alignment_arrays(
             f"{n} correspondences < minimum {config.min_correspondences}"
         )
     with_drift = config.estimate_drift
-    if with_drift:
-        tau = stamps - stamps.mean()
-        t, theta, drift = _drift_closed_form(tau, D, P)
-    else:
-        tau = drift = None
-        t, theta = closed_form_align(D, P)
-    n_params = 7 if with_drift else 4
-
-    residuals, s = _cost_terms(D, P, t, theta, drift, tau)
-    cost = 0.5 * float(np.sum(soft_l1(s)))
-    damping = config.initial_damping
-    tolerances_met = False
-    iterations = 0
-
-    for iterations in range(1, config.max_iterations + 1):
-        w = soft_l1_weight(s)
-        rd = D @ rot_z_deriv(theta).T          # per-point d(residual)/d(theta)
-        # Normal equations of the reweighted problem, assembled blockwise:
-        # J_i = [I3 | rd_i (| tau_i I3)], H = sum w_i J_i^T J_i, g = sum w_i J_i^T r_i.
-        sw = float(np.sum(w))
-        h_tth = (w[:, None] * rd).sum(axis=0)
-        H = np.zeros((n_params, n_params))
-        g = np.zeros(n_params)
-        H[:3, :3] = sw * np.eye(3)
-        H[:3, 3] = h_tth
-        H[3, :3] = h_tth
-        H[3, 3] = float(np.sum(w * np.einsum("ij,ij->i", rd, rd)))
-        g[:3] = (w[:, None] * residuals).sum(axis=0)
-        g[3] = float(np.sum(w * np.einsum("ij,ij->i", rd, residuals)))
-        if with_drift:
-            wt = w * tau
-            a = float(np.sum(wt))
-            H[:3, 4:] = a * np.eye(3)
-            H[4:, :3] = H[:3, 4:]
-            h_rdr = (wt[:, None] * rd).sum(axis=0)
-            H[3, 4:] = h_rdr
-            H[4:, 3] = h_rdr
-            H[4:, 4:] = float(np.sum(wt * tau)) * np.eye(3)
-            g[4:] = (wt[:, None] * residuals).sum(axis=0)
-
-        if float(np.max(np.abs(g))) < config.gradient_tolerance:
-            tolerances_met = True
-            break
-
-        stepped = False
-        while damping < 1e12:
-            H_damped = H + damping * np.diag(np.maximum(np.diag(H), 1e-12))
-            try:
-                delta = np.linalg.solve(H_damped, -g)
-            except np.linalg.LinAlgError:
-                damping *= 2.0
-                continue
-            t_new = t + delta[:3]
-            theta_new = wrap_heading(theta + delta[3])
-            drift_new = drift + delta[4:] if with_drift else None
-            residuals_new, s_new = _cost_terms(D, P, t_new, theta_new, drift_new, tau)
-            cost_new = 0.5 * float(np.sum(soft_l1(s_new)))
-            if cost_new <= cost:
-                step_norm = float(np.linalg.norm(delta))
-                decrease = cost - cost_new
-                t, theta, drift = t_new, theta_new, drift_new
-                residuals, s, cost = residuals_new, s_new, cost_new
-                damping /= 3.0
-                stepped = True
-                if (step_norm < config.step_tolerance
-                        or decrease <= config.cost_tolerance * max(cost, 1e-300)):
-                    tolerances_met = True
-                break
-            damping *= 2.0
-        if not stepped:
-            break  # damping exhausted without a descent step: stuck, not converged
-        if tolerances_met:
-            break
+    tau = stamps - stamps.mean() if with_drift else None
+    t, theta, drift, s, iterations, tolerances_met = _irls(D, P, tau, config)
 
     if tolerances_met and not with_drift:
         # The unit-scale soft-L1 still leaves ~1/sqrt(26) weight on a 5 m
         # outlier, which biases the optimum by several centimeters at 20%
-        # contamination.  Refit in closed form on MAD-gated inliers; applied
-        # only when a clear majority survives the gate, and repeated once so
-        # the gate is evaluated at the refitted solution.
+        # contamination.  Refit in closed form on MAD-gated inliers (0/1
+        # weights); applied only when a clear majority survives the gate,
+        # and repeated once so the gate is evaluated at the refitted solution.
         for _ in range(2):
             norms = np.sqrt(s)
             med = float(np.median(norms))
@@ -328,8 +294,8 @@ def solve_alignment_arrays(
             kept = int(keep.sum())
             if kept == n or kept < max(3, n // 2):
                 break
-            t, theta = closed_form_align(D[keep], P[keep])
-            residuals, s = _cost_terms(D, P, t, theta)
+            t, theta, _ = _weighted_closed_form(keep.astype(float), D, P)
+            s = _squared_residuals(D, P, t, theta)
 
     final_cost = float(np.mean(soft_l1(s)))
     path_length, min_eig = window_geometry(D)
@@ -344,9 +310,6 @@ def solve_alignment_arrays(
         source_frame=Frame.LIDAR,
         target_frame=Frame.VIO,
         stamp=float(stamps[-1]),
-        valid=converged,
-        final_cost=final_cost,
-        min_eigenvalue=min_eig,
     )
     return AlignmentResult(
         transform=transform,

@@ -46,10 +46,6 @@ class Frame(str, Enum):
     SECONDARY_BODY = "S"
 
 
-class FrameError(ValueError):
-    """Raised when quantities from different frames are mixed."""
-
-
 class StaleQueryError(ValueError):
     """Raised when a time query falls outside a buffer beyond tolerance."""
 
@@ -74,23 +70,11 @@ def wrap_heading(angle):
     return angle - TWO_PI * math.ceil((angle - math.pi) / TWO_PI)
 
 
-def heading_difference(a: float, b: float) -> float:
-    """Shortest signed angular distance a - b, wrapped to (-pi, pi]."""
-    return wrap_heading(a - b)
-
-
 def rot_z(heading: float) -> np.ndarray:
     """3x3 rotation matrix about the gravity (z) axis."""
     c = math.cos(heading)
     s = math.sin(heading)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rot_z_deriv(heading: float) -> np.ndarray:
-    """Derivative of rot_z with respect to the heading angle."""
-    c = math.cos(heading)
-    s = math.sin(heading)
-    return np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -99,10 +83,6 @@ class RelativeTransform:
 
     Maps source-frame coordinates into the target frame:
     ``x_target = Rz(heading) @ x_source + translation``.
-
-    ``final_cost`` and ``min_eigenvalue`` carry estimation metadata when the
-    transform came out of the sliding-window alignment; they are 0.0 for
-    transforms constructed by hand.
     """
 
     translation: np.ndarray
@@ -110,9 +90,6 @@ class RelativeTransform:
     source_frame: Frame
     target_frame: Frame
     stamp: float = 0.0
-    valid: bool = True
-    final_cost: float = 0.0
-    min_eigenvalue: float = 0.0
 
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=float)
@@ -123,59 +100,9 @@ class RelativeTransform:
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "heading", wrap_heading(float(self.heading)))
 
-    @classmethod
-    def identity(cls, source: Frame, target: Frame, stamp: float = 0.0) -> "RelativeTransform":
-        return cls(np.zeros(3), 0.0, source, target, stamp=stamp)
-
     @property
     def rotation(self) -> np.ndarray:
         return rot_z(self.heading)
-
-    def apply(self, x) -> np.ndarray:
-        """Map a 3-vector from the source frame to the target frame."""
-        if not self.valid:
-            raise ValueError("cannot apply an invalid transform")
-        x = np.asarray(x, dtype=float)
-        return self.rotation @ x + self.translation
-
-    def apply_heading(self, heading: float) -> float:
-        """Map a source-frame heading angle into the target frame."""
-        if not self.valid:
-            raise ValueError("cannot apply an invalid transform")
-        return wrap_heading(heading + self.heading)
-
-    def inverse(self) -> "RelativeTransform":
-        """Transform mapping target-frame coordinates back to the source frame."""
-        r_inv = rot_z(-self.heading)
-        return RelativeTransform(
-            translation=-(r_inv @ self.translation),
-            heading=-self.heading,
-            source_frame=self.target_frame,
-            target_frame=self.source_frame,
-            stamp=self.stamp,
-            valid=self.valid,
-            final_cost=self.final_cost,
-            min_eigenvalue=self.min_eigenvalue,
-        )
-
-    def compose(self, inner: "RelativeTransform") -> "RelativeTransform":
-        """Composition self ∘ inner: first apply ``inner``, then ``self``.
-
-        Frames must chain: inner maps A->B, self maps B->C, result maps A->C.
-        """
-        if inner.target_frame != self.source_frame:
-            raise FrameError(
-                f"cannot compose {self.source_frame.value}->{self.target_frame.value} "
-                f"after {inner.source_frame.value}->{inner.target_frame.value}"
-            )
-        return RelativeTransform(
-            translation=self.rotation @ inner.translation + self.translation,
-            heading=self.heading + inner.heading,
-            source_frame=inner.source_frame,
-            target_frame=self.target_frame,
-            stamp=max(self.stamp, inner.stamp),
-            valid=self.valid and inner.valid,
-        )
 
 
 @dataclass(frozen=True)
@@ -222,7 +149,7 @@ def _lerp_pose(a: TimedPose, b: TimedPose, t: float) -> TimedPose:
     if b.stamp <= a.stamp:
         return a
     u = (t - a.stamp) / (b.stamp - a.stamp)
-    heading = wrap_heading(a.heading + u * heading_difference(b.heading, a.heading))
+    heading = wrap_heading(a.heading + u * wrap_heading(b.heading - a.heading))
     return TimedPose(
         stamp=t,
         frame=a.frame,

@@ -142,8 +142,9 @@ class EventLog:
 
     @classmethod
     def loads(cls, text: str) -> "EventLog":
-        """Parse ``dumps`` output: fields are single-space separated, and
-        every tag has an exact field count (an H value may be empty)."""
+        """Parse ``dumps`` output: fields are single-space separated, every
+        tag has an exact field count (an H value may be empty) and every
+        number is finite."""
         log = cls()
         records = log.records
         lineno = 0
@@ -158,7 +159,12 @@ class EventLog:
                 if len(fields) != len(converters):
                     raise ValueError(f"{tag} record needs {len(converters)} fields, "
                                      f"got {len(fields)}")
-                records.append((tag, *map(_convert, converters, fields)))
+                record = (tag, *map(_convert, converters, fields))
+                # a finite float's repr has no "n"; nan, inf and infinity do
+                if ("n" in line or "N" in line) and not all(
+                        math.isfinite(v) for v in record if type(v) is float):
+                    raise ValueError(f"non-finite number in {tag} record")
+                records.append(record)
             except ValueError as exc:
                 raise LogParseError(str(exc), lineno) from exc
         if not records or records[-1][0] != "END":

@@ -1,14 +1,16 @@
-"""Alignment solver contracts: loss, correspondences, LM recovery, degeneracy."""
+"""Alignment solver contracts: loss, correspondences, IRLS recovery, degeneracy."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from coopguide.alignment import (
     AlignmentConfig,
     InsufficientDataError,
-    _drift_closed_form,
+    _irls,
+    _weighted_closed_form,
     build_correspondence_arrays,
     closed_form_align,
     degeneracy_check,
@@ -192,7 +194,7 @@ def test_closed_form_matches_independent_oracle_on_noisy_data():
 
 
 # ---------------------------------------------------------------------------
-# LM solver
+# IRLS solver
 
 
 def test_solve_alignment_identity_case():
@@ -253,9 +255,9 @@ def test_solve_alignment_insufficient_raises():
 
 
 def test_solve_alignment_cost_monotone_over_iterations():
-    # Instrumented indirectly: the damping contract guarantees accepted cost
-    # never increases, so the final cost must not exceed the robust cost at
-    # the closed-form start.
+    # Instrumented indirectly: IRLS on the concave soft-L1 is majorize-minimize,
+    # so no iteration raises the cost, and the final cost must not exceed the
+    # robust cost at the closed-form start.
     pts = circle_points(30)
     _, D, P = corrs = make_corrs(pts, np.array([5.0, 5.0, 0.0]), 2.0)
     t0, theta0 = closed_form_align(D, P)
@@ -285,13 +287,118 @@ def _test_headings(rng):
 
 
 def test_drift_closed_form_recovers_exact_parameters():
+    # noiseless windows: unit and random positive weights share the optimum
     rng = np.random.default_rng(41)
     for theta_star in _test_headings(rng):
         stamps, D, P, t_star, r_star = _drifting_corrs(rng, theta_star)
-        t, theta, r = _drift_closed_form(stamps - stamps.mean(), D, P)
-        assert abs(wrap_heading(theta - theta_star)) < 1e-9
-        assert np.allclose(t, t_star, atol=1e-9)
-        assert np.allclose(r, r_star, atol=1e-9)
+        for w in (np.ones(len(stamps)), rng.uniform(0.1, 1.0, len(stamps))):
+            t, theta, r = _weighted_closed_form(w, D, P, stamps - stamps.mean())
+            assert abs(wrap_heading(theta - theta_star)) < 1e-9
+            assert np.allclose(t, t_star, atol=1e-9)
+            assert np.allclose(r, r_star, atol=1e-9)
+
+
+def test_weighted_closed_form_with_0_1_weights_is_the_subset_solve():
+    rng = np.random.default_rng(47)
+    for theta_star in _test_headings(rng):
+        stamps, D, P, _, _ = _drifting_corrs(rng, theta_star, n=80)
+        P = P + rng.normal(0.0, 0.1, P.shape)
+        tau = stamps - stamps.mean()
+        keep = rng.random(len(stamps)) < 0.7
+        for tau_or_none in (None, tau):
+            got = _weighted_closed_form(keep.astype(float), D, P, tau_or_none)
+            sub_tau = None if tau_or_none is None else tau_or_none[keep]
+            want = _weighted_closed_form(np.ones(int(keep.sum())), D[keep], P[keep], sub_tau)
+            assert np.allclose(got[0], want[0], rtol=0.0, atol=1e-9)
+            assert abs(wrap_heading(got[1] - want[1])) < 1e-9
+            if tau_or_none is None:
+                assert got[2] is None and want[2] is None
+            else:
+                assert np.allclose(got[2], want[2], rtol=0.0, atol=1e-9)
+
+
+def _soft_l1_cost(D, P, tau, t, theta, r=None):
+    e = D @ rot_z(theta).T + t - P
+    if r is not None:
+        e = e + tau[:, None] * r
+    return float(np.sum(soft_l1(np.sum(e * e, axis=1))))
+
+
+def _noisy_windows(rng, with_drift):
+    """Windows with 0.05 m noise and 10% outliers of 2-5 m, headings incl. +-pi."""
+    for theta_star in (math.pi, -math.pi + 1e-9, -math.pi / 2, 0.0, 0.4, 2.9):
+        stamps, D, P, t_star, r_star = _drifting_corrs(rng, theta_star, n=100)
+        if not with_drift:
+            P = D @ rot_z(theta_star).T + t_star
+            r_star = None
+        P = P + rng.normal(0.0, 0.05, P.shape)
+        bad = rng.choice(len(P), size=len(P) // 10, replace=False)
+        direction = rng.normal(0.0, 1.0, (len(bad), 3))
+        P[bad] += (direction / np.linalg.norm(direction, axis=1, keepdims=True)
+                   * rng.uniform(2.0, 5.0, (len(bad), 1)))
+        yield stamps, D, P, t_star, theta_star, r_star
+
+
+def _independent_minimum(D, P, tau, t0, theta0, r0):
+    """BFGS on the soft-L1 cost with its analytic gradient, from the truth."""
+    with_drift = r0 is not None
+
+    def cost_and_grad(x):
+        t, theta = x[:3], x[3]
+        e = D @ rot_z(theta).T + t - P
+        if with_drift:
+            e = e + tau[:, None] * x[4:]
+        s = np.sum(e * e, axis=1)
+        we = (2.0 / np.sqrt(1.0 + s))[:, None] * e     # d rho(s_i) / d e_i
+        c, sn = math.cos(theta), math.sin(theta)
+        de_dtheta = np.column_stack([-sn * D[:, 0] - c * D[:, 1],
+                                     c * D[:, 0] - sn * D[:, 1], np.zeros(len(D))])
+        grad = [*we.sum(axis=0), float(np.sum(we * de_dtheta))]
+        if with_drift:
+            grad += [*(tau @ we)]
+        return float(np.sum(2.0 * (np.sqrt(1.0 + s) - 1.0))), np.array(grad)
+
+    x0 = np.concatenate([t0, [theta0], r0 if with_drift else []])
+    res = minimize(cost_and_grad, x0, jac=True, method="BFGS",
+                   options={"gtol": 1e-10, "maxiter": 10000})
+    assert np.max(np.abs(res.jac)) < 1e-7
+    return res.x[:3], res.x[3], (res.x[4:] if with_drift else None)
+
+
+@pytest.mark.parametrize("with_drift", [False, True])
+def test_irls_matches_independent_minimizer_of_soft_l1_cost(with_drift):
+    rng = np.random.default_rng(53 + with_drift)
+    cfg = AlignmentConfig(estimate_drift=with_drift)
+    for stamps, D, P, t_star, theta_star, r_star in _noisy_windows(rng, with_drift):
+        tau = stamps - stamps.mean()
+        t, theta, r, _, _, stopped = _irls(D, P, tau if with_drift else None, cfg)
+        t_or, theta_or, r_or = _independent_minimum(D, P, tau, t_star, theta_star, r_star)
+        assert stopped
+        assert np.allclose(t, t_or, rtol=0.0, atol=1e-4)
+        assert abs(wrap_heading(theta - theta_or)) < 1e-4
+        if with_drift:
+            assert np.allclose(r, r_or, rtol=0.0, atol=1e-4)
+            # the public solve reports the same optimum (no refit with drift)
+            res = solve_alignment_arrays(stamps, D, P, cfg)
+            assert np.array_equal(res.drift_rate, r)
+            assert res.transform.heading == theta
+
+
+@pytest.mark.parametrize("with_drift", [False, True])
+def test_irls_cost_does_not_rise_with_the_iteration_budget(with_drift):
+    rng = np.random.default_rng(59 + with_drift)
+    for stamps, D, P, *_ in _noisy_windows(rng, with_drift):
+        tau = stamps - stamps.mean() if with_drift else None
+        t0, theta0, r0 = _weighted_closed_form(np.ones(len(D)), D, P, tau)
+        costs = [_soft_l1_cost(D, P, tau, t0, theta0, r0)]
+        for budget in range(1, 11):
+            cfg = AlignmentConfig(max_iterations=budget, estimate_drift=with_drift)
+            t, theta, r, s, iterations, _ = _irls(D, P, tau, cfg)
+            assert iterations <= budget
+            costs.append(_soft_l1_cost(D, P, tau, t, theta, r))
+            assert costs[-1] == pytest.approx(float(np.sum(soft_l1(s))), rel=1e-12)
+        assert all(b <= a for a, b in zip(costs, costs[1:])), costs
+        assert costs[-1] < costs[0]
 
 
 def test_noiseless_windows_converge_within_two_lm_iterations():

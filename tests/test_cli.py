@@ -120,6 +120,26 @@ def test_eval_corrupt_ref_line_exits_one_with_line_number(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tag, field, value", [("TS", 2, "nan"), ("VIO", 5, "inf")])
+def test_eval_non_finite_field_exits_one_with_line_number(tmp_path, capsys, tag, field, value):
+    cfg = _write(tmp_path, "s.cfg", BASE_CFG)
+    out = tmp_path / "out"
+    main(["run", "--config", cfg, "--out", str(out)])
+    lines = (out / "events.log").read_text().splitlines()
+    idx = next(i for i, line in enumerate(lines) if line.startswith(f"{tag} "))
+    fields = lines[idx].split(" ")
+    fields[field] = value
+    lines[idx] = " ".join(fields)
+    broken = tmp_path / "broken.log"
+    broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["eval", "--log", str(broken), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"log error: line {idx + 1}: non-finite number in {tag} record")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("echo", ["H trajectory.laps 1.5", "H trajectory.pattern spiral"])
 def test_eval_corrupt_config_echo_exits_one(tmp_path, capsys, echo):
     cfg = _write(tmp_path, "s.cfg", BASE_CFG)

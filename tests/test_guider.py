@@ -308,7 +308,8 @@ def test_transform_round_trip():
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = rng.uniform(-10, 10, 3)
-        assert np.allclose(T.inverse().apply(T.apply(x)), x, atol=1e-12)
+        y = T.rotation @ x + T.translation
+        assert np.allclose(T.rotation.T @ (y - T.translation), x, atol=1e-12)
 
 
 def test_transform_and_stream_drops_completed_and_transforms():
@@ -324,7 +325,8 @@ def test_transform_and_stream_drops_completed_and_transforms():
     assert out.frame is Frame.VIO
     T = g.current_output(t).transform_l_to_s
     for j, k in enumerate(kept):
-        assert np.allclose(out.positions[j], T.apply(traj.positions[k]), atol=1e-9)
+        assert np.allclose(out.positions[j], T.rotation @ traj.positions[k] + T.translation,
+                           atol=1e-9)
         assert out.headings[j] == pytest.approx(
             wrap_heading(traj.headings[k] + T.heading), abs=1e-9)
 
@@ -341,11 +343,11 @@ def test_streamed_references_recover_lidar_frame_trajectory():
                          [secondary_heading(s) for s in stamps])
     out = g.transform_and_stream(desired, t)
     true_T = RelativeTransform(T_OFFSET, THETA, Frame.LIDAR, Frame.VIO)
-    back = true_T.inverse()
     for got_p, got_h, src_p, src_h in zip(out.positions, out.headings,
                                           desired.positions, desired.headings):
-        assert np.allclose(back.apply(got_p), src_p, atol=0.02)
-        assert abs(wrap_heading(back.apply_heading(got_h) - src_h)) < 0.02
+        back_p = true_T.rotation.T @ (got_p - true_T.translation)
+        assert np.allclose(back_p, src_p, atol=0.02)
+        assert abs(wrap_heading(got_h - true_T.heading - src_h)) < 0.02
 
 
 def test_stream_paused_when_heading_frozen():

@@ -37,3 +37,13 @@ def test_excluded_tag_leaves_its_lines_out_of_the_digest():
     kept = "".join(line for line in lines if not line.startswith("REF "))
     expected = hashlib.sha256(kept.encode("utf-8")).hexdigest()
     assert tool.digest(config, ("REF",)) == expected != tool.digest(config)
+
+
+def test_row_appends_the_run_metrics_after_the_digest():
+    tool = _tool()
+    config = tool.bench.make_config("drift_none", 7)
+    sha, rmse, deviation = tool.row(config).split(" ")
+    report = tool.evaluate_log(tool.run_scenario(config))
+    assert sha == tool.digest(config)
+    assert (float(rmse), float(deviation)) == (report.rel_loc_rmse, report.mean_path_deviation)
+    assert tool.row(config, ("REF",)).split(" ")[1:] == [rmse, deviation]

@@ -266,6 +266,21 @@ def test_event_log_rejects_wrong_field_count_on_every_tag(tag):
         assert "fields" in str(exc_info.value)
 
 
+@pytest.mark.parametrize("tag", sorted(set(RECORD_LINES) - {"H"}))
+def test_event_log_rejects_non_finite_number_in_every_float_field(tag):
+    fields = RECORD_LINES[tag].split(" ")
+    for i, field in enumerate(fields[1:], start=1):
+        try:
+            float(field)
+        except ValueError:
+            continue  # the EST status
+        for bad in ("nan", "inf", "-inf", "NaN", "Infinity", "-INF"):
+            broken = " ".join(fields[:i] + [bad] + fields[i + 1:])
+            with pytest.raises(LogParseError) as exc_info:
+                EventLog.loads(f"END 0.0\n{broken}\nEND 3.0\n")
+            assert exc_info.value.lineno == 2
+
+
 def test_event_log_rejects_points_payload_ref_record():
     # the earlier REF form: n then (stamp x y z heading) per point
     old = "REF 0.2 0.22 2 0.2 1.0 2.0 1.5 0.1 0.3 1.0 2.1 1.5 0.2"
@@ -346,8 +361,8 @@ def test_drift_run_completes_with_nonempty_log():
     assert len(log.estimates()[0]) == 264
     assert len(list(log.iter_tag("DET"))) > 100
     report = evaluate_log(log)
-    assert report.rel_loc_rmse == pytest.approx(0.2857272784914325, rel=1e-9)
-    assert report.mean_path_deviation == pytest.approx(0.309806977402241, rel=1e-9)
+    assert report.rel_loc_rmse == pytest.approx(0.2857237954211515, rel=1e-9)
+    assert report.mean_path_deviation == pytest.approx(0.30979324378960077, rel=1e-9)
 
 
 def test_determinism_byte_identical():

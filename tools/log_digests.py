@@ -1,11 +1,12 @@
-"""Print ``label sha256`` of ``events.log`` for the byte-identity run set.
+"""Print ``label sha256 rel_loc_rmse mean_path_deviation`` for the byte-identity run set.
 
     python3 tools/log_digests.py [--exclude TAG ...] > digests.txt
 
 Run it from two checkouts and ``diff`` the outputs: a change that keeps
-behaviour leaves every line equal.  ``--exclude REF`` digests the log
-without its REF lines, to compare the rest across a change of the REF
-record's format.  The set is 53 runs:
+behaviour leaves every line equal, and a numerical change shows its metric
+deltas, run by run, in the last two columns (``evaluate_log`` of the same
+log).  ``--exclude REF`` digests the log without its REF lines, to compare
+the rest across a change of the REF record's format.  The set is 53 runs:
 
 - every ``configs/*.cfg`` without a sweep section, at full length;
 - every config with a sweep section at the first, middle and last of its
@@ -30,6 +31,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import bench  # noqa: E402  (perfbench/bench.py: workloads and sub-seeds)
 from coopguide.config import ScenarioConfig, build_config, load_config_file  # noqa: E402
+from coopguide.evaluation import evaluate_log  # noqa: E402
 from coopguide.simulator import run_scenario  # noqa: E402
 
 
@@ -52,12 +54,23 @@ def runs() -> list[tuple[str, ScenarioConfig]]:
     return out
 
 
+def _sha256(log, exclude: tuple[str, ...]) -> str:
+    log.records = [r for r in log.records if r[0] not in exclude]
+    return hashlib.sha256(log.dumps().encode("utf-8")).hexdigest()
+
+
 def digest(config: ScenarioConfig, exclude: tuple[str, ...] = ()) -> str:
     """sha256 of the event log one run of ``config`` writes, minus the
     lines whose tag is in ``exclude``."""
+    return _sha256(run_scenario(config), exclude)
+
+
+def row(config: ScenarioConfig, exclude: tuple[str, ...] = ()) -> str:
+    """``sha256 rel_loc_rmse mean_path_deviation`` of one run of ``config``;
+    the metrics are evaluated on the whole log, before ``exclude`` applies."""
     log = run_scenario(config)
-    log.records = [r for r in log.records if r[0] not in exclude]
-    return hashlib.sha256(log.dumps().encode("utf-8")).hexdigest()
+    report = evaluate_log(log)
+    return f"{_sha256(log, exclude)} {report.rel_loc_rmse!r} {report.mean_path_deviation!r}"
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -66,7 +79,7 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="leave this record tag out of every digest (repeatable)")
     exclude = tuple(parser.parse_args(argv).exclude)
     for label, config in runs():
-        print(f"{label} {digest(config, exclude)}", flush=True)
+        print(f"{label} {row(config, exclude)}", flush=True)
     return 0
 
 
