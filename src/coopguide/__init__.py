@@ -19,6 +19,7 @@ from .alignment import (
     degeneracy_check,
     soft_l1,
     solve_alignment_arrays,
+    window_observable,
 )
 from .config import ConfigError, ScenarioConfig, build_config, load_config_file
 from .evaluation import (

@@ -18,11 +18,14 @@ refit is the same solve with 0/1 weights.  The unit-weight solve,
 :func:`closed_form_align`, doubles as the evaluation module's trajectory
 aligner.
 
-Degeneracy (too little secondary motion) is detected from the windowed path
-length and the smallest eigenvalue of the Fisher information J^T J.  Both
-depend on the detected positions alone (the eigenvalue is invariant under the
-heading), so :func:`window_observable` rejects an unobservable window before
-any solve is attempted.
+A window is adopted only when two conditions hold, each decided in one
+place.  Before the solve, :func:`window_observable` tests the geometry (too
+little secondary motion): the windowed path length and the smallest
+eigenvalue of the Fisher information J^T J.  Both depend on the detected
+positions alone (the eigenvalue is invariant under the heading), so an
+unobservable window is never solved.  After the solve,
+:func:`degeneracy_check` tests the fit: the IRLS loop stopped within its
+budget and the mean robustified residual is at most ``max_cost``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
+    STALE_TOLERANCE,
     Detection,
     Frame,
     RelativeTransform,
@@ -41,6 +45,9 @@ from .geometry import (
     rot_z,
     wrap_heading,
 )
+
+#: IRLS stops when the relative cost decrease of an iteration is at most this
+COST_TOLERANCE = 1e-8
 
 
 class InsufficientDataError(ValueError):
@@ -57,8 +64,6 @@ class AlignmentConfig:
     max_cost: float = 0.09          # mean robustified residual
     min_eigenvalue: float = 1.0
     max_iterations: int = 100       # IRLS iteration budget
-    cost_tolerance: float = 1e-8    # relative cost decrease per iteration
-    interp_tolerance: float = 0.1
     max_detection_gap: float = 1.0  # s; do not interpolate across longer gaps
     estimate_drift: bool = False    # co-estimate a linear VIO drift rate
 
@@ -67,17 +72,18 @@ class AlignmentConfig:
 class AlignmentResult:
     """Outcome of one sliding-window solve.
 
-    ``drift_rate`` is the co-estimated linear VIO drift (zero unless the
-    config enables drift estimation); the transform's translation is then
-    referred to the newest correspondence stamp, not the window mean.
+    ``converged`` means only that the IRLS stopping test was met within the
+    iteration budget; :func:`degeneracy_check` decides whether the fit is
+    good enough to adopt.  ``drift_rate`` is the co-estimated linear VIO
+    drift (zero unless the config enables drift estimation); the transform's
+    translation is then referred to the newest correspondence stamp, not the
+    window mean.
     """
 
     transform: RelativeTransform
     converged: bool
     final_cost: float
-    min_eigenvalue: float
     iterations: int
-    path_length: float
     drift_rate: np.ndarray = None
 
     def __post_init__(self):
@@ -102,27 +108,26 @@ def soft_l1_weight(s):
 def build_correspondence_arrays(
     detections: Sequence[Detection],
     vio_buffer: Sequence[TimedPose],
-    window: float,
-    min_count: int = 10,
-    interp_tolerance: float = 0.1,
-    max_gap: float = 1.0,
+    config: AlignmentConfig = AlignmentConfig(),
 ):
     """Pair each windowed VIO pose with the detection track interpolated to it.
 
-    The window covers the last ``window`` seconds ending at the newest VIO
-    stamp.  VIO stamps outside the detection buffer's span (beyond the
-    interpolation tolerance) or inside a detection gap longer than
-    ``max_gap`` are skipped.  Returns ``(stamps (N,), lidar (N, 3),
-    vio (N, 3))``, or None when fewer than ``min_count`` pairs survive.
+    The window covers the last ``config.window`` seconds ending at the newest
+    VIO stamp.  VIO stamps outside the detection buffer's span (beyond
+    :data:`~coopguide.geometry.STALE_TOLERANCE`) or inside a detection gap
+    longer than ``config.max_detection_gap`` are skipped.  Returns
+    ``(stamps (N,), lidar (N, 3), vio (N, 3))``, or None when fewer than
+    ``config.min_correspondences`` pairs survive.
     """
-    if not detections or not vio_buffer or window <= 0:
+    if not detections or not vio_buffer or config.window <= 0:
         return None
+    min_count = config.min_correspondences
     det_stamps = np.array([d.stamp for d in detections])
     det_positions = np.array([d.position for d in detections])
     t_end = vio_buffer[-1].stamp
-    t_start = t_end - window
-    lo = det_stamps[0] - interp_tolerance
-    hi = det_stamps[-1] + interp_tolerance
+    t_start = t_end - config.window
+    lo = det_stamps[0] - STALE_TOLERANCE
+    hi = det_stamps[-1] + STALE_TOLERANCE
     kept = [p for p in vio_buffer if p.stamp >= t_start and lo <= p.stamp <= hi]
     if len(kept) < min_count:
         return None
@@ -135,7 +140,7 @@ def build_correspondence_arrays(
         safe_idx = np.clip(idx, 1, len(det_stamps) - 1)
         gap = det_stamps[safe_idx] - det_stamps[safe_idx - 1]
         at_node = inner & (det_stamps[np.clip(idx, 0, len(det_stamps) - 1)] == stamps)
-        ok = ~inner | (gap <= max_gap) | at_node
+        ok = ~inner | (gap <= config.max_detection_gap) | at_node
         if not ok.all():
             kept = [p for p, keep_it in zip(kept, ok) if keep_it]
             if len(kept) < min_count:
@@ -231,7 +236,7 @@ def _irls(D, P, tau, config: AlignmentConfig):
             return t, theta, r, s, iterations, True  # round-off: keep the previous iterate
         decrease = cost - cost_new
         t, theta, r, s, cost = t_new, theta_new, r_new, s_new, cost_new
-        if decrease <= config.cost_tolerance * max(cost, 1e-300):
+        if decrease <= COST_TOLERANCE * max(cost, 1e-300):
             return t, theta, r, s, iterations, True
     return t, theta, r, s, config.max_iterations, False
 
@@ -253,13 +258,14 @@ def solve_alignment_arrays(
     and solves the weighted problem in closed form.  rho is concave in s, so
     this is a majorize-minimize scheme and no iteration can raise the robust
     cost.  The loop stops when the relative cost decrease is at most
-    ``config.cost_tolerance``; a cost that rises through round-off keeps the
+    :data:`COST_TOLERANCE`; a cost that rises through round-off keeps the
     previous iterate and also ends the loop.
 
-    ``converged`` is true only when the loop stopped that way within
-    ``config.max_iterations`` AND the final mean robustified residual is at
-    or below ``config.max_cost``.  Non-convergence is reported in the result,
-    not raised.  Raises :class:`InsufficientDataError` when fewer than
+    ``converged`` is true when the loop stopped that way within
+    ``config.max_iterations``.  The window geometry is not tested here (that
+    is :func:`window_observable`, before the solve) and neither is the cost
+    bound (that is :func:`degeneracy_check`, after it).  Raises
+    :class:`InsufficientDataError` when fewer than
     ``config.min_correspondences`` pairs are supplied.
 
     With ``config.estimate_drift`` a linear VIO drift rate is co-estimated
@@ -276,9 +282,9 @@ def solve_alignment_arrays(
         )
     with_drift = config.estimate_drift
     tau = stamps - stamps.mean() if with_drift else None
-    t, theta, drift, s, iterations, tolerances_met = _irls(D, P, tau, config)
+    t, theta, drift, s, iterations, converged = _irls(D, P, tau, config)
 
-    if tolerances_met and not with_drift:
+    if converged and not with_drift:
         # The unit-scale soft-L1 still leaves ~1/sqrt(26) weight on a 5 m
         # outlier, which biases the optimum by several centimeters at 20%
         # contamination.  Refit in closed form on MAD-gated inliers (0/1
@@ -298,8 +304,6 @@ def solve_alignment_arrays(
             s = _squared_residuals(D, P, t, theta)
 
     final_cost = float(np.mean(soft_l1(s)))
-    path_length, min_eig = window_geometry(D)
-    converged = tolerances_met and final_cost <= config.max_cost
     if with_drift:
         # refer the translation to the newest stamp so the transform is
         # valid at the time it is stamped with
@@ -315,9 +319,7 @@ def solve_alignment_arrays(
         transform=transform,
         converged=converged,
         final_cost=final_cost,
-        min_eigenvalue=min_eig,
         iterations=iterations,
-        path_length=path_length,
         drift_rate=drift if with_drift else np.zeros(3),
     )
 
@@ -345,23 +347,19 @@ def window_geometry(D: np.ndarray) -> tuple[float, float]:
 
 
 def window_observable(D: np.ndarray, config: AlignmentConfig) -> bool:
-    """True when the window's geometry can pass :func:`degeneracy_check`.
+    """The pre-solve test: enough path length and Fisher information.
 
-    Needs no solve: a window failing this test is rejected whatever the
-    solver returns, so callers skip the solve.
+    The only geometry test.  It needs no solve, so callers run it on the
+    lidar positions D (N, 3) and solve only a window that passes.
     """
     path_length, min_eig = window_geometry(D)
     return path_length >= config.min_path_length and min_eig >= config.min_eigenvalue
 
 
-def degeneracy_check(
-    result: AlignmentResult,
-    min_path_length: float,
-    min_eigenvalue: float,
-) -> bool:
-    """Accept an alignment only if it converged with enough observable motion."""
-    return (
-        result.converged
-        and result.path_length >= min_path_length
-        and result.min_eigenvalue >= min_eigenvalue
-    )
+def degeneracy_check(result: AlignmentResult, config: AlignmentConfig) -> bool:
+    """The post-solve test: the solve converged to a cost within ``max_cost``.
+
+    The only acceptance rule applied to a solve's result; the window's
+    geometry was already tested by :func:`window_observable`.
+    """
+    return result.converged and result.final_cost <= config.max_cost

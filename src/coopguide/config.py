@@ -4,10 +4,11 @@ Config files are plain text, one ``dotted.key = value`` per line, ``#`` for
 comments.  Every key has a documented default (see DEFAULTS and the README
 schema table); files only override.  Unknown keys are errors so sweep typos
 fail fast.  Values are coerced to the type of the default: int, float, bool
-("true"/"false"), string, or a point list ("x,y,z; x,y,z" for positions,
-"x1,y1,x2,y2; ..." for wall segments).  The ``alignment.*``, ``tracker.*`` and
-``guider.*`` keys set the fields of the same name in AlignmentConfig,
-TrackerConfig and GuiderConfig; fields without a key keep their defaults.
+("true"/"false"), string, or points ("x,y,z" for one position, "x,y,z; x,y,z"
+for a list of them, "x1,y1,x2,y2; ..." for wall segments); a point of the
+wrong length is a config error.  The ``alignment.*``, ``tracker.*`` and
+``guider.*`` keys are generated from the fields of AlignmentConfig,
+TrackerConfig and GuiderConfig, one key per field with the field's default.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .tracker import TrackerConfig
 
 class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration input."""
+
+
+_SECTIONS = (("alignment", AlignmentConfig), ("tracker", TrackerConfig),
+             ("guider", GuiderConfig))
 
 
 DEFAULTS: dict[str, Any] = {
@@ -72,36 +77,8 @@ DEFAULTS: dict[str, Any] = {
     "plant.time_constant": 0.5,        # s
     "plant.max_speed": 2.0,            # m/s
     "plant.max_heading_rate": 1.5,     # rad/s
-    # guider
-    "guider.ref_rate": 5.0,
-    "guider.stream_horizon": 10.0,
-    "guider.detection_staleness": 1.0,
-    "guider.vio_staleness": 0.5,
-    "guider.realign_period": 1.0,
-    "guider.reinit_reject_limit": 3,
-    # sliding-window alignment
-    "alignment.window": 15.0,
-    "alignment.min_correspondences": 10,
-    "alignment.min_path_length": 1.0,
-    "alignment.max_cost": 0.09,
-    "alignment.min_eigenvalue": 1.0,
-    "alignment.max_iterations": 100,
-    "alignment.max_detection_gap": 1.0,
-    "alignment.estimate_drift": False,
-    # tracker
-    "tracker.sigma_accel": 1.0,
-    "tracker.sigma_heading_accel": 0.5,
-    "tracker.vio_velocity_sigma": 0.1,
-    "tracker.vio_heading_sigma": 0.05,
-    "tracker.vio_heading_rate_sigma": 0.05,
-    "tracker.vio_delta_sigma": 0.05,
-    "tracker.euclid_gate": 2.0,
-    "tracker.gate_p_value": 0.95,
-    "tracker.history_span": 2.0,
-    "tracker.init_position_sigma": 0.3,
-    "tracker.init_velocity_sigma": 0.5,
-    "tracker.init_heading_sigma": 0.2,
-    "tracker.init_heading_rate_sigma": 0.2,
+    # alignment, tracker and guider: one key per dataclass field, same default
+    **{f"{section}.{f.name}": f.default for section, cls in _SECTIONS for f in fields(cls)},
     # sweep section (used by the sweep subcommand only)
     "sweep.parameter": "",
     "sweep.values": (),
@@ -113,21 +90,43 @@ _PATTERNS_TRAJECTORY = ("circle", "eight", "waypoints")
 _DRIFT_MODELS = ("none", "constant_velocity", "random_walk")
 
 
-def _parse_tuple(text: str, key: str) -> tuple:
-    """Parse 'a,b,c; d,e,f' into a tuple of float tuples ('a,b,c' -> floats)."""
-    text = text.strip()
-    if not text:
-        return ()
-    groups = [g.strip() for g in text.split(";") if g.strip()]
-    out = []
+#: point-valued keys: (numbers per point, whether the value is a list of points)
+_POINT_KEYS = {
+    "primary.center": (3, False),
+    "trajectory.center": (3, False),
+    "vio.initial_offset": (3, False),
+    "trajectory.waypoints": (3, True),
+    "false_targets.positions": (3, True),
+    "nlos.walls": (4, True),
+}
+
+
+def _coerce_points(key: str, raw: Any) -> tuple:
+    """One point (a flat tuple) or a tuple of points, each of the key's length.
+
+    ``raw`` is text ("a,b,c; d,e,f"), one point, or a sequence of points.
+    """
+    size, many = _POINT_KEYS[key]
+    if not isinstance(raw, (tuple, list)):
+        groups = [g.replace(",", " ").split() for g in str(raw).split(";") if g.strip()]
+    elif raw and not isinstance(raw[0], (tuple, list)):
+        groups = [raw]
+    else:
+        groups = list(raw)
+    points = []
     for g in groups:
         try:
-            out.append(tuple(float(x) for x in g.replace(",", " ").split()))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse point group {g!r}") from exc
-    if len(out) == 1 and ";" not in text:
-        return out[0]
-    return tuple(out)
+            point = tuple(float(x) for x in g)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: cannot parse point {g!r}") from exc
+        if len(point) != size or not all(map(math.isfinite, point)):
+            raise ConfigError(f"{key}: each point needs {size} finite numbers, got {point!r}")
+        points.append(point)
+    if many:
+        return tuple(points)
+    if len(points) != 1:
+        raise ConfigError(f"{key}: expected one point of {size} numbers, got {raw!r}")
+    return points[0]
 
 
 def coerce(key: str, raw: Any) -> Any:
@@ -161,18 +160,18 @@ def coerce(key: str, raw: Any) -> Any:
         if not math.isfinite(value):
             raise ConfigError(f"{key}: value must be finite, got {raw!r}")
         return value
-    if isinstance(default, tuple):
+    if key in _POINT_KEYS:
+        return _coerce_points(key, raw)
+    if key == "sweep.values":
         if isinstance(raw, tuple):
             return raw
-        if key == "sweep.values":
-            text = str(raw).strip()
-            if not text:
-                return ()
-            try:
-                return tuple(float(x) for x in text.replace(",", " ").split())
-            except ValueError as exc:
-                raise ConfigError(f"{key}: expected a list of numbers, got {raw!r}") from exc
-        return _parse_tuple(str(raw), key)
+        text = str(raw).strip()
+        if not text:
+            return ()
+        try:
+            return tuple(float(x) for x in text.replace(",", " ").split())
+        except ValueError as exc:
+            raise ConfigError(f"{key}: expected a list of numbers, got {raw!r}") from exc
     return str(raw)
 
 
@@ -194,19 +193,6 @@ def parse_config_text(text: str) -> dict[str, Any]:
 def load_config_file(path: str) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def _section_config(cls, section: str, values: Mapping[str, Any]):
-    """Dataclass ``cls`` with each field read from ``"<section>.<field>"``.
-
-    Fields without such a key keep their dataclass default.
-    """
-    kwargs = {}
-    for f in fields(cls):
-        key = f"{section}.{f.name}"
-        if key in values:
-            kwargs[f.name] = values[key]
-    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -236,10 +222,10 @@ class ScenarioConfig:
                               "trajectory.pattern = waypoints")
         if v["scenario.truth_log_decimation"] < 1:
             raise ConfigError("scenario.truth_log_decimation must be >= 1")
-        for section, cls in (("alignment", AlignmentConfig),
-                             ("tracker", TrackerConfig),
-                             ("guider", GuiderConfig)):
-            object.__setattr__(self, section, _section_config(cls, section, v))
+        for section, cls in _SECTIONS:
+            # each field is read from its "<section>.<field>" key
+            object.__setattr__(self, section, cls(**{
+                f.name: v[f"{section}.{f.name}"] for f in fields(cls)}))
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]

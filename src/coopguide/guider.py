@@ -7,6 +7,11 @@ updated through the history-buffered Kalman filter, periodically re-solves
 the frame alignment, and transforms the not-yet-flown part of a desired
 lidar-frame trajectory into the secondary agent's local frame for streaming.
 
+Initialization and re-initialization are one path (``try_initialize`` over
+the tracks that still produce detections); realignment runs the same
+alignment steps on the fused detections: build the window, test its
+geometry with ``window_observable``, solve, accept with ``degeneracy_check``.
+
 Degenerate input streams map to explicit statuses:
     - detections stale        -> DEAD_RECKONING_VIO (position rides the VIO chain)
     - VIO stale               -> HEADING_FROZEN (heading states stop updating,
@@ -224,7 +229,7 @@ class Guider:
             # alignment solves are not free: retry at most every 0.3 s
             if stamp >= self._next_init_attempt:
                 self._next_init_attempt = stamp + 0.3
-                self._attempt_initialization()
+                self._initialize(stamp)
             return
 
         try:
@@ -255,7 +260,7 @@ class Guider:
                 # false targets.  Let the alignment decide: re-initialize only
                 # from a live track whose trajectory matches the VIO buffer.
                 self._consecutive_rejects = 0
-                self._attempt_reinitialization(stamp)
+                self._initialize(stamp)
 
     def ingest_vio(self, pose: TimedPose) -> None:
         """Feed one VIO pose sample (arrival order may differ from stamps).
@@ -282,8 +287,7 @@ class Guider:
         vio_at_det = None
         if last_det is not None and pose.stamp > last_det.stamp:
             try:
-                vio_at_det = interpolate(buf, last_det.stamp,
-                                         self.align_config.interp_tolerance)
+                vio_at_det = interpolate(buf, last_det.stamp)
             except StaleQueryError:
                 pass  # detection outside the VIO buffer: heading-only measurement
         try:
@@ -301,14 +305,8 @@ class Guider:
 
     # ------------------------------------------------------------ initialization
 
-    def _attempt_initialization(self) -> None:
-        out = try_initialize(self._track_buffers, self._vio_buffer,
-                             self.align_config, self.tracker_config)
-        if out is not None:
-            self._adopt(*out)
-
-    def _attempt_reinitialization(self, now: float) -> None:
-        """Re-init from tracks that are still producing detections."""
+    def _initialize(self, now: float) -> None:
+        """(Re-)initialize from tracks that are still producing detections."""
         stale_after = now - self.config.detection_staleness
         fresh = {tid: buf for tid, buf in self._track_buffers.items()
                  if buf and buf[-1].stamp >= stale_after}
@@ -333,25 +331,15 @@ class Guider:
 
     def _realign(self, now: float) -> None:
         self._next_alignment_time = now + self.config.realign_period
-        arrays = build_correspondence_arrays(
-            self._fused_detections, self._vio_buffer, self.align_config.window,
-            min_count=self.align_config.min_correspondences,
-            interp_tolerance=self.align_config.interp_tolerance,
-            max_gap=self.align_config.max_detection_gap,
-        )
-        if arrays is None:
+        config = self.align_config
+        arrays = build_correspondence_arrays(self._fused_detections, self._vio_buffer, config)
+        if arrays is None or not window_observable(arrays[1], config):
             self._alignment_accepted = False
             return
-        if not window_observable(arrays[1], self.align_config):
-            self._alignment_accepted = False  # no solve could pass the check
-            return
-        result = solve_alignment_arrays(*arrays, self.align_config)
-        if degeneracy_check(result, self.align_config.min_path_length,
-                            self.align_config.min_eigenvalue):
+        result = solve_alignment_arrays(*arrays, config)
+        self._alignment_accepted = degeneracy_check(result, config)
+        if self._alignment_accepted:
             self._active_transform = result.transform
-            self._alignment_accepted = True
-        else:
-            self._alignment_accepted = False
 
     # ------------------------------------------------------------------ output
 

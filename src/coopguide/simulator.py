@@ -359,11 +359,8 @@ def generate_trajectory(values) -> Trajectory:
             [math.atan2(math.cos(2.0 * ui), math.cos(ui)) for ui in params],
         )
     # waypoints: constant-speed polyline
-    wps = values["trajectory.waypoints"]
-    if isinstance(wps[0], float):
-        wps = (wps,)
-    wp = np.asarray(wps, dtype=float)
-    if wp.ndim != 2 or wp.shape[1] != 3 or wp.shape[0] < 2:
+    wp = np.asarray(values["trajectory.waypoints"], dtype=float)
+    if len(wp) < 2:  # config coercion guarantees x,y,z points
         raise ConfigError("trajectory.waypoints must contain at least two x,y,z points")
     seg_vec = np.diff(wp, axis=0)
     seg_len = np.linalg.norm(seg_vec, axis=1)
@@ -553,11 +550,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     t0 = np.asarray(v["vio.initial_offset"], float)
 
     walls = v["nlos.walls"]
-    if walls and isinstance(walls[0], float):
-        walls = (walls,)
     false_targets = v["false_targets.positions"]
-    if false_targets and isinstance(false_targets[0], float):
-        false_targets = (false_targets,)
 
     guider = Guider(config.alignment, config.tracker, config.guider)
 

@@ -415,33 +415,24 @@ def try_initialize(
 ) -> Optional[tuple[TrackerState, AlignmentResult, int]]:
     """Attempt estimate initialization from per-track detection buffers.
 
-    Runs the sliding-window alignment against the VIO buffer for each track
-    (in track-id order) whose window is observable, and initializes from the
-    first track whose solution passes the degeneracy check: position from
+    For each track in track-id order: build the window, skip it unless
+    :func:`window_observable`, solve it, and initialize from the first track
+    whose solution passes :func:`degeneracy_check`: position from
     the newest detection, velocity and heading from the rotated/shifted VIO
     pose at that stamp, covariance from the configured priors.  Returns None
     when no track is accepted.
     """
     for track_id in sorted(per_track_buffers):
         dets = per_track_buffers[track_id]
-        arrays = build_correspondence_arrays(
-            dets, vio_buffer, align_config.window,
-            min_count=align_config.min_correspondences,
-            interp_tolerance=align_config.interp_tolerance,
-            max_gap=align_config.max_detection_gap,
-        )
-        if arrays is None:
+        arrays = build_correspondence_arrays(dets, vio_buffer, align_config)
+        if arrays is None or not window_observable(arrays[1], align_config):
             continue
-        if not window_observable(arrays[1], align_config):
-            continue  # no solve could pass the degeneracy check
         result = solve_alignment_arrays(*arrays, align_config)
-        if not degeneracy_check(result, align_config.min_path_length,
-                                align_config.min_eigenvalue):
+        if not degeneracy_check(result, align_config):
             continue
         newest = dets[-1]
         try:
-            vio_pose = interpolate(vio_buffer, newest.stamp,
-                                   tolerance=align_config.interp_tolerance)
+            vio_pose = interpolate(vio_buffer, newest.stamp)
         except StaleQueryError:
             continue
         theta = result.transform.heading

@@ -122,6 +122,9 @@ def test_soft_l1_asymptotics():
 # correspondence building
 
 
+ONE_PAIR = AlignmentConfig(window=10.0, min_correspondences=1)
+
+
 def _det(t, pos, track=0):
     return Detection(stamp=t, position=np.asarray(pos, float), sigma=0.1, track_id=track)
 
@@ -133,8 +136,7 @@ def _vio(t, pos):
 def test_build_correspondences_midpoint_interpolation():
     dets = [_det(0.0, [0, 0, 0]), _det(1.0, [2, 0, 0])]
     vio = [_vio(0.5, [7.0, 8.0, 9.0])]
-    stamps, lidar, vio_positions = build_correspondence_arrays(
-        dets, vio, window=10.0, min_count=1)
+    stamps, lidar, vio_positions = build_correspondence_arrays(dets, vio, ONE_PAIR)
     assert len(stamps) == 1
     assert stamps[0] == 0.5
     assert np.allclose(lidar[0], [1.0, 0.0, 0.0])
@@ -144,7 +146,7 @@ def test_build_correspondences_midpoint_interpolation():
 def test_build_correspondences_skips_out_of_span_stamps():
     dets = [_det(0.0, [0, 0, 0]), _det(1.0, [2, 0, 0])]
     vio = [_vio(0.5, [0, 0, 0]), _vio(1.5, [1, 1, 1])]  # 1.5 is 0.4 s beyond span
-    stamps, _, _ = build_correspondence_arrays(dets, vio, window=10.0, min_count=1)
+    stamps, _, _ = build_correspondence_arrays(dets, vio, ONE_PAIR)
     assert stamps.tolist() == [0.5]
 
 
@@ -153,7 +155,7 @@ def test_build_correspondences_identical_stamps_zero_error():
     pts = np.column_stack([stamps, stamps ** 2, np.zeros_like(stamps)])
     dets = [_det(t, p) for t, p in zip(stamps, pts)]
     vio = [_vio(t, p + 5.0) for t, p in zip(stamps, pts)]
-    got_stamps, lidar, _ = build_correspondence_arrays(dets, vio, window=10.0, min_count=1)
+    got_stamps, lidar, _ = build_correspondence_arrays(dets, vio, ONE_PAIR)
     assert len(got_stamps) == len(stamps)
     for d, p in zip(lidar, pts):
         assert np.allclose(d, p, atol=1e-12)
@@ -162,7 +164,8 @@ def test_build_correspondences_identical_stamps_zero_error():
 def test_build_correspondences_insufficient_returns_empty():
     dets = [_det(0.0, [0, 0, 0]), _det(1.0, [2, 0, 0])]
     vio = [_vio(0.5, [0, 0, 0])]
-    assert build_correspondence_arrays(dets, vio, window=10.0, min_count=5) is None
+    cfg = AlignmentConfig(window=10.0, min_correspondences=5)
+    assert build_correspondence_arrays(dets, vio, cfg) is None
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +242,7 @@ def test_solve_alignment_robust_to_outliers():
     cfg = AlignmentConfig(max_cost=3.0)
     res = solve_alignment_arrays(stamps, D, vio, config=cfg)
     assert res.converged
+    assert degeneracy_check(res, cfg)
     assert np.linalg.norm(res.transform.translation - t_star) < 0.05
     assert abs(wrap_heading(res.transform.heading - theta_star)) < 0.01
     # oracle on the inlier subset only
@@ -422,34 +426,41 @@ def test_noiseless_windows_converge_within_two_lm_iterations():
 
 
 def test_min_eigenvalue_invariant_under_vio_translation():
+    # the geometry test reads the lidar positions alone, and the fit test
+    # makes the same decision for a VIO window shifted by a constant
     pts = circle_points(40)
     stamps, D, P = make_corrs(pts, np.zeros(3), 0.4)
-    res_a = solve_alignment_arrays(stamps, D, P)
-    res_b = solve_alignment_arrays(stamps, D, P + np.array([100.0, -50.0, 20.0]))
-    assert res_a.min_eigenvalue == pytest.approx(res_b.min_eigenvalue, rel=1e-9)
+    cfg = AlignmentConfig()
+    res_a = solve_alignment_arrays(stamps, D, P, cfg)
+    res_b = solve_alignment_arrays(stamps, D, P + np.array([100.0, -50.0, 20.0]), cfg)
+    assert res_a.final_cost == pytest.approx(res_b.final_cost, abs=1e-12)
+    assert degeneracy_check(res_a, cfg) and degeneracy_check(res_b, cfg)
+    assert window_geometry(D)[1] == pytest.approx(oracle_fisher_min_eig(D, 0.4), rel=1e-9)
+    assert window_observable(D, cfg)
 
 
 # ---------------------------------------------------------------------------
-# degeneracy detection
+# degeneracy detection: geometry before the solve, fit after it
 
 
 def test_degeneracy_single_point_rejected():
     pts = np.tile(np.array([1.0, 2.0, 3.0]), (20, 1))
-    corrs = make_corrs(pts, np.zeros(3), 0.0)
-    res = solve_alignment_arrays(*corrs)
-    assert res.min_eigenvalue == pytest.approx(0.0, abs=1e-9)
-    assert res.path_length == pytest.approx(0.0)
-    assert not degeneracy_check(res, min_path_length=1.0, min_eigenvalue=1.0)
+    path_length, min_eig = window_geometry(pts)
+    assert min_eig == pytest.approx(0.0, abs=1e-9)
+    assert path_length == pytest.approx(0.0)
+    assert not window_observable(pts, AlignmentConfig())
 
 
 def test_degeneracy_circle_accepted_eig_matches_oracle():
     pts = circle_points(50, radius=4.0)
     theta_star = 0.3
     corrs = make_corrs(pts, np.array([1.0, 1.0, 0.0]), theta_star)
-    res = solve_alignment_arrays(*corrs)
-    assert degeneracy_check(res, min_path_length=1.0, min_eigenvalue=1.0)
+    cfg = AlignmentConfig()
+    assert window_observable(pts, cfg)
+    res = solve_alignment_arrays(*corrs, cfg)
+    assert degeneracy_check(res, cfg)
     expected = oracle_fisher_min_eig(pts, res.transform.heading)
-    assert res.min_eigenvalue == pytest.approx(expected, rel=1e-9)
+    assert window_geometry(pts)[1] == pytest.approx(expected, rel=1e-9)
 
 
 def test_degeneracy_straight_segment_accepted():
@@ -459,9 +470,28 @@ def test_degeneracy_straight_segment_accepted():
     corrs = make_corrs(pts, np.array([0.5, 0.5, 0.0]), 1.0)
     res = solve_alignment_arrays(*corrs)
     expected = oracle_fisher_min_eig(pts, res.transform.heading)
-    assert res.min_eigenvalue == pytest.approx(expected, rel=1e-9)
+    assert window_geometry(pts)[1] == pytest.approx(expected, rel=1e-9)
     assert expected > 0.0
-    assert degeneracy_check(res, min_path_length=1.0, min_eigenvalue=min(1.0, expected / 2))
+    cfg = AlignmentConfig(min_eigenvalue=min(1.0, expected / 2))
+    assert window_observable(pts, cfg)
+    assert degeneracy_check(res, cfg)
+
+
+def test_degeneracy_check_rejects_a_converged_fit_above_max_cost():
+    rng = np.random.default_rng(6)
+    stamps, D, P = make_corrs(circle_points(50), np.array([3.0, -2.0, 1.0]), -2.2)
+    P = P + rng.normal(0.0, 0.05, P.shape)
+    P[rng.choice(len(D), size=10, replace=False)] += 5.0 * np.array([0.6, 0.0, 0.8])
+    cfg = AlignmentConfig()
+    assert window_observable(D, cfg)
+    res = solve_alignment_arrays(stamps, D, P, cfg)
+    assert res.converged and res.final_cost > cfg.max_cost
+    assert not degeneracy_check(res, cfg)
+    assert degeneracy_check(res, AlignmentConfig(max_cost=res.final_cost))
+    # a fit that ran out of iterations is rejected whatever its cost
+    res = solve_alignment_arrays(stamps, D, P, AlignmentConfig(max_iterations=1))
+    assert not res.converged
+    assert not degeneracy_check(res, AlignmentConfig(max_cost=math.inf))
 
 
 def _geometry_windows(rng):
@@ -500,11 +530,15 @@ def test_window_geometry_matches_oracle_and_gates_the_solve():
         theta_star = float(rng.uniform(-math.pi, math.pi))
         P = D @ rot_z(theta_star).T + rng.uniform(-5.0, 5.0, 3) + rng.normal(0.0, 0.02, D.shape)
         stamps = 0.1 * np.arange(len(D))
-        res = solve_alignment_arrays(stamps, D, P, cfg)
-        assert (res.path_length, res.min_eigenvalue) == (path_length, min_eig)
-        if not window_observable(D, cfg):
+        observable = window_observable(D, cfg)
+        assert observable == (path_length >= cfg.min_path_length
+                              and min_eig >= cfg.min_eigenvalue)
+        if not observable:
             failed.add(kind)
-            assert not degeneracy_check(res, cfg.min_path_length, cfg.min_eigenvalue)
+            continue
+        # an observable window with 2 cm noise is accepted on its fit
+        res = solve_alignment_arrays(stamps, D, P, cfg)
+        assert degeneracy_check(res, cfg)
     assert {"clutter", "segment"} <= failed
 
 

@@ -61,6 +61,31 @@ def test_run_malformed_line_exits_one_with_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "false_targets.positions = 3.4,0.6",
+    "nlos.walls = -4,-0.5,-1",
+    "vio.initial_offset = 1,2",
+    "primary.center = 1,2",
+])
+def test_run_point_of_wrong_length_exits_one_naming_key(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "bad.cfg", BASE_CFG + line + "\n")
+    out = tmp_path / "o"
+    code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code == 1
+    assert line.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_one_false_target_and_one_wall_echo_as_flat_points(tmp_path):
+    cfg = _write(tmp_path, "s.cfg", BASE_CFG + "scenario.duration = 1.0\n"
+                 "false_targets.positions = 3.4,0.6,1.5\nnlos.walls = -4,-0.5,-1,-0.5\n")
+    out = tmp_path / "out"
+    main(["run", "--config", cfg, "--out", str(out)])
+    lines = (out / "events.log").read_text().splitlines()
+    assert "H false_targets.positions 3.4,0.6,1.5" in lines
+    assert "H nlos.walls -4.0,-0.5,-1.0,-0.5" in lines
+
+
 def test_run_seed_override_and_determinism(tmp_path):
     cfg = _write(tmp_path, "s.cfg", BASE_CFG)
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

@@ -1,11 +1,12 @@
-"""Config plumbing: the alignment/tracker/guider keys map onto their dataclasses."""
+"""Config plumbing: section keys map onto their dataclasses, point values are checked."""
 
 from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
 
 from coopguide.alignment import AlignmentConfig
-from coopguide.config import DEFAULTS, ConfigError, build_config
+from coopguide.config import DEFAULTS, ConfigError, build_config, coerce, format_value
 from coopguide.guider import GuiderConfig
 from coopguide.tracker import TrackerConfig
 
@@ -16,15 +17,13 @@ from coopguide.tracker import TrackerConfig
     ("guider", GuiderConfig),
 ])
 def test_section_keys_name_dataclass_fields_with_equal_defaults(section, cls):
-    # a misspelt key would name no field and be silently ignored
-    field_defaults = {f.name: f.default for f in fields(cls)}
-    keys = [key for key in DEFAULTS if key.startswith(section + ".")]
-    assert keys
-    for key in keys:
-        name = key[len(section) + 1:]
-        assert name in field_defaults, f"{key} names no field of {cls.__name__}"
-        assert DEFAULTS[key] == field_defaults[name], key
-        assert type(DEFAULTS[key]) is type(field_defaults[name]), key
+    # coerce parses a key by the type of its default, so that type must be
+    # the field's declared type, and every field must be settable by a key
+    hints = get_type_hints(cls)
+    keys = {key[len(section) + 1:] for key in DEFAULTS if key.startswith(section + ".")}
+    assert keys == {f.name for f in fields(cls)}
+    for name in keys:
+        assert type(DEFAULTS[f"{section}.{name}"]) is hints[name], name
     assert getattr(build_config(), section) == cls()
 
 
@@ -48,3 +47,35 @@ def test_integer_key_accepts_integral_float():
     # sweep values are parsed as floats, so 2.0 must still mean 2
     value = build_config({"trajectory.laps": 2.0})["trajectory.laps"]
     assert value == 2 and type(value) is int
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("false_targets.positions", "3.4,0.6"),
+    ("false_targets.positions", "3.4,0.6,1.5; 2.0,6.8"),
+    ("nlos.walls", "-4,-0.5,-1"),
+    ("trajectory.waypoints", "0,0,1; 4,0"),
+    ("vio.initial_offset", "1,2"),
+    ("primary.center", "1,2"),
+    ("trajectory.center", "0,3,1.5; 1,1,1"),
+    ("primary.center", "1,2,nan"),
+    ("nlos.walls", ((1.0, 2.0, 3.0),)),
+])
+def test_point_of_wrong_length_is_a_config_error(key, raw):
+    with pytest.raises(ConfigError, match=key):
+        build_config({key: raw})
+
+
+@pytest.mark.parametrize("key, raw, text", [
+    ("false_targets.positions", "3.4,0.6,1.5", "3.4,0.6,1.5"),
+    ("false_targets.positions", "3.4,0.6,1.5; 2,6.8,1.5", "3.4,0.6,1.5;2.0,6.8,1.5"),
+    ("false_targets.positions", (3.4, 0.6, 1.5), "3.4,0.6,1.5"),
+    ("nlos.walls", "-4,-0.5,-1,-0.5", "-4.0,-0.5,-1.0,-0.5"),
+    ("trajectory.waypoints", "0,0,1; 4,0,1", "0.0,0.0,1.0;4.0,0.0,1.0"),
+    ("primary.center", "0,-4,3", "0.0,-4.0,3.0"),
+])
+def test_point_lists_coerce_to_groups_and_format_back(key, raw, text):
+    value = coerce(key, raw)
+    many = key not in ("primary.center", "trajectory.center", "vio.initial_offset")
+    assert isinstance(value[0], tuple) == many
+    assert format_value(value) == text
+    assert coerce(key, text) == value

@@ -8,7 +8,15 @@ import pytest
 
 from coopguide import guider
 from coopguide.alignment import AlignmentConfig
-from coopguide.geometry import Detection, Frame, RelativeTransform, TimedPose, rot_z, wrap_heading
+from coopguide.geometry import (
+    STALE_TOLERANCE,
+    Detection,
+    Frame,
+    RelativeTransform,
+    TimedPose,
+    rot_z,
+    wrap_heading,
+)
 from coopguide.guider import (
     Guider,
     GuiderConfig,
@@ -250,7 +258,7 @@ def test_ingest_vio_heading_measurement_when_detection_predates_vio_buffer():
     t = drive(g, t, t + g.align_config.window + 3.0, det_on=False)
     g.ingest_vio(vio_pose(t))
     oldest_vio = g._vio_buffer[0].stamp
-    assert last_detection < oldest_vio - g.align_config.interp_tolerance
+    assert last_detection < oldest_vio - STALE_TOLERANCE
     newest = g._history.entries[-1]
     assert newest.stamp == t
     assert newest.kind is MeasurementKind.VIO_HEADING
