@@ -25,8 +25,14 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .config import ConfigError, build_config, load_config_file
-from .evaluation import EvaluationError, evaluate_log, format_report, write_per_sample_csv
+from .config import ConfigError, ScenarioConfig, build_config, load_config_file
+from .evaluation import (
+    ErrorReport,
+    EvaluationError,
+    evaluate_log,
+    format_report,
+    write_per_sample_csv,
+)
 from .simulator import EventLog, LogParseError, run_scenario
 
 
@@ -34,14 +40,19 @@ def _default_out() -> str:
     return os.environ.get("COOPGUIDE_OUT_DIR", ".")
 
 
-def _load(config_path: str, seed: Optional[int]):
-    overrides = load_config_file(config_path)
-    return build_config(overrides, seed=seed)
+def _report(log: EventLog, config: ScenarioConfig) -> tuple[Optional[ErrorReport], str]:
+    """(report, report.txt text) of one run; the report is None when the
+    log cannot be evaluated, e.g. a run that never initialized."""
+    try:
+        report = evaluate_log(log)
+    except EvaluationError as exc:
+        return None, f"failure = true\nerror = {exc}\n"
+    return report, format_report(report, config)
 
 
 def cmd_run(config_path: str, seed: Optional[int], out_dir: str) -> int:
     try:
-        config = _load(config_path, seed)
+        config = build_config(load_config_file(config_path), seed=seed)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -49,16 +60,10 @@ def cmd_run(config_path: str, seed: Optional[int], out_dir: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     log = run_scenario(config)
     log.save(str(out / "events.log"))
-    try:
-        report = evaluate_log(log)
-        text = format_report(report, config)
-        code = 2 if report.failure else 0
-    except EvaluationError as exc:
-        text = f"failure = true\nerror = {exc}\n"
-        code = 2
+    report, text = _report(log, config)
     (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
-    return code
+    return 2 if report is None or report.failure else 0
 
 
 def _sweep_seed(base_seed: int, value_index: int, run_index: int) -> int:
@@ -72,44 +77,30 @@ def _sweep_run(args) -> tuple:
     run_overrides[parameter] = value
     seed = _sweep_seed(base_seed, value_index, run_index)
     config = build_config(run_overrides, seed=seed)
-    log = run_scenario(config)
-    try:
-        report = evaluate_log(log)
-        row = (value, run_index, report.mean_path_deviation,
-               report.rel_loc_rmse, report.failure)
-        text = format_report(report, config)
-    except EvaluationError as exc:
+    report, text = _report(run_scenario(config), config)
+    if report is None:
         # a run that never initialized still counts as a failure row
-        row = (value, run_index, float("nan"), float("nan"), True)
-        text = f"failure = true\nerror = {exc}\n"
-    return row, text
+        return (value, run_index, float("nan"), float("nan"), True), text
+    return (value, run_index, report.mean_path_deviation,
+            report.rel_loc_rmse, report.failure), text
 
 
 def cmd_sweep(config_path: str, seed: Optional[int], out_dir: str, jobs: int) -> int:
     try:
         overrides = load_config_file(config_path)
         config = build_config(overrides, seed=seed)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    parameter = config["sweep.parameter"]
-    values = config["sweep.values"]
-    runs = config["sweep.runs_per_value"]
-    if not parameter:
-        print("config error: sweep.parameter is required for the sweep "
-              "subcommand", file=sys.stderr)
-        return 1
-    if not values:
-        print("config error: sweep.values is required for the sweep "
-              "subcommand", file=sys.stderr)
-        return 1
-    if runs < 1:
-        print("config error: sweep.runs_per_value must be >= 1", file=sys.stderr)
-        return 1
-    try:
+        parameter = config["sweep.parameter"]
+        values = config["sweep.values"]
+        runs = config["sweep.runs_per_value"]
+        if not parameter:
+            raise ConfigError("sweep.parameter is required for the sweep subcommand")
+        if not values:
+            raise ConfigError("sweep.values is required for the sweep subcommand")
+        if runs < 1:
+            raise ConfigError("sweep.runs_per_value must be >= 1")
         for value in values:  # reject a bad value before any run starts
             build_config({**overrides, parameter: value})
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

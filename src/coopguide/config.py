@@ -222,6 +222,12 @@ class ScenarioConfig:
                               "trajectory.pattern = waypoints")
         if v["scenario.truth_log_decimation"] < 1:
             raise ConfigError("scenario.truth_log_decimation must be >= 1")
+        if not 0.0 < v["tracker.gate_p_value"] < 1.0:
+            raise ConfigError(f"tracker.gate_p_value must lie in (0, 1), "
+                              f"got {v['tracker.gate_p_value']}")
+        for key in ("tracker.history_span", "detection.sigma"):
+            if v[key] < 0:
+                raise ConfigError(f"{key} must be >= 0, got {v[key]}")
         for section, cls in _SECTIONS:
             # each field is read from its "<section>.<field>" key
             object.__setattr__(self, section, cls(**{

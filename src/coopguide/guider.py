@@ -6,6 +6,8 @@ aligning detection tracks against the VIO trajectory, keeps the estimate
 updated through the history-buffered Kalman filter, periodically re-solves
 the frame alignment, and transforms the not-yet-flown part of a desired
 lidar-frame trajectory into the secondary agent's local frame for streaming.
+The last accepted alignment supplies the heading and the co-estimated VIO
+drift rate that every VIO measurement is corrected with.
 
 Initialization and re-initialization are one path (``try_initialize`` over
 the tracks that still produce detections); realignment runs the same
@@ -37,6 +39,7 @@ import numpy as np
 
 from .alignment import (
     AlignmentConfig,
+    AlignmentResult,
     build_correspondence_arrays,
     degeneracy_check,
     solve_alignment_arrays,
@@ -178,11 +181,8 @@ class Guider:
         self._track_buffers: dict[int, deque[Detection]] = {}
         self._vio_buffer: list[TimedPose] = []
         self._history: Optional[HistoryBuffer] = None
-        self._active_transform: Optional[RelativeTransform] = None
+        self._alignment: Optional[AlignmentResult] = None   # the last accepted solve
         self._fused_detections: deque[Detection] = deque()
-        self._last_detection: Optional[Detection] = None
-        self._last_detection_time: Optional[float] = None
-        self._last_vio_time: Optional[float] = None
         self._alignment_accepted = False
         self._next_alignment_time = -np.inf
         self._next_init_attempt = -np.inf
@@ -198,15 +198,15 @@ class Guider:
 
     @property
     def active_transform(self) -> Optional[RelativeTransform]:
-        return self._active_transform
+        return self._alignment.transform if self._alignment else None
 
     def status(self, t: float) -> GuiderStatus:
+        # once initialized, both buffers hold at least one sample
         if self._history is None:
             return GuiderStatus.UNINITIALIZED
-        if self._last_vio_time is None or t - self._last_vio_time > self.config.vio_staleness:
+        if t - self._vio_buffer[-1].stamp > self.config.vio_staleness:
             return GuiderStatus.HEADING_FROZEN
-        if (self._last_detection_time is None
-                or t - self._last_detection_time > self.config.detection_staleness):
+        if t - self._fused_detections[-1].stamp > self.config.detection_staleness:
             return GuiderStatus.DEAD_RECKONING_VIO
         if not self._alignment_accepted:
             return GuiderStatus.TRANSFORM_FROZEN
@@ -215,12 +215,15 @@ class Guider:
     # ----------------------------------------------------------------- ingest
 
     def ingest_detections(self, detections: Sequence[Detection]) -> None:
-        """Feed one stamped batch of detections (all tracked objects)."""
+        """Feed one batch of detections (all tracked objects) sharing one
+        stamp; a batch whose stamps differ raises ValueError, changing nothing."""
         if not detections:
             return
+        stamp = detections[0].stamp
+        if any(det.stamp != stamp for det in detections):
+            raise ValueError("a detection batch must share one stamp")
         self._ingest_count += 1
         detections = sorted(detections, key=lambda d: d.track_id)
-        stamp = detections[0].stamp
         for det in detections:
             buf = self._track_buffers.setdefault(det.track_id, deque())
             buf.append(det)
@@ -247,8 +250,6 @@ class Guider:
                 self._history.insert(z)
             except StaleMeasurementError:
                 return
-            self._last_detection = det
-            self._last_detection_time = stamp
             self._fused_detections.append(det)
             self._prune_deque(self._fused_detections, stamp)
             self._consecutive_rejects = 0
@@ -278,24 +279,25 @@ class Guider:
         buf.insert(bisect.bisect_right(buf, pose.stamp, key=stamp_key), pose)
         cutoff = buf[-1].stamp - self._buffer_span
         del buf[:bisect.bisect_left(buf, cutoff, key=stamp_key)]
-        self._last_vio_time = max(self._last_vio_time or -np.inf, pose.stamp)
 
         if self._history is None:
             return
-        theta = self._active_transform.heading if self._active_transform else None
-        last_det = self._last_detection
+        alignment = self._alignment
+        last_det = self._fused_detections[-1]
         vio_at_det = None
-        if last_det is not None and pose.stamp > last_det.stamp:
+        if pose.stamp > last_det.stamp:
             try:
                 vio_at_det = interpolate(buf, last_det.stamp)
             except StaleQueryError:
                 pass  # detection outside the VIO buffer: heading-only measurement
         try:
             if vio_at_det is not None:
-                z = make_vio_measurement(pose, last_det, vio_at_det, theta,
-                                         self.tracker_config)
+                z = make_vio_measurement(pose, last_det, vio_at_det,
+                                         alignment.transform.heading, self.tracker_config,
+                                         alignment.drift_rate)
             else:
-                z = make_heading_measurement(pose, theta, self.tracker_config)
+                z = make_heading_measurement(pose, alignment.transform.heading,
+                                             self.tracker_config)
             self._history.insert(z)
         except StaleMeasurementError:
             pass  # over-delayed sample: skip, streams continue
@@ -320,13 +322,11 @@ class Guider:
     def _adopt(self, state, result, track_id: int) -> None:
         self._history = HistoryBuffer(state, span=self.tracker_config.history_span,
                                       config=self.tracker_config)
-        self._active_transform = result.transform
+        self._alignment = result
         self._alignment_accepted = True
         self._next_alignment_time = state.stamp + self.config.realign_period
         chosen = self._track_buffers[track_id]
         self._fused_detections = deque(chosen)
-        self._last_detection = chosen[-1]
-        self._last_detection_time = chosen[-1].stamp
         self._consecutive_rejects = 0
 
     def _realign(self, now: float) -> None:
@@ -339,7 +339,7 @@ class Guider:
         result = solve_alignment_arrays(*arrays, config)
         self._alignment_accepted = degeneracy_check(result, config)
         if self._alignment_accepted:
-            self._active_transform = result.transform
+            self._alignment = result
 
     # ------------------------------------------------------------------ output
 

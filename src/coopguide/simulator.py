@@ -22,6 +22,9 @@ The event log is a chronological, replayable record stream; serialized form
 is line-delimited ``TAG field ...`` text with shortest-round-trip floats.  A
 REF record keeps the transform its batch was mapped with, not the points;
 ``streamed_references`` rebuilds the batches from it and the config echo.
+Open-loop series that the config echo alone determines are not logged: the
+primary's pose is ``primary_pose(values, t)`` and the drift offset is
+``make_drift(values)`` stepped once per tick on the drift sub-stream.
 """
 
 from __future__ import annotations
@@ -53,9 +56,7 @@ class LogParseError(ValueError):
 #: field converters of each record tag, in order (see ``EventLog``)
 _RECORD_FIELDS: dict[str, tuple] = {
     "H": (str, str),
-    "TP": (float,) * 5,
     "TS": (float,) * 5,
-    "DR": (float,) * 4,
     "DET": (float, float, int, float, float, float, float),
     "VIO": (float,) * 10,
     "REF": (float, float, int, float, float, float, float),
@@ -75,9 +76,7 @@ class EventLog:
 
     Record kinds (fields after the tag):
         H    key value               -- effective config echo
-        TP   t x y z heading         -- primary ground-truth pose (L)
         TS   t x y z heading         -- secondary ground-truth pose (L)
-        DR   t ox oy oz              -- accumulated VIO drift offset
         DET  t_meas t_arrive track x y z sigma
         VIO  t_meas t_arrive x y z vx vy vz phi omega   -- V-frame sample
         REF  t_emit t_arrive n tx ty tz theta  -- streamed batch of n points,
@@ -105,7 +104,7 @@ class EventLog:
         return {r[1]: r[2] for r in self.iter_tag("H")}
 
     def truth(self, tag: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(stamps, positions (N,3), headings) for tag TS or TP."""
+        """(stamps, positions (N,3), headings) of the pose records ``tag`` (TS)."""
         rows = [r[1:] for r in self.iter_tag(tag)]
         if not rows:
             return np.empty(0), np.empty((0, 3)), np.empty(0)
@@ -644,8 +643,6 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
                         float(pose.position[2]), float(pose.velocity[0]),
                         float(pose.velocity[1]), float(pose.velocity[2]),
                         pose.heading, pose.heading_rate))
-            log.append(("DR", t, float(drift.offset[0]), float(drift.offset[1]),
-                        float(drift.offset[2])))
             seq += 1
             heapq.heappush(events, (arrival, seq, "vio", pose))
 
@@ -674,9 +671,6 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
                 heapq.heappush(events, (arrival, seq, "ref", streamed))
 
         if k % decim == 0:
-            prim_pos, prim_heading = primary_pose(v, t)
-            log.append(("TP", t, float(prim_pos[0]), float(prim_pos[1]),
-                        float(prim_pos[2]), prim_heading))
             log.append(("TS", t, float(truth_pos[0]), float(truth_pos[1]),
                         float(truth_pos[2]), truth_heading))
 

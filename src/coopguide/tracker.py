@@ -17,7 +17,8 @@ state from the oldest retained entry whenever a late measurement is inserted.
 Measurement construction from VIO follows the loosely-coupled scheme: the
 position measurement chains the newest detection with the rotated VIO
 displacement since that detection, the velocity measurement rotates the VIO
-velocity, and heading/heading rate subtract the aligned relative heading.
+velocity, both less the alignment's co-estimated drift, and heading/heading
+rate subtract the aligned relative heading.
 
 Lidar detections are associated by Euclidean pre-gating plus a chi-square
 test on the squared Mahalanobis distance of the innovation.
@@ -297,20 +298,23 @@ def make_vio_measurement(
     vio_at_detection: TimedPose,
     theta: Optional[float],
     config: TrackerConfig = TrackerConfig(),
+    drift_rate: np.ndarray | float = 0.0,
 ) -> Measurement:
     """Full 8-dim measurement from a VIO pose newer than the last detection.
 
     Position chains the last detection with the V->L rotated VIO displacement
     since the detection stamp; velocity is the rotated VIO velocity; heading
-    subtracts the aligned relative heading.
+    subtracts the aligned relative heading.  The V-frame ``drift_rate``
+    co-estimated by the alignment is not motion: it is taken out of both.
     """
     if theta is None:
         raise ValueError("transform unavailable: no accepted alignment yet")
     if vio.stamp < last_detection.stamp - 1e-9:
         raise ValueError("VIO pose is older than the anchoring detection")
     r_lv = rot_z(-theta)
-    z_x = last_detection.position + r_lv @ (vio.position - vio_at_detection.position)
-    z_v = r_lv @ vio.velocity
+    z_x = last_detection.position + r_lv @ (vio.position - vio_at_detection.position
+                                            - drift_rate * (vio.stamp - vio_at_detection.stamp))
+    z_v = r_lv @ (vio.velocity - drift_rate)
     z_phi = wrap_heading(vio.heading - theta)
     value = np.concatenate([z_x, z_v, [z_phi, vio.heading_rate]])
     variance = np.array(

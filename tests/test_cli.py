@@ -76,6 +76,39 @@ def test_run_point_of_wrong_length_exits_one_naming_key(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", [
+    "tracker.gate_p_value = 1.5",
+    "tracker.gate_p_value = 0.0",
+    "tracker.history_span = -1",
+    "detection.sigma = -0.1",
+])
+def test_run_out_of_range_value_exits_one_naming_key(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "bad.cfg", BASE_CFG + line + "\n")
+    out = tmp_path / "o"
+    code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert line.split()[0] in err
+    assert not out.exists()
+
+
+def test_run_and_sweep_report_a_run_that_never_initialized(tmp_path):
+    # one second of flight is too short for any alignment window
+    short = BASE_CFG + "scenario.duration = 1.0\n"
+    out = tmp_path / "run"
+    assert main(["run", "--config", _write(tmp_path, "s.cfg", short), "--out", str(out)]) == 2
+    text = (out / "report.txt").read_text()
+    assert text.startswith("failure = true\nerror = ")
+    assert text.count("\n") == 2
+    cfg = _write(tmp_path, "w.cfg", short + "sweep.parameter = vio_drift.x\n"
+                 "sweep.values = 0.0\nsweep.runs_per_value = 1\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+    assert (out / "run_0.0_00.report").read_text() == text
+    assert (out / "aggregate.csv").read_text().splitlines()[1] == "0.0,0,nan,nan,1"
+
+
 def test_run_one_false_target_and_one_wall_echo_as_flat_points(tmp_path):
     cfg = _write(tmp_path, "s.cfg", BASE_CFG + "scenario.duration = 1.0\n"
                  "false_targets.positions = 3.4,0.6,1.5\nnlos.walls = -4,-0.5,-1,-0.5\n")

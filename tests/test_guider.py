@@ -2,12 +2,14 @@
 
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coopguide import guider
 from coopguide.alignment import AlignmentConfig
+from coopguide.config import build_config, load_config_file
 from coopguide.geometry import (
     STALE_TOLERANCE,
     Detection,
@@ -26,6 +28,7 @@ from coopguide.guider import (
 )
 from coopguide.tracker import MeasurementKind, TrackerConfig
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THETA = 0.8
 T_OFFSET = np.array([5.0, -3.0, 1.0])
 R_LV = rot_z(THETA)
@@ -100,6 +103,33 @@ def test_empty_detection_batch_is_noop():
     g = make_guider()
     g.ingest_detections([])
     assert g.status(0.0) is GuiderStatus.UNINITIALIZED
+
+
+def test_detection_batch_with_differing_stamps_is_rejected():
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    state = (len(g._track_buffers[0]), len(g._fused_detections), g._ingest_count)
+    with pytest.raises(ValueError, match="share one stamp"):
+        g.ingest_detections([detection(t), detection(t + 0.05, track=1)])
+    assert (len(g._track_buffers[0]), len(g._fused_detections), g._ingest_count) == state
+    assert 1 not in g._track_buffers
+
+
+def test_high_drift_lap_tracks_through_the_drift_without_reinitializing(monkeypatch):
+    # drift_sweep.cfg at 0.8 m/s: the accepted alignment's drift rate is
+    # removed from every VIO measurement, so the gate keeps passing and the
+    # first adoption is the only one (without the correction: 51 per lap)
+    from coopguide.simulator import run_scenario
+
+    adoptions = []
+    adopt = Guider._adopt
+    monkeypatch.setattr(Guider, "_adopt",
+                        lambda self, *a: adoptions.append(1) or adopt(self, *a))
+    overrides = load_config_file(str(CONFIGS / "drift_sweep.cfg"))
+    overrides.update({"trajectory.laps": 1, "vio_drift.x": 0.8})
+    log = run_scenario(build_config(overrides))
+    assert not log.failed
+    assert 1 <= len(adoptions) <= 3
 
 
 def test_trajectory_rejects_malformed_arrays():
@@ -253,7 +283,7 @@ def test_ingest_vio_full_measurement_when_detection_inside_vio_buffer():
 def test_ingest_vio_heading_measurement_when_detection_predates_vio_buffer():
     g = make_guider()
     t = drive(g, 0.0, 8.0)
-    last_detection = g._last_detection.stamp
+    last_detection = g._fused_detections[-1].stamp
     # detections stop for longer than the window + 2 s the VIO buffer spans
     t = drive(g, t, t + g.align_config.window + 3.0, det_on=False)
     g.ingest_vio(vio_pose(t))

@@ -242,9 +242,7 @@ def test_event_log_truncated_raises_with_line_number():
 #: one well-formed line per record tag
 RECORD_LINES = {
     "H": "H scenario.seed 5",
-    "TP": "TP 0.1 1.0 2.0 1.5 0.25",
     "TS": "TS 0.1 1.0 2.0 1.5 -0.25",
-    "DR": "DR 0.1 0.01 0.0 -0.02",
     "DET": "DET 0.1 0.15 0 1.0 2.0 1.5 0.1",
     "VIO": "VIO 0.1 0.12 5.0 -3.0 1.0 0.1 0.2 0.0 0.7 0.125",
     "REF": "REF 0.2 0.22 17 5.0 -3.0 1.0 0.7",
@@ -252,6 +250,23 @@ RECORD_LINES = {
     "FAIL": "FAIL 3.0",
     "END": "END 3.0",
 }
+
+
+def test_record_lines_cover_every_tag():
+    assert set(RECORD_LINES) == set(simulator._RECORD_FIELDS)
+    assert len(RECORD_LINES) == 8
+
+
+@pytest.mark.parametrize("line", [
+    "TP 0.1 1.0 2.0 1.5 0.25",    # primary pose: primary_pose(values, t)
+    "DR 0.1 0.01 0.0 -0.02",      # drift offset: make_drift(values), stepped
+    "XYZ 0.1",
+])
+def test_event_log_rejects_unknown_tag(line):
+    with pytest.raises(LogParseError) as exc_info:
+        EventLog.loads(f"END 0.0\n{line}\nEND 3.0\n")
+    assert exc_info.value.lineno == 2
+    assert "unknown record tag" in str(exc_info.value)
 
 
 @pytest.mark.parametrize("tag", sorted(RECORD_LINES))
@@ -361,8 +376,8 @@ def test_drift_run_completes_with_nonempty_log():
     assert len(log.estimates()[0]) == 264
     assert len(list(log.iter_tag("DET"))) > 100
     report = evaluate_log(log)
-    assert report.rel_loc_rmse == pytest.approx(0.2857237954211515, rel=1e-9)
-    assert report.mean_path_deviation == pytest.approx(0.30979324378960077, rel=1e-9)
+    assert report.rel_loc_rmse == pytest.approx(0.07917876453459327, rel=1e-9)
+    assert report.mean_path_deviation == pytest.approx(0.17319963006147068, rel=1e-9)
 
 
 def test_determinism_byte_identical():
@@ -381,8 +396,10 @@ def test_determinism_byte_identical():
 
 
 def test_conservation_of_frames():
-    # mapping any logged V-frame pose back through the logged drift transform
-    # recovers the logged ground truth (noise-free VIO)
+    # mapping any logged V-frame pose back through the true transform, with
+    # the drift offset rebuilt by stepping the drift model once per tick on
+    # the drift sub-stream as the simulator does, recovers the logged ground
+    # truth (noise-free VIO)
     cfg = build_config({
         "trajectory.laps": 1,
         "scenario.duration": 30.0,
@@ -395,7 +412,15 @@ def test_conservation_of_frames():
     t0 = np.asarray(cfg["vio.initial_offset"])
     R_inv = rot_z(-theta0)
     ts_t, ts_p, ts_h = log.truth("TS")
-    drift = {r[1]: np.array(r[2:5]) for r in log.iter_tag("DR")}
+    tick_rate = cfg["scenario.tick_rate"]
+    dt = 1.0 / tick_rate
+    model = simulator.make_drift(cfg.values)
+    rng = simulator._stream_rng(cfg.seed, simulator._STREAM_DRIFT)
+    drift = {}
+    for k in range(int(round(cfg["scenario.duration"] * tick_rate)) + 1):
+        if k:
+            model.step(dt, rng)
+        drift[k * dt] = model.offset
     checked = 0
     truth_by_t = {t: p for t, p in zip(ts_t, ts_p)}
     for rec in log.iter_tag("VIO"):

@@ -640,6 +640,28 @@ def test_detections_lost_position_dead_reckons_vio_chain():
     assert np.allclose(state.position - truth, drift_l, atol=1e-6)
 
 
+def test_vio_measurement_with_drift_rate_follows_truth():
+    # the same drifting VIO as above: given the drift rate, the position
+    # chain and the velocity measurement are the L-frame truth
+    theta = 0.6
+    drift_rate = np.array([0.3, -0.1, 0.05])
+    vel_l = np.array([0.4, 0.2, 0.0])
+    det = _det(0.5, [1.0, 1.0, 1.0])
+    R_vl = rot_z(theta)
+
+    def vio_at(t):
+        pos_l = det.position + vel_l * (t - det.stamp)
+        return _vio_pose(t, R_vl @ pos_l + drift_rate * t,
+                         heading=theta, vel=R_vl @ vel_l + drift_rate)
+
+    for t in (0.5, 1.0, 4.4):
+        z = make_vio_measurement(vio_at(t), det, vio_at(det.stamp), theta, CFG, drift_rate)
+        assert np.allclose(z.value[:3], det.position + vel_l * (t - det.stamp), atol=1e-12)
+        assert np.allclose(z.value[3:6], vel_l, atol=1e-12)
+        plain = make_vio_measurement(vio_at(t), det, vio_at(det.stamp), theta, CFG)
+        assert np.allclose(plain.value[3:6], vel_l + rot_z(-theta) @ drift_rate, atol=1e-12)
+
+
 def test_vio_lost_heading_states_untouched_by_detections():
     # Block-diagonal covariance keeps lidar position updates from moving the
     # heading block.
