@@ -20,12 +20,13 @@ aligner.
 
 A window is adopted only when two conditions hold, each decided in one
 place.  Before the solve, :func:`window_observable` tests the geometry (too
-little secondary motion): the windowed path length and the smallest
-eigenvalue of the Fisher information J^T J.  Both depend on the detected
-positions alone (the eigenvalue is invariant under the heading), so an
-unobservable window is never solved.  After the solve,
-:func:`degeneracy_check` tests the fit: the IRLS loop stopped within its
-budget and the mean robustified residual is at most ``max_cost``.
+little secondary motion): the planar spread of the detected positions,
+which is the heading information with the translation left free, against
+the detection noise.  It depends on the detected positions alone, not on
+the heading nor on where the window sits in L, so an unobservable window is
+never solved.  After the solve, :func:`degeneracy_check` tests the fit: the
+IRLS loop stopped within its budget and the mean robustified residual is at
+most ``max_cost``.
 """
 
 from __future__ import annotations
@@ -56,13 +57,13 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class AlignmentConfig:
-    """Tuning knobs for the sliding-window alignment."""
+    """Tuning knobs for the sliding-window alignment; ``min_spread_ratio`` is
+    the threshold of :func:`window_observable`."""
 
     window: float = 15.0
     min_correspondences: int = 10
-    min_path_length: float = 1.0
     max_cost: float = 0.09          # mean robustified residual
-    min_eigenvalue: float = 1.0
+    min_spread_ratio: float = 3.0   # planar spread per sample over 2 sigma^2
     max_iterations: int = 100       # IRLS iteration budget
     max_detection_gap: float = 1.0  # s; do not interpolate across longer gaps
     estimate_drift: bool = False    # co-estimate a linear VIO drift rate
@@ -324,36 +325,20 @@ def solve_alignment_arrays(
     )
 
 
-def window_geometry(D: np.ndarray) -> tuple[float, float]:
-    """(path length, smallest Fisher eigenvalue) of lidar positions D (N, 3).
+def window_observable(D: np.ndarray, sigma: float, config: AlignmentConfig) -> bool:
+    """The pre-solve test: the window's planar spread beats the detection noise.
 
-    The eigenvalue is the smallest of the Fisher information F = J^T J of the
-    stacked residual Jacobian J_i = [I3 | Rz'(theta) d_i].  F equals
-    [[n I3, b], [b^T, c]] with |b|^2 = (sum x)^2 + (sum y)^2 and
-    c = sum(x^2 + y^2), neither of which changes under a rotation about z,
-    so the eigenvalue does not depend on the heading.  Its smallest
-    eigenvalue is that of [[n, |b|], [|b|, c]]; it is taken as det / lambda_max
-    with det = n * sum |p_i - mean(p)|^2 over the planar positions, which
-    avoids the cancellation of the textbook root for near-stationary windows.
+    The planar spread S = sum |xy_i - mean(xy)|^2 of the lidar positions
+    D (N, 3) is their heading information with the translation free (the
+    Schur complement of J^T J, J_i = [I3 | Rz'(theta) d_i]).  The window is
+    observable when S > ``min_spread_ratio`` * N * 2 sigma^2, sigma the
+    detection noise: a ratio without units that does not depend on where
+    the window sits, about 0.7-1 for a target that does not move.  The only
+    geometry test; it needs no solve, so only a window that passes is solved.
     """
-    n = D.shape[0]
-    path_length = float(np.sum(np.linalg.norm(np.diff(D, axis=0), axis=1)))
-    xy = D[:, :2]
-    c = float(np.sum(xy * xy))
-    b_norm = float(np.linalg.norm(xy.sum(axis=0)))
-    lam_max = 0.5 * (n + c) + math.hypot(0.5 * (c - n), b_norm)
+    xy = D[:, :2] - D[0, :2]  # identical positions give exactly zero spread
     spread = float(np.sum((xy - xy.mean(axis=0)) ** 2))
-    return path_length, n * spread / lam_max
-
-
-def window_observable(D: np.ndarray, config: AlignmentConfig) -> bool:
-    """The pre-solve test: enough path length and Fisher information.
-
-    The only geometry test.  It needs no solve, so callers run it on the
-    lidar positions D (N, 3) and solve only a window that passes.
-    """
-    path_length, min_eig = window_geometry(D)
-    return path_length >= config.min_path_length and min_eig >= config.min_eigenvalue
+    return spread > config.min_spread_ratio * len(D) * 2.0 * sigma * sigma
 
 
 def degeneracy_check(result: AlignmentResult, config: AlignmentConfig) -> bool:

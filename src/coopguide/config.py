@@ -214,18 +214,19 @@ class ScenarioConfig:
             raise ConfigError(f"vio_drift.model must be one of {_DRIFT_MODELS}")
         for key in ("scenario.tick_rate", "vio.rate", "detection.rate",
                     "guider.ref_rate", "trajectory.speed", "trajectory.spacing",
-                    "plant.time_constant"):
+                    "plant.time_constant", "alignment.window", "guider.stream_horizon"):
             if v[key] <= 0:
                 raise ConfigError(f"{key} must be positive, got {v[key]}")
         if v["trajectory.pattern"] == "waypoints" and not v["trajectory.waypoints"]:
             raise ConfigError("trajectory.waypoints is required when "
                               "trajectory.pattern = waypoints")
-        if v["scenario.truth_log_decimation"] < 1:
-            raise ConfigError("scenario.truth_log_decimation must be >= 1")
+        for key in ("scenario.truth_log_decimation", "alignment.max_iterations"):
+            if v[key] < 1:
+                raise ConfigError(f"{key} must be >= 1, got {v[key]}")
         if not 0.0 < v["tracker.gate_p_value"] < 1.0:
             raise ConfigError(f"tracker.gate_p_value must lie in (0, 1), "
                               f"got {v['tracker.gate_p_value']}")
-        for key in ("tracker.history_span", "detection.sigma"):
+        for key in ("tracker.history_span", "detection.sigma", "alignment.min_spread_ratio"):
             if v[key] < 0:
                 raise ConfigError(f"{key} must be >= 0, got {v[key]}")
         for section, cls in _SECTIONS:

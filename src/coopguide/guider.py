@@ -10,9 +10,12 @@ The last accepted alignment supplies the heading and the co-estimated VIO
 drift rate that every VIO measurement is corrected with.
 
 Initialization and re-initialization are one path (``try_initialize`` over
-the tracks that still produce detections); realignment runs the same
-alignment steps on the fused detections: build the window, test its
-geometry with ``window_observable``, solve, accept with ``degeneracy_check``.
+the tracks that still produce detections; once a filter exists, only over
+tracks with a detection newer than the last fused one, so an occlusion does
+not reset the filter to a detection it already holds); realignment runs the
+same alignment steps on the fused detections: build the window, test its
+geometry with ``window_observable`` at the newest fused detection's noise,
+solve, accept with ``degeneracy_check``.
 
 Degenerate input streams map to explicit statuses:
     - detections stale        -> DEAD_RECKONING_VIO (position rides the VIO chain)
@@ -308,10 +311,13 @@ class Guider:
     # ------------------------------------------------------------ initialization
 
     def _initialize(self, now: float) -> None:
-        """(Re-)initialize from tracks that are still producing detections."""
+        """(Re-)initialize from tracks that are still producing detections
+        and, once a filter exists, hold one newer than the last fused one."""
         stale_after = now - self.config.detection_staleness
+        last_fused = (self._fused_detections[-1].stamp if self._history is not None
+                      else -math.inf)
         fresh = {tid: buf for tid, buf in self._track_buffers.items()
-                 if buf and buf[-1].stamp >= stale_after}
+                 if buf and buf[-1].stamp >= stale_after and buf[-1].stamp > last_fused}
         if not fresh:
             return
         out = try_initialize(fresh, self._vio_buffer,
@@ -332,8 +338,9 @@ class Guider:
     def _realign(self, now: float) -> None:
         self._next_alignment_time = now + self.config.realign_period
         config = self.align_config
-        arrays = build_correspondence_arrays(self._fused_detections, self._vio_buffer, config)
-        if arrays is None or not window_observable(arrays[1], config):
+        fused = self._fused_detections
+        arrays = build_correspondence_arrays(fused, self._vio_buffer, config)
+        if arrays is None or not window_observable(arrays[1], fused[-1].sigma, config):
             self._alignment_accepted = False
             return
         result = solve_alignment_arrays(*arrays, config)

@@ -16,7 +16,6 @@ from coopguide.alignment import (
     degeneracy_check,
     soft_l1,
     solve_alignment_arrays,
-    window_geometry,
     window_observable,
 )
 from coopguide.geometry import Detection, Frame, TimedPose, rot_z, wrap_heading
@@ -61,8 +60,13 @@ def oracle_closed_form(a, b):
     return t, wrap_heading(theta)
 
 
-def oracle_fisher_min_eig(points, theta):
-    """Min eigenvalue of J^T J assembled row by row from the stacked Jacobian."""
+def oracle_heading_information(points, theta):
+    """Heading information with the translation free, from F = J^T J.
+
+    F is assembled row by row from the stacked Jacobian
+    J_i = [I3 | Rz'(theta) p_i]; the result is its Schur complement
+    F_theta,theta - F_theta,t F_tt^-1 F_t,theta.
+    """
     rows = []
     dR = np.array([
         [-math.sin(theta), -math.cos(theta), 0.0],
@@ -73,7 +77,17 @@ def oracle_fisher_min_eig(points, theta):
         J_i = np.hstack([np.eye(3), (dR @ p).reshape(3, 1)])
         rows.append(J_i)
     J = np.vstack(rows)
-    return float(np.linalg.eigvalsh(J.T @ J)[0])
+    F = J.T @ J
+    F_tt, F_tth, F_thth = F[:3, :3], F[:3, 3], F[3, 3]
+    return float(F_thth - F_tth @ np.linalg.solve(F_tt, F_tth))
+
+
+def assert_spread_is(D, sigma, information):
+    """window_observable's spread equals ``information`` to 1e-9: the decision
+    flips between min_spread_ratio just below and just above its ratio."""
+    ratio = information / (len(D) * 2.0 * sigma ** 2)
+    assert window_observable(D, sigma, AlignmentConfig(min_spread_ratio=ratio * (1 - 1e-9)))
+    assert not window_observable(D, sigma, AlignmentConfig(min_spread_ratio=ratio * (1 + 1e-9)))
 
 
 def circle_points(n=50, radius=4.0, z=1.0):
@@ -425,7 +439,7 @@ def test_noiseless_windows_converge_within_two_lm_iterations():
         assert abs(wrap_heading(res.transform.heading - theta_star)) < 1e-9
 
 
-def test_min_eigenvalue_invariant_under_vio_translation():
+def test_observability_and_fit_invariant_under_vio_translation():
     # the geometry test reads the lidar positions alone, and the fit test
     # makes the same decision for a VIO window shifted by a constant
     pts = circle_points(40)
@@ -435,8 +449,7 @@ def test_min_eigenvalue_invariant_under_vio_translation():
     res_b = solve_alignment_arrays(stamps, D, P + np.array([100.0, -50.0, 20.0]), cfg)
     assert res_a.final_cost == pytest.approx(res_b.final_cost, abs=1e-12)
     assert degeneracy_check(res_a, cfg) and degeneracy_check(res_b, cfg)
-    assert window_geometry(D)[1] == pytest.approx(oracle_fisher_min_eig(D, 0.4), rel=1e-9)
-    assert window_observable(D, cfg)
+    assert window_observable(D, 0.15, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -444,23 +457,24 @@ def test_min_eigenvalue_invariant_under_vio_translation():
 
 
 def test_degeneracy_single_point_rejected():
-    pts = np.tile(np.array([1.0, 2.0, 3.0]), (20, 1))
-    path_length, min_eig = window_geometry(pts)
-    assert min_eig == pytest.approx(0.0, abs=1e-9)
-    assert path_length == pytest.approx(0.0)
-    assert not window_observable(pts, AlignmentConfig())
+    pts = np.tile(np.array([0.1, 2.3, 3.0]), (20, 1))
+    for sigma in (0.15, 0.0):
+        assert not window_observable(pts, sigma, AlignmentConfig())
+        assert not window_observable(pts, sigma, AlignmentConfig(min_spread_ratio=0.0))
+    # with noiseless detections any motion is observable
+    pts[7, 1] += 1e-6
+    assert window_observable(pts, 0.0, AlignmentConfig())
 
 
-def test_degeneracy_circle_accepted_eig_matches_oracle():
+def test_degeneracy_circle_accepted_spread_matches_oracle():
     pts = circle_points(50, radius=4.0)
     theta_star = 0.3
     corrs = make_corrs(pts, np.array([1.0, 1.0, 0.0]), theta_star)
     cfg = AlignmentConfig()
-    assert window_observable(pts, cfg)
+    assert window_observable(pts, 0.15, cfg)
     res = solve_alignment_arrays(*corrs, cfg)
     assert degeneracy_check(res, cfg)
-    expected = oracle_fisher_min_eig(pts, res.transform.heading)
-    assert window_geometry(pts)[1] == pytest.approx(expected, rel=1e-9)
+    assert_spread_is(pts, 0.15, oracle_heading_information(pts, res.transform.heading))
 
 
 def test_degeneracy_straight_segment_accepted():
@@ -469,11 +483,9 @@ def test_degeneracy_straight_segment_accepted():
     pts = np.column_stack([s, np.zeros(n), np.ones(n)])
     corrs = make_corrs(pts, np.array([0.5, 0.5, 0.0]), 1.0)
     res = solve_alignment_arrays(*corrs)
-    expected = oracle_fisher_min_eig(pts, res.transform.heading)
-    assert window_geometry(pts)[1] == pytest.approx(expected, rel=1e-9)
-    assert expected > 0.0
-    cfg = AlignmentConfig(min_eigenvalue=min(1.0, expected / 2))
-    assert window_observable(pts, cfg)
+    assert_spread_is(pts, 0.15, oracle_heading_information(pts, res.transform.heading))
+    cfg = AlignmentConfig()
+    assert window_observable(pts, 0.15, cfg)
     assert degeneracy_check(res, cfg)
 
 
@@ -483,7 +495,7 @@ def test_degeneracy_check_rejects_a_converged_fit_above_max_cost():
     P = P + rng.normal(0.0, 0.05, P.shape)
     P[rng.choice(len(D), size=10, replace=False)] += 5.0 * np.array([0.6, 0.0, 0.8])
     cfg = AlignmentConfig()
-    assert window_observable(D, cfg)
+    assert window_observable(D, 0.05, cfg)
     res = solve_alignment_arrays(stamps, D, P, cfg)
     assert res.converged and res.final_cost > cfg.max_cost
     assert not degeneracy_check(res, cfg)
@@ -517,22 +529,18 @@ def _geometry_windows(rng):
 def test_window_geometry_matches_oracle_and_gates_the_solve():
     rng = np.random.default_rng(31)
     cfg = AlignmentConfig()
+    sigma = 0.05
     failed = set()
     for kind, D in _geometry_windows(rng):
-        path_length, min_eig = window_geometry(D)
-        assert path_length == pytest.approx(
-            sum(np.linalg.norm(b - a) for a, b in zip(D[:-1], D[1:])), rel=1e-12)
-        # the oracle's eigvalsh carries an absolute error of a few ulps of
-        # ||J^T J||, which dominates for stationary windows far from the origin
-        ulps = 64.0 * np.finfo(float).eps * (len(D) + float(np.sum(D[:, :2] ** 2)))
+        # the spread is the heading information whatever the heading
         for theta in (0.0, 0.7, -2.5, math.pi):
-            assert min_eig == pytest.approx(oracle_fisher_min_eig(D, theta), rel=1e-9, abs=ulps)
+            assert_spread_is(D, sigma, oracle_heading_information(D, theta))
+        information = oracle_heading_information(D, 0.0)
         theta_star = float(rng.uniform(-math.pi, math.pi))
         P = D @ rot_z(theta_star).T + rng.uniform(-5.0, 5.0, 3) + rng.normal(0.0, 0.02, D.shape)
         stamps = 0.1 * np.arange(len(D))
-        observable = window_observable(D, cfg)
-        assert observable == (path_length >= cfg.min_path_length
-                              and min_eig >= cfg.min_eigenvalue)
+        observable = window_observable(D, sigma, cfg)
+        assert observable == (information > cfg.min_spread_ratio * len(D) * 2.0 * sigma ** 2)
         if not observable:
             failed.add(kind)
             continue
@@ -540,6 +548,44 @@ def test_window_geometry_matches_oracle_and_gates_the_solve():
         res = solve_alignment_arrays(stamps, D, P, cfg)
         assert degeneracy_check(res, cfg)
     assert {"clutter", "segment"} <= failed
+
+
+def test_window_observable_is_invariant_to_translating_the_window():
+    rng = np.random.default_rng(32)
+    offsets = [np.array([30.0, 0.0, 0.0]), np.array([3.4, 0.6, 0.0]),
+               np.array([-250.0, 125.0, 7.0])] + [
+        np.append(rng.uniform(-100.0, 100.0, 2), 0.0) for _ in range(5)]
+    decisions = set()
+    for _, D in _geometry_windows(rng):
+        for sigma in (0.02, 0.05, 0.15):
+            observable = window_observable(D, sigma, AlignmentConfig())
+            decisions.add(observable)
+            for offset in offsets:
+                assert window_observable(D + offset, sigma, AlignmentConfig()) == observable
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (3.4, 0.6), (30.0, 0.0)])
+def test_hovering_noise_window_is_rejected_anywhere(center):
+    # a target that does not move shows only its detection noise, however
+    # many samples the window holds and wherever it sits
+    rng = np.random.default_rng(33)
+    sigma = 0.15
+    for n in (50, 150, 300, 450):
+        D = np.array([*center, 1.5]) + rng.normal(0.0, sigma, (n, 3))
+        assert not window_observable(D, sigma, AlignmentConfig())
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (30.0, 0.0)])
+def test_eight_second_arc_of_the_shipped_circle_is_observable(offset):
+    # 8 s of the 4 m, 0.5 m/s circle at the 30 Hz VIO rate, 0.15 m noise
+    rng = np.random.default_rng(34)
+    t = np.arange(0.0, 8.0, 1.0 / 30.0)
+    ang = 0.5 / 4.0 * t
+    D = np.column_stack([4.0 * np.cos(ang) + offset[0], 4.0 * np.sin(ang) + offset[1],
+                         np.full(len(t), 1.5)])
+    D = D + rng.normal(0.0, 0.15, D.shape)
+    assert window_observable(D, 0.15, AlignmentConfig())
 
 
 def test_exact_recovery_property_small_paths():

@@ -81,6 +81,10 @@ def test_run_point_of_wrong_length_exits_one_naming_key(tmp_path, capsys, line):
     "tracker.gate_p_value = 0.0",
     "tracker.history_span = -1",
     "detection.sigma = -0.1",
+    "alignment.window = -1",
+    "alignment.max_iterations = 0",
+    "guider.stream_horizon = -1",
+    "alignment.min_spread_ratio = -0.5",
 ])
 def test_run_out_of_range_value_exits_one_naming_key(tmp_path, capsys, line):
     cfg = _write(tmp_path, "bad.cfg", BASE_CFG + line + "\n")

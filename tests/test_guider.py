@@ -260,6 +260,29 @@ def test_non_finite_vio_sample_is_dropped(monkeypatch):
     assert np.all(np.isfinite(g.current_output(t).secondary_pose_in_l.position))
 
 
+def test_occlusion_does_not_readopt_the_fused_track_from_its_last_detection(monkeypatch):
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    before = g._history
+    last_fused = g._fused_detections[-1]
+    offered = []
+    try_initialize = guider.try_initialize
+    monkeypatch.setattr(guider, "try_initialize",
+                        lambda buffers, *a: offered.append(sorted(buffers))
+                        or try_initialize(buffers, *a))
+    # a wall hides the secondary; a hovering false target 6 m away, outside
+    # the pre-gate, keeps arriving and fails the gate batch after batch
+    clutter = secondary_position(t) + np.array([6.0, 0.0, 0.0])
+    for k in range(int(round(t / 0.1)), int(round((t + 0.9) / 0.1))):
+        tk = 0.1 * k
+        g.ingest_detections([Detection(tk, clutter, 0.15, 5)])
+        for j in range(3):
+            g.ingest_vio(vio_pose(tk + j / 30.0))
+    assert g._history is before
+    assert g._fused_detections[-1] is last_fused
+    assert offered and all(ids == [5] for ids in offered)
+
+
 def test_stream_of_non_finite_vio_reads_as_heading_frozen():
     g = make_guider()
     t = drive(g, 0.0, 8.0)

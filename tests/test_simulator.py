@@ -373,11 +373,11 @@ def test_drift_run_completes_with_nonempty_log():
     })
     log = run_scenario(cfg)
     assert not log.failed
-    assert len(log.estimates()[0]) == 264
+    assert len(log.estimates()[0]) == 263
     assert len(list(log.iter_tag("DET"))) > 100
     report = evaluate_log(log)
-    assert report.rel_loc_rmse == pytest.approx(0.07917876453459327, rel=1e-9)
-    assert report.mean_path_deviation == pytest.approx(0.17319963006147068, rel=1e-9)
+    assert report.rel_loc_rmse == pytest.approx(0.067561336719516, rel=1e-9)
+    assert report.mean_path_deviation == pytest.approx(0.1707374263671367, rel=1e-9)
 
 
 def test_determinism_byte_identical():
