@@ -44,10 +44,8 @@ from .tracker import (
     HistoryBuffer,
     Measurement,
     MeasurementKind,
-    TrackerConfig,
     TrackerState,
     associate,
-    chi2_critical,
     make_heading_measurement,
     make_vio_measurement,
     predict,

@@ -65,7 +65,6 @@ class AlignmentConfig:
     max_cost: float = 0.09          # mean robustified residual
     min_spread_ratio: float = 3.0   # planar spread per sample over 2 sigma^2
     max_iterations: int = 100       # IRLS iteration budget
-    max_detection_gap: float = 1.0  # s; do not interpolate across longer gaps
     estimate_drift: bool = False    # co-estimate a linear VIO drift rate
 
 
@@ -106,6 +105,12 @@ def soft_l1_weight(s):
     return 1.0 / np.sqrt(1.0 + np.asarray(s, dtype=float))
 
 
+#: s; VIO stamps inside a longer detection gap get no correspondence, because
+#: interpolating the detection track across an occlusion gap would pair VIO
+#: samples with chord points that never existed
+MAX_DETECTION_GAP = 1.0
+
+
 def build_correspondence_arrays(
     detections: Sequence[Detection],
     vio_buffer: Sequence[TimedPose],
@@ -116,7 +121,7 @@ def build_correspondence_arrays(
     The window covers the last ``config.window`` seconds ending at the newest
     VIO stamp.  VIO stamps outside the detection buffer's span (beyond
     :data:`~coopguide.geometry.STALE_TOLERANCE`) or inside a detection gap
-    longer than ``config.max_detection_gap`` are skipped.  Returns
+    longer than :data:`MAX_DETECTION_GAP` are skipped.  Returns
     ``(stamps (N,), lidar (N, 3), vio (N, 3))``, or None when fewer than
     ``config.min_correspondences`` pairs survive.
     """
@@ -141,7 +146,7 @@ def build_correspondence_arrays(
         safe_idx = np.clip(idx, 1, len(det_stamps) - 1)
         gap = det_stamps[safe_idx] - det_stamps[safe_idx - 1]
         at_node = inner & (det_stamps[np.clip(idx, 0, len(det_stamps) - 1)] == stamps)
-        ok = ~inner | (gap <= config.max_detection_gap) | at_node
+        ok = ~inner | (gap <= MAX_DETECTION_GAP) | at_node
         if not ok.all():
             kept = [p for p, keep_it in zip(kept, ok) if keep_it]
             if len(kept) < min_count:

@@ -6,9 +6,10 @@ schema table); files only override.  Unknown keys are errors so sweep typos
 fail fast.  Values are coerced to the type of the default: int, float, bool
 ("true"/"false"), string, or points ("x,y,z" for one position, "x,y,z; x,y,z"
 for a list of them, "x1,y1,x2,y2; ..." for wall segments); a point of the
-wrong length is a config error.  The ``alignment.*``, ``tracker.*`` and
-``guider.*`` keys are generated from the fields of AlignmentConfig,
-TrackerConfig and GuiderConfig, one key per field with the field's default.
+wrong length is a config error.  The ``alignment.*`` and ``guider.*`` keys
+are generated from the fields of AlignmentConfig and GuiderConfig, one key
+per field with the field's default; the filter's noise model and gate are
+constants of the tracker module, not keys.
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ from typing import Any, Mapping, Optional
 
 from .alignment import AlignmentConfig
 from .guider import GuiderConfig
-from .tracker import TrackerConfig
 
 
 class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration input."""
 
 
-_SECTIONS = (("alignment", AlignmentConfig), ("tracker", TrackerConfig),
-             ("guider", GuiderConfig))
+_SECTIONS = (("alignment", AlignmentConfig), ("guider", GuiderConfig))
 
 
 DEFAULTS: dict[str, Any] = {
@@ -77,7 +76,7 @@ DEFAULTS: dict[str, Any] = {
     "plant.time_constant": 0.5,        # s
     "plant.max_speed": 2.0,            # m/s
     "plant.max_heading_rate": 1.5,     # rad/s
-    # alignment, tracker and guider: one key per dataclass field, same default
+    # alignment and guider: one key per dataclass field, same default
     **{f"{section}.{f.name}": f.default for section, cls in _SECTIONS for f in fields(cls)},
     # sweep section (used by the sweep subcommand only)
     "sweep.parameter": "",
@@ -201,7 +200,6 @@ class ScenarioConfig:
 
     values: Mapping[str, Any]
     alignment: AlignmentConfig = field(init=False)
-    tracker: TrackerConfig = field(init=False)
     guider: GuiderConfig = field(init=False)
 
     def __post_init__(self):
@@ -223,10 +221,10 @@ class ScenarioConfig:
         for key in ("scenario.truth_log_decimation", "alignment.max_iterations"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be >= 1, got {v[key]}")
-        if not 0.0 < v["tracker.gate_p_value"] < 1.0:
-            raise ConfigError(f"tracker.gate_p_value must lie in (0, 1), "
-                              f"got {v['tracker.gate_p_value']}")
-        for key in ("tracker.history_span", "detection.sigma", "alignment.min_spread_ratio"):
+        if v["trajectory.pattern"] != "waypoints" and v["trajectory.radius"] <= 0:
+            raise ConfigError(f"trajectory.radius must be positive for the "
+                              f"{v['trajectory.pattern']} pattern, got {v['trajectory.radius']}")
+        for key in ("scenario.duration", "detection.sigma", "alignment.min_spread_ratio"):
             if v[key] < 0:
                 raise ConfigError(f"{key} must be >= 0, got {v[key]}")
         for section, cls in _SECTIONS:

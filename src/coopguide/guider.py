@@ -64,7 +64,6 @@ from .tracker import (
     Measurement,
     MeasurementKind,
     StaleMeasurementError,
-    TrackerConfig,
     associate,
     make_heading_measurement,
     make_vio_measurement,
@@ -152,12 +151,14 @@ class GuiderOutput:
 @dataclass(frozen=True)
 class GuiderConfig:
     detection_staleness: float = 1.0   # s without an accepted detection
-    vio_staleness: float = 0.5         # s without a VIO sample
     realign_period: float = 1.0        # s between alignment re-solves
     reinit_reject_limit: int = 3       # consecutive gate failures before re-init
     stream_horizon: float = 10.0       # s of trajectory transmitted per stream
     ref_rate: float = 5.0              # Hz, reference transmission rate
 
+
+#: s without a VIO sample before the status is HEADING_FROZEN
+VIO_STALENESS = 0.5
 
 #: statuses in which transformed references keep being streamed
 _STREAMING_STATUSES = frozenset({
@@ -173,11 +174,9 @@ class Guider:
     def __init__(
         self,
         align_config: AlignmentConfig = AlignmentConfig(),
-        tracker_config: TrackerConfig = TrackerConfig(),
         config: GuiderConfig = GuiderConfig(),
     ):
         self.align_config = align_config
-        self.tracker_config = tracker_config
         self.config = config
         buffer_span = align_config.window + 2.0
         self._buffer_span = buffer_span
@@ -207,7 +206,7 @@ class Guider:
         # once initialized, both buffers hold at least one sample
         if self._history is None:
             return GuiderStatus.UNINITIALIZED
-        if t - self._vio_buffer[-1].stamp > self.config.vio_staleness:
+        if t - self._vio_buffer[-1].stamp > VIO_STALENESS:
             return GuiderStatus.HEADING_FROZEN
         if t - self._fused_detections[-1].stamp > self.config.detection_staleness:
             return GuiderStatus.DEAD_RECKONING_VIO
@@ -242,9 +241,7 @@ class Guider:
             predicted = self._history.estimate_at(stamp)
         except ValueError:
             return  # batch predates the buffer anchor: too stale to use
-        decision = associate(detections, predicted,
-                             self.tracker_config.euclid_gate,
-                             self.tracker_config.gate_p_value)
+        decision = associate(detections, predicted)
         if decision.accepted and decision.detection is not None:
             det = decision.detection
             z = Measurement(stamp, MeasurementKind.LIDAR_POSITION,
@@ -296,11 +293,9 @@ class Guider:
         try:
             if vio_at_det is not None:
                 z = make_vio_measurement(pose, last_det, vio_at_det,
-                                         alignment.transform.heading, self.tracker_config,
-                                         alignment.drift_rate)
+                                         alignment.transform.heading, alignment.drift_rate)
             else:
-                z = make_heading_measurement(pose, alignment.transform.heading,
-                                             self.tracker_config)
+                z = make_heading_measurement(pose, alignment.transform.heading)
             self._history.insert(z)
         except StaleMeasurementError:
             pass  # over-delayed sample: skip, streams continue
@@ -320,14 +315,12 @@ class Guider:
                  if buf and buf[-1].stamp >= stale_after and buf[-1].stamp > last_fused}
         if not fresh:
             return
-        out = try_initialize(fresh, self._vio_buffer,
-                             self.align_config, self.tracker_config)
+        out = try_initialize(fresh, self._vio_buffer, self.align_config)
         if out is not None:
             self._adopt(*out)
 
     def _adopt(self, state, result, track_id: int) -> None:
-        self._history = HistoryBuffer(state, span=self.tracker_config.history_span,
-                                      config=self.tracker_config)
+        self._history = HistoryBuffer(state)
         self._alignment = result
         self._alignment_accepted = True
         self._next_alignment_time = state.stamp + self.config.realign_period

@@ -551,7 +551,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     walls = v["nlos.walls"]
     false_targets = v["false_targets.positions"]
 
-    guider = Guider(config.alignment, config.tracker, config.guider)
+    guider = Guider(config.alignment, config.guider)
 
     plant = PlantState(rot_z(theta0) @ desired.positions[0] + t0,
                        wrap_heading(float(desired.headings[0]) + theta0),

@@ -22,6 +22,9 @@ rate subtract the aligned relative heading.
 
 Lidar detections are associated by Euclidean pre-gating plus a chi-square
 test on the squared Mahalanobis distance of the innovation.
+
+The noise model, the gate and the history span are the module constants
+below; no config key sets them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from enum import IntEnum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .alignment import (
     AlignmentConfig,
@@ -77,23 +79,25 @@ _KIND_AXES = {
 }
 
 
-@dataclass(frozen=True)
-class TrackerConfig:
-    """Process/measurement noise and gating parameters."""
-
-    sigma_accel: float = 1.0             # white acceleration, m/s^2
-    sigma_heading_accel: float = 0.5     # white heading acceleration, rad/s^2
-    vio_velocity_sigma: float = 0.1      # m/s
-    vio_heading_sigma: float = 0.05      # rad
-    vio_heading_rate_sigma: float = 0.05  # rad/s
-    vio_delta_sigma: float = 0.05        # added to detection sigma in z_x, m
-    euclid_gate: float = 2.0             # m
-    gate_p_value: float = 0.95
-    history_span: float = 2.0            # s
-    init_position_sigma: float = 0.3
-    init_velocity_sigma: float = 0.5
-    init_heading_sigma: float = 0.2
-    init_heading_rate_sigma: float = 0.2
+#: white-acceleration intensity of each axis: x, y, z (m/s^2)^2, heading (rad/s^2)^2
+PROCESS_NOISE = (1.0 ** 2,) * 3 + (0.5 ** 2,)
+#: added to the detection variance in the VIO position chain, m^2
+VIO_DELTA_VARIANCE = 0.05 ** 2
+#: rotated VIO velocity, (m/s)^2
+VIO_VELOCITY_VARIANCE = 0.1 ** 2
+#: VIO heading (rad^2) and heading rate ((rad/s)^2)
+HEADING_VARIANCE = (0.05 ** 2, 0.05 ** 2)
+#: prior variances of the axes' values (x, y, z in m^2, heading in rad^2) and
+#: of their rates at initialization
+INIT_VALUE_VARIANCE = (0.3 ** 2,) * 3 + (0.2 ** 2,)
+INIT_RATE_VARIANCE = (0.5 ** 2,) * 3 + (0.2 ** 2,)
+#: Euclidean pre-gate, m
+EUCLID_GATE = 2.0
+#: 95% point of the chi-square distribution with 3 degrees of freedom
+#: (Bar-Shalom, Li and Kirubarajan 2001, §5.4), as 2 * gammaincinv(1.5, 0.95)
+GATE_CRITICAL = 7.814727903251179
+#: default span of the measurement history, s
+HISTORY_SPAN = 2.0
 
 
 class TrackerState:
@@ -179,24 +183,16 @@ class GateDecision:
 
     chosen: Optional[int]            # track id of the selected detection
     mahalanobis_sq: float
-    critical: float
     accepted: bool
     detection: Optional[Detection] = None
 
 
-def chi2_critical(p_value: float, dof: int) -> float:
-    """Critical value x with P(chi2_dof <= x) = p_value, computed numerically."""
-    if not 0.0 < p_value < 1.0:
-        raise ValueError("p_value must lie in (0, 1)")
-    return 2.0 * float(gammaincinv(0.5 * dof, p_value))
-
-
-def predict(state: TrackerState, dt: float, config: TrackerConfig = TrackerConfig()) -> TrackerState:
+def predict(state: TrackerState, dt: float) -> TrackerState:
     """Advance every axis's constant-velocity model by dt >= 0 seconds.
 
     Per axis, P' = F P F^T + q Q with F = [[1, dt], [0, 1]] and the
     continuous white-acceleration noise Q = [[dt^3/3, dt^2/2], [dt^2/2, dt]],
-    q = sigma_accel^2 for x, y, z and sigma_heading_accel^2 for heading.
+    q the axis's entry of ``PROCESS_NOISE``.
     """
     if dt < 0.0:
         raise ValueError(f"predict requires dt >= 0, got {dt}")
@@ -205,12 +201,10 @@ def predict(state: TrackerState, dt: float, config: TrackerConfig = TrackerConfi
     mean = [[v + dt * w, w] for v, w in state._mean]
     mean[_HEADING_AXIS][0] = wrap_heading(mean[_HEADING_AXIS][0])
 
-    qa = config.sigma_accel ** 2
-    noise = (qa, qa, qa, config.sigma_heading_accel ** 2)
     q2 = dt ** 2 / 2.0
     q3 = dt ** 3 / 3.0
     cov = []
-    for ((p00, p01), (_, p11)), q in zip(state._cov, noise):
+    for ((p00, p01), (_, p11)), q in zip(state._cov, PROCESS_NOISE):
         c01 = p01 + dt * p11 + q * q2
         cov.append([[p00 + dt * (2.0 * p01 + dt * p11) + q * q3, c01],
                     [c01, p11 + q * dt]])
@@ -264,32 +258,26 @@ def innovation_gate(state: TrackerState, detection: Detection) -> float:
     return d2
 
 
-def associate(
-    detections: Sequence[Detection],
-    state: TrackerState,
-    euclid_gate: float,
-    p_value: float,
-) -> GateDecision:
+def associate(detections: Sequence[Detection], state: TrackerState) -> GateDecision:
     """Select the detection nearest in Mahalanobis distance and gate it.
 
-    Candidates are pre-filtered by Euclidean distance; the lowest squared
-    Mahalanobis distance among them is tested against the chi-square critical
-    value with 3 degrees of freedom.
+    Candidates within ``EUCLID_GATE`` of the predicted position compete; the
+    lowest squared Mahalanobis distance among them is accepted when it is at
+    most ``GATE_CRITICAL``.
     """
-    critical = chi2_critical(p_value, 3)
     best: Optional[Detection] = None
     best_d2 = math.inf
     pos = state.position
     for det in detections:
-        if float(np.linalg.norm(det.position - pos)) > euclid_gate:
+        if float(np.linalg.norm(det.position - pos)) > EUCLID_GATE:
             continue
         d2 = innovation_gate(state, det)
         if d2 < best_d2:
             best_d2 = d2
             best = det
     if best is None:
-        return GateDecision(None, math.inf, critical, False)
-    return GateDecision(best.track_id, best_d2, critical, best_d2 <= critical, best)
+        return GateDecision(None, math.inf, False)
+    return GateDecision(best.track_id, best_d2, best_d2 <= GATE_CRITICAL, best)
 
 
 def make_vio_measurement(
@@ -297,7 +285,6 @@ def make_vio_measurement(
     last_detection: Detection,
     vio_at_detection: TimedPose,
     theta: Optional[float],
-    config: TrackerConfig = TrackerConfig(),
     drift_rate: np.ndarray | float = 0.0,
 ) -> Measurement:
     """Full 8-dim measurement from a VIO pose newer than the last detection.
@@ -317,24 +304,17 @@ def make_vio_measurement(
     z_v = r_lv @ (vio.velocity - drift_rate)
     z_phi = wrap_heading(vio.heading - theta)
     value = np.concatenate([z_x, z_v, [z_phi, vio.heading_rate]])
-    variance = np.array(
-        [last_detection.sigma ** 2 + config.vio_delta_sigma ** 2] * 3
-        + [config.vio_velocity_sigma ** 2] * 3
-        + [config.vio_heading_sigma ** 2, config.vio_heading_rate_sigma ** 2])
+    variance = np.array([last_detection.sigma ** 2 + VIO_DELTA_VARIANCE] * 3
+                        + [VIO_VELOCITY_VARIANCE] * 3 + list(HEADING_VARIANCE))
     return Measurement(vio.stamp, MeasurementKind.VIO_FULL, value, variance)
 
 
-def make_heading_measurement(
-    vio: TimedPose,
-    theta: Optional[float],
-    config: TrackerConfig = TrackerConfig(),
-) -> Measurement:
+def make_heading_measurement(vio: TimedPose, theta: Optional[float]) -> Measurement:
     """Heading/heading-rate measurement from a VIO pose older than the last detection."""
     if theta is None:
         raise ValueError("transform unavailable: no accepted alignment yet")
     value = np.array([wrap_heading(vio.heading - theta), vio.heading_rate])
-    variance = np.array([config.vio_heading_sigma ** 2, config.vio_heading_rate_sigma ** 2])
-    return Measurement(vio.stamp, MeasurementKind.VIO_HEADING, value, variance)
+    return Measurement(vio.stamp, MeasurementKind.VIO_HEADING, value, HEADING_VARIANCE)
 
 
 def _entry_key(z: Measurement) -> tuple[float, int]:
@@ -351,11 +331,9 @@ class HistoryBuffer:
     than ``span`` behind the newest are marginalized into the anchor state.
     """
 
-    def __init__(self, anchor_state: TrackerState, span: float = 2.0,
-                 config: TrackerConfig = TrackerConfig()):
+    def __init__(self, anchor_state: TrackerState, span: float = HISTORY_SPAN):
         self.anchor_state = anchor_state
         self.span = span
-        self.config = config
         self.entries: list[Measurement] = []
         self._posts: list[TrackerState] = []
 
@@ -390,7 +368,7 @@ class HistoryBuffer:
         for i in range(idx, len(self.entries)):
             z = self.entries[i]
             dt = max(0.0, z.stamp - state.stamp)  # guard float round-off on ties
-            state = update(predict(state, dt, self.config), z)
+            state = update(predict(state, dt), z)
             self._posts[i] = state
 
     def _prune(self) -> None:
@@ -408,23 +386,22 @@ class HistoryBuffer:
             )
         idx = bisect.bisect_right(self.entries, (t, len(MeasurementKind)), key=_entry_key)
         state = self._posts[idx - 1] if idx > 0 else self.anchor_state
-        return predict(state, max(0.0, t - state.stamp), self.config)
+        return predict(state, max(0.0, t - state.stamp))
 
 
 def try_initialize(
     per_track_buffers: dict[int, Sequence[Detection]],
     vio_buffer: Sequence[TimedPose],
     align_config: AlignmentConfig = AlignmentConfig(),
-    tracker_config: TrackerConfig = TrackerConfig(),
 ) -> Optional[tuple[TrackerState, AlignmentResult, int]]:
     """Attempt estimate initialization from per-track detection buffers.
 
     For each track in track-id order: build the window, skip it unless
     :func:`window_observable` at the noise of the track's newest detection,
-    solve it, and initialize from the first track
-    whose solution passes :func:`degeneracy_check`: position from
-    the newest detection, velocity and heading from the rotated/shifted VIO
-    pose at that stamp, covariance from the configured priors.  Returns None
+    solve it, and initialize from the first track whose solution passes
+    :func:`degeneracy_check`: position from the newest detection, velocity
+    and heading from the rotated/shifted VIO pose at that stamp, covariance
+    from ``INIT_VALUE_VARIANCE`` and ``INIT_RATE_VARIANCE``.  Returns None
     when no track is accepted.
     """
     for track_id in sorted(per_track_buffers):
@@ -447,9 +424,8 @@ def try_initialize(
             np.append(newest.position, wrap_heading(vio_pose.heading - theta)),
             np.append(velocity, vio_pose.heading_rate),
         ])
-        c = tracker_config
         cov = np.zeros((4, 2, 2))
-        cov[:, 0, 0] = [c.init_position_sigma ** 2] * 3 + [c.init_heading_sigma ** 2]
-        cov[:, 1, 1] = [c.init_velocity_sigma ** 2] * 3 + [c.init_heading_rate_sigma ** 2]
+        cov[:, 0, 0] = INIT_VALUE_VARIANCE
+        cov[:, 1, 1] = INIT_RATE_VARIANCE
         return TrackerState(newest.stamp, mean, cov), result, track_id
     return None

@@ -77,9 +77,12 @@ def test_run_point_of_wrong_length_exits_one_naming_key(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("line", [
-    "tracker.gate_p_value = 1.5",
-    "tracker.gate_p_value = 0.0",
-    "tracker.history_span = -1",
+    "tracker.gate_p_value = 1.5",   # the tracker.* keys are gone: unknown key
+    "trajectory.radius = 0",
+    "trajectory.radius = -2",
+    pytest.param("trajectory.pattern = eight\ntrajectory.radius = 0",
+                 id="eight trajectory.radius = 0"),
+    "scenario.duration = -1",
     "detection.sigma = -0.1",
     "alignment.window = -1",
     "alignment.max_iterations = 0",
@@ -93,7 +96,10 @@ def test_run_out_of_range_value_exits_one_naming_key(tmp_path, capsys, line):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    assert line.split()[0] in err
+    key = line.splitlines()[-1].split()[0]
+    assert key in err
+    if key.startswith("tracker."):
+        assert "unknown config key" in err
     assert not out.exists()
 
 
@@ -309,3 +315,16 @@ def test_python_m_coopguide_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("log error:")
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the package's only runtime dependency; the tests use scipy as
+    # an oracle, so the check runs in a fresh interpreter
+    src = str(Path(coopguide.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, coopguide; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,6 +1,8 @@
 """Config plumbing: section keys map onto their dataclasses, point values are checked."""
 
+import re
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
@@ -8,12 +10,12 @@ import pytest
 from coopguide.alignment import AlignmentConfig
 from coopguide.config import DEFAULTS, ConfigError, build_config, coerce, format_value
 from coopguide.guider import GuiderConfig
-from coopguide.tracker import TrackerConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("section, cls", [
     ("alignment", AlignmentConfig),
-    ("tracker", TrackerConfig),
     ("guider", GuiderConfig),
 ])
 def test_section_keys_name_dataclass_fields_with_equal_defaults(section, cls):
@@ -28,12 +30,23 @@ def test_section_keys_name_dataclass_fields_with_equal_defaults(section, cls):
 
 
 def test_section_key_overrides_its_field():
-    config = build_config({"alignment.window": 7.0, "tracker.euclid_gate": 3.0,
+    config = build_config({"alignment.window": 7.0, "guider.realign_period": 3.0,
                            "guider.reinit_reject_limit": 5})
     assert config.alignment.window == 7.0
-    assert config.tracker.euclid_gate == 3.0
+    assert config.guider.realign_period == 3.0
     assert config.guider.reinit_reject_limit == 5
     assert config.alignment.max_cost == AlignmentConfig().max_cost
+
+
+def test_readme_config_table_lists_every_key_once():
+    # rows such as vio_drift.x/y/z and detection.delay_mean / delay_jitter
+    # name one key per slash-separated part
+    keys = []
+    for row in re.findall(r"^\| ([a-z_]+\.[^|]*?) \|", README.read_text(), re.M):
+        section, _, names = row.partition(".")
+        keys += [f"{section}.{name.strip()}" for name in names.split("/")]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(DEFAULTS)
 
 
 @pytest.mark.parametrize("key, raw", [("trajectory.laps", 1.5), ("scenario.seed", 2.9)])

@@ -26,7 +26,7 @@ from coopguide.guider import (
     GuiderStatus,
     Trajectory,
 )
-from coopguide.tracker import MeasurementKind, TrackerConfig
+from coopguide.tracker import GATE_CRITICAL, MeasurementKind
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THETA = 0.8
@@ -65,11 +65,7 @@ def detection(t, track=0, offset=(0.0, 0.0, 0.0)):
 
 
 def make_guider(**kwargs):
-    return Guider(
-        AlignmentConfig(window=15.0),
-        TrackerConfig(),
-        GuiderConfig(**kwargs),
-    )
+    return Guider(AlignmentConfig(window=15.0), GuiderConfig(**kwargs))
 
 
 def drive(guider, t0, t1, det_offset=None, vio_on=True, det_on=True):
@@ -130,6 +126,29 @@ def test_high_drift_lap_tracks_through_the_drift_without_reinitializing(monkeypa
     log = run_scenario(build_config(overrides))
     assert not log.failed
     assert 1 <= len(adoptions) <= 3
+
+
+def test_innovations_are_chi_square_consistent_on_the_baseline_run(monkeypatch):
+    # The normalized innovation squared of the gated candidate is chi-square
+    # with 3 dof when the fixed noise model fits: mean 3, 5% above the gate
+    # (Bar-Shalom, Li and Kirubarajan 2001, §5.4).
+    from coopguide.simulator import run_scenario
+
+    nis = []
+    associate = guider.associate
+
+    def record(*args):
+        decision = associate(*args)
+        if decision.chosen is not None:
+            nis.append(decision.mahalanobis_sq)
+        return decision
+
+    monkeypatch.setattr(guider, "associate", record)
+    log = run_scenario(build_config(load_config_file(str(CONFIGS / "baseline.cfg"))))
+    assert not log.failed
+    assert len(nis) > 1000
+    assert 2.55 <= np.mean(nis) <= 3.45
+    assert 0.025 <= np.mean(np.array(nis) > GATE_CRITICAL) <= 0.10
 
 
 def test_trajectory_rejects_malformed_arrays():

@@ -14,18 +14,14 @@ from coopguide.tracker import (
     Measurement,
     MeasurementKind,
     StaleMeasurementError,
-    TrackerConfig,
     TrackerState,
     associate,
-    chi2_critical,
     make_heading_measurement,
     make_vio_measurement,
     predict,
     try_initialize,
     update,
 )
-
-CFG = TrackerConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +85,7 @@ DENSE_ROWS = {
 }
 
 
-def dense_predict(m, P, dt, config):
+def dense_predict(m, P, dt):
     """Reference 8-state constant-velocity prediction with dense 8x8 algebra."""
     mean = m.copy()
     mean[0:3] += dt * m[3:6]
@@ -101,8 +97,8 @@ def dense_predict(m, P, dt, config):
     P[:, 6] += dt * P[:, 7]
     q3 = dt ** 3 / 3.0
     q2 = dt ** 2 / 2.0
-    qa = config.sigma_accel ** 2
-    qh = config.sigma_heading_accel ** 2
+    qa = tracker.PROCESS_NOISE[0]
+    qh = tracker.PROCESS_NOISE[3]
     for i in range(3):
         P[i, i] += qa * q3
         P[i, i + 3] += qa * q2
@@ -179,32 +175,32 @@ def test_state_arrays_are_fresh_copies_with_wrapped_heading():
 
 def test_predict_constant_velocity():
     s = make_state(pos=(0, 0, 0), vel=(1, 0, 0))
-    out = predict(s, 0.5, CFG)
+    out = predict(s, 0.5)
     assert np.allclose(out.position, [0.5, 0, 0])
     assert out.stamp == 0.5
 
 
 def test_predict_zero_dt_is_identity():
     s = make_state(pos=(1, 2, 3), vel=(0.1, 0.2, 0.3), heading=0.5, rate=0.1)
-    out = predict(s, 0.0, CFG)
+    out = predict(s, 0.0)
     assert np.array_equal(out.mean, s.mean)
     assert np.array_equal(out.covariance, s.covariance)
 
 
 def test_predict_wraps_heading():
     s = make_state(heading=3.0, rate=1.0)
-    out = predict(s, 0.5, CFG)
+    out = predict(s, 0.5)
     assert out.heading == pytest.approx(3.5 - 2 * math.pi)
 
 
 def test_predict_rejects_negative_dt():
     with pytest.raises(ValueError):
-        predict(make_state(), -0.1, CFG)
+        predict(make_state(), -0.1)
 
 
 def test_predict_covariance_grows_and_stays_symmetric():
     s = make_state(var=0.1)
-    out = predict(s, 1.0, CFG)
+    out = predict(s, 1.0)
     P_out, P_s = dense(out)[1], dense(s)[1]
     assert np.allclose(P_out, P_out.T)
     assert np.all(np.diag(P_out) > np.diag(P_s))
@@ -282,7 +278,7 @@ def test_covariance_psd_through_random_cycles():
             MeasurementKind.VIO_HEADING: 2}
     for i in range(10_000):
         dt = float(rng.uniform(0.0, 0.2))
-        state = predict(state, dt, CFG)
+        state = predict(state, dt)
         kind = kinds[int(rng.integers(0, 3))]
         m = dims[kind]
         z = Measurement(state.stamp, kind, rng.normal(0, 1, m),
@@ -308,8 +304,8 @@ def test_axis_filters_match_dense_8_state_oracle():
     wraps = 0
     for _ in range(10_000):
         dt = float(rng.uniform(0.0, 0.2))
-        state = predict(state, dt, CFG)
-        mean8, P8 = dense_predict(mean8, P8, dt, CFG)
+        state = predict(state, dt)
+        mean8, P8 = dense_predict(mean8, P8, dt)
         kind = kinds[int(rng.integers(0, 3))]
         value = rng.normal(0, 1, dims[kind])
         h_idx = DENSE_ROWS[kind][1]
@@ -344,7 +340,7 @@ def _det(t, pos, sigma=0.15, track=0):
 def test_make_vio_measurement_identity_rotation():
     det = _det(1.0, [1, 0, 0])
     z = make_vio_measurement(_vio_pose(1.5, [0, 1, 0]), det, _vio_pose(1.0, [0, 0, 0]),
-                             theta=0.0, config=CFG)
+                             theta=0.0)
     assert np.allclose(z.value[:3], [1, 1, 0])
 
 
@@ -353,7 +349,7 @@ def test_make_vio_measurement_rotation_direction():
     # becomes a +x displacement in L.
     det = _det(1.0, [1, 0, 0])
     z = make_vio_measurement(_vio_pose(1.5, [0, 1, 0]), det, _vio_pose(1.0, [0, 0, 0]),
-                             theta=math.pi / 2, config=CFG)
+                             theta=math.pi / 2)
     assert np.allclose(z.value[:3], [2, 0, 0], atol=1e-12)
 
 
@@ -372,7 +368,7 @@ def test_make_vio_measurement_consistent_with_alignment_convention():
     det = _det(0.0, pts_l[0])
     z = make_vio_measurement(
         _vio_pose(0.5, pts_v[5]), det, _vio_pose(0.0, pts_v[0]),
-        theta=theta_hat, config=CFG,
+        theta=theta_hat,
     )
     assert np.allclose(z.value[:3], pts_l[5], atol=1e-9)
 
@@ -380,7 +376,7 @@ def test_make_vio_measurement_consistent_with_alignment_convention():
 def test_make_vio_measurement_heading_component():
     det = _det(0.0, [0, 0, 0])
     z = make_vio_measurement(_vio_pose(0.5, [0, 0, 0], heading=0.3), det,
-                             _vio_pose(0.0, [0, 0, 0]), theta=0.3, config=CFG)
+                             _vio_pose(0.0, [0, 0, 0]), theta=0.3)
     assert z.value[6] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -388,24 +384,24 @@ def test_make_vio_measurement_requires_transform():
     det = _det(0.0, [0, 0, 0])
     with pytest.raises(ValueError, match="transform unavailable"):
         make_vio_measurement(_vio_pose(0.5, [0, 0, 0]), det,
-                             _vio_pose(0.0, [0, 0, 0]), theta=None, config=CFG)
+                             _vio_pose(0.0, [0, 0, 0]), theta=None)
 
 
 def test_make_heading_measurement_values():
     z = make_heading_measurement(_vio_pose(0.0, [0, 0, 0], heading=1.0, rate=0.1),
-                                 theta=0.25, config=CFG)
+                                 theta=0.25)
     assert np.allclose(z.value, [0.75, 0.1])
 
 
 def test_make_heading_measurement_wraps():
     z = make_heading_measurement(_vio_pose(0.0, [0, 0, 0], heading=-3.0),
-                                 theta=0.5, config=CFG)
+                                 theta=0.5)
     assert z.value[0] == pytest.approx(-3.5 + 2 * math.pi)
 
 
 def test_make_heading_measurement_identity_theta():
     z = make_heading_measurement(_vio_pose(0.0, [0, 0, 0], heading=0.77),
-                                 theta=0.0, config=CFG)
+                                 theta=0.0)
     assert z.value[0] == pytest.approx(0.77)
 
 
@@ -414,8 +410,8 @@ def test_heading_estimate_invariant_to_two_pi_shifts():
     # unchanged (headings wrap on construction and in the innovation).
     base = _vio_pose(0.0, [0, 0, 0], heading=2.5, rate=0.2)
     shifted = _vio_pose(0.0, [0, 0, 0], heading=2.5 + 4 * math.pi, rate=0.2)
-    za = make_heading_measurement(base, theta=0.3, config=CFG)
-    zb = make_heading_measurement(shifted, theta=0.3, config=CFG)
+    za = make_heading_measurement(base, theta=0.3)
+    zb = make_heading_measurement(shifted, theta=0.3)
     assert np.array_equal(za.value, zb.value)
     s = make_state(heading=-3.0)
     assert np.array_equal(update(s, za).mean, update(s, zb).mean)
@@ -426,26 +422,33 @@ def test_heading_estimate_invariant_to_two_pi_shifts():
 
 
 def test_chi2_critical_matches_incomplete_gamma_oracle():
-    for p, dof in [(0.95, 3), (0.99, 3), (0.9, 2), (0.95, 8)]:
-        assert chi2_critical(p, dof) == pytest.approx(oracle_chi2_critical(p, dof), abs=1e-9)
-    assert chi2_critical(0.95, 3) == pytest.approx(7.8147, abs=1e-4)
+    assert tracker.GATE_CRITICAL == pytest.approx(oracle_chi2_critical(0.95, 3), abs=1e-9)
+    assert tracker.GATE_CRITICAL == pytest.approx(7.8147, abs=1e-4)
+
+
+def test_gate_critical_is_the_95_percent_point_of_chi2_3_in_closed_form():
+    # the chi-square CDF with 3 dof: erf(sqrt(x/2)) - sqrt(2x/pi) exp(-x/2)
+    x = tracker.GATE_CRITICAL
+    cdf = math.erf(math.sqrt(x / 2)) - math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+    assert cdf == pytest.approx(0.95, abs=1e-12)
 
 
 def test_associate_zero_innovation_accepted():
     s = make_state(pos=(1, 2, 3), var=0.5)
     det = Detection(0.0, np.array([1.0, 2.0, 3.0]), sigma=math.sqrt(0.5), track_id=4)
-    d = associate([det], s, euclid_gate=2.0, p_value=0.95)
+    d = associate([det], s)
     assert d.accepted and d.chosen == 4
     assert d.mahalanobis_sq == pytest.approx(0.0, abs=1e-12)
 
 
 def test_associate_far_detection_rejected_by_chi_square():
-    # S = I: prior position variance 0.5 plus sigma^2 = 0.5; y = (2,2,2) -> 12.
-    s = make_state(var=0.5)
-    det = Detection(0.0, np.array([2.0, 2.0, 2.0]), sigma=math.sqrt(0.5), track_id=0)
-    d = associate([det], s, euclid_gate=100.0, p_value=0.95)
-    assert d.mahalanobis_sq == pytest.approx(12.0)
-    assert d.critical == pytest.approx(oracle_chi2_critical(0.95, 3), abs=1e-9)
+    # S = 0.2 per axis: prior position variance 0.1 plus sigma^2 = 0.1;
+    # y = (1, 1, 1), 1.73 m, passes the 2 m pre-gate and gives d^2 = 15.
+    s = make_state(var=0.1)
+    det = Detection(0.0, np.array([1.0, 1.0, 1.0]), sigma=math.sqrt(0.1), track_id=0)
+    d = associate([det], s)
+    assert d.chosen == 0
+    assert d.mahalanobis_sq == pytest.approx(15.0)
     assert not d.accepted
 
 
@@ -453,25 +456,27 @@ def test_associate_prefers_nearer_candidate():
     s = make_state(var=0.5)
     near = Detection(0.0, np.array([0.5, 0.0, 0.0]), sigma=math.sqrt(0.5), track_id=1)
     far = Detection(0.0, np.array([1.0, 0.0, 0.0]), sigma=math.sqrt(0.5), track_id=2)
-    d = associate([far, near], s, euclid_gate=2.0, p_value=0.95)
+    d = associate([far, near], s)
     assert d.chosen == 1
 
 
 def test_associate_euclidean_pregate_excludes_candidates():
     s = make_state(var=1e6)  # huge covariance would accept anything by chi-square
     far = Detection(0.0, np.array([5.0, 0.0, 0.0]), sigma=0.1, track_id=9)
-    d = associate([far], s, euclid_gate=2.0, p_value=0.95)
+    d = associate([far], s)
     assert d.chosen is None and not d.accepted
 
 
 def test_associate_empty_set():
-    d = associate([], make_state(), euclid_gate=2.0, p_value=0.95)
+    d = associate([], make_state())
     assert d.chosen is None and not d.accepted
 
 
 def test_gate_calibration():
     # Spec invariant: acceptance rate of correctly modeled detections in
-    # [0.93, 0.97] at p = 0.95 over 1e4 trials.
+    # [0.93, 0.97] at p = 0.95 over 1e4 trials.  The largest S is 0.3225, so
+    # an innovation beyond the 2 m pre-gate has d^2 > 12.4 and fails the
+    # chi-square test as well: the pre-gate changes no outcome.
     rng = np.random.default_rng(40)
     accepted = 0
     trials = 10_000
@@ -482,7 +487,7 @@ def test_gate_calibration():
     for _ in range(trials):
         z = L @ rng.normal(0, 1, 3)  # innovation drawn from the modeled N(0, S)
         det = Detection(0.0, z, sigma, track_id=0)
-        if associate([det], state, euclid_gate=100.0, p_value=0.95).accepted:
+        if associate([det], state).accepted:
             accepted += 1
     rate = accepted / trials
     assert 0.93 <= rate <= 0.97
@@ -510,12 +515,12 @@ def test_in_order_insertion_equals_streaming():
     rng = np.random.default_rng(50)
     anchor = make_state(var=1.0)
     measurements = _random_measurements(rng, 12)
-    buf = HistoryBuffer(anchor, span=10.0, config=CFG)
+    buf = HistoryBuffer(anchor, span=10.0)
     for z in measurements:
         state = buf.insert(z)
     stream = anchor
     for z in measurements:
-        stream = update(predict(stream, z.stamp - stream.stamp, CFG), z)
+        stream = update(predict(stream, z.stamp - stream.stamp), z)
     assert np.allclose(state.mean, stream.mean, atol=1e-12)
     assert np.allclose(state.covariance, stream.covariance, atol=1e-12)
 
@@ -524,11 +529,11 @@ def test_delayed_insertion_equals_chronological():
     rng = np.random.default_rng(51)
     anchor = make_state(var=1.0)
     z1, z2, z3 = _random_measurements(rng, 3, spacing=0.1)
-    buf = HistoryBuffer(anchor, span=10.0, config=CFG)
+    buf = HistoryBuffer(anchor, span=10.0)
     buf.insert(z1)
     buf.insert(z3)
     final = buf.insert(z2)  # late arrival
-    ordered = HistoryBuffer(anchor, span=10.0, config=CFG)
+    ordered = HistoryBuffer(anchor, span=10.0)
     for z in (z1, z2, z3):
         expected = ordered.insert(z)
     assert np.allclose(final.mean, expected.mean, atol=1e-9)
@@ -539,12 +544,12 @@ def test_replay_equivalence_random_interleavings():
     rng = np.random.default_rng(52)
     anchor = make_state(var=1.0)
     measurements = _random_measurements(rng, 20)
-    ordered = HistoryBuffer(anchor, span=100.0, config=CFG)
+    ordered = HistoryBuffer(anchor, span=100.0)
     for z in measurements:
         expected = ordered.insert(z)
     for _ in range(50):
         perm = rng.permutation(len(measurements))
-        buf = HistoryBuffer(anchor, span=100.0, config=CFG)
+        buf = HistoryBuffer(anchor, span=100.0)
         for i in perm:
             buf.insert(measurements[i])
         got = buf.latest_state
@@ -554,7 +559,7 @@ def test_replay_equivalence_random_interleavings():
 
 def test_measurement_older_than_span_rejected():
     anchor = make_state(stamp=0.0)
-    buf = HistoryBuffer(anchor, span=2.0, config=CFG)
+    buf = HistoryBuffer(anchor, span=2.0)
     buf.insert(_lidar_meas(5.0, [0, 0, 0]))
     with pytest.raises(StaleMeasurementError):
         buf.insert(_lidar_meas(2.5, [0, 0, 0]))
@@ -562,7 +567,7 @@ def test_measurement_older_than_span_rejected():
 
 def test_measurement_older_than_anchor_rejected():
     anchor = make_state(stamp=1.0)
-    buf = HistoryBuffer(anchor, span=2.0, config=CFG)
+    buf = HistoryBuffer(anchor, span=2.0)
     with pytest.raises(StaleMeasurementError):
         buf.insert(_lidar_meas(0.5, [0, 0, 0]))
 
@@ -571,8 +576,8 @@ def test_pruning_preserves_replay_result():
     rng = np.random.default_rng(53)
     anchor = make_state(var=1.0)
     measurements = _random_measurements(rng, 40, spacing=0.2)  # spans ~8 s
-    pruned = HistoryBuffer(anchor, span=2.0, config=CFG)
-    full = HistoryBuffer(anchor, span=1e9, config=CFG)
+    pruned = HistoryBuffer(anchor, span=2.0)
+    full = HistoryBuffer(anchor, span=1e9)
     for z in measurements:
         got = pruned.insert(z)
         expected = full.insert(z)
@@ -584,7 +589,7 @@ def test_pruning_preserves_replay_result():
 def test_estimate_at_newest_entry_equals_replay():
     rng = np.random.default_rng(54)
     anchor = make_state(var=1.0)
-    buf = HistoryBuffer(anchor, span=10.0, config=CFG)
+    buf = HistoryBuffer(anchor, span=10.0)
     for z in _random_measurements(rng, 8):
         state = buf.insert(z)
     q = buf.estimate_at(buf.entries[-1].stamp)
@@ -593,13 +598,13 @@ def test_estimate_at_newest_entry_equals_replay():
 
 def test_estimate_at_extrapolates_constant_velocity():
     anchor = make_state(pos=(0, 0, 0), vel=(1, 0, 0))
-    buf = HistoryBuffer(anchor, span=10.0, config=CFG)
+    buf = HistoryBuffer(anchor, span=10.0)
     q = buf.estimate_at(0.5)
     assert np.allclose(q.position, [0.5, 0, 0])
 
 
 def test_estimate_at_before_anchor_raises():
-    buf = HistoryBuffer(make_state(stamp=1.0), span=10.0, config=CFG)
+    buf = HistoryBuffer(make_state(stamp=1.0), span=10.0)
     with pytest.raises(ValueError):
         buf.estimate_at(0.5)
 
@@ -624,13 +629,13 @@ def test_detections_lost_position_dead_reckons_vio_chain():
         return _vio_pose(t, R_vl @ pos_l + drift_rate * t,
                          heading=theta, vel=R_vl @ vel_l + drift_rate)
 
-    z_v0 = make_vio_measurement(vio_at(0.0), det, vio_at(0.0), theta, CFG)
+    z_v0 = make_vio_measurement(vio_at(0.0), det, vio_at(0.0), theta)
     state = TrackerState(0.0, *blocks(z_v0.value, np.full(8, 0.01)))
-    buf = HistoryBuffer(state, span=1e9, config=CFG)
+    buf = HistoryBuffer(state, span=1e9)
     chain = []
     for k in range(1, 40):
         t = 0.1 * k
-        z = make_vio_measurement(vio_at(t), det, vio_at(0.0), theta, CFG)
+        z = make_vio_measurement(vio_at(t), det, vio_at(0.0), theta)
         chain.append(z.value[:3])
         state = buf.insert(z)
         assert np.allclose(state.position, z.value[:3], atol=1e-9)
@@ -655,10 +660,10 @@ def test_vio_measurement_with_drift_rate_follows_truth():
                          heading=theta, vel=R_vl @ vel_l + drift_rate)
 
     for t in (0.5, 1.0, 4.4):
-        z = make_vio_measurement(vio_at(t), det, vio_at(det.stamp), theta, CFG, drift_rate)
+        z = make_vio_measurement(vio_at(t), det, vio_at(det.stamp), theta, drift_rate)
         assert np.allclose(z.value[:3], det.position + vel_l * (t - det.stamp), atol=1e-12)
         assert np.allclose(z.value[3:6], vel_l, atol=1e-12)
-        plain = make_vio_measurement(vio_at(t), det, vio_at(det.stamp), theta, CFG)
+        plain = make_vio_measurement(vio_at(t), det, vio_at(det.stamp), theta)
         assert np.allclose(plain.value[3:6], vel_l + rot_z(-theta) @ drift_rate, atol=1e-12)
 
 
@@ -666,7 +671,7 @@ def test_vio_lost_heading_states_untouched_by_detections():
     # Block-diagonal covariance keeps lidar position updates from moving the
     # heading block.
     state = make_state(pos=(0, 0, 0), vel=(1, 0, 0), heading=0.8, rate=0.05, var=0.5)
-    buf = HistoryBuffer(state, span=1e9, config=CFG)
+    buf = HistoryBuffer(state, span=1e9)
     rng = np.random.default_rng(60)
     for k in range(1, 30):
         t = 0.1 * k
@@ -707,7 +712,7 @@ def test_try_initialize_recovers_pose_from_matching_track():
                   velocity=R @ np.array([0.1, 0.2, 0.0]), heading_rate=0.03)
         for t, p in track
     ]
-    out = try_initialize({0: dets}, vio, AlignmentConfig(), CFG)
+    out = try_initialize({0: dets}, vio, AlignmentConfig())
     assert out is not None
     state, result, track_id = out
     assert track_id == 0
@@ -725,7 +730,7 @@ def test_try_initialize_rejects_hovering_point_track(monkeypatch):
     dets = [_det(0.1 * k, [3.0, 3.0, 1.0]) for k in range(60)]
     vio = [TimedPose(0.1 * k, Frame.VIO, np.array([0.05 * k, 0.0, 0.0]))
            for k in range(60)]
-    assert try_initialize({0: dets}, vio, AlignmentConfig(), CFG) is None
+    assert try_initialize({0: dets}, vio, AlignmentConfig()) is None
     assert calls == []  # rejected from the window geometry, without a solve
 
 
@@ -740,6 +745,6 @@ def test_try_initialize_picks_matching_track_over_random_walk():
     walk = np.cumsum(rng.normal(0, 0.2, (len(track), 3)), axis=0) + np.array([8.0, 8.0, 1.0])
     bad = [_det(t, w, track=2) for (t, _), w in zip(track, walk)]
     vio = [TimedPose(t, Frame.VIO, R @ p + t_star) for t, p in track]
-    out = try_initialize({2: bad, 5: good}, vio, AlignmentConfig(), CFG)
+    out = try_initialize({2: bad, 5: good}, vio, AlignmentConfig())
     assert out is not None
     assert out[2] == 5
