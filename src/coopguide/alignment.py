@@ -25,8 +25,8 @@ which is the heading information with the translation left free, against
 the detection noise.  It depends on the detected positions alone, not on
 the heading nor on where the window sits in L, so an unobservable window is
 never solved.  After the solve, :func:`degeneracy_check` tests the fit: the
-IRLS loop stopped within its budget and the mean robustified residual is at
-most ``max_cost``.
+IRLS loop stopped within :data:`MAX_ITERATIONS` and the mean robustified
+residual is at most ``max_cost``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ from .geometry import (
 
 #: IRLS stops when the relative cost decrease of an iteration is at most this
 COST_TOLERANCE = 1e-8
+MAX_ITERATIONS = 100        # IRLS iteration budget; a solve that exhausts it is not converged
+MIN_CORRESPONDENCES = 10    # fewest pairs a window is solved with
+MIN_SPREAD_RATIO = 3.0      # window_observable: planar spread per sample over 2 sigma^2
 
 
 class InsufficientDataError(ValueError):
@@ -57,14 +60,11 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class AlignmentConfig:
-    """Tuning knobs for the sliding-window alignment; ``min_spread_ratio`` is
-    the threshold of :func:`window_observable`."""
+    """The alignment settings a shipped scenario changes; the counts and the
+    observability ratio are module constants."""
 
     window: float = 15.0
-    min_correspondences: int = 10
     max_cost: float = 0.09          # mean robustified residual
-    min_spread_ratio: float = 3.0   # planar spread per sample over 2 sigma^2
-    max_iterations: int = 100       # IRLS iteration budget
     estimate_drift: bool = False    # co-estimate a linear VIO drift rate
 
 
@@ -123,11 +123,10 @@ def build_correspondence_arrays(
     :data:`~coopguide.geometry.STALE_TOLERANCE`) or inside a detection gap
     longer than :data:`MAX_DETECTION_GAP` are skipped.  Returns
     ``(stamps (N,), lidar (N, 3), vio (N, 3))``, or None when fewer than
-    ``config.min_correspondences`` pairs survive.
+    :data:`MIN_CORRESPONDENCES` pairs survive.
     """
     if not detections or not vio_buffer or config.window <= 0:
         return None
-    min_count = config.min_correspondences
     det_stamps = np.array([d.stamp for d in detections])
     det_positions = np.array([d.position for d in detections])
     t_end = vio_buffer[-1].stamp
@@ -135,7 +134,7 @@ def build_correspondence_arrays(
     lo = det_stamps[0] - STALE_TOLERANCE
     hi = det_stamps[-1] + STALE_TOLERANCE
     kept = [p for p in vio_buffer if p.stamp >= t_start and lo <= p.stamp <= hi]
-    if len(kept) < min_count:
+    if len(kept) < MIN_CORRESPONDENCES:
         return None
     stamps = np.array([p.stamp for p in kept])
     if len(det_stamps) > 1:
@@ -149,7 +148,7 @@ def build_correspondence_arrays(
         ok = ~inner | (gap <= MAX_DETECTION_GAP) | at_node
         if not ok.all():
             kept = [p for p, keep_it in zip(kept, ok) if keep_it]
-            if len(kept) < min_count:
+            if len(kept) < MIN_CORRESPONDENCES:
                 return None
             stamps = stamps[ok]
     # vectorized linear interpolation of the detection track to VIO stamps;
@@ -224,17 +223,17 @@ def _squared_residuals(D, P, t, theta, drift=None, tau=None) -> np.ndarray:
     return np.einsum("ij,ij->i", residuals, residuals)
 
 
-def _irls(D, P, tau, config: AlignmentConfig):
+def _irls(D, P, tau):
     """IRLS on the soft-L1 cost from the unit-weight closed form.
 
     Returns (t, theta, r, s, iterations, stopped): the last iterate, its
     squared residuals, the number of weighted solves and whether the cost
-    test ended the loop within ``config.max_iterations``.
+    test ended the loop within :data:`MAX_ITERATIONS`.
     """
     t, theta, r = _weighted_closed_form(np.ones(len(D)), D, P, tau)
     s = _squared_residuals(D, P, t, theta, r, tau)
     cost = float(np.sum(soft_l1(s)))
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         t_new, theta_new, r_new = _weighted_closed_form(soft_l1_weight(s), D, P, tau)
         s_new = _squared_residuals(D, P, t_new, theta_new, r_new, tau)
         cost_new = float(np.sum(soft_l1(s_new)))
@@ -244,7 +243,7 @@ def _irls(D, P, tau, config: AlignmentConfig):
         t, theta, r, s, cost = t_new, theta_new, r_new, s_new, cost_new
         if decrease <= COST_TOLERANCE * max(cost, 1e-300):
             return t, theta, r, s, iterations, True
-    return t, theta, r, s, config.max_iterations, False
+    return t, theta, r, s, MAX_ITERATIONS, False
 
 
 def solve_alignment_arrays(
@@ -268,11 +267,11 @@ def solve_alignment_arrays(
     previous iterate and also ends the loop.
 
     ``converged`` is true when the loop stopped that way within
-    ``config.max_iterations``.  The window geometry is not tested here (that
+    :data:`MAX_ITERATIONS`.  The window geometry is not tested here (that
     is :func:`window_observable`, before the solve) and neither is the cost
     bound (that is :func:`degeneracy_check`, after it).  Raises
     :class:`InsufficientDataError` when fewer than
-    ``config.min_correspondences`` pairs are supplied.
+    :data:`MIN_CORRESPONDENCES` pairs are supplied.
 
     With ``config.estimate_drift`` a linear VIO drift rate is co-estimated
     (three extra parameters); the residual model becomes
@@ -282,13 +281,11 @@ def solve_alignment_arrays(
     accumulated over the window rivals the windowed path length.
     """
     n = len(stamps)
-    if n < config.min_correspondences:
-        raise InsufficientDataError(
-            f"{n} correspondences < minimum {config.min_correspondences}"
-        )
+    if n < MIN_CORRESPONDENCES:
+        raise InsufficientDataError(f"{n} correspondences < minimum {MIN_CORRESPONDENCES}")
     with_drift = config.estimate_drift
     tau = stamps - stamps.mean() if with_drift else None
-    t, theta, drift, s, iterations, converged = _irls(D, P, tau, config)
+    t, theta, drift, s, iterations, converged = _irls(D, P, tau)
 
     if converged and not with_drift:
         # The unit-scale soft-L1 still leaves ~1/sqrt(26) weight on a 5 m
@@ -330,20 +327,20 @@ def solve_alignment_arrays(
     )
 
 
-def window_observable(D: np.ndarray, sigma: float, config: AlignmentConfig) -> bool:
+def window_observable(D: np.ndarray, sigma: float) -> bool:
     """The pre-solve test: the window's planar spread beats the detection noise.
 
     The planar spread S = sum |xy_i - mean(xy)|^2 of the lidar positions
     D (N, 3) is their heading information with the translation free (the
     Schur complement of J^T J, J_i = [I3 | Rz'(theta) d_i]).  The window is
-    observable when S > ``min_spread_ratio`` * N * 2 sigma^2, sigma the
+    observable when S > :data:`MIN_SPREAD_RATIO` * N * 2 sigma^2, sigma the
     detection noise: a ratio without units that does not depend on where
     the window sits, about 0.7-1 for a target that does not move.  The only
     geometry test; it needs no solve, so only a window that passes is solved.
     """
     xy = D[:, :2] - D[0, :2]  # identical positions give exactly zero spread
     spread = float(np.sum((xy - xy.mean(axis=0)) ** 2))
-    return spread > config.min_spread_ratio * len(D) * 2.0 * sigma * sigma
+    return spread > MIN_SPREAD_RATIO * len(D) * 2.0 * sigma * sigma
 
 
 def degeneracy_check(result: AlignmentResult, config: AlignmentConfig) -> bool:

@@ -8,8 +8,8 @@ fail fast.  Values are coerced to the type of the default: int, float, bool
 for a list of them, "x1,y1,x2,y2; ..." for wall segments); a point of the
 wrong length is a config error.  The ``alignment.*`` and ``guider.*`` keys
 are generated from the fields of AlignmentConfig and GuiderConfig, one key
-per field with the field's default; the filter's noise model and gate are
-constants of the tracker module, not keys.
+per field with the field's default; an estimator setting that no shipped
+scenario changes is a constant of its module, not a key.
 """
 
 from __future__ import annotations
@@ -210,21 +210,24 @@ class ScenarioConfig:
             raise ConfigError(f"trajectory.pattern must be one of {_PATTERNS_TRAJECTORY}")
         if v["vio_drift.model"] not in _DRIFT_MODELS:
             raise ConfigError(f"vio_drift.model must be one of {_DRIFT_MODELS}")
-        for key in ("scenario.tick_rate", "vio.rate", "detection.rate",
-                    "guider.ref_rate", "trajectory.speed", "trajectory.spacing",
-                    "plant.time_constant", "alignment.window", "guider.stream_horizon"):
+        for key in ("scenario.tick_rate", "scenario.abort_radius", "vio.rate",
+                    "detection.rate", "trajectory.speed", "trajectory.spacing",
+                    "plant.time_constant", "plant.max_speed", "alignment.window",
+                    "guider.realign_period"):
             if v[key] <= 0:
                 raise ConfigError(f"{key} must be positive, got {v[key]}")
         if v["trajectory.pattern"] == "waypoints" and not v["trajectory.waypoints"]:
             raise ConfigError("trajectory.waypoints is required when "
                               "trajectory.pattern = waypoints")
-        for key in ("scenario.truth_log_decimation", "alignment.max_iterations"):
+        for key in ("scenario.truth_log_decimation", "trajectory.laps"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be >= 1, got {v[key]}")
         if v["trajectory.pattern"] != "waypoints" and v["trajectory.radius"] <= 0:
             raise ConfigError(f"trajectory.radius must be positive for the "
                               f"{v['trajectory.pattern']} pattern, got {v['trajectory.radius']}")
-        for key in ("scenario.duration", "detection.sigma", "alignment.min_spread_ratio"):
+        for key in ("scenario.duration", "detection.sigma", "detection.delay_mean",
+                    "detection.delay_jitter", "comm.delay_mean", "comm.delay_jitter",
+                    "alignment.max_cost"):
             if v[key] < 0:
                 raise ConfigError(f"{key} must be >= 0, got {v[key]}")
         for section, cls in _SECTIONS:

@@ -18,6 +18,7 @@ import numpy as np
 from .alignment import closed_form_align
 from .config import ScenarioConfig, build_config
 from .geometry import Frame, RelativeTransform
+from .guider import DETECTION_STALENESS
 from .simulator import EventLog, ReferencePath, generate_trajectory
 
 
@@ -106,16 +107,15 @@ def mean_path_deviation(actual: np.ndarray, reference: ReferencePath) -> float:
     return float(np.mean([reference.distance(p) for p in actual]))
 
 
-def _visibility_flags(est_stamps: np.ndarray, det_stamps: np.ndarray,
-                      staleness: float) -> np.ndarray:
+def _visibility_flags(est_stamps: np.ndarray, det_stamps: np.ndarray) -> np.ndarray:
     """A sample counts as tracked when a secondary detection is at most
-    ``staleness`` seconds older (same rule the guider uses for its status)."""
+    DETECTION_STALENESS seconds older (the rule of the guider's status)."""
     if len(det_stamps) == 0:
         return np.zeros(len(est_stamps), dtype=bool)
     idx = np.searchsorted(det_stamps, est_stamps, side="right") - 1
     has_prev = idx >= 0
     age = np.where(has_prev, est_stamps - det_stamps[np.clip(idx, 0, None)], np.inf)
-    return age <= staleness
+    return age <= DETECTION_STALENESS
 
 
 def log_config(log: EventLog) -> ScenarioConfig:
@@ -127,7 +127,7 @@ def evaluate_log(log: EventLog) -> ErrorReport:
     """Full metric set for one scenario event log."""
     config = log_config(log)
     est_t, est_p, _, _ = log.estimates()
-    ts_t, ts_p, _ = log.truth("TS")
+    ts_t, ts_p, _ = log.truth()
     if len(ts_t) == 0:
         raise EvaluationError("log contains no ground-truth records")
     if len(est_t) == 0:
@@ -150,8 +150,7 @@ def evaluate_log(log: EventLog) -> ErrorReport:
     mask = ts_t >= start
     deviation = mean_path_deviation(ts_p[mask], path)
 
-    staleness = config.values["guider.detection_staleness"]
-    visible = _visibility_flags(est_t, log.detection_stamps(0), staleness)
+    visible = _visibility_flags(est_t, log.detection_stamps(0))
     tracked = float(np.sqrt(np.mean(errors_3d[visible] ** 2))) if visible.any() else None
     untracked = float(np.sqrt(np.mean(errors_3d[~visible] ** 2))) if (~visible).any() else None
 

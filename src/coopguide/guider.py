@@ -26,6 +26,9 @@ Degenerate input streams map to explicit statuses:
     - last alignment rejected -> TRANSFORM_FROZEN (guidance continues with the
       previous transform)
 
+GuiderConfig holds the realignment period; the limits, horizon and rate are
+module constants.
+
 All ingest and query calls must be externally serialized (single writer).
 """
 
@@ -150,15 +153,14 @@ class GuiderOutput:
 
 @dataclass(frozen=True)
 class GuiderConfig:
-    detection_staleness: float = 1.0   # s without an accepted detection
     realign_period: float = 1.0        # s between alignment re-solves
-    reinit_reject_limit: int = 3       # consecutive gate failures before re-init
-    stream_horizon: float = 10.0       # s of trajectory transmitted per stream
-    ref_rate: float = 5.0              # Hz, reference transmission rate
 
 
-#: s without a VIO sample before the status is HEADING_FROZEN
-VIO_STALENESS = 0.5
+VIO_STALENESS = 0.5          # s without a VIO sample before HEADING_FROZEN
+DETECTION_STALENESS = 1.0    # s without an accepted detection before DEAD_RECKONING_VIO
+REINIT_REJECT_LIMIT = 3      # consecutive gate failures before re-init
+STREAM_HORIZON = 10.0        # s of trajectory transmitted per stream
+REF_RATE = 5.0               # Hz, reference transmission rate
 
 #: statuses in which transformed references keep being streamed
 _STREAMING_STATUSES = frozenset({
@@ -208,7 +210,7 @@ class Guider:
             return GuiderStatus.UNINITIALIZED
         if t - self._vio_buffer[-1].stamp > VIO_STALENESS:
             return GuiderStatus.HEADING_FROZEN
-        if t - self._fused_detections[-1].stamp > self.config.detection_staleness:
+        if t - self._fused_detections[-1].stamp > DETECTION_STALENESS:
             return GuiderStatus.DEAD_RECKONING_VIO
         if not self._alignment_accepted:
             return GuiderStatus.TRANSFORM_FROZEN
@@ -255,7 +257,7 @@ class Guider:
             self._consecutive_rejects = 0
         else:
             self._consecutive_rejects += 1
-            if self._consecutive_rejects >= self.config.reinit_reject_limit:
+            if self._consecutive_rejects >= REINIT_REJECT_LIMIT:
                 # Persistent gate failures while detections keep arriving:
                 # either the estimate diverged or the gated detections are
                 # false targets.  Let the alignment decide: re-initialize only
@@ -308,7 +310,7 @@ class Guider:
     def _initialize(self, now: float) -> None:
         """(Re-)initialize from tracks that are still producing detections
         and, once a filter exists, hold one newer than the last fused one."""
-        stale_after = now - self.config.detection_staleness
+        stale_after = now - DETECTION_STALENESS
         last_fused = (self._fused_detections[-1].stamp if self._history is not None
                       else -math.inf)
         fresh = {tid: buf for tid, buf in self._track_buffers.items()
@@ -333,7 +335,7 @@ class Guider:
         config = self.align_config
         fused = self._fused_detections
         arrays = build_correspondence_arrays(fused, self._vio_buffer, config)
-        if arrays is None or not window_observable(arrays[1], fused[-1].sigma, config):
+        if arrays is None or not window_observable(arrays[1], fused[-1].sigma):
             self._alignment_accepted = False
             return
         result = solve_alignment_arrays(*arrays, config)
@@ -402,7 +404,7 @@ class Guider:
         if self.status(t) not in _STREAMING_STATUSES:
             return None
         transform = self._effective_transform(t)
-        window = desired.slice_window(t, t + self.config.stream_horizon)
+        window = desired.slice_window(t, t + STREAM_HORIZON)
         return window.mapped(transform.translation, transform.heading)
 
     # ----------------------------------------------------------------- helpers

@@ -16,7 +16,7 @@ with (t0, theta0) the initial VIO frame offset and o(t) the accumulated
 position drift.  Until the guider initializes, the engine streams references
 through this true transform (operator-assisted start); afterwards the guider
 streams through its own estimate.  Either way a batch is the desired
-trajectory's window [t, t + stream_horizon] mapped by ``Trajectory.mapped``.
+trajectory's window [t, t + STREAM_HORIZON] mapped by ``Trajectory.mapped``.
 
 The event log is a chronological, replayable record stream; serialized form
 is line-delimited ``TAG field ...`` text with shortest-round-trip floats.  A
@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, build_config, format_value
 from .geometry import Detection, Frame, TimedPose, rot_z, wrap_heading
-from .guider import Guider, Trajectory
+from .guider import REF_RATE, STREAM_HORIZON, Guider, Trajectory
 
 
 class LogParseError(ValueError):
@@ -103,9 +103,9 @@ class EventLog:
     def config_echo(self) -> dict[str, str]:
         return {r[1]: r[2] for r in self.iter_tag("H")}
 
-    def truth(self, tag: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(stamps, positions (N,3), headings) of the pose records ``tag`` (TS)."""
-        rows = [r[1:] for r in self.iter_tag(tag)]
+    def truth(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(stamps, positions (N,3), headings) of the TS ground-truth records."""
+        rows = [r[1:] for r in self.iter_tag("TS")]
         if not rows:
             return np.empty(0), np.empty((0, 3)), np.empty(0)
         arr = np.asarray(rows, dtype=float)
@@ -380,16 +380,14 @@ def streamed_references(log: EventLog) -> list[tuple[float, float, Trajectory]]:
     """(t_emit, t_arrive, batch in V) of every REF record of ``log``.
 
     A batch is the desired trajectory of the log's config echo over
-    [t_emit, t_emit + guider.stream_horizon], mapped with the record's
+    [t_emit, t_emit + STREAM_HORIZON], mapped with the record's
     transform: bit for bit the batch the run streamed.  Raises ValueError when
     a record's point count does not match that window.
     """
-    values = build_config(log.config_echo()).values
-    desired = generate_trajectory(values)
-    horizon = values["guider.stream_horizon"]
+    desired = generate_trajectory(build_config(log.config_echo()).values)
     out = []
     for _, t_emit, t_arrive, n, tx, ty, tz, heading in log.iter_tag("REF"):
-        window = desired.slice_window(t_emit, t_emit + horizon)
+        window = desired.slice_window(t_emit, t_emit + STREAM_HORIZON)
         if len(window) != n:
             raise ValueError(f"REF at t={t_emit!r} holds {n} points, "
                              f"but its window holds {len(window)}")
@@ -566,7 +564,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
 
     det_period = 1.0 / v["detection.rate"]
     vio_period = 1.0 / v["vio.rate"]
-    ref_period = 1.0 / v["guider.ref_rate"]
+    ref_period = 1.0 / REF_RATE
     decim = v["scenario.truth_log_decimation"]
     det_sigma = v["detection.sigma"]
     det_delay_mean = v["detection.delay_mean"]
@@ -575,7 +573,6 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     comm_jitter = v["comm.delay_jitter"]
     vio_noise = v["vio.noise_sigma"]
     abort_radius = v["scenario.abort_radius"]
-    horizon = v["guider.stream_horizon"]
 
     next_det = 0.0
     next_vio = 0.0
@@ -663,7 +660,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             else:
                 # operator-assisted start: true transform until initialization
                 translation, heading = t0 + drift.offset, theta0
-                streamed = desired.slice_window(t, t + horizon).mapped(translation, heading)
+                streamed = desired.slice_window(t, t + STREAM_HORIZON).mapped(translation, heading)
             if streamed is not None and len(streamed):
                 arrival = t + comm_mean + comm_jitter * float(ref_delay_rng.random())
                 log.append(("REF", t, arrival, len(streamed), *translation.tolist(), heading))

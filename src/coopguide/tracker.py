@@ -396,18 +396,18 @@ def try_initialize(
 ) -> Optional[tuple[TrackerState, AlignmentResult, int]]:
     """Attempt estimate initialization from per-track detection buffers.
 
-    For each track in track-id order: build the window, skip it unless
-    :func:`window_observable` at the noise of the track's newest detection,
-    solve it, and initialize from the first track whose solution passes
-    :func:`degeneracy_check`: position from the newest detection, velocity
-    and heading from the rotated/shifted VIO pose at that stamp, covariance
-    from ``INIT_VALUE_VARIANCE`` and ``INIT_RATE_VARIANCE``.  Returns None
-    when no track is accepted.
+    For each track in track-id order: build the window, skip it unless it
+    holds ``MIN_CORRESPONDENCES`` pairs and is :func:`window_observable` at
+    the noise of the track's newest detection, solve it, and initialize from
+    the first track whose solution passes :func:`degeneracy_check`: position
+    from the newest detection, velocity and heading from the rotated/shifted
+    VIO pose at that stamp, covariance from ``INIT_VALUE_VARIANCE`` and
+    ``INIT_RATE_VARIANCE``.  Returns None when no track is accepted.
     """
     for track_id in sorted(per_track_buffers):
         dets = per_track_buffers[track_id]
         arrays = build_correspondence_arrays(dets, vio_buffer, align_config)
-        if arrays is None or not window_observable(arrays[1], dets[-1].sigma, align_config):
+        if arrays is None or not window_observable(arrays[1], dets[-1].sigma):
             continue
         result = solve_alignment_arrays(*arrays, align_config)
         if not degeneracy_check(result, align_config):

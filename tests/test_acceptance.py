@@ -243,7 +243,7 @@ def test_criterion_6_nlos_with_false_targets():
         assert tracked < untracked
         assert tracked <= 0.25
 
-        ts_t, ts_p, _ = log.truth("TS")
+        ts_t, ts_p, _ = log.truth()
         est_t, est_p, _, _ = log.estimates()
         truth_at = np.column_stack([np.interp(est_t, ts_t, ts_p[:, i])
                                     for i in range(3)])

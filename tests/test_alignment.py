@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from coopguide import alignment
 from coopguide.alignment import (
+    MIN_SPREAD_RATIO,
     AlignmentConfig,
     InsufficientDataError,
     _irls,
@@ -82,12 +84,13 @@ def oracle_heading_information(points, theta):
     return float(F_thth - F_tth @ np.linalg.solve(F_tt, F_tth))
 
 
-def assert_spread_is(D, sigma, information):
+def assert_spread_is(D, information):
     """window_observable's spread equals ``information`` to 1e-9: the decision
-    flips between min_spread_ratio just below and just above its ratio."""
-    ratio = information / (len(D) * 2.0 * sigma ** 2)
-    assert window_observable(D, sigma, AlignmentConfig(min_spread_ratio=ratio * (1 - 1e-9)))
-    assert not window_observable(D, sigma, AlignmentConfig(min_spread_ratio=ratio * (1 + 1e-9)))
+    flips between the noise at which the threshold is ``information`` times
+    (1 - 1e-9) and the noise at which it is ``information`` times (1 + 1e-9)."""
+    sigma_sq = information / (MIN_SPREAD_RATIO * len(D) * 2.0)
+    assert window_observable(D, math.sqrt(sigma_sq * (1 - 1e-9)))
+    assert not window_observable(D, math.sqrt(sigma_sq * (1 + 1e-9)))
 
 
 def circle_points(n=50, radius=4.0, z=1.0):
@@ -136,7 +139,11 @@ def test_soft_l1_asymptotics():
 # correspondence building
 
 
-ONE_PAIR = AlignmentConfig(window=10.0, min_correspondences=1)
+@pytest.fixture
+def one_pair(monkeypatch):
+    """A 10 s window config, with a single correspondence enough to solve."""
+    monkeypatch.setattr(alignment, "MIN_CORRESPONDENCES", 1)
+    return AlignmentConfig(window=10.0)
 
 
 def _det(t, pos, track=0):
@@ -147,38 +154,39 @@ def _vio(t, pos):
     return TimedPose(stamp=t, frame=Frame.VIO, position=np.asarray(pos, float))
 
 
-def test_build_correspondences_midpoint_interpolation():
+def test_build_correspondences_midpoint_interpolation(one_pair):
     dets = [_det(0.0, [0, 0, 0]), _det(1.0, [2, 0, 0])]
     vio = [_vio(0.5, [7.0, 8.0, 9.0])]
-    stamps, lidar, vio_positions = build_correspondence_arrays(dets, vio, ONE_PAIR)
+    stamps, lidar, vio_positions = build_correspondence_arrays(dets, vio, one_pair)
     assert len(stamps) == 1
     assert stamps[0] == 0.5
     assert np.allclose(lidar[0], [1.0, 0.0, 0.0])
     assert np.allclose(vio_positions[0], [7.0, 8.0, 9.0])
 
 
-def test_build_correspondences_skips_out_of_span_stamps():
+def test_build_correspondences_skips_out_of_span_stamps(one_pair):
     dets = [_det(0.0, [0, 0, 0]), _det(1.0, [2, 0, 0])]
     vio = [_vio(0.5, [0, 0, 0]), _vio(1.5, [1, 1, 1])]  # 1.5 is 0.4 s beyond span
-    stamps, _, _ = build_correspondence_arrays(dets, vio, ONE_PAIR)
+    stamps, _, _ = build_correspondence_arrays(dets, vio, one_pair)
     assert stamps.tolist() == [0.5]
 
 
-def test_build_correspondences_identical_stamps_zero_error():
+def test_build_correspondences_identical_stamps_zero_error(one_pair):
     stamps = np.arange(0.0, 2.0, 0.1)
     pts = np.column_stack([stamps, stamps ** 2, np.zeros_like(stamps)])
     dets = [_det(t, p) for t, p in zip(stamps, pts)]
     vio = [_vio(t, p + 5.0) for t, p in zip(stamps, pts)]
-    got_stamps, lidar, _ = build_correspondence_arrays(dets, vio, ONE_PAIR)
+    got_stamps, lidar, _ = build_correspondence_arrays(dets, vio, one_pair)
     assert len(got_stamps) == len(stamps)
     for d, p in zip(lidar, pts):
         assert np.allclose(d, p, atol=1e-12)
 
 
-def test_build_correspondences_insufficient_returns_empty():
+def test_build_correspondences_insufficient_returns_empty(monkeypatch):
+    monkeypatch.setattr(alignment, "MIN_CORRESPONDENCES", 5)
     dets = [_det(0.0, [0, 0, 0]), _det(1.0, [2, 0, 0])]
     vio = [_vio(0.5, [0, 0, 0])]
-    cfg = AlignmentConfig(window=10.0, min_correspondences=5)
+    cfg = AlignmentConfig(window=10.0)
     assert build_correspondence_arrays(dets, vio, cfg) is None
 
 
@@ -389,7 +397,7 @@ def test_irls_matches_independent_minimizer_of_soft_l1_cost(with_drift):
     cfg = AlignmentConfig(estimate_drift=with_drift)
     for stamps, D, P, t_star, theta_star, r_star in _noisy_windows(rng, with_drift):
         tau = stamps - stamps.mean()
-        t, theta, r, _, _, stopped = _irls(D, P, tau if with_drift else None, cfg)
+        t, theta, r, _, _, stopped = _irls(D, P, tau if with_drift else None)
         t_or, theta_or, r_or = _independent_minimum(D, P, tau, t_star, theta_star, r_star)
         assert stopped
         assert np.allclose(t, t_or, rtol=0.0, atol=1e-4)
@@ -403,15 +411,15 @@ def test_irls_matches_independent_minimizer_of_soft_l1_cost(with_drift):
 
 
 @pytest.mark.parametrize("with_drift", [False, True])
-def test_irls_cost_does_not_rise_with_the_iteration_budget(with_drift):
+def test_irls_cost_does_not_rise_with_the_iteration_budget(with_drift, monkeypatch):
     rng = np.random.default_rng(59 + with_drift)
     for stamps, D, P, *_ in _noisy_windows(rng, with_drift):
         tau = stamps - stamps.mean() if with_drift else None
         t0, theta0, r0 = _weighted_closed_form(np.ones(len(D)), D, P, tau)
         costs = [_soft_l1_cost(D, P, tau, t0, theta0, r0)]
         for budget in range(1, 11):
-            cfg = AlignmentConfig(max_iterations=budget, estimate_drift=with_drift)
-            t, theta, r, s, iterations, _ = _irls(D, P, tau, cfg)
+            monkeypatch.setattr(alignment, "MAX_ITERATIONS", budget)
+            t, theta, r, s, iterations, _ = _irls(D, P, tau)
             assert iterations <= budget
             costs.append(_soft_l1_cost(D, P, tau, t, theta, r))
             assert costs[-1] == pytest.approx(float(np.sum(soft_l1(s))), rel=1e-12)
@@ -449,21 +457,22 @@ def test_observability_and_fit_invariant_under_vio_translation():
     res_b = solve_alignment_arrays(stamps, D, P + np.array([100.0, -50.0, 20.0]), cfg)
     assert res_a.final_cost == pytest.approx(res_b.final_cost, abs=1e-12)
     assert degeneracy_check(res_a, cfg) and degeneracy_check(res_b, cfg)
-    assert window_observable(D, 0.15, cfg)
+    assert window_observable(D, 0.15)
 
 
 # ---------------------------------------------------------------------------
 # degeneracy detection: geometry before the solve, fit after it
 
 
-def test_degeneracy_single_point_rejected():
+def test_degeneracy_single_point_rejected(monkeypatch):
     pts = np.tile(np.array([0.1, 2.3, 3.0]), (20, 1))
-    for sigma in (0.15, 0.0):
-        assert not window_observable(pts, sigma, AlignmentConfig())
-        assert not window_observable(pts, sigma, AlignmentConfig(min_spread_ratio=0.0))
+    for ratio in (MIN_SPREAD_RATIO, 0.0):
+        monkeypatch.setattr(alignment, "MIN_SPREAD_RATIO", ratio)
+        for sigma in (0.15, 0.0):
+            assert not window_observable(pts, sigma)
     # with noiseless detections any motion is observable
     pts[7, 1] += 1e-6
-    assert window_observable(pts, 0.0, AlignmentConfig())
+    assert window_observable(pts, 0.0)
 
 
 def test_degeneracy_circle_accepted_spread_matches_oracle():
@@ -471,10 +480,10 @@ def test_degeneracy_circle_accepted_spread_matches_oracle():
     theta_star = 0.3
     corrs = make_corrs(pts, np.array([1.0, 1.0, 0.0]), theta_star)
     cfg = AlignmentConfig()
-    assert window_observable(pts, 0.15, cfg)
+    assert window_observable(pts, 0.15)
     res = solve_alignment_arrays(*corrs, cfg)
     assert degeneracy_check(res, cfg)
-    assert_spread_is(pts, 0.15, oracle_heading_information(pts, res.transform.heading))
+    assert_spread_is(pts, oracle_heading_information(pts, res.transform.heading))
 
 
 def test_degeneracy_straight_segment_accepted():
@@ -483,25 +492,26 @@ def test_degeneracy_straight_segment_accepted():
     pts = np.column_stack([s, np.zeros(n), np.ones(n)])
     corrs = make_corrs(pts, np.array([0.5, 0.5, 0.0]), 1.0)
     res = solve_alignment_arrays(*corrs)
-    assert_spread_is(pts, 0.15, oracle_heading_information(pts, res.transform.heading))
+    assert_spread_is(pts, oracle_heading_information(pts, res.transform.heading))
     cfg = AlignmentConfig()
-    assert window_observable(pts, 0.15, cfg)
+    assert window_observable(pts, 0.15)
     assert degeneracy_check(res, cfg)
 
 
-def test_degeneracy_check_rejects_a_converged_fit_above_max_cost():
+def test_degeneracy_check_rejects_a_converged_fit_above_max_cost(monkeypatch):
     rng = np.random.default_rng(6)
     stamps, D, P = make_corrs(circle_points(50), np.array([3.0, -2.0, 1.0]), -2.2)
     P = P + rng.normal(0.0, 0.05, P.shape)
     P[rng.choice(len(D), size=10, replace=False)] += 5.0 * np.array([0.6, 0.0, 0.8])
     cfg = AlignmentConfig()
-    assert window_observable(D, 0.05, cfg)
+    assert window_observable(D, 0.05)
     res = solve_alignment_arrays(stamps, D, P, cfg)
     assert res.converged and res.final_cost > cfg.max_cost
     assert not degeneracy_check(res, cfg)
     assert degeneracy_check(res, AlignmentConfig(max_cost=res.final_cost))
     # a fit that ran out of iterations is rejected whatever its cost
-    res = solve_alignment_arrays(stamps, D, P, AlignmentConfig(max_iterations=1))
+    monkeypatch.setattr(alignment, "MAX_ITERATIONS", 1)
+    res = solve_alignment_arrays(stamps, D, P, cfg)
     assert not res.converged
     assert not degeneracy_check(res, AlignmentConfig(max_cost=math.inf))
 
@@ -534,13 +544,13 @@ def test_window_geometry_matches_oracle_and_gates_the_solve():
     for kind, D in _geometry_windows(rng):
         # the spread is the heading information whatever the heading
         for theta in (0.0, 0.7, -2.5, math.pi):
-            assert_spread_is(D, sigma, oracle_heading_information(D, theta))
+            assert_spread_is(D, oracle_heading_information(D, theta))
         information = oracle_heading_information(D, 0.0)
         theta_star = float(rng.uniform(-math.pi, math.pi))
         P = D @ rot_z(theta_star).T + rng.uniform(-5.0, 5.0, 3) + rng.normal(0.0, 0.02, D.shape)
         stamps = 0.1 * np.arange(len(D))
-        observable = window_observable(D, sigma, cfg)
-        assert observable == (information > cfg.min_spread_ratio * len(D) * 2.0 * sigma ** 2)
+        observable = window_observable(D, sigma)
+        assert observable == (information > MIN_SPREAD_RATIO * len(D) * 2.0 * sigma ** 2)
         if not observable:
             failed.add(kind)
             continue
@@ -558,10 +568,10 @@ def test_window_observable_is_invariant_to_translating_the_window():
     decisions = set()
     for _, D in _geometry_windows(rng):
         for sigma in (0.02, 0.05, 0.15):
-            observable = window_observable(D, sigma, AlignmentConfig())
+            observable = window_observable(D, sigma)
             decisions.add(observable)
             for offset in offsets:
-                assert window_observable(D + offset, sigma, AlignmentConfig()) == observable
+                assert window_observable(D + offset, sigma) == observable
     assert decisions == {True, False}
 
 
@@ -573,7 +583,7 @@ def test_hovering_noise_window_is_rejected_anywhere(center):
     sigma = 0.15
     for n in (50, 150, 300, 450):
         D = np.array([*center, 1.5]) + rng.normal(0.0, sigma, (n, 3))
-        assert not window_observable(D, sigma, AlignmentConfig())
+        assert not window_observable(D, sigma)
 
 
 @pytest.mark.parametrize("offset", [(0.0, 0.0), (30.0, 0.0)])
@@ -585,14 +595,14 @@ def test_eight_second_arc_of_the_shipped_circle_is_observable(offset):
     D = np.column_stack([4.0 * np.cos(ang) + offset[0], 4.0 * np.sin(ang) + offset[1],
                          np.full(len(t), 1.5)])
     D = D + rng.normal(0.0, 0.15, D.shape)
-    assert window_observable(D, 0.15, AlignmentConfig())
+    assert window_observable(D, 0.15)
 
 
-def test_exact_recovery_property_small_paths():
+def test_exact_recovery_property_small_paths(monkeypatch):
     # Spec invariant: >= 3 non-collocated noiseless points spanning >= 0.5 m
     # recover exactly.
     rng = np.random.default_rng(12)
-    cfg = AlignmentConfig(min_correspondences=3)
+    monkeypatch.setattr(alignment, "MIN_CORRESPONDENCES", 3)
     for _ in range(50):
         n = rng.integers(3, 12)
         base = rng.uniform(-2, 2, 3)
@@ -604,7 +614,7 @@ def test_exact_recovery_property_small_paths():
         t_star = rng.uniform(-10, 10, 3)
         theta_star = rng.uniform(-math.pi, math.pi)
         corrs = make_corrs(pts, t_star, theta_star)
-        res = solve_alignment_arrays(*corrs, config=cfg)
+        res = solve_alignment_arrays(*corrs)
         assert res.converged
         assert np.allclose(res.transform.translation, t_star, atol=1e-6)
         assert abs(wrap_heading(res.transform.heading - theta_star)) < 1e-8

@@ -9,6 +9,7 @@ import pytest
 
 import coopguide
 from coopguide.cli import main
+from coopguide.config import DEFAULTS
 
 BASE_CFG = """
 # short smoke scenario
@@ -77,7 +78,11 @@ def test_run_point_of_wrong_length_exits_one_naming_key(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("line", [
-    "tracker.gate_p_value = 1.5",   # the tracker.* keys are gone: unknown key
+    # removed keys are unknown
+    "tracker.gate_p_value = 1.5",
+    "alignment.max_iterations = 0",
+    "guider.stream_horizon = -1",
+    "alignment.min_spread_ratio = -0.5",
     "trajectory.radius = 0",
     "trajectory.radius = -2",
     pytest.param("trajectory.pattern = eight\ntrajectory.radius = 0",
@@ -85,9 +90,15 @@ def test_run_point_of_wrong_length_exits_one_naming_key(tmp_path, capsys, line):
     "scenario.duration = -1",
     "detection.sigma = -0.1",
     "alignment.window = -1",
-    "alignment.max_iterations = 0",
-    "guider.stream_horizon = -1",
-    "alignment.min_spread_ratio = -0.5",
+    "trajectory.laps = 0",
+    "scenario.abort_radius = -1",
+    "plant.max_speed = 0",
+    "detection.delay_mean = -1",
+    "detection.delay_jitter = -0.01",
+    "comm.delay_mean = -1",
+    "comm.delay_jitter = -0.01",
+    "alignment.max_cost = -1",
+    "guider.realign_period = 0",
 ])
 def test_run_out_of_range_value_exits_one_naming_key(tmp_path, capsys, line):
     cfg = _write(tmp_path, "bad.cfg", BASE_CFG + line + "\n")
@@ -98,7 +109,7 @@ def test_run_out_of_range_value_exits_one_naming_key(tmp_path, capsys, line):
     assert err.startswith("config error:")
     key = line.splitlines()[-1].split()[0]
     assert key in err
-    if key.startswith("tracker."):
+    if key not in DEFAULTS:
         assert "unknown config key" in err
     assert not out.exists()
 

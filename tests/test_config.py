@@ -8,10 +8,18 @@ from typing import get_type_hints
 import pytest
 
 from coopguide.alignment import AlignmentConfig
-from coopguide.config import DEFAULTS, ConfigError, build_config, coerce, format_value
+from coopguide.config import (
+    DEFAULTS,
+    ConfigError,
+    build_config,
+    coerce,
+    format_value,
+    load_config_file,
+)
 from coopguide.guider import GuiderConfig
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("section, cls", [
@@ -31,11 +39,22 @@ def test_section_keys_name_dataclass_fields_with_equal_defaults(section, cls):
 
 def test_section_key_overrides_its_field():
     config = build_config({"alignment.window": 7.0, "guider.realign_period": 3.0,
-                           "guider.reinit_reject_limit": 5})
+                           "alignment.estimate_drift": True})
     assert config.alignment.window == 7.0
     assert config.guider.realign_period == 3.0
-    assert config.guider.reinit_reject_limit == 5
+    assert config.alignment.estimate_drift is True
     assert config.alignment.max_cost == AlignmentConfig().max_cost
+
+
+def test_every_estimator_key_has_a_shipped_config_that_changes_it():
+    # an alignment.* or guider.* setting stays a key only while a shipped
+    # scenario needs a value other than its default; otherwise it is a
+    # constant of its module
+    shipped = [load_config_file(str(path)) for path in sorted((ROOT / "configs").glob("*.cfg"))]
+    assert shipped
+    for key, default in DEFAULTS.items():
+        if key.startswith(("alignment.", "guider.")):
+            assert any(key in values and values[key] != default for values in shipped), key
 
 
 def test_readme_config_table_lists_every_key_once():

@@ -16,6 +16,7 @@ from coopguide.evaluation import (
     mean_path_deviation,
 )
 from coopguide.geometry import rot_z
+from coopguide.guider import DETECTION_STALENESS
 from coopguide.simulator import EventLog, ReferencePath, generate_trajectory, run_scenario
 
 
@@ -135,17 +136,19 @@ def test_path_deviation_symmetric_mean():
 def _synthetic_log(errors_visible, errors_hidden):
     """Log with constant-position truth and estimates offset by known errors.
 
-    The echoed detection staleness is below the 0.2 s sample spacing, so the
-    tracked label matches the construction exactly.
+    The hidden phase starts 0.2 s more than DETECTION_STALENESS after the
+    last detection, so the tracked label matches the construction exactly.
     """
     log = EventLog()
-    cfg = build_config({"guider.detection_staleness": 0.1})
+    cfg = build_config({})
     from coopguide.config import format_value
     for key, value in cfg.effective_items():
         log.append(("H", key, format_value(value)))
     t = 0.0
     k = 0
     for phase, err in (("vis", errors_visible), ("hid", errors_hidden)):
+        if phase == "hid":
+            t += DETECTION_STALENESS
         for _ in range(40):
             log.append(("TS", t, 1.0, 2.0, 3.0, 0.0))
             if phase == "vis":
@@ -166,7 +169,7 @@ def test_split_tracked_rmse_constructed_fixture():
 
 
 def test_split_no_occlusion_reports_absent_untracked():
-    report = evaluate_log(_all_visible_log())  # echoes detection_staleness = 1.0
+    report = evaluate_log(_all_visible_log())
     tracked, untracked = report.tracked_rmse, report.untracked_rmse
     assert untracked is None
     assert tracked == pytest.approx(0.1, abs=1e-9)
@@ -223,7 +226,7 @@ def test_align_then_ate_bounded_by_interpolation_error():
     # alignment path (100 Hz truth sampling)
     cfg = build_config({"trajectory.laps": 1, "scenario.duration": 30.0})
     log = run_scenario(cfg)
-    ts_t, ts_p, _ = log.truth("TS")
+    ts_t, ts_p, _ = log.truth()
     T = align_first_window((ts_t, ts_p), (ts_t, ts_p), window=20.0)
     aligned = ts_p @ T.rotation.T + T.translation
     ate_2d, ate_3d = absolute_trajectory_error((ts_t, aligned), (ts_t, ts_p))

@@ -352,7 +352,7 @@ def test_noiseless_circle_small_deviation():
     })
     log = run_scenario(cfg)
     assert not log.failed
-    ts, pos, _ = log.truth("TS")
+    ts, pos, _ = log.truth()
     mask = ts >= 2.0
     dev = np.hypot(np.hypot(pos[mask, 0], pos[mask, 1]) - 4.0, pos[mask, 2] - 1.5)
     assert float(dev.mean()) < 0.05
@@ -411,7 +411,7 @@ def test_conservation_of_frames():
     theta0 = cfg["vio.initial_heading"]
     t0 = np.asarray(cfg["vio.initial_offset"])
     R_inv = rot_z(-theta0)
-    ts_t, ts_p, ts_h = log.truth("TS")
+    ts_t, ts_p, ts_h = log.truth()
     tick_rate = cfg["scenario.tick_rate"]
     dt = 1.0 / tick_rate
     model = simulator.make_drift(cfg.values)
@@ -459,7 +459,7 @@ def test_figure_eight_closed_loop():
     assert not log.failed
     et, epos, _, _ = log.estimates()
     assert len(et) > 50
-    ts, pos, _ = log.truth("TS")
+    ts, pos, _ = log.truth()
     ti = np.column_stack([np.interp(et, ts, pos[:, i]) for i in range(3)])
     err = np.linalg.norm(epos - ti, axis=1)
     assert float(np.sqrt(np.mean(err ** 2))) < 0.25
@@ -474,7 +474,7 @@ def test_waypoint_closed_loop():
     })
     log = run_scenario(cfg)
     assert not log.failed
-    ts, pos, _ = log.truth("TS")
+    ts, pos, _ = log.truth()
     # reaches the final waypoint
     assert np.linalg.norm(pos[-1] - np.array([-2.0, 6.0, 1.5])) < 0.5
 
