@@ -5,7 +5,7 @@ Library layout:
     alignment   sliding-window robust alignment of detection/VIO trajectories
     tracker     delay-tolerant constant-velocity Kalman tracking + gating
     guider      estimation pipeline + reference transformation/streaming
-    config      scenario configuration (defaults, file format, overrides)
+    config      scenario configuration (one key table, file format, overrides)
     simulator   deterministic closed-loop scenario engine + event logs
     evaluation  trajectory/scenario metrics over event logs
     cli         run / sweep / eval command-line entry points
@@ -37,7 +37,7 @@ from .geometry import (
     interpolate,
     wrap_heading,
 )
-from .guider import Guider, GuiderConfig, GuiderOutput, GuiderStatus, Trajectory
+from .guider import Guider, GuiderOutput, GuiderStatus, Trajectory
 from .simulator import EventLog, run_scenario
 from .tracker import (
     GateDecision,

@@ -32,7 +32,7 @@ residual is at most ``max_cost``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ from .geometry import (
     Frame,
     RelativeTransform,
     TimedPose,
+    interp_columns,
     rot_z,
     wrap_heading,
 )
@@ -60,11 +61,12 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class AlignmentConfig:
-    """The alignment settings a shipped scenario changes; the counts and the
-    observability ratio are module constants."""
+    """The alignment settings a shipped scenario changes; each field's
+    ``valid`` metadata is the range of its ``alignment.*`` config key.  The
+    counts and the observability ratio are module constants."""
 
-    window: float = 15.0
-    max_cost: float = 0.09          # mean robustified residual
+    window: float = field(default=15.0, metadata={"valid": "> 0"})
+    max_cost: float = field(default=0.09, metadata={"valid": ">= 0"})  # mean robustified residual
     estimate_drift: bool = False    # co-estimate a linear VIO drift rate
 
 
@@ -151,11 +153,9 @@ def build_correspondence_arrays(
             if len(kept) < MIN_CORRESPONDENCES:
                 return None
             stamps = stamps[ok]
-    # vectorized linear interpolation of the detection track to VIO stamps;
-    # np.interp clamps at the ends, matching the within-tolerance hold rule
-    interp = np.column_stack([
-        np.interp(stamps, det_stamps, det_positions[:, i]) for i in range(3)
-    ])
+    # linear interpolation of the detection track to VIO stamps; np.interp
+    # clamps at the ends, matching the within-tolerance hold rule
+    interp = interp_columns(stamps, det_stamps, det_positions)
     vio_positions = np.array([p.position for p in kept])
     return stamps, interp, vio_positions
 

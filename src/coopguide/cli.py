@@ -91,13 +91,10 @@ def cmd_sweep(config_path: str, seed: Optional[int], out_dir: str, jobs: int) ->
         config = build_config(overrides, seed=seed)
         parameter = config["sweep.parameter"]
         values = config["sweep.values"]
-        runs = config["sweep.runs_per_value"]
         if not parameter:
             raise ConfigError("sweep.parameter is required for the sweep subcommand")
         if not values:
             raise ConfigError("sweep.values is required for the sweep subcommand")
-        if runs < 1:
-            raise ConfigError("sweep.runs_per_value must be >= 1")
         for value in values:  # reject a bad value before any run starts
             build_config({**overrides, parameter: value})
     except (ConfigError, OSError) as exc:
@@ -110,7 +107,7 @@ def cmd_sweep(config_path: str, seed: Optional[int], out_dir: str, jobs: int) ->
     tasks = [
         (overrides, parameter, value, vi, ri, base_seed)
         for vi, value in enumerate(values)
-        for ri in range(runs)
+        for ri in range(config["sweep.runs_per_value"])
     ]
     if jobs > 1:
         with multiprocessing.Pool(processes=jobs) as pool:

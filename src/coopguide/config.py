@@ -1,15 +1,18 @@
-"""Scenario configuration: defaults, text file format, dotted-path overrides.
+"""Scenario configuration: one table of keys, text file format, dotted-path overrides.
 
 Config files are plain text, one ``dotted.key = value`` per line, ``#`` for
-comments.  Every key has a documented default (see DEFAULTS and the README
-schema table); files only override.  Unknown keys are errors so sweep typos
+comments.  SCHEMA declares every key once, with its default and its valid
+values (the README config table mirrors it); files only override, and
+DEFAULTS is the table's defaults.  Unknown keys are errors so sweep typos
 fail fast.  Values are coerced to the type of the default: int, float, bool
 ("true"/"false"), string, or points ("x,y,z" for one position, "x,y,z; x,y,z"
 for a list of them, "x1,y1,x2,y2; ..." for wall segments); a point of the
-wrong length is a config error.  The ``alignment.*`` and ``guider.*`` keys
-are generated from the fields of AlignmentConfig and GuiderConfig, one key
-per field with the field's default; an estimator setting that no shipped
-scenario changes is a constant of its module, not a key.
+wrong length is a config error.  ScenarioConfig then checks every value
+against its declared valid values, plus the two rules that join keys.  The
+``alignment.*`` keys are generated from the fields of AlignmentConfig, one
+key per field with the field's default and its ``valid`` metadata; an
+estimator setting that no shipped scenario changes is a constant of its
+module, not a key.
 """
 
 from __future__ import annotations
@@ -19,74 +22,76 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional
 
 from .alignment import AlignmentConfig
-from .guider import GuiderConfig
 
 
 class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration input."""
 
 
-_SECTIONS = (("alignment", AlignmentConfig), ("guider", GuiderConfig))
+#: the bounds a key's valid values may be declared with
+_BOUNDS = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0, ">= 1": lambda x: x >= 1}
 
 
-DEFAULTS: dict[str, Any] = {
+#: key -> (default, valid values): a bound of _BOUNDS, a tuple of the
+#: allowed names, or None (any value of the default's type)
+SCHEMA: dict[str, tuple[Any, Any]] = {
     # scenario framing
-    "scenario.seed": 1,
-    "scenario.duration": 0.0,          # s; 0 = derive from trajectory end + 5 s
-    "scenario.tick_rate": 100.0,       # Hz, fixed-step loop
-    "scenario.abort_radius": 3.0,      # m from desired path before failure
-    "scenario.truth_log_decimation": 1,  # log truth every Nth tick
+    "scenario.seed": (1, ">= 0"),
+    "scenario.duration": (0.0, ">= 0"),        # s; 0 = derive from trajectory end + 5 s
+    "scenario.tick_rate": (100.0, "> 0"),      # Hz, fixed-step loop
+    "scenario.abort_radius": (3.0, "> 0"),     # m from desired path before failure
+    "scenario.truth_log_decimation": (1, ">= 1"),  # log truth every Nth tick
     # primary agent motion (affects occlusion geometry only)
-    "primary.pattern": "square",       # square | line | static
-    "primary.size": 3.0,               # m, square side / line length
-    "primary.speed": 0.5,              # m/s
-    "primary.center": (0.0, 0.0, 3.0),
+    "primary.pattern": ("square", ("square", "line", "static")),
+    "primary.size": (3.0, ">= 0"),             # m, square side / line length
+    "primary.speed": (0.5, ">= 0"),            # m/s; 0 = static
+    "primary.center": ((0.0, 0.0, 3.0), None),
     # desired trajectory for the secondary agent, defined in frame L
-    "trajectory.pattern": "circle",    # circle | eight | waypoints
-    "trajectory.radius": 4.0,          # m (circle; eight uses it as half-width)
-    "trajectory.speed": 0.5,           # m/s
-    "trajectory.center": (0.0, 0.0, 1.5),
-    "trajectory.laps": 10,
-    "trajectory.spacing": 0.5,         # s between reference points
-    "trajectory.start": 2.0,           # s, stamp of the first trajectory point
-    "trajectory.waypoints": (),        # "x,y,z; x,y,z; ..." when pattern=waypoints
+    "trajectory.pattern": ("circle", ("circle", "eight", "waypoints")),
+    "trajectory.radius": (4.0, None),          # m (circle; eight uses it as half-width)
+    "trajectory.speed": (0.5, "> 0"),          # m/s
+    "trajectory.center": ((0.0, 0.0, 1.5), None),
+    "trajectory.laps": (10, ">= 1"),
+    "trajectory.spacing": (0.5, "> 0"),        # s between reference points
+    "trajectory.start": (2.0, None),           # s, stamp of the first trajectory point
+    "trajectory.waypoints": ((), None),        # "x,y,z; x,y,z; ..." when pattern=waypoints
     # VIO stream of the secondary agent
-    "vio.rate": 30.0,                  # Hz
-    "vio.noise_sigma": 0.0,            # m, white position noise (0 = drift only)
-    "vio.initial_offset": (5.0, -3.0, 1.0),   # t0 of the true L->V transform
-    "vio.initial_heading": 0.7,        # rad, theta of the true L->V transform
+    "vio.rate": (30.0, "> 0"),                 # Hz
+    "vio.noise_sigma": (0.0, ">= 0"),          # m, white position noise (0 = drift only)
+    "vio.initial_offset": ((5.0, -3.0, 1.0), None),   # t0 of the true L->V transform
+    "vio.initial_heading": (0.7, None),        # rad, theta of the true L->V transform
     # VIO drift model (position drift of frame V)
-    "vio_drift.model": "none",         # none | constant_velocity | random_walk
-    "vio_drift.x": 0.0,                # m/s
-    "vio_drift.y": 0.0,
-    "vio_drift.z": 0.0,
-    "vio_drift.sigma": 0.0,            # m/sqrt(s), random walk
+    "vio_drift.model": ("none", ("none", "constant_velocity", "random_walk")),
+    "vio_drift.x": (0.0, None),                # m/s
+    "vio_drift.y": (0.0, None),
+    "vio_drift.z": (0.0, None),
+    "vio_drift.sigma": (0.0, ">= 0"),          # m/sqrt(s), random walk
     # lidar detection stream
-    "detection.rate": 10.0,            # Hz
-    "detection.sigma": 0.15,           # m, isotropic noise
-    "detection.delay_mean": 0.05,      # s, processing delay
-    "detection.delay_jitter": 0.03,    # s, uniform extra delay
+    "detection.rate": (10.0, "> 0"),           # Hz
+    "detection.sigma": (0.15, ">= 0"),         # m, isotropic noise
+    "detection.delay_mean": (0.05, ">= 0"),    # s, processing delay
+    "detection.delay_jitter": (0.03, ">= 0"),  # s, uniform extra delay
     # wireless link (VIO upstream, references downstream)
-    "comm.delay_mean": 0.02,
-    "comm.delay_jitter": 0.02,
+    "comm.delay_mean": (0.02, ">= 0"),
+    "comm.delay_jitter": (0.02, ">= 0"),
     # environment
-    "false_targets.positions": (),     # "x,y,z; x,y,z"
-    "nlos.walls": (),                  # "x1,y1,x2,y2; ..." vertical walls in xy
+    "false_targets.positions": ((), None),     # "x,y,z; x,y,z"
+    "nlos.walls": ((), None),                  # "x1,y1,x2,y2; ..." vertical walls in xy
     # secondary agent plant (first-order reference tracking in frame V)
-    "plant.time_constant": 0.5,        # s
-    "plant.max_speed": 2.0,            # m/s
-    "plant.max_heading_rate": 1.5,     # rad/s
-    # alignment and guider: one key per dataclass field, same default
-    **{f"{section}.{f.name}": f.default for section, cls in _SECTIONS for f in fields(cls)},
+    "plant.time_constant": (0.5, "> 0"),       # s
+    "plant.max_speed": (2.0, "> 0"),           # m/s
+    "plant.max_heading_rate": (1.5, "> 0"),    # rad/s
+    # alignment: one key per AlignmentConfig field, same default and range
+    **{f"alignment.{f.name}": (f.default, f.metadata.get("valid"))
+       for f in fields(AlignmentConfig)},
+    "guider.realign_period": (1.0, "> 0"),     # s between alignment re-solves
     # sweep section (used by the sweep subcommand only)
-    "sweep.parameter": "",
-    "sweep.values": (),
-    "sweep.runs_per_value": 10,
+    "sweep.parameter": ("", None),
+    "sweep.values": ((), None),
+    "sweep.runs_per_value": (10, ">= 1"),
 }
 
-_PATTERNS_PRIMARY = ("square", "line", "static")
-_PATTERNS_TRAJECTORY = ("circle", "eight", "waypoints")
-_DRIFT_MODELS = ("none", "constant_velocity", "random_walk")
+DEFAULTS: dict[str, Any] = {key: default for key, (default, _) in SCHEMA.items()}
 
 
 #: point-valued keys: (numbers per point, whether the value is a list of points)
@@ -196,44 +201,26 @@ def load_config_file(path: str) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved scenario: flat effective mapping + typed sub-configs."""
+    """Fully resolved scenario: flat effective mapping + typed alignment config."""
 
     values: Mapping[str, Any]
     alignment: AlignmentConfig = field(init=False)
-    guider: GuiderConfig = field(init=False)
 
     def __post_init__(self):
         v = self.values
-        if v["primary.pattern"] not in _PATTERNS_PRIMARY:
-            raise ConfigError(f"primary.pattern must be one of {_PATTERNS_PRIMARY}")
-        if v["trajectory.pattern"] not in _PATTERNS_TRAJECTORY:
-            raise ConfigError(f"trajectory.pattern must be one of {_PATTERNS_TRAJECTORY}")
-        if v["vio_drift.model"] not in _DRIFT_MODELS:
-            raise ConfigError(f"vio_drift.model must be one of {_DRIFT_MODELS}")
-        for key in ("scenario.tick_rate", "scenario.abort_radius", "vio.rate",
-                    "detection.rate", "trajectory.speed", "trajectory.spacing",
-                    "plant.time_constant", "plant.max_speed", "alignment.window",
-                    "guider.realign_period"):
-            if v[key] <= 0:
-                raise ConfigError(f"{key} must be positive, got {v[key]}")
-        if v["trajectory.pattern"] == "waypoints" and not v["trajectory.waypoints"]:
-            raise ConfigError("trajectory.waypoints is required when "
-                              "trajectory.pattern = waypoints")
-        for key in ("scenario.truth_log_decimation", "trajectory.laps"):
-            if v[key] < 1:
-                raise ConfigError(f"{key} must be >= 1, got {v[key]}")
+        for key, (_, valid) in SCHEMA.items():
+            if isinstance(valid, tuple) and v[key] not in valid:
+                raise ConfigError(f"{key} must be one of {valid}, got {v[key]!r}")
+            if isinstance(valid, str) and not _BOUNDS[valid](v[key]):
+                raise ConfigError(f"{key} must be {valid}, got {v[key]!r}")
+        if v["trajectory.pattern"] == "waypoints" and len(v["trajectory.waypoints"]) < 2:
+            raise ConfigError("trajectory.waypoints needs at least two x,y,z points "
+                              "when trajectory.pattern = waypoints")
         if v["trajectory.pattern"] != "waypoints" and v["trajectory.radius"] <= 0:
             raise ConfigError(f"trajectory.radius must be positive for the "
                               f"{v['trajectory.pattern']} pattern, got {v['trajectory.radius']}")
-        for key in ("scenario.duration", "detection.sigma", "detection.delay_mean",
-                    "detection.delay_jitter", "comm.delay_mean", "comm.delay_jitter",
-                    "alignment.max_cost"):
-            if v[key] < 0:
-                raise ConfigError(f"{key} must be >= 0, got {v[key]}")
-        for section, cls in _SECTIONS:
-            # each field is read from its "<section>.<field>" key
-            object.__setattr__(self, section, cls(**{
-                f.name: v[f"{section}.{f.name}"] for f in fields(cls)}))
+        object.__setattr__(self, "alignment", AlignmentConfig(**{
+            f.name: v[f"alignment.{f.name}"] for f in fields(AlignmentConfig)}))
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]

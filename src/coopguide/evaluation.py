@@ -16,8 +16,8 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .alignment import closed_form_align
-from .config import ScenarioConfig, build_config
-from .geometry import Frame, RelativeTransform
+from .config import ScenarioConfig
+from .geometry import Frame, RelativeTransform, interp_columns
 from .guider import DETECTION_STALENESS
 from .simulator import EventLog, ReferencePath, generate_trajectory
 
@@ -41,12 +41,6 @@ class ErrorReport:
     errors_2d: np.ndarray
     errors_3d: np.ndarray
     visible: np.ndarray         # bool per sample
-
-
-def _interp_series(t: np.ndarray, series_t: np.ndarray, series_v: np.ndarray) -> np.ndarray:
-    return np.column_stack([
-        np.interp(t, series_t, series_v[:, i]) for i in range(series_v.shape[1])
-    ])
 
 
 def align_first_window(
@@ -75,7 +69,7 @@ def align_first_window(
             f"insufficient overlap: {int(mask.sum())} samples in the first "
             f"{window} s window"
         )
-    gt_at = _interp_series(t_traj[mask], t_gt, p_gt)
+    gt_at = interp_columns(t_traj[mask], t_gt, p_gt)
     t, theta = closed_form_align(p_traj[mask], gt_at)
     return RelativeTransform(t, theta, Frame.LIDAR, Frame.LIDAR,
                              stamp=float(start))
@@ -93,7 +87,7 @@ def absolute_trajectory_error(
     mask = (t_traj >= start) & (t_traj <= end)
     if not len(t_traj) or not len(t_gt) or not mask.any():
         raise EvaluationError("empty overlap between trajectory and ground truth")
-    gt_at = _interp_series(t_traj[mask], t_gt, p_gt)
+    gt_at = interp_columns(t_traj[mask], t_gt, p_gt)
     delta = p_traj[mask] - gt_at
     ate_2d = float(np.sqrt(np.mean(delta[:, 0] ** 2 + delta[:, 1] ** 2)))
     ate_3d = float(np.sqrt(np.mean(np.einsum("ij,ij->i", delta, delta))))
@@ -118,14 +112,9 @@ def _visibility_flags(est_stamps: np.ndarray, det_stamps: np.ndarray) -> np.ndar
     return age <= DETECTION_STALENESS
 
 
-def log_config(log: EventLog) -> ScenarioConfig:
-    """Rebuild the effective scenario config from a log's header echo."""
-    return build_config(log.config_echo())
-
-
 def evaluate_log(log: EventLog) -> ErrorReport:
     """Full metric set for one scenario event log."""
-    config = log_config(log)
+    config = log.config()
     est_t, est_p, _, _ = log.estimates()
     ts_t, ts_p, _ = log.truth()
     if len(ts_t) == 0:
@@ -134,7 +123,7 @@ def evaluate_log(log: EventLog) -> ErrorReport:
         raise EvaluationError("log contains no estimate records "
                               "(the guider never initialized)")
 
-    truth_at = _interp_series(est_t, ts_t, ts_p)
+    truth_at = interp_columns(est_t, ts_t, ts_p)
     delta = est_p - truth_at
     errors_2d = np.hypot(delta[:, 0], delta[:, 1])
     errors_3d = np.linalg.norm(delta, axis=1)

@@ -184,3 +184,10 @@ def interpolate(buffer: Sequence[TimedPose], t: float, tolerance: float = STALE_
     if buffer[hi].stamp == t:
         return buffer[hi]
     return _lerp_pose(buffer[hi - 1], buffer[hi], t)
+
+
+def interp_columns(t: np.ndarray, stamps: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each column of ``values`` (N, k), sampled at ``stamps``, linearly
+    interpolated at ``t`` (M,): an (M, k) array.  Like ``np.interp``, values
+    are held at the ends, not extrapolated."""
+    return np.column_stack([np.interp(t, stamps, values[:, i]) for i in range(values.shape[1])])

@@ -26,8 +26,9 @@ Degenerate input streams map to explicit statuses:
     - last alignment rejected -> TRANSFORM_FROZEN (guidance continues with the
       previous transform)
 
-GuiderConfig holds the realignment period; the limits, horizon and rate are
-module constants.
+The realignment period is the guider's one setting, passed as a float (the
+scenario key ``guider.realign_period``); the staleness limits, the reject
+limit, the stream horizon and the reference rate are module constants.
 
 All ingest and query calls must be externally serialized (single writer).
 """
@@ -151,11 +152,6 @@ class GuiderOutput:
     status: GuiderStatus
 
 
-@dataclass(frozen=True)
-class GuiderConfig:
-    realign_period: float = 1.0        # s between alignment re-solves
-
-
 VIO_STALENESS = 0.5          # s without a VIO sample before HEADING_FROZEN
 DETECTION_STALENESS = 1.0    # s without an accepted detection before DEAD_RECKONING_VIO
 REINIT_REJECT_LIMIT = 3      # consecutive gate failures before re-init
@@ -173,13 +169,9 @@ _STREAMING_STATUSES = frozenset({
 class Guider:
     """Single-secondary guidance pipeline (see module docstring)."""
 
-    def __init__(
-        self,
-        align_config: AlignmentConfig = AlignmentConfig(),
-        config: GuiderConfig = GuiderConfig(),
-    ):
+    def __init__(self, align_config: AlignmentConfig, realign_period: float):
         self.align_config = align_config
-        self.config = config
+        self.realign_period = realign_period   # s between alignment re-solves
         buffer_span = align_config.window + 2.0
         self._buffer_span = buffer_span
         self._track_buffers: dict[int, deque[Detection]] = {}
@@ -325,13 +317,13 @@ class Guider:
         self._history = HistoryBuffer(state)
         self._alignment = result
         self._alignment_accepted = True
-        self._next_alignment_time = state.stamp + self.config.realign_period
+        self._next_alignment_time = state.stamp + self.realign_period
         chosen = self._track_buffers[track_id]
         self._fused_detections = deque(chosen)
         self._consecutive_rejects = 0
 
     def _realign(self, now: float) -> None:
-        self._next_alignment_time = now + self.config.realign_period
+        self._next_alignment_time = now + self.realign_period
         config = self.align_config
         fused = self._fused_detections
         arrays = build_correspondence_arrays(fused, self._vio_buffer, config)

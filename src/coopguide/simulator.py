@@ -36,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, build_config, format_value
+from .config import ScenarioConfig, build_config, format_value
 from .geometry import Detection, Frame, TimedPose, rot_z, wrap_heading
 from .guider import REF_RATE, STREAM_HORIZON, Guider, Trajectory
 
@@ -100,8 +100,10 @@ class EventLog:
 
     # -- typed accessors -----------------------------------------------------
 
-    def config_echo(self) -> dict[str, str]:
-        return {r[1]: r[2] for r in self.iter_tag("H")}
+    def config(self) -> ScenarioConfig:
+        """The run's effective config, rebuilt from the ``H`` echo (ConfigError
+        when the echo holds an unknown key or a bad value)."""
+        return build_config({r[1]: r[2] for r in self.iter_tag("H")})
 
     def truth(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(stamps, positions (N,3), headings) of the TS ground-truth records."""
@@ -358,9 +360,7 @@ def generate_trajectory(values) -> Trajectory:
             [math.atan2(math.cos(2.0 * ui), math.cos(ui)) for ui in params],
         )
     # waypoints: constant-speed polyline
-    wp = np.asarray(values["trajectory.waypoints"], dtype=float)
-    if len(wp) < 2:  # config coercion guarantees x,y,z points
-        raise ConfigError("trajectory.waypoints must contain at least two x,y,z points")
+    wp = np.asarray(values["trajectory.waypoints"], dtype=float)  # >= 2, ScenarioConfig checks
     seg_vec = np.diff(wp, axis=0)
     seg_len = np.linalg.norm(seg_vec, axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg_len)])
@@ -384,7 +384,7 @@ def streamed_references(log: EventLog) -> list[tuple[float, float, Trajectory]]:
     transform: bit for bit the batch the run streamed.  Raises ValueError when
     a record's point count does not match that window.
     """
-    desired = generate_trajectory(build_config(log.config_echo()).values)
+    desired = generate_trajectory(log.config().values)
     out = []
     for _, t_emit, t_arrive, n, tx, ty, tz, heading in log.iter_tag("REF"):
         window = desired.slice_window(t_emit, t_emit + STREAM_HORIZON)
@@ -549,7 +549,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     walls = v["nlos.walls"]
     false_targets = v["false_targets.positions"]
 
-    guider = Guider(config.alignment, config.guider)
+    guider = Guider(config.alignment, v["guider.realign_period"])
 
     plant = PlantState(rot_z(theta0) @ desired.positions[0] + t0,
                        wrap_heading(float(desired.headings[0]) + theta0),

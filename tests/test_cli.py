@@ -9,7 +9,7 @@ import pytest
 
 import coopguide
 from coopguide.cli import main
-from coopguide.config import DEFAULTS
+from coopguide.config import DEFAULTS, SCHEMA
 
 BASE_CFG = """
 # short smoke scenario
@@ -77,29 +77,36 @@ def test_run_point_of_wrong_length_exits_one_naming_key(tmp_path, capsys, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", [
+#: a value just outside each kind of declared valid values
+_JUST_OUTSIDE = {"> 0": "0", ">= 0": "-1", ">= 1": "0"}
+
+_BAD_LINES = [
     # removed keys are unknown
     "tracker.gate_p_value = 1.5",
     "alignment.max_iterations = 0",
     "guider.stream_horizon = -1",
     "alignment.min_spread_ratio = -0.5",
+    # the rules that join keys
     "trajectory.radius = 0",
     "trajectory.radius = -2",
     pytest.param("trajectory.pattern = eight\ntrajectory.radius = 0",
                  id="eight trajectory.radius = 0"),
-    "scenario.duration = -1",
-    "detection.sigma = -0.1",
-    "alignment.window = -1",
-    "trajectory.laps = 0",
+    pytest.param("trajectory.pattern = waypoints\ntrajectory.waypoints = 0,0,1",
+                 id="waypoints trajectory.waypoints = 0,0,1"),
+    # values further outside a bound
     "scenario.abort_radius = -1",
-    "plant.max_speed = 0",
-    "detection.delay_mean = -1",
+    "alignment.window = -1",
+    "detection.sigma = -0.1",
     "detection.delay_jitter = -0.01",
-    "comm.delay_mean = -1",
     "comm.delay_jitter = -0.01",
-    "alignment.max_cost = -1",
-    "guider.realign_period = 0",
-])
+]
+# every key with declared valid values, one value just outside them
+_BAD_LINES += [
+    f"{key} = {'other' if isinstance(valid, tuple) else _JUST_OUTSIDE[valid]}"
+    for key, (_, valid) in SCHEMA.items() if valid is not None]
+
+
+@pytest.mark.parametrize("line", _BAD_LINES)
 def test_run_out_of_range_value_exits_one_naming_key(tmp_path, capsys, line):
     cfg = _write(tmp_path, "bad.cfg", BASE_CFG + line + "\n")
     out = tmp_path / "o"
@@ -111,6 +118,22 @@ def test_run_out_of_range_value_exits_one_naming_key(tmp_path, capsys, line):
     assert key in err
     if key not in DEFAULTS:
         assert "unknown config key" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line, args", [
+    ("run", "scenario.seed = -1\n", []),
+    ("run", "", ["--seed", "-1"]),
+    ("sweep", "", ["--seed", "-1"]),
+], ids=["run config", "run --seed", "sweep --seed"])
+def test_negative_seed_exits_one_naming_key(tmp_path, capsys, command, line, args):
+    # the seed seeds numpy's generators, which need a non-negative integer
+    cfg = _write(tmp_path, "s.cfg", SWEEP_CFG + line)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "scenario.seed" in err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
-"""Config plumbing: section keys map onto their dataclasses, point values are checked."""
+"""Config plumbing: one table declares each key, section keys map onto their
+dataclass, point values are checked."""
 
 import re
 from dataclasses import fields
@@ -10,13 +11,13 @@ import pytest
 from coopguide.alignment import AlignmentConfig
 from coopguide.config import (
     DEFAULTS,
+    SCHEMA,
     ConfigError,
     build_config,
     coerce,
     format_value,
     load_config_file,
 )
-from coopguide.guider import GuiderConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -24,7 +25,6 @@ README = ROOT / "README.md"
 
 @pytest.mark.parametrize("section, cls", [
     ("alignment", AlignmentConfig),
-    ("guider", GuiderConfig),
 ])
 def test_section_keys_name_dataclass_fields_with_equal_defaults(section, cls):
     # coerce parses a key by the type of its default, so that type must be
@@ -41,7 +41,7 @@ def test_section_key_overrides_its_field():
     config = build_config({"alignment.window": 7.0, "guider.realign_period": 3.0,
                            "alignment.estimate_drift": True})
     assert config.alignment.window == 7.0
-    assert config.guider.realign_period == 3.0
+    assert config["guider.realign_period"] == 3.0
     assert config.alignment.estimate_drift is True
     assert config.alignment.max_cost == AlignmentConfig().max_cost
 
@@ -57,13 +57,45 @@ def test_every_estimator_key_has_a_shipped_config_that_changes_it():
             assert any(key in values and values[key] != default for values in shipped), key
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_every_shipped_config_and_sweep_value_builds(path):
+    # a new range must not reject a shipped scenario or a value it sweeps
+    overrides = load_config_file(str(path))
+    config = build_config(overrides)
+    for value in config["sweep.values"]:
+        build_config({**overrides, config["sweep.parameter"]: value})
+
+
+def _readme_rows():
+    """(key, default text, valid text) of each key of the README config table.
+
+    Rows such as vio_drift.x/y/z and detection.delay_mean / delay_jitter name
+    one key per slash-separated part; a default or valid cell holds one part
+    per key, or one part that the keys share.
+    """
+    rows = []
+    for line in re.findall(r"^\| [a-z_]+\..*\|$", README.read_text(), re.M):
+        names, *cells, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        section, _, names = names.partition(".")
+        keys = [f"{section}.{name.strip()}" for name in names.split("/")]
+        default, valid = ([part.strip() for part in cell.split(" / ")] for cell in cells)
+        rows += zip(keys, default * len(keys) if len(default) == 1 else default,
+                    valid * len(keys) if len(valid) == 1 else valid, strict=True)
+    return rows
+
+
+def test_readme_config_table_gives_each_key_default_and_range():
+    for key, default, valid in _readme_rows():
+        declared_default, declared_valid = SCHEMA[key]
+        assert coerce(key, "" if default == "(empty)" else default) == declared_default, key
+        if isinstance(declared_valid, tuple):
+            declared_valid = ", ".join(declared_valid)
+        assert valid == (declared_valid or ""), key
+
+
 def test_readme_config_table_lists_every_key_once():
-    # rows such as vio_drift.x/y/z and detection.delay_mean / delay_jitter
-    # name one key per slash-separated part
-    keys = []
-    for row in re.findall(r"^\| ([a-z_]+\.[^|]*?) \|", README.read_text(), re.M):
-        section, _, names = row.partition(".")
-        keys += [f"{section}.{name.strip()}" for name in names.split("/")]
+    keys = [key for key, _, _ in _readme_rows()]
     assert len(keys) == len(set(keys))
     assert set(keys) == set(DEFAULTS)
 

@@ -12,7 +12,6 @@ from coopguide.evaluation import (
     align_first_window,
     evaluate_log,
     format_report,
-    log_config,
     mean_path_deviation,
 )
 from coopguide.geometry import rot_z
@@ -234,13 +233,11 @@ def test_align_then_ate_bounded_by_interpolation_error():
 
 
 def test_log_config_round_trip():
-    cfg = build_config({"trajectory.laps": 3, "vio_drift.model": "random_walk",
-                        "vio_drift.sigma": 0.07})
-    log = run_scenario(build_config({"trajectory.laps": 1,
-                                     "scenario.duration": 10.0,
-                                     "vio_drift.model": "random_walk",
-                                     "vio_drift.sigma": 0.07}))
-    back = log_config(log)
-    assert back["vio_drift.model"] == "random_walk"
-    assert back["vio_drift.sigma"] == 0.07
-    assert back["trajectory.laps"] == 1
+    config = build_config({"trajectory.laps": 1,
+                           "scenario.duration": 10.0,
+                           "vio_drift.model": "random_walk",
+                           "vio_drift.sigma": 0.07,
+                           "false_targets.positions": "3.4,0.6,1.5"})
+    back = run_scenario(config).config()
+    assert back.values == config.values
+    assert back.alignment == config.alignment

@@ -21,7 +21,6 @@ from coopguide.geometry import (
 )
 from coopguide.guider import (
     Guider,
-    GuiderConfig,
     GuiderError,
     GuiderStatus,
     Trajectory,
@@ -64,8 +63,8 @@ def detection(t, track=0, offset=(0.0, 0.0, 0.0)):
     return Detection(t, secondary_position(t) + np.asarray(offset, float), 0.15, track)
 
 
-def make_guider(**kwargs):
-    return Guider(AlignmentConfig(window=15.0), GuiderConfig(**kwargs))
+def make_guider():
+    return Guider(AlignmentConfig(window=15.0), 1.0)
 
 
 def drive(guider, t0, t1, det_offset=None, vio_on=True, det_on=True):
