@@ -95,6 +95,10 @@ def cmd_sweep(config_path: str, seed: Optional[int], out_dir: str, jobs: int) ->
             raise ConfigError("sweep.parameter is required for the sweep subcommand")
         if not values:
             raise ConfigError("sweep.values is required for the sweep subcommand")
+        if parameter == "scenario.seed" or parameter.startswith("sweep."):
+            # each run's seed derives from the base seed, and sweep.* keys
+            # configure the sweep itself: neither can be swept
+            raise ConfigError(f"sweep.parameter cannot be {parameter}")
         for value in values:  # reject a bad value before any run starts
             build_config({**overrides, parameter: value})
     except (ConfigError, OSError) as exc:

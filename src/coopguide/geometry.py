@@ -74,7 +74,7 @@ def rot_z(heading: float) -> np.ndarray:
     """3x3 rotation matrix about the gravity (z) axis."""
     c = math.cos(heading)
     s = math.sin(heading)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return np.array((c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)).reshape(3, 3)
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,16 @@ class TimedPose:
         object.__setattr__(self, "velocity", v)
         object.__setattr__(self, "heading", wrap_heading(float(self.heading)))
 
+    @classmethod
+    def _unchecked(cls, stamp: float, frame: Frame, position: np.ndarray, heading: float,
+                   velocity: np.ndarray, heading_rate: float) -> "TimedPose":
+        """Wrap arrays and a wrapped heading derived from checked poses: no
+        conversion, no checks."""
+        pose = cls.__new__(cls)
+        vars(pose).update(stamp=stamp, frame=frame, position=position, heading=heading,
+                          velocity=velocity, heading_rate=heading_rate)
+        return pose
+
 
 @dataclass(frozen=True)
 class Detection:
@@ -148,15 +158,18 @@ class Detection:
 def _lerp_pose(a: TimedPose, b: TimedPose, t: float) -> TimedPose:
     if b.stamp <= a.stamp:
         return a
+    # a + u * (b - a) in floats, element by element: the same IEEE
+    # operations as on the arrays, without a ufunc call per operation
     u = (t - a.stamp) / (b.stamp - a.stamp)
     heading = wrap_heading(a.heading + u * wrap_heading(b.heading - a.heading))
-    return TimedPose(
-        stamp=t,
-        frame=a.frame,
-        position=a.position + u * (b.position - a.position),
-        heading=heading,
-        velocity=a.velocity + u * (b.velocity - a.velocity),
-        heading_rate=a.heading_rate + u * (b.heading_rate - a.heading_rate),
+    (ax, ay, az), (bx, by, bz) = a.position.tolist(), b.position.tolist()
+    (vx, vy, vz), (wx, wy, wz) = a.velocity.tolist(), b.velocity.tolist()
+    return TimedPose._unchecked(
+        t, a.frame,
+        np.array([ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)]),
+        heading,
+        np.array([vx + u * (wx - vx), vy + u * (wy - vy), vz + u * (wz - vz)]),
+        a.heading_rate + u * (b.heading_rate - a.heading_rate),
     )
 
 

@@ -238,8 +238,8 @@ class Guider:
         decision = associate(detections, predicted)
         if decision.accepted and decision.detection is not None:
             det = decision.detection
-            z = Measurement(stamp, MeasurementKind.LIDAR_POSITION,
-                            det.position, np.full(3, det.sigma ** 2))
+            r = det.sigma ** 2
+            z = Measurement(stamp, MeasurementKind.LIDAR_POSITION, det.position, (r, r, r))
             try:
                 self._history.insert(z)
             except StaleMeasurementError:

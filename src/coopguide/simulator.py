@@ -7,6 +7,8 @@ wall occlusion; the secondary agent is a first-order plant that tracks
 streamed references in its own drifting VIO frame; the guider closes the
 loop on board the primary.  All randomness comes from named sub-streams of
 one seed, so a fixed config+seed reproduces the event log byte for byte.
+The tick loop keeps the drift offset, the plant state and the true pose as
+(x, y, z) float tuples updated element by element, and logs those floats.
 
 True frame relation maintained by the engine:
 
@@ -183,11 +185,15 @@ class EventLog:
 
 
 class DriftModel:
-    """Accumulated position drift of the VIO frame; base class is drift-free."""
+    """Accumulated position drift of the VIO frame; base class is drift-free.
+
+    ``offset`` and ``rate`` are (x, y, z) float tuples, stepped element by
+    element once per tick.
+    """
 
     def __init__(self):
-        self.offset = np.zeros(3)
-        self.rate = np.zeros(3)
+        self.offset = (0.0, 0.0, 0.0)
+        self.rate = (0.0, 0.0, 0.0)
 
     def step(self, dt: float, rng: np.random.Generator) -> None:
         pass
@@ -196,10 +202,11 @@ class DriftModel:
 class ConstantVelocityDrift(DriftModel):
     def __init__(self, rate: Sequence[float]):
         super().__init__()
-        self.rate = np.asarray(rate, dtype=float)
+        self.rate = tuple(np.asarray(rate, dtype=float).tolist())
 
     def step(self, dt: float, rng: np.random.Generator) -> None:
-        self.offset = self.offset + self.rate * dt
+        (ox, oy, oz), (rx, ry, rz) = self.offset, self.rate
+        self.offset = (ox + rx * dt, oy + ry * dt, oz + rz * dt)
 
 
 class RandomWalkDrift(DriftModel):
@@ -208,7 +215,9 @@ class RandomWalkDrift(DriftModel):
         self.sigma = float(sigma)
 
     def step(self, dt: float, rng: np.random.Generator) -> None:
-        self.offset = self.offset + self.sigma * math.sqrt(dt) * rng.standard_normal(3)
+        scale = self.sigma * math.sqrt(dt)
+        (ox, oy, oz), (nx, ny, nz) = self.offset, rng.standard_normal(3).tolist()
+        self.offset = (ox + scale * nx, oy + scale * ny, oz + scale * nz)
 
 
 def make_drift(values) -> DriftModel:
@@ -257,7 +266,7 @@ def line_of_sight(primary_xy, target_xy, walls) -> bool:
 
 def lidar_detect(
     stamp: float,
-    truth_secondary: np.ndarray,
+    truth_secondary: Sequence[float],
     truth_primary: np.ndarray,
     false_targets: Sequence[Sequence[float]],
     walls: Sequence[Sequence[float]],
@@ -447,11 +456,15 @@ class PlantParams:
 
 @dataclass
 class PlantState:
-    """Pose tracked by the secondary agent's controller, in frame V."""
+    """Pose tracked by the secondary agent's controller, in frame V.
 
-    position: np.ndarray
+    ``position`` and ``velocity`` are (x, y, z) float tuples; ``plant_step``
+    also reads any 3-sequence.
+    """
+
+    position: tuple[float, float, float]
     heading: float
-    velocity: np.ndarray
+    velocity: tuple[float, float, float]
     heading_rate: float
 
 
@@ -482,11 +495,11 @@ def plant_step(
     if dt <= 0.0:
         raise ValueError("plant_step requires dt > 0")
     if not pending_refs:
-        return PlantState(state.position, state.heading, np.zeros(3), 0.0)
+        return PlantState(state.position, state.heading, (0.0, 0.0, 0.0), 0.0)
     target, target_heading = _interp_refs(pending_refs, t)
     # scalar math: this runs at the tick rate
     inv_tau = 1.0 / params.time_constant
-    px, py, pz = state.position.tolist()
+    px, py, pz = state.position
     vx = (target[0] - px) * inv_tau
     vy = (target[1] - py) * inv_tau
     vz = (target[2] - pz) * inv_tau
@@ -499,9 +512,9 @@ def plant_step(
     rate = wrap_heading(target_heading - state.heading) * inv_tau
     rate = max(-params.max_heading_rate, min(params.max_heading_rate, rate))
     return PlantState(
-        np.array([px + vx * dt, py + vy * dt, pz + vz * dt]),
+        (px + vx * dt, py + vy * dt, pz + vz * dt),
         wrap_heading(state.heading + rate * dt),
-        np.array([vx, vy, vz]),
+        (vx, vy, vz),
         rate,
     )
 
@@ -545,15 +558,16 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     drift = make_drift(v)
     theta0 = v["vio.initial_heading"]
     t0 = np.asarray(v["vio.initial_offset"], float)
+    t0x, t0y, t0z = t0.tolist()
 
     walls = v["nlos.walls"]
     false_targets = v["false_targets.positions"]
 
     guider = Guider(config.alignment, v["guider.realign_period"])
 
-    plant = PlantState(rot_z(theta0) @ desired.positions[0] + t0,
+    plant = PlantState(tuple((rot_z(theta0) @ desired.positions[0] + t0).tolist()),
                        wrap_heading(float(desired.headings[0]) + theta0),
-                       np.zeros(3), 0.0)
+                       (0.0, 0.0, 0.0), 0.0)
     plant_params = PlantParams(v["plant.time_constant"], v["plant.max_speed"],
                                v["plant.max_heading_rate"])
     pending_refs: Optional[Trajectory] = None
@@ -585,7 +599,6 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     abort_every = max(1, int(round(tick_rate / 10.0)))
     c0 = math.cos(-theta0)
     s0 = math.sin(-theta0)
-    t0x, t0y, t0z = t0
 
     for k in range(n_ticks + 1):
         t = k * dt
@@ -595,11 +608,11 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
 
         # ground truth of the secondary in L, derived from the plant's V pose
         # (scalar form of R0_inv @ (p - t0 - offset); this runs per tick)
-        off = drift.offset
-        dx = plant.position[0] - t0x - off[0]
-        dy = plant.position[1] - t0y - off[1]
-        dz = plant.position[2] - t0z - off[2]
-        truth_pos = np.array([c0 * dx - s0 * dy, s0 * dx + c0 * dy, dz])
+        (px, py, pz), (ox, oy, oz) = plant.position, drift.offset
+        dx = px - t0x - ox
+        dy = py - t0y - oy
+        dz = pz - t0z - oz
+        truth_pos = (c0 * dx - s0 * dy, s0 * dx + c0 * dy, dz)
         truth_heading = wrap_heading(plant.heading - theta0)
 
         # deliver due events
@@ -631,15 +644,13 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             next_vio += vio_period
             pos = plant.position
             if vio_noise > 0.0:
-                pos = pos + vio_noise_rng.normal(0.0, vio_noise, 3)
+                nx, ny, nz = vio_noise_rng.normal(0.0, vio_noise, 3).tolist()
+                pos = (px + nx, py + ny, pz + nz)
             pose = TimedPose(t, Frame.VIO, pos, plant.heading,
                              plant.velocity, plant.heading_rate)
             arrival = t + comm_mean + comm_jitter * float(vio_delay_rng.random())
-            log.append(("VIO", t, arrival,
-                        float(pose.position[0]), float(pose.position[1]),
-                        float(pose.position[2]), float(pose.velocity[0]),
-                        float(pose.velocity[1]), float(pose.velocity[2]),
-                        pose.heading, pose.heading_rate))
+            log.append(("VIO", t, arrival, *pos, *plant.velocity,
+                        plant.heading, plant.heading_rate))
             seq += 1
             heapq.heappush(events, (arrival, seq, "vio", pose))
 
@@ -655,21 +666,20 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
                             out.secondary_pose_in_l.heading,
                             float(T.translation[0]), float(T.translation[1]),
                             float(T.translation[2]), T.heading))
-                translation, heading = T.translation, T.heading  # the batch's transform
+                translation, heading = T.translation.tolist(), T.heading  # the batch's transform
                 streamed = guider.transform_and_stream(desired, t)
             else:
                 # operator-assisted start: true transform until initialization
-                translation, heading = t0 + drift.offset, theta0
+                translation, heading = [t0x + ox, t0y + oy, t0z + oz], theta0
                 streamed = desired.slice_window(t, t + STREAM_HORIZON).mapped(translation, heading)
             if streamed is not None and len(streamed):
                 arrival = t + comm_mean + comm_jitter * float(ref_delay_rng.random())
-                log.append(("REF", t, arrival, len(streamed), *translation.tolist(), heading))
+                log.append(("REF", t, arrival, len(streamed), *translation, heading))
                 seq += 1
                 heapq.heappush(events, (arrival, seq, "ref", streamed))
 
         if k % decim == 0:
-            log.append(("TS", t, float(truth_pos[0]), float(truth_pos[1]),
-                        float(truth_pos[2]), truth_heading))
+            log.append(("TS", t, *truth_pos, truth_heading))
 
         if (t >= traj_start and k % abort_every == 0
                 and path.distance(truth_pos) > abort_radius):

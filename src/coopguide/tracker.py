@@ -18,7 +18,8 @@ Measurement construction from VIO follows the loosely-coupled scheme: the
 position measurement chains the newest detection with the rotated VIO
 displacement since that detection, the velocity measurement rotates the VIO
 velocity, both less the alignment's co-estimated drift, and heading/heading
-rate subtract the aligned relative heading.
+rate subtract the aligned relative heading.  A measurement holds float
+tuples, built in plain float arithmetic except for the two rotations.
 
 Lidar detections are associated by Euclidean pre-gating plus a chi-square
 test on the squared Mahalanobis distance of the innovation.
@@ -87,6 +88,8 @@ VIO_DELTA_VARIANCE = 0.05 ** 2
 VIO_VELOCITY_VARIANCE = 0.1 ** 2
 #: VIO heading (rad^2) and heading rate ((rad/s)^2)
 HEADING_VARIANCE = (0.05 ** 2, 0.05 ** 2)
+#: variances of a full VIO measurement after its three position components
+_VIO_RATE_HEADING_VARIANCE = (VIO_VELOCITY_VARIANCE,) * 3 + HEADING_VARIANCE
 #: prior variances of the axes' values (x, y, z in m^2, heading in rad^2) and
 #: of their rates at initialization
 INIT_VALUE_VARIANCE = (0.3 ** 2,) * 3 + (0.2 ** 2,)
@@ -158,23 +161,33 @@ class TrackerState:
         return self._mean[_HEADING_AXIS][1]
 
 
-@dataclass(frozen=True)
 class Measurement:
-    """Stamped measurement with per-component noise variances (diagonal R)."""
+    """Stamped measurement with per-component noise variances (diagonal R).
 
-    stamp: float
-    kind: MeasurementKind
-    value: np.ndarray
-    variance: np.ndarray
+    ``value`` and ``variance`` are float tuples in the element order of the
+    kind's ``_KIND_AXES`` entry; ``update`` reads them directly.  The
+    constructor converts array-likes and checks their dimension; the
+    measurement builders below use ``_unchecked`` on tuples they made.
+    """
 
-    def __post_init__(self):
-        v = np.asarray(self.value, dtype=float)
-        r = np.asarray(self.variance, dtype=float)
-        m = len(_KIND_AXES[self.kind][0])
+    __slots__ = ("stamp", "kind", "value", "variance")
+
+    def __init__(self, stamp: float, kind: MeasurementKind, value, variance):
+        v = np.asarray(value, dtype=float)
+        r = np.asarray(variance, dtype=float)
+        m = len(_KIND_AXES[kind][0])
         if v.shape != (m,) or r.shape != (m,):
-            raise ValueError(f"{self.kind.name} measurement must be {m}-dimensional")
-        object.__setattr__(self, "value", v)
-        object.__setattr__(self, "variance", r)
+            raise ValueError(f"{kind.name} measurement must be {m}-dimensional")
+        self.stamp, self.kind = stamp, kind
+        self.value, self.variance = tuple(v.tolist()), tuple(r.tolist())
+
+    @classmethod
+    def _unchecked(cls, stamp: float, kind: MeasurementKind, value: tuple,
+                   variance: tuple) -> "Measurement":
+        """Wrap float tuples of the right dimension: no copy, no checks."""
+        z = cls.__new__(cls)
+        z.stamp, z.kind, z.value, z.variance = stamp, kind, value, variance
+        return z
 
 
 @dataclass(frozen=True)
@@ -227,7 +240,7 @@ def update(state: TrackerState, z: Measurement) -> TrackerState:
     mean = list(map(list, state._mean))
     cov = list(state._cov)   # updated blocks are replaced, never mutated
     axes, components = _KIND_AXES[z.kind]
-    for value, r, a, c in zip(z.value.tolist(), z.variance.tolist(), axes, components):
+    for value, r, a, c in zip(z.value, z.variance, axes, components):
         (p00, p01), (_, p11) = cov[a]
         g0, g1 = column = cov[a][c]   # P H^T, the observed column of P
         s = column[c] + r             # innovation variance H P H^T + r
@@ -285,40 +298,46 @@ def make_vio_measurement(
     last_detection: Detection,
     vio_at_detection: TimedPose,
     theta: Optional[float],
-    drift_rate: np.ndarray | float = 0.0,
+    drift_rate: Sequence[float] = (0.0, 0.0, 0.0),
 ) -> Measurement:
     """Full 8-dim measurement from a VIO pose newer than the last detection.
 
     Position chains the last detection with the V->L rotated VIO displacement
     since the detection stamp; velocity is the rotated VIO velocity; heading
     subtracts the aligned relative heading.  The V-frame ``drift_rate``
-    co-estimated by the alignment is not motion: it is taken out of both.
+    (a 3-vector) co-estimated by the alignment is not motion: it is taken out
+    of both.
+
+    Everything but the two rotations is float arithmetic.  The rotations stay
+    numpy matrix-vector products ``r_lv @ v``: numpy may round such a
+    product with fused multiply-adds, which scalar Python cannot reproduce
+    bit for bit.
     """
     if theta is None:
         raise ValueError("transform unavailable: no accepted alignment yet")
     if vio.stamp < last_detection.stamp - 1e-9:
         raise ValueError("VIO pose is older than the anchoring detection")
     r_lv = rot_z(-theta)
-    z_x = last_detection.position + r_lv @ (vio.position - vio_at_detection.position
-                                            - drift_rate * (vio.stamp - vio_at_detection.stamp))
-    z_v = r_lv @ (vio.velocity - drift_rate)
-    z_phi = wrap_heading(vio.heading - theta)
-    value = np.concatenate([z_x, z_v, [z_phi, vio.heading_rate]])
-    variance = np.array([last_detection.sigma ** 2 + VIO_DELTA_VARIANCE] * 3
-                        + [VIO_VELOCITY_VARIANCE] * 3 + list(HEADING_VARIANCE))
-    return Measurement(vio.stamp, MeasurementKind.VIO_FULL, value, variance)
+    dt = vio.stamp - vio_at_detection.stamp
+    (x, y, z), (x0, y0, z0) = vio.position.tolist(), vio_at_detection.position.tolist()
+    (vx, vy, vz), (rx, ry, rz) = vio.velocity.tolist(), np.asarray(drift_rate, float).tolist()
+    lx, ly, lz = last_detection.position.tolist()
+    dx, dy, dz = (r_lv @ np.array([x - x0 - rx * dt, y - y0 - ry * dt, z - z0 - rz * dt])).tolist()
+    r = last_detection.sigma ** 2 + VIO_DELTA_VARIANCE
+    return Measurement._unchecked(
+        vio.stamp, MeasurementKind.VIO_FULL,
+        (lx + dx, ly + dy, lz + dz, *(r_lv @ np.array([vx - rx, vy - ry, vz - rz])).tolist(),
+         wrap_heading(vio.heading - theta), float(vio.heading_rate)),
+        (r, r, r) + _VIO_RATE_HEADING_VARIANCE)
 
 
 def make_heading_measurement(vio: TimedPose, theta: Optional[float]) -> Measurement:
     """Heading/heading-rate measurement from a VIO pose older than the last detection."""
     if theta is None:
         raise ValueError("transform unavailable: no accepted alignment yet")
-    value = np.array([wrap_heading(vio.heading - theta), vio.heading_rate])
-    return Measurement(vio.stamp, MeasurementKind.VIO_HEADING, value, HEADING_VARIANCE)
-
-
-def _entry_key(z: Measurement) -> tuple[float, int]:
-    return (z.stamp, z.kind)
+    return Measurement._unchecked(
+        vio.stamp, MeasurementKind.VIO_HEADING,
+        (wrap_heading(vio.heading - theta), float(vio.heading_rate)), HEADING_VARIANCE)
 
 
 class HistoryBuffer:
@@ -329,12 +348,15 @@ class HistoryBuffer:
     late arrival recomputes only the suffix behind its insertion point —
     numerically identical to a full replay from the anchor.  Entries older
     than ``span`` behind the newest are marginalized into the anchor state.
+    ``_keys`` holds each entry's (stamp, kind), parallel to ``entries`` and
+    ``_posts``, so a binary search compares plain tuples.
     """
 
     def __init__(self, anchor_state: TrackerState, span: float = HISTORY_SPAN):
         self.anchor_state = anchor_state
         self.span = span
         self.entries: list[Measurement] = []
+        self._keys: list[tuple[float, MeasurementKind]] = []
         self._posts: list[TrackerState] = []
 
     def __len__(self) -> int:
@@ -351,12 +373,15 @@ class HistoryBuffer:
                 f"measurement at {z.stamp:.6f} is too stale: older than the "
                 f"buffer anchor at {self.anchor_state.stamp:.6f}"
             )
-        if self.entries and z.stamp < self.entries[-1].stamp - self.span:
+        keys = self._keys
+        if keys and z.stamp < keys[-1][0] - self.span:
             raise StaleMeasurementError(
                 f"measurement at {z.stamp:.6f} is too stale: more than "
                 f"{self.span} s behind the newest entry"
             )
-        idx = bisect.bisect_right(self.entries, (z.stamp, z.kind), key=_entry_key)
+        key = (z.stamp, z.kind)
+        idx = bisect.bisect_right(keys, key)
+        keys.insert(idx, key)
         self.entries.insert(idx, z)
         self._posts.insert(idx, None)  # placeholder, recomputed below
         self._recompute_from(idx)
@@ -372,10 +397,11 @@ class HistoryBuffer:
             self._posts[i] = state
 
     def _prune(self) -> None:
-        cutoff = self.entries[-1].stamp - self.span
-        while self.entries and self.entries[0].stamp < cutoff:
-            self.anchor_state = self._posts[0]
-            del self.entries[0], self._posts[0]
+        # (cutoff,) sorts before every key of stamp cutoff
+        n = bisect.bisect_left(self._keys, (self._keys[-1][0] - self.span,))
+        if n:
+            self.anchor_state = self._posts[n - 1]
+            del self.entries[:n], self._keys[:n], self._posts[:n]
 
     def estimate_at(self, t: float) -> TrackerState:
         """State at time t: replay through entries with stamp <= t, then predict."""
@@ -384,7 +410,7 @@ class HistoryBuffer:
                 f"query at {t:.6f} precedes the buffer anchor at "
                 f"{self.anchor_state.stamp:.6f}"
             )
-        idx = bisect.bisect_right(self.entries, (t, len(MeasurementKind)), key=_entry_key)
+        idx = bisect.bisect_right(self._keys, (t, len(MeasurementKind)))
         state = self._posts[idx - 1] if idx > 0 else self.anchor_state
         return predict(state, max(0.0, t - state.stamp))
 

@@ -313,6 +313,26 @@ sweep.runs_per_value = 1
     assert not list(out.glob("run_*.report"))
 
 
+@pytest.mark.parametrize("parameter,values", [
+    ("scenario.seed", "7, 8"),
+    ("sweep.runs_per_value", "1, 2"),
+])
+def test_sweep_rejects_seed_and_sweep_keys_as_parameter(tmp_path, capsys, parameter, values):
+    # a swept seed would be overwritten by the derived run seed, and the
+    # sweep.* keys configure the sweep itself
+    cfg = _write(tmp_path, "s.cfg", BASE_CFG + f"""
+sweep.parameter = {parameter}
+sweep.values = {values}
+sweep.runs_per_value = 1
+""")
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and parameter in err
+    assert not out.exists()
+
+
 def test_sweep_rejects_non_integral_value_for_integer_key(tmp_path, capsys):
     # sweep values are parsed as floats; 1.5 laps must not run as 1 lap
     cfg = _write(tmp_path, "s.cfg", BASE_CFG + """

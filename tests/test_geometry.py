@@ -1,6 +1,7 @@
 """Frame/transform conventions and interpolation contracts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,62 @@ def test_interpolate_heading_shortest_arc():
 def test_interpolate_exact_stamp_returns_stored_pose():
     buf = [_pose(0.0, [0, 0, 0]), _pose(0.4, [2, 1, 0], 0.3), _pose(1.0, [1, 0, 0])]
     assert interpolate(buf, 0.4) is buf[1]
+
+
+def _bits(*values) -> bytes:
+    """The exact IEEE bits of floats and float arrays, in order."""
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
+
+
+def _pose_bits(pose):
+    return _bits(pose.stamp, pose.position, pose.heading, pose.velocity, pose.heading_rate)
+
+
+def numpy_lerp_pose(a, b, t):
+    """The array lerp ``interpolate`` used before its float path (oracle)."""
+    if b.stamp <= a.stamp:
+        return a
+    u = (t - a.stamp) / (b.stamp - a.stamp)
+    heading = wrap_heading(a.heading + u * wrap_heading(b.heading - a.heading))
+    return TimedPose(
+        stamp=t,
+        frame=a.frame,
+        position=a.position + u * (b.position - a.position),
+        heading=heading,
+        velocity=a.velocity + u * (b.velocity - a.velocity),
+        heading_rate=a.heading_rate + u * (b.heading_rate - a.heading_rate),
+    )
+
+
+def test_interpolate_is_bit_identical_to_the_array_lerp():
+    rng = np.random.default_rng(17)
+    kinds = {"lerp": 0, "exact": 0, "clamp": 0, "wrap": 0}
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        stamps = np.cumsum(rng.uniform(0.001, 0.1, n)) + rng.uniform(-5.0, 5.0)
+        buf = [TimedPose(float(s), Frame.VIO, rng.normal(0.0, 10.0, 3),
+                         float(rng.uniform(-math.pi, math.pi)), rng.normal(0.0, 1.0, 3),
+                         float(rng.normal(0.0, 0.5)))
+               for s in stamps]
+        queries = [float(s) for s in rng.uniform(stamps[0], stamps[-1], 8)]
+        queries += [float(stamps[int(rng.integers(0, n))]),
+                    float(stamps[0] - rng.uniform(0.0, 0.1)),
+                    float(stamps[-1] + rng.uniform(0.0, 0.1))]
+        for t in queries:
+            got = interpolate(buf, t)
+            hi = int(np.searchsorted(stamps, t))
+            if t <= stamps[0] or t >= stamps[-1]:
+                end = buf[0] if t <= stamps[0] else buf[-1]
+                want, kind = replace(end, stamp=t), "clamp"
+            elif stamps[hi] == t:
+                want, kind = buf[hi], "exact"
+            else:
+                a, b = buf[hi - 1], buf[hi]
+                want = numpy_lerp_pose(a, b, t)
+                kind = "wrap" if abs(b.heading - a.heading) > math.pi else "lerp"
+            kinds[kind] += 1
+            assert _pose_bits(got) == _pose_bits(want), (kind, t)
+    assert min(kinds.values()) > 0, kinds
 
 
 def test_interpolate_stale_query_raises():

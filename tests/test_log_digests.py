@@ -47,3 +47,30 @@ def test_row_appends_the_run_metrics_after_the_digest():
     assert sha == tool.digest(config)
     assert (float(rmse), float(deviation)) == (report.rel_loc_rmse, report.mean_path_deviation)
     assert tool.row(config, ("REF",)).split(" ")[1:] == [rmse, deviation]
+
+
+def test_differences_name_each_changed_run_with_its_metric_deltas():
+    tool = _tool()
+    saved = "a.cfg 0f 0.5 0.25\nb.cfg 1e 0.125 0.0\ngone.cfg 2d 1.0 1.0\n"
+    current = ["a.cfg 0f 0.5 0.25", "b.cfg 3c 0.25 0.0", "new.cfg 4b 1.0 1.0"]
+    assert tool.differences(saved, current) == [
+        "b.cfg digest differs, rel_loc_rmse +1.250e-01, mean_path_deviation +0.000e+00",
+        "new.cfg not in FILE",
+        "gone.cfg not in this run set",
+    ]
+    assert tool.differences(saved, saved.splitlines()) == []
+
+
+def test_check_exits_one_on_a_changed_digest_and_zero_on_a_match(tmp_path, capsys):
+    tool = _tool()
+    config = tool.bench.make_config("drift_none", 7)
+    tool.runs = lambda: [("one_lap", config)]
+    saved = tmp_path / "digests.txt"
+    line = f"one_lap {tool.row(config)}\n"
+    saved.write_text(line, encoding="utf-8")
+    assert tool.main(["--check", str(saved)]) == 0
+    assert capsys.readouterr().out == f"0 of 1 runs differ from {saved}\n"
+    saved.write_text(line.replace(line.split(" ")[1], "0" * 64), encoding="utf-8")
+    assert tool.main(["--check", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "one_lap digest differs, rel_loc_rmse +0.000e+00, mean_path_deviation +0.000e+00")

@@ -9,7 +9,7 @@ import pytest
 
 from coopguide import simulator
 from coopguide.config import ConfigError, build_config, load_config_file
-from coopguide.geometry import Frame, rot_z
+from coopguide.geometry import Frame, rot_z, wrap_heading
 from coopguide.guider import Trajectory
 from coopguide.simulator import (
     ConstantVelocityDrift,
@@ -31,6 +31,11 @@ from coopguide.simulator import (
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 RNG = np.random.default_rng(0)
+
+
+def _bits(*values) -> bytes:
+    """The exact IEEE bits of floats and float arrays, in order."""
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +159,65 @@ def test_plant_step_requires_positive_dt():
     with pytest.raises(ValueError):
         plant_step(PlantState(np.zeros(3), 0.0, np.zeros(3), 0.0), (), 0.0, 0.0,
                    PlantParams())
+
+
+def numpy_plant_step(state, refs, t, dt, params):
+    """``plant_step`` on array state, as before its float path (oracle)."""
+    p = np.asarray(state.position, dtype=float)
+    if not refs:
+        return PlantState(p, state.heading, np.zeros(3), 0.0)
+    target, target_heading = simulator._interp_refs(refs, t)
+    inv_tau = 1.0 / params.time_constant
+    v = (np.asarray(target) - p) * inv_tau
+    speed = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    if speed > params.max_speed:
+        v = v * (params.max_speed / speed)
+    rate = wrap_heading(target_heading - state.heading) * inv_tau
+    rate = max(-params.max_heading_rate, min(params.max_heading_rate, rate))
+    return PlantState(p + v * dt, wrap_heading(state.heading + rate * dt), v, rate)
+
+
+def test_plant_step_is_bit_identical_to_the_array_update():
+    rng = np.random.default_rng(71)
+    saturated = 0
+    for case in range(300):
+        params = PlantParams(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.2, 3.0)),
+                             float(rng.uniform(0.1, 2.0)))
+        n = int(rng.integers(1, 6))
+        stamps = np.cumsum(rng.uniform(0.05, 0.5, n))
+        refs = None if case % 10 == 0 else Trajectory(
+            Frame.VIO, stamps, rng.normal(0.0, 3.0, (n, 3)), rng.uniform(-math.pi, math.pi, n))
+        state = PlantState(tuple(rng.normal(0.0, 3.0, 3).tolist()),
+                           float(rng.uniform(-math.pi, math.pi)), (0.0, 0.0, 0.0), 0.0)
+        t = float(rng.uniform(stamps[0] - 0.2, stamps[-1] + 0.2))
+        for _ in range(20):
+            dt = float(rng.uniform(0.001, 0.05))
+            got = plant_step(state, refs, t, dt, params)
+            want = numpy_plant_step(state, refs, t, dt, params)
+            assert _bits(got.position, got.heading, got.velocity, got.heading_rate) == \
+                _bits(want.position, want.heading, want.velocity, want.heading_rate)
+            saturated += math.hypot(*got.velocity) >= params.max_speed - 1e-12
+            state, t = got, t + dt
+    assert saturated > 100
+
+
+def test_drift_models_step_bit_identical_to_the_array_updates():
+    rng = np.random.default_rng(72)
+    for case in range(20):
+        rate, start = rng.normal(0.0, 1.0, 3), rng.normal(0.0, 5.0, 3)
+        sigma = float(rng.uniform(0.0, 1.0))
+        constant, walk = ConstantVelocityDrift(rate), RandomWalkDrift(sigma)
+        constant.offset = walk.offset = tuple(start.tolist())
+        constant_ref = walk_ref = start
+        rng_walk, rng_ref = np.random.default_rng(case), np.random.default_rng(case)
+        for _ in range(200):
+            dt = float(rng.uniform(0.001, 0.1))
+            constant.step(dt, rng_walk)
+            walk.step(dt, rng_walk)
+            constant_ref = constant_ref + rate * dt
+            walk_ref = walk_ref + sigma * math.sqrt(dt) * rng_ref.standard_normal(3)
+            assert _bits(constant.offset) == _bits(constant_ref)
+            assert _bits(walk.offset) == _bits(walk_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -493,6 +493,59 @@ def test_gate_calibration():
     assert 0.93 <= rate <= 0.97
 
 
+def _bits(*values) -> bytes:
+    """The exact IEEE bits of floats and float arrays, in order."""
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
+
+
+def numpy_vio_measurement(vio, det, vio_at_det, theta, drift_rate=0.0):
+    """(value, variance) by the array formula ``make_vio_measurement`` used
+    before its float path (oracle)."""
+    c, s = math.cos(-theta), math.sin(-theta)
+    r_lv = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    z_x = det.position + r_lv @ (vio.position - vio_at_det.position
+                                 - drift_rate * (vio.stamp - vio_at_det.stamp))
+    z_v = r_lv @ (vio.velocity - drift_rate)
+    value = np.concatenate([z_x, z_v, [wrap_heading(vio.heading - theta), vio.heading_rate]])
+    variance = np.array([det.sigma ** 2 + tracker.VIO_DELTA_VARIANCE] * 3
+                        + [tracker.VIO_VELOCITY_VARIANCE] * 3 + list(tracker.HEADING_VARIANCE))
+    return value, variance
+
+
+def test_vio_measurements_are_bit_identical_to_the_array_formulas():
+    rng = np.random.default_rng(34)
+    for _ in range(500):
+        theta = float(rng.uniform(-math.pi, math.pi))
+        t_det = float(rng.uniform(0.0, 100.0))
+        t = t_det + float(rng.uniform(0.0, 2.0))
+        det = _det(t_det, rng.normal(0.0, 5.0, 3), sigma=float(rng.uniform(0.01, 0.5)))
+        at_det, vio = (_vio_pose(s, rng.normal(0.0, 5.0, 3), float(rng.uniform(-4.0, 4.0)),
+                                 rng.normal(0.0, 1.0, 3), float(rng.normal(0.0, 0.5)))
+                       for s in (t_det, t))
+        drift_rate = rng.normal(0.0, 0.5, 3)
+        for z, (value, variance) in (
+                (make_vio_measurement(vio, det, at_det, theta),
+                 numpy_vio_measurement(vio, det, at_det, theta)),
+                (make_vio_measurement(vio, det, at_det, theta, drift_rate),
+                 numpy_vio_measurement(vio, det, at_det, theta, drift_rate))):
+            assert (z.stamp, z.kind) == (t, MeasurementKind.VIO_FULL)
+            assert _bits(z.value) == _bits(value)
+            assert _bits(z.variance) == _bits(variance)
+        z = make_heading_measurement(vio, theta)
+        assert _bits(z.value) == _bits(wrap_heading(vio.heading - theta), vio.heading_rate)
+        assert _bits(z.variance) == _bits(tracker.HEADING_VARIANCE)
+
+
+def test_measurement_checks_dimension_and_holds_float_tuples():
+    z = Measurement(0.5, MeasurementKind.VIO_HEADING, np.array([1, 2]), [0.1, 0.2])
+    assert z.value == (1.0, 2.0) and z.variance == (0.1, 0.2)
+    assert all(type(v) is float for v in z.value + z.variance)
+    with pytest.raises(ValueError, match="VIO_HEADING measurement must be 2-dimensional"):
+        Measurement(0.5, MeasurementKind.VIO_HEADING, np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match="LIDAR_POSITION measurement must be 3-dimensional"):
+        Measurement(0.5, MeasurementKind.LIDAR_POSITION, np.zeros(3), np.ones((3, 1)))
+
+
 # ---------------------------------------------------------------------------
 # history buffer replay
 
@@ -555,6 +608,43 @@ def test_replay_equivalence_random_interleavings():
         got = buf.latest_state
         assert np.allclose(got.mean, expected.mean, atol=1e-9)
         assert np.allclose(got.covariance, expected.covariance, atol=1e-9)
+
+
+def _full_replay(anchor, entries, t):
+    """State at t from the anchor through every entry with stamp <= t."""
+    state = anchor
+    for z in entries:
+        if z.stamp > t:
+            break
+        state = update(predict(state, max(0.0, z.stamp - state.stamp)), z)
+    return predict(state, max(0.0, t - state.stamp))
+
+
+def test_history_keys_and_estimates_hold_through_late_stale_and_pruned_inserts():
+    rng = np.random.default_rng(53)
+    buf = HistoryBuffer(make_state(var=1.0), span=0.5)
+    measurements = _random_measurements(rng, 300, spacing=0.02)
+    arrival = [z.stamp + float(rng.exponential(0.2)) for z in measurements]
+    stale = pruned = late = 0
+    for i in sorted(range(len(measurements)), key=arrival.__getitem__):
+        z = measurements[i]
+        anchor = buf.anchor_state
+        late += bool(buf.entries) and z.stamp < buf.entries[-1].stamp
+        try:
+            buf.insert(z)
+        except StaleMeasurementError:
+            stale += 1
+        pruned += buf.anchor_state is not anchor
+        assert buf._keys == [(e.stamp, e.kind) for e in buf.entries]
+        assert len(buf._posts) == len(buf.entries)
+        lo, hi = buf.anchor_state.stamp, buf.entries[-1].stamp
+        for t in (lo, hi, float(rng.uniform(lo, hi)), hi + 0.05, z.stamp):
+            if t < lo:
+                continue
+            got, want = buf.estimate_at(t), _full_replay(buf.anchor_state, buf.entries, t)
+            assert _bits(got.stamp, got.mean, got.covariance) == \
+                _bits(want.stamp, want.mean, want.covariance)
+    assert min(stale, pruned, late) > 10, (stale, pruned, late)
 
 
 def test_measurement_older_than_span_rejected():

@@ -1,12 +1,17 @@
 """Print ``label sha256 rel_loc_rmse mean_path_deviation`` for the byte-identity run set.
 
     python3 tools/log_digests.py [--exclude TAG ...] > digests.txt
+    python3 tools/log_digests.py [--exclude TAG ...] --check digests.txt
 
 Run it from two checkouts and ``diff`` the outputs: a change that keeps
 behaviour leaves every line equal, and a numerical change shows its metric
 deltas, run by run, in the last two columns (``evaluate_log`` of the same
-log).  ``--exclude REF`` digests the log without its REF lines, to compare
-the rest across a change of the REF record's format.  The set is 53 runs:
+log).  ``--check FILE`` does the comparison itself: it runs the set, prints
+each run whose line differs from ``FILE`` (an earlier output of this tool,
+made with the same ``--exclude``) with its metric deltas, and exits 1 on any
+difference.  ``--exclude REF`` digests the log without its REF lines, to
+compare the rest across a change of the REF record's format.  The set is 53
+runs:
 
 - every ``configs/*.cfg`` without a sweep section, at full length;
 - every config with a sweep section at the first, middle and last of its
@@ -73,14 +78,50 @@ def row(config: ScenarioConfig, exclude: tuple[str, ...] = ()) -> str:
     return f"{_sha256(log, exclude)} {report.rel_loc_rmse!r} {report.mean_path_deviation!r}"
 
 
+def differences(saved: str, current: list[str]) -> list[str]:
+    """One line per run whose output line differs between ``saved`` (text
+    this tool printed) and ``current`` (its lines now): the label and the
+    change of each metric, current minus saved.  A label on one side only
+    is a difference too."""
+    def by_label(lines):
+        return {line.split(" ", 1)[0]: line.split(" ")[1:] for line in lines if line.strip()}
+
+    before, after = by_label(saved.splitlines()), by_label(current)
+    out = []
+    for label in [*after, *(label for label in before if label not in after)]:
+        old, new = before.get(label), after.get(label)
+        if old == new:
+            continue
+        if old is None or new is None:
+            out.append(f"{label} {'not in FILE' if old is None else 'not in this run set'}")
+            continue
+        deltas = (float(b) - float(a) for a, b in zip(old[1:], new[1:]))
+        out.append(f"{label} digest {'differs' if old[0] != new[0] else 'equal'}, "
+                   "rel_loc_rmse {:+.3e}, mean_path_deviation {:+.3e}".format(*deltas))
+    return out
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--exclude", action="append", default=[], metavar="TAG",
                         help="leave this record tag out of every digest (repeatable)")
-    exclude = tuple(parser.parse_args(argv).exclude)
+    parser.add_argument("--check", metavar="FILE", type=Path,
+                        help="compare with an earlier output of this tool instead of "
+                             "printing; exit 1 if any run differs")
+    args = parser.parse_args(argv)
+    exclude = tuple(args.exclude)
+    lines = []
     for label, config in runs():
-        print(f"{label} {row(config, exclude)}", flush=True)
-    return 0
+        lines.append(f"{label} {row(config, exclude)}")
+        if args.check is None:
+            print(lines[-1], flush=True)
+    if args.check is None:
+        return 0
+    diffs = differences(args.check.read_text(encoding="utf-8"), lines)
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} of {len(lines)} runs differ from {args.check}")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":
