@@ -6,17 +6,17 @@ frame V from timed position correspondences: find (t, theta) minimizing
     sum_i rho( || Rz(theta) @ d_i + t - p_i ||^2 )
 
 where d_i is a detected position in L, p_i the VIO position at the same time,
-and rho the soft-L1 loss.  :func:`build_correspondence_arrays` builds the
-window's (stamps, d, p) arrays and :func:`solve_alignment_arrays` solves
-it by iteratively reweighted least squares.  Every weighted subproblem,
-drift term included when enabled, has an exact closed form: weighted
-centring (and, with drift, a weighted projection on the stamps) eliminates
-the translation (and the drift rate), and the heading is atan2 of the
-weighted planar cross and dot sums.  The first solve uses unit weights, so
-there is no warm start from an earlier transform, and the MAD-gated inlier
-refit is the same solve with 0/1 weights.  The unit-weight solve,
-:func:`closed_form_align`, doubles as the evaluation module's trajectory
-aligner.
+and rho the Cauchy loss, which is redescending: a far outlier gets almost no
+weight.  :func:`build_correspondence_arrays` builds the window's (stamps, d,
+p) arrays and :func:`solve_alignment_arrays` solves it by iteratively
+reweighted least squares, one path for both window models.  Every weighted
+subproblem, drift term included when enabled, has an exact closed form:
+weighted centring (and, with drift, a weighted projection on the stamps)
+eliminates the translation (and the drift rate), and the heading is atan2
+of the weighted planar cross and dot sums.  The first solve uses unit
+weights, so there is no warm start from an earlier transform.  The
+unit-weight solve, :func:`closed_form_align`, doubles as the evaluation
+module's trajectory aligner.
 
 A window is adopted only when two conditions hold, each decided in one
 place.  Before the solve, :func:`window_observable` tests the geometry (too
@@ -25,8 +25,10 @@ which is the heading information with the translation left free, against
 the detection noise.  It depends on the detected positions alone, not on
 the heading nor on where the window sits in L, so an unobservable window is
 never solved.  After the solve, :func:`degeneracy_check` tests the fit: the
-IRLS loop stopped within :data:`MAX_ITERATIONS` and the mean robustified
-residual is at most ``max_cost``.
+IRLS loop stopped within :data:`MAX_ITERATIONS` and the mean soft-L1
+residual at the solution is at most ``max_cost``.  The soft-L1 loss is that
+acceptance statistic only; the Cauchy loss saturates and would not separate
+a contaminated window from a clean one.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ COST_TOLERANCE = 1e-8
 MAX_ITERATIONS = 100        # IRLS iteration budget; a solve that exhausts it is not converged
 MIN_CORRESPONDENCES = 10    # fewest pairs a window is solved with
 MIN_SPREAD_RATIO = 3.0      # window_observable: planar spread per sample over 2 sigma^2
+CAUCHY_SCALE = 0.5          # m; the Cauchy loss's scale c
 
 
 class InsufficientDataError(ValueError):
@@ -66,7 +69,7 @@ class AlignmentConfig:
     counts and the observability ratio are module constants."""
 
     window: float = field(default=15.0, metadata={"valid": "> 0"})
-    max_cost: float = field(default=0.09, metadata={"valid": ">= 0"})  # mean robustified residual
+    max_cost: float = field(default=0.09, metadata={"valid": ">= 0"})  # mean soft-L1 residual
     estimate_drift: bool = False    # co-estimate a linear VIO drift rate
 
 
@@ -94,7 +97,8 @@ class AlignmentResult:
 
 
 def soft_l1(s) -> float:
-    """Soft-L1 robust loss rho(s) = 2 (sqrt(1 + s) - 1) for squared residual s."""
+    """Soft-L1 loss 2 (sqrt(1 + s) - 1) of squared residual s; the
+    acceptance statistic that ``max_cost`` bounds, not the minimized cost."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("soft_l1 argument must be a squared residual (s >= 0)")
@@ -102,9 +106,11 @@ def soft_l1(s) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def soft_l1_weight(s):
-    """Derivative rho'(s) = 1 / sqrt(1 + s); the IRLS weight."""
-    return 1.0 / np.sqrt(1.0 + np.asarray(s, dtype=float))
+def _cauchy_cost(s: np.ndarray) -> float:
+    """The minimized cost: the sum of the Cauchy loss rho(s) = c^2 log(1 +
+    s / c^2) over squared residuals s, c = :data:`CAUCHY_SCALE`."""
+    c2 = CAUCHY_SCALE * CAUCHY_SCALE
+    return c2 * float(np.sum(np.log1p(s / c2)))
 
 
 #: s; VIO stamps inside a longer detection gap get no correspondence, because
@@ -224,19 +230,20 @@ def _squared_residuals(D, P, t, theta, drift=None, tau=None) -> np.ndarray:
 
 
 def _irls(D, P, tau):
-    """IRLS on the soft-L1 cost from the unit-weight closed form.
+    """IRLS on the Cauchy cost from the unit-weight closed form.
 
     Returns (t, theta, r, s, iterations, stopped): the last iterate, its
     squared residuals, the number of weighted solves and whether the cost
     test ended the loop within :data:`MAX_ITERATIONS`.
     """
+    c2 = CAUCHY_SCALE * CAUCHY_SCALE
     t, theta, r = _weighted_closed_form(np.ones(len(D)), D, P, tau)
     s = _squared_residuals(D, P, t, theta, r, tau)
-    cost = float(np.sum(soft_l1(s)))
+    cost = _cauchy_cost(s)
     for iterations in range(1, MAX_ITERATIONS + 1):
-        t_new, theta_new, r_new = _weighted_closed_form(soft_l1_weight(s), D, P, tau)
+        t_new, theta_new, r_new = _weighted_closed_form(1.0 / (1.0 + s / c2), D, P, tau)
         s_new = _squared_residuals(D, P, t_new, theta_new, r_new, tau)
-        cost_new = float(np.sum(soft_l1(s_new)))
+        cost_new = _cauchy_cost(s_new)
         if cost_new > cost:
             return t, theta, r, s, iterations, True  # round-off: keep the previous iterate
         decrease = cost - cost_new
@@ -257,20 +264,22 @@ def solve_alignment_arrays(
     ``stamps`` (N,), ``D`` (N, 3) lidar positions and ``P`` (N, 3) VIO
     positions are the arrays :func:`build_correspondence_arrays` returns.
     The start is the unit-weight closed form, the optimum of the same window
-    with the soft-L1 loss replaced by the squared residual, so a noiseless
+    with the Cauchy loss replaced by the squared residual, so a noiseless
     window is solved before the first iteration and there is no warm start.
-    Each iteration sets the weights w_i = rho'(s_i) at the current residuals
-    and solves the weighted problem in closed form.  rho is concave in s, so
-    this is a majorize-minimize scheme and no iteration can raise the robust
-    cost.  The loop stops when the relative cost decrease is at most
-    :data:`COST_TOLERANCE`; a cost that rises through round-off keeps the
-    previous iterate and also ends the loop.
+    Each iteration sets the weights w_i = rho'(s_i) = 1 / (1 + s_i / c^2)
+    at the current residuals and solves the weighted problem in closed form.
+    rho is concave in s, so this is a majorize-minimize scheme and no
+    iteration can raise the Cauchy cost.  The loop stops when the relative
+    cost decrease is at most :data:`COST_TOLERANCE`; a cost that rises
+    through round-off keeps the previous iterate and also ends the loop.
+    The last iterate is the solution for both window models: no refit.
 
     ``converged`` is true when the loop stopped that way within
-    :data:`MAX_ITERATIONS`.  The window geometry is not tested here (that
-    is :func:`window_observable`, before the solve) and neither is the cost
-    bound (that is :func:`degeneracy_check`, after it).  Raises
-    :class:`InsufficientDataError` when fewer than
+    :data:`MAX_ITERATIONS`.  ``final_cost`` is the mean soft-L1 residual at
+    the solution, the statistic ``max_cost`` bounds.  The window geometry is
+    not tested here (that is :func:`window_observable`, before the solve)
+    and neither is the cost bound (that is :func:`degeneracy_check`, after
+    it).  Raises :class:`InsufficientDataError` when fewer than
     :data:`MIN_CORRESPONDENCES` pairs are supplied.
 
     With ``config.estimate_drift`` a linear VIO drift rate is co-estimated
@@ -286,25 +295,6 @@ def solve_alignment_arrays(
     with_drift = config.estimate_drift
     tau = stamps - stamps.mean() if with_drift else None
     t, theta, drift, s, iterations, converged = _irls(D, P, tau)
-
-    if converged and not with_drift:
-        # The unit-scale soft-L1 still leaves ~1/sqrt(26) weight on a 5 m
-        # outlier, which biases the optimum by several centimeters at 20%
-        # contamination.  Refit in closed form on MAD-gated inliers (0/1
-        # weights); applied only when a clear majority survives the gate,
-        # and repeated once so the gate is evaluated at the refitted solution.
-        for _ in range(2):
-            norms = np.sqrt(s)
-            med = float(np.median(norms))
-            sigma_r = 1.4826 * float(np.median(np.abs(norms - med)))
-            if sigma_r <= 1e-12:
-                break
-            keep = norms <= med + 3.0 * sigma_r
-            kept = int(keep.sum())
-            if kept == n or kept < max(3, n // 2):
-                break
-            t, theta, _ = _weighted_closed_form(keep.astype(float), D, P)
-            s = _squared_residuals(D, P, t, theta)
 
     final_cost = float(np.mean(soft_l1(s)))
     if with_drift:

@@ -146,10 +146,12 @@ class EventLog:
     @classmethod
     def loads(cls, text: str) -> "EventLog":
         """Parse ``dumps`` output: fields are single-space separated, every
-        tag has an exact field count (an H value may be empty) and every
-        number is finite."""
+        tag has an exact field count (an H value may be empty), every
+        number is finite and the TS and EST stamps each increase strictly,
+        as the evaluation's interpolation assumes."""
         log = cls()
         records = log.records
+        last_stamp = {"TS": -math.inf, "EST": -math.inf}
         lineno = 0
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -167,6 +169,11 @@ class EventLog:
                 if ("n" in line or "N" in line) and not all(
                         math.isfinite(v) for v in record if type(v) is float):
                     raise ValueError(f"non-finite number in {tag} record")
+                if tag in last_stamp:
+                    if record[1] <= last_stamp[tag]:
+                        raise ValueError(f"{tag} stamp {record[1]!r} is not greater than "
+                                         f"the previous {tag} stamp {last_stamp[tag]!r}")
+                    last_stamp[tag] = record[1]
                 records.append(record)
             except ValueError as exc:
                 raise LogParseError(str(exc), lineno) from exc

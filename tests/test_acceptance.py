@@ -68,10 +68,12 @@ def test_criterion_1_alignment_exact_recovery():
         d["note"] = f"{elapsed:.2f} s"
 
 
-def test_criterion_2_robust_alignment():
-    with criterion(2, "robust recovery with 20% outliers at 5 m") as d:
+@pytest.mark.parametrize("estimate_drift", [False, True])
+def test_criterion_2_robust_alignment(estimate_drift):
+    model = "with drift" if estimate_drift else "no drift"
+    with criterion(2, f"robust recovery with 20% outliers at 5 m, {model}") as d:
         pts = _circle_points(50)
-        cfg = AlignmentConfig(max_cost=5.0)
+        cfg = AlignmentConfig(max_cost=5.0, estimate_drift=estimate_drift)
         passed = 0
         for case in range(100):
             rng = np.random.default_rng(1000 + case)

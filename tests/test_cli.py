@@ -242,6 +242,28 @@ def test_eval_non_finite_field_exits_one_with_line_number(tmp_path, capsys, tag,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tag", ["TS", "EST"])
+def test_eval_out_of_order_stamps_exit_one_with_line_number(tmp_path, capsys, tag):
+    # the evaluation interpolates TS and EST over their stamps, which it
+    # could only do silently wrong on a series that goes back in time
+    cfg = _write(tmp_path, "s.cfg", BASE_CFG)
+    out = tmp_path / "out"
+    main(["run", "--config", cfg, "--out", str(out)])
+    lines = (out / "events.log").read_text().splitlines()
+    first, second = [i for i, line in enumerate(lines) if line.startswith(f"{tag} ")][10:12]
+    lines[first], lines[second] = lines[second], lines[first]
+    broken = tmp_path / "broken.log"
+    broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["eval", "--log", str(broken), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    stamp, previous = lines[second].split(" ")[1], lines[first].split(" ")[1]
+    assert err.startswith(f"log error: line {second + 1}: {tag} stamp {stamp} is not "
+                          f"greater than the previous {tag} stamp {previous}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("echo", ["H trajectory.laps 1.5", "H trajectory.pattern spiral"])
 def test_eval_corrupt_config_echo_exits_one(tmp_path, capsys, echo):
     cfg = _write(tmp_path, "s.cfg", BASE_CFG)

@@ -74,3 +74,36 @@ def test_check_exits_one_on_a_changed_digest_and_zero_on_a_match(tmp_path, capsy
     assert tool.main(["--check", str(saved)]) == 1
     assert capsys.readouterr().out.splitlines()[0] == (
         "one_lap digest differs, rel_loc_rmse +0.000e+00, mean_path_deviation +0.000e+00")
+
+
+def test_workload_means_give_each_benchmark_workloads_sub_seed_means():
+    tool = _tool()
+    saved = ("a.cfg 0f 9.0 9.0\n"
+             "bench:nlos:seed=1 1e 0.25 0.5\nbench:nlos:seed=2 2d 0.75 0.5\n"
+             "bench:gone:seed=1 3c 1.0 1.0\n")
+    current = ["a.cfg 0f 1.0 1.0", "bench:nlos:seed=1 4b 0.5 0.5",
+               "bench:nlos:seed=2 5a 0.7 0.25", "bench:new:seed=1 69 1.0 1.0"]
+    assert tool.workload_means(saved, current) == [
+        "bench:nlos sub-seed means: rel_loc_rmse 0.50000 -> 0.60000 (+20.00%), "
+        "mean_path_deviation 0.50000 -> 0.37500 (-25.00%)",
+    ]
+    assert tool.workload_means(saved, saved.splitlines())[1] == (
+        "bench:gone sub-seed means: rel_loc_rmse 1.00000 -> 1.00000 (+0.00%), "
+        "mean_path_deviation 1.00000 -> 1.00000 (+0.00%)")
+
+
+def test_check_prints_the_workload_means_before_the_count(tmp_path, capsys):
+    tool = _tool()
+    config = tool.bench.make_config("drift_none", 7)
+    tool.runs = lambda: [("bench:drift_none:seed=7", config)]
+    sha, rmse, deviation = tool.row(config).split(" ")
+    saved = tmp_path / "digests.txt"
+    saved.write_text(f"bench:drift_none:seed=7 {sha} {float(rmse) * 2!r} {deviation}\n",
+                     encoding="utf-8")
+    assert tool.main(["--check", str(saved)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == (f"bench:drift_none sub-seed means: rel_loc_rmse "
+                      f"{float(rmse) * 2:.5f} -> {float(rmse):.5f} (-50.00%), "
+                      f"mean_path_deviation {float(deviation):.5f} -> "
+                      f"{float(deviation):.5f} (+0.00%)")
+    assert out[2] == f"1 of 1 runs differ from {saved}"

@@ -8,9 +8,11 @@ behaviour leaves every line equal, and a numerical change shows its metric
 deltas, run by run, in the last two columns (``evaluate_log`` of the same
 log).  ``--check FILE`` does the comparison itself: it runs the set, prints
 each run whose line differs from ``FILE`` (an earlier output of this tool,
-made with the same ``--exclude``) with its metric deltas, and exits 1 on any
-difference.  ``--exclude REF`` digests the log without its REF lines, to
-compare the rest across a change of the REF record's format.  The set is 53
+made with the same ``--exclude``) with its metric deltas, then one line per
+benchmark workload with the sub-seed means of both metrics in ``FILE`` and
+now and their relative change (the accuracy ``perfbench`` reports), and
+exits 1 on any difference.  ``--exclude REF`` digests the log without its
+REF lines, to compare the rest across a change of the REF record's format.  The set is 53
 runs:
 
 - every ``configs/*.cfg`` without a sweep section, at full length;
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import statistics
 import sys
 from pathlib import Path
 
@@ -101,6 +104,31 @@ def differences(saved: str, current: list[str]) -> list[str]:
     return out
 
 
+def workload_means(saved: str, current: list[str]) -> list[str]:
+    """One line per benchmark workload with runs on both sides: the mean of
+    each metric over its ``bench:NAME:seed=`` runs in ``saved`` and in
+    ``current``, and the relative change.  ``perfbench`` reports the same
+    means, so the line reads as the change's benchmark accuracy delta."""
+    def means(lines):
+        runs = {}
+        for line in lines:
+            label, *fields = line.split(" ")
+            if label.startswith("bench:") and len(fields) == 3:
+                runs.setdefault(label.split(":")[1], []).append(
+                    (float(fields[1]), float(fields[2])))
+        return {name: [statistics.fmean(column) for column in zip(*rows)]
+                for name, rows in runs.items()}
+
+    before, after = means(saved.splitlines()), means(current)
+    out = []
+    for name in (name for name in after if name in before):
+        parts = [f"{metric} {old:.5f} -> {new:.5f} ({(new - old) / old:+.2%})"
+                 for metric, old, new in zip(("rel_loc_rmse", "mean_path_deviation"),
+                                             before[name], after[name])]
+        out.append(f"bench:{name} sub-seed means: " + ", ".join(parts))
+    return out
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--exclude", action="append", default=[], metavar="TAG",
@@ -117,8 +145,9 @@ def main(argv: "list[str] | None" = None) -> int:
             print(lines[-1], flush=True)
     if args.check is None:
         return 0
-    diffs = differences(args.check.read_text(encoding="utf-8"), lines)
-    for line in diffs:
+    saved = args.check.read_text(encoding="utf-8")
+    diffs = differences(saved, lines)
+    for line in diffs + workload_means(saved, lines):
         print(line)
     print(f"{len(diffs)} of {len(lines)} runs differ from {args.check}")
     return 1 if diffs else 0
