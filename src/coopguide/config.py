@@ -42,7 +42,7 @@ SCHEMA: dict[str, tuple[Any, Any]] = {
     "scenario.abort_radius": (3.0, "> 0"),     # m from desired path before failure
     "scenario.truth_log_decimation": (1, ">= 1"),  # log truth every Nth tick
     # primary agent motion (affects occlusion geometry only)
-    "primary.pattern": ("square", ("square", "line", "static")),
+    "primary.pattern": ("square", ("square", "line")),
     "primary.size": (3.0, ">= 0"),             # m, square side / line length
     "primary.speed": (0.5, ">= 0"),            # m/s; 0 = static
     "primary.center": ((0.0, 0.0, 3.0), None),
@@ -60,8 +60,7 @@ SCHEMA: dict[str, tuple[Any, Any]] = {
     "vio.noise_sigma": (0.0, ">= 0"),          # m, white position noise (0 = drift only)
     "vio.initial_offset": ((5.0, -3.0, 1.0), None),   # t0 of the true L->V transform
     "vio.initial_heading": (0.7, None),        # rad, theta of the true L->V transform
-    # VIO drift model (position drift of frame V)
-    "vio_drift.model": ("none", ("none", "constant_velocity", "random_walk")),
+    # position drift of frame V: a constant rate plus a random walk
     "vio_drift.x": (0.0, None),                # m/s
     "vio_drift.y": (0.0, None),
     "vio_drift.z": (0.0, None),
@@ -195,8 +194,16 @@ def parse_config_text(text: str) -> dict[str, Any]:
 
 
 def load_config_file(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """``parse_config_text`` of a file; bytes that are not UTF-8 are a
+    ConfigError naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"line {lineno}: not UTF-8 text ({exc.reason})") from exc
+    return parse_config_text(text)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,10 @@ Degenerate input streams map to explicit statuses:
       streaming pauses: without fresh VIO there is no valid V-frame anchor)
     - non-finite VIO samples  -> dropped on ingest, so a stream of them reads
       as VIO stale
+    - duplicate sample/batch  -> dropped on ingest (a VIO sample or detection
+      batch whose stamp is already buffered), so each is fused once
+    - late detection batch    -> buffered in stamp order; the history buffer
+      replays the filter through it
     - last alignment rejected -> TRANSFORM_FROZEN (guidance continues with the
       previous transform)
 
@@ -212,18 +216,26 @@ class Guider:
 
     def ingest_detections(self, detections: Sequence[Detection]) -> None:
         """Feed one batch of detections (all tracked objects) sharing one
-        stamp; a batch whose stamps differ raises ValueError, changing nothing."""
+        stamp; a batch whose stamps differ raises ValueError, changing nothing.
+
+        Arrival order may differ from stamps: the buffers stay sorted by
+        stamp.  A batch whose stamp a track buffer already holds is a
+        duplicate delivery and is dropped, changing nothing.
+        """
         if not detections:
             return
         stamp = detections[0].stamp
         if any(det.stamp != stamp for det in detections):
             raise ValueError("a detection batch must share one stamp")
+        buffers = self._track_buffers
+        if any(_holds_stamp(buffers.get(det.track_id, ()), stamp) for det in detections):
+            return
         self._ingest_count += 1
         detections = sorted(detections, key=lambda d: d.track_id)
         for det in detections:
-            buf = self._track_buffers.setdefault(det.track_id, deque())
-            buf.append(det)
-            self._prune_deque(buf, stamp)
+            buf = buffers.setdefault(det.track_id, deque())
+            bisect.insort(buf, det, key=stamp_key)
+            self._prune_deque(buf)
         if self._history is None:
             # alignment solves are not free: retry at most every 0.3 s
             if stamp >= self._next_init_attempt:
@@ -244,8 +256,8 @@ class Guider:
                 self._history.insert(z)
             except StaleMeasurementError:
                 return
-            self._fused_detections.append(det)
-            self._prune_deque(self._fused_detections, stamp)
+            bisect.insort(self._fused_detections, det, key=stamp_key)
+            self._prune_deque(self._fused_detections)
             self._consecutive_rejects = 0
         else:
             self._consecutive_rejects += 1
@@ -262,15 +274,18 @@ class Guider:
 
         A sample with a non-finite value is dropped before it is buffered, so
         it cannot turn the filter state to NaN; a stream of them reads as
-        stale VIO (HEADING_FROZEN).
+        stale VIO (HEADING_FROZEN).  A sample whose stamp is already buffered
+        is a duplicate delivery and is dropped too.
         """
         x, y, z = pose.position.tolist()
         vx, vy, vz = pose.velocity.tolist()
         if not all(map(math.isfinite, (pose.stamp, x, y, z, vx, vy, vz, pose.heading_rate))):
             return
-        self._ingest_count += 1
         buf = self._vio_buffer
-        buf.insert(bisect.bisect_right(buf, pose.stamp, key=stamp_key), pose)
+        if _holds_stamp(buf, pose.stamp):
+            return
+        self._ingest_count += 1
+        bisect.insort(buf, pose, key=stamp_key)
         cutoff = buf[-1].stamp - self._buffer_span
         del buf[:bisect.bisect_left(buf, cutoff, key=stamp_key)]
 
@@ -401,7 +416,13 @@ class Guider:
 
     # ----------------------------------------------------------------- helpers
 
-    def _prune_deque(self, buf: deque, now: float) -> None:
-        cutoff = now - self._buffer_span
-        while buf and buf[0].stamp < cutoff:
+    def _prune_deque(self, buf: deque) -> None:
+        cutoff = buf[-1].stamp - self._buffer_span
+        while buf[0].stamp < cutoff:
             buf.popleft()
+
+
+def _holds_stamp(buf: Sequence, stamp: float) -> bool:
+    """Whether ``buf``, sorted by stamp, holds a record of stamp ``stamp``."""
+    i = bisect.bisect_left(buf, stamp, key=stamp_key)
+    return i < len(buf) and buf[i].stamp == stamp

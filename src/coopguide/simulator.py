@@ -15,10 +15,12 @@ True frame relation maintained by the engine:
     p_V(t) = Rz(theta0) @ p_L(t) + t0 + o(t)
 
 with (t0, theta0) the initial VIO frame offset and o(t) the accumulated
-position drift.  Until the guider initializes, the engine streams references
-through this true transform (operator-assisted start); afterwards the guider
-streams through its own estimate.  Either way a batch is the desired
-trajectory's window [t, t + STREAM_HORIZON] mapped by ``Trajectory.mapped``.
+position drift: the ``vio_drift.x/y/z`` rate times t plus a random walk of
+intensity ``vio_drift.sigma`` (``Drift``), the two terms adding up.  Until
+the guider initializes, the engine streams references through this true
+transform (operator-assisted start); afterwards the guider streams through
+its own estimate.  Either way a batch is the desired trajectory's window
+[t, t + STREAM_HORIZON] mapped by ``Trajectory.mapped``.
 
 The event log is a chronological, replayable record stream; serialized form
 is line-delimited ``TAG field ...`` text with shortest-round-trip floats.  A
@@ -183,58 +185,48 @@ class EventLog:
 
     @classmethod
     def load(cls, path: str) -> "EventLog":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
+        """``loads`` of a file; bytes that are not UTF-8 are a LogParseError
+        naming their line."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LogParseError(f"not UTF-8 text ({exc.reason})",
+                                data.count(b"\n", 0, exc.start) + 1) from exc
+        return cls.loads(text)
 
 
 # ---------------------------------------------------------------------------
-# drift models
+# drift
 
 
-class DriftModel:
-    """Accumulated position drift of the VIO frame; base class is drift-free.
+class Drift:
+    """Accumulated position drift of the VIO frame: a constant ``rate`` (m/s)
+    plus a random walk of intensity ``sigma`` (m/sqrt(s)), each zero when unset.
 
     ``offset`` and ``rate`` are (x, y, z) float tuples, stepped element by
-    element once per tick.
+    element once per tick; the walk draws from ``rng`` only when sigma > 0.
     """
 
-    def __init__(self):
+    def __init__(self, rate: Sequence[float] = (0.0, 0.0, 0.0), sigma: float = 0.0):
         self.offset = (0.0, 0.0, 0.0)
-        self.rate = (0.0, 0.0, 0.0)
-
-    def step(self, dt: float, rng: np.random.Generator) -> None:
-        pass
-
-
-class ConstantVelocityDrift(DriftModel):
-    def __init__(self, rate: Sequence[float]):
-        super().__init__()
-        self.rate = tuple(np.asarray(rate, dtype=float).tolist())
-
-    def step(self, dt: float, rng: np.random.Generator) -> None:
-        (ox, oy, oz), (rx, ry, rz) = self.offset, self.rate
-        self.offset = (ox + rx * dt, oy + ry * dt, oz + rz * dt)
-
-
-class RandomWalkDrift(DriftModel):
-    def __init__(self, sigma: float):
-        super().__init__()
+        self.rate = tuple(map(float, rate))
         self.sigma = float(sigma)
 
     def step(self, dt: float, rng: np.random.Generator) -> None:
-        scale = self.sigma * math.sqrt(dt)
-        (ox, oy, oz), (nx, ny, nz) = self.offset, rng.standard_normal(3).tolist()
-        self.offset = (ox + scale * nx, oy + scale * ny, oz + scale * nz)
+        (ox, oy, oz), (rx, ry, rz) = self.offset, self.rate
+        ox, oy, oz = ox + rx * dt, oy + ry * dt, oz + rz * dt
+        if self.sigma > 0.0:
+            scale = self.sigma * math.sqrt(dt)
+            nx, ny, nz = rng.standard_normal(3).tolist()
+            ox, oy, oz = ox + scale * nx, oy + scale * ny, oz + scale * nz
+        self.offset = (ox, oy, oz)
 
 
-def make_drift(values) -> DriftModel:
-    model = values["vio_drift.model"]
-    if model == "constant_velocity":
-        return ConstantVelocityDrift([values["vio_drift.x"], values["vio_drift.y"],
-                                      values["vio_drift.z"]])
-    if model == "random_walk":
-        return RandomWalkDrift(values["vio_drift.sigma"])
-    return DriftModel()
+def make_drift(values) -> Drift:
+    return Drift((values["vio_drift.x"], values["vio_drift.y"], values["vio_drift.z"]),
+                 values["vio_drift.sigma"])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +299,7 @@ def primary_pose(values, t: float) -> tuple[np.ndarray, float]:
     pattern = values["primary.pattern"]
     size = values["primary.size"]
     speed = values["primary.speed"]
-    if pattern == "static" or size <= 0 or speed <= 0:
+    if size <= 0 or speed <= 0:
         return np.array([cx, cy, cz]), 0.0
     if pattern == "line":
         cycle = 2.0 * size

@@ -162,7 +162,6 @@ trajectory.laps = 10
 primary.pattern = square
 primary.size = 3.0
 primary.speed = 0.5
-vio_drift.model = constant_velocity
 alignment.window = 8.0
 alignment.max_cost = 0.2
 alignment.estimate_drift = true
@@ -226,7 +225,6 @@ NLOS_SCENARIO = {
     "trajectory.radius": 3.0,
     "trajectory.center": "0,3,1.5",
     "trajectory.laps": 10,
-    "vio_drift.model": "random_walk",
     "vio_drift.sigma": 0.04,
     "false_targets.positions": "3.4,0.6,1.5; 2.0,6.8,1.5",
     "nlos.walls": "-4,-0.5,-1,-0.5",
@@ -312,7 +310,6 @@ def test_criterion_8_determinism():
             "scenario.seed": 42,
             "trajectory.laps": 1,
             "scenario.duration": 40.0,
-            "vio_drift.model": "random_walk",
             "vio_drift.sigma": 0.05,
             "detection.sigma": 0.15,
         }

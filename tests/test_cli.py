@@ -23,7 +23,6 @@ SWEEP_CFG = BASE_CFG + """
 sweep.parameter = vio_drift.x
 sweep.values = 0.0, 0.1
 sweep.runs_per_value = 2
-vio_drift.model = constant_velocity
 alignment.estimate_drift = true
 alignment.max_cost = 0.2
 """
@@ -86,6 +85,9 @@ _BAD_LINES = [
     "alignment.max_iterations = 0",
     "guider.stream_horizon = -1",
     "alignment.min_spread_ratio = -0.5",
+    "vio_drift.model = constant_velocity",
+    # removed values are out of range: speed or size 0 makes the primary static
+    "primary.pattern = static",
     # the rules that join keys
     "trajectory.radius = 0",
     "trajectory.radius = -2",
@@ -264,6 +266,35 @@ def test_eval_out_of_order_stamps_exit_one_with_line_number(tmp_path, capsys, ta
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_non_utf8_config_exits_one_with_line_number(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(SWEEP_CFG.encode() + b"# caf\xe9\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {SWEEP_CFG.count(chr(10)) + 1}: not UTF-8")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_non_utf8_log_exits_one_with_line_number(tmp_path, capsys):
+    cfg = _write(tmp_path, "s.cfg", BASE_CFG)
+    out = tmp_path / "out"
+    main(["run", "--config", cfg, "--out", str(out)])
+    lines = (out / "events.log").read_bytes().splitlines()
+    idx = next(i for i, line in enumerate(lines) if line.startswith(b"DET "))
+    lines[idx] += b"\xff"
+    broken = tmp_path / "broken.log"
+    broken.write_bytes(b"\n".join(lines) + b"\n")
+    capsys.readouterr()
+    code = main(["eval", "--log", str(broken), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"log error: line {idx + 1}: not UTF-8")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("echo", ["H trajectory.laps 1.5", "H trajectory.pattern spiral"])
 def test_eval_corrupt_config_echo_exits_one(tmp_path, capsys, echo):
     cfg = _write(tmp_path, "s.cfg", BASE_CFG)
@@ -302,7 +333,6 @@ def test_run_exit_two_on_scenario_failure(tmp_path):
     cfg = _write(tmp_path, "fail.cfg", """
 scenario.seed = 2
 trajectory.laps = 1
-vio_drift.model = constant_velocity
 vio_drift.x = 1.0
 alignment.window = 5.0
 alignment.max_cost = 2.5

@@ -100,6 +100,16 @@ def test_readme_config_table_lists_every_key_once():
     assert set(keys) == set(DEFAULTS)
 
 
+def test_readme_library_use_block_runs(capsys):
+    # the block sets config keys by name, so a removed key would break it
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```", README.read_text(),
+                      re.M | re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    rmse, deviation, failure = capsys.readouterr().out.split()
+    assert failure == "False"
+    assert 0.0 < float(rmse) < 0.2 and 0.0 < float(deviation) < 0.5
+
+
 @pytest.mark.parametrize("key, raw", [("trajectory.laps", 1.5), ("scenario.seed", 2.9)])
 def test_integer_key_rejects_non_integral_number(key, raw):
     # int() would silently truncate the value

@@ -235,7 +235,6 @@ def test_align_then_ate_bounded_by_interpolation_error():
 def test_log_config_round_trip():
     config = build_config({"trajectory.laps": 1,
                            "scenario.duration": 10.0,
-                           "vio_drift.model": "random_walk",
                            "vio_drift.sigma": 0.07,
                            "false_targets.positions": "3.4,0.6,1.5"})
     back = run_scenario(config).config()

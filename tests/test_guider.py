@@ -278,6 +278,51 @@ def test_non_finite_vio_sample_is_dropped(monkeypatch):
     assert np.all(np.isfinite(g.current_output(t).secondary_pose_in_l.position))
 
 
+def _est_records(monkeypatch, overrides, ingest=None):
+    """EST records of a one-lap default run, ``ingest`` wrapping both ingest calls."""
+    from coopguide.simulator import run_scenario
+
+    if ingest is not None:
+        for name in ("ingest_vio", "ingest_detections"):
+            monkeypatch.setattr(Guider, name, ingest(getattr(Guider, name)))
+    log = run_scenario(build_config({"trajectory.laps": 1, "scenario.duration": 25.0,
+                                     **overrides}))
+    monkeypatch.undo()
+    return list(log.iter_tag("EST"))
+
+
+def test_duplicate_deliveries_are_fused_once(monkeypatch):
+    # every VIO sample and detection batch delivered twice: the second copy
+    # holds a stamp already buffered and changes nothing
+    def twice(method):
+        return lambda self, item: (method(self, item), method(self, item))[0]
+
+    plain = _est_records(monkeypatch, {})
+    assert len(plain) > 100
+    assert _est_records(monkeypatch, {}, twice) == plain
+
+
+def test_late_detection_batches_keep_the_buffers_in_stamp_order(monkeypatch):
+    # a delay jitter above the 0.1 s detection period delivers batches out of
+    # stamp order; the track buffers and the fused detections stay sorted
+    arrivals, checked = [], []
+
+    def checking(method):
+        def ingest(self, item):
+            method(self, item)
+            if method.__name__ == "ingest_detections":
+                arrivals.append(item[0].stamp)
+                for buf in (*self._track_buffers.values(), self._fused_detections):
+                    stamps = [d.stamp for d in buf]
+                    assert stamps == sorted(stamps)
+                checked.append(self._history is not None)
+        return ingest
+
+    est = _est_records(monkeypatch, {"detection.delay_jitter": 0.15}, checking)
+    assert arrivals != sorted(arrivals)
+    assert len(est) > 100 and sum(checked) > 100
+
+
 def test_occlusion_does_not_readopt_the_fused_track_from_its_last_detection(monkeypatch):
     g = make_guider()
     t = drive(g, 0.0, 8.0)

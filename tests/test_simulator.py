@@ -12,12 +12,11 @@ from coopguide.config import ConfigError, build_config, load_config_file
 from coopguide.geometry import Frame, rot_z, wrap_heading
 from coopguide.guider import Trajectory
 from coopguide.simulator import (
-    ConstantVelocityDrift,
+    Drift,
     EventLog,
     LogParseError,
     PlantParams,
     PlantState,
-    RandomWalkDrift,
     generate_trajectory,
     lidar_detect,
     line_of_sight,
@@ -39,11 +38,11 @@ def _bits(*values) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# drift models
+# drift
 
 
 def test_vio_sample_constant_drift_accumulates_linearly():
-    drift = ConstantVelocityDrift([0.1, 0.0, 0.0])
+    drift = Drift([0.1, 0.0, 0.0])
     rng = np.random.default_rng(1)
     for _ in range(1000):  # 10 s at 100 Hz
         drift.step(0.01, rng)
@@ -62,7 +61,7 @@ def test_random_walk_drift_variance_growth():
     dt = t_final / steps
     finals = np.empty(n_paths)
     for i in range(n_paths):
-        d = RandomWalkDrift(sigma)
+        d = Drift(sigma=sigma)
         rng = np.random.default_rng(10_000 + i)
         for _ in range(steps):
             d.step(dt, rng)
@@ -202,22 +201,28 @@ def test_plant_step_is_bit_identical_to_the_array_update():
 
 
 def test_drift_models_step_bit_identical_to_the_array_updates():
+    # the rate-only drift shares the walk's generator: it must draw nothing
     rng = np.random.default_rng(72)
     for case in range(20):
         rate, start = rng.normal(0.0, 1.0, 3), rng.normal(0.0, 5.0, 3)
         sigma = float(rng.uniform(0.0, 1.0))
-        constant, walk = ConstantVelocityDrift(rate), RandomWalkDrift(sigma)
-        constant.offset = walk.offset = tuple(start.tolist())
-        constant_ref = walk_ref = start
+        constant, walk, both = Drift(rate), Drift(sigma=sigma), Drift(rate, sigma)
+        constant.offset = walk.offset = both.offset = tuple(start.tolist())
+        constant_ref = walk_ref = both_ref = start
         rng_walk, rng_ref = np.random.default_rng(case), np.random.default_rng(case)
+        rng_both, rng_both_ref = np.random.default_rng(case), np.random.default_rng(case)
         for _ in range(200):
             dt = float(rng.uniform(0.001, 0.1))
             constant.step(dt, rng_walk)
             walk.step(dt, rng_walk)
+            both.step(dt, rng_both)
             constant_ref = constant_ref + rate * dt
             walk_ref = walk_ref + sigma * math.sqrt(dt) * rng_ref.standard_normal(3)
+            both_ref = ((both_ref + rate * dt)
+                        + sigma * math.sqrt(dt) * rng_both_ref.standard_normal(3))
             assert _bits(constant.offset) == _bits(constant_ref)
             assert _bits(walk.offset) == _bits(walk_ref)
+            assert _bits(both.offset) == _bits(both_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +417,6 @@ def test_noiseless_circle_small_deviation():
     cfg = build_config({
         "trajectory.laps": 1,
         "detection.sigma": 0.0001,
-        "vio_drift.model": "none",
     })
     log = run_scenario(cfg)
     assert not log.failed
@@ -429,7 +433,6 @@ def test_drift_run_completes_with_nonempty_log():
 
     cfg = build_config({
         "trajectory.laps": 1,
-        "vio_drift.model": "constant_velocity",
         "vio_drift.x": 0.3,
         "alignment.window": 8.0,
         "alignment.max_cost": 0.2,
@@ -448,7 +451,6 @@ def test_determinism_byte_identical():
     over = {
         "trajectory.laps": 1,
         "scenario.duration": 30.0,
-        "vio_drift.model": "random_walk",
         "vio_drift.sigma": 0.05,
         "scenario.seed": 77,
     }
@@ -467,7 +469,6 @@ def test_conservation_of_frames():
     cfg = build_config({
         "trajectory.laps": 1,
         "scenario.duration": 30.0,
-        "vio_drift.model": "constant_velocity",
         "vio_drift.x": 0.4,
         "vio.noise_sigma": 0.0,
     })
@@ -496,6 +497,33 @@ def test_conservation_of_frames():
         assert np.allclose(recovered, truth_by_t[t], atol=1e-9)
         checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("key, value", [("vio_drift.x", 0.3), ("vio_drift.sigma", 0.05)])
+def test_a_drift_value_set_alone_drifts_the_vio_frame(key, value):
+    # each drift term counts as written, with no selector naming it: the last
+    # VIO sample sits off the truth mapped by the initial transform by the
+    # offset make_drift rebuilds (noise-free VIO)
+    base = {"trajectory.laps": 1, "scenario.duration": 10.0}
+    cfg = build_config({**base, key: value})
+    log = run_scenario(cfg)
+    plain = run_scenario(build_config(base))
+    assert [r for r in log.records if r[0] != "H"] != \
+        [r for r in plain.records if r[0] != "H"]
+    vio = next(r for r in reversed(log.records) if r[0] == "VIO")
+    ts_t, ts_p, _ = log.truth()
+    truth = ts_p[list(ts_t).index(vio[1])]
+    gap = np.array(vio[3:6]) - rot_z(cfg["vio.initial_heading"]) @ truth \
+        - np.asarray(cfg["vio.initial_offset"])
+    tick_rate = cfg["scenario.tick_rate"]
+    model = simulator.make_drift(cfg.values)
+    rng = simulator._stream_rng(cfg.seed, simulator._STREAM_DRIFT)
+    for _ in range(int(round(vio[1] * tick_rate))):
+        model.step(1.0 / tick_rate, rng)
+    assert np.allclose(gap, model.offset, atol=1e-9)
+    assert np.linalg.norm(gap) > 0.05
+    if key == "vio_drift.x":
+        assert gap == pytest.approx([0.3 * vio[1], 0.0, 0.0], abs=1e-9)
 
 
 def test_delay_bounds_respected():
@@ -548,7 +576,6 @@ def test_failure_recorded_at_high_drift_without_compensation():
     # the constant-transform model and the run aborts on the deviation radius
     cfg = build_config({
         "trajectory.laps": 2,
-        "vio_drift.model": "constant_velocity",
         "vio_drift.x": 1.0,
         "alignment.window": 5.0,
         "alignment.max_cost": 2.5,
