@@ -1,7 +1,8 @@
 """Cooperative guidance of a VIO-localized agent by a lidar-localized agent.
 
 Library layout:
-    geometry    frames, 4-DOF transforms, heading arithmetic, interpolation
+    geometry    frames, 4-DOF transforms, heading arithmetic, stamped record
+                buffers, interpolation
     alignment   sliding-window robust alignment of detection/VIO trajectories
     tracker     delay-tolerant constant-velocity Kalman tracking + gating
     guider      estimation pipeline + reference transformation/streaming
@@ -33,8 +34,11 @@ from .geometry import (
     Detection,
     Frame,
     RelativeTransform,
+    StampedColumns,
     TimedPose,
+    detection_columns,
     interpolate,
+    pose_columns,
     wrap_heading,
 )
 from .guider import Guider, GuiderOutput, GuiderStatus, Trajectory

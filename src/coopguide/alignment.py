@@ -35,16 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .geometry import (
     STALE_TOLERANCE,
-    Detection,
     Frame,
     RelativeTransform,
-    TimedPose,
+    StampedColumns,
     interp_columns,
     rot_z,
     wrap_heading,
@@ -120,31 +118,36 @@ MAX_DETECTION_GAP = 1.0
 
 
 def build_correspondence_arrays(
-    detections: Sequence[Detection],
-    vio_buffer: Sequence[TimedPose],
+    detections: StampedColumns,
+    vio_buffer: StampedColumns,
     config: AlignmentConfig = AlignmentConfig(),
 ):
     """Pair each windowed VIO pose with the detection track interpolated to it.
 
-    The window covers the last ``config.window`` seconds ending at the newest
-    VIO stamp.  VIO stamps outside the detection buffer's span (beyond
-    :data:`~coopguide.geometry.STALE_TOLERANCE`) or inside a detection gap
-    longer than :data:`MAX_DETECTION_GAP` are skipped.  Returns
-    ``(stamps (N,), lidar (N, 3), vio (N, 3))``, or None when fewer than
-    :data:`MIN_CORRESPONDENCES` pairs survive.
+    ``detections`` holds :data:`~coopguide.geometry.DETECTION_FIELDS`
+    records and ``vio_buffer`` :data:`~coopguide.geometry.POSE_FIELDS`
+    records.  The window covers the last ``config.window`` seconds ending at
+    the newest VIO stamp.  VIO stamps outside the detection buffer's span
+    (beyond :data:`~coopguide.geometry.STALE_TOLERANCE`) or inside a
+    detection gap longer than :data:`MAX_DETECTION_GAP` are skipped.  Returns
+    ``(stamps (N,), lidar (N, 3), vio (N, 3))``, fresh C-contiguous arrays,
+    or None when fewer than :data:`MIN_CORRESPONDENCES` pairs survive.
     """
-    if not detections or not vio_buffer or config.window <= 0:
+    if not len(detections) or not len(vio_buffer) or config.window <= 0:
         return None
-    det_stamps = np.array([d.stamp for d in detections])
-    det_positions = np.array([d.position for d in detections])
-    t_end = vio_buffer[-1].stamp
-    t_start = t_end - config.window
+    det = detections.columns
+    det_stamps = det[0]
+    vio_stamps = vio_buffer.stamps
+    t_start = vio_stamps[-1] - config.window
     lo = det_stamps[0] - STALE_TOLERANCE
     hi = det_stamps[-1] + STALE_TOLERANCE
-    kept = [p for p in vio_buffer if p.stamp >= t_start and lo <= p.stamp <= hi]
-    if len(kept) < MIN_CORRESPONDENCES:
+    # the stamps are sorted: the window is one slice
+    first = int(vio_stamps.searchsorted(max(t_start, lo)))
+    end = int(vio_stamps.searchsorted(hi, side="right"))
+    if end - first < MIN_CORRESPONDENCES:
         return None
-    stamps = np.array([p.stamp for p in kept])
+    stamps = vio_stamps[first:end]
+    vio_positions = vio_buffer.columns[1:4, first:end].T
     if len(det_stamps) > 1:
         # interpolation is only meaningful between nearby detections: drop
         # VIO stamps falling inside longer detection gaps (e.g. occlusions)
@@ -155,15 +158,14 @@ def build_correspondence_arrays(
         at_node = inner & (det_stamps[np.clip(idx, 0, len(det_stamps) - 1)] == stamps)
         ok = ~inner | (gap <= MAX_DETECTION_GAP) | at_node
         if not ok.all():
-            kept = [p for p, keep_it in zip(kept, ok) if keep_it]
-            if len(kept) < MIN_CORRESPONDENCES:
+            if np.count_nonzero(ok) < MIN_CORRESPONDENCES:
                 return None
-            stamps = stamps[ok]
+            stamps, vio_positions = stamps[ok], vio_positions[ok]
+    stamps = stamps.copy()
     # linear interpolation of the detection track to VIO stamps; np.interp
     # clamps at the ends, matching the within-tolerance hold rule
-    interp = interp_columns(stamps, det_stamps, det_positions)
-    vio_positions = np.array([p.position for p in kept])
-    return stamps, interp, vio_positions
+    interp = interp_columns(stamps, det_stamps, det[1:4].T)
+    return stamps, interp, np.ascontiguousarray(vio_positions)
 
 
 def closed_form_align(lidar_points: np.ndarray, vio_points: np.ndarray) -> tuple[np.ndarray, float]:

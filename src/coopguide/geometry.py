@@ -1,4 +1,5 @@
-"""Frames, gravity-aligned 4-DOF transforms, heading arithmetic, interpolation.
+"""Frames, gravity-aligned 4-DOF transforms, heading arithmetic, stamped
+record buffers and their interpolation.
 
 Every stamped quantity in this package carries a frame label.  All frames are
 gravity-aligned (roll/pitch identically zero), so the only rotational degree
@@ -18,12 +19,10 @@ Conventions:
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,9 +30,6 @@ TWO_PI = 2.0 * math.pi
 
 #: Default tolerance (s) for interpolation queries slightly outside a buffer.
 STALE_TOLERANCE = 0.1
-
-#: ``bisect`` key for buffers of stamped records kept sorted by stamp.
-stamp_key = attrgetter("stamp")
 
 
 class Frame(str, Enum):
@@ -154,49 +150,184 @@ class Detection:
             raise ValueError("non-finite detection position")
         object.__setattr__(self, "position", p)
 
-
-def _lerp_pose(a: TimedPose, b: TimedPose, t: float) -> TimedPose:
-    if b.stamp <= a.stamp:
-        return a
-    # a + u * (b - a) in floats, element by element: the same IEEE
-    # operations as on the arrays, without a ufunc call per operation
-    u = (t - a.stamp) / (b.stamp - a.stamp)
-    heading = wrap_heading(a.heading + u * wrap_heading(b.heading - a.heading))
-    (ax, ay, az), (bx, by, bz) = a.position.tolist(), b.position.tolist()
-    (vx, vy, vz), (wx, wy, wz) = a.velocity.tolist(), b.velocity.tolist()
-    return TimedPose._unchecked(
-        t, a.frame,
-        np.array([ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)]),
-        heading,
-        np.array([vx + u * (wx - vx), vy + u * (wy - vy), vz + u * (wz - vz)]),
-        a.heading_rate + u * (b.heading_rate - a.heading_rate),
-    )
+    @classmethod
+    def _unchecked(cls, stamp: float, position: np.ndarray, sigma: float,
+                   track_id: int) -> "Detection":
+        """Wrap a finite float position array: no conversion, no checks."""
+        det = cls.__new__(cls)
+        vars(det).update(stamp=stamp, position=position, sigma=sigma, track_id=track_id,
+                         frame=Frame.LIDAR)
+        return det
 
 
-def interpolate(buffer: Sequence[TimedPose], t: float, tolerance: float = STALE_TOLERANCE) -> TimedPose:
-    """Linearly interpolate a time-sorted pose buffer at time ``t``.
+#: the fields of a pose record, in column order
+POSE_FIELDS = ("stamp", "x", "y", "z", "heading", "vx", "vy", "vz", "heading_rate")
+#: the fields of a detection record, in column order
+DETECTION_FIELDS = ("stamp", "x", "y", "z", "sigma", "track_id")
+
+
+def pose_row(pose: TimedPose) -> tuple:
+    """``pose`` as a record of :data:`POSE_FIELDS`."""
+    x, y, z = pose.position.tolist()
+    vx, vy, vz = pose.velocity.tolist()
+    return pose.stamp, x, y, z, pose.heading, vx, vy, vz, pose.heading_rate
+
+
+def detection_row(det: Detection) -> tuple:
+    """``det`` as a record of :data:`DETECTION_FIELDS`."""
+    x, y, z = det.position.tolist()
+    return det.stamp, x, y, z, det.sigma, det.track_id
+
+
+class StampedColumns:
+    """Records of floats kept sorted by strictly increasing stamp, by column.
+
+    Field 0 of a record is its stamp (see :data:`POSE_FIELDS` and
+    :data:`DETECTION_FIELDS`).  The records are the columns ``[start, end)``
+    of a backing (fields, capacity) array: a record newer than all others is
+    written into the next free column, an older one shifts the newer columns
+    up by one, and pruning advances ``start``.  ``columns`` and ``stamps``
+    are views that the next insert may overwrite.  ``newest_stamp`` is the
+    newest record's stamp, -inf while the buffer is empty.
+    """
+
+    __slots__ = ("frame", "newest_stamp", "_data", "_start", "_end")
+
+    def __init__(self, frame: Frame, width: int, capacity: int = 64):
+        self.frame = frame
+        self.newest_stamp = -math.inf
+        self._data = np.empty((width, capacity))
+        self._start = self._end = 0
+
+    def __len__(self) -> int:
+        return self._end - self._start
+
+    @property
+    def columns(self) -> np.ndarray:
+        """(fields, N) view of the records, oldest first."""
+        return self._data[:, self._start:self._end]
+
+    @property
+    def stamps(self) -> np.ndarray:
+        return self._data[0, self._start:self._end]
+
+    def row(self, i: int) -> list:
+        """Record ``i`` (negative counts from the newest) as a list of floats."""
+        n = self._end - self._start
+        if not -n <= i < n:
+            raise IndexError(f"record {i} of {n}")
+        return self._data[:, self._start + i % n].tolist()
+
+    def holds(self, stamp: float) -> bool:
+        """Whether a record of stamp ``stamp`` is buffered."""
+        if stamp > self.newest_stamp:
+            return False
+        stamps = self.stamps
+        i = int(stamps.searchsorted(stamp))
+        return i < len(stamps) and stamps[i] == stamp
+
+    def insert(self, row: Sequence[float]) -> Optional[int]:
+        """Buffer one record in stamp order; return its index, or None when
+        its stamp is already buffered (a duplicate: nothing changes)."""
+        if self._end == self._data.shape[1]:
+            self._make_room()
+        data, start, end = self._data, self._start, self._end
+        stamp = row[0]
+        if stamp > self.newest_stamp:
+            i = end
+            self.newest_stamp = float(stamp)
+        else:
+            i = start + int(data[0, start:end].searchsorted(stamp))
+            if i < end and data[0, i] == stamp:
+                return None
+            data[:, i + 1:end + 1] = data[:, i:end]
+        data[:, i] = row
+        self._end = end + 1
+        return i - start
+
+    def prune(self, cutoff: float) -> None:
+        """Drop the records stamped before ``cutoff``."""
+        # a scalar scan: a prune usually drops no record or one
+        stamps, start, end = self._data[0], self._start, self._end
+        while start < end and stamps[start] < cutoff:
+            start += 1
+        if start == end:
+            self.newest_stamp = -math.inf
+        self._start = start
+
+    def copy(self) -> "StampedColumns":
+        out = StampedColumns(self.frame, self._data.shape[0], max(2 * len(self), 64))
+        out._data[:, :len(self)] = self.columns
+        out._end, out.newest_stamp = len(self), self.newest_stamp
+        return out
+
+    def _make_room(self) -> None:
+        # compact in place while at most half full, else double the capacity
+        n = len(self)
+        width, capacity = self._data.shape
+        data = self._data if 2 * n <= capacity else np.empty((width, 2 * capacity))
+        data[:, :n] = self._data[:, self._start:self._end]
+        self._data, self._start, self._end = data, 0, n
+
+
+def pose_columns(poses: Iterable[TimedPose]) -> StampedColumns:
+    """A VIO pose buffer holding ``poses`` (any order; a repeated stamp is
+    dropped)."""
+    buf = StampedColumns(Frame.VIO, len(POSE_FIELDS))
+    for pose in poses:
+        buf.insert(pose_row(pose))
+    return buf
+
+
+def detection_columns(detections: Iterable[Detection]) -> StampedColumns:
+    """A detection buffer holding ``detections`` (any order; a repeated stamp
+    is dropped)."""
+    buf = StampedColumns(Frame.LIDAR, len(DETECTION_FIELDS))
+    for det in detections:
+        buf.insert(detection_row(det))
+    return buf
+
+
+def interpolate(buffer: StampedColumns, t: float, tolerance: float = STALE_TOLERANCE) -> TimedPose:
+    """Linearly interpolate a pose buffer (:data:`POSE_FIELDS`) at time ``t``.
 
     Position, velocity and heading rate interpolate linearly; heading follows
     the shortest angular arc.  Queries up to ``tolerance`` seconds outside the
     buffer span are clamped to the nearest endpoint (held, not extrapolated);
     anything further raises :class:`StaleQueryError`.
     """
-    if not buffer:
+    if not len(buffer):
         raise StaleQueryError("stale query: empty pose buffer")
-    first, last = buffer[0], buffer[-1]
-    if t < first.stamp - tolerance or t > last.stamp + tolerance:
+    stamps = buffer.stamps
+    first, last = float(stamps[0]), float(stamps[-1])
+    if t < first - tolerance or t > last + tolerance:
         raise StaleQueryError(
             f"stale query: t={t:.6f} outside buffer span "
-            f"[{first.stamp:.6f}, {last.stamp:.6f}] by more than {tolerance} s"
+            f"[{first:.6f}, {last:.6f}] by more than {tolerance} s"
         )
-    if t <= first.stamp:
-        return replace(first, stamp=t) if t != first.stamp else first
-    if t >= last.stamp:
-        return replace(last, stamp=t) if t != last.stamp else last
-    hi = bisect.bisect_left(buffer, t, key=stamp_key)
-    if buffer[hi].stamp == t:
-        return buffer[hi]
-    return _lerp_pose(buffer[hi - 1], buffer[hi], t)
+    if t <= first:
+        row = buffer.row(0)
+    elif t >= last:
+        row = buffer.row(-1)
+    else:
+        hi = int(stamps.searchsorted(t))
+        row = buffer.row(hi)
+        if stamps[hi] != t:
+            # a + u * (b - a) in floats, element by element: the same IEEE
+            # operations as on the arrays, without a ufunc call per operation
+            s0, ax, ay, az, h0, vx, vy, vz, r0 = buffer.row(hi - 1)
+            s1, bx, by, bz, h1, wx, wy, wz, r1 = row
+            u = (t - s0) / (s1 - s0)
+            return TimedPose._unchecked(
+                t, buffer.frame,
+                np.array([ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)]),
+                wrap_heading(h0 + u * wrap_heading(h1 - h0)),
+                np.array([vx + u * (wx - vx), vy + u * (wy - vy), vz + u * (wz - vz)]),
+                r0 + u * (r1 - r0),
+            )
+    _, x, y, z, heading, vx, vy, vz, rate = row
+    return TimedPose._unchecked(t, buffer.frame, np.array([x, y, z]), heading,
+                                np.array([vx, vy, vz]), rate)
 
 
 def interp_columns(t: np.ndarray, stamps: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Guidance orchestration: alignment + tracking + reference transformation.
 
 The guider owns the estimation pipeline for one secondary agent: it buffers
-raw detections per track id and VIO poses, initializes the estimate by
-aligning detection tracks against the VIO trajectory, keeps the estimate
-updated through the history-buffered Kalman filter, periodically re-solves
+raw detections per track id and VIO poses, each buffer a stamp-sorted
+``StampedColumns``, initializes the estimate by aligning detection tracks
+against the VIO trajectory, keeps the estimate updated through the
+history-buffered Kalman filter, periodically re-solves
 the frame alignment, and transforms the not-yet-flown part of a desired
 lidar-frame trajectory into the secondary agent's local frame for streaming.
 The last accepted alignment supplies the heading and the co-estimated VIO
@@ -39,9 +40,7 @@ All ingest and query calls must be externally serialized (single writer).
 
 from __future__ import annotations
 
-import bisect
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -57,14 +56,18 @@ from .alignment import (
     window_observable,
 )
 from .geometry import (
+    DETECTION_FIELDS,
+    POSE_FIELDS,
     Detection,
     Frame,
     RelativeTransform,
     StaleQueryError,
+    StampedColumns,
     TimedPose,
+    detection_row,
     interpolate,
+    pose_row,
     rot_z,
-    stamp_key,
     wrap_heading,
 )
 from .tracker import (
@@ -176,13 +179,19 @@ class Guider:
     def __init__(self, align_config: AlignmentConfig, realign_period: float):
         self.align_config = align_config
         self.realign_period = realign_period   # s between alignment re-solves
-        buffer_span = align_config.window + 2.0
-        self._buffer_span = buffer_span
-        self._track_buffers: dict[int, deque[Detection]] = {}
-        self._vio_buffer: list[TimedPose] = []
+        self._buffer_span = align_config.window + 2.0   # s of records each buffer keeps
+        # stamp-sorted record columns: POSE_FIELDS for VIO, DETECTION_FIELDS
+        # for each track and for the fused detections
+        self._track_buffers: dict[int, StampedColumns] = {}
+        self._vio_buffer = StampedColumns(Frame.VIO, len(POSE_FIELDS))
+        self._fused_detections = StampedColumns(Frame.LIDAR, len(DETECTION_FIELDS))
         self._history: Optional[HistoryBuffer] = None
         self._alignment: Optional[AlignmentResult] = None   # the last accepted solve
-        self._fused_detections: deque[Detection] = deque()
+        # of the last accepted solve: heading, rot_z(-heading), drift rate floats
+        self._correction: Optional[tuple[float, np.ndarray, tuple]] = None
+        # newest fused detection, VIO pose at its stamp, oldest VIO stamp that
+        # pose depends on: see _vio_anchor
+        self._anchor: Optional[tuple[Detection, Optional[TimedPose], float]] = None
         self._alignment_accepted = False
         self._next_alignment_time = -np.inf
         self._next_init_attempt = -np.inf
@@ -204,9 +213,9 @@ class Guider:
         # once initialized, both buffers hold at least one sample
         if self._history is None:
             return GuiderStatus.UNINITIALIZED
-        if t - self._vio_buffer[-1].stamp > VIO_STALENESS:
+        if t - self._vio_buffer.newest_stamp > VIO_STALENESS:
             return GuiderStatus.HEADING_FROZEN
-        if t - self._fused_detections[-1].stamp > DETECTION_STALENESS:
+        if t - self._fused_detections.newest_stamp > DETECTION_STALENESS:
             return GuiderStatus.DEAD_RECKONING_VIO
         if not self._alignment_accepted:
             return GuiderStatus.TRANSFORM_FROZEN
@@ -228,14 +237,17 @@ class Guider:
         if any(det.stamp != stamp for det in detections):
             raise ValueError("a detection batch must share one stamp")
         buffers = self._track_buffers
-        if any(_holds_stamp(buffers.get(det.track_id, ()), stamp) for det in detections):
+        if any(det.track_id in buffers and buffers[det.track_id].holds(stamp)
+               for det in detections):
             return
         self._ingest_count += 1
         detections = sorted(detections, key=lambda d: d.track_id)
         for det in detections:
-            buf = buffers.setdefault(det.track_id, deque())
-            bisect.insort(buf, det, key=stamp_key)
-            self._prune_deque(buf)
+            buf = buffers.get(det.track_id)
+            if buf is None:
+                buf = buffers[det.track_id] = StampedColumns(Frame.LIDAR, len(DETECTION_FIELDS))
+            buf.insert(detection_row(det))
+            buf.prune(buf.newest_stamp - self._buffer_span)
         if self._history is None:
             # alignment solves are not free: retry at most every 0.3 s
             if stamp >= self._next_init_attempt:
@@ -256,8 +268,10 @@ class Guider:
                 self._history.insert(z)
             except StaleMeasurementError:
                 return
-            bisect.insort(self._fused_detections, det, key=stamp_key)
-            self._prune_deque(self._fused_detections)
+            fused = self._fused_detections
+            if fused.insert(detection_row(det)) == len(fused) - 1:
+                self._anchor = None   # a new newest fused detection
+            fused.prune(fused.newest_stamp - self._buffer_span)
             self._consecutive_rejects = 0
         else:
             self._consecutive_rejects += 1
@@ -277,34 +291,35 @@ class Guider:
         stale VIO (HEADING_FROZEN).  A sample whose stamp is already buffered
         is a duplicate delivery and is dropped too.
         """
-        x, y, z = pose.position.tolist()
-        vx, vy, vz = pose.velocity.tolist()
-        if not all(map(math.isfinite, (pose.stamp, x, y, z, vx, vy, vz, pose.heading_rate))):
+        row = pose_row(pose)
+        if not all(map(math.isfinite, row)):
             return
         buf = self._vio_buffer
-        if _holds_stamp(buf, pose.stamp):
+        i = buf.insert(row)
+        if i is None:
             return
         self._ingest_count += 1
-        bisect.insort(buf, pose, key=stamp_key)
-        cutoff = buf[-1].stamp - self._buffer_span
-        del buf[:bisect.bisect_left(buf, cutoff, key=stamp_key)]
+        late = i < len(buf) - 1
+        cutoff = buf.newest_stamp - self._buffer_span
+        buf.prune(cutoff)
+        if self._anchor is not None and (late or cutoff > self._anchor[2]):
+            # a late sample may fall between the samples the anchor was
+            # interpolated from, and the prune may have dropped the older one
+            self._anchor = None
 
         if self._history is None:
             return
-        alignment = self._alignment
-        last_det = self._fused_detections[-1]
+        theta, r_lv, drift_rate = self._correction
         vio_at_det = None
-        if pose.stamp > last_det.stamp:
-            try:
-                vio_at_det = interpolate(buf, last_det.stamp)
-            except StaleQueryError:
-                pass  # detection outside the VIO buffer: heading-only measurement
+        if pose.stamp > self._fused_detections.newest_stamp:
+            last_det, vio_at_det = self._vio_anchor()
         try:
             if vio_at_det is not None:
-                z = make_vio_measurement(pose, last_det, vio_at_det,
-                                         alignment.transform.heading, alignment.drift_rate)
+                z = make_vio_measurement(pose, last_det, vio_at_det, theta, drift_rate, r_lv)
             else:
-                z = make_heading_measurement(pose, alignment.transform.heading)
+                # older than the last detection, or that detection lies
+                # outside the VIO buffer: heading-only measurement
+                z = make_heading_measurement(pose, theta)
             self._history.insert(z)
         except StaleMeasurementError:
             pass  # over-delayed sample: skip, streams continue
@@ -312,16 +327,40 @@ class Guider:
         if pose.stamp >= self._next_alignment_time:
             self._realign(pose.stamp)
 
+    def _vio_anchor(self) -> tuple[Detection, Optional[TimedPose]]:
+        """The newest fused detection and the VIO pose interpolated at its
+        stamp, None when the stamp lies outside the VIO buffer.
+
+        Called only once a VIO sample newer than the detection is buffered,
+        so the pose depends on the samples from the one at or before the
+        stamp onward and never on appended ones.  It is cached until the
+        newest fused detection changes, a sample arrives out of order or
+        pruning removes that sample (see ``ingest_vio`` and
+        ``ingest_detections``).
+        """
+        if self._anchor is None:
+            buf = self._vio_buffer
+            stamp, x, y, z, sigma, track_id = self._fused_detections.row(-1)
+            det = Detection._unchecked(stamp, np.array([x, y, z]), sigma, int(track_id))
+            try:
+                vio_at_det = interpolate(buf, stamp)
+            except StaleQueryError:
+                vio_at_det = None
+            stamps = buf.stamps
+            oldest = stamps[max(int(stamps.searchsorted(stamp, side="right")) - 1, 0)]
+            self._anchor = (det, vio_at_det, float(oldest))
+        return self._anchor[0], self._anchor[1]
+
     # ------------------------------------------------------------ initialization
 
     def _initialize(self, now: float) -> None:
         """(Re-)initialize from tracks that are still producing detections
         and, once a filter exists, hold one newer than the last fused one."""
         stale_after = now - DETECTION_STALENESS
-        last_fused = (self._fused_detections[-1].stamp if self._history is not None
+        last_fused = (self._fused_detections.newest_stamp if self._history is not None
                       else -math.inf)
         fresh = {tid: buf for tid, buf in self._track_buffers.items()
-                 if buf and buf[-1].stamp >= stale_after and buf[-1].stamp > last_fused}
+                 if buf.newest_stamp >= stale_after and buf.newest_stamp > last_fused}
         if not fresh:
             return
         out = try_initialize(fresh, self._vio_buffer, self.align_config)
@@ -330,25 +369,31 @@ class Guider:
 
     def _adopt(self, state, result, track_id: int) -> None:
         self._history = HistoryBuffer(state)
-        self._alignment = result
+        self._accept(result)
         self._alignment_accepted = True
         self._next_alignment_time = state.stamp + self.realign_period
-        chosen = self._track_buffers[track_id]
-        self._fused_detections = deque(chosen)
+        self._fused_detections = self._track_buffers[track_id].copy()
+        self._anchor = None
         self._consecutive_rejects = 0
+
+    def _accept(self, result: AlignmentResult) -> None:
+        self._alignment = result
+        theta = result.transform.heading
+        self._correction = (theta, rot_z(-theta), tuple(result.drift_rate.tolist()))
 
     def _realign(self, now: float) -> None:
         self._next_alignment_time = now + self.realign_period
         config = self.align_config
         fused = self._fused_detections
         arrays = build_correspondence_arrays(fused, self._vio_buffer, config)
-        if arrays is None or not window_observable(arrays[1], fused[-1].sigma):
+        *_, sigma, _ = fused.row(-1)
+        if arrays is None or not window_observable(arrays[1], sigma):
             self._alignment_accepted = False
             return
         result = solve_alignment_arrays(*arrays, config)
         self._alignment_accepted = degeneracy_check(result, config)
         if self._alignment_accepted:
-            self._alignment = result
+            self._accept(result)
 
     # ------------------------------------------------------------------ output
 
@@ -363,21 +408,21 @@ class Guider:
         """
         if self._transform_memo is not None and self._transform_memo[0] == self._ingest_count:
             return self._transform_memo[1]
-        vio = self._vio_buffer[-1]
+        stamp, x, y, z, heading = self._vio_buffer.row(-1)[:5]
         try:
-            est = self._history.estimate_at(vio.stamp)
+            est = self._history.estimate_at(stamp)
         except ValueError:
             est = self._history.latest_state
-        theta = wrap_heading(vio.heading - est.heading)
+        theta = wrap_heading(heading - est.heading)
         c, s = np.cos(theta), np.sin(theta)
         ex, ey, ez = est.position
         rotated = np.array([c * ex - s * ey, s * ex + c * ey, ez])
         transform = RelativeTransform(
-            translation=vio.position - rotated,
+            translation=np.array([x, y, z]) - rotated,
             heading=theta,
             source_frame=Frame.LIDAR,
             target_frame=Frame.VIO,
-            stamp=vio.stamp,
+            stamp=stamp,
         )
         self._transform_memo = (self._ingest_count, transform)
         return transform
@@ -413,16 +458,3 @@ class Guider:
         transform = self._effective_transform(t)
         window = desired.slice_window(t, t + STREAM_HORIZON)
         return window.mapped(transform.translation, transform.heading)
-
-    # ----------------------------------------------------------------- helpers
-
-    def _prune_deque(self, buf: deque) -> None:
-        cutoff = buf[-1].stamp - self._buffer_span
-        while buf[0].stamp < cutoff:
-            buf.popleft()
-
-
-def _holds_stamp(buf: Sequence, stamp: float) -> bool:
-    """Whether ``buf``, sorted by stamp, holds a record of stamp ``stamp``."""
-    i = bisect.bisect_left(buf, stamp, key=stamp_key)
-    return i < len(buf) and buf[i].stamp == stamp

@@ -33,6 +33,7 @@ primary's pose is ``primary_pose(values, t)`` and the drift offset is
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -275,17 +276,17 @@ def lidar_detect(
     """One detection per visible target, with isotropic Gaussian noise.
 
     Track id 0 is the secondary agent; false targets get ids 1..n in order.
-    Walls occlude in the xy plane (modeled as full-height).
+    Walls occlude in the xy plane (modeled as full-height).  Positions are
+    finite 3-sequences; the sums with the noise draws are float arrays.
     """
     out = []
-    p_xy = truth_primary[0:2]
-    targets = [(0, truth_secondary)]
-    targets += [(i + 1, np.asarray(ft, float)) for i, ft in enumerate(false_targets)]
-    for track_id, pos in targets:
-        if walls and not line_of_sight(p_xy, pos[0:2], walls):
+    # the sightline test in floats: numpy scalars would slow its arithmetic
+    p_xy = (float(truth_primary[0]), float(truth_primary[1]))
+    for track_id, pos in enumerate((truth_secondary, *false_targets)):
+        if walls and not line_of_sight(p_xy, (float(pos[0]), float(pos[1])), walls):
             continue
         noisy = pos + rng.normal(0.0, sigma, 3)
-        out.append(Detection(stamp, noisy, sigma, track_id))
+        out.append(Detection._unchecked(stamp, noisy, sigma, track_id))
     return out
 
 
@@ -467,17 +468,33 @@ class PlantState:
     heading_rate: float
 
 
-def _interp_refs(refs: Trajectory, t: float) -> tuple[list, float]:
-    """Reference (position, heading) at ``t``, held without tolerance at the ends."""
+class ReferenceBatch:
+    """A streamed reference batch as float lists, made once when it arrives
+    and read by the plant at every tick."""
+
+    __slots__ = ("stamps", "positions", "headings")
+
+    def __init__(self, refs: Trajectory):
+        self.stamps = refs.stamps.tolist()
+        self.positions = refs.positions.tolist()
+        self.headings = refs.headings.tolist()
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+
+def _interp_refs(refs: ReferenceBatch, t: float) -> tuple[list, float]:
+    """Reference (position, heading) at ``t``, held without tolerance at the
+    ends, where the position is the batch's own list: read it only."""
     stamps = refs.stamps
-    hi = int(stamps.searchsorted(t, side="right"))
+    hi = bisect.bisect_right(stamps, t)
     if hi == len(stamps):   # t >= last stamp
-        return refs.positions[-1].tolist(), float(refs.headings[-1])
+        return refs.positions[-1], refs.headings[-1]
     if hi <= 1 and t <= stamps[0]:
-        return refs.positions[0].tolist(), float(refs.headings[0])
-    s0, s1 = stamps[hi - 1:hi + 1].tolist()
-    h0, h1 = refs.headings[hi - 1:hi + 1].tolist()
-    (x0, y0, z0), (x1, y1, z1) = refs.positions[hi - 1:hi + 1].tolist()
+        return refs.positions[0], refs.headings[0]
+    s0, s1 = stamps[hi - 1], stamps[hi]
+    h0, h1 = refs.headings[hi - 1], refs.headings[hi]
+    (x0, y0, z0), (x1, y1, z1) = refs.positions[hi - 1], refs.positions[hi]
     u = (t - s0) / (s1 - s0)
     pos = [x0 + u * (x1 - x0), y0 + u * (y1 - y0), z0 + u * (z1 - z0)]
     return pos, wrap_heading(h0 + u * wrap_heading(h1 - h0))
@@ -485,7 +502,7 @@ def _interp_refs(refs: Trajectory, t: float) -> tuple[list, float]:
 
 def plant_step(
     state: PlantState,
-    pending_refs: Optional[Trajectory],
+    pending_refs: Optional[ReferenceBatch],
     t: float,
     dt: float,
     params: PlantParams,
@@ -560,7 +577,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     t0x, t0y, t0z = t0.tolist()
 
     walls = v["nlos.walls"]
-    false_targets = v["false_targets.positions"]
+    false_targets = [np.asarray(ft, float) for ft in v["false_targets.positions"]]
 
     guider = Guider(config.alignment, v["guider.realign_period"])
 
@@ -569,7 +586,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
                        (0.0, 0.0, 0.0), 0.0)
     plant_params = PlantParams(v["plant.time_constant"], v["plant.max_speed"],
                                v["plant.max_heading_rate"])
-    pending_refs: Optional[Trajectory] = None
+    pending_refs: Optional[ReferenceBatch] = None
 
     log = EventLog()
     for key, value in config.effective_items():
@@ -622,7 +639,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             elif kind == "vio":
                 guider.ingest_vio(payload)
             else:
-                pending_refs = payload
+                pending_refs = ReferenceBatch(payload)
 
         # sensor sampling on the tick grid
         if t >= next_det - eps:
@@ -633,9 +650,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             if dets:
                 arrival = t + det_delay_mean + det_delay_jitter * float(det_delay_rng.random())
                 for d in dets:
-                    log.append(("DET", t, arrival, d.track_id,
-                                float(d.position[0]), float(d.position[1]),
-                                float(d.position[2]), det_sigma))
+                    log.append(("DET", t, arrival, d.track_id, *d.position.tolist(), det_sigma))
                 seq += 1
                 heapq.heappush(events, (arrival, seq, "det", dets))
 
@@ -645,8 +660,9 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             if vio_noise > 0.0:
                 nx, ny, nz = vio_noise_rng.normal(0.0, vio_noise, 3).tolist()
                 pos = (px + nx, py + ny, pz + nz)
-            pose = TimedPose(t, Frame.VIO, pos, plant.heading,
-                             plant.velocity, plant.heading_rate)
+            # the plant's floats are finite and its heading wrapped: no checks
+            pose = TimedPose._unchecked(t, Frame.VIO, np.array(pos), plant.heading,
+                                        np.array(plant.velocity), plant.heading_rate)
             arrival = t + comm_mean + comm_jitter * float(vio_delay_rng.random())
             log.append(("VIO", t, arrival, *pos, *plant.velocity,
                         plant.heading, plant.heading_rate))

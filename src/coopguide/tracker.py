@@ -49,6 +49,7 @@ from .alignment import (
 from .geometry import (
     Detection,
     StaleQueryError,
+    StampedColumns,
     TimedPose,
     interpolate,
     rot_z,
@@ -299,6 +300,7 @@ def make_vio_measurement(
     vio_at_detection: TimedPose,
     theta: Optional[float],
     drift_rate: Sequence[float] = (0.0, 0.0, 0.0),
+    r_lv: Optional[np.ndarray] = None,
 ) -> Measurement:
     """Full 8-dim measurement from a VIO pose newer than the last detection.
 
@@ -306,7 +308,8 @@ def make_vio_measurement(
     since the detection stamp; velocity is the rotated VIO velocity; heading
     subtracts the aligned relative heading.  The V-frame ``drift_rate``
     (a 3-vector) co-estimated by the alignment is not motion: it is taken out
-    of both.
+    of both.  ``r_lv``, when given, must be ``rot_z(-theta)``: a caller that
+    holds one per alignment passes it instead of having it rebuilt.
 
     Everything but the two rotations is float arithmetic.  The rotations stay
     numpy matrix-vector products ``r_lv @ v``: numpy may round such a
@@ -317,10 +320,11 @@ def make_vio_measurement(
         raise ValueError("transform unavailable: no accepted alignment yet")
     if vio.stamp < last_detection.stamp - 1e-9:
         raise ValueError("VIO pose is older than the anchoring detection")
-    r_lv = rot_z(-theta)
+    if r_lv is None:
+        r_lv = rot_z(-theta)
     dt = vio.stamp - vio_at_detection.stamp
     (x, y, z), (x0, y0, z0) = vio.position.tolist(), vio_at_detection.position.tolist()
-    (vx, vy, vz), (rx, ry, rz) = vio.velocity.tolist(), np.asarray(drift_rate, float).tolist()
+    (vx, vy, vz), (rx, ry, rz) = vio.velocity.tolist(), drift_rate
     lx, ly, lz = last_detection.position.tolist()
     dx, dy, dz = (r_lv @ np.array([x - x0 - rx * dt, y - y0 - ry * dt, z - z0 - rz * dt])).tolist()
     r = last_detection.sigma ** 2 + VIO_DELTA_VARIANCE
@@ -416,16 +420,18 @@ class HistoryBuffer:
 
 
 def try_initialize(
-    per_track_buffers: dict[int, Sequence[Detection]],
-    vio_buffer: Sequence[TimedPose],
+    per_track_buffers: dict[int, StampedColumns],
+    vio_buffer: StampedColumns,
     align_config: AlignmentConfig = AlignmentConfig(),
 ) -> Optional[tuple[TrackerState, AlignmentResult, int]]:
     """Attempt estimate initialization from per-track detection buffers.
 
-    For each track in track-id order: build the window, skip it unless it
-    holds ``MIN_CORRESPONDENCES`` pairs and is :func:`window_observable` at
-    the noise of the track's newest detection, solve it, and initialize from
-    the first track whose solution passes :func:`degeneracy_check`: position
+    The buffers hold :data:`~coopguide.geometry.DETECTION_FIELDS` records
+    and ``vio_buffer`` :data:`~coopguide.geometry.POSE_FIELDS` records.  For
+    each track in track-id order: build the window, skip it unless it holds
+    ``MIN_CORRESPONDENCES`` pairs and is :func:`window_observable` at the
+    noise of the track's newest detection, solve it, and initialize from the
+    first track whose solution passes :func:`degeneracy_check`: position
     from the newest detection, velocity and heading from the rotated/shifted
     VIO pose at that stamp, covariance from ``INIT_VALUE_VARIANCE`` and
     ``INIT_RATE_VARIANCE``.  Returns None when no track is accepted.
@@ -433,25 +439,27 @@ def try_initialize(
     for track_id in sorted(per_track_buffers):
         dets = per_track_buffers[track_id]
         arrays = build_correspondence_arrays(dets, vio_buffer, align_config)
-        if arrays is None or not window_observable(arrays[1], dets[-1].sigma):
+        if arrays is None:
+            continue
+        stamp, x, y, z, sigma, _ = dets.row(-1)
+        if not window_observable(arrays[1], sigma):
             continue
         result = solve_alignment_arrays(*arrays, align_config)
         if not degeneracy_check(result, align_config):
             continue
-        newest = dets[-1]
         try:
-            vio_pose = interpolate(vio_buffer, newest.stamp)
+            vio_pose = interpolate(vio_buffer, stamp)
         except StaleQueryError:
             continue
         theta = result.transform.heading
         # co-estimated VIO drift rate (zero unless enabled) is not real motion
         velocity = rot_z(-theta) @ (vio_pose.velocity - result.drift_rate)
         mean = np.column_stack([
-            np.append(newest.position, wrap_heading(vio_pose.heading - theta)),
+            (x, y, z, wrap_heading(vio_pose.heading - theta)),
             np.append(velocity, vio_pose.heading_rate),
         ])
         cov = np.zeros((4, 2, 2))
         cov[:, 0, 0] = INIT_VALUE_VARIANCE
         cov[:, 1, 1] = INIT_RATE_VARIANCE
-        return TrackerState(newest.stamp, mean, cov), result, track_id
+        return TrackerState(stamp, mean, cov), result, track_id
     return None

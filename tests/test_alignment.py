@@ -1,5 +1,6 @@
 """Alignment solver contracts: loss, correspondences, IRLS recovery, degeneracy."""
 
+import bisect
 import math
 
 import numpy as np
@@ -21,7 +22,18 @@ from coopguide.alignment import (
     solve_alignment_arrays,
     window_observable,
 )
-from coopguide.geometry import Detection, Frame, TimedPose, rot_z, wrap_heading
+from coopguide.geometry import (
+    STALE_TOLERANCE,
+    Detection,
+    Frame,
+    TimedPose,
+    detection_columns,
+    detection_row,
+    pose_columns,
+    pose_row,
+    rot_z,
+    wrap_heading,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +167,15 @@ def _vio(t, pos):
     return TimedPose(stamp=t, frame=Frame.VIO, position=np.asarray(pos, float))
 
 
+def _window(dets, vio, config):
+    """``build_correspondence_arrays`` over buffers holding ``dets`` and ``vio``."""
+    return build_correspondence_arrays(detection_columns(dets), pose_columns(vio), config)
+
+
 def test_build_correspondences_midpoint_interpolation(one_pair):
     dets = [_det(0.0, [0, 0, 0]), _det(1.0, [2, 0, 0])]
     vio = [_vio(0.5, [7.0, 8.0, 9.0])]
-    stamps, lidar, vio_positions = build_correspondence_arrays(dets, vio, one_pair)
+    stamps, lidar, vio_positions = _window(dets, vio, one_pair)
     assert len(stamps) == 1
     assert stamps[0] == 0.5
     assert np.allclose(lidar[0], [1.0, 0.0, 0.0])
@@ -168,7 +185,7 @@ def test_build_correspondences_midpoint_interpolation(one_pair):
 def test_build_correspondences_skips_out_of_span_stamps(one_pair):
     dets = [_det(0.0, [0, 0, 0]), _det(1.0, [2, 0, 0])]
     vio = [_vio(0.5, [0, 0, 0]), _vio(1.5, [1, 1, 1])]  # 1.5 is 0.4 s beyond span
-    stamps, _, _ = build_correspondence_arrays(dets, vio, one_pair)
+    stamps, _, _ = _window(dets, vio, one_pair)
     assert stamps.tolist() == [0.5]
 
 
@@ -177,7 +194,7 @@ def test_build_correspondences_identical_stamps_zero_error(one_pair):
     pts = np.column_stack([stamps, stamps ** 2, np.zeros_like(stamps)])
     dets = [_det(t, p) for t, p in zip(stamps, pts)]
     vio = [_vio(t, p + 5.0) for t, p in zip(stamps, pts)]
-    got_stamps, lidar, _ = build_correspondence_arrays(dets, vio, one_pair)
+    got_stamps, lidar, _ = _window(dets, vio, one_pair)
     assert len(got_stamps) == len(stamps)
     for d, p in zip(lidar, pts):
         assert np.allclose(d, p, atol=1e-12)
@@ -188,7 +205,116 @@ def test_build_correspondences_insufficient_returns_empty(monkeypatch):
     dets = [_det(0.0, [0, 0, 0]), _det(1.0, [2, 0, 0])]
     vio = [_vio(0.5, [0, 0, 0])]
     cfg = AlignmentConfig(window=10.0)
-    assert build_correspondence_arrays(dets, vio, cfg) is None
+    assert _window(dets, vio, cfg) is None
+
+
+def list_window(detections, vio_buffer, config):
+    """The window over stamp-sorted lists of Detection and TimedPose records,
+    as it was built before the column buffers (oracle)."""
+    if not detections or not vio_buffer or config.window <= 0:
+        return None
+    det_stamps = np.array([d.stamp for d in detections])
+    det_positions = np.array([d.position for d in detections])
+    t_end = vio_buffer[-1].stamp
+    t_start = t_end - config.window
+    lo = det_stamps[0] - STALE_TOLERANCE
+    hi = det_stamps[-1] + STALE_TOLERANCE
+    kept = [p for p in vio_buffer if p.stamp >= t_start and lo <= p.stamp <= hi]
+    if len(kept) < alignment.MIN_CORRESPONDENCES:
+        return None
+    stamps = np.array([p.stamp for p in kept])
+    if len(det_stamps) > 1:
+        idx = np.searchsorted(det_stamps, stamps)
+        inner = (idx > 0) & (idx < len(det_stamps))
+        safe_idx = np.clip(idx, 1, len(det_stamps) - 1)
+        gap = det_stamps[safe_idx] - det_stamps[safe_idx - 1]
+        at_node = inner & (det_stamps[np.clip(idx, 0, len(det_stamps) - 1)] == stamps)
+        ok = ~inner | (gap <= alignment.MAX_DETECTION_GAP) | at_node
+        if not ok.all():
+            kept = [p for p, keep_it in zip(kept, ok) if keep_it]
+            if len(kept) < alignment.MIN_CORRESPONDENCES:
+                return None
+            stamps = stamps[ok]
+    interp = np.column_stack([np.interp(stamps, det_stamps, det_positions[:, i])
+                              for i in range(3)])
+    return stamps, interp, np.array([p.position for p in kept])
+
+
+def _deliveries(rng, records):
+    """``records`` in a delivery order with late and repeated deliveries."""
+    order = list(records)
+    for i in range(len(order) - 1):   # about one in five arrives late
+        if rng.random() < 0.2:
+            j = min(len(order) - 1, i + int(rng.integers(1, 6)))
+            order[i], order[j] = order[j], order[i]
+    out = []
+    for record in order:
+        out.append(record)
+        if rng.random() < 0.1:   # a repeated delivery of an earlier one
+            out.append(out[int(rng.integers(0, len(out)))])
+    return out
+
+
+def test_column_windows_are_bit_identical_to_the_list_windows():
+    """Random streams through both buffer kinds, pruned as the guider prunes:
+    every window matches the list formula bit for bit."""
+    rng = np.random.default_rng(2024)
+    outcomes = {"window": 0, "gap_filtered": 0, "too_few": 0, "too_few_after_gaps": 0}
+    for _ in range(40):
+        config = AlignmentConfig(window=float(rng.uniform(1.0, 6.0)))
+        span = config.window + 2.0
+        # VIO near 30 Hz; detections near 10 Hz with occlusion gaps up to 2.5 s
+        vio_t = np.cumsum(rng.uniform(0.02, 0.045, 400))
+        vio = [TimedPose(float(t), Frame.VIO, rng.normal(0.0, 5.0, 3),
+                         float(rng.uniform(-math.pi, math.pi)), rng.normal(0.0, 1.0, 3),
+                         float(rng.normal(0.0, 0.3)))
+               for t in vio_t]
+        det_t, t = [], 0.0
+        while t < vio_t[-1]:
+            t += 0.1 if rng.random() > 0.05 else float(rng.uniform(0.5, 2.5))
+            det_t.append(t + float(rng.normal(0.0, 0.003)))
+        dets = [_det(t, rng.normal(0.0, 5.0, 3)) for t in sorted(det_t)]
+        # interleave the two streams by stamp, then disturb the order
+        stream = sorted([(p.stamp, 1, p) for p in vio] + [(d.stamp, 0, d) for d in dets],
+                        key=lambda e: (e[0], e[1]))
+        vio_cols, det_cols = pose_columns([]), detection_columns([])
+        vio_list, det_list = [], []
+        for _, kind, record in _deliveries(rng, stream):
+            columns, listed = (vio_cols, vio_list) if kind else (det_cols, det_list)
+            row = pose_row(record) if kind else detection_row(record)
+            i = bisect.bisect_left([r.stamp for r in listed], record.stamp)
+            duplicate = i < len(listed) and listed[i].stamp == record.stamp
+            assert (columns.insert(row) is None) == duplicate
+            if not duplicate:
+                listed.insert(i, record)
+            cutoff = listed[-1].stamp - span
+            columns.prune(cutoff)
+            del listed[:bisect.bisect_left([r.stamp for r in listed], cutoff)]
+            assert columns.stamps.tolist() == [r.stamp for r in listed]
+            if not kind or rng.random() > 0.3:
+                continue
+            got = build_correspondence_arrays(det_cols, vio_cols, config)
+            want = list_window(det_list, vio_list, config)
+            before_gaps = _in_window(vio_list, det_list, config)
+            if want is None:
+                assert got is None
+                outcomes["too_few" if before_gaps < alignment.MIN_CORRESPONDENCES
+                         else "too_few_after_gaps"] += 1
+                continue
+            for g, w in zip(got, want):
+                assert g.flags.c_contiguous and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+            outcomes["gap_filtered" if len(got[0]) < before_gaps else "window"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def _in_window(vio, dets, config):
+    """VIO records in the window and the detection span, before the gap filter."""
+    if not dets:
+        return 0
+    lo, hi = dets[0].stamp - STALE_TOLERANCE, dets[-1].stamp + STALE_TOLERANCE
+    t_start = vio[-1].stamp - config.window
+    return sum(p.stamp >= t_start and lo <= p.stamp <= hi for p in vio)
 
 
 # ---------------------------------------------------------------------------

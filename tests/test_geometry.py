@@ -10,8 +10,10 @@ from coopguide.geometry import (
     Frame,
     RelativeTransform,
     StaleQueryError,
+    StampedColumns,
     TimedPose,
     interpolate,
+    pose_columns,
     rot_z,
     wrap_heading,
 )
@@ -118,7 +120,7 @@ def _pose(t, pos, heading=0.0):
 
 
 def test_interpolate_linear_midpoint():
-    buf = [_pose(0.0, [0, 0, 0]), _pose(1.0, [1, 0, 0])]
+    buf = pose_columns([_pose(0.0, [0, 0, 0]), _pose(1.0, [1, 0, 0])])
     mid = interpolate(buf, 0.5)
     assert np.allclose(mid.position, [0.5, 0.0, 0.0])
 
@@ -126,14 +128,9 @@ def test_interpolate_linear_midpoint():
 def test_interpolate_heading_shortest_arc():
     a = math.radians(170.0)
     b = math.radians(-170.0)
-    buf = [_pose(0.0, [0, 0, 0], a), _pose(1.0, [0, 0, 0], b)]
+    buf = pose_columns([_pose(0.0, [0, 0, 0], a), _pose(1.0, [0, 0, 0], b)])
     mid = interpolate(buf, 0.5)
     assert mid.heading == pytest.approx(math.pi, abs=1e-12)
-
-
-def test_interpolate_exact_stamp_returns_stored_pose():
-    buf = [_pose(0.0, [0, 0, 0]), _pose(0.4, [2, 1, 0], 0.3), _pose(1.0, [1, 0, 0])]
-    assert interpolate(buf, 0.4) is buf[1]
 
 
 def _bits(*values) -> bytes:
@@ -143,6 +140,13 @@ def _bits(*values) -> bytes:
 
 def _pose_bits(pose):
     return _bits(pose.stamp, pose.position, pose.heading, pose.velocity, pose.heading_rate)
+
+
+def test_interpolate_exact_stamp_returns_stored_pose():
+    poses = [_pose(0.0, [0, 0, 0]), _pose(0.4, [2, 1, 0], 0.3), _pose(1.0, [1, 0, 0])]
+    got = interpolate(pose_columns(poses), 0.4)
+    assert got.frame is Frame.VIO
+    assert _pose_bits(got) == _pose_bits(poses[1])
 
 
 def numpy_lerp_pose(a, b, t):
@@ -175,8 +179,9 @@ def test_interpolate_is_bit_identical_to_the_array_lerp():
         queries += [float(stamps[int(rng.integers(0, n))]),
                     float(stamps[0] - rng.uniform(0.0, 0.1)),
                     float(stamps[-1] + rng.uniform(0.0, 0.1))]
+        columns = pose_columns(reversed(buf))   # inserted newest first
         for t in queries:
-            got = interpolate(buf, t)
+            got = interpolate(columns, t)
             hi = int(np.searchsorted(stamps, t))
             if t <= stamps[0] or t >= stamps[-1]:
                 end = buf[0] if t <= stamps[0] else buf[-1]
@@ -193,7 +198,7 @@ def test_interpolate_is_bit_identical_to_the_array_lerp():
 
 
 def test_interpolate_stale_query_raises():
-    buf = [_pose(0.0, [0, 0, 0]), _pose(1.0, [1, 0, 0])]
+    buf = pose_columns([_pose(0.0, [0, 0, 0]), _pose(1.0, [1, 0, 0])])
     with pytest.raises(StaleQueryError):
         interpolate(buf, 1.2)
     with pytest.raises(StaleQueryError):
@@ -201,3 +206,39 @@ def test_interpolate_stale_query_raises():
     # within tolerance: clamped, not raised
     assert np.allclose(interpolate(buf, 1.05).position, [1, 0, 0])
 
+
+def test_stamped_columns_match_a_sorted_list_through_inserts_and_prunes():
+    # late and repeated stamps, and enough records that the backing array
+    # both grows and compacts
+    rng = np.random.default_rng(23)
+    buf = StampedColumns(Frame.LIDAR, 3, capacity=4)
+    model = []
+    assert buf.newest_stamp == -math.inf and not buf.holds(0.0)
+    for k in range(3000):
+        stamp = float(k // 2 + int(rng.integers(-6, 2)))
+        row = (stamp, float(rng.normal()), float(k))
+        held = any(r[0] == stamp for r in model)
+        assert buf.holds(stamp) == held
+        index = buf.insert(row)
+        if held:
+            assert index is None
+        else:
+            model.append(row)
+            model.sort()
+            assert index == model.index(row)
+        if k % 7 == 0:
+            cutoff = model[-1][0] - float(rng.integers(5, 40))
+            buf.prune(cutoff)
+            model = [r for r in model if r[0] >= cutoff]
+        assert len(buf) == len(model)
+        assert buf.newest_stamp == model[-1][0]
+        assert buf.row(-1) == list(model[-1]) and buf.row(0) == list(model[0])
+    assert buf.columns.T.tolist() == [list(r) for r in model]
+    with pytest.raises(IndexError):
+        buf.row(len(model))
+    copy = buf.copy()
+    copy.insert((model[-1][0] + 1.0, 0.0, 0.0))
+    assert len(copy) == len(buf) + 1 and buf.columns.T.tolist() == [list(r) for r in model]
+    copy.prune(math.inf)
+    assert len(copy) == 0 and copy.newest_stamp == -math.inf
+    assert copy.insert((0.0, 0.0, 0.0)) == 0 and copy.newest_stamp == 0.0

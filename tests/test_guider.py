@@ -1,7 +1,6 @@
 """Guider pipeline: initialization, status machine, reference streaming."""
 
 import math
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +15,8 @@ from coopguide.geometry import (
     Frame,
     RelativeTransform,
     TimedPose,
+    detection_columns,
+    interpolate,
     rot_z,
     wrap_heading,
 )
@@ -25,7 +26,7 @@ from coopguide.guider import (
     GuiderStatus,
     Trajectory,
 )
-from coopguide.tracker import GATE_CRITICAL, MeasurementKind
+from coopguide.tracker import GATE_CRITICAL, MeasurementKind, make_vio_measurement
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THETA = 0.8
@@ -313,7 +314,7 @@ def test_late_detection_batches_keep_the_buffers_in_stamp_order(monkeypatch):
             if method.__name__ == "ingest_detections":
                 arrivals.append(item[0].stamp)
                 for buf in (*self._track_buffers.values(), self._fused_detections):
-                    stamps = [d.stamp for d in buf]
+                    stamps = buf.stamps.tolist()
                     assert stamps == sorted(stamps)
                 checked.append(self._history is not None)
         return ingest
@@ -327,7 +328,7 @@ def test_occlusion_does_not_readopt_the_fused_track_from_its_last_detection(monk
     g = make_guider()
     t = drive(g, 0.0, 8.0)
     before = g._history
-    last_fused = g._fused_detections[-1]
+    last_fused = g._fused_detections.row(-1)
     offered = []
     try_initialize = guider.try_initialize
     monkeypatch.setattr(guider, "try_initialize",
@@ -342,7 +343,7 @@ def test_occlusion_does_not_readopt_the_fused_track_from_its_last_detection(monk
         for j in range(3):
             g.ingest_vio(vio_pose(tk + j / 30.0))
     assert g._history is before
-    assert g._fused_detections[-1] is last_fused
+    assert g._fused_detections.row(-1) == last_fused
     assert offered and all(ids == [5] for ids in offered)
 
 
@@ -369,15 +370,38 @@ def test_ingest_vio_full_measurement_when_detection_inside_vio_buffer():
 def test_ingest_vio_heading_measurement_when_detection_predates_vio_buffer():
     g = make_guider()
     t = drive(g, 0.0, 8.0)
-    last_detection = g._fused_detections[-1].stamp
+    last_detection = g._fused_detections.newest_stamp
     # detections stop for longer than the window + 2 s the VIO buffer spans
     t = drive(g, t, t + g.align_config.window + 3.0, det_on=False)
     g.ingest_vio(vio_pose(t))
-    oldest_vio = g._vio_buffer[0].stamp
+    oldest_vio = g._vio_buffer.stamps[0]
     assert last_detection < oldest_vio - STALE_TOLERANCE
     newest = g._history.entries[-1]
     assert newest.stamp == t
     assert newest.kind is MeasurementKind.VIO_HEADING
+
+
+def test_late_vio_inside_the_anchor_bracket_renews_the_anchor():
+    # the VIO pose at the last fused detection is cached per detection; a
+    # late sample between the two samples that bracket the detection must
+    # replace it
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)   # the last VIO sample is at t - 1/30
+    t_det = t + 0.05         # off the VIO grid
+    g.ingest_detections([detection(t_det)])
+    assert g._fused_detections.newest_stamp == t_det
+    g.ingest_vio(vio_pose(t + 0.1))   # anchor: between t - 1/30 and t + 0.1
+    late = vio_pose(t + 0.02)
+    g.ingest_vio(TimedPose(late.stamp, Frame.VIO, late.position + 0.05, late.heading,
+                           late.velocity, late.heading_rate))
+    theta, drift_rate = g._alignment.transform.heading, g._alignment.drift_rate
+    pose = vio_pose(t + 0.13)
+    g.ingest_vio(pose)
+    got = g._history.entries[-1]
+    want = make_vio_measurement(pose, detection(t_det), interpolate(g._vio_buffer, t_det),
+                                theta, drift_rate)
+    assert got.kind is MeasurementKind.VIO_FULL
+    assert (got.stamp, got.value, got.variance) == (want.stamp, want.value, want.variance)
 
 
 def test_small_motion_freezes_transform():
@@ -416,8 +440,8 @@ def test_realign_freezes_unobservable_window_without_solving(monkeypatch):
     before = g.active_transform
     # same VIO window, but the fused detections hover at one point
     hover = secondary_position(t)
-    g._fused_detections = deque(Detection(0.1 * k, hover, 0.15, 0)
-                                for k in range(int(t / 0.1) + 1))
+    g._fused_detections = detection_columns(Detection(0.1 * k, hover, 0.15, 0)
+                                            for k in range(int(t / 0.1) + 1))
     g._realign(t)
     assert len(calls) == 1
     assert g.status(t) is GuiderStatus.TRANSFORM_FROZEN

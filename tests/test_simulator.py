@@ -17,6 +17,7 @@ from coopguide.simulator import (
     LogParseError,
     PlantParams,
     PlantState,
+    ReferenceBatch,
     generate_trajectory,
     lidar_detect,
     line_of_sight,
@@ -119,7 +120,7 @@ def test_line_of_sight_basics():
 
 def _refs(points):
     stamps, positions, headings = zip(*points)
-    return Trajectory(Frame.VIO, stamps, positions, headings)
+    return ReferenceBatch(Trajectory(Frame.VIO, stamps, positions, headings))
 
 
 def test_plant_step_equilibrium():
@@ -160,12 +161,30 @@ def test_plant_step_requires_positive_dt():
                    PlantParams())
 
 
+def numpy_interp_refs(refs, t):
+    """The reference interpolation on the batch's arrays, as before its
+    float lists (oracle)."""
+    stamps = refs.stamps
+    hi = int(stamps.searchsorted(t, side="right"))
+    if hi == len(stamps):
+        return refs.positions[-1].tolist(), float(refs.headings[-1])
+    if hi <= 1 and t <= stamps[0]:
+        return refs.positions[0].tolist(), float(refs.headings[0])
+    s0, s1 = stamps[hi - 1:hi + 1].tolist()
+    h0, h1 = refs.headings[hi - 1:hi + 1].tolist()
+    (x0, y0, z0), (x1, y1, z1) = refs.positions[hi - 1:hi + 1].tolist()
+    u = (t - s0) / (s1 - s0)
+    pos = [x0 + u * (x1 - x0), y0 + u * (y1 - y0), z0 + u * (z1 - z0)]
+    return pos, wrap_heading(h0 + u * wrap_heading(h1 - h0))
+
+
 def numpy_plant_step(state, refs, t, dt, params):
-    """``plant_step`` on array state, as before its float path (oracle)."""
+    """``plant_step`` on array state and the batch's arrays, as before its
+    float path (oracle)."""
     p = np.asarray(state.position, dtype=float)
     if not refs:
         return PlantState(p, state.heading, np.zeros(3), 0.0)
-    target, target_heading = simulator._interp_refs(refs, t)
+    target, target_heading = numpy_interp_refs(refs, t)
     inv_tau = 1.0 / params.time_constant
     v = (np.asarray(target) - p) * inv_tau
     speed = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
@@ -191,7 +210,7 @@ def test_plant_step_is_bit_identical_to_the_array_update():
         t = float(rng.uniform(stamps[0] - 0.2, stamps[-1] + 0.2))
         for _ in range(20):
             dt = float(rng.uniform(0.001, 0.05))
-            got = plant_step(state, refs, t, dt, params)
+            got = plant_step(state, refs and ReferenceBatch(refs), t, dt, params)
             want = numpy_plant_step(state, refs, t, dt, params)
             assert _bits(got.position, got.heading, got.velocity, got.heading_rate) == \
                 _bits(want.position, want.heading, want.velocity, want.heading_rate)

@@ -8,7 +8,15 @@ from scipy.special import gammainc
 
 from coopguide import tracker
 from coopguide.alignment import AlignmentConfig
-from coopguide.geometry import Detection, Frame, TimedPose, rot_z, wrap_heading
+from coopguide.geometry import (
+    Detection,
+    Frame,
+    TimedPose,
+    detection_columns,
+    pose_columns,
+    rot_z,
+    wrap_heading,
+)
 from coopguide.tracker import (
     HistoryBuffer,
     Measurement,
@@ -802,7 +810,8 @@ def test_try_initialize_recovers_pose_from_matching_track():
                   velocity=R @ np.array([0.1, 0.2, 0.0]), heading_rate=0.03)
         for t, p in track
     ]
-    out = try_initialize({0: dets}, vio, AlignmentConfig())
+    out = try_initialize({0: detection_columns(dets)}, pose_columns(vio),
+                         AlignmentConfig())
     assert out is not None
     state, result, track_id = out
     assert track_id == 0
@@ -820,7 +829,8 @@ def test_try_initialize_rejects_hovering_point_track(monkeypatch):
     dets = [_det(0.1 * k, [3.0, 3.0, 1.0]) for k in range(60)]
     vio = [TimedPose(0.1 * k, Frame.VIO, np.array([0.05 * k, 0.0, 0.0]))
            for k in range(60)]
-    assert try_initialize({0: dets}, vio, AlignmentConfig()) is None
+    assert try_initialize({0: detection_columns(dets)}, pose_columns(vio),
+                         AlignmentConfig()) is None
     assert calls == []  # rejected from the window geometry, without a solve
 
 
@@ -835,6 +845,7 @@ def test_try_initialize_picks_matching_track_over_random_walk():
     walk = np.cumsum(rng.normal(0, 0.2, (len(track), 3)), axis=0) + np.array([8.0, 8.0, 1.0])
     bad = [_det(t, w, track=2) for (t, _), w in zip(track, walk)]
     vio = [TimedPose(t, Frame.VIO, R @ p + t_star) for t, p in track]
-    out = try_initialize({2: bad, 5: good}, vio, AlignmentConfig())
+    out = try_initialize({2: detection_columns(bad), 5: detection_columns(good)},
+                         pose_columns(vio), AlignmentConfig())
     assert out is not None
     assert out[2] == 5

@@ -11,8 +11,10 @@ alternates from pair to pair, so a slow stretch of the host does not always
 land on the same side.  Every run's
 end-to-end metrics and raw samples are stored, and per metric each side's
 median and quartiles over the pairs, the median relative gap and the number
-of pairs in which the change is better.  Running the script again with the
-same ``--label`` adds the workload to the file and keeps the others.
+of pairs in which the change is better.  The script prints each pair's
+``wall_s`` gap as it goes and, at the end, that per-metric summary.  Running
+the script again with the same ``--label`` adds the workload to the file and
+keeps the others.
 """
 
 from __future__ import annotations
@@ -93,13 +95,18 @@ def main(argv: "list[str] | None" = None) -> int:
 
     path = ROOT / f"BENCH_{args.label}.json"
     data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    summary = summarize(pairs, better)
     data.setdefault("workloads", {})[args.workload] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed S --trace 0",
         "seeds": [p["seed"] for p in pairs],
-        "summary": summarize(pairs, better),
+        "summary": summary,
         "pairs": pairs,
     }
     path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+    for name, row in summary.items():
+        print(f"{args.workload} {name}: median {row['parent']['median']:.6g} -> "
+              f"{row['change']['median']:.6g} ({row['median_rel_change']:+.1%}), "
+              f"change better in {row['pairs_change_better']} of {len(pairs)} pairs")
     return 0
 
 
