@@ -6,14 +6,17 @@
 
 ``run`` writes events.log and report.txt into the output directory and exits
 0 on success, 2 when the scenario aborted on the deviation radius, 1 on bad
-configuration.  ``sweep`` reads the sweep.* section of the config, executes
-runs_per_value seeded runs per parameter value (optionally in a worker
-pool), writes one report per run plus an aggregate CSV, and exits 0 even
-when individual runs fail (failures are data).  ``eval`` re-evaluates a
-stored event log, prints the report, and writes the per-sample error CSV.
+configuration or an unusable output directory.  ``sweep`` reads the sweep.*
+section of the config, executes runs_per_value seeded runs per parameter
+value (optionally in a pool of at most one worker per run), writes one
+report per run plus an aggregate CSV, and exits 0 even when individual runs
+fail (failures are data).  ``eval`` re-evaluates a stored event log, prints
+the report, and writes the per-sample error CSV.
 
 The default output directory is $COOPGUIDE_OUT_DIR, falling back to the
-current directory.
+current directory.  An output directory that cannot be made or written (e.g.
+a path that is a file) makes every subcommand print ``output error: ...`` and
+exit 1; ``run`` and ``sweep`` make it before their first run.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ def _default_out() -> str:
     return os.environ.get("COOPGUIDE_OUT_DIR", ".")
 
 
+def _output_error(exc: OSError) -> int:
+    print(f"output error: {exc}", file=sys.stderr)
+    return 1
+
+
 def _report(log: EventLog, config: ScenarioConfig) -> tuple[Optional[ErrorReport], str]:
     """(report, report.txt text) of one run; the report is None when the
     log cannot be evaluated, e.g. a run that never initialized."""
@@ -57,11 +65,17 @@ def cmd_run(config_path: str, seed: Optional[int], out_dir: str) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _output_error(exc)
     log = run_scenario(config)
-    log.save(str(out / "events.log"))
     report, text = _report(log, config)
-    (out / "report.txt").write_text(text, encoding="utf-8")
+    try:
+        log.save(str(out / "events.log"))
+        (out / "report.txt").write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return _output_error(exc)
     print(text, end="")
     return 2 if report is None or report.failure else 0
 
@@ -106,29 +120,36 @@ def cmd_sweep(config_path: str, seed: Optional[int], out_dir: str, jobs: int) ->
         return 1
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _output_error(exc)
     base_seed = config.seed
     tasks = [
         (overrides, parameter, value, vi, ri, base_seed)
         for vi, value in enumerate(values)
         for ri in range(config["sweep.runs_per_value"])
     ]
-    if jobs > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
+    workers = min(jobs, len(tasks))   # no idle worker processes
+    if workers > 1:
+        with multiprocessing.Pool(processes=workers) as pool:
             results = pool.map(_sweep_run, tasks)
     else:
         results = [_sweep_run(task) for task in tasks]
 
     csv_lines = ["value,run,mean_path_deviation,rel_loc_rmse,failed"]
-    for task, (row, text) in zip(tasks, results):
-        value, run_index = row[0], row[1]
-        name = f"run_{value!r}_{run_index:02d}.report"
-        (out / name).write_text(text, encoding="utf-8")
-        csv_lines.append(
-            f"{value!r},{run_index},{row[2]!r},{row[3]!r},"
-            f"{1 if row[4] else 0}"
-        )
-    (out / "aggregate.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    try:
+        for row, text in results:
+            value, run_index = row[0], row[1]
+            name = f"run_{value!r}_{run_index:02d}.report"
+            (out / name).write_text(text, encoding="utf-8")
+            csv_lines.append(
+                f"{value!r},{run_index},{row[2]!r},{row[3]!r},"
+                f"{1 if row[4] else 0}"
+            )
+        (out / "aggregate.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        return _output_error(exc)
     print(f"sweep complete: {len(tasks)} runs, aggregate in {out / 'aggregate.csv'}")
     return 0
 
@@ -147,11 +168,14 @@ def cmd_eval(log_path: str, out_dir: str) -> int:
     except EvaluationError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 1
-    print(format_report(report), end="")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "per_sample.csv", "w", encoding="utf-8", newline="\n") as fh:
-        write_per_sample_csv(report, fh)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "per_sample.csv", "w", encoding="utf-8", newline="\n") as fh:
+            write_per_sample_csv(report, fh)
+    except OSError as exc:
+        return _output_error(exc)
+    print(format_report(report), end="")
     return 0
 
 

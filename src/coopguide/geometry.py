@@ -1,17 +1,23 @@
 """Frames, gravity-aligned 4-DOF transforms, heading arithmetic, stamped
 record buffers and their interpolation.
 
-Every stamped quantity in this package carries a frame label.  All frames are
-gravity-aligned (roll/pitch identically zero), so the only rotational degree
-of freedom is the heading angle about the z axis and a relative pose between
-two frames is fully described by a 3D translation plus one heading angle.
+All frames are gravity-aligned (roll/pitch identically zero), so the only
+rotational degree of freedom is the heading angle about the z axis and a
+relative pose between two frames is fully described by a 3D translation plus
+one heading angle.
 
 Conventions:
     - Frames: W (world), L (lidar-SLAM local frame of the primary agent),
       V (VIO local frame of the secondary agent), P / S (body frames of the
       primary / secondary agent).
-    - Heading angles live in the half-open interval (-pi, pi] so that every
-      angle has a unique representative.
+    - Frame labels belong to containers, not to records.  A pose
+      (``TimedPose``) or a detection (``Detection``) is a plain float record
+      in the frame of the buffer, trajectory or argument that holds it;
+      ``StampedColumns``, ``Trajectory`` and ``RelativeTransform`` carry the
+      labels.
+    - Heading angles are wrapped to the half-open interval (-pi, pi], so that
+      every angle has a unique representative, wherever they are computed or
+      read; a record keeps the heading it was given.
     - ``RelativeTransform(source, target)`` maps source-frame coordinates to
       target-frame coordinates: x_target = Rz(heading) @ x_source + translation.
     - Timestamps are float seconds on a shared simulated clock.
@@ -20,9 +26,9 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -101,82 +107,37 @@ class RelativeTransform:
         return rot_z(self.heading)
 
 
-@dataclass(frozen=True)
-class TimedPose:
-    """Stamped position + heading + velocity + heading rate in a named frame."""
+class TimedPose(NamedTuple):
+    """Stamped position, heading, velocity and heading rate: one float record
+    of :data:`POSE_FIELDS`.  A pose buffer stores it as it is."""
 
     stamp: float
-    frame: Frame
-    position: np.ndarray
+    x: float
+    y: float
+    z: float
     heading: float = 0.0
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    vx: float = 0.0
+    vy: float = 0.0
+    vz: float = 0.0
     heading_rate: float = 0.0
 
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float)
-        v = np.asarray(self.velocity, dtype=float)
-        if p.shape != (3,) or v.shape != (3,):
-            raise ValueError("position and velocity must be 3-vectors")
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "velocity", v)
-        object.__setattr__(self, "heading", wrap_heading(float(self.heading)))
 
-    @classmethod
-    def _unchecked(cls, stamp: float, frame: Frame, position: np.ndarray, heading: float,
-                   velocity: np.ndarray, heading_rate: float) -> "TimedPose":
-        """Wrap arrays and a wrapped heading derived from checked poses: no
-        conversion, no checks."""
-        pose = cls.__new__(cls)
-        vars(pose).update(stamp=stamp, frame=frame, position=position, heading=heading,
-                          velocity=velocity, heading_rate=heading_rate)
-        return pose
-
-
-@dataclass(frozen=True)
-class Detection:
-    """Detected 3D position of a tracked object in the lidar-SLAM frame."""
+class Detection(NamedTuple):
+    """Detected position of a tracked object with its noise: one float
+    record of :data:`DETECTION_FIELDS`."""
 
     stamp: float
-    position: np.ndarray
+    x: float
+    y: float
+    z: float
     sigma: float
     track_id: int
-    frame: Frame = Frame.LIDAR
-
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float)
-        if p.shape != (3,):
-            raise ValueError("detection position must be a 3-vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("non-finite detection position")
-        object.__setattr__(self, "position", p)
-
-    @classmethod
-    def _unchecked(cls, stamp: float, position: np.ndarray, sigma: float,
-                   track_id: int) -> "Detection":
-        """Wrap a finite float position array: no conversion, no checks."""
-        det = cls.__new__(cls)
-        vars(det).update(stamp=stamp, position=position, sigma=sigma, track_id=track_id,
-                         frame=Frame.LIDAR)
-        return det
 
 
 #: the fields of a pose record, in column order
-POSE_FIELDS = ("stamp", "x", "y", "z", "heading", "vx", "vy", "vz", "heading_rate")
+POSE_FIELDS = TimedPose._fields
 #: the fields of a detection record, in column order
-DETECTION_FIELDS = ("stamp", "x", "y", "z", "sigma", "track_id")
-
-
-def pose_row(pose: TimedPose) -> tuple:
-    """``pose`` as a record of :data:`POSE_FIELDS`."""
-    x, y, z = pose.position.tolist()
-    vx, vy, vz = pose.velocity.tolist()
-    return pose.stamp, x, y, z, pose.heading, vx, vy, vz, pose.heading_rate
-
-
-def detection_row(det: Detection) -> tuple:
-    """``det`` as a record of :data:`DETECTION_FIELDS`."""
-    x, y, z = det.position.tolist()
-    return det.stamp, x, y, z, det.sigma, det.track_id
+DETECTION_FIELDS = Detection._fields
 
 
 class StampedColumns:
@@ -275,7 +236,7 @@ def pose_columns(poses: Iterable[TimedPose]) -> StampedColumns:
     dropped)."""
     buf = StampedColumns(Frame.VIO, len(POSE_FIELDS))
     for pose in poses:
-        buf.insert(pose_row(pose))
+        buf.insert(pose)
     return buf
 
 
@@ -284,17 +245,20 @@ def detection_columns(detections: Iterable[Detection]) -> StampedColumns:
     is dropped)."""
     buf = StampedColumns(Frame.LIDAR, len(DETECTION_FIELDS))
     for det in detections:
-        buf.insert(detection_row(det))
+        buf.insert(det)
     return buf
 
 
 def interpolate(buffer: StampedColumns, t: float, tolerance: float = STALE_TOLERANCE) -> TimedPose:
     """Linearly interpolate a pose buffer (:data:`POSE_FIELDS`) at time ``t``.
 
-    Position, velocity and heading rate interpolate linearly; heading follows
-    the shortest angular arc.  Queries up to ``tolerance`` seconds outside the
-    buffer span are clamped to the nearest endpoint (held, not extrapolated);
-    anything further raises :class:`StaleQueryError`.
+    Returns a :class:`TimedPose` stamped ``t``, made of floats and in the
+    buffer's frame.  Between two records, position, velocity and heading
+    rate interpolate linearly and the heading follows the shortest angular
+    arc, wrapped; at a buffered stamp the record's own values come back.
+    Queries up to ``tolerance`` seconds outside the buffer span are clamped
+    to the nearest endpoint (held, not extrapolated); anything further
+    raises :class:`StaleQueryError`.
     """
     if not len(buffer):
         raise StaleQueryError("stale query: empty pose buffer")
@@ -318,16 +282,13 @@ def interpolate(buffer: StampedColumns, t: float, tolerance: float = STALE_TOLER
             s0, ax, ay, az, h0, vx, vy, vz, r0 = buffer.row(hi - 1)
             s1, bx, by, bz, h1, wx, wy, wz, r1 = row
             u = (t - s0) / (s1 - s0)
-            return TimedPose._unchecked(
-                t, buffer.frame,
-                np.array([ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)]),
+            return TimedPose(
+                t, ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az),
                 wrap_heading(h0 + u * wrap_heading(h1 - h0)),
-                np.array([vx + u * (wx - vx), vy + u * (wy - vy), vz + u * (wz - vz)]),
+                vx + u * (wx - vx), vy + u * (wy - vy), vz + u * (wz - vz),
                 r0 + u * (r1 - r0),
             )
-    _, x, y, z, heading, vx, vy, vz, rate = row
-    return TimedPose._unchecked(t, buffer.frame, np.array([x, y, z]), heading,
-                                np.array([vx, vy, vz]), rate)
+    return TimedPose(t, *row[1:])
 
 
 def interp_columns(t: np.ndarray, stamps: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 The guider owns the estimation pipeline for one secondary agent: it buffers
 raw detections per track id and VIO poses, each buffer a stamp-sorted
-``StampedColumns``, initializes the estimate by aligning detection tracks
+``StampedColumns`` that stores the ``Detection`` and ``TimedPose`` records as
+they arrive, initializes the estimate by aligning detection tracks
 against the VIO trajectory, keeps the estimate updated through the
 history-buffered Kalman filter, periodically re-solves
 the frame alignment, and transforms the not-yet-flown part of a desired
@@ -24,6 +25,8 @@ Degenerate input streams map to explicit statuses:
       streaming pauses: without fresh VIO there is no valid V-frame anchor)
     - non-finite VIO samples  -> dropped on ingest, so a stream of them reads
       as VIO stale
+    - malformed detection batch -> ValueError, nothing changes (stamps that
+      differ, a non-finite value, two detections of one track id)
     - duplicate sample/batch  -> dropped on ingest (a VIO sample or detection
       batch whose stamp is already buffered), so each is fused once
     - late detection batch    -> buffered in stamp order; the history buffer
@@ -64,9 +67,7 @@ from .geometry import (
     StaleQueryError,
     StampedColumns,
     TimedPose,
-    detection_row,
     interpolate,
-    pose_row,
     rot_z,
     wrap_heading,
 )
@@ -189,9 +190,9 @@ class Guider:
         self._alignment: Optional[AlignmentResult] = None   # the last accepted solve
         # of the last accepted solve: heading, rot_z(-heading), drift rate floats
         self._correction: Optional[tuple[float, np.ndarray, tuple]] = None
-        # newest fused detection, VIO pose at its stamp, oldest VIO stamp that
-        # pose depends on: see _vio_anchor
-        self._anchor: Optional[tuple[Detection, Optional[TimedPose], float]] = None
+        # newest fused detection record, VIO pose at its stamp, oldest VIO
+        # stamp that pose depends on: see _vio_anchor
+        self._anchor: Optional[tuple[list, Optional[TimedPose], float]] = None
         self._alignment_accepted = False
         self._next_alignment_time = -np.inf
         self._next_init_attempt = -np.inf
@@ -225,7 +226,8 @@ class Guider:
 
     def ingest_detections(self, detections: Sequence[Detection]) -> None:
         """Feed one batch of detections (all tracked objects) sharing one
-        stamp; a batch whose stamps differ raises ValueError, changing nothing.
+        stamp, at most one per track id, every value finite; any other batch
+        raises ValueError, changing nothing.
 
         Arrival order may differ from stamps: the buffers stay sorted by
         stamp.  A batch whose stamp a track buffer already holds is a
@@ -236,6 +238,10 @@ class Guider:
         stamp = detections[0].stamp
         if any(det.stamp != stamp for det in detections):
             raise ValueError("a detection batch must share one stamp")
+        if not all(math.isfinite(value) for det in detections for value in det):
+            raise ValueError("a detection batch must hold finite values only")
+        if len({det.track_id for det in detections}) < len(detections):
+            raise ValueError("a detection batch must hold one detection per track id")
         buffers = self._track_buffers
         if any(det.track_id in buffers and buffers[det.track_id].holds(stamp)
                for det in detections):
@@ -246,7 +252,7 @@ class Guider:
             buf = buffers.get(det.track_id)
             if buf is None:
                 buf = buffers[det.track_id] = StampedColumns(Frame.LIDAR, len(DETECTION_FIELDS))
-            buf.insert(detection_row(det))
+            buf.insert(det)
             buf.prune(buf.newest_stamp - self._buffer_span)
         if self._history is None:
             # alignment solves are not free: retry at most every 0.3 s
@@ -260,16 +266,16 @@ class Guider:
         except ValueError:
             return  # batch predates the buffer anchor: too stale to use
         decision = associate(detections, predicted)
-        if decision.accepted and decision.detection is not None:
+        if decision.accepted:
             det = decision.detection
             r = det.sigma ** 2
-            z = Measurement(stamp, MeasurementKind.LIDAR_POSITION, det.position, (r, r, r))
+            z = Measurement(stamp, MeasurementKind.LIDAR_POSITION, det[1:4], (r, r, r))
             try:
                 self._history.insert(z)
             except StaleMeasurementError:
                 return
             fused = self._fused_detections
-            if fused.insert(detection_row(det)) == len(fused) - 1:
+            if fused.insert(det) == len(fused) - 1:
                 self._anchor = None   # a new newest fused detection
             fused.prune(fused.newest_stamp - self._buffer_span)
             self._consecutive_rejects = 0
@@ -291,11 +297,10 @@ class Guider:
         stale VIO (HEADING_FROZEN).  A sample whose stamp is already buffered
         is a duplicate delivery and is dropped too.
         """
-        row = pose_row(pose)
-        if not all(map(math.isfinite, row)):
+        if not all(map(math.isfinite, pose)):
             return
         buf = self._vio_buffer
-        i = buf.insert(row)
+        i = buf.insert(pose)
         if i is None:
             return
         self._ingest_count += 1
@@ -327,9 +332,10 @@ class Guider:
         if pose.stamp >= self._next_alignment_time:
             self._realign(pose.stamp)
 
-    def _vio_anchor(self) -> tuple[Detection, Optional[TimedPose]]:
-        """The newest fused detection and the VIO pose interpolated at its
-        stamp, None when the stamp lies outside the VIO buffer.
+    def _vio_anchor(self) -> tuple[list, Optional[TimedPose]]:
+        """The newest fused detection record (a row of the fused buffer) and
+        the VIO pose interpolated at its stamp, None when the stamp lies
+        outside the VIO buffer.
 
         Called only once a VIO sample newer than the detection is buffered,
         so the pose depends on the samples from the one at or before the
@@ -340,8 +346,8 @@ class Guider:
         """
         if self._anchor is None:
             buf = self._vio_buffer
-            stamp, x, y, z, sigma, track_id = self._fused_detections.row(-1)
-            det = Detection._unchecked(stamp, np.array([x, y, z]), sigma, int(track_id))
+            det = self._fused_detections.row(-1)
+            stamp = det[0]
             try:
                 vio_at_det = interpolate(buf, stamp)
             except StaleQueryError:
@@ -430,12 +436,9 @@ class Guider:
     def current_output(self, t: float) -> GuiderOutput:
         if self._history is None:
             raise GuiderError("guider is uninitialized: no accepted alignment yet")
-        state = self._history.estimate_at(t)
-        pose = TimedPose(t, Frame.LIDAR, state.position, state.heading,
-                         state.velocity, state.heading_rate)
         return GuiderOutput(
             stamp=t,
-            secondary_pose_in_l=pose,
+            secondary_pose_in_l=self._history.estimate_at(t).pose(t),
             transform_l_to_s=self._effective_transform(t),
             status=self.status(t),
         )

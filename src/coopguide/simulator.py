@@ -277,16 +277,17 @@ def lidar_detect(
 
     Track id 0 is the secondary agent; false targets get ids 1..n in order.
     Walls occlude in the xy plane (modeled as full-height).  Positions are
-    finite 3-sequences; the sums with the noise draws are float arrays.
+    finite (x, y, z) float sequences, and each detection adds the three
+    noise draws to them as floats.
     """
     out = []
     # the sightline test in floats: numpy scalars would slow its arithmetic
     p_xy = (float(truth_primary[0]), float(truth_primary[1]))
-    for track_id, pos in enumerate((truth_secondary, *false_targets)):
-        if walls and not line_of_sight(p_xy, (float(pos[0]), float(pos[1])), walls):
+    for track_id, (x, y, z) in enumerate((truth_secondary, *false_targets)):
+        if walls and not line_of_sight(p_xy, (x, y), walls):
             continue
-        noisy = pos + rng.normal(0.0, sigma, 3)
-        out.append(Detection._unchecked(stamp, noisy, sigma, track_id))
+        nx, ny, nz = rng.normal(0.0, sigma, 3).tolist()
+        out.append(Detection(stamp, x + nx, y + ny, z + nz, sigma, track_id))
     return out
 
 
@@ -577,7 +578,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     t0x, t0y, t0z = t0.tolist()
 
     walls = v["nlos.walls"]
-    false_targets = [np.asarray(ft, float) for ft in v["false_targets.positions"]]
+    false_targets = v["false_targets.positions"]
 
     guider = Guider(config.alignment, v["guider.realign_period"])
 
@@ -650,7 +651,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             if dets:
                 arrival = t + det_delay_mean + det_delay_jitter * float(det_delay_rng.random())
                 for d in dets:
-                    log.append(("DET", t, arrival, d.track_id, *d.position.tolist(), det_sigma))
+                    log.append(("DET", t, arrival, d.track_id, d.x, d.y, d.z, det_sigma))
                 seq += 1
                 heapq.heappush(events, (arrival, seq, "det", dets))
 
@@ -660,9 +661,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             if vio_noise > 0.0:
                 nx, ny, nz = vio_noise_rng.normal(0.0, vio_noise, 3).tolist()
                 pos = (px + nx, py + ny, pz + nz)
-            # the plant's floats are finite and its heading wrapped: no checks
-            pose = TimedPose._unchecked(t, Frame.VIO, np.array(pos), plant.heading,
-                                        np.array(plant.velocity), plant.heading_rate)
+            pose = TimedPose(t, *pos, plant.heading, *plant.velocity, plant.heading_rate)
             arrival = t + comm_mean + comm_jitter * float(vio_delay_rng.random())
             log.append(("VIO", t, arrival, *pos, *plant.velocity,
                         plant.heading, plant.heading_rate))
@@ -673,12 +672,8 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             next_ref += ref_period
             if guider.initialized:
                 out = guider.current_output(t)
-                T = out.transform_l_to_s
-                log.append(("EST", t, out.status.value,
-                            float(out.secondary_pose_in_l.position[0]),
-                            float(out.secondary_pose_in_l.position[1]),
-                            float(out.secondary_pose_in_l.position[2]),
-                            out.secondary_pose_in_l.heading,
+                T, est = out.transform_l_to_s, out.secondary_pose_in_l
+                log.append(("EST", t, out.status.value, est.x, est.y, est.z, est.heading,
                             float(T.translation[0]), float(T.translation[1]),
                             float(T.translation[2]), T.heading))
                 translation, heading = T.translation.tolist(), T.heading  # the batch's transform

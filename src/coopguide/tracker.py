@@ -161,6 +161,11 @@ class TrackerState:
     def heading_rate(self) -> float:
         return self._mean[_HEADING_AXIS][1]
 
+    def pose(self, stamp: float) -> TimedPose:
+        """The mean as a pose record stamped ``stamp``."""
+        (x, vx), (y, vy), (z, vz), (heading, rate) = self._mean
+        return TimedPose(stamp, x, y, z, heading, vx, vy, vz, rate)
+
 
 class Measurement:
     """Stamped measurement with per-component noise variances (diagonal R).
@@ -195,10 +200,9 @@ class Measurement:
 class GateDecision:
     """Outcome of detection-to-estimate association."""
 
-    chosen: Optional[int]            # track id of the selected detection
     mahalanobis_sq: float
     accepted: bool
-    detection: Optional[Detection] = None
+    detection: Optional[Detection] = None   # the selected one, None without a candidate
 
 
 def predict(state: TrackerState, dt: float) -> TrackerState:
@@ -263,7 +267,7 @@ def innovation_gate(state: TrackerState, detection: Detection) -> float:
     """Squared Mahalanobis distance of a detection from the predicted state."""
     r = detection.sigma ** 2
     d2 = 0.0
-    for z, (x, _), ((p00, _), _) in zip(detection.position.tolist(), state._mean, state._cov):
+    for z, (x, _), ((p00, _), _) in zip(detection[1:4], state._mean, state._cov):
         y = z - x
         s = p00 + r
         if not s > 0.0:
@@ -277,26 +281,27 @@ def associate(detections: Sequence[Detection], state: TrackerState) -> GateDecis
 
     Candidates within ``EUCLID_GATE`` of the predicted position compete; the
     lowest squared Mahalanobis distance among them is accepted when it is at
-    most ``GATE_CRITICAL``.
+    most ``GATE_CRITICAL``.  Both distances are float arithmetic on the
+    detections' fields and the state's mean.
     """
     best: Optional[Detection] = None
     best_d2 = math.inf
-    pos = state.position
+    (px, _), (py, _), (pz, _), _ = state._mean
     for det in detections:
-        if float(np.linalg.norm(det.position - pos)) > EUCLID_GATE:
+        if math.hypot(det.x - px, det.y - py, det.z - pz) > EUCLID_GATE:
             continue
         d2 = innovation_gate(state, det)
         if d2 < best_d2:
             best_d2 = d2
             best = det
     if best is None:
-        return GateDecision(None, math.inf, False)
-    return GateDecision(best.track_id, best_d2, best_d2 <= GATE_CRITICAL, best)
+        return GateDecision(math.inf, False)
+    return GateDecision(best_d2, best_d2 <= GATE_CRITICAL, best)
 
 
 def make_vio_measurement(
     vio: TimedPose,
-    last_detection: Detection,
+    last_detection: Sequence[float],
     vio_at_detection: TimedPose,
     theta: Optional[float],
     drift_rate: Sequence[float] = (0.0, 0.0, 0.0),
@@ -304,11 +309,14 @@ def make_vio_measurement(
 ) -> Measurement:
     """Full 8-dim measurement from a VIO pose newer than the last detection.
 
-    Position chains the last detection with the V->L rotated VIO displacement
-    since the detection stamp; velocity is the rotated VIO velocity; heading
-    subtracts the aligned relative heading.  The V-frame ``drift_rate``
-    (a 3-vector) co-estimated by the alignment is not motion: it is taken out
-    of both.  ``r_lv``, when given, must be ``rot_z(-theta)``: a caller that
+    The poses are V-frame records and ``last_detection`` an L-frame
+    :data:`~coopguide.geometry.DETECTION_FIELDS` record, a ``Detection`` or
+    a buffer row; all are unpacked in field order.  Position chains the last
+    detection with the V->L rotated VIO displacement since the detection
+    stamp; velocity is the rotated VIO velocity; heading is the wrapped VIO
+    heading less the aligned relative heading, wrapped.  The V-frame
+    ``drift_rate`` (a 3-vector) co-estimated by the alignment is not motion:
+    it is taken out of both.  ``r_lv``, when given, must be ``rot_z(-theta)``: a caller that
     holds one per alignment passes it instead of having it rebuilt.
 
     Everything but the two rotations is float arithmetic.  The rotations stay
@@ -318,30 +326,34 @@ def make_vio_measurement(
     """
     if theta is None:
         raise ValueError("transform unavailable: no accepted alignment yet")
-    if vio.stamp < last_detection.stamp - 1e-9:
+    stamp, x, y, z, heading, vx, vy, vz, heading_rate = vio
+    det_stamp, lx, ly, lz, sigma, _ = last_detection
+    if stamp < det_stamp - 1e-9:
         raise ValueError("VIO pose is older than the anchoring detection")
     if r_lv is None:
         r_lv = rot_z(-theta)
-    dt = vio.stamp - vio_at_detection.stamp
-    (x, y, z), (x0, y0, z0) = vio.position.tolist(), vio_at_detection.position.tolist()
-    (vx, vy, vz), (rx, ry, rz) = vio.velocity.tolist(), drift_rate
-    lx, ly, lz = last_detection.position.tolist()
+    stamp0, x0, y0, z0 = vio_at_detection[:4]
+    dt = stamp - stamp0
+    rx, ry, rz = drift_rate
     dx, dy, dz = (r_lv @ np.array([x - x0 - rx * dt, y - y0 - ry * dt, z - z0 - rz * dt])).tolist()
-    r = last_detection.sigma ** 2 + VIO_DELTA_VARIANCE
+    r = sigma ** 2 + VIO_DELTA_VARIANCE
     return Measurement._unchecked(
-        vio.stamp, MeasurementKind.VIO_FULL,
+        stamp, MeasurementKind.VIO_FULL,
         (lx + dx, ly + dy, lz + dz, *(r_lv @ np.array([vx - rx, vy - ry, vz - rz])).tolist(),
-         wrap_heading(vio.heading - theta), float(vio.heading_rate)),
+         wrap_heading(wrap_heading(heading) - theta), heading_rate),
         (r, r, r) + _VIO_RATE_HEADING_VARIANCE)
 
 
 def make_heading_measurement(vio: TimedPose, theta: Optional[float]) -> Measurement:
-    """Heading/heading-rate measurement from a VIO pose older than the last detection."""
+    """Heading/heading-rate measurement from a VIO pose older than the last
+    detection.  Like :func:`make_vio_measurement`, it wraps the pose's
+    heading before subtracting ``theta``, so shifts by 2*pi*k change no bit.
+    """
     if theta is None:
         raise ValueError("transform unavailable: no accepted alignment yet")
     return Measurement._unchecked(
         vio.stamp, MeasurementKind.VIO_HEADING,
-        (wrap_heading(vio.heading - theta), float(vio.heading_rate)), HEADING_VARIANCE)
+        (wrap_heading(wrap_heading(vio.heading) - theta), vio.heading_rate), HEADING_VARIANCE)
 
 
 class HistoryBuffer:
@@ -448,18 +460,14 @@ def try_initialize(
         if not degeneracy_check(result, align_config):
             continue
         try:
-            vio_pose = interpolate(vio_buffer, stamp)
+            *_, heading, vx, vy, vz, heading_rate = interpolate(vio_buffer, stamp)
         except StaleQueryError:
             continue
         theta = result.transform.heading
         # co-estimated VIO drift rate (zero unless enabled) is not real motion
-        velocity = rot_z(-theta) @ (vio_pose.velocity - result.drift_rate)
-        mean = np.column_stack([
-            (x, y, z, wrap_heading(vio_pose.heading - theta)),
-            np.append(velocity, vio_pose.heading_rate),
-        ])
-        cov = np.zeros((4, 2, 2))
-        cov[:, 0, 0] = INIT_VALUE_VARIANCE
-        cov[:, 1, 1] = INIT_RATE_VARIANCE
+        rx, ry, rz = result.drift_rate.tolist()
+        lvx, lvy, lvz = (rot_z(-theta) @ np.array([vx - rx, vy - ry, vz - rz])).tolist()
+        mean = [(x, lvx), (y, lvy), (z, lvz), (wrap_heading(heading - theta), heading_rate)]
+        cov = [((p, 0.0), (0.0, q)) for p, q in zip(INIT_VALUE_VARIANCE, INIT_RATE_VARIANCE)]
         return TrackerState(stamp, mean, cov), result, track_id
     return None

@@ -141,7 +141,7 @@ def test_criterion_4_gate_calibration():
         trials = 10_000
         for _ in range(trials):
             z = L @ rng.normal(0.0, 1.0, 3)
-            det = Detection(0.0, z, sigma, track_id=0)
+            det = Detection(0.0, *z.tolist(), sigma, track_id=0)
             if associate([det], state).accepted:
                 accepted += 1
         rate = accepted / trials

@@ -25,12 +25,9 @@ from coopguide.alignment import (
 from coopguide.geometry import (
     STALE_TOLERANCE,
     Detection,
-    Frame,
     TimedPose,
     detection_columns,
-    detection_row,
     pose_columns,
-    pose_row,
     rot_z,
     wrap_heading,
 )
@@ -160,11 +157,11 @@ def one_pair(monkeypatch):
 
 
 def _det(t, pos, track=0):
-    return Detection(stamp=t, position=np.asarray(pos, float), sigma=0.1, track_id=track)
+    return Detection(t, *map(float, pos), sigma=0.1, track_id=track)
 
 
 def _vio(t, pos):
-    return TimedPose(stamp=t, frame=Frame.VIO, position=np.asarray(pos, float))
+    return TimedPose(t, *map(float, pos))
 
 
 def _window(dets, vio, config):
@@ -214,7 +211,7 @@ def list_window(detections, vio_buffer, config):
     if not detections or not vio_buffer or config.window <= 0:
         return None
     det_stamps = np.array([d.stamp for d in detections])
-    det_positions = np.array([d.position for d in detections])
+    det_positions = np.array([d[1:4] for d in detections])
     t_end = vio_buffer[-1].stamp
     t_start = t_end - config.window
     lo = det_stamps[0] - STALE_TOLERANCE
@@ -237,7 +234,7 @@ def list_window(detections, vio_buffer, config):
             stamps = stamps[ok]
     interp = np.column_stack([np.interp(stamps, det_stamps, det_positions[:, i])
                               for i in range(3)])
-    return stamps, interp, np.array([p.position for p in kept])
+    return stamps, interp, np.array([p[1:4] for p in kept])
 
 
 def _deliveries(rng, records):
@@ -265,8 +262,8 @@ def test_column_windows_are_bit_identical_to_the_list_windows():
         span = config.window + 2.0
         # VIO near 30 Hz; detections near 10 Hz with occlusion gaps up to 2.5 s
         vio_t = np.cumsum(rng.uniform(0.02, 0.045, 400))
-        vio = [TimedPose(float(t), Frame.VIO, rng.normal(0.0, 5.0, 3),
-                         float(rng.uniform(-math.pi, math.pi)), rng.normal(0.0, 1.0, 3),
+        vio = [TimedPose(float(t), *rng.normal(0.0, 5.0, 3).tolist(),
+                         float(rng.uniform(-math.pi, math.pi)), *rng.normal(0.0, 1.0, 3).tolist(),
                          float(rng.normal(0.0, 0.3)))
                for t in vio_t]
         det_t, t = [], 0.0
@@ -281,10 +278,9 @@ def test_column_windows_are_bit_identical_to_the_list_windows():
         vio_list, det_list = [], []
         for _, kind, record in _deliveries(rng, stream):
             columns, listed = (vio_cols, vio_list) if kind else (det_cols, det_list)
-            row = pose_row(record) if kind else detection_row(record)
             i = bisect.bisect_left([r.stamp for r in listed], record.stamp)
             duplicate = i < len(listed) and listed[i].stamp == record.stamp
-            assert (columns.insert(row) is None) == duplicate
+            assert (columns.insert(record) is None) == duplicate
             if not duplicate:
                 listed.insert(i, record)
             cutoff = listed[-1].stamp - span

@@ -1,0 +1,55 @@
+"""The alternating-pairs benchmark tool in tools/bench_pairs.py."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_pairs.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _checkout(root: Path, files: dict) -> Path:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return root
+
+
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    checkout = _checkout(tmp_path, {
+        "src/pkg/a.py": "x = 1\ny = 2\nz = 3\n",
+        "src/pkg/sub/b.py": "\n\n",
+        "src/pkg/notes.txt": "not code\n",
+        "tools/c.py": "ignored = True\n",
+    })
+    assert _tool().src_lines(checkout) == 5
+
+
+def test_bench_file_and_summary_carry_both_line_counts(tmp_path, monkeypatch, capsys):
+    tool = _tool()
+    parent = _checkout(tmp_path / "parent", {"src/m.py": "a = 1\n" * 10})
+    change = _checkout(tmp_path / "change", {"src/m.py": "a = 1\n" * 7})
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_run(checkout, workload, seed):
+        value = 1.0 if checkout == parent.resolve() else 0.9
+        return {"metrics": {name: value for name in names}, "attempted": 1, "failed": 0,
+                "samples": [], "context": {}}
+
+    monkeypatch.setattr(tool, "run_side", fake_run)
+    assert tool.main(["--parent", str(parent), "--change", str(change), "--label", "probe",
+                      "--workload", "nlos", "--seeds", "1-2"]) == 0
+    record = json.loads((tmp_path / "BENCH_probe.json").read_text())["workloads"]["nlos"]
+    assert record["src_lines"] == {"parent": 10, "change": 7}
+    assert "nlos src/ lines: 10 -> 7 (-3)" in capsys.readouterr().out

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import coopguide
+from coopguide import cli
 from coopguide.cli import main
 from coopguide.config import DEFAULTS, SCHEMA
 
@@ -325,6 +326,62 @@ def test_sweep_aggregate_cardinality_and_determinism(tmp_path):
     assert len(lines) == 1 + 2 * 2  # 2 values x 2 runs
     reports = sorted(p.name for p in out_a.glob("run_*.report"))
     assert len(reports) == 4
+
+
+def test_sweep_starts_at_most_one_worker_per_run(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(task) for task in tasks]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+    cfg = _write(tmp_path, "sweep.cfg", SWEEP_CFG + "scenario.duration = 1.0\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "1000"]) == 0
+    assert sizes == [4]   # 2 values x 2 runs
+    assert len((out / "aggregate.csv").read_text().splitlines()) == 1 + 4
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "eval"])
+@pytest.mark.parametrize("where", ["file", "below a file", "output names taken by directories"])
+def test_unusable_out_dir_exits_one_with_output_error(tmp_path, capsys, command, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    if where == "file":
+        out = blocker
+    elif where == "below a file":
+        out = blocker / "o"
+    else:   # the directory exists, but no output file can be written
+        out = tmp_path / "o"
+        for name in ("events.log", "run_0.0_00.report", "aggregate.csv", "per_sample.csv"):
+            (out / name).mkdir(parents=True)
+    if command == "eval":
+        logs = tmp_path / "logs"
+        assert main(["run", "--config", _write(tmp_path, "s.cfg", BASE_CFG),
+                     "--out", str(logs)]) == 0
+        args = ["eval", "--log", str(logs / "events.log")]
+    else:
+        cfg = _write(tmp_path, "s.cfg", SWEEP_CFG + "scenario.duration = 1.0\n")
+        args = [command, "--config", cfg]
+    capsys.readouterr()
+    assert main([*args, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_run_exit_two_on_scenario_failure(tmp_path):

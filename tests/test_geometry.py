@@ -1,7 +1,6 @@
 """Frame/transform conventions and interpolation contracts."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,13 +115,13 @@ def test_rotation_is_pure_z():
 
 
 def _pose(t, pos, heading=0.0):
-    return TimedPose(stamp=t, frame=Frame.VIO, position=np.asarray(pos, float), heading=heading)
+    return TimedPose(t, *map(float, pos), heading=heading)
 
 
 def test_interpolate_linear_midpoint():
     buf = pose_columns([_pose(0.0, [0, 0, 0]), _pose(1.0, [1, 0, 0])])
     mid = interpolate(buf, 0.5)
-    assert np.allclose(mid.position, [0.5, 0.0, 0.0])
+    assert np.allclose((mid.x, mid.y, mid.z), [0.5, 0.0, 0.0])
 
 
 def test_interpolate_heading_shortest_arc():
@@ -139,13 +138,12 @@ def _bits(*values) -> bytes:
 
 
 def _pose_bits(pose):
-    return _bits(pose.stamp, pose.position, pose.heading, pose.velocity, pose.heading_rate)
+    return _bits(*pose)
 
 
 def test_interpolate_exact_stamp_returns_stored_pose():
     poses = [_pose(0.0, [0, 0, 0]), _pose(0.4, [2, 1, 0], 0.3), _pose(1.0, [1, 0, 0])]
     got = interpolate(pose_columns(poses), 0.4)
-    assert got.frame is Frame.VIO
     assert _pose_bits(got) == _pose_bits(poses[1])
 
 
@@ -155,13 +153,13 @@ def numpy_lerp_pose(a, b, t):
         return a
     u = (t - a.stamp) / (b.stamp - a.stamp)
     heading = wrap_heading(a.heading + u * wrap_heading(b.heading - a.heading))
+    (pa, va), (pb, vb) = [(np.array(p[1:4]), np.array(p[5:8])) for p in (a, b)]
     return TimedPose(
-        stamp=t,
-        frame=a.frame,
-        position=a.position + u * (b.position - a.position),
-        heading=heading,
-        velocity=a.velocity + u * (b.velocity - a.velocity),
-        heading_rate=a.heading_rate + u * (b.heading_rate - a.heading_rate),
+        t,
+        *(pa + u * (pb - pa)).tolist(),
+        heading,
+        *(va + u * (vb - va)).tolist(),
+        a.heading_rate + u * (b.heading_rate - a.heading_rate),
     )
 
 
@@ -171,8 +169,8 @@ def test_interpolate_is_bit_identical_to_the_array_lerp():
     for _ in range(200):
         n = int(rng.integers(2, 12))
         stamps = np.cumsum(rng.uniform(0.001, 0.1, n)) + rng.uniform(-5.0, 5.0)
-        buf = [TimedPose(float(s), Frame.VIO, rng.normal(0.0, 10.0, 3),
-                         float(rng.uniform(-math.pi, math.pi)), rng.normal(0.0, 1.0, 3),
+        buf = [TimedPose(float(s), *rng.normal(0.0, 10.0, 3).tolist(),
+                         float(rng.uniform(-math.pi, math.pi)), *rng.normal(0.0, 1.0, 3).tolist(),
                          float(rng.normal(0.0, 0.5)))
                for s in stamps]
         queries = [float(s) for s in rng.uniform(stamps[0], stamps[-1], 8)]
@@ -185,7 +183,7 @@ def test_interpolate_is_bit_identical_to_the_array_lerp():
             hi = int(np.searchsorted(stamps, t))
             if t <= stamps[0] or t >= stamps[-1]:
                 end = buf[0] if t <= stamps[0] else buf[-1]
-                want, kind = replace(end, stamp=t), "clamp"
+                want, kind = end._replace(stamp=t), "clamp"
             elif stamps[hi] == t:
                 want, kind = buf[hi], "exact"
             else:
@@ -204,7 +202,7 @@ def test_interpolate_stale_query_raises():
     with pytest.raises(StaleQueryError):
         interpolate(buf, -0.2)
     # within tolerance: clamped, not raised
-    assert np.allclose(interpolate(buf, 1.05).position, [1, 0, 0])
+    assert np.allclose(interpolate(buf, 1.05)[1:4], [1, 0, 0])
 
 
 def test_stamped_columns_match_a_sorted_list_through_inserts_and_prunes():

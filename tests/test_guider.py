@@ -49,10 +49,23 @@ def secondary_heading(t, speed=0.5, radius=4.0):
     return wrap_heading(speed / radius * t + math.pi / 2)
 
 
+def pose_record(t, position, heading=0.0, velocity=(0.0, 0.0, 0.0), rate=0.0):
+    return TimedPose(t, *map(float, position), heading, *map(float, velocity), rate)
+
+
+def detection_record(t, position, track):
+    return Detection(t, *map(float, position), 0.15, track)
+
+
+def position_of(record):
+    """x, y, z of a pose or detection record, as an array."""
+    return np.array(record[1:4])
+
+
 def vio_pose(t):
     """True V-frame pose of the circling secondary (no drift, no noise)."""
-    return TimedPose(
-        t, Frame.VIO,
+    return pose_record(
+        t,
         R_LV @ secondary_position(t) + T_OFFSET,
         wrap_heading(secondary_heading(t) + THETA),
         R_LV @ secondary_velocity(t),
@@ -61,7 +74,7 @@ def vio_pose(t):
 
 
 def detection(t, track=0, offset=(0.0, 0.0, 0.0)):
-    return Detection(t, secondary_position(t) + np.asarray(offset, float), 0.15, track)
+    return detection_record(t, secondary_position(t) + np.asarray(offset, float), track)
 
 
 def make_guider():
@@ -90,7 +103,7 @@ def test_initialization_transition():
     assert g.initialized
     assert g.status(t) is GuiderStatus.TRACKING
     out = g.current_output(t)
-    assert np.allclose(out.secondary_pose_in_l.position, secondary_position(t), atol=0.05)
+    assert np.allclose(position_of(out.secondary_pose_in_l), secondary_position(t), atol=0.05)
     assert abs(wrap_heading(g.active_transform.heading - THETA)) < 1e-3
     assert np.allclose(g.active_transform.translation, T_OFFSET, atol=0.02)
 
@@ -109,6 +122,35 @@ def test_detection_batch_with_differing_stamps_is_rejected():
         g.ingest_detections([detection(t), detection(t + 0.05, track=1)])
     assert (len(g._track_buffers[0]), len(g._fused_detections), g._ingest_count) == state
     assert 1 not in g._track_buffers
+
+
+def _ingest_state(g):
+    return (len(g._track_buffers[0]), len(g._fused_detections), g._ingest_count,
+            len(g._history), g._history.latest_state.mean.tobytes())
+
+
+@pytest.mark.parametrize("field", ["x", "z", "sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_detection_batch_with_a_non_finite_value_is_rejected(field, value):
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    state = _ingest_state(g)
+    bad = detection(t, track=1)._replace(**{field: value})
+    with pytest.raises(ValueError, match="finite"):
+        g.ingest_detections([detection(t), bad])
+    assert _ingest_state(g) == state
+    assert 1 not in g._track_buffers
+
+
+def test_detection_batch_with_two_detections_of_one_track_is_rejected():
+    # the second detection would miss its track buffer, yet association
+    # could still fuse it
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    state = _ingest_state(g)
+    with pytest.raises(ValueError, match="one detection per track id"):
+        g.ingest_detections([detection(t, offset=(0.3, 0.0, 0.0)), detection(t)])
+    assert _ingest_state(g) == state
 
 
 def test_high_drift_lap_tracks_through_the_drift_without_reinitializing(monkeypatch):
@@ -139,7 +181,7 @@ def test_innovations_are_chi_square_consistent_on_the_baseline_run(monkeypatch):
 
     def record(*args):
         decision = associate(*args)
-        if decision.chosen is not None:
+        if decision.detection is not None:
             nis.append(decision.mahalanobis_sq)
         return decision
 
@@ -219,10 +261,10 @@ def test_gate_rejected_detection_leaves_estimate_untouched():
     t = drive(g, 0.0, 8.0)
     before = g.current_output(t).secondary_pose_in_l
     # a detection 10 m away fails the Euclidean pre-gate
-    g.ingest_detections([Detection(t, secondary_position(t) + np.array([10.0, 0, 0]),
-                                   0.15, 7)])
+    g.ingest_detections([detection_record(t, secondary_position(t) + np.array([10.0, 0, 0]),
+                                          7)])
     after = g.current_output(t).secondary_pose_in_l
-    assert np.array_equal(before.position, after.position)
+    assert np.array_equal(position_of(before), position_of(after))
 
 
 def test_detection_staleness_maps_to_dead_reckoning():
@@ -231,7 +273,7 @@ def test_detection_staleness_maps_to_dead_reckoning():
     t = drive(g, t, t + 2.0, det_on=False)  # NLOS: VIO only
     assert g.status(t) is GuiderStatus.DEAD_RECKONING_VIO
     out = g.current_output(t)
-    assert np.allclose(out.secondary_pose_in_l.position, secondary_position(t), atol=0.05)
+    assert np.allclose(position_of(out.secondary_pose_in_l), secondary_position(t), atol=0.05)
     # recovery on stream resumption
     t = drive(g, t, t + 1.0)
     assert g.status(t) is GuiderStatus.TRACKING
@@ -246,7 +288,7 @@ def test_vio_staleness_maps_to_heading_frozen():
     out = g.current_output(t)
     # heading stopped updating but position still corrects from detections
     assert out.secondary_pose_in_l.heading_rate == pytest.approx(frozen.heading_rate, abs=1e-12)
-    assert np.allclose(out.secondary_pose_in_l.position, secondary_position(t), atol=0.05)
+    assert np.allclose(position_of(out.secondary_pose_in_l), secondary_position(t), atol=0.05)
     t = drive(g, t, t + 1.0)
     assert g.status(t) is GuiderStatus.TRACKING
 
@@ -257,18 +299,15 @@ def test_non_finite_vio_sample_is_dropped(monkeypatch):
     assert g.status(t) is GuiderStatus.TRACKING
     good = vio_pose(t)
     nan, inf = float("nan"), float("inf")
-    g.ingest_vio(TimedPose(t, Frame.VIO, (nan, 0.0, 0.0), good.heading,
-                           good.velocity, good.heading_rate))
-    g.ingest_vio(TimedPose(t, Frame.VIO, good.position, good.heading,
-                           (0.0, inf, 0.0), good.heading_rate))
-    g.ingest_vio(TimedPose(t, Frame.VIO, good.position, good.heading, good.velocity, nan))
-    g.ingest_vio(TimedPose(nan, Frame.VIO, good.position, good.heading,
-                           good.velocity, good.heading_rate))
+    g.ingest_vio(good._replace(x=nan, y=0.0, z=0.0))
+    g.ingest_vio(good._replace(vx=0.0, vy=inf, vz=0.0))
+    g.ingest_vio(good._replace(heading_rate=nan))
+    g.ingest_vio(good._replace(stamp=nan))
     t = drive(g, t, t + 1.0)
     out = g.current_output(t)
     assert out.status is GuiderStatus.TRACKING
-    assert np.all(np.isfinite(out.secondary_pose_in_l.position))
-    assert np.allclose(out.secondary_pose_in_l.position, secondary_position(t), atol=0.05)
+    assert np.all(np.isfinite(position_of(out.secondary_pose_in_l)))
+    assert np.allclose(position_of(out.secondary_pose_in_l), secondary_position(t), atol=0.05)
     # persistent gate failures re-initialize over the VIO buffer without raising
     calls = []
     try_initialize = guider.try_initialize
@@ -276,7 +315,7 @@ def test_non_finite_vio_sample_is_dropped(monkeypatch):
                         lambda *a: calls.append(1) or try_initialize(*a))
     t = drive(g, t, t + 0.5, det_offset=(6.0, 0.0, 0.0))
     assert calls
-    assert np.all(np.isfinite(g.current_output(t).secondary_pose_in_l.position))
+    assert np.all(np.isfinite(position_of(g.current_output(t).secondary_pose_in_l)))
 
 
 def _est_records(monkeypatch, overrides, ingest=None):
@@ -339,7 +378,7 @@ def test_occlusion_does_not_readopt_the_fused_track_from_its_last_detection(monk
     clutter = secondary_position(t) + np.array([6.0, 0.0, 0.0])
     for k in range(int(round(t / 0.1)), int(round((t + 0.9) / 0.1))):
         tk = 0.1 * k
-        g.ingest_detections([Detection(tk, clutter, 0.15, 5)])
+        g.ingest_detections([detection_record(tk, clutter, 5)])
         for j in range(3):
             g.ingest_vio(vio_pose(tk + j / 30.0))
     assert g._history is before
@@ -353,9 +392,9 @@ def test_stream_of_non_finite_vio_reads_as_heading_frozen():
     for k in range(10):
         tk = t + 0.1 * k
         g.ingest_detections([detection(tk)])
-        g.ingest_vio(TimedPose(tk, Frame.VIO, (float("nan"), 0.0, 0.0)))
+        g.ingest_vio(TimedPose(tk, float("nan"), 0.0, 0.0))
     assert g.status(t + 1.0) is GuiderStatus.HEADING_FROZEN
-    assert np.all(np.isfinite(g.current_output(t + 1.0).secondary_pose_in_l.position))
+    assert np.all(np.isfinite(position_of(g.current_output(t + 1.0).secondary_pose_in_l)))
 
 
 def test_ingest_vio_full_measurement_when_detection_inside_vio_buffer():
@@ -392,8 +431,7 @@ def test_late_vio_inside_the_anchor_bracket_renews_the_anchor():
     assert g._fused_detections.newest_stamp == t_det
     g.ingest_vio(vio_pose(t + 0.1))   # anchor: between t - 1/30 and t + 0.1
     late = vio_pose(t + 0.02)
-    g.ingest_vio(TimedPose(late.stamp, Frame.VIO, late.position + 0.05, late.heading,
-                           late.velocity, late.heading_rate))
+    g.ingest_vio(late._replace(x=late.x + 0.05, y=late.y + 0.05, z=late.z + 0.05))
     theta, drift_rate = g._alignment.transform.heading, g._alignment.drift_rate
     pose = vio_pose(t + 0.13)
     g.ingest_vio(pose)
@@ -412,11 +450,11 @@ def test_small_motion_freezes_transform():
     hover_heading = secondary_heading(t)
     for k in range(int(t / 0.1), int((t + 20.0) / 0.1)):
         tk = 0.1 * k
-        g.ingest_detections([Detection(tk, hover, 0.15, 0)])
+        g.ingest_detections([detection_record(tk, hover, 0)])
         for j in range(3):
             tv = tk + j / 30.0
-            g.ingest_vio(TimedPose(tv, Frame.VIO, R_LV @ hover + T_OFFSET,
-                                   wrap_heading(hover_heading + THETA)))
+            g.ingest_vio(pose_record(tv, R_LV @ hover + T_OFFSET,
+                                     wrap_heading(hover_heading + THETA)))
     t = t + 20.0
     assert g.status(t) is GuiderStatus.TRANSFORM_FROZEN
     before = g.active_transform
@@ -440,7 +478,7 @@ def test_realign_freezes_unobservable_window_without_solving(monkeypatch):
     before = g.active_transform
     # same VIO window, but the fused detections hover at one point
     hover = secondary_position(t)
-    g._fused_detections = detection_columns(Detection(0.1 * k, hover, 0.15, 0)
+    g._fused_detections = detection_columns(detection_record(0.1 * k, hover, 0)
                                             for k in range(int(t / 0.1) + 1))
     g._realign(t)
     assert len(calls) == 1
@@ -517,8 +555,8 @@ def test_reinitialization_after_persistent_gate_failure():
         g.ingest_detections([detection(tk, offset=jump)])
         for j in range(3):
             tv = tk + j / 30.0
-            g.ingest_vio(TimedPose(
-                tv, Frame.VIO,
+            g.ingest_vio(pose_record(
+                tv,
                 R_LV @ (secondary_position(tv) + jump) + T_OFFSET,
                 wrap_heading(secondary_heading(tv) + THETA),
                 R_LV @ secondary_velocity(tv),
@@ -527,5 +565,5 @@ def test_reinitialization_after_persistent_gate_failure():
     t = t + 6.0
     assert g.initialized
     out = g.current_output(t)
-    assert np.allclose(out.secondary_pose_in_l.position,
+    assert np.allclose(position_of(out.secondary_pose_in_l),
                        secondary_position(t) + jump, atol=0.1)

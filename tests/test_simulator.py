@@ -84,7 +84,7 @@ def test_lidar_detect_noise_within_3_sigma():
     for _ in range(n):
         dets = lidar_detect(0.0, np.array([1.0, 2.0, 3.0]), np.zeros(3),
                             (), (), rng, sigma)
-        err = np.linalg.norm(dets[0].position - [1, 2, 3])
+        err = np.linalg.norm(np.array(dets[0][1:4]) - [1, 2, 3])
         if err < 3 * sigma * math.sqrt(3):
             hits += 1
     assert hits / n > 0.99

@@ -10,7 +10,6 @@ from coopguide import tracker
 from coopguide.alignment import AlignmentConfig
 from coopguide.geometry import (
     Detection,
-    Frame,
     TimedPose,
     detection_columns,
     pose_columns,
@@ -337,12 +336,20 @@ def test_axis_filters_match_dense_8_state_oracle():
 
 
 def _vio_pose(t, pos, heading=0.0, vel=(0, 0, 0), rate=0.0):
-    return TimedPose(t, Frame.VIO, np.asarray(pos, float), heading,
-                     np.asarray(vel, float), rate)
+    return TimedPose(t, *map(float, pos), heading, *map(float, vel), rate)
 
 
 def _det(t, pos, sigma=0.15, track=0):
-    return Detection(t, np.asarray(pos, float), sigma, track)
+    return Detection(t, *map(float, pos), sigma, track)
+
+
+def _position(record):
+    """x, y, z of a pose or detection record, as an array."""
+    return np.array(record[1:4])
+
+
+def _velocity(pose):
+    return np.array(pose[5:8])
 
 
 def test_make_vio_measurement_identity_rotation():
@@ -415,7 +422,7 @@ def test_make_heading_measurement_identity_theta():
 
 def test_heading_estimate_invariant_to_two_pi_shifts():
     # Spec invariant: adding 2*pi*k to any VIO heading input leaves results
-    # unchanged (headings wrap on construction and in the innovation).
+    # unchanged (headings wrap in the measurement and in the innovation).
     base = _vio_pose(0.0, [0, 0, 0], heading=2.5, rate=0.2)
     shifted = _vio_pose(0.0, [0, 0, 0], heading=2.5 + 4 * math.pi, rate=0.2)
     za = make_heading_measurement(base, theta=0.3)
@@ -443,9 +450,9 @@ def test_gate_critical_is_the_95_percent_point_of_chi2_3_in_closed_form():
 
 def test_associate_zero_innovation_accepted():
     s = make_state(pos=(1, 2, 3), var=0.5)
-    det = Detection(0.0, np.array([1.0, 2.0, 3.0]), sigma=math.sqrt(0.5), track_id=4)
+    det = Detection(0.0, 1.0, 2.0, 3.0, sigma=math.sqrt(0.5), track_id=4)
     d = associate([det], s)
-    assert d.accepted and d.chosen == 4
+    assert d.accepted and d.detection.track_id == 4
     assert d.mahalanobis_sq == pytest.approx(0.0, abs=1e-12)
 
 
@@ -453,31 +460,31 @@ def test_associate_far_detection_rejected_by_chi_square():
     # S = 0.2 per axis: prior position variance 0.1 plus sigma^2 = 0.1;
     # y = (1, 1, 1), 1.73 m, passes the 2 m pre-gate and gives d^2 = 15.
     s = make_state(var=0.1)
-    det = Detection(0.0, np.array([1.0, 1.0, 1.0]), sigma=math.sqrt(0.1), track_id=0)
+    det = Detection(0.0, 1.0, 1.0, 1.0, sigma=math.sqrt(0.1), track_id=0)
     d = associate([det], s)
-    assert d.chosen == 0
+    assert d.detection.track_id == 0
     assert d.mahalanobis_sq == pytest.approx(15.0)
     assert not d.accepted
 
 
 def test_associate_prefers_nearer_candidate():
     s = make_state(var=0.5)
-    near = Detection(0.0, np.array([0.5, 0.0, 0.0]), sigma=math.sqrt(0.5), track_id=1)
-    far = Detection(0.0, np.array([1.0, 0.0, 0.0]), sigma=math.sqrt(0.5), track_id=2)
+    near = Detection(0.0, 0.5, 0.0, 0.0, sigma=math.sqrt(0.5), track_id=1)
+    far = Detection(0.0, 1.0, 0.0, 0.0, sigma=math.sqrt(0.5), track_id=2)
     d = associate([far, near], s)
-    assert d.chosen == 1
+    assert d.detection.track_id == 1
 
 
 def test_associate_euclidean_pregate_excludes_candidates():
     s = make_state(var=1e6)  # huge covariance would accept anything by chi-square
-    far = Detection(0.0, np.array([5.0, 0.0, 0.0]), sigma=0.1, track_id=9)
+    far = Detection(0.0, 5.0, 0.0, 0.0, sigma=0.1, track_id=9)
     d = associate([far], s)
-    assert d.chosen is None and not d.accepted
+    assert d.detection is None and not d.accepted
 
 
 def test_associate_empty_set():
     d = associate([], make_state())
-    assert d.chosen is None and not d.accepted
+    assert d.detection is None and not d.accepted
 
 
 def test_gate_calibration():
@@ -494,7 +501,7 @@ def test_gate_calibration():
     L = np.linalg.cholesky(np.diag(P[:3, 0, 0]) + sigma ** 2 * np.eye(3))
     for _ in range(trials):
         z = L @ rng.normal(0, 1, 3)  # innovation drawn from the modeled N(0, S)
-        det = Detection(0.0, z, sigma, track_id=0)
+        det = Detection(0.0, *z.tolist(), sigma, track_id=0)
         if associate([det], state).accepted:
             accepted += 1
     rate = accepted / trials
@@ -511,10 +518,12 @@ def numpy_vio_measurement(vio, det, vio_at_det, theta, drift_rate=0.0):
     before its float path (oracle)."""
     c, s = math.cos(-theta), math.sin(-theta)
     r_lv = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    z_x = det.position + r_lv @ (vio.position - vio_at_det.position
-                                 - drift_rate * (vio.stamp - vio_at_det.stamp))
-    z_v = r_lv @ (vio.velocity - drift_rate)
-    value = np.concatenate([z_x, z_v, [wrap_heading(vio.heading - theta), vio.heading_rate]])
+    z_x = _position(det) + r_lv @ (_position(vio) - _position(vio_at_det)
+                                   - drift_rate * (vio.stamp - vio_at_det.stamp))
+    z_v = r_lv @ (_velocity(vio) - drift_rate)
+    # the pose constructor wrapped the heading then
+    heading = wrap_heading(wrap_heading(vio.heading) - theta)
+    value = np.concatenate([z_x, z_v, [heading, vio.heading_rate]])
     variance = np.array([det.sigma ** 2 + tracker.VIO_DELTA_VARIANCE] * 3
                         + [tracker.VIO_VELOCITY_VARIANCE] * 3 + list(tracker.HEADING_VARIANCE))
     return value, variance
@@ -540,7 +549,8 @@ def test_vio_measurements_are_bit_identical_to_the_array_formulas():
             assert _bits(z.value) == _bits(value)
             assert _bits(z.variance) == _bits(variance)
         z = make_heading_measurement(vio, theta)
-        assert _bits(z.value) == _bits(wrap_heading(vio.heading - theta), vio.heading_rate)
+        assert _bits(z.value) == _bits(wrap_heading(wrap_heading(vio.heading) - theta),
+                                       vio.heading_rate)
         assert _bits(z.variance) == _bits(tracker.HEADING_VARIANCE)
 
 
@@ -723,7 +733,7 @@ def test_detections_lost_position_dead_reckons_vio_chain():
 
     def vio_at(t):
         # V-frame pose of a secondary moving at vel_l, with accumulating drift
-        pos_l = det.position + vel_l * t
+        pos_l = _position(det) + vel_l * t
         return _vio_pose(t, R_vl @ pos_l + drift_rate * t,
                          heading=theta, vel=R_vl @ vel_l + drift_rate)
 
@@ -738,7 +748,7 @@ def test_detections_lost_position_dead_reckons_vio_chain():
         state = buf.insert(z)
         assert np.allclose(state.position, z.value[:3], atol=1e-9)
     # the chain (and hence the estimate) has drifted away from ground truth
-    truth = det.position + vel_l * 3.9
+    truth = _position(det) + vel_l * 3.9
     drift_l = rot_z(-theta) @ (drift_rate * 3.9)
     assert np.allclose(state.position - truth, drift_l, atol=1e-6)
 
@@ -753,13 +763,13 @@ def test_vio_measurement_with_drift_rate_follows_truth():
     R_vl = rot_z(theta)
 
     def vio_at(t):
-        pos_l = det.position + vel_l * (t - det.stamp)
+        pos_l = _position(det) + vel_l * (t - det.stamp)
         return _vio_pose(t, R_vl @ pos_l + drift_rate * t,
                          heading=theta, vel=R_vl @ vel_l + drift_rate)
 
     for t in (0.5, 1.0, 4.4):
         z = make_vio_measurement(vio_at(t), det, vio_at(det.stamp), theta, drift_rate)
-        assert np.allclose(z.value[:3], det.position + vel_l * (t - det.stamp), atol=1e-12)
+        assert np.allclose(z.value[:3], _position(det) + vel_l * (t - det.stamp), atol=1e-12)
         assert np.allclose(z.value[3:6], vel_l, atol=1e-12)
         plain = make_vio_measurement(vio_at(t), det, vio_at(det.stamp), theta)
         assert np.allclose(plain.value[3:6], vel_l + rot_z(-theta) @ drift_rate, atol=1e-12)
@@ -806,8 +816,8 @@ def test_try_initialize_recovers_pose_from_matching_track():
     track = _circle_track()
     dets = [_det(t, p) for t, p in track]
     vio = [
-        TimedPose(t, Frame.VIO, R @ p + t_star, heading=wrap_heading(0.4 + theta_star),
-                  velocity=R @ np.array([0.1, 0.2, 0.0]), heading_rate=0.03)
+        _vio_pose(t, R @ p + t_star, heading=wrap_heading(0.4 + theta_star),
+                  vel=R @ np.array([0.1, 0.2, 0.0]), rate=0.03)
         for t, p in track
     ]
     out = try_initialize({0: detection_columns(dets)}, pose_columns(vio),
@@ -815,7 +825,7 @@ def test_try_initialize_recovers_pose_from_matching_track():
     assert out is not None
     state, result, track_id = out
     assert track_id == 0
-    assert np.allclose(state.position, dets[-1].position, atol=1e-9)
+    assert np.allclose(state.position, _position(dets[-1]), atol=1e-9)
     assert np.allclose(state.velocity, [0.1, 0.2, 0.0], atol=1e-6)
     assert state.heading == pytest.approx(0.4, abs=1e-6)
     assert state.heading_rate == pytest.approx(0.03)
@@ -827,8 +837,7 @@ def test_try_initialize_rejects_hovering_point_track(monkeypatch):
     monkeypatch.setattr(tracker, "solve_alignment_arrays",
                         lambda *a, **k: calls.append(a))
     dets = [_det(0.1 * k, [3.0, 3.0, 1.0]) for k in range(60)]
-    vio = [TimedPose(0.1 * k, Frame.VIO, np.array([0.05 * k, 0.0, 0.0]))
-           for k in range(60)]
+    vio = [TimedPose(0.1 * k, 0.05 * k, 0.0, 0.0) for k in range(60)]
     assert try_initialize({0: detection_columns(dets)}, pose_columns(vio),
                          AlignmentConfig()) is None
     assert calls == []  # rejected from the window geometry, without a solve
@@ -844,7 +853,7 @@ def test_try_initialize_picks_matching_track_over_random_walk():
     # random-walk impostor: moves, but uncorrelated with the VIO trajectory
     walk = np.cumsum(rng.normal(0, 0.2, (len(track), 3)), axis=0) + np.array([8.0, 8.0, 1.0])
     bad = [_det(t, w, track=2) for (t, _), w in zip(track, walk)]
-    vio = [TimedPose(t, Frame.VIO, R @ p + t_star) for t, p in track]
+    vio = [_vio_pose(t, R @ p + t_star) for t, p in track]
     out = try_initialize({2: detection_columns(bad), 5: detection_columns(good)},
                          pose_columns(vio), AlignmentConfig())
     assert out is not None

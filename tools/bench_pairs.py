@@ -11,8 +11,9 @@ alternates from pair to pair, so a slow stretch of the host does not always
 land on the same side.  Every run's
 end-to-end metrics and raw samples are stored, and per metric each side's
 median and quartiles over the pairs, the median relative gap and the number
-of pairs in which the change is better.  The script prints each pair's
-``wall_s`` gap as it goes and, at the end, that per-metric summary.  Running
+of pairs in which the change is better, next to each side's ``src/`` line
+count.  The script prints each pair's ``wall_s`` gap as it goes and, at the
+end, the line counts and that per-metric summary.  Running
 the script again with the same ``--label`` adds the workload to the file and
 keeps the others.
 """
@@ -48,6 +49,11 @@ def run_side(checkout: Path, workload: str, seed: int) -> dict:
     return {"metrics": {k: v["value"] for k, v in last["metrics"].items()},
             "attempted": last["attempted"], "failed": last["failed"],
             "samples": record["samples"], "context": record["context"]}
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under ``checkout/src``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -96,13 +102,17 @@ def main(argv: "list[str] | None" = None) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     summary = summarize(pairs, better)
+    lines = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
     data.setdefault("workloads", {})[args.workload] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed S --trace 0",
         "seeds": [p["seed"] for p in pairs],
+        "src_lines": lines,
         "summary": summary,
         "pairs": pairs,
     }
     path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+    print(f"{args.workload} src/ lines: {lines['parent']} -> {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     for name, row in summary.items():
         print(f"{args.workload} {name}: median {row['parent']['median']:.6g} -> "
               f"{row['change']['median']:.6g} ({row['median_rel_change']:+.1%}), "
