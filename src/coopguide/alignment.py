@@ -87,11 +87,7 @@ class AlignmentResult:
     converged: bool
     final_cost: float
     iterations: int
-    drift_rate: np.ndarray = None
-
-    def __post_init__(self):
-        if self.drift_rate is None:
-            object.__setattr__(self, "drift_rate", np.zeros(3))
+    drift_rate: np.ndarray
 
 
 def soft_l1(s) -> float:

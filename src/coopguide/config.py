@@ -8,7 +8,8 @@ fail fast.  Values are coerced to the type of the default: int, float, bool
 ("true"/"false"), string, or points ("x,y,z" for one position, "x,y,z; x,y,z"
 for a list of them, "x1,y1,x2,y2; ..." for wall segments); a point of the
 wrong length is a config error.  ScenarioConfig then checks every value
-against its declared valid values, plus the two rules that join keys.  The
+against its declared valid values, plus the two rules that join keys and
+the rule that a non-empty ``sweep.parameter`` names a key.  The
 ``alignment.*`` keys are generated from the fields of AlignmentConfig, one
 key per field with the field's default and its ``valid`` metadata; an
 estimator setting that no shipped scenario changes is a constant of its
@@ -223,6 +224,10 @@ class ScenarioConfig:
         if v["trajectory.pattern"] == "waypoints" and len(v["trajectory.waypoints"]) < 2:
             raise ConfigError("trajectory.waypoints needs at least two x,y,z points "
                               "when trajectory.pattern = waypoints")
+        if v["sweep.parameter"] and v["sweep.parameter"] not in SCHEMA:
+            # the one free-text key: its value is written to events.log
+            raise ConfigError(f"sweep.parameter must be a config key, "
+                              f"got {v['sweep.parameter']!r}")
         if v["trajectory.pattern"] != "waypoints" and v["trajectory.radius"] <= 0:
             raise ConfigError(f"trajectory.radius must be positive for the "
                               f"{v['trajectory.pattern']} pattern, got {v['trajectory.radius']}")

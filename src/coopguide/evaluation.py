@@ -43,17 +43,19 @@ class ErrorReport:
     visible: np.ndarray         # bool per sample
 
 
+ALIGN_WINDOW = 20.0   # s of common time span that align_first_window fits
+
+
 def align_first_window(
     traj: tuple[np.ndarray, np.ndarray],
     ground_truth: tuple[np.ndarray, np.ndarray],
-    window: float = 20.0,
 ) -> RelativeTransform:
     """4-DOF least-squares fit of a trajectory onto ground truth.
 
-    Only samples within the first ``window`` seconds of the common time span
-    are used, so drift accumulated later does not influence the alignment.
-    Both inputs are (stamps, (N, 3) positions) tuples; ground truth is
-    interpolated to the trajectory stamps.
+    Only samples within the first :data:`ALIGN_WINDOW` seconds of the common
+    time span are used, so drift accumulated later does not influence the
+    alignment.  Both inputs are (stamps, (N, 3) positions) tuples; ground
+    truth is interpolated to the trajectory stamps.
     """
     t_traj, p_traj = traj
     t_gt, p_gt = ground_truth
@@ -63,11 +65,11 @@ def align_first_window(
     end = min(t_traj[-1], t_gt[-1])
     if end <= start:
         raise EvaluationError("trajectories do not overlap in time")
-    mask = (t_traj >= start) & (t_traj <= min(start + window, end))
+    mask = (t_traj >= start) & (t_traj <= min(start + ALIGN_WINDOW, end))
     if int(mask.sum()) < 2:
         raise EvaluationError(
             f"insufficient overlap: {int(mask.sum())} samples in the first "
-            f"{window} s window"
+            f"{ALIGN_WINDOW} s window"
         )
     gt_at = interp_columns(t_traj[mask], t_gt, p_gt)
     t, theta = closed_form_align(p_traj[mask], gt_at)
@@ -129,7 +131,7 @@ def evaluate_log(log: EventLog) -> ErrorReport:
     errors_3d = np.linalg.norm(delta, axis=1)
     rel_loc_rmse = float(np.sqrt(np.mean(errors_3d ** 2)))
 
-    transform = align_first_window((est_t, est_p), (ts_t, ts_p), window=20.0)
+    transform = align_first_window((est_t, est_p), (ts_t, ts_p))
     aligned = est_p @ transform.rotation.T + transform.translation
     ate_2d, ate_3d = absolute_trajectory_error((est_t, aligned), (ts_t, ts_p))
 

@@ -34,7 +34,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: Default tolerance (s) for interpolation queries slightly outside a buffer.
+#: Tolerance (s) for interpolation queries slightly outside a buffer.
 STALE_TOLERANCE = 0.1
 
 
@@ -249,25 +249,25 @@ def detection_columns(detections: Iterable[Detection]) -> StampedColumns:
     return buf
 
 
-def interpolate(buffer: StampedColumns, t: float, tolerance: float = STALE_TOLERANCE) -> TimedPose:
+def interpolate(buffer: StampedColumns, t: float) -> TimedPose:
     """Linearly interpolate a pose buffer (:data:`POSE_FIELDS`) at time ``t``.
 
     Returns a :class:`TimedPose` stamped ``t``, made of floats and in the
     buffer's frame.  Between two records, position, velocity and heading
     rate interpolate linearly and the heading follows the shortest angular
     arc, wrapped; at a buffered stamp the record's own values come back.
-    Queries up to ``tolerance`` seconds outside the buffer span are clamped
-    to the nearest endpoint (held, not extrapolated); anything further
-    raises :class:`StaleQueryError`.
+    Queries up to :data:`STALE_TOLERANCE` seconds outside the buffer span
+    are clamped to the nearest endpoint (held, not extrapolated); anything
+    further raises :class:`StaleQueryError`.
     """
     if not len(buffer):
         raise StaleQueryError("stale query: empty pose buffer")
     stamps = buffer.stamps
     first, last = float(stamps[0]), float(stamps[-1])
-    if t < first - tolerance or t > last + tolerance:
+    if t < first - STALE_TOLERANCE or t > last + STALE_TOLERANCE:
         raise StaleQueryError(
             f"stale query: t={t:.6f} outside buffer span "
-            f"[{first:.6f}, {last:.6f}] by more than {tolerance} s"
+            f"[{first:.6f}, {last:.6f}] by more than {STALE_TOLERANCE} s"
         )
     if t <= first:
         row = buffer.row(0)

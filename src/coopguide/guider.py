@@ -11,6 +11,10 @@ lidar-frame trajectory into the secondary agent's local frame for streaming.
 The last accepted alignment supplies the heading and the co-estimated VIO
 drift rate that every VIO measurement is corrected with.
 
+Each reference tick makes one output: ``current_output(t)`` computes the
+estimate, the status and the L->V transform once, and ``transform_and_stream``
+maps the desired trajectory with that output's transform.
+
 Initialization and re-initialization are one path (``try_initialize`` over
 the tracks that still produce detections; once a filter exists, only over
 tracks with a detection newer than the last fused one, so an occlusion does
@@ -197,8 +201,6 @@ class Guider:
         self._next_alignment_time = -np.inf
         self._next_init_attempt = -np.inf
         self._consecutive_rejects = 0
-        self._ingest_count = 0
-        self._transform_memo: Optional[tuple[int, RelativeTransform]] = None
 
     # ------------------------------------------------------------------ state
 
@@ -246,7 +248,6 @@ class Guider:
         if any(det.track_id in buffers and buffers[det.track_id].holds(stamp)
                for det in detections):
             return
-        self._ingest_count += 1
         detections = sorted(detections, key=lambda d: d.track_id)
         for det in detections:
             buf = buffers.get(det.track_id)
@@ -269,7 +270,7 @@ class Guider:
         if decision.accepted:
             det = decision.detection
             r = det.sigma ** 2
-            z = Measurement(stamp, MeasurementKind.LIDAR_POSITION, det[1:4], (r, r, r))
+            z = Measurement._unchecked(stamp, MeasurementKind.LIDAR_POSITION, det[1:4], (r, r, r))
             try:
                 self._history.insert(z)
             except StaleMeasurementError:
@@ -303,7 +304,6 @@ class Guider:
         i = buf.insert(pose)
         if i is None:
             return
-        self._ingest_count += 1
         late = i < len(buf) - 1
         cutoff = buf.newest_stamp - self._buffer_span
         buf.prune(cutoff)
@@ -403,17 +403,17 @@ class Guider:
 
     # ------------------------------------------------------------------ output
 
-    def _effective_transform(self, t: float) -> RelativeTransform:
-        """L->V transform anchored on the current estimate and VIO pose.
+    def current_output(self, t: float) -> GuiderOutput:
+        """The estimate at ``t``, the status and the L->V transform of this
+        reference tick; raises GuiderError when uninitialized.
 
-        Composes the estimated secondary pose in L with the secondary's own
-        VIO pose at the same stamp, so the mapping follows VIO drift at the
-        filter rate instead of lagging with the windowed alignment.  The
-        result only changes when new data arrives, so it is memoized on the
-        ingest counter.
+        The transform composes the estimated secondary pose in L with the
+        secondary's own newest VIO pose, both at that pose's stamp, so the
+        mapping follows VIO drift at the filter rate instead of lagging with
+        the windowed alignment.
         """
-        if self._transform_memo is not None and self._transform_memo[0] == self._ingest_count:
-            return self._transform_memo[1]
+        if self._history is None:
+            raise GuiderError("guider is uninitialized: no accepted alignment yet")
         stamp, x, y, z, heading = self._vio_buffer.row(-1)[:5]
         try:
             est = self._history.estimate_at(stamp)
@@ -423,41 +423,24 @@ class Guider:
         c, s = np.cos(theta), np.sin(theta)
         ex, ey, ez = est.position
         rotated = np.array([c * ex - s * ey, s * ex + c * ey, ez])
-        transform = RelativeTransform(
-            translation=np.array([x, y, z]) - rotated,
-            heading=theta,
-            source_frame=Frame.LIDAR,
-            target_frame=Frame.VIO,
-            stamp=stamp,
-        )
-        self._transform_memo = (self._ingest_count, transform)
-        return transform
+        transform = RelativeTransform(np.array([x, y, z]) - rotated, theta,
+                                      Frame.LIDAR, Frame.VIO, stamp)
+        return GuiderOutput(t, self._history.estimate_at(t).pose(t), transform, self.status(t))
 
-    def current_output(self, t: float) -> GuiderOutput:
-        if self._history is None:
-            raise GuiderError("guider is uninitialized: no accepted alignment yet")
-        return GuiderOutput(
-            stamp=t,
-            secondary_pose_in_l=self._history.estimate_at(t).pose(t),
-            transform_l_to_s=self._effective_transform(t),
-            status=self.status(t),
-        )
-
-    def transform_and_stream(self, desired: Trajectory, t: float) -> Optional[Trajectory]:
+    def transform_and_stream(self, desired: Trajectory,
+                             output: GuiderOutput) -> Optional[Trajectory]:
         """Transform the unflown suffix of ``desired`` into the secondary's frame.
 
-        Points with stamps before ``t`` are dropped (already completed); the
-        remaining points within the streaming horizon are mapped through the
-        effective L->V transform, the one ``current_output(t)`` reports.
-        Returns None when the guider is in a state where streaming must pause
-        (stale VIO); raises when uninitialized.
+        ``output`` is the tick's ``current_output``.  Points stamped before
+        ``output.stamp`` are dropped (already completed); the remaining points
+        within the streaming horizon are mapped through
+        ``output.transform_l_to_s``.  Returns None when ``output.status``
+        pauses streaming (stale VIO).
         """
         if desired.frame != Frame.LIDAR:
             raise ValueError("desired trajectory must be given in the lidar frame")
-        if self._history is None:
-            raise GuiderError("guider is uninitialized: no accepted alignment yet")
-        if self.status(t) not in _STREAMING_STATUSES:
+        if output.status not in _STREAMING_STATUSES:
             return None
-        transform = self._effective_transform(t)
-        window = desired.slice_window(t, t + STREAM_HORIZON)
+        transform = output.transform_l_to_s
+        window = desired.slice_window(output.stamp, output.stamp + STREAM_HORIZON)
         return window.mapped(transform.translation, transform.heading)

@@ -677,7 +677,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
                             float(T.translation[0]), float(T.translation[1]),
                             float(T.translation[2]), T.heading))
                 translation, heading = T.translation.tolist(), T.heading  # the batch's transform
-                streamed = guider.transform_and_stream(desired, t)
+                streamed = guider.transform_and_stream(desired, out)
             else:
                 # operator-assisted start: true transform until initialization
                 translation, heading = [t0x + ox, t0y + oy, t0z + oz], theta0

@@ -442,6 +442,23 @@ sweep.runs_per_value = 1
     assert not out.exists()
 
 
+def test_run_and_sweep_reject_a_sweep_parameter_that_is_not_a_key(tmp_path, capsys):
+    # sweep.parameter is the one free-text key and its value is echoed into
+    # events.log, where a space would split its H record
+    cfg = _write(tmp_path, "s.cfg", BASE_CFG + """
+sweep.parameter = foo bar
+sweep.values = 1, 2
+sweep.runs_per_value = 1
+""")
+    for command in ("run", "sweep"):
+        out = tmp_path / command
+        code = main([command, "--config", cfg, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sweep.parameter" in err
+        assert not out.exists()
+
+
 def test_sweep_rejects_non_integral_value_for_integer_key(tmp_path, capsys):
     # sweep values are parsed as floats; 1.5 laps must not run as 1 lap
     cfg = _write(tmp_path, "s.cfg", BASE_CFG + """

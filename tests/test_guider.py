@@ -117,15 +117,15 @@ def test_empty_detection_batch_is_noop():
 def test_detection_batch_with_differing_stamps_is_rejected():
     g = make_guider()
     t = drive(g, 0.0, 8.0)
-    state = (len(g._track_buffers[0]), len(g._fused_detections), g._ingest_count)
+    state = (len(g._track_buffers[0]), len(g._fused_detections), len(g._history))
     with pytest.raises(ValueError, match="share one stamp"):
         g.ingest_detections([detection(t), detection(t + 0.05, track=1)])
-    assert (len(g._track_buffers[0]), len(g._fused_detections), g._ingest_count) == state
+    assert (len(g._track_buffers[0]), len(g._fused_detections), len(g._history)) == state
     assert 1 not in g._track_buffers
 
 
 def _ingest_state(g):
-    return (len(g._track_buffers[0]), len(g._fused_detections), g._ingest_count,
+    return (len(g._track_buffers[0]), len(g._fused_detections), len(g._vio_buffer),
             len(g._history), g._history.latest_state.mean.tobytes())
 
 
@@ -251,9 +251,6 @@ def test_uninitialized_output_raises():
     g = make_guider()
     with pytest.raises(GuiderError):
         g.current_output(0.0)
-    traj = Trajectory(Frame.LIDAR, [1.0], np.zeros((1, 3)), [0.0])
-    with pytest.raises(GuiderError):
-        g.transform_and_stream(traj, 0.0)
 
 
 def test_gate_rejected_detection_leaves_estimate_untouched():
@@ -504,17 +501,18 @@ def test_transform_and_stream_drops_completed_and_transforms():
     i = np.arange(20)
     traj = Trajectory(Frame.LIDAR, t - 5.0 + i,
                       np.column_stack([i, np.zeros(20), np.ones(20)]), 0.1 * i)
-    out = g.transform_and_stream(traj, t)
+    output = g.current_output(t)
+    out = g.transform_and_stream(traj, output)
     # points with stamp < t dropped; horizon keeps stamps <= t + 10
     kept = [k for k in range(20) if t <= traj.stamps[k] <= t + 10.0]
     assert len(out) == len(kept)
     assert out.frame is Frame.VIO
-    T = g.current_output(t).transform_l_to_s
-    for j, k in enumerate(kept):
-        assert np.allclose(out.positions[j], T.rotation @ traj.positions[k] + T.translation,
-                           atol=1e-9)
-        assert out.headings[j] == pytest.approx(
-            wrap_heading(traj.headings[k] + T.heading), abs=1e-9)
+    assert np.array_equal(out.stamps, traj.stamps[kept])
+    # mapped bit for bit with the transform of the output it was given
+    T = output.transform_l_to_s
+    want = traj.slice_window(t, t + 10.0).mapped(T.translation, T.heading)
+    assert np.array_equal(out.positions, want.positions)
+    assert np.array_equal(out.headings, want.headings)
 
 
 def test_streamed_references_recover_lidar_frame_trajectory():
@@ -527,7 +525,7 @@ def test_streamed_references_recover_lidar_frame_trajectory():
     desired = Trajectory(Frame.LIDAR, stamps,
                          [secondary_position(s) for s in stamps],
                          [secondary_heading(s) for s in stamps])
-    out = g.transform_and_stream(desired, t)
+    out = g.transform_and_stream(desired, g.current_output(t))
     true_T = RelativeTransform(T_OFFSET, THETA, Frame.LIDAR, Frame.VIO)
     for got_p, got_h, src_p, src_h in zip(out.positions, out.headings,
                                           desired.positions, desired.headings):
@@ -542,7 +540,7 @@ def test_stream_paused_when_heading_frozen():
     t = drive(g, t, t + 2.0, vio_on=False)
     assert g.status(t) is GuiderStatus.HEADING_FROZEN
     traj = Trajectory(Frame.LIDAR, [t + 1.0], [secondary_position(t)], [0.0])
-    assert g.transform_and_stream(traj, t) is None
+    assert g.transform_and_stream(traj, g.current_output(t)) is None
 
 
 def test_reinitialization_after_persistent_gate_failure():
