@@ -1,8 +1,8 @@
 """Cooperative guidance of a VIO-localized agent by a lidar-localized agent.
 
 Library layout:
-    geometry    frames, 4-DOF transforms, heading arithmetic, stamped record
-                buffers, interpolation
+    geometry    frame labels, heading arithmetic and rotations, stamped
+                record buffers, interpolation
     alignment   sliding-window robust alignment of detection/VIO trajectories
     tracker     delay-tolerant constant-velocity Kalman tracking + gating
     guider      estimation pipeline + reference transformation/streaming
@@ -33,7 +33,6 @@ from .evaluation import (
 from .geometry import (
     Detection,
     Frame,
-    RelativeTransform,
     StampedColumns,
     TimedPose,
     detection_columns,

@@ -40,8 +40,6 @@ import numpy as np
 
 from .geometry import (
     STALE_TOLERANCE,
-    Frame,
-    RelativeTransform,
     StampedColumns,
     interp_columns,
     rot_z,
@@ -75,15 +73,17 @@ class AlignmentConfig:
 class AlignmentResult:
     """Outcome of one sliding-window solve.
 
-    ``converged`` means only that the IRLS stopping test was met within the
-    iteration budget; :func:`degeneracy_check` decides whether the fit is
-    good enough to adopt.  ``drift_rate`` is the co-estimated linear VIO
-    drift (zero unless the config enables drift estimation); the transform's
-    translation is then referred to the newest correspondence stamp, not the
-    window mean.
+    ``translation`` (3,) and ``heading``, wrapped to (-pi, pi], are the L->V
+    transform: ``p = rot_z(heading) @ d + translation``.  ``converged``
+    means only that the IRLS stopping test was met within the iteration
+    budget; :func:`degeneracy_check` decides whether the fit is good enough
+    to adopt.  ``drift_rate`` is the co-estimated linear VIO drift (zero
+    unless the config enables drift estimation); the translation is then
+    referred to the newest correspondence stamp, not the window mean.
     """
 
-    transform: RelativeTransform
+    translation: np.ndarray
+    heading: float
     converged: bool
     final_cost: float
     iterations: int
@@ -283,7 +283,7 @@ def solve_alignment_arrays(
     With ``config.estimate_drift`` a linear VIO drift rate is co-estimated
     (three extra parameters); the residual model becomes
     ``Rz(theta) d_i + t + (t_i - t_mean) r - p_i`` and the returned
-    transform's translation is extrapolated to the newest stamp.  The
+    translation is extrapolated to the newest stamp.  The
     constant-transform model is otherwise biased whenever the drift
     accumulated over the window rivals the windowed path length.
     """
@@ -296,18 +296,12 @@ def solve_alignment_arrays(
 
     final_cost = float(np.mean(soft_l1(s)))
     if with_drift:
-        # refer the translation to the newest stamp so the transform is
-        # valid at the time it is stamped with
+        # refer the translation to the newest stamp, the time the guider
+        # applies the transform at
         t = t + drift * (float(stamps[-1]) - float(stamps.mean()))
-    transform = RelativeTransform(
+    return AlignmentResult(
         translation=t,
         heading=theta,
-        source_frame=Frame.LIDAR,
-        target_frame=Frame.VIO,
-        stamp=float(stamps[-1]),
-    )
-    return AlignmentResult(
-        transform=transform,
         converged=converged,
         final_cost=final_cost,
         iterations=iterations,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .alignment import closed_form_align
 from .config import ScenarioConfig
-from .geometry import Frame, RelativeTransform, interp_columns
+from .geometry import interp_columns, rot_z
 from .guider import DETECTION_STALENESS
 from .simulator import EventLog, ReferencePath, generate_trajectory
 
@@ -49,8 +49,10 @@ ALIGN_WINDOW = 20.0   # s of common time span that align_first_window fits
 def align_first_window(
     traj: tuple[np.ndarray, np.ndarray],
     ground_truth: tuple[np.ndarray, np.ndarray],
-) -> RelativeTransform:
-    """4-DOF least-squares fit of a trajectory onto ground truth.
+) -> tuple[np.ndarray, float]:
+    """4-DOF least-squares fit of a trajectory onto ground truth: (t, theta)
+    with ground truth ~ rot_z(theta) @ trajectory + t, as
+    :func:`~coopguide.alignment.closed_form_align` returns them.
 
     Only samples within the first :data:`ALIGN_WINDOW` seconds of the common
     time span are used, so drift accumulated later does not influence the
@@ -72,9 +74,7 @@ def align_first_window(
             f"{ALIGN_WINDOW} s window"
         )
     gt_at = interp_columns(t_traj[mask], t_gt, p_gt)
-    t, theta = closed_form_align(p_traj[mask], gt_at)
-    return RelativeTransform(t, theta, Frame.LIDAR, Frame.LIDAR,
-                             stamp=float(start))
+    return closed_form_align(p_traj[mask], gt_at)
 
 
 def absolute_trajectory_error(
@@ -131,8 +131,8 @@ def evaluate_log(log: EventLog) -> ErrorReport:
     errors_3d = np.linalg.norm(delta, axis=1)
     rel_loc_rmse = float(np.sqrt(np.mean(errors_3d ** 2)))
 
-    transform = align_first_window((est_t, est_p), (ts_t, ts_p))
-    aligned = est_p @ transform.rotation.T + transform.translation
+    t, theta = align_first_window((est_t, est_p), (ts_t, ts_p))
+    aligned = est_p @ rot_z(theta).T + t
     ate_2d, ate_3d = absolute_trajectory_error((est_t, aligned), (ts_t, ts_p))
 
     desired = generate_trajectory(config.values)

@@ -7,26 +7,24 @@ relative pose between two frames is fully described by a 3D translation plus
 one heading angle.
 
 Conventions:
-    - Frames: W (world), L (lidar-SLAM local frame of the primary agent),
-      V (VIO local frame of the secondary agent), P / S (body frames of the
-      primary / secondary agent).
-    - Frame labels belong to containers, not to records.  A pose
+    - Frames: L (lidar-SLAM local frame of the primary agent) and V (VIO
+      local frame of the secondary agent).
+    - Frame labels belong to trajectories, not to records.  A pose
       (``TimedPose``) or a detection (``Detection``) is a plain float record
-      in the frame of the buffer, trajectory or argument that holds it;
-      ``StampedColumns``, ``Trajectory`` and ``RelativeTransform`` carry the
-      labels.
+      in the frame of the buffer, trajectory or argument that holds it; only
+      ``Trajectory`` carries a label.
     - Heading angles are wrapped to the half-open interval (-pi, pi], so that
       every angle has a unique representative, wherever they are computed or
       read; a record keeps the heading it was given.
-    - ``RelativeTransform(source, target)`` maps source-frame coordinates to
-      target-frame coordinates: x_target = Rz(heading) @ x_source + translation.
+    - A transform is a translation t and a heading theta, kept as plain
+      values: it maps source-frame coordinates to target-frame coordinates by
+      x_target = rot_z(theta) @ x_source + t.
     - Timestamps are float seconds on a shared simulated clock.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -41,11 +39,8 @@ STALE_TOLERANCE = 0.1
 class Frame(str, Enum):
     """Reference frame labels."""
 
-    WORLD = "W"
     LIDAR = "L"
     VIO = "V"
-    PRIMARY_BODY = "P"
-    SECONDARY_BODY = "S"
 
 
 class StaleQueryError(ValueError):
@@ -77,34 +72,6 @@ def rot_z(heading: float) -> np.ndarray:
     c = math.cos(heading)
     s = math.sin(heading)
     return np.array((c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)).reshape(3, 3)
-
-
-@dataclass(frozen=True)
-class RelativeTransform:
-    """Gravity-aligned 4-DOF transform between two frames.
-
-    Maps source-frame coordinates into the target frame:
-    ``x_target = Rz(heading) @ x_source + translation``.
-    """
-
-    translation: np.ndarray
-    heading: float
-    source_frame: Frame
-    target_frame: Frame
-    stamp: float = 0.0
-
-    def __post_init__(self):
-        t = np.asarray(self.translation, dtype=float)
-        if t.shape != (3,):
-            raise ValueError(f"translation must be a 3-vector, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("non-finite translation")
-        object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "heading", wrap_heading(float(self.heading)))
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return rot_z(self.heading)
 
 
 class TimedPose(NamedTuple):
@@ -152,10 +119,9 @@ class StampedColumns:
     newest record's stamp, -inf while the buffer is empty.
     """
 
-    __slots__ = ("frame", "newest_stamp", "_data", "_start", "_end")
+    __slots__ = ("newest_stamp", "_data", "_start", "_end")
 
-    def __init__(self, frame: Frame, width: int, capacity: int = 64):
-        self.frame = frame
+    def __init__(self, width: int, capacity: int = 64):
         self.newest_stamp = -math.inf
         self._data = np.empty((width, capacity))
         self._start = self._end = 0
@@ -217,7 +183,7 @@ class StampedColumns:
         self._start = start
 
     def copy(self) -> "StampedColumns":
-        out = StampedColumns(self.frame, self._data.shape[0], max(2 * len(self), 64))
+        out = StampedColumns(self._data.shape[0], max(2 * len(self), 64))
         out._data[:, :len(self)] = self.columns
         out._end, out.newest_stamp = len(self), self.newest_stamp
         return out
@@ -234,7 +200,7 @@ class StampedColumns:
 def pose_columns(poses: Iterable[TimedPose]) -> StampedColumns:
     """A VIO pose buffer holding ``poses`` (any order; a repeated stamp is
     dropped)."""
-    buf = StampedColumns(Frame.VIO, len(POSE_FIELDS))
+    buf = StampedColumns(len(POSE_FIELDS))
     for pose in poses:
         buf.insert(pose)
     return buf
@@ -243,7 +209,7 @@ def pose_columns(poses: Iterable[TimedPose]) -> StampedColumns:
 def detection_columns(detections: Iterable[Detection]) -> StampedColumns:
     """A detection buffer holding ``detections`` (any order; a repeated stamp
     is dropped)."""
-    buf = StampedColumns(Frame.LIDAR, len(DETECTION_FIELDS))
+    buf = StampedColumns(len(DETECTION_FIELDS))
     for det in detections:
         buf.insert(det)
     return buf

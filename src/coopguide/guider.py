@@ -67,7 +67,6 @@ from .geometry import (
     POSE_FIELDS,
     Detection,
     Frame,
-    RelativeTransform,
     StaleQueryError,
     StampedColumns,
     TimedPose,
@@ -158,9 +157,16 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class GuiderOutput:
+    """One reference tick's output.
+
+    ``transform_l_to_s`` is the L->V transform as the floats ``(tx, ty, tz,
+    theta)``, the field order of the EST and REF records: a point maps by
+    ``rot_z(theta) @ p + (tx, ty, tz)``.
+    """
+
     stamp: float
     secondary_pose_in_l: TimedPose
-    transform_l_to_s: RelativeTransform
+    transform_l_to_s: tuple[float, float, float, float]
     status: GuiderStatus
 
 
@@ -188,8 +194,8 @@ class Guider:
         # stamp-sorted record columns: POSE_FIELDS for VIO, DETECTION_FIELDS
         # for each track and for the fused detections
         self._track_buffers: dict[int, StampedColumns] = {}
-        self._vio_buffer = StampedColumns(Frame.VIO, len(POSE_FIELDS))
-        self._fused_detections = StampedColumns(Frame.LIDAR, len(DETECTION_FIELDS))
+        self._vio_buffer = StampedColumns(len(POSE_FIELDS))
+        self._fused_detections = StampedColumns(len(DETECTION_FIELDS))
         self._history: Optional[HistoryBuffer] = None
         self._alignment: Optional[AlignmentResult] = None   # the last accepted solve
         # of the last accepted solve: heading, rot_z(-heading), drift rate floats
@@ -207,10 +213,6 @@ class Guider:
     @property
     def initialized(self) -> bool:
         return self._history is not None
-
-    @property
-    def active_transform(self) -> Optional[RelativeTransform]:
-        return self._alignment.transform if self._alignment else None
 
     def status(self, t: float) -> GuiderStatus:
         # once initialized, both buffers hold at least one sample
@@ -252,7 +254,7 @@ class Guider:
         for det in detections:
             buf = buffers.get(det.track_id)
             if buf is None:
-                buf = buffers[det.track_id] = StampedColumns(Frame.LIDAR, len(DETECTION_FIELDS))
+                buf = buffers[det.track_id] = StampedColumns(len(DETECTION_FIELDS))
             buf.insert(det)
             buf.prune(buf.newest_stamp - self._buffer_span)
         if self._history is None:
@@ -384,7 +386,7 @@ class Guider:
 
     def _accept(self, result: AlignmentResult) -> None:
         self._alignment = result
-        theta = result.transform.heading
+        theta = result.heading
         self._correction = (theta, rot_z(-theta), tuple(result.drift_rate.tolist()))
 
     def _realign(self, now: float) -> None:
@@ -422,9 +424,8 @@ class Guider:
         theta = wrap_heading(heading - est.heading)
         c, s = np.cos(theta), np.sin(theta)
         ex, ey, ez = est.position
-        rotated = np.array([c * ex - s * ey, s * ex + c * ey, ez])
-        transform = RelativeTransform(np.array([x, y, z]) - rotated, theta,
-                                      Frame.LIDAR, Frame.VIO, stamp)
+        transform = (float(x - (c * ex - s * ey)), float(y - (s * ex + c * ey)),
+                     float(z - ez), theta)
         return GuiderOutput(t, self._history.estimate_at(t).pose(t), transform, self.status(t))
 
     def transform_and_stream(self, desired: Trajectory,
@@ -441,6 +442,6 @@ class Guider:
             raise ValueError("desired trajectory must be given in the lidar frame")
         if output.status not in _STREAMING_STATUSES:
             return None
-        transform = output.transform_l_to_s
+        *translation, heading = output.transform_l_to_s
         window = desired.slice_window(output.stamp, output.stamp + STREAM_HORIZON)
-        return window.mapped(transform.translation, transform.heading)
+        return window.mapped(translation, heading)

@@ -432,7 +432,10 @@ class ReferencePath:
 
 
 def polyline_distance(polyline: np.ndarray, point: np.ndarray) -> float:
-    """Minimum distance from a point to an (N,3) polyline."""
+    """Minimum distance from a point to an (N,3) polyline; a one-point
+    polyline is its vertex."""
+    if len(polyline) == 1:
+        return float(np.linalg.norm(polyline[0] - point))
     a = polyline[:-1]
     b = polyline[1:]
     ab = b - a
@@ -672,11 +675,10 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             next_ref += ref_period
             if guider.initialized:
                 out = guider.current_output(t)
-                T, est = out.transform_l_to_s, out.secondary_pose_in_l
+                est = out.secondary_pose_in_l
                 log.append(("EST", t, out.status.value, est.x, est.y, est.z, est.heading,
-                            float(T.translation[0]), float(T.translation[1]),
-                            float(T.translation[2]), T.heading))
-                translation, heading = T.translation.tolist(), T.heading  # the batch's transform
+                            *out.transform_l_to_s))
+                *translation, heading = out.transform_l_to_s   # the batch's transform
                 streamed = guider.transform_and_stream(desired, out)
             else:
                 # operator-assisted start: true transform until initialization

@@ -463,7 +463,7 @@ def try_initialize(
             *_, heading, vx, vy, vz, heading_rate = interpolate(vio_buffer, stamp)
         except StaleQueryError:
             continue
-        theta = result.transform.heading
+        theta = result.heading
         # co-estimated VIO drift rate (zero unless enabled) is not real motion
         rx, ry, rz = result.drift_rate.tolist()
         lvx, lvy, lvz = (rot_z(-theta) @ np.array([vx - rx, vy - ry, vz - rz])).tolist()

@@ -58,11 +58,11 @@ def test_criterion_1_alignment_exact_recovery():
             vio = pts @ rot_z(theta_star).T + t_star
             res = solve_alignment_arrays(0.1 * np.arange(len(pts)), pts, vio)
             assert res.converged
-            assert np.linalg.norm(res.transform.translation - t_star) < 1e-6
-            assert abs(wrap_heading(res.transform.heading - theta_star)) < 1e-8
+            assert np.linalg.norm(res.translation - t_star) < 1e-6
+            assert abs(wrap_heading(res.heading - theta_star)) < 1e-8
             t_cf, theta_cf = closed_form_align(pts, vio)
-            assert np.linalg.norm(res.transform.translation - t_cf) < 1e-6
-            assert abs(wrap_heading(res.transform.heading - theta_cf)) < 1e-8
+            assert np.linalg.norm(res.translation - t_cf) < 1e-6
+            assert abs(wrap_heading(res.heading - theta_cf)) < 1e-8
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0
         d["note"] = f"{elapsed:.2f} s"
@@ -85,8 +85,8 @@ def test_criterion_2_robust_alignment(estimate_drift):
                 direction = rng.normal(0.0, 1.0, 3)
                 vio[i] += 5.0 * direction / np.linalg.norm(direction)
             res = solve_alignment_arrays(0.1 * np.arange(len(pts)), pts, vio, config=cfg)
-            ok = (np.linalg.norm(res.transform.translation - t_star) < 0.05
-                  and abs(wrap_heading(res.transform.heading - theta_star)) < 0.01)
+            ok = (np.linalg.norm(res.translation - t_star) < 0.05
+                  and abs(wrap_heading(res.heading - theta_star)) < 0.01)
             passed += int(ok)
         assert passed >= 95
         d["note"] = f"{passed}/100 within 0.05 m / 0.01 rad"

@@ -351,8 +351,8 @@ def test_solve_alignment_identity_case():
     res = solve_alignment_arrays(*corrs)
     assert res.converged
     assert res.final_cost == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(res.transform.translation, 0.0, atol=1e-9)
-    assert abs(res.transform.heading) < 1e-9
+    assert np.allclose(res.translation, 0.0, atol=1e-9)
+    assert abs(res.heading) < 1e-9
 
 
 def test_solve_alignment_exact_recovery_noiseless():
@@ -365,10 +365,10 @@ def test_solve_alignment_exact_recovery_noiseless():
         res = solve_alignment_arrays(*corrs)
         assert res.converged
         t_cf, theta_cf = closed_form_align(D, P)
-        assert np.allclose(res.transform.translation, t_star, atol=1e-6)
-        assert abs(wrap_heading(res.transform.heading - theta_star)) < 1e-8
-        assert np.allclose(res.transform.translation, t_cf, atol=1e-6)
-        assert abs(wrap_heading(res.transform.heading - theta_cf)) < 1e-8
+        assert np.allclose(res.translation, t_star, atol=1e-6)
+        assert abs(wrap_heading(res.heading - theta_star)) < 1e-8
+        assert np.allclose(res.translation, t_cf, atol=1e-6)
+        assert abs(wrap_heading(res.heading - theta_cf)) < 1e-8
 
 
 def test_solve_alignment_robust_to_outliers():
@@ -388,13 +388,13 @@ def test_solve_alignment_robust_to_outliers():
     res = solve_alignment_arrays(stamps, D, vio, config=cfg)
     assert res.converged
     assert degeneracy_check(res, cfg)
-    assert np.linalg.norm(res.transform.translation - t_star) < 0.05
-    assert abs(wrap_heading(res.transform.heading - theta_star)) < 0.01
+    assert np.linalg.norm(res.translation - t_star) < 0.05
+    assert abs(wrap_heading(res.heading - theta_star)) < 0.01
     # oracle on the inlier subset only
     inliers = np.setdiff1d(np.arange(len(D)), outliers)
     t_or, theta_or = oracle_closed_form(D[inliers], vio[inliers])
-    assert np.linalg.norm(res.transform.translation - t_or) < 0.05
-    assert abs(wrap_heading(res.transform.heading - theta_or)) < 0.01
+    assert np.linalg.norm(res.translation - t_or) < 0.05
+    assert abs(wrap_heading(res.heading - theta_or)) < 0.01
 
 
 def test_solve_alignment_insufficient_raises():
@@ -411,7 +411,7 @@ def test_solve_alignment_cost_monotone_over_iterations():
     _, D, P = corrs = make_corrs(pts, np.array([5.0, 5.0, 0.0]), 2.0)
     t0, theta0 = closed_form_align(D, P)
     res = solve_alignment_arrays(*corrs)
-    cost = _cauchy_cost(D, P, None, res.transform.translation, res.transform.heading)
+    cost = _cauchy_cost(D, P, None, res.translation, res.heading)
     assert cost <= _cauchy_cost(D, P, None, t0, theta0)
     assert res.converged
 
@@ -538,11 +538,11 @@ def test_irls_matches_independent_minimizer_of_cauchy_cost(with_drift):
             assert np.allclose(r, r_or, rtol=0.0, atol=1e-4)
         # the public solve reports the same optimum: there is no refit
         res = solve_alignment_arrays(stamps, D, P, cfg)
-        assert res.transform.heading == theta
+        assert res.heading == theta
         if with_drift:
             assert np.array_equal(res.drift_rate, r)
         else:
-            assert np.array_equal(res.transform.translation, t)
+            assert np.array_equal(res.translation, t)
 
 
 @pytest.mark.parametrize("with_drift", [False, True])
@@ -573,13 +573,13 @@ def test_noiseless_windows_converge_within_two_lm_iterations():
         assert res.converged and res.iterations <= 2
         assert np.allclose(res.drift_rate, r_star, atol=1e-8)
         t_newest = t_star + r_star * (stamps[-1] - stamps.mean())
-        assert np.allclose(res.transform.translation, t_newest, atol=1e-8)
+        assert np.allclose(res.translation, t_newest, atol=1e-8)
 
         P_fixed = D @ rot_z(theta_star).T + t_star
         res = solve_alignment_arrays(stamps, D, P_fixed)
         assert res.converged and res.iterations <= 2
-        assert np.allclose(res.transform.translation, t_star, atol=1e-8)
-        assert abs(wrap_heading(res.transform.heading - theta_star)) < 1e-9
+        assert np.allclose(res.translation, t_star, atol=1e-8)
+        assert abs(wrap_heading(res.heading - theta_star)) < 1e-9
 
 
 def test_observability_and_fit_invariant_under_vio_translation():
@@ -618,7 +618,7 @@ def test_degeneracy_circle_accepted_spread_matches_oracle():
     assert window_observable(pts, 0.15)
     res = solve_alignment_arrays(*corrs, cfg)
     assert degeneracy_check(res, cfg)
-    assert_spread_is(pts, oracle_heading_information(pts, res.transform.heading))
+    assert_spread_is(pts, oracle_heading_information(pts, res.heading))
 
 
 def test_degeneracy_straight_segment_accepted():
@@ -627,7 +627,7 @@ def test_degeneracy_straight_segment_accepted():
     pts = np.column_stack([s, np.zeros(n), np.ones(n)])
     corrs = make_corrs(pts, np.array([0.5, 0.5, 0.0]), 1.0)
     res = solve_alignment_arrays(*corrs)
-    assert_spread_is(pts, oracle_heading_information(pts, res.transform.heading))
+    assert_spread_is(pts, oracle_heading_information(pts, res.heading))
     cfg = AlignmentConfig()
     assert window_observable(pts, 0.15)
     assert degeneracy_check(res, cfg)
@@ -751,5 +751,5 @@ def test_exact_recovery_property_small_paths(monkeypatch):
         corrs = make_corrs(pts, t_star, theta_star)
         res = solve_alignment_arrays(*corrs)
         assert res.converged
-        assert np.allclose(res.transform.translation, t_star, atol=1e-6)
-        assert abs(wrap_heading(res.transform.heading - theta_star)) < 1e-8
+        assert np.allclose(res.translation, t_star, atol=1e-6)
+        assert abs(wrap_heading(res.heading - theta_star)) < 1e-8

@@ -42,8 +42,12 @@ def test_bench_file_and_summary_carry_both_line_counts(tmp_path, monkeypatch, ca
     monkeypatch.setattr(tool, "ROOT", tmp_path)
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
+    # the change of the medians (2 -> 1.9) and the median pair gap (-50% and
+    # +10%) differ
+    values = {parent.resolve(): {1: 1.0, 2: 3.0}, change.resolve(): {1: 0.5, 2: 3.3}}
+
     def fake_run(checkout, workload, seed):
-        value = 1.0 if checkout == parent.resolve() else 0.9
+        value = values[checkout][seed]
         return {"metrics": {name: value for name in names}, "attempted": 1, "failed": 0,
                 "samples": [], "context": {}}
 
@@ -52,4 +56,7 @@ def test_bench_file_and_summary_carry_both_line_counts(tmp_path, monkeypatch, ca
                       "--workload", "nlos", "--seeds", "1-2"]) == 0
     record = json.loads((tmp_path / "BENCH_probe.json").read_text())["workloads"]["nlos"]
     assert record["src_lines"] == {"parent": 10, "change": 7}
-    assert "nlos src/ lines: 10 -> 7 (-3)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "nlos src/ lines: 10 -> 7 (-3)" in out
+    assert ("nlos wall_s: median 2 -> 1.9 (medians -5.0%, median pair gap -20.0%), "
+            "change better in 1 of 2 pairs") in out

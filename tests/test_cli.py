@@ -156,6 +156,18 @@ def test_run_and_sweep_report_a_run_that_never_initialized(tmp_path):
     assert (out / "aggregate.csv").read_text().splitlines()[1] == "0.0,0,nan,nan,1"
 
 
+@pytest.mark.parametrize("path", [
+    "trajectory.pattern = waypoints\ntrajectory.waypoints = 0,0,1.5; 0.01,0,1.5\n",
+    "trajectory.pattern = eight\ntrajectory.radius = 0.001\n",
+], ids=["waypoints", "eight"])
+def test_run_with_a_one_point_desired_path_reports_a_run_that_never_initialized(tmp_path, path):
+    # either path is shorter than one spacing: the desired trajectory is one point
+    out = tmp_path / "run"
+    assert main(["run", "--config", _write(tmp_path, "s.cfg", BASE_CFG + path),
+                 "--out", str(out)]) == 2
+    assert "never initialized" in (out / "report.txt").read_text()
+
+
 def test_run_one_false_target_and_one_wall_echo_as_flat_points(tmp_path):
     cfg = _write(tmp_path, "s.cfg", BASE_CFG + "scenario.duration = 1.0\n"
                  "false_targets.positions = 3.4,0.6,1.5\nnlos.walls = -4,-0.5,-1,-0.5\n")

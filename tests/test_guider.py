@@ -13,7 +13,6 @@ from coopguide.geometry import (
     STALE_TOLERANCE,
     Detection,
     Frame,
-    RelativeTransform,
     TimedPose,
     detection_columns,
     interpolate,
@@ -104,8 +103,8 @@ def test_initialization_transition():
     assert g.status(t) is GuiderStatus.TRACKING
     out = g.current_output(t)
     assert np.allclose(position_of(out.secondary_pose_in_l), secondary_position(t), atol=0.05)
-    assert abs(wrap_heading(g.active_transform.heading - THETA)) < 1e-3
-    assert np.allclose(g.active_transform.translation, T_OFFSET, atol=0.02)
+    assert abs(wrap_heading(g._alignment.heading - THETA)) < 1e-3
+    assert np.allclose(g._alignment.translation, T_OFFSET, atol=0.02)
 
 
 def test_empty_detection_batch_is_noop():
@@ -429,7 +428,7 @@ def test_late_vio_inside_the_anchor_bracket_renews_the_anchor():
     g.ingest_vio(vio_pose(t + 0.1))   # anchor: between t - 1/30 and t + 0.1
     late = vio_pose(t + 0.02)
     g.ingest_vio(late._replace(x=late.x + 0.05, y=late.y + 0.05, z=late.z + 0.05))
-    theta, drift_rate = g._alignment.transform.heading, g._alignment.drift_rate
+    theta, drift_rate = g._alignment.heading, g._alignment.drift_rate
     pose = vio_pose(t + 0.13)
     g.ingest_vio(pose)
     got = g._history.entries[-1]
@@ -454,7 +453,7 @@ def test_small_motion_freezes_transform():
                                      wrap_heading(hover_heading + THETA)))
     t = t + 20.0
     assert g.status(t) is GuiderStatus.TRANSFORM_FROZEN
-    before = g.active_transform
+    before = g._alignment
     assert before is not None  # transform unchanged, not dropped
 
 
@@ -472,7 +471,7 @@ def test_realign_freezes_unobservable_window_without_solving(monkeypatch):
     g._realign(t)
     assert len(calls) == 1
     assert g.status(t) is GuiderStatus.TRACKING
-    before = g.active_transform
+    before = g._alignment
     # same VIO window, but the fused detections hover at one point
     hover = secondary_position(t)
     g._fused_detections = detection_columns(detection_record(0.1 * k, hover, 0)
@@ -480,19 +479,19 @@ def test_realign_freezes_unobservable_window_without_solving(monkeypatch):
     g._realign(t)
     assert len(calls) == 1
     assert g.status(t) is GuiderStatus.TRANSFORM_FROZEN
-    assert g.active_transform is before
+    assert g._alignment is before
 
 
 def test_transform_round_trip():
     g = make_guider()
     t = drive(g, 0.0, 8.0)
     out = g.current_output(t)
-    T = out.transform_l_to_s
+    *translation, theta = out.transform_l_to_s
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = rng.uniform(-10, 10, 3)
-        y = T.rotation @ x + T.translation
-        assert np.allclose(T.rotation.T @ (y - T.translation), x, atol=1e-12)
+        y = rot_z(theta) @ x + translation
+        assert np.allclose(rot_z(theta).T @ (y - translation), x, atol=1e-12)
 
 
 def test_transform_and_stream_drops_completed_and_transforms():
@@ -509,8 +508,8 @@ def test_transform_and_stream_drops_completed_and_transforms():
     assert out.frame is Frame.VIO
     assert np.array_equal(out.stamps, traj.stamps[kept])
     # mapped bit for bit with the transform of the output it was given
-    T = output.transform_l_to_s
-    want = traj.slice_window(t, t + 10.0).mapped(T.translation, T.heading)
+    *translation, theta = output.transform_l_to_s
+    want = traj.slice_window(t, t + 10.0).mapped(translation, theta)
     assert np.array_equal(out.positions, want.positions)
     assert np.array_equal(out.headings, want.headings)
 
@@ -526,12 +525,19 @@ def test_streamed_references_recover_lidar_frame_trajectory():
                          [secondary_position(s) for s in stamps],
                          [secondary_heading(s) for s in stamps])
     out = g.transform_and_stream(desired, g.current_output(t))
-    true_T = RelativeTransform(T_OFFSET, THETA, Frame.LIDAR, Frame.VIO)
     for got_p, got_h, src_p, src_h in zip(out.positions, out.headings,
                                           desired.positions, desired.headings):
-        back_p = true_T.rotation.T @ (got_p - true_T.translation)
+        back_p = rot_z(THETA).T @ (got_p - T_OFFSET)
         assert np.allclose(back_p, src_p, atol=0.02)
-        assert abs(wrap_heading(got_h - true_T.heading - src_h)) < 0.02
+        assert abs(wrap_heading(got_h - THETA - src_h)) < 0.02
+
+
+def test_transform_and_stream_rejects_a_vio_frame_desired():
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    traj = Trajectory(Frame.VIO, [t + 1.0], [secondary_position(t)], [0.0])
+    with pytest.raises(ValueError, match="lidar frame"):
+        g.transform_and_stream(traj, g.current_output(t))
 
 
 def test_stream_paused_when_heading_frozen():

@@ -298,6 +298,8 @@ def test_polyline_distance():
     line = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     assert polyline_distance(line, np.array([0.5, 1.0, 0.0])) == pytest.approx(1.0)
     assert polyline_distance(line, np.array([2.0, 0.0, 0.0])) == pytest.approx(1.0)
+    # a desired path shorter than one spacing has a single point
+    assert polyline_distance(line[:1], np.array([3.0, 4.0, 0.0])) == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +419,18 @@ def test_streamed_references_rebuild_every_pushed_batch(monkeypatch, name):
         assert batch.frame is streamed.frame is Frame.VIO
         for field in ("stamps", "positions", "headings"):
             assert getattr(batch, field).tobytes() == getattr(streamed, field).tobytes()
+
+
+@pytest.mark.parametrize("name", ["baseline.cfg", "nlos.cfg"])
+def test_each_ref_after_initialization_carries_the_transform_of_its_est(name):
+    # one transform tuple per reference tick feeds the EST and the REF record
+    cfg = build_config({**load_config_file(str(CONFIGS / name)), "trajectory.laps": 1})
+    log = EventLog.loads(run_scenario(cfg).dumps())
+    est = {r[1]: tuple(r[7:11]) for r in log.iter_tag("EST")}
+    refs = [r for r in log.iter_tag("REF") if r[1] >= min(est)]
+    assert refs
+    for ref in refs:
+        assert tuple(ref[4:8]) == est[ref[1]]
 
 
 def test_streamed_references_rejects_point_count_mismatch():

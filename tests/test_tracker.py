@@ -829,7 +829,7 @@ def test_try_initialize_recovers_pose_from_matching_track():
     assert np.allclose(state.velocity, [0.1, 0.2, 0.0], atol=1e-6)
     assert state.heading == pytest.approx(0.4, abs=1e-6)
     assert state.heading_rate == pytest.approx(0.03)
-    assert abs(wrap_heading(result.transform.heading - theta_star)) < 1e-6
+    assert abs(wrap_heading(result.heading - theta_star)) < 1e-6
 
 
 def test_try_initialize_rejects_hovering_point_track(monkeypatch):

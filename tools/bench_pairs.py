@@ -13,7 +13,9 @@ end-to-end metrics and raw samples are stored, and per metric each side's
 median and quartiles over the pairs, the median relative gap and the number
 of pairs in which the change is better, next to each side's ``src/`` line
 count.  The script prints each pair's ``wall_s`` gap as it goes and, at the
-end, the line counts and that per-metric summary.  Running
+end, the line counts and that per-metric summary: both medians with the
+relative change from one to the other ("medians"), and the median of the
+pairs' relative gaps ("median pair gap"), which need not agree.  Running
 the script again with the same ``--label`` adds the workload to the file and
 keeps the others.
 """
@@ -114,8 +116,10 @@ def main(argv: "list[str] | None" = None) -> int:
     print(f"{args.workload} src/ lines: {lines['parent']} -> {lines['change']} "
           f"({lines['change'] - lines['parent']:+d})")
     for name, row in summary.items():
-        print(f"{args.workload} {name}: median {row['parent']['median']:.6g} -> "
-              f"{row['change']['median']:.6g} ({row['median_rel_change']:+.1%}), "
+        parent, change = row["parent"]["median"], row["change"]["median"]
+        print(f"{args.workload} {name}: median {parent:.6g} -> {change:.6g} "
+              f"(medians {change / parent - 1.0:+.1%}, "
+              f"median pair gap {row['median_rel_change']:+.1%}), "
               f"change better in {row['pairs_change_better']} of {len(pairs)} pairs")
     return 0
 
