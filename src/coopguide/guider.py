@@ -272,7 +272,7 @@ class Guider:
         if decision.accepted:
             det = decision.detection
             r = det.sigma ** 2
-            z = Measurement._unchecked(stamp, MeasurementKind.LIDAR_POSITION, det[1:4], (r, r, r))
+            z = Measurement(stamp, MeasurementKind.LIDAR_POSITION, det[1:4], (r, r, r))
             try:
                 self._history.insert(z)
             except StaleMeasurementError:

@@ -21,6 +21,10 @@ velocity, both less the alignment's co-estimated drift, and heading/heading
 rate subtract the aligned relative heading.  A measurement holds float
 tuples, built in plain float arithmetic except for the two rotations.
 
+``TrackerState`` and ``Measurement`` each have one constructor, which stores
+what it is given; the checks live where records enter, in ``Guider.ingest_vio``
+and ``Guider.ingest_detections``.
+
 Lidar detections are associated by Euclidean pre-gating plus a chi-square
 test on the squared Mahalanobis distance of the innovation.
 
@@ -107,35 +111,19 @@ HISTORY_SPAN = 2.0
 class TrackerState:
     """Filter state: stamp, (4, 2) mean and (4, 2, 2) covariance.
 
-    Row ``a`` of the mean is axis ``a`` (x, y, z, heading) as (value, rate);
-    ``covariance[a]`` is that pair's 2x2 covariance.  Both are held as
-    nested float lists, which ``predict``, ``update`` and
-    ``innovation_gate`` read directly; ``mean``, ``covariance`` and the
-    vector properties build arrays on request.  The constructor validates
-    its input and wraps the heading; the filter's own outputs skip it.
+    Row ``a`` of the mean is axis ``a`` (x, y, z, heading) as (value, rate),
+    the heading wrapped; ``covariance[a]`` is that pair's 2x2 covariance.
+    Both are nested float lists, stored as given and read directly by
+    ``predict``, ``update`` and ``innovation_gate``; ``mean``,
+    ``covariance`` and the vector properties build arrays on request.  The
+    constructor checks nothing: every state is built by the filter from
+    records already checked where they entered the guider.
     """
 
     __slots__ = ("stamp", "_mean", "_cov")
 
-    def __init__(self, stamp: float, mean, covariance):
-        m = np.asarray(mean, dtype=float)
-        P = np.asarray(covariance, dtype=float)
-        if m.shape != (4, 2):
-            raise ValueError(f"mean must have shape (4, 2), got {m.shape}")
-        if P.shape != (4, 2, 2):
-            raise ValueError(f"covariance must have shape (4, 2, 2), got {P.shape}")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(P))):
-            raise ValueError("non-finite mean or covariance")
-        rows = m.tolist()
-        rows[_HEADING_AXIS][0] = wrap_heading(rows[_HEADING_AXIS][0])
-        self.stamp, self._mean, self._cov = stamp, rows, P.tolist()
-
-    @classmethod
-    def _unchecked(cls, stamp: float, mean: list, cov: list) -> "TrackerState":
-        """Wrap lists the filter built itself: no copy, no checks."""
-        state = cls.__new__(cls)
-        state.stamp, state._mean, state._cov = stamp, mean, cov
-        return state
+    def __init__(self, stamp: float, mean: list, covariance: list):
+        self.stamp, self._mean, self._cov = stamp, mean, covariance
 
     @property
     def mean(self) -> np.ndarray:
@@ -171,29 +159,15 @@ class Measurement:
     """Stamped measurement with per-component noise variances (diagonal R).
 
     ``value`` and ``variance`` are float tuples in the element order of the
-    kind's ``_KIND_AXES`` entry; ``update`` reads them directly.  The
-    constructor converts array-likes and checks their dimension; the
-    measurement builders below use ``_unchecked`` on tuples they made.
+    kind's ``_KIND_AXES`` entry, stored as given and read directly by
+    ``update``.  The builders below and ``Guider.ingest_detections`` make
+    them from checked records; the constructor checks nothing.
     """
 
     __slots__ = ("stamp", "kind", "value", "variance")
 
-    def __init__(self, stamp: float, kind: MeasurementKind, value, variance):
-        v = np.asarray(value, dtype=float)
-        r = np.asarray(variance, dtype=float)
-        m = len(_KIND_AXES[kind][0])
-        if v.shape != (m,) or r.shape != (m,):
-            raise ValueError(f"{kind.name} measurement must be {m}-dimensional")
-        self.stamp, self.kind = stamp, kind
-        self.value, self.variance = tuple(v.tolist()), tuple(r.tolist())
-
-    @classmethod
-    def _unchecked(cls, stamp: float, kind: MeasurementKind, value: tuple,
-                   variance: tuple) -> "Measurement":
-        """Wrap float tuples of the right dimension: no copy, no checks."""
-        z = cls.__new__(cls)
-        z.stamp, z.kind, z.value, z.variance = stamp, kind, value, variance
-        return z
+    def __init__(self, stamp: float, kind: MeasurementKind, value: tuple, variance: tuple):
+        self.stamp, self.kind, self.value, self.variance = stamp, kind, value, variance
 
 
 @dataclass(frozen=True)
@@ -226,7 +200,7 @@ def predict(state: TrackerState, dt: float) -> TrackerState:
         c01 = p01 + dt * p11 + q * q2
         cov.append([[p00 + dt * (2.0 * p01 + dt * p11) + q * q3, c01],
                     [c01, p11 + q * dt]])
-    return TrackerState._unchecked(state.stamp + dt, mean, cov)
+    return TrackerState(state.stamp + dt, mean, cov)
 
 
 def update(state: TrackerState, z: Measurement) -> TrackerState:
@@ -260,7 +234,7 @@ def update(state: TrackerState, z: Measurement) -> TrackerState:
         c01 = p01 - k0 * g1
         cov[a] = [[p00 - k0 * g0, c01], [c01, p11 - k1 * g1]]
     mean[_HEADING_AXIS][0] = wrap_heading(mean[_HEADING_AXIS][0])
-    return TrackerState._unchecked(state.stamp, mean, cov)
+    return TrackerState(state.stamp, mean, cov)
 
 
 def innovation_gate(state: TrackerState, detection: Detection) -> float:
@@ -303,7 +277,7 @@ def make_vio_measurement(
     vio: TimedPose,
     last_detection: Sequence[float],
     vio_at_detection: TimedPose,
-    theta: Optional[float],
+    theta: float,
     drift_rate: Sequence[float] = (0.0, 0.0, 0.0),
     r_lv: Optional[np.ndarray] = None,
 ) -> Measurement:
@@ -316,16 +290,15 @@ def make_vio_measurement(
     stamp; velocity is the rotated VIO velocity; heading is the wrapped VIO
     heading less the aligned relative heading, wrapped.  The V-frame
     ``drift_rate`` (a 3-vector) co-estimated by the alignment is not motion:
-    it is taken out of both.  ``r_lv``, when given, must be ``rot_z(-theta)``: a caller that
-    holds one per alignment passes it instead of having it rebuilt.
+    it is taken out of both.  ``theta`` is the heading of an accepted
+    alignment.  ``r_lv``, when given, must be ``rot_z(-theta)``: a caller
+    that holds one per alignment passes it instead of having it rebuilt.
 
     Everything but the two rotations is float arithmetic.  The rotations stay
     numpy matrix-vector products ``r_lv @ v``: numpy may round such a
     product with fused multiply-adds, which scalar Python cannot reproduce
     bit for bit.
     """
-    if theta is None:
-        raise ValueError("transform unavailable: no accepted alignment yet")
     stamp, x, y, z, heading, vx, vy, vz, heading_rate = vio
     det_stamp, lx, ly, lz, sigma, _ = last_detection
     if stamp < det_stamp - 1e-9:
@@ -337,21 +310,20 @@ def make_vio_measurement(
     rx, ry, rz = drift_rate
     dx, dy, dz = (r_lv @ np.array([x - x0 - rx * dt, y - y0 - ry * dt, z - z0 - rz * dt])).tolist()
     r = sigma ** 2 + VIO_DELTA_VARIANCE
-    return Measurement._unchecked(
+    return Measurement(
         stamp, MeasurementKind.VIO_FULL,
         (lx + dx, ly + dy, lz + dz, *(r_lv @ np.array([vx - rx, vy - ry, vz - rz])).tolist(),
          wrap_heading(wrap_heading(heading) - theta), heading_rate),
         (r, r, r) + _VIO_RATE_HEADING_VARIANCE)
 
 
-def make_heading_measurement(vio: TimedPose, theta: Optional[float]) -> Measurement:
+def make_heading_measurement(vio: TimedPose, theta: float) -> Measurement:
     """Heading/heading-rate measurement from a VIO pose older than the last
-    detection.  Like :func:`make_vio_measurement`, it wraps the pose's
-    heading before subtracting ``theta``, so shifts by 2*pi*k change no bit.
+    detection.  ``theta`` is the heading of an accepted alignment.  Like
+    :func:`make_vio_measurement`, it wraps the pose's heading before
+    subtracting ``theta``, so shifts by 2*pi*k change no bit.
     """
-    if theta is None:
-        raise ValueError("transform unavailable: no accepted alignment yet")
-    return Measurement._unchecked(
+    return Measurement(
         vio.stamp, MeasurementKind.VIO_HEADING,
         (wrap_heading(wrap_heading(vio.heading) - theta), vio.heading_rate), HEADING_VARIANCE)
 
@@ -467,7 +439,7 @@ def try_initialize(
         # co-estimated VIO drift rate (zero unless enabled) is not real motion
         rx, ry, rz = result.drift_rate.tolist()
         lvx, lvy, lvz = (rot_z(-theta) @ np.array([vx - rx, vy - ry, vz - rz])).tolist()
-        mean = [(x, lvx), (y, lvy), (z, lvz), (wrap_heading(heading - theta), heading_rate)]
-        cov = [((p, 0.0), (0.0, q)) for p, q in zip(INIT_VALUE_VARIANCE, INIT_RATE_VARIANCE)]
+        mean = [[x, lvx], [y, lvy], [z, lvz], [wrap_heading(heading - theta), heading_rate]]
+        cov = [[[p, 0.0], [0.0, q]] for p, q in zip(INIT_VALUE_VARIANCE, INIT_RATE_VARIANCE)]
         return TrackerState(stamp, mean, cov), result, track_id
     return None

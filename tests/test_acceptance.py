@@ -97,7 +97,8 @@ def test_criterion_3_replay_equivalence():
         kinds = [MeasurementKind.LIDAR_POSITION, MeasurementKind.VIO_FULL,
                  MeasurementKind.VIO_HEADING]
         dims = {k: d_ for k, d_ in zip(kinds, (3, 8, 2))}
-        anchor = TrackerState(0.0, np.zeros((4, 2)), np.tile(np.eye(2), (4, 1, 1)))
+        anchor = TrackerState(0.0, np.zeros((4, 2)).tolist(),
+                              np.tile(np.eye(2), (4, 1, 1)).tolist())
         worst = 0.0
         for case in range(100):
             rng = np.random.default_rng(3000 + case)
@@ -108,8 +109,8 @@ def test_criterion_3_replay_equivalence():
                 kind = kinds[int(rng.integers(0, 3))]
                 m = dims[kind]
                 measurements.append(Measurement(
-                    t, kind, rng.normal(0.0, 1.0, m),
-                    rng.uniform(0.05, 0.5, m)))
+                    t, kind, tuple(rng.normal(0.0, 1.0, m).tolist()),
+                    tuple(rng.uniform(0.05, 0.5, m).tolist())))
             ordered = HistoryBuffer(anchor, span=1e9)
             for z in measurements:
                 expected = ordered.insert(z)
@@ -132,7 +133,7 @@ def test_criterion_4_gate_calibration():
         P = np.zeros((4, 2, 2))
         P[:, 0, 0] = [0.2, 0.3, 0.1, 0.1]   # x, y, z, heading
         P[:, 1, 1] = [0.5, 0.5, 0.5, 0.1]   # their rates
-        state = TrackerState(0.0, np.zeros((4, 2)), P)
+        state = TrackerState(0.0, np.zeros((4, 2)).tolist(), P.tolist())
         sigma = 0.15
         L = np.linalg.cholesky(np.diag(P[:3, 0, 0]) + sigma ** 2 * np.eye(3))
         # S <= 0.3225 per axis: an innovation beyond the 2 m pre-gate has
