@@ -52,8 +52,11 @@ def wrap_heading(angle):
 
     Angles already in range come back unchanged, so an array and its
     elements one by one give the same bits.  Raises ValueError on non-finite
-    input.
+    input.  An in-range Python float, the common case, returns at the first
+    test.
     """
+    if type(angle) is float and -math.pi < angle <= math.pi:
+        return angle
     if isinstance(angle, np.ndarray):
         if not np.all(np.isfinite(angle)):
             raise ValueError("non-finite heading angle")

@@ -69,6 +69,8 @@ _RECORD_FIELDS: dict[str, tuple] = {
     "FAIL": (float,),
     "END": (float,),
 }
+#: tags whose every field is a float
+_FLOAT_TAGS = frozenset(tag for tag, fields in _RECORD_FIELDS.items() if set(fields) == {float})
 
 
 def _convert(converter, field: str):
@@ -167,7 +169,13 @@ class EventLog:
                 if len(fields) != len(converters):
                     raise ValueError(f"{tag} record needs {len(converters)} fields, "
                                      f"got {len(fields)}")
-                record = (tag, *map(_convert, converters, fields))
+                if tag in _FLOAT_TAGS:
+                    record = (tag, *map(float, fields))
+                elif tag == "DET" or tag == "REF":   # the third field is a track id or count
+                    t0, t1, n, *rest = fields
+                    record = (tag, float(t0), float(t1), int(n), *map(float, rest))
+                else:   # H and EST hold str fields
+                    record = (tag, *map(_convert, converters, fields))
                 # a finite float's repr has no "n"; nan, inf and infinity do
                 if ("n" in line or "N" in line) and not all(
                         math.isfinite(v) for v in record if type(v) is float):

@@ -7,7 +7,10 @@ block-diagonal over the axes and measurements of single components with
 diagonal noise never couple two axes, so this is exactly the 8-state filter
 over position, velocity, heading and heading rate (the decoupled CV model of
 Bar-Shalom, Li and Kirubarajan, *Estimation with Applications to Tracking
-and Navigation*, 2001, §6) in closed-form 2x2 and scalar algebra.
+and Navigation*, 2001, §6) in closed-form 2x2 and scalar algebra.  Both
+kernels are straight-line float code: ``predict`` is written out over the
+four axes, and ``update`` runs each measurement kind as its fixed series of
+per-axis scalar steps, with the bits of the sequential scalar update.
 
 Because detections arrive with processing delay and VIO samples with network
 delay, measurements can reach the filter out of order; a recalculating
@@ -159,7 +162,7 @@ class Measurement:
     """Stamped measurement with per-component noise variances (diagonal R).
 
     ``value`` and ``variance`` are float tuples in the element order of the
-    kind's ``_KIND_AXES`` entry, stored as given and read directly by
+    kind's ``MeasurementKind`` comment, stored as given and read directly by
     ``update``.  The builders below and ``Guider.ingest_detections`` make
     them from checked records; the constructor checks nothing.
     """
@@ -184,57 +187,98 @@ def predict(state: TrackerState, dt: float) -> TrackerState:
 
     Per axis, P' = F P F^T + q Q with F = [[1, dt], [0, 1]] and the
     continuous white-acceleration noise Q = [[dt^3/3, dt^2/2], [dt^2/2, dt]],
-    q the axis's entry of ``PROCESS_NOISE``.
+    q the axis's entry of ``PROCESS_NOISE``.  The four axes are written out
+    as straight-line float arithmetic on the unpacked mean and blocks.
     """
     if dt < 0.0:
         raise ValueError(f"predict requires dt >= 0, got {dt}")
     if dt == 0.0:
         return state
-    mean = [[v + dt * w, w] for v, w in state._mean]
-    mean[_HEADING_AXIS][0] = wrap_heading(mean[_HEADING_AXIS][0])
-
+    (x, vx), (y, vy), (z, vz), (h, vh) = state._mean
+    (((a00, a01), (_, a11)), ((b00, b01), (_, b11)), ((c00, c01), (_, c11)),
+     ((d00, d01), (_, d11))) = state._cov
+    qx, qy, qz, qh = PROCESS_NOISE
     q2 = dt ** 2 / 2.0
     q3 = dt ** 3 / 3.0
-    cov = []
-    for ((p00, p01), (_, p11)), q in zip(state._cov, PROCESS_NOISE):
-        c01 = p01 + dt * p11 + q * q2
-        cov.append([[p00 + dt * (2.0 * p01 + dt * p11) + q * q3, c01],
-                    [c01, p11 + q * dt]])
-    return TrackerState(state.stamp + dt, mean, cov)
+    ea = a01 + dt * a11 + qx * q2
+    eb = b01 + dt * b11 + qy * q2
+    ec = c01 + dt * c11 + qz * q2
+    ed = d01 + dt * d11 + qh * q2
+    return TrackerState(
+        state.stamp + dt,
+        [[x + dt * vx, vx], [y + dt * vy, vy], [z + dt * vz, vz], [wrap_heading(h + dt * vh), vh]],
+        [[[a00 + dt * (2.0 * a01 + dt * a11) + qx * q3, ea], [ea, a11 + qx * dt]],
+         [[b00 + dt * (2.0 * b01 + dt * b11) + qy * q3, eb], [eb, b11 + qy * dt]],
+         [[c00 + dt * (2.0 * c01 + dt * c11) + qz * q3, ec], [ec, c11 + qz * dt]],
+         [[d00 + dt * (2.0 * d01 + dt * d11) + qh * q3, ed], [ed, d11 + qh * dt]]])
+
+
+def _value_step(row: list, block: list, v: float, r: float) -> tuple[list, list]:
+    """Scalar update of one axis by a measurement ``v`` of its value: the
+    new (value, rate) row and 2x2 block, written exactly symmetric."""
+    (m0, m1), ((p00, p01), (_, p11)) = row, block
+    s = p00 + r   # innovation variance H P H^T + r
+    if not s > 0.0:
+        raise ValueError("singular innovation covariance")
+    k0, k1, y = p00 / s, p01 / s, v - m0
+    c01 = p01 - k0 * p01
+    return [m0 + k0 * y, m1 + k1 * y], [[p00 - k0 * p00, c01], [c01, p11 - k1 * p01]]
+
+
+def _value_rate_steps(row: list, block: list, v: float, w: float, rv: float, rw: float,
+                      heading: bool = False) -> tuple[list, list]:
+    """Scalar updates of one axis: the :func:`_value_step` by ``v``, then the
+    step by ``w`` of its rate.  On the heading axis the value innovation and
+    the final value are wrapped."""
+    (m0, m1), ((p00, p01), (_, p11)) = row, block
+    s = p00 + rv
+    if not s > 0.0:
+        raise ValueError("singular innovation covariance")
+    y = v - m0
+    if heading:
+        y = wrap_heading(y)
+    k0, k1 = p00 / s, p01 / s
+    m0, m1, p00, p01, p11 = m0 + k0 * y, m1 + k1 * y, p00 - k0 * p00, p01 - k0 * p01, p11 - k1 * p01
+    s = p11 + rw
+    if not s > 0.0:
+        raise ValueError("singular innovation covariance")
+    k0, k1, y = p01 / s, p11 / s, w - m1
+    m0, m1, p00, p01, p11 = m0 + k0 * y, m1 + k1 * y, p00 - k0 * p01, p01 - k0 * p11, p11 - k1 * p11
+    return [wrap_heading(m0) if heading else m0, m1], [[p00, p01], [p01, p11]]
 
 
 def update(state: TrackerState, z: Measurement) -> TrackerState:
     """Kalman correction, one scalar measurement component at a time.
 
-    R is diagonal, so processing the components in sequence equals the joint
-    update.  A component observes one (axis, component) pair and changes
-    only that axis's 2x2 block, which is written back exactly symmetric.
-    The heading innovation is wrapped.
+    R is diagonal and the axes are decoupled, so each kind is a fixed series
+    of scalar steps on single axes, with the bits of the sequential scalar
+    update: ``VIO_FULL`` a value step and then a rate step on each of x, y,
+    z and heading, ``LIDAR_POSITION`` a value step on x, y and z,
+    ``VIO_HEADING`` a value and then a rate step on heading.  A step changes
+    only its axis's row and 2x2 block, which are rebuilt (the block exactly
+    symmetric); untouched axes share the input's lists.  The heading's value
+    innovation and its updated value are wrapped.
     """
     if abs(z.stamp - state.stamp) > 1e-9:
         raise ValueError(
             f"measurement stamp {z.stamp} does not match state stamp {state.stamp}; "
             "predict first"
         )
-    mean = list(map(list, state._mean))
-    cov = list(state._cov)   # updated blocks are replaced, never mutated
-    axes, components = _KIND_AXES[z.kind]
-    for value, r, a, c in zip(z.value, z.variance, axes, components):
-        (p00, p01), (_, p11) = cov[a]
-        g0, g1 = column = cov[a][c]   # P H^T, the observed column of P
-        s = column[c] + r             # innovation variance H P H^T + r
-        if not s > 0.0:
-            raise ValueError("singular innovation covariance")
-        y = value - mean[a][c]
-        if a == _HEADING_AXIS and c == 0:
-            y = wrap_heading(y)
-        k0, k1 = g0 / s, g1 / s
-        mean[a][0] += k0 * y
-        mean[a][1] += k1 * y
-        c01 = p01 - k0 * g1
-        cov[a] = [[p00 - k0 * g0, c01], [c01, p11 - k1 * g1]]
-    mean[_HEADING_AXIS][0] = wrap_heading(mean[_HEADING_AXIS][0])
-    return TrackerState(state.stamp, mean, cov)
+    (mx, my, mz, mh), (cx, cy, cz, ch) = state._mean, state._cov
+    if z.kind == MeasurementKind.VIO_FULL:
+        (vx, vy, vz, wx, wy, wz, vh, wh), (rx, ry, rz, sx, sy, sz, rh, sh) = z.value, z.variance
+        mx, cx = _value_rate_steps(mx, cx, vx, wx, rx, sx)
+        my, cy = _value_rate_steps(my, cy, vy, wy, ry, sy)
+        mz, cz = _value_rate_steps(mz, cz, vz, wz, rz, sz)
+        mh, ch = _value_rate_steps(mh, ch, vh, wh, rh, sh, heading=True)
+    elif z.kind == MeasurementKind.LIDAR_POSITION:
+        (vx, vy, vz), (rx, ry, rz) = z.value, z.variance
+        mx, cx = _value_step(mx, cx, vx, rx)
+        my, cy = _value_step(my, cy, vy, ry)
+        mz, cz = _value_step(mz, cz, vz, rz)
+    else:
+        mh, ch = _value_rate_steps(mh, ch, *z.value, *z.variance, heading=True)
+    return TrackerState(state.stamp, [mx, my, mz, mh], [cx, cy, cz, ch])
 
 
 def innovation_gate(state: TrackerState, detection: Detection) -> float:

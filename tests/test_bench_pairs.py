@@ -5,6 +5,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_pairs.py"
 
@@ -60,3 +62,18 @@ def test_bench_file_and_summary_carry_both_line_counts(tmp_path, monkeypatch, ca
     assert "nlos src/ lines: 10 -> 7 (-3)" in out
     assert ("nlos wall_s: median 2 -> 1.9 (medians -5.0%, median pair gap -20.0%), "
             "change better in 1 of 2 pairs") in out
+
+
+def test_one_seed_is_rejected_before_any_run(tmp_path, monkeypatch, capsys):
+    tool = _tool()
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    runs = []
+    monkeypatch.setattr(tool, "run_side", lambda *args: runs.append(args))
+    for seeds in ("5", "7-7"):
+        with pytest.raises(SystemExit) as exc_info:
+            tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--label", "probe",
+                       "--workload", "nlos", "--seeds", seeds])
+        assert exc_info.value.code == 2
+        assert "at least two" in capsys.readouterr().err
+    assert runs == [] and not (tmp_path / "BENCH_probe.json").exists()

@@ -61,6 +61,17 @@ def test_wrap_heading_array_matches_scalar_bit_for_bit():
         assert got == [repr(wrap_heading(a)) for a in subset.tolist()]
 
 
+def test_wrap_heading_float_int_and_float64_agree_with_the_array_path():
+    # an in-range float returns at the first test; np.float64 and int take the
+    # general path and keep their type when in range
+    special = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, math.pi + 1e-15]
+    for kind in (float, np.float64, int):
+        inputs = [kind(a) for a in special]
+        expected = [repr(x) for x in wrap_heading(np.array(inputs, dtype=float)).tolist()]
+        assert [repr(float(wrap_heading(a))) for a in inputs] == expected
+        assert type(wrap_heading(kind(1.0))) is kind
+
+
 def test_wrap_heading_array_rejects_non_finite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):

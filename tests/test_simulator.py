@@ -313,6 +313,13 @@ def test_event_log_round_trip_exact():
     back = EventLog.loads(text)
     assert back.records == log.records
     assert back.dumps() == text
+    # == alone would let 3.0 pass for 3: every field keeps its logged type
+    assert [tuple(map(type, r)) for r in back.records] == \
+        [tuple(map(type, r)) for r in log.records]
+    types = {r[0]: tuple(map(type, r)) for r in back.records}
+    assert set(types) >= {"H", "DET", "REF", "EST"}
+    assert types["H"][1:] == (str, str) and types["EST"][2] is str
+    assert types["DET"][3] is int and types["REF"][3] is int
 
 
 def test_event_log_truncated_raises_with_line_number():

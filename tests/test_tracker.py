@@ -307,6 +307,121 @@ def test_axis_filters_match_dense_8_state_oracle():
     assert wraps > 100
 
 
+#: (axes, components) observed by each element of a kind's measurement
+#: vector: the table of the generic scalar-update loop below
+_KIND_AXES = {
+    MeasurementKind.LIDAR_POSITION: ((0, 1, 2), (0, 0, 0)),
+    MeasurementKind.VIO_FULL: ((0, 1, 2, 0, 1, 2, 3, 3), (0, 0, 0, 1, 1, 1, 0, 1)),
+    MeasurementKind.VIO_HEADING: ((3, 3), (0, 1)),
+}
+
+
+def generic_predict(state, dt):
+    # the axis loop that predict unrolls
+    if dt == 0.0:
+        return state
+    mean = [[v + dt * w, w] for v, w in state._mean]
+    mean[3][0] = wrap_heading(mean[3][0])
+    q2 = dt ** 2 / 2.0
+    q3 = dt ** 3 / 3.0
+    cov = []
+    for ((p00, p01), (_, p11)), q in zip(state._cov, tracker.PROCESS_NOISE):
+        c01 = p01 + dt * p11 + q * q2
+        cov.append([[p00 + dt * (2.0 * p01 + dt * p11) + q * q3, c01],
+                    [c01, p11 + q * dt]])
+    return TrackerState(state.stamp + dt, mean, cov)
+
+
+def generic_update(state, z):
+    # one scalar (axis, component) step per measurement element, from a table
+    mean = list(map(list, state._mean))
+    cov = list(state._cov)
+    axes, components = _KIND_AXES[z.kind]
+    for value, r, a, c in zip(z.value, z.variance, axes, components):
+        (p00, p01), (_, p11) = cov[a]
+        g0, g1 = column = cov[a][c]
+        s = column[c] + r
+        if not s > 0.0:
+            raise ValueError("singular innovation covariance")
+        y = value - mean[a][c]
+        if a == 3 and c == 0:
+            y = wrap_heading(y)
+        k0, k1 = g0 / s, g1 / s
+        mean[a][0] += k0 * y
+        mean[a][1] += k1 * y
+        c01 = p01 - k0 * g1
+        cov[a] = [[p00 - k0 * g0, c01], [c01, p11 - k1 * g1]]
+    mean[3][0] = wrap_heading(mean[3][0])
+    return TrackerState(state.stamp, mean, cov)
+
+
+def _random_state(rng, stamp):
+    # headings drawn near +-pi half of the time; symmetric PSD blocks
+    mean = rng.normal(0.0, 2.0, (4, 2)).tolist()
+    edge = rng.uniform(-0.05, 0.05) + (math.pi if rng.uniform() < 0.5 else -math.pi)
+    mean[3][0] = wrap_heading(edge if rng.uniform() < 0.5 else float(rng.uniform(-3.0, 3.0)))
+    cov = []
+    for p00, p11, rho in zip(rng.uniform(1e-4, 4.0, 4), rng.uniform(1e-4, 4.0, 4),
+                             rng.uniform(-0.99, 0.99, 4)):
+        p01 = float(rho * math.sqrt(p00 * p11))
+        cov.append([[float(p00), p01], [p01, float(p11)]])
+    return TrackerState(stamp, mean, cov)
+
+
+def _random_measurement(rng, state, kind):
+    n = len(_KIND_AXES[kind][0])
+    value = rng.normal(0.0, 2.0, n).tolist()
+    if kind != MeasurementKind.LIDAR_POSITION:
+        # the heading, second to last, lies about pi from the state's: the
+        # innovation wraps
+        value[-2] = wrap_heading(state.heading + math.pi + float(rng.uniform(-0.1, 0.1)))
+    return Measurement(state.stamp, kind, tuple(value),
+                       tuple(rng.uniform(1e-3, 2.0, n).tolist()))
+
+
+def test_kernels_are_bit_identical_to_the_generic_scalar_loops():
+    rng = np.random.default_rng(24)
+    kinds = list(MeasurementKind)
+    wrapped_innovations = wrapped_means = 0
+    for i in range(3000):
+        state = _random_state(rng, float(i))
+        dt = [0.0, 1e-3, 0.02, 0.5, 3.0][i % 5]
+        pred = predict(state, dt)
+        ref = generic_predict(state, dt)
+        assert (pred.stamp, pred._mean, pred._cov) == (ref.stamp, ref._mean, ref._cov)
+        z = _random_measurement(rng, pred, kinds[i % 3])
+        out, ref = update(pred, z), generic_update(pred, z)
+        assert out._mean == ref._mean and out._cov == ref._cov and out.stamp == ref.stamp
+        if z.kind != MeasurementKind.LIDAR_POSITION:
+            wrapped_innovations += abs(z.value[-2] - pred.heading) > math.pi
+            wrapped_means += abs(out.heading - pred.heading) > math.pi
+    # both wrap branches of update ran many times
+    assert wrapped_innovations > 500 and wrapped_means > 100
+
+
+def test_update_input_state_is_not_mutated():
+    rng = np.random.default_rng(25)
+    for kind in MeasurementKind:
+        state = _random_state(rng, 0.0)
+        before = repr((state._mean, state._cov))
+        update(state, _random_measurement(rng, state, kind))
+        assert repr((state._mean, state._cov)) == before
+
+
+@pytest.mark.parametrize("kind", list(MeasurementKind))
+def test_every_step_of_every_kind_rejects_a_non_positive_innovation_variance(kind):
+    rng = np.random.default_rng(26)
+    state = _random_state(rng, 0.0)
+    z = _random_measurement(rng, state, kind)
+    for i in range(len(z.variance)):
+        for bad in (-1e6, -math.inf, math.nan):
+            variance = z.variance[:i] + (bad,) + z.variance[i + 1:]
+            broken = Measurement(z.stamp, kind, z.value, variance)
+            for kernel in (update, generic_update):
+                with pytest.raises(ValueError, match="singular innovation covariance"):
+                    kernel(state, broken)
+
+
 # ---------------------------------------------------------------------------
 # VIO measurement construction
 

@@ -86,13 +86,17 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help="e.g. 921-930 or 1,5,9")
+    parser.add_argument("--seeds", required=True, help="two or more, e.g. 921-930 or 1,5,9")
     args = parser.parse_args(argv)
+    seeds = _seeds(args.seeds)
+    if len(seeds) < 2:
+        parser.error(f"--seeds {args.seeds!r} names {len(seeds)} seed(s); the summary's "
+                     "quartiles need at least two pairs")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     pairs = []
-    for i, seed in enumerate(_seeds(args.seeds)):
+    for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
