@@ -1,10 +1,11 @@
 """Trajectory alignment and error metrics over event logs.
 
-Mirrors the evaluation methodology used for the guidance system: estimated
-trajectories are aligned to ground truth with a 4-DOF fit over the first
-seconds of overlap, then 2D/3D absolute trajectory errors are the RMSE of
-the remaining point distances.  Scenario-level metrics add the mean
-deviation of the flown path from the desired path and the split of the
+Mirrors the evaluation methodology used for the guidance system: each
+estimate is paired once with the ground truth interpolated to its stamp;
+the pairs inside the truth's time span are aligned with a 4-DOF fit over
+their first seconds, then 2D/3D absolute trajectory errors are the RMSE of
+their point distances.  Scenario-level metrics add the mean deviation of
+the flown path from the desired path and the split of the
 relative-localization error into detection-visible and occluded segments.
 """
 
@@ -43,54 +44,33 @@ class ErrorReport:
     visible: np.ndarray         # bool per sample
 
 
-ALIGN_WINDOW = 20.0   # s of common time span that align_first_window fits
+ALIGN_WINDOW = 20.0   # s of paired stamps that align_first_window fits
 
 
 def align_first_window(
-    traj: tuple[np.ndarray, np.ndarray],
-    ground_truth: tuple[np.ndarray, np.ndarray],
+    stamps: np.ndarray, positions: np.ndarray, truth: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """4-DOF least-squares fit of a trajectory onto ground truth: (t, theta)
-    with ground truth ~ rot_z(theta) @ trajectory + t, as
+    """4-DOF least-squares fit of estimates onto their paired truth: (t, theta)
+    with truth ~ rot_z(theta) @ position + t, as
     :func:`~coopguide.alignment.closed_form_align` returns them.
 
-    Only samples within the first :data:`ALIGN_WINDOW` seconds of the common
-    time span are used, so drift accumulated later does not influence the
-    alignment.  Both inputs are (stamps, (N, 3) positions) tuples; ground
-    truth is interpolated to the trajectory stamps.
+    ``positions`` and ``truth`` are (N, 3) arrays paired row by row at the
+    increasing ``stamps``.  Only the pairs within :data:`ALIGN_WINDOW`
+    seconds of the first stamp are fitted, so drift accumulated later does
+    not influence the alignment.
     """
-    t_traj, p_traj = traj
-    t_gt, p_gt = ground_truth
-    if len(t_traj) == 0 or len(t_gt) == 0:
-        raise EvaluationError("empty trajectory")
-    start = max(t_traj[0], t_gt[0])
-    end = min(t_traj[-1], t_gt[-1])
-    if end <= start:
-        raise EvaluationError("trajectories do not overlap in time")
-    mask = (t_traj >= start) & (t_traj <= min(start + ALIGN_WINDOW, end))
-    if int(mask.sum()) < 2:
+    window = stamps <= stamps[0] + ALIGN_WINDOW
+    if int(window.sum()) < 2:
         raise EvaluationError(
-            f"insufficient overlap: {int(mask.sum())} samples in the first "
+            f"insufficient overlap: {int(window.sum())} samples in the first "
             f"{ALIGN_WINDOW} s window"
         )
-    gt_at = interp_columns(t_traj[mask], t_gt, p_gt)
-    return closed_form_align(p_traj[mask], gt_at)
+    return closed_form_align(positions[window], truth[window])
 
 
-def absolute_trajectory_error(
-    aligned: tuple[np.ndarray, np.ndarray],
-    ground_truth: tuple[np.ndarray, np.ndarray],
-) -> tuple[float, float]:
-    """(2D, 3D) RMSE between an aligned trajectory and interpolated truth."""
-    t_traj, p_traj = aligned
-    t_gt, p_gt = ground_truth
-    start = max(t_traj[0], t_gt[0]) if len(t_traj) and len(t_gt) else 0.0
-    end = min(t_traj[-1], t_gt[-1]) if len(t_traj) and len(t_gt) else -1.0
-    mask = (t_traj >= start) & (t_traj <= end)
-    if not len(t_traj) or not len(t_gt) or not mask.any():
-        raise EvaluationError("empty overlap between trajectory and ground truth")
-    gt_at = interp_columns(t_traj[mask], t_gt, p_gt)
-    delta = p_traj[mask] - gt_at
+def absolute_trajectory_error(positions: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
+    """(2D, 3D) RMSE between (N, 3) aligned positions and their paired truth."""
+    delta = positions - truth
     ate_2d = float(np.sqrt(np.mean(delta[:, 0] ** 2 + delta[:, 1] ** 2)))
     ate_3d = float(np.sqrt(np.mean(np.einsum("ij,ij->i", delta, delta))))
     return ate_2d, ate_3d
@@ -115,7 +95,15 @@ def _visibility_flags(est_stamps: np.ndarray, det_stamps: np.ndarray) -> np.ndar
 
 
 def evaluate_log(log: EventLog) -> ErrorReport:
-    """Full metric set for one scenario event log."""
+    """Full metric set for one scenario event log.
+
+    The truth is interpolated once, at every estimate stamp (held at its
+    ends).  ``rel_loc_rmse`` and the per-sample errors read every pair; the
+    ATE fit and RMSE read the pairs inside the truth's span, so the fit
+    window starts at the first estimate not before the first truth stamp:
+    the first estimate of every ``run_scenario`` log, whose truth starts at
+    t = 0.  An empty series or an empty overlap is an EvaluationError.
+    """
     config = log.config()
     est_t, est_p, _, _ = log.estimates()
     ts_t, ts_p, _ = log.truth()
@@ -131,9 +119,12 @@ def evaluate_log(log: EventLog) -> ErrorReport:
     errors_3d = np.linalg.norm(delta, axis=1)
     rel_loc_rmse = float(np.sqrt(np.mean(errors_3d ** 2)))
 
-    t, theta = align_first_window((est_t, est_p), (ts_t, ts_p))
-    aligned = est_p @ rot_z(theta).T + t
-    ate_2d, ate_3d = absolute_trajectory_error((est_t, aligned), (ts_t, ts_p))
+    inside = (est_t >= ts_t[0]) & (est_t <= ts_t[-1])
+    if not inside.any():
+        raise EvaluationError("estimates and ground truth do not overlap in time")
+    stamps, positions, truth = est_t[inside], est_p[inside], truth_at[inside]
+    t, theta = align_first_window(stamps, positions, truth)
+    ate_2d, ate_3d = absolute_trajectory_error(positions @ rot_z(theta).T + t, truth)
 
     desired = generate_trajectory(config.values)
     path = ReferencePath(config.values, desired)

@@ -162,6 +162,7 @@ class EventLog:
             if not line.strip():
                 continue
             tag, *fields = line.split(" ")
+            numbers = line   # the text of the number fields
             try:
                 converters = _RECORD_FIELDS.get(tag)
                 if converters is None:
@@ -176,8 +177,10 @@ class EventLog:
                     record = (tag, float(t0), float(t1), int(n), *map(float, rest))
                 else:   # H and EST hold str fields
                     record = (tag, *map(_convert, converters, fields))
+                    # every EST status holds an "n"; H holds no number
+                    numbers = fields[0] + "".join(fields[2:]) if tag == "EST" else ""
                 # a finite float's repr has no "n"; nan, inf and infinity do
-                if ("n" in line or "N" in line) and not all(
+                if ("n" in numbers or "N" in numbers) and not all(
                         math.isfinite(v) for v in record if type(v) is float):
                     raise ValueError(f"non-finite number in {tag} record")
                 if tag in last_stamp:

@@ -54,6 +54,7 @@ from .alignment import (
     window_observable,
 )
 from .geometry import (
+    STALE_TOLERANCE,
     Detection,
     StaleQueryError,
     StampedColumns,
@@ -76,16 +77,6 @@ class MeasurementKind(IntEnum):
     LIDAR_POSITION = 0   # x, y, z from an associated detection
     VIO_FULL = 1         # x, y, z, vx, vy, vz, heading, heading rate
     VIO_HEADING = 2      # heading, heading rate only
-
-
-#: (axes, components) of the state observed by each element of a kind's
-#: measurement vector, in vector order; component 0 is an axis's value and
-#: component 1 its rate.
-_KIND_AXES = {
-    MeasurementKind.LIDAR_POSITION: ((0, 1, 2), (0, 0, 0)),
-    MeasurementKind.VIO_FULL: ((0, 1, 2, 0, 1, 2, 3, 3), (0, 0, 0, 1, 1, 1, 0, 1)),
-    MeasurementKind.VIO_HEADING: ((3, 3), (0, 1)),
-}
 
 
 #: white-acceleration intensity of each axis: x, y, z (m/s^2)^2, heading (rad/s^2)^2
@@ -458,18 +449,26 @@ def try_initialize(
     and ``vio_buffer`` :data:`~coopguide.geometry.POSE_FIELDS` records.  For
     each track in track-id order: build the window, skip it unless it holds
     ``MIN_CORRESPONDENCES`` pairs and is :func:`window_observable` at the
-    noise of the track's newest detection, solve it, and initialize from the
-    first track whose solution passes :func:`degeneracy_check`: position
-    from the newest detection, velocity and heading from the rotated/shifted
-    VIO pose at that stamp, covariance from ``INIT_VALUE_VARIANCE`` and
-    ``INIT_RATE_VARIANCE``.  Returns None when no track is accepted.
+    noise of its seeding detection, solve it, and initialize from the first
+    track whose solution passes :func:`degeneracy_check`: position from the
+    seeding detection, velocity and heading from the rotated/shifted VIO
+    pose at that stamp, covariance from ``INIT_VALUE_VARIANCE`` and
+    ``INIT_RATE_VARIANCE``.  The seeding detection is the newest that the
+    VIO buffer covers (at most ``STALE_TOLERANCE`` past its newest sample),
+    so a lagging VIO link does not block initialization.  Returns None when
+    no track is accepted.
     """
     for track_id in sorted(per_track_buffers):
         dets = per_track_buffers[track_id]
         arrays = build_correspondence_arrays(dets, vio_buffer, align_config)
         if arrays is None:
             continue
-        stamp, x, y, z, sigma, _ = dets.row(-1)
+        # with a lagging VIO link the newest detections lie past its newest sample
+        covered = int(dets.stamps.searchsorted(vio_buffer.newest_stamp + STALE_TOLERANCE,
+                                               side="right"))
+        if covered == 0:
+            continue
+        stamp, x, y, z, sigma, _ = dets.row(covered - 1)
         if not window_observable(arrays[1], sigma):
             continue
         result = solve_alignment_arrays(*arrays, align_config)

@@ -407,11 +407,11 @@ def test_the_filter_records_hold_floats(monkeypatch):
         assert all(type(v) is float for v in z.value + z.variance)
 
 
-@pytest.mark.xfail(strict=True, reason="try_initialize interpolates VIO at the newest "
-                   "detection stamp, more than STALE_TOLERANCE past the newest VIO sample")
 def test_baseline_initializes_with_a_vio_link_delay_of_0_2_s():
-    # a VIO delivery delay 0.15 s above the detection delay: no window is
-    # ever adopted (at the default 0.02 s the first EST is at 4.6 s)
+    # a VIO delivery delay 0.15 s above the detection delay puts the newest
+    # detection more than STALE_TOLERANCE past the newest VIO sample; the
+    # state is seeded from an older detection instead (at the default 0.02 s
+    # the first EST is at 4.6 s)
     from coopguide.simulator import run_scenario
 
     overrides = load_config_file(str(CONFIGS / "baseline.cfg"))

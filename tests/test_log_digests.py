@@ -42,19 +42,26 @@ def test_excluded_tag_leaves_its_lines_out_of_the_digest():
 def test_row_appends_the_run_metrics_after_the_digest():
     tool = _tool()
     config = tool.bench.make_config("drift_none", 7)
-    sha, rmse, deviation = tool.row(config).split(" ")
-    report = tool.evaluate_log(tool.run_scenario(config))
+    sha, report_sha, rmse, deviation = tool.row(config).split(" ")
+    report, text = tool._report(tool.run_scenario(config), config)
     assert sha == tool.digest(config)
+    assert report_sha == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert text.startswith("ate_2d = ") and f"rel_loc_rmse = {rmse}\n" in text
     assert (float(rmse), float(deviation)) == (report.rel_loc_rmse, report.mean_path_deviation)
-    assert tool.row(config, ("REF",)).split(" ")[1:] == [rmse, deviation]
+    assert tool.row(config, ("REF",)).split(" ")[1:] == [report_sha, rmse, deviation]
 
 
 def test_differences_name_each_changed_run_with_its_metric_deltas():
     tool = _tool()
-    saved = "a.cfg 0f 0.5 0.25\nb.cfg 1e 0.125 0.0\ngone.cfg 2d 1.0 1.0\n"
-    current = ["a.cfg 0f 0.5 0.25", "b.cfg 3c 0.25 0.0", "new.cfg 4b 1.0 1.0"]
+    saved = ("a.cfg 0f aa 0.5 0.25\nb.cfg 1e bb 0.125 0.0\nc.cfg 5a cc 1.0 1.0\n"
+             "gone.cfg 2d dd 1.0 1.0\n")
+    current = ["a.cfg 0f aa 0.5 0.25", "b.cfg 3c bb 0.25 0.0", "c.cfg 5a ee 1.0 1.0",
+               "new.cfg 4b ff 1.0 1.0"]
     assert tool.differences(saved, current) == [
-        "b.cfg digest differs, rel_loc_rmse +1.250e-01, mean_path_deviation +0.000e+00",
+        "b.cfg digest differs, report equal, rel_loc_rmse +1.250e-01, "
+        "mean_path_deviation +0.000e+00",
+        "c.cfg digest equal, report differs, rel_loc_rmse +0.000e+00, "
+        "mean_path_deviation +0.000e+00",
         "new.cfg not in FILE",
         "gone.cfg not in this run set",
     ]
@@ -73,16 +80,17 @@ def test_check_exits_one_on_a_changed_digest_and_zero_on_a_match(tmp_path, capsy
     saved.write_text(line.replace(line.split(" ")[1], "0" * 64), encoding="utf-8")
     assert tool.main(["--check", str(saved)]) == 1
     assert capsys.readouterr().out.splitlines()[0] == (
-        "one_lap digest differs, rel_loc_rmse +0.000e+00, mean_path_deviation +0.000e+00")
+        "one_lap digest differs, report equal, rel_loc_rmse +0.000e+00, "
+        "mean_path_deviation +0.000e+00")
 
 
 def test_workload_means_give_each_benchmark_workloads_sub_seed_means():
     tool = _tool()
-    saved = ("a.cfg 0f 9.0 9.0\n"
-             "bench:nlos:seed=1 1e 0.25 0.5\nbench:nlos:seed=2 2d 0.75 0.5\n"
-             "bench:gone:seed=1 3c 1.0 1.0\n")
-    current = ["a.cfg 0f 1.0 1.0", "bench:nlos:seed=1 4b 0.5 0.5",
-               "bench:nlos:seed=2 5a 0.7 0.25", "bench:new:seed=1 69 1.0 1.0"]
+    saved = ("a.cfg 0f aa 9.0 9.0\n"
+             "bench:nlos:seed=1 1e bb 0.25 0.5\nbench:nlos:seed=2 2d cc 0.75 0.5\n"
+             "bench:gone:seed=1 3c dd 1.0 1.0\n")
+    current = ["a.cfg 0f aa 1.0 1.0", "bench:nlos:seed=1 4b bb 0.5 0.5",
+               "bench:nlos:seed=2 5a cc 0.7 0.25", "bench:new:seed=1 69 ee 1.0 1.0"]
     assert tool.workload_means(saved, current) == [
         "bench:nlos sub-seed means: rel_loc_rmse 0.50000 -> 0.60000 (+20.00%), "
         "mean_path_deviation 0.50000 -> 0.37500 (-25.00%)",
@@ -96,10 +104,10 @@ def test_check_prints_the_workload_means_before_the_count(tmp_path, capsys):
     tool = _tool()
     config = tool.bench.make_config("drift_none", 7)
     tool.runs = lambda: [("bench:drift_none:seed=7", config)]
-    sha, rmse, deviation = tool.row(config).split(" ")
+    sha, report_sha, rmse, deviation = tool.row(config).split(" ")
     saved = tmp_path / "digests.txt"
-    saved.write_text(f"bench:drift_none:seed=7 {sha} {float(rmse) * 2!r} {deviation}\n",
-                     encoding="utf-8")
+    saved.write_text(f"bench:drift_none:seed=7 {sha} {report_sha} {float(rmse) * 2!r} "
+                     f"{deviation}\n", encoding="utf-8")
     assert tool.main(["--check", str(saved)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[1] == (f"bench:drift_none sub-seed means: rel_loc_rmse "

@@ -10,7 +10,7 @@ import pytest
 from coopguide import simulator
 from coopguide.config import ConfigError, build_config, load_config_file
 from coopguide.geometry import Frame, rot_z, wrap_heading
-from coopguide.guider import Trajectory
+from coopguide.guider import GuiderStatus, Trajectory
 from coopguide.simulator import (
     Drift,
     EventLog,
@@ -391,6 +391,18 @@ def test_event_log_rejects_non_finite_number_in_every_float_field(tag):
             with pytest.raises(LogParseError) as exc_info:
                 EventLog.loads(f"END 0.0\n{broken}\nEND 3.0\n")
             assert exc_info.value.lineno == 2
+
+
+def test_event_log_parses_an_est_line_of_each_status_without_a_finiteness_call(monkeypatch):
+    # every status name holds an "n"; only the number fields are pre-tested
+    calls = []
+    isfinite = math.isfinite
+    monkeypatch.setattr(math, "isfinite", lambda v: calls.append(v) or isfinite(v))
+    for status in GuiderStatus:
+        line = RECORD_LINES["EST"].replace("tracking", status.value)
+        log = EventLog.loads(f"{line}\nEND 3.0\n")
+        assert log.records[0][2] == status.value
+    assert calls == [3.0] * len(GuiderStatus)   # the END line's "N" only
 
 
 def test_event_log_rejects_points_payload_ref_record():

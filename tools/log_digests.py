@@ -1,4 +1,4 @@
-"""Print ``label sha256 rel_loc_rmse mean_path_deviation`` for the byte-identity run set.
+"""Print ``label sha256 report_sha256 rel_loc_rmse mean_path_deviation`` for the byte-identity run set.
 
     python3 tools/log_digests.py [--exclude TAG ...] > digests.txt
     python3 tools/log_digests.py [--exclude TAG ...] --check digests.txt
@@ -6,9 +6,12 @@
 Run it from two checkouts and ``diff`` the outputs: a change that keeps
 behaviour leaves every line equal, and a numerical change shows its metric
 deltas, run by run, in the last two columns (``evaluate_log`` of the same
-log).  ``--check FILE`` does the comparison itself: it runs the set, prints
+log).  To compare against a parent commit, run this file (the copy of the
+newer checkout) in both checkouts, so both outputs have the same columns.
+``--check FILE`` does the comparison itself: it runs the set, prints
 each run whose line differs from ``FILE`` (an earlier output of this tool,
-made with the same ``--exclude``) with its metric deltas, then one line per
+made with the same ``--exclude``) with its digest and report changes and its
+metric deltas, then one line per
 benchmark workload with the sub-seed means of both metrics in ``FILE`` and
 now and their relative change (the accuracy ``perfbench`` reports), and
 exits 1 on any difference.  ``--exclude REF`` digests the log without its
@@ -23,7 +26,9 @@ runs:
   ``perfbench/bench.py`` defines them (16 one-lap runs per workload).
 
 The digest is taken over ``EventLog.dumps()``, the bytes ``coopguide run``
-writes to ``events.log``.
+writes to ``events.log``; the report digest over the text it writes to
+``report.txt``, so an evaluation change shows run by run, not only through
+the two metrics.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import bench  # noqa: E402  (perfbench/bench.py: workloads and sub-seeds)
+from coopguide.cli import _report  # noqa: E402
 from coopguide.config import ScenarioConfig, build_config, load_config_file  # noqa: E402
-from coopguide.evaluation import evaluate_log  # noqa: E402
 from coopguide.simulator import run_scenario  # noqa: E402
 
 
@@ -62,30 +67,36 @@ def runs() -> list[tuple[str, ScenarioConfig]]:
     return out
 
 
-def _sha256(log, exclude: tuple[str, ...]) -> str:
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _log_sha256(log, exclude: tuple[str, ...]) -> str:
     log.records = [r for r in log.records if r[0] not in exclude]
-    return hashlib.sha256(log.dumps().encode("utf-8")).hexdigest()
+    return _sha256(log.dumps())
 
 
 def digest(config: ScenarioConfig, exclude: tuple[str, ...] = ()) -> str:
     """sha256 of the event log one run of ``config`` writes, minus the
     lines whose tag is in ``exclude``."""
-    return _sha256(run_scenario(config), exclude)
+    return _log_sha256(run_scenario(config), exclude)
 
 
 def row(config: ScenarioConfig, exclude: tuple[str, ...] = ()) -> str:
-    """``sha256 rel_loc_rmse mean_path_deviation`` of one run of ``config``;
-    the metrics are evaluated on the whole log, before ``exclude`` applies."""
+    """``sha256 report_sha256 rel_loc_rmse mean_path_deviation`` of one run
+    of ``config``; the report and the metrics are evaluated on the whole
+    log, before ``exclude`` applies."""
     log = run_scenario(config)
-    report = evaluate_log(log)
-    return f"{_sha256(log, exclude)} {report.rel_loc_rmse!r} {report.mean_path_deviation!r}"
+    report, text = _report(log, config)
+    return (f"{_log_sha256(log, exclude)} {_sha256(text)} "
+            f"{report.rel_loc_rmse!r} {report.mean_path_deviation!r}")
 
 
 def differences(saved: str, current: list[str]) -> list[str]:
     """One line per run whose output line differs between ``saved`` (text
-    this tool printed) and ``current`` (its lines now): the label and the
-    change of each metric, current minus saved.  A label on one side only
-    is a difference too."""
+    this tool printed) and ``current`` (its lines now): the label, whether
+    the log digest and the report differ, and the change of each metric,
+    current minus saved.  A label on one side only is a difference too."""
     def by_label(lines):
         return {line.split(" ", 1)[0]: line.split(" ")[1:] for line in lines if line.strip()}
 
@@ -98,8 +109,9 @@ def differences(saved: str, current: list[str]) -> list[str]:
         if old is None or new is None:
             out.append(f"{label} {'not in FILE' if old is None else 'not in this run set'}")
             continue
-        deltas = (float(b) - float(a) for a, b in zip(old[1:], new[1:]))
+        deltas = (float(b) - float(a) for a, b in zip(old[2:], new[2:]))
         out.append(f"{label} digest {'differs' if old[0] != new[0] else 'equal'}, "
+                   f"report {'differs' if old[1] != new[1] else 'equal'}, "
                    "rel_loc_rmse {:+.3e}, mean_path_deviation {:+.3e}".format(*deltas))
     return out
 
@@ -113,9 +125,9 @@ def workload_means(saved: str, current: list[str]) -> list[str]:
         runs = {}
         for line in lines:
             label, *fields = line.split(" ")
-            if label.startswith("bench:") and len(fields) == 3:
+            if label.startswith("bench:") and len(fields) == 4:
                 runs.setdefault(label.split(":")[1], []).append(
-                    (float(fields[1]), float(fields[2])))
+                    (float(fields[2]), float(fields[3])))
         return {name: [statistics.fmean(column) for column in zip(*rows)]
                 for name, rows in runs.items()}
 
