@@ -35,6 +35,8 @@ Degenerate input streams map to explicit statuses:
       batch whose stamp is already buffered), so each is fused once
     - late detection batch    -> buffered in stamp order; the history buffer
       replays the filter through it
+    - VIO lagging detections  -> a sample not newer than the newest fused
+      detection chains from the newest fused detection stamped before it
     - last alignment rejected -> TRANSFORM_FROZEN (guidance continues with the
       previous transform)
 
@@ -272,7 +274,7 @@ class Guider:
         if decision.accepted:
             det = decision.detection
             r = det.sigma ** 2
-            z = Measurement(stamp, MeasurementKind.LIDAR_POSITION, det[1:4], (r, r, r))
+            z = Measurement(stamp, MeasurementKind.LIDAR_POSITION, det[1:4], (r,))
             try:
                 self._history.insert(z)
             except StaleMeasurementError:
@@ -317,15 +319,17 @@ class Guider:
         if self._history is None:
             return
         theta, r_lv, drift_rate = self._correction
-        vio_at_det = None
         if pose.stamp > self._fused_detections.newest_stamp:
             last_det, vio_at_det = self._vio_anchor()
+        else:
+            # a lagging VIO link: a newer detection is fused already
+            last_det, vio_at_det = self._anchor_before(pose.stamp)
         try:
             if vio_at_det is not None:
                 z = make_vio_measurement(pose, last_det, vio_at_det, theta, drift_rate, r_lv)
             else:
-                # older than the last detection, or that detection lies
-                # outside the VIO buffer: heading-only measurement
+                # no fused detection before the sample, or it lies outside
+                # the VIO buffer: heading-only measurement
                 z = make_heading_measurement(pose, theta)
             self._history.insert(z)
         except StaleMeasurementError:
@@ -358,6 +362,22 @@ class Guider:
             oldest = stamps[max(int(stamps.searchsorted(stamp, side="right")) - 1, 0)]
             self._anchor = (det, vio_at_det, float(oldest))
         return self._anchor[0], self._anchor[1]
+
+    def _anchor_before(self, stamp: float) -> tuple[Optional[list], Optional[TimedPose]]:
+        """The newest fused detection record stamped before ``stamp`` and the
+        VIO pose interpolated at its stamp; None for the record when there is
+        none, None for the pose when its stamp lies outside the VIO buffer.
+        Not cached: a lagging link reads a different detection per sample.
+        """
+        fused = self._fused_detections
+        i = int(fused.stamps.searchsorted(stamp)) - 1
+        if i < 0:
+            return None, None
+        det = fused.row(i)
+        try:
+            return det, interpolate(self._vio_buffer, det[0])
+        except StaleQueryError:
+            return det, None
 
     # ------------------------------------------------------------ initialization
 
@@ -421,11 +441,11 @@ class Guider:
             est = self._history.estimate_at(stamp)
         except ValueError:
             est = self._history.latest_state
-        theta = wrap_heading(heading - est.heading)
+        _, ex, ey, ez, est_heading = est.pose(stamp)[:5]
+        theta = wrap_heading(heading - est_heading)
         c, s = np.cos(theta), np.sin(theta)
-        ex, ey, ez = est.position
         transform = (float(x - (c * ex - s * ey)), float(y - (s * ex + c * ey)),
-                     float(z - ez), theta)
+                     z - ez, theta)
         return GuiderOutput(t, self._history.estimate_at(t).pose(t), transform, self.status(t))
 
     def transform_and_stream(self, desired: Trajectory,

@@ -1,16 +1,20 @@
 """Constant-velocity tracking of the secondary agent in the lidar-SLAM frame.
 
-Four decoupled constant-velocity axis filters, for x, y, z and heading, each
-a (value, rate) pair with a 2x2 covariance, fuse associated lidar detections
-with VIO-derived measurements.  Diagonal priors, process noise that is
-block-diagonal over the axes and measurements of single components with
-diagonal noise never couple two axes, so this is exactly the 8-state filter
-over position, velocity, heading and heading rate (the decoupled CV model of
-Bar-Shalom, Li and Kirubarajan, *Estimation with Applications to Tracking
-and Navigation*, 2001, §6) in closed-form 2x2 and scalar algebra.  Both
-kernels are straight-line float code: ``predict`` is written out over the
-four axes, and ``update`` runs each measurement kind as its fixed series of
-per-axis scalar steps, with the bits of the sequential scalar update.
+Decoupled constant-velocity filters for x, y, z and heading, each over a
+(value, rate) pair, fuse associated lidar detections with VIO-derived
+measurements.  Diagonal priors, process noise that is block-diagonal over
+the axes and measurements of single components with diagonal noise never
+couple two axes, so this is exactly the 8-state filter over position,
+velocity, heading and heading rate (the decoupled CV model of Bar-Shalom,
+Li and Kirubarajan, *Estimation with Applications to Tracking and
+Navigation*, 2001, §6) in closed-form 2x2 and scalar algebra.  The three
+position axes share their process noise, their prior and every measurement
+variance, so their 2x2 covariances are equal: the state holds one block for
+x, y and z and one for heading.  Both kernels are straight-line float code:
+``predict`` advances the eight mean entries and the two blocks, and
+``update`` computes each block's series of scalar gains once and applies
+them to the mean of every axis the measurement observes, with the bits of
+the sequential scalar update.
 
 Because detections arrive with processing delay and VIO samples with network
 delay, measurements can reach the filter out of order; a recalculating
@@ -18,11 +22,12 @@ history buffer keeps recent measurements sorted by stamp and re-derives the
 state from the oldest retained entry whenever a late measurement is inserted.
 
 Measurement construction from VIO follows the loosely-coupled scheme: the
-position measurement chains the newest detection with the rotated VIO
-displacement since that detection, the velocity measurement rotates the VIO
-velocity, both less the alignment's co-estimated drift, and heading/heading
-rate subtract the aligned relative heading.  A measurement holds float
-tuples, built in plain float arithmetic except for the two rotations.
+position measurement chains the newest fused detection stamped before the
+VIO sample with the rotated VIO displacement since that detection, the
+velocity measurement rotates the VIO velocity, both less the alignment's
+co-estimated drift, and heading/heading rate subtract the aligned relative
+heading.  A measurement holds float tuples, built in plain float arithmetic
+except for the two rotations.
 
 ``TrackerState`` and ``Measurement`` each have one constructor, which stores
 what it is given; the checks live where records enter, in ``Guider.ingest_vio``
@@ -64,8 +69,6 @@ from .geometry import (
     wrap_heading,
 )
 
-_HEADING_AXIS = 3   # state axes: x, y, z, heading
-
 
 class StaleMeasurementError(ValueError):
     """Measurement older than the history buffer's anchor (excessive delay)."""
@@ -79,20 +82,19 @@ class MeasurementKind(IntEnum):
     VIO_HEADING = 2      # heading, heading rate only
 
 
-#: white-acceleration intensity of each axis: x, y, z (m/s^2)^2, heading (rad/s^2)^2
-PROCESS_NOISE = (1.0 ** 2,) * 3 + (0.5 ** 2,)
+#: white-acceleration intensity of the position axes, (m/s^2)^2, and of
+#: heading, (rad/s^2)^2
+PROCESS_NOISE = (1.0 ** 2, 0.5 ** 2)
 #: added to the detection variance in the VIO position chain, m^2
 VIO_DELTA_VARIANCE = 0.05 ** 2
 #: rotated VIO velocity, (m/s)^2
 VIO_VELOCITY_VARIANCE = 0.1 ** 2
 #: VIO heading (rad^2) and heading rate ((rad/s)^2)
 HEADING_VARIANCE = (0.05 ** 2, 0.05 ** 2)
-#: variances of a full VIO measurement after its three position components
-_VIO_RATE_HEADING_VARIANCE = (VIO_VELOCITY_VARIANCE,) * 3 + HEADING_VARIANCE
-#: prior variances of the axes' values (x, y, z in m^2, heading in rad^2) and
-#: of their rates at initialization
-INIT_VALUE_VARIANCE = (0.3 ** 2,) * 3 + (0.2 ** 2,)
-INIT_RATE_VARIANCE = (0.5 ** 2,) * 3 + (0.2 ** 2,)
+#: prior variances at initialization of the values (position in m^2, heading
+#: in rad^2) and of their rates
+INIT_VALUE_VARIANCE = (0.3 ** 2, 0.2 ** 2)
+INIT_RATE_VARIANCE = (0.5 ** 2, 0.2 ** 2)
 #: Euclidean pre-gate, m
 EUCLID_GATE = 2.0
 #: 95% point of the chi-square distribution with 3 degrees of freedom
@@ -103,59 +105,67 @@ HISTORY_SPAN = 2.0
 
 
 class TrackerState:
-    """Filter state: stamp, (4, 2) mean and (4, 2, 2) covariance.
+    """Filter state: stamp, flat mean and two symmetric 2x2 covariance blocks.
 
-    Row ``a`` of the mean is axis ``a`` (x, y, z, heading) as (value, rate),
-    the heading wrapped; ``covariance[a]`` is that pair's 2x2 covariance.
-    Both are nested float lists, stored as given and read directly by
-    ``predict``, ``update`` and ``innovation_gate``; ``mean``,
-    ``covariance`` and the vector properties build arrays on request.  The
-    constructor checks nothing: every state is built by the filter from
-    records already checked where they entered the guider.
+    ``_mean`` is the float 8-tuple ``(x, vx, y, vy, z, vz, heading,
+    heading_rate)``, the heading wrapped.  ``_pos`` is the (value, rate)
+    covariance ``(p00, p01, p11)`` that x, y and z share, ``_head`` that of
+    heading.  All three are stored as given and read directly by
+    ``predict``, ``update`` and ``innovation_gate``; ``mean`` (4, 2),
+    ``covariance`` (4, 2, 2, the position block repeated for x, y and z) and
+    the vector properties build arrays on request.  The constructor checks
+    nothing: every state is built by the filter from records already checked
+    where they entered the guider.
     """
 
-    __slots__ = ("stamp", "_mean", "_cov")
+    __slots__ = ("stamp", "_mean", "_pos", "_head")
 
-    def __init__(self, stamp: float, mean: list, covariance: list):
-        self.stamp, self._mean, self._cov = stamp, mean, covariance
+    def __init__(self, stamp: float, mean: tuple, position_block: tuple, heading_block: tuple):
+        self.stamp, self._mean, self._pos, self._head = stamp, mean, position_block, heading_block
 
     @property
     def mean(self) -> np.ndarray:
-        return np.array(self._mean)
+        return np.array(self._mean).reshape(4, 2)
 
     @property
     def covariance(self) -> np.ndarray:
-        return np.array(self._cov)
+        (a00, a01, a11), (d00, d01, d11) = self._pos, self._head
+        position = [[a00, a01], [a01, a11]]
+        return np.array([position, position, position, [[d00, d01], [d01, d11]]])
 
     @property
     def position(self) -> np.ndarray:
-        return np.array([row[0] for row in self._mean[:3]])
+        return np.array(self._mean[0:6:2])
 
     @property
     def velocity(self) -> np.ndarray:
-        return np.array([row[1] for row in self._mean[:3]])
+        return np.array(self._mean[1:6:2])
 
     @property
     def heading(self) -> float:
-        return self._mean[_HEADING_AXIS][0]
+        return self._mean[6]
 
     @property
     def heading_rate(self) -> float:
-        return self._mean[_HEADING_AXIS][1]
+        return self._mean[7]
 
     def pose(self, stamp: float) -> TimedPose:
         """The mean as a pose record stamped ``stamp``."""
-        (x, vx), (y, vy), (z, vz), (heading, rate) = self._mean
+        x, vx, y, vy, z, vz, heading, rate = self._mean
         return TimedPose(stamp, x, y, z, heading, vx, vy, vz, rate)
 
 
 class Measurement:
-    """Stamped measurement with per-component noise variances (diagonal R).
+    """Stamped measurement with diagonal noise, one variance per state block.
 
-    ``value`` and ``variance`` are float tuples in the element order of the
-    kind's ``MeasurementKind`` comment, stored as given and read directly by
-    ``update``.  The builders below and ``Guider.ingest_detections`` make
-    them from checked records; the constructor checks nothing.
+    ``value`` is a float tuple in the element order of the kind's
+    ``MeasurementKind`` comment.  ``variance`` holds one float per observed
+    component of a block, since x, y and z share theirs: ``(r,)`` for
+    ``LIDAR_POSITION``, ``(r_position, r_velocity, r_heading, r_rate)`` for
+    ``VIO_FULL`` and ``(r_heading, r_rate)`` for ``VIO_HEADING``.  Both are
+    stored as given and read directly by ``update``.  The builders below and
+    ``Guider.ingest_detections`` make them from checked records; the
+    constructor checks nothing.
     """
 
     __slots__ = ("stamp", "kind", "value", "variance")
@@ -176,113 +186,106 @@ class GateDecision:
 def predict(state: TrackerState, dt: float) -> TrackerState:
     """Advance every axis's constant-velocity model by dt >= 0 seconds.
 
-    Per axis, P' = F P F^T + q Q with F = [[1, dt], [0, 1]] and the
+    Per block, P' = F P F^T + q Q with F = [[1, dt], [0, 1]] and the
     continuous white-acceleration noise Q = [[dt^3/3, dt^2/2], [dt^2/2, dt]],
-    q the axis's entry of ``PROCESS_NOISE``.  The four axes are written out
-    as straight-line float arithmetic on the unpacked mean and blocks.
+    q the block's entry of ``PROCESS_NOISE``; each axis's mean moves by
+    ``dt`` times its rate.  Straight-line float arithmetic on the unpacked
+    mean and blocks.
     """
     if dt < 0.0:
         raise ValueError(f"predict requires dt >= 0, got {dt}")
     if dt == 0.0:
         return state
-    (x, vx), (y, vy), (z, vz), (h, vh) = state._mean
-    (((a00, a01), (_, a11)), ((b00, b01), (_, b11)), ((c00, c01), (_, c11)),
-     ((d00, d01), (_, d11))) = state._cov
-    qx, qy, qz, qh = PROCESS_NOISE
+    x, vx, y, vy, z, vz, h, vh = state._mean
+    (a00, a01, a11), (d00, d01, d11) = state._pos, state._head
+    qa, qh = PROCESS_NOISE
     q2 = dt ** 2 / 2.0
     q3 = dt ** 3 / 3.0
-    ea = a01 + dt * a11 + qx * q2
-    eb = b01 + dt * b11 + qy * q2
-    ec = c01 + dt * c11 + qz * q2
-    ed = d01 + dt * d11 + qh * q2
     return TrackerState(
         state.stamp + dt,
-        [[x + dt * vx, vx], [y + dt * vy, vy], [z + dt * vz, vz], [wrap_heading(h + dt * vh), vh]],
-        [[[a00 + dt * (2.0 * a01 + dt * a11) + qx * q3, ea], [ea, a11 + qx * dt]],
-         [[b00 + dt * (2.0 * b01 + dt * b11) + qy * q3, eb], [eb, b11 + qy * dt]],
-         [[c00 + dt * (2.0 * c01 + dt * c11) + qz * q3, ec], [ec, c11 + qz * dt]],
-         [[d00 + dt * (2.0 * d01 + dt * d11) + qh * q3, ed], [ed, d11 + qh * dt]]])
+        (x + dt * vx, vx, y + dt * vy, vy, z + dt * vz, vz, wrap_heading(h + dt * vh), vh),
+        (a00 + dt * (2.0 * a01 + dt * a11) + qa * q3, a01 + dt * a11 + qa * q2, a11 + qa * dt),
+        (d00 + dt * (2.0 * d01 + dt * d11) + qh * q3, d01 + dt * d11 + qh * q2, d11 + qh * dt))
 
 
-def _value_step(row: list, block: list, v: float, r: float) -> tuple[list, list]:
-    """Scalar update of one axis by a measurement ``v`` of its value: the
-    new (value, rate) row and 2x2 block, written exactly symmetric."""
-    (m0, m1), ((p00, p01), (_, p11)) = row, block
+def _value_gains(block: tuple, r: float) -> tuple[float, float, tuple]:
+    """Gains (k0, k1) of a scalar measurement of the value with variance
+    ``r``, and the updated ``(p00, p01, p11)`` block."""
+    p00, p01, p11 = block
     s = p00 + r   # innovation variance H P H^T + r
     if not s > 0.0:
         raise ValueError("singular innovation covariance")
-    k0, k1, y = p00 / s, p01 / s, v - m0
-    c01 = p01 - k0 * p01
-    return [m0 + k0 * y, m1 + k1 * y], [[p00 - k0 * p00, c01], [c01, p11 - k1 * p01]]
-
-
-def _value_rate_steps(row: list, block: list, v: float, w: float, rv: float, rw: float,
-                      heading: bool = False) -> tuple[list, list]:
-    """Scalar updates of one axis: the :func:`_value_step` by ``v``, then the
-    step by ``w`` of its rate.  On the heading axis the value innovation and
-    the final value are wrapped."""
-    (m0, m1), ((p00, p01), (_, p11)) = row, block
-    s = p00 + rv
-    if not s > 0.0:
-        raise ValueError("singular innovation covariance")
-    y = v - m0
-    if heading:
-        y = wrap_heading(y)
     k0, k1 = p00 / s, p01 / s
-    m0, m1, p00, p01, p11 = m0 + k0 * y, m1 + k1 * y, p00 - k0 * p00, p01 - k0 * p01, p11 - k1 * p01
+    return k0, k1, (p00 - k0 * p00, p01 - k0 * p01, p11 - k1 * p01)
+
+
+def _value_rate_gains(block: tuple, rv: float, rw: float) -> tuple:
+    """The :func:`_value_gains` ``(k0, k1)`` of a value measurement, then the
+    gains ``(j0, j1)`` of a rate measurement with variance ``rw``, and the
+    block after both steps."""
+    k0, k1, (p00, p01, p11) = _value_gains(block, rv)
     s = p11 + rw
     if not s > 0.0:
         raise ValueError("singular innovation covariance")
-    k0, k1, y = p01 / s, p11 / s, w - m1
-    m0, m1, p00, p01, p11 = m0 + k0 * y, m1 + k1 * y, p00 - k0 * p01, p01 - k0 * p11, p11 - k1 * p11
-    return [wrap_heading(m0) if heading else m0, m1], [[p00, p01], [p01, p11]]
+    j0, j1 = p01 / s, p11 / s
+    return k0, k1, j0, j1, (p00 - j0 * p01, p01 - j0 * p11, p11 - j1 * p11)
 
 
 def update(state: TrackerState, z: Measurement) -> TrackerState:
     """Kalman correction, one scalar measurement component at a time.
 
     R is diagonal and the axes are decoupled, so each kind is a fixed series
-    of scalar steps on single axes, with the bits of the sequential scalar
-    update: ``VIO_FULL`` a value step and then a rate step on each of x, y,
-    z and heading, ``LIDAR_POSITION`` a value step on x, y and z,
-    ``VIO_HEADING`` a value and then a rate step on heading.  A step changes
-    only its axis's row and 2x2 block, which are rebuilt (the block exactly
-    symmetric); untouched axes share the input's lists.  The heading's value
-    innovation and its updated value are wrapped.
+    of scalar steps, with the bits of the sequential scalar update:
+    ``VIO_FULL`` a value step and then a rate step on each of x, y, z and
+    heading, ``LIDAR_POSITION`` a value step on x, y and z, ``VIO_HEADING``
+    a value and then a rate step on heading.  A step's gains and new block
+    depend only on the block and the variance, so x, y and z share them:
+    each block's series is computed once and the gains are applied to the
+    mean of each axis.  The heading's value innovation and its updated value
+    are wrapped.  A block the measurement does not observe is passed on
+    unchanged.
     """
     if abs(z.stamp - state.stamp) > 1e-9:
         raise ValueError(
             f"measurement stamp {z.stamp} does not match state stamp {state.stamp}; "
             "predict first"
         )
-    (mx, my, mz, mh), (cx, cy, cz, ch) = state._mean, state._cov
+    px, vx, py, vy, pz, vz, h, vh = state._mean
+    pos, head = state._pos, state._head
+    if z.kind == MeasurementKind.LIDAR_POSITION:
+        (ux, uy, uz), (r,) = z.value, z.variance
+        k0, k1, pos = _value_gains(pos, r)
+        ex, ey, ez = ux - px, uy - py, uz - pz
+        return TrackerState(state.stamp, (px + k0 * ex, vx + k1 * ex, py + k0 * ey, vy + k1 * ey,
+                                          pz + k0 * ez, vz + k1 * ez, h, vh), pos, head)
     if z.kind == MeasurementKind.VIO_FULL:
-        (vx, vy, vz, wx, wy, wz, vh, wh), (rx, ry, rz, sx, sy, sz, rh, sh) = z.value, z.variance
-        mx, cx = _value_rate_steps(mx, cx, vx, wx, rx, sx)
-        my, cy = _value_rate_steps(my, cy, vy, wy, ry, sy)
-        mz, cz = _value_rate_steps(mz, cz, vz, wz, rz, sz)
-        mh, ch = _value_rate_steps(mh, ch, vh, wh, rh, sh, heading=True)
-    elif z.kind == MeasurementKind.LIDAR_POSITION:
-        (vx, vy, vz), (rx, ry, rz) = z.value, z.variance
-        mx, cx = _value_step(mx, cx, vx, rx)
-        my, cy = _value_step(my, cy, vy, ry)
-        mz, cz = _value_step(mz, cz, vz, rz)
+        (ux, uy, uz, wx, wy, wz, uh, wh), (rp, rv, rh, rr) = z.value, z.variance
+        k0, k1, j0, j1, pos = _value_rate_gains(pos, rp, rv)
+        ex, ey, ez = ux - px, uy - py, uz - pz
+        px, py, pz, vx, vy, vz = (px + k0 * ex, py + k0 * ey, pz + k0 * ez,
+                                  vx + k1 * ex, vy + k1 * ey, vz + k1 * ez)
+        ex, ey, ez = wx - vx, wy - vy, wz - vz
+        px, py, pz, vx, vy, vz = (px + j0 * ex, py + j0 * ey, pz + j0 * ez,
+                                  vx + j1 * ex, vy + j1 * ey, vz + j1 * ez)
     else:
-        mh, ch = _value_rate_steps(mh, ch, *z.value, *z.variance, heading=True)
-    return TrackerState(state.stamp, [mx, my, mz, mh], [cx, cy, cz, ch])
+        (uh, wh), (rh, rr) = z.value, z.variance
+    k0, k1, j0, j1, head = _value_rate_gains(head, rh, rr)
+    e = wrap_heading(uh - h)
+    h, vh = h + k0 * e, vh + k1 * e
+    e = wh - vh
+    h, vh = wrap_heading(h + j0 * e), vh + j1 * e
+    return TrackerState(state.stamp, (px, vx, py, vy, pz, vz, h, vh), pos, head)
 
 
 def innovation_gate(state: TrackerState, detection: Detection) -> float:
     """Squared Mahalanobis distance of a detection from the predicted state."""
-    r = detection.sigma ** 2
-    d2 = 0.0
-    for z, (x, _), ((p00, _), _) in zip(detection[1:4], state._mean, state._cov):
-        y = z - x
-        s = p00 + r
-        if not s > 0.0:
-            raise ValueError("singular innovation covariance")
-        d2 += y * y / s
-    return d2
+    _, dx, dy, dz, sigma, _ = detection
+    px, _, py, _, pz, _, _, _ = state._mean
+    s = state._pos[0] + sigma ** 2   # the same on x, y and z
+    if not s > 0.0:
+        raise ValueError("singular innovation covariance")
+    ex, ey, ez = dx - px, dy - py, dz - pz
+    return ex * ex / s + ey * ey / s + ez * ez / s
 
 
 def associate(detections: Sequence[Detection], state: TrackerState) -> GateDecision:
@@ -295,7 +298,7 @@ def associate(detections: Sequence[Detection], state: TrackerState) -> GateDecis
     """
     best: Optional[Detection] = None
     best_d2 = math.inf
-    (px, _), (py, _), (pz, _), _ = state._mean
+    px, _, py, _, pz, _, _, _ = state._mean
     for det in detections:
         if math.hypot(det.x - px, det.y - py, det.z - pz) > EUCLID_GATE:
             continue
@@ -316,11 +319,11 @@ def make_vio_measurement(
     drift_rate: Sequence[float] = (0.0, 0.0, 0.0),
     r_lv: Optional[np.ndarray] = None,
 ) -> Measurement:
-    """Full 8-dim measurement from a VIO pose newer than the last detection.
+    """Full 8-dim measurement from a VIO pose not older than a detection.
 
     The poses are V-frame records and ``last_detection`` an L-frame
     :data:`~coopguide.geometry.DETECTION_FIELDS` record, a ``Detection`` or
-    a buffer row; all are unpacked in field order.  Position chains the last
+    a buffer row; all are unpacked in field order.  Position chains the
     detection with the V->L rotated VIO displacement since the detection
     stamp; velocity is the rotated VIO velocity; heading is the wrapped VIO
     heading less the aligned relative heading, wrapped.  The V-frame
@@ -328,6 +331,8 @@ def make_vio_measurement(
     it is taken out of both.  ``theta`` is the heading of an accepted
     alignment.  ``r_lv``, when given, must be ``rot_z(-theta)``: a caller
     that holds one per alignment passes it instead of having it rebuilt.
+    The variance is ``(sigma^2 + VIO_DELTA_VARIANCE, VIO_VELOCITY_VARIANCE)
+    + HEADING_VARIANCE``, one entry per observed component of a block.
 
     Everything but the two rotations is float arithmetic.  The rotations stay
     numpy matrix-vector products ``r_lv @ v``: numpy may round such a
@@ -349,14 +354,16 @@ def make_vio_measurement(
         stamp, MeasurementKind.VIO_FULL,
         (lx + dx, ly + dy, lz + dz, *(r_lv @ np.array([vx - rx, vy - ry, vz - rz])).tolist(),
          wrap_heading(wrap_heading(heading) - theta), heading_rate),
-        (r, r, r) + _VIO_RATE_HEADING_VARIANCE)
+        (r, VIO_VELOCITY_VARIANCE) + HEADING_VARIANCE)
 
 
 def make_heading_measurement(vio: TimedPose, theta: float) -> Measurement:
-    """Heading/heading-rate measurement from a VIO pose older than the last
-    detection.  ``theta`` is the heading of an accepted alignment.  Like
-    :func:`make_vio_measurement`, it wraps the pose's heading before
-    subtracting ``theta``, so shifts by 2*pi*k change no bit.
+    """Heading/heading-rate measurement from a VIO pose that cannot be
+    chained to a fused detection: none is stamped before it, or the VIO
+    buffer does not cover that detection's stamp.  ``theta`` is the heading
+    of an accepted alignment.  Like :func:`make_vio_measurement`, it wraps
+    the pose's heading before subtracting ``theta``, so shifts by 2*pi*k
+    change no bit.
     """
     return Measurement(
         vio.stamp, MeasurementKind.VIO_HEADING,
@@ -482,7 +489,7 @@ def try_initialize(
         # co-estimated VIO drift rate (zero unless enabled) is not real motion
         rx, ry, rz = result.drift_rate.tolist()
         lvx, lvy, lvz = (rot_z(-theta) @ np.array([vx - rx, vy - ry, vz - rz])).tolist()
-        mean = [[x, lvx], [y, lvy], [z, lvz], [wrap_heading(heading - theta), heading_rate]]
-        cov = [[[p, 0.0], [0.0, q]] for p, q in zip(INIT_VALUE_VARIANCE, INIT_RATE_VARIANCE)]
-        return TrackerState(stamp, mean, cov), result, track_id
+        mean = (x, lvx, y, lvy, z, lvz, wrap_heading(heading - theta), heading_rate)
+        (pv, hv), (pr, hr) = INIT_VALUE_VARIANCE, INIT_RATE_VARIANCE
+        return TrackerState(stamp, mean, (pv, 0.0, pr), (hv, 0.0, hr)), result, track_id
     return None

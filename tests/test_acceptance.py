@@ -97,8 +97,10 @@ def test_criterion_3_replay_equivalence():
         kinds = [MeasurementKind.LIDAR_POSITION, MeasurementKind.VIO_FULL,
                  MeasurementKind.VIO_HEADING]
         dims = {k: d_ for k, d_ in zip(kinds, (3, 8, 2))}
-        anchor = TrackerState(0.0, np.zeros((4, 2)).tolist(),
-                              np.tile(np.eye(2), (4, 1, 1)).tolist())
+        # the drawn variance of each block component's first element: x, y
+        # and z share theirs
+        per_block = {k: i for k, i in zip(kinds, ((0,), (0, 3, 6, 7), (0, 1)))}
+        anchor = TrackerState(0.0, (0.0,) * 8, (1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
         worst = 0.0
         for case in range(100):
             rng = np.random.default_rng(3000 + case)
@@ -108,9 +110,9 @@ def test_criterion_3_replay_equivalence():
                 t += float(rng.uniform(0.02, 0.15))
                 kind = kinds[int(rng.integers(0, 3))]
                 m = dims[kind]
-                measurements.append(Measurement(
-                    t, kind, tuple(rng.normal(0.0, 1.0, m).tolist()),
-                    tuple(rng.uniform(0.05, 0.5, m).tolist())))
+                value = tuple(rng.normal(0.0, 1.0, m).tolist())
+                variance = rng.uniform(0.05, 0.5, m)[list(per_block[kind])]
+                measurements.append(Measurement(t, kind, value, tuple(variance.tolist())))
             ordered = HistoryBuffer(anchor, span=1e9)
             for z in measurements:
                 expected = ordered.insert(z)
@@ -130,13 +132,12 @@ def test_criterion_3_replay_equivalence():
 def test_criterion_4_gate_calibration():
     with criterion(4, "chi-square gate acceptance rate at p=0.95") as d:
         rng = np.random.default_rng(4000)
-        P = np.zeros((4, 2, 2))
-        P[:, 0, 0] = [0.2, 0.3, 0.1, 0.1]   # x, y, z, heading
-        P[:, 1, 1] = [0.5, 0.5, 0.5, 0.1]   # their rates
-        state = TrackerState(0.0, np.zeros((4, 2)).tolist(), P.tolist())
+        # (value variance, covariance, rate variance) of x, y and z, and of
+        # heading
+        state = TrackerState(0.0, (0.0,) * 8, (0.3, 0.0, 0.5), (0.1, 0.0, 0.1))
         sigma = 0.15
-        L = np.linalg.cholesky(np.diag(P[:3, 0, 0]) + sigma ** 2 * np.eye(3))
-        # S <= 0.3225 per axis: an innovation beyond the 2 m pre-gate has
+        L = np.linalg.cholesky(np.diag(state.covariance[:3, 0, 0]) + sigma ** 2 * np.eye(3))
+        # S = 0.3225 on each axis: an innovation beyond the 2 m pre-gate has
         # d^2 > 12.4, so the pre-gate rejects nothing the chi-square test keeps
         accepted = 0
         trials = 10_000

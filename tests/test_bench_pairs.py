@@ -48,7 +48,7 @@ def test_bench_file_and_summary_carry_both_line_counts(tmp_path, monkeypatch, ca
     # +10%) differ
     values = {parent.resolve(): {1: 1.0, 2: 3.0}, change.resolve(): {1: 0.5, 2: 3.3}}
 
-    def fake_run(checkout, workload, seed):
+    def fake_run(checkout, workload, seed, trace=0):
         value = values[checkout][seed]
         return {"metrics": {name: value for name in names}, "attempted": 1, "failed": 0,
                 "samples": [], "context": {}}
@@ -62,6 +62,53 @@ def test_bench_file_and_summary_carry_both_line_counts(tmp_path, monkeypatch, ca
     assert "nlos src/ lines: 10 -> 7 (-3)" in out
     assert ("nlos wall_s: median 2 -> 1.9 (medians -5.0%, median pair gap -20.0%), "
             "change better in 1 of 2 pairs") in out
+
+
+def test_one_traced_run_per_side_is_stored_and_its_changed_layers_printed(
+        tmp_path, monkeypatch, capsys):
+    tool = _tool()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        _checkout(checkout, {"src/m.py": "a = 1\n"})
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    layers = {
+        parent.resolve(): {"tracker.predict.calls": 3788, "tracker.predict.s": 0.0093,
+                           "tracker.update.calls": 2733, "tracker.update.s": 0.0180,
+                           "tracker.replay_ratio": 1.3152, "guider.realign.calls": 5},
+        change.resolve(): {"tracker.predict.calls": 3788, "tracker.predict.s": 0.0062,
+                           "tracker.update.calls": 2733, "tracker.update.s": 0.0090,
+                           "tracker.replay_ratio": 1.3152, "guider.realign.calls": 6},
+    }
+    runs = []
+
+    def fake_run(checkout, workload, seed, trace=0):
+        runs.append((checkout, seed, trace))
+        metrics = layers[checkout] if trace else {name: 1.0 for name in names}
+        return {"metrics": metrics, "attempted": 1, "failed": 0, "samples": [], "context": {}}
+
+    monkeypatch.setattr(tool, "run_side", fake_run)
+    assert tool.main(["--parent", str(parent), "--change", str(change), "--label", "probe",
+                      "--workload", "drift_high", "--seeds", "7-9"]) == 0
+    # the traced runs come after the pairs, one per side, on the first seed
+    assert [r for r in runs if r[2]] == [(parent.resolve(), 7, 1), (change.resolve(), 7, 1)]
+    assert len(runs) == 8 and all(not r[2] for r in runs[:6])
+    traced = json.loads((tmp_path / "BENCH_probe.json").read_text())["workloads"][
+        "drift_high"]["traced"]
+    assert traced == {"seed": 7, "parent": layers[parent.resolve()],
+                      "change": layers[change.resolve()]}
+    out = [line for line in capsys.readouterr().out.splitlines() if " traced " in line]
+    assert out == [
+        "drift_high traced seed 7 tracker.predict.s: 0.0093 -> 0.0062 (-33.3%), calls 3788 on both",
+        "drift_high traced seed 7 tracker.update.s: 0.018 -> 0.009 (-50.0%), calls 2733 on both",
+        "drift_high traced seed 7 guider.realign.calls: 5 -> 6 (+20.0%)",
+    ]
+
+
+def test_layer_changes_of_equal_sides_is_empty():
+    metrics = {"tracker.update.calls": 2733, "tracker.update.s": 0.018}
+    assert _tool().layer_changes(metrics, dict(metrics)) == []
 
 
 def test_one_seed_is_rejected_before_any_run(tmp_path, monkeypatch, capsys):

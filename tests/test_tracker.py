@@ -53,7 +53,7 @@ def oracle_batch_ls(state0, measurements):
     lam = np.linalg.inv(P0)
     eta = lam @ mean0
     for z in measurements:
-        Rinv = np.linalg.inv(np.diag(z.variance))
+        Rinv = np.linalg.inv(np.diag(element_variances(z)))
         lam = lam + H_full.T @ Rinv @ H_full
         eta = eta + H_full.T @ Rinv @ z.value
     P = np.linalg.inv(lam)
@@ -61,19 +61,43 @@ def oracle_batch_ls(state0, measurements):
 
 
 # The 8-state vector (x, y, z, vx, vy, vz, heading, heading rate) as
-# (axis, component) pairs of the (4, 2) axis-filter layout.
+# (axis, component) pairs of the (4, 2) layout of ``mean`` and ``covariance``.
 FLAT_AXES = (0, 1, 2, 0, 1, 2, 3, 3)
 FLAT_COMPONENTS = (0, 0, 0, 1, 1, 1, 0, 1)
 SAME_AXIS = np.equal.outer(FLAT_AXES, FLAT_AXES)
 
+#: per kind, the entry of ``variance`` that each element of ``value`` reads
+#: (x, y and z share theirs), and the first element that reads each entry
+ELEMENT_VARIANCE = {
+    MeasurementKind.LIDAR_POSITION: (0, 0, 0),
+    MeasurementKind.VIO_FULL: (0, 0, 0, 1, 1, 1, 2, 3),
+    MeasurementKind.VIO_HEADING: (0, 1),
+}
+BLOCK_ELEMENT = {
+    MeasurementKind.LIDAR_POSITION: (0,),
+    MeasurementKind.VIO_FULL: (0, 3, 6, 7),
+    MeasurementKind.VIO_HEADING: (0, 1),
+}
 
-def blocks(mean8, variances8):
-    """(4, 2) mean and (4, 2, 2) covariance of a diagonal 8-state prior."""
-    mean = np.zeros((4, 2))
-    cov = np.zeros((4, 2, 2))
-    mean[FLAT_AXES, FLAT_COMPONENTS] = mean8
-    cov[FLAT_AXES, FLAT_COMPONENTS, FLAT_COMPONENTS] = variances8
-    return mean, cov
+
+def element_variances(z):
+    """One variance per element of ``z.value``."""
+    return tuple(z.variance[i] for i in ELEMENT_VARIANCE[z.kind])
+
+
+def per_block(kind, variances):
+    """The ``variance`` tuple of ``kind`` from one drawn per element: the
+    first of the elements that share an entry."""
+    return tuple(float(variances[i]) for i in BLOCK_ELEMENT[kind])
+
+
+def state_from(stamp, mean8, variances=(1.0,) * 4):
+    """A state with the 8-vector mean (x, y, z, vx, vy, vz, heading, heading
+    rate) and diagonal blocks: the position and velocity variances shared
+    by x, y and z, then the heading and heading-rate variances."""
+    x, y, z, vx, vy, vz, h, vh = map(float, mean8)
+    pv, vv, hv, rv = map(float, variances)
+    return TrackerState(stamp, (x, vx, y, vy, z, vz, h, vh), (pv, 0.0, vv), (hv, 0.0, rv))
 
 
 def dense(state):
@@ -105,7 +129,7 @@ def dense_predict(m, P, dt):
     q3 = dt ** 3 / 3.0
     q2 = dt ** 2 / 2.0
     qa = tracker.PROCESS_NOISE[0]
-    qh = tracker.PROCESS_NOISE[3]
+    qh = tracker.PROCESS_NOISE[1]
     for i in range(3):
         P[i, i] += qa * q3
         P[i, i + 3] += qa * q2
@@ -124,7 +148,7 @@ def dense_update(m, P, z):
     y = z.value - m[rows]
     if h_idx is not None:
         y[h_idx] = wrap_heading(y[h_idx])
-    S = P[rows, rows] + np.diag(z.variance)
+    S = P[rows, rows] + np.diag(element_variances(z))
     PHt = P[:, rows]
     K = np.linalg.solve(S, PHt.T).T
     mean = m + K @ y
@@ -134,26 +158,31 @@ def dense_update(m, P, z):
 
 
 def make_state(stamp=0.0, pos=(0, 0, 0), vel=(0, 0, 0), heading=0.0, rate=0.0, var=1.0):
-    mean = np.concatenate([np.asarray(pos, float), np.asarray(vel, float), [heading, rate]])
-    return TrackerState(stamp, *(a.tolist() for a in blocks(mean, np.full(8, var))))
+    return state_from(stamp, [*pos, *vel, heading, rate], (var,) * 4)
 
 
 # ---------------------------------------------------------------------------
 # predict
 
 
-def _prior_blocks():
-    return np.zeros((4, 2)).tolist(), np.tile(np.eye(2), (4, 1, 1)).tolist()
-
-
 def test_state_arrays_are_fresh_copies_with_wrapped_heading():
-    mean, cov = _prior_blocks()
-    s = TrackerState(0.0, mean, cov)
+    s = state_from(0.0, np.zeros(8))
     s.mean[0, 0] = 99.0
     s.covariance[0, 0, 0] = 99.0
     s.position[0] = 99.0
     assert s.mean[0, 0] == 0.0 and s.covariance[0, 0, 0] == 1.0 and s.position[0] == 0.0
     assert s.mean.shape == (4, 2) and s.covariance.shape == (4, 2, 2)
+
+
+def test_state_accessors_read_the_flat_mean_and_repeat_the_position_block():
+    s = TrackerState(2.0, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5, 0.1),
+                     (0.3, 0.01, 0.2), (0.05, -0.02, 0.04))
+    assert s.mean.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [0.5, 0.1]]
+    assert s.covariance.tolist() == [[[0.3, 0.01], [0.01, 0.2]]] * 3 + \
+        [[[0.05, -0.02], [-0.02, 0.04]]]
+    assert s.position.tolist() == [1.0, 3.0, 5.0] and s.velocity.tolist() == [2.0, 4.0, 6.0]
+    assert (s.heading, s.heading_rate) == (0.5, 0.1)
+    assert s.pose(2.5) == TimedPose(2.5, 1.0, 3.0, 5.0, 0.5, 2.0, 4.0, 6.0, 0.1)
 
 
 def test_predict_constant_velocity():
@@ -195,7 +224,7 @@ def test_predict_covariance_grows_and_stays_symmetric():
 
 def _lidar_meas(stamp, pos, sigma=1.0):
     return Measurement(stamp, MeasurementKind.LIDAR_POSITION,
-                       tuple(np.asarray(pos, float).tolist()), (sigma ** 2,) * 3)
+                       tuple(np.asarray(pos, float).tolist()), (sigma ** 2,))
 
 
 def test_update_equal_weight_fusion_1d_slice():
@@ -207,7 +236,7 @@ def test_update_equal_weight_fusion_1d_slice():
 
 def test_update_non_informative_measurement_is_identity():
     s = make_state(pos=(1, 2, 3), vel=(0.5, 0, 0), var=2.0)
-    z = Measurement(0.0, MeasurementKind.LIDAR_POSITION, (50.0, 50.0, 50.0), (1e14,) * 3)
+    z = Measurement(0.0, MeasurementKind.LIDAR_POSITION, (50.0, 50.0, 50.0), (1e14,))
     out = update(s, z)
     assert np.allclose(out.mean, s.mean, atol=1e-9)
     assert np.allclose(out.covariance, s.covariance, atol=1e-9)
@@ -216,13 +245,16 @@ def test_update_non_informative_measurement_is_identity():
 def test_update_sequence_matches_batch_ls_oracle():
     rng = np.random.default_rng(21)
     mean0 = rng.normal(0, 1, 8) * 0.1  # keep heading far from the wrap boundary
-    state0 = TrackerState(0.0, *(a.tolist() for a in blocks(mean0, rng.uniform(0.5, 2.0, 8))))
+    # the 8-state order is the order of a VIO_FULL measurement's elements
+    state0 = state_from(0.0, mean0, per_block(MeasurementKind.VIO_FULL,
+                                              rng.uniform(0.5, 2.0, 8)))
     measurements = []
     for _ in range(5):
         value = rng.normal(0, 0.5, 8) * 0.1
         R = rng.uniform(0.05, 0.5, 8)
         measurements.append(Measurement(0.0, MeasurementKind.VIO_FULL,
-                                        tuple(value.tolist()), tuple(R.tolist())))
+                                        tuple(value.tolist()),
+                                        per_block(MeasurementKind.VIO_FULL, R)))
     state = state0
     for z in measurements:
         state = update(state, z)
@@ -242,10 +274,8 @@ def test_update_wraps_heading_innovation_across_boundary():
 
 
 def test_update_rejects_singular_innovation():
-    mean = np.zeros((4, 2))
-    P = np.zeros((4, 2, 2))
-    s = TrackerState(0.0, mean.tolist(), P.tolist())
-    z = Measurement(0.0, MeasurementKind.LIDAR_POSITION, (0.0,) * 3, (0.0,) * 3)
+    s = state_from(0.0, np.zeros(8), (0.0,) * 4)
+    z = Measurement(0.0, MeasurementKind.LIDAR_POSITION, (0.0,) * 3, (0.0,))
     with pytest.raises(ValueError):
         update(s, z)
 
@@ -264,7 +294,7 @@ def test_covariance_psd_through_random_cycles():
         kind = kinds[int(rng.integers(0, 3))]
         m = dims[kind]
         z = Measurement(state.stamp, kind, tuple(rng.normal(0, 1, m).tolist()),
-                        tuple(rng.uniform(0.01, 1.0, m).tolist()))
+                        per_block(kind, rng.uniform(0.01, 1.0, m)))
         state = update(state, z)
         P = dense(state)[1]
         assert np.allclose(P, P.T, atol=1e-9)
@@ -294,7 +324,7 @@ def test_axis_filters_match_dense_8_state_oracle():
         if h_idx is not None:
             value[h_idx] = wrap_heading(math.pi + rng.normal(0, 0.5))
         z = Measurement(state.stamp, kind, tuple(value.tolist()),
-                        tuple(rng.uniform(0.01, 1.0, dims[kind]).tolist()))
+                        per_block(kind, rng.uniform(0.01, 1.0, dims[kind])))
         before = state.heading
         state = update(state, z)
         mean8, P8 = dense_update(mean8, P8, z)
@@ -316,28 +346,41 @@ _KIND_AXES = {
 }
 
 
+# The reference functions below run the four-block layout the filter had
+# before x, y and z shared one block: a state is (stamp, mean, covariance)
+# with the (4, 2) mean and the (4, 2, 2) covariance as nested float lists.
+
+
+def legacy(state):
+    """A state in the four-block layout."""
+    return state.stamp, state.mean.tolist(), state.covariance.tolist()
+
+
 def generic_predict(state, dt):
     # the axis loop that predict unrolls
+    stamp, mean, cov = state
     if dt == 0.0:
         return state
-    mean = [[v + dt * w, w] for v, w in state._mean]
+    mean = [[v + dt * w, w] for v, w in mean]
     mean[3][0] = wrap_heading(mean[3][0])
     q2 = dt ** 2 / 2.0
     q3 = dt ** 3 / 3.0
-    cov = []
-    for ((p00, p01), (_, p11)), q in zip(state._cov, tracker.PROCESS_NOISE):
+    qa, qh = tracker.PROCESS_NOISE
+    new_cov = []
+    for ((p00, p01), (_, p11)), q in zip(cov, (qa, qa, qa, qh)):
         c01 = p01 + dt * p11 + q * q2
-        cov.append([[p00 + dt * (2.0 * p01 + dt * p11) + q * q3, c01],
-                    [c01, p11 + q * dt]])
-    return TrackerState(state.stamp + dt, mean, cov)
+        new_cov.append([[p00 + dt * (2.0 * p01 + dt * p11) + q * q3, c01],
+                        [c01, p11 + q * dt]])
+    return stamp + dt, mean, new_cov
 
 
 def generic_update(state, z):
     # one scalar (axis, component) step per measurement element, from a table
-    mean = list(map(list, state._mean))
-    cov = list(state._cov)
+    stamp, mean, cov = state
+    mean = list(map(list, mean))
+    cov = list(cov)
     axes, components = _KIND_AXES[z.kind]
-    for value, r, a, c in zip(z.value, z.variance, axes, components):
+    for value, r, a, c in zip(z.value, element_variances(z), axes, components):
         (p00, p01), (_, p11) = cov[a]
         g0, g1 = column = cov[a][c]
         s = column[c] + r
@@ -352,20 +395,34 @@ def generic_update(state, z):
         c01 = p01 - k0 * g1
         cov[a] = [[p00 - k0 * g0, c01], [c01, p11 - k1 * g1]]
     mean[3][0] = wrap_heading(mean[3][0])
-    return TrackerState(state.stamp, mean, cov)
+    return stamp, mean, cov
+
+
+def generic_gate(state, detection):
+    # the per-axis loop of the squared Mahalanobis distance
+    _, mean, cov = state
+    r = detection.sigma ** 2
+    d2 = 0.0
+    for z, (x, _), ((p00, _), _) in zip(detection[1:4], mean, cov):
+        y = z - x
+        s = p00 + r
+        if not s > 0.0:
+            raise ValueError("singular innovation covariance")
+        d2 += y * y / s
+    return d2
 
 
 def _random_state(rng, stamp):
-    # headings drawn near +-pi half of the time; symmetric PSD blocks
-    mean = rng.normal(0.0, 2.0, (4, 2)).tolist()
+    # headings drawn near +-pi half of the time; symmetric PSD blocks, the
+    # first of the three drawn for x, y and z shared by them
+    mean = rng.normal(0.0, 2.0, (4, 2))
     edge = rng.uniform(-0.05, 0.05) + (math.pi if rng.uniform() < 0.5 else -math.pi)
     mean[3][0] = wrap_heading(edge if rng.uniform() < 0.5 else float(rng.uniform(-3.0, 3.0)))
-    cov = []
+    blocks = []
     for p00, p11, rho in zip(rng.uniform(1e-4, 4.0, 4), rng.uniform(1e-4, 4.0, 4),
                              rng.uniform(-0.99, 0.99, 4)):
-        p01 = float(rho * math.sqrt(p00 * p11))
-        cov.append([[float(p00), p01], [p01, float(p11)]])
-    return TrackerState(stamp, mean, cov)
+        blocks.append((float(p00), float(rho * math.sqrt(p00 * p11)), float(p11)))
+    return TrackerState(stamp, tuple(mean.ravel().tolist()), blocks[0], blocks[3])
 
 
 def _random_measurement(rng, state, kind):
@@ -375,11 +432,12 @@ def _random_measurement(rng, state, kind):
         # the heading, second to last, lies about pi from the state's: the
         # innovation wraps
         value[-2] = wrap_heading(state.heading + math.pi + float(rng.uniform(-0.1, 0.1)))
-    return Measurement(state.stamp, kind, tuple(value),
-                       tuple(rng.uniform(1e-3, 2.0, n).tolist()))
+    return Measurement(state.stamp, kind, tuple(value), per_block(kind, rng.uniform(1e-3, 2.0, n)))
 
 
 def test_kernels_are_bit_identical_to_the_generic_scalar_loops():
+    # predict, update and the gate against the four-block loops, on states
+    # whose x, y and z blocks are equal
     rng = np.random.default_rng(24)
     kinds = list(MeasurementKind)
     wrapped_innovations = wrapped_means = 0
@@ -387,11 +445,13 @@ def test_kernels_are_bit_identical_to_the_generic_scalar_loops():
         state = _random_state(rng, float(i))
         dt = [0.0, 1e-3, 0.02, 0.5, 3.0][i % 5]
         pred = predict(state, dt)
-        ref = generic_predict(state, dt)
-        assert (pred.stamp, pred._mean, pred._cov) == (ref.stamp, ref._mean, ref._cov)
+        assert legacy(pred) == generic_predict(legacy(state), dt)
         z = _random_measurement(rng, pred, kinds[i % 3])
-        out, ref = update(pred, z), generic_update(pred, z)
-        assert out._mean == ref._mean and out._cov == ref._cov and out.stamp == ref.stamp
+        out = update(pred, z)
+        assert legacy(out) == generic_update(legacy(pred), z)
+        det = Detection(pred.stamp, *(pred.position + rng.normal(0.0, 1.0, 3)).tolist(),
+                        float(rng.uniform(0.01, 1.0)), 0)
+        assert tracker.innovation_gate(pred, det) == generic_gate(legacy(pred), det)
         if z.kind != MeasurementKind.LIDAR_POSITION:
             wrapped_innovations += abs(z.value[-2] - pred.heading) > math.pi
             wrapped_means += abs(out.heading - pred.heading) > math.pi
@@ -403,9 +463,9 @@ def test_update_input_state_is_not_mutated():
     rng = np.random.default_rng(25)
     for kind in MeasurementKind:
         state = _random_state(rng, 0.0)
-        before = repr((state._mean, state._cov))
+        before = repr((state._mean, state._pos, state._head))
         update(state, _random_measurement(rng, state, kind))
-        assert repr((state._mean, state._cov)) == before
+        assert repr((state._mean, state._pos, state._head)) == before
 
 
 @pytest.mark.parametrize("kind", list(MeasurementKind))
@@ -417,9 +477,9 @@ def test_every_step_of_every_kind_rejects_a_non_positive_innovation_variance(kin
         for bad in (-1e6, -math.inf, math.nan):
             variance = z.variance[:i] + (bad,) + z.variance[i + 1:]
             broken = Measurement(z.stamp, kind, z.value, variance)
-            for kernel in (update, generic_update):
+            for kernel, s in ((update, state), (generic_update, legacy(state))):
                 with pytest.raises(ValueError, match="singular innovation covariance"):
-                    kernel(state, broken)
+                    kernel(s, broken)
 
 
 # ---------------------------------------------------------------------------
@@ -573,16 +633,15 @@ def test_associate_empty_set():
 
 def test_gate_calibration():
     # Spec invariant: acceptance rate of correctly modeled detections in
-    # [0.93, 0.97] at p = 0.95 over 1e4 trials.  The largest S is 0.3225, so
+    # [0.93, 0.97] at p = 0.95 over 1e4 trials.  S is 0.3225 on each axis, so
     # an innovation beyond the 2 m pre-gate has d^2 > 12.4 and fails the
     # chi-square test as well: the pre-gate changes no outcome.
     rng = np.random.default_rng(40)
     accepted = 0
     trials = 10_000
-    mean, P = blocks(np.zeros(8), [0.2, 0.3, 0.1, 0.5, 0.5, 0.5, 0.1, 0.1])
-    state = TrackerState(0.0, mean.tolist(), P.tolist())
+    state = state_from(0.0, np.zeros(8), (0.3, 0.5, 0.1, 0.1))
     sigma = 0.15
-    L = np.linalg.cholesky(np.diag(P[:3, 0, 0]) + sigma ** 2 * np.eye(3))
+    L = np.linalg.cholesky(np.diag(state.covariance[:3, 0, 0]) + sigma ** 2 * np.eye(3))
     for _ in range(trials):
         z = L @ rng.normal(0, 1, 3)  # innovation drawn from the modeled N(0, S)
         det = Detection(0.0, *z.tolist(), sigma, track_id=0)
@@ -608,8 +667,8 @@ def numpy_vio_measurement(vio, det, vio_at_det, theta, drift_rate=0.0):
     # the pose constructor wrapped the heading then
     heading = wrap_heading(wrap_heading(vio.heading) - theta)
     value = np.concatenate([z_x, z_v, [heading, vio.heading_rate]])
-    variance = np.array([det.sigma ** 2 + tracker.VIO_DELTA_VARIANCE] * 3
-                        + [tracker.VIO_VELOCITY_VARIANCE] * 3 + list(tracker.HEADING_VARIANCE))
+    variance = np.array([det.sigma ** 2 + tracker.VIO_DELTA_VARIANCE, tracker.VIO_VELOCITY_VARIANCE,
+                         *tracker.HEADING_VARIANCE])
     return value, variance
 
 
@@ -658,7 +717,7 @@ def _random_measurements(rng, n, t0=0.0, spacing=0.05):
         m = {MeasurementKind.LIDAR_POSITION: 3, MeasurementKind.VIO_FULL: 8,
              MeasurementKind.VIO_HEADING: 2}[kind]
         out.append(Measurement(t, kind, tuple(rng.normal(0, 1, m).tolist()),
-                               tuple(rng.uniform(0.05, 0.5, m).tolist())))
+                               per_block(kind, rng.uniform(0.05, 0.5, m))))
     return out
 
 
@@ -818,7 +877,7 @@ def test_detections_lost_position_dead_reckons_vio_chain():
                          heading=theta, vel=R_vl @ vel_l + drift_rate)
 
     z_v0 = make_vio_measurement(vio_at(0.0), det, vio_at(0.0), theta)
-    state = TrackerState(0.0, *(a.tolist() for a in blocks(z_v0.value, np.full(8, 0.01))))
+    state = state_from(0.0, z_v0.value, (0.01,) * 4)
     buf = HistoryBuffer(state, span=1e9)
     chain = []
     for k in range(1, 40):

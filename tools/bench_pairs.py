@@ -15,9 +15,12 @@ of pairs in which the change is better, next to each side's ``src/`` line
 count.  The script prints each pair's ``wall_s`` gap as it goes and, at the
 end, the line counts and that per-metric summary: both medians with the
 relative change from one to the other ("medians"), and the median of the
-pairs' relative gaps ("median pair gap"), which need not agree.  Running
-the script again with the same ``--label`` adds the workload to the file and
-keeps the others.
+pairs' relative gaps ("median pair gap"), which need not agree.  After the
+pairs, each side makes one ``--trace 1`` run on the first seed; the file
+stores both sides' per-layer metrics, and the script prints each one that
+differs, a time with its call count when that count is equal on both sides.
+Running the script again with the same ``--label`` adds the workload to the
+file and keeps the others.
 """
 
 from __future__ import annotations
@@ -40,14 +43,15 @@ def _seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_side(checkout: Path, workload: str, seed: int) -> dict:
-    """One benchmark run in ``checkout``: metrics, checks, raw samples, host context."""
+def run_side(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One benchmark run in ``checkout``: metrics, checks, raw samples, host
+    context; the metrics are the per-layer ones when ``trace`` is 1."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--trace", "0"]
+           "--seed", str(seed), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     last = json.loads(done.stdout.strip().splitlines()[-1])
     record = json.loads((checkout / "perfbench" / "out" /
-                         f"{workload}_seed{seed}_trace0.json").read_text(encoding="utf-8"))
+                         f"{workload}_seed{seed}_trace{trace}.json").read_text(encoding="utf-8"))
     return {"metrics": {k: v["value"] for k, v in last["metrics"].items()},
             "attempted": last["attempted"], "failed": last["failed"],
             "samples": record["samples"], "context": record["context"]}
@@ -80,6 +84,27 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def layer_changes(parent: dict, change: dict) -> list[str]:
+    """One line per per-layer metric whose value differs between the sides.
+
+    A metric ``<span>.<field>`` whose ``<span>.calls`` is equal on both sides
+    names that count, so a time that moved reads against unchanged work.
+    """
+    lines = []
+    for name, before in parent.items():
+        after = change.get(name)
+        if after is None or after == before:
+            continue
+        line = f"{name}: {before:.6g} -> {after:.6g}"
+        if before:
+            line += f" ({after / before - 1.0:+.1%})"
+        calls = name.rpartition(".")[0] + ".calls"
+        if calls != name and calls in parent and parent[calls] == change.get(calls):
+            line += f", calls {parent[calls]} on both"
+        lines.append(line)
+    return lines
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -104,6 +129,10 @@ def main(argv: "list[str] | None" = None) -> int:
         wall = pair["change"]["metrics"]["wall_s"] / pair["parent"]["metrics"]["wall_s"] - 1
         print(f"{args.workload} seed {seed}: wall_s {wall:+.1%}", flush=True)
         pairs.append(pair)
+    traced = {"seed": seeds[0]}
+    for side in ("parent", "change"):
+        traced[side] = run_side(getattr(args, side).resolve(), args.workload, seeds[0],
+                                trace=1)["metrics"]
 
     path = ROOT / f"BENCH_{args.label}.json"
     data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
@@ -115,6 +144,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "src_lines": lines,
         "summary": summary,
         "pairs": pairs,
+        "traced": traced,
     }
     path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     print(f"{args.workload} src/ lines: {lines['parent']} -> {lines['change']} "
@@ -125,6 +155,11 @@ def main(argv: "list[str] | None" = None) -> int:
               f"(medians {change / parent - 1.0:+.1%}, "
               f"median pair gap {row['median_rel_change']:+.1%}), "
               f"change better in {row['pairs_change_better']} of {len(pairs)} pairs")
+    changed = layer_changes(traced["parent"], traced["change"])
+    for line in changed:
+        print(f"{args.workload} traced seed {seeds[0]} {line}")
+    if not changed:
+        print(f"{args.workload} traced seed {seeds[0]}: every per-layer metric is equal")
     return 0
 
 
