@@ -6,8 +6,10 @@ Library layout:
     alignment   sliding-window robust alignment of detection/VIO trajectories
     tracker     delay-tolerant constant-velocity Kalman tracking + gating
     guider      estimation pipeline + reference transformation/streaming
+    paths       desired path: trajectory model, streamed batch, path distance
     config      scenario configuration (one key table, file format, overrides)
-    simulator   deterministic closed-loop scenario engine + event logs
+    eventlog    event log record format, parser and REF batch rebuild
+    simulator   deterministic closed-loop scenario engine
     evaluation  trajectory/scenario metrics over event logs
     cli         run / sweep / eval command-line entry points
 """
@@ -30,6 +32,7 @@ from .evaluation import (
     evaluate_log,
     mean_path_deviation,
 )
+from .eventlog import EventLog
 from .geometry import (
     Detection,
     Frame,
@@ -40,8 +43,9 @@ from .geometry import (
     pose_columns,
     wrap_heading,
 )
-from .guider import Guider, GuiderOutput, GuiderStatus, Trajectory
-from .simulator import EventLog, run_scenario
+from .guider import Guider, GuiderOutput, GuiderStatus
+from .paths import Trajectory
+from .simulator import run_scenario
 from .tracker import (
     GateDecision,
     HistoryBuffer,

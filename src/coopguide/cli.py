@@ -36,7 +36,8 @@ from .evaluation import (
     format_report,
     write_per_sample_csv,
 )
-from .simulator import EventLog, LogParseError, run_scenario
+from .eventlog import EventLog, LogParseError
+from .simulator import run_scenario
 
 
 def _default_out() -> str:

@@ -17,10 +17,11 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .alignment import closed_form_align
-from .config import ScenarioConfig
+from .config import ScenarioConfig, format_value
+from .eventlog import EventLog
 from .geometry import interp_columns, rot_z
 from .guider import DETECTION_STALENESS
-from .simulator import EventLog, ReferencePath, generate_trajectory
+from .paths import ReferencePath, generate_trajectory
 
 
 class EvaluationError(ValueError):
@@ -166,7 +167,6 @@ def format_report(report: ErrorReport, config: Optional[ScenarioConfig] = None) 
     lines.append(f"failure = {'true' if report.failure else 'false'}")
     lines.append(f"n_samples = {len(report.stamps)}")
     if config is not None:
-        from .config import format_value
         for key, value in config.effective_items():
             lines.append(f"config.{key} = {format_value(value)}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,8 @@ drift rate that every VIO measurement is corrected with.
 
 Each reference tick makes one output: ``current_output(t)`` computes the
 estimate, the status and the L->V transform once, and ``transform_and_stream``
-maps the desired trajectory with that output's transform.
+streams the desired trajectory's batch (``Trajectory.streamed``) with that
+output's transform.
 
 Initialization and re-initialization are one path (``try_initialize`` over
 the tracks that still produce detections; once a filter exists, only over
@@ -41,8 +42,8 @@ Degenerate input streams map to explicit statuses:
       previous transform)
 
 The realignment period is the guider's one setting, passed as a float (the
-scenario key ``guider.realign_period``); the staleness limits, the reject
-limit, the stream horizon and the reference rate are module constants.
+scenario key ``guider.realign_period``); the staleness limits and the reject
+limit are module constants.
 
 All ingest and query calls must be externally serialized (single writer).
 """
@@ -76,6 +77,7 @@ from .geometry import (
     rot_z,
     wrap_heading,
 )
+from .paths import Trajectory
 from .tracker import (
     HistoryBuffer,
     Measurement,
@@ -100,63 +102,6 @@ class GuiderStatus(Enum):
     TRANSFORM_FROZEN = "transform_frozen"
 
 
-class Trajectory:
-    """Stamped position + heading references in a named frame, as arrays.
-
-    ``stamps`` (N,) strictly increasing, ``positions`` (N, 3), ``headings``
-    (N,) wrapped to (-pi, pi]; every value finite.  The constructor checks
-    this; slices and transforms of a checked trajectory skip the checks.
-    """
-
-    __slots__ = ("frame", "stamps", "positions", "headings")
-
-    def __init__(self, frame: Frame, stamps, positions, headings):
-        stamps = np.asarray(stamps, dtype=float)
-        positions = np.asarray(positions, dtype=float)
-        headings = np.asarray(headings, dtype=float)
-        n = stamps.shape[0] if stamps.ndim == 1 else -1
-        if stamps.shape != (n,) or positions.shape != (n, 3) or headings.shape != (n,):
-            raise ValueError(
-                f"trajectory needs stamps (N,), positions (N, 3) and headings (N,), got "
-                f"{stamps.shape}, {positions.shape} and {headings.shape}")
-        if not (np.all(np.isfinite(stamps)) and np.all(np.isfinite(positions))):
-            raise ValueError("non-finite trajectory stamp or position")
-        if not np.all(stamps[1:] > stamps[:-1]):
-            raise ValueError("trajectory stamps must be strictly increasing")
-        self.frame, self.stamps, self.positions = frame, stamps, positions
-        self.headings = wrap_heading(headings)
-
-    @classmethod
-    def _unchecked(cls, frame: Frame, stamps, positions, headings) -> "Trajectory":
-        """Wrap arrays derived from a checked trajectory: no copy, no checks."""
-        traj = cls.__new__(cls)
-        traj.frame, traj.stamps, traj.positions, traj.headings = frame, stamps, positions, headings
-        return traj
-
-    def __len__(self) -> int:
-        return len(self.stamps)
-
-    def slice_window(self, start: float, end: float) -> "Trajectory":
-        """Points with start <= stamp <= end (binary search, inclusive).
-
-        The result's arrays are views into this trajectory's arrays.
-        """
-        lo = self.stamps.searchsorted(start, side="left")
-        hi = self.stamps.searchsorted(end, side="right")
-        return Trajectory._unchecked(self.frame, self.stamps[lo:hi], self.positions[lo:hi],
-                                     self.headings[lo:hi])
-
-    def mapped(self, translation, heading: float) -> "Trajectory":
-        """This L-frame trajectory mapped into V by ``Rz(heading) @ p + translation``.
-
-        Every streamed reference batch is made here, so a batch is rebuilt
-        bit for bit from its window, ``translation`` and ``heading``.
-        """
-        return Trajectory._unchecked(Frame.VIO, self.stamps,
-                                     self.positions @ rot_z(heading).T + translation,
-                                     wrap_heading(self.headings + heading))
-
-
 @dataclass(frozen=True)
 class GuiderOutput:
     """One reference tick's output.
@@ -175,8 +120,6 @@ class GuiderOutput:
 VIO_STALENESS = 0.5          # s without a VIO sample before HEADING_FROZEN
 DETECTION_STALENESS = 1.0    # s without an accepted detection before DEAD_RECKONING_VIO
 REINIT_REJECT_LIMIT = 3      # consecutive gate failures before re-init
-STREAM_HORIZON = 10.0        # s of trajectory transmitted per stream
-REF_RATE = 5.0               # Hz, reference transmission rate
 
 #: statuses in which transformed references keep being streamed
 _STREAMING_STATUSES = frozenset({
@@ -463,5 +406,4 @@ class Guider:
         if output.status not in _STREAMING_STATUSES:
             return None
         *translation, heading = output.transform_l_to_s
-        window = desired.slice_window(output.stamp, output.stamp + STREAM_HORIZON)
-        return window.mapped(translation, heading)
+        return desired.streamed(output.stamp, translation, heading)

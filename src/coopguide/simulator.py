@@ -19,16 +19,9 @@ position drift: the ``vio_drift.x/y/z`` rate times t plus a random walk of
 intensity ``vio_drift.sigma`` (``Drift``), the two terms adding up.  Until
 the guider initializes, the engine streams references through this true
 transform (operator-assisted start); afterwards the guider streams through
-its own estimate.  Either way a batch is the desired trajectory's window
-[t, t + STREAM_HORIZON] mapped by ``Trajectory.mapped``.
-
-The event log is a chronological, replayable record stream; serialized form
-is line-delimited ``TAG field ...`` text with shortest-round-trip floats.  A
-REF record keeps the transform its batch was mapped with, not the points;
-``streamed_references`` rebuilds the batches from it and the config echo.
-Open-loop series that the config echo alone determines are not logged: the
-primary's pose is ``primary_pose(values, t)`` and the drift offset is
-``make_drift(values)`` stepped once per tick on the drift sub-stream.
+its own estimate.  Either way a batch is ``Trajectory.streamed`` of the
+desired trajectory at t with that transform, and the run's record is an
+``EventLog``.
 """
 
 from __future__ import annotations
@@ -37,176 +30,15 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ScenarioConfig, build_config, format_value
-from .geometry import Detection, Frame, TimedPose, rot_z, wrap_heading
-from .guider import REF_RATE, STREAM_HORIZON, Guider, Trajectory
-
-
-class LogParseError(ValueError):
-    """Raised on corrupt or truncated event log files."""
-
-    def __init__(self, message: str, lineno: int):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
-
-
-# ---------------------------------------------------------------------------
-# event log
-
-
-#: field converters of each record tag, in order (see ``EventLog``)
-_RECORD_FIELDS: dict[str, tuple] = {
-    "H": (str, str),
-    "TS": (float,) * 5,
-    "DET": (float, float, int, float, float, float, float),
-    "VIO": (float,) * 10,
-    "REF": (float, float, int, float, float, float, float),
-    "EST": (float, str) + (float,) * 8,
-    "FAIL": (float,),
-    "END": (float,),
-}
-#: tags whose every field is a float
-_FLOAT_TAGS = frozenset(tag for tag, fields in _RECORD_FIELDS.items() if set(fields) == {float})
-
-
-def _convert(converter, field: str):
-    # map(_convert, ...) parses a record faster than a comprehension over zip
-    return converter(field)
-
-
-class EventLog:
-    """Time-ordered record stream of one scenario run.
-
-    Record kinds (fields after the tag):
-        H    key value               -- effective config echo
-        TS   t x y z heading         -- secondary ground-truth pose (L)
-        DET  t_meas t_arrive track x y z sigma
-        VIO  t_meas t_arrive x y z vx vy vz phi omega   -- V-frame sample
-        REF  t_emit t_arrive n tx ty tz theta  -- streamed batch of n points,
-             mapped L->V with (tx ty tz, theta); see ``streamed_references``
-        EST  t status x y z phi tx ty tz theta          -- guider output
-        FAIL t                       -- abort-radius failure
-        END  t
-    """
-
-    def __init__(self):
-        self.records: list[tuple] = []
-
-    def append(self, record: tuple) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def iter_tag(self, tag: str) -> Iterator[tuple]:
-        return (r for r in self.records if r[0] == tag)
-
-    # -- typed accessors -----------------------------------------------------
-
-    def config(self) -> ScenarioConfig:
-        """The run's effective config, rebuilt from the ``H`` echo (ConfigError
-        when the echo holds an unknown key or a bad value)."""
-        return build_config({r[1]: r[2] for r in self.iter_tag("H")})
-
-    def truth(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(stamps, positions (N,3), headings) of the TS ground-truth records."""
-        rows = [r[1:] for r in self.iter_tag("TS")]
-        if not rows:
-            return np.empty(0), np.empty((0, 3)), np.empty(0)
-        arr = np.asarray(rows, dtype=float)
-        return arr[:, 0], arr[:, 1:4], arr[:, 4]
-
-    def estimates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-        """(stamps, positions (N,3), headings, statuses) from EST records."""
-        recs = list(self.iter_tag("EST"))
-        if not recs:
-            return np.empty(0), np.empty((0, 3)), np.empty(0), []
-        stamps = np.array([r[1] for r in recs])
-        pos = np.array([r[3:6] for r in recs], dtype=float)
-        head = np.array([r[6] for r in recs], dtype=float)
-        statuses = [r[2] for r in recs]
-        return stamps, pos, head, statuses
-
-    def detection_stamps(self, track_id: int) -> np.ndarray:
-        return np.array([r[1] for r in self.iter_tag("DET") if r[3] == track_id])
-
-    @property
-    def failed(self) -> bool:
-        return any(r[0] == "FAIL" for r in self.records)
-
-    # -- serialization -------------------------------------------------------
-
-    def dumps(self) -> str:
-        # str(float) is the shortest round-trip repr
-        return "\n".join([" ".join(map(str, rec)) for rec in self.records]) + "\n"
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.dumps())
-
-    @classmethod
-    def loads(cls, text: str) -> "EventLog":
-        """Parse ``dumps`` output: fields are single-space separated, every
-        tag has an exact field count (an H value may be empty), every
-        number is finite and the TS and EST stamps each increase strictly,
-        as the evaluation's interpolation assumes."""
-        log = cls()
-        records = log.records
-        last_stamp = {"TS": -math.inf, "EST": -math.inf}
-        lineno = 0
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            tag, *fields = line.split(" ")
-            numbers = line   # the text of the number fields
-            try:
-                converters = _RECORD_FIELDS.get(tag)
-                if converters is None:
-                    raise ValueError(f"unknown record tag {tag!r}")
-                if len(fields) != len(converters):
-                    raise ValueError(f"{tag} record needs {len(converters)} fields, "
-                                     f"got {len(fields)}")
-                if tag in _FLOAT_TAGS:
-                    record = (tag, *map(float, fields))
-                elif tag == "DET" or tag == "REF":   # the third field is a track id or count
-                    t0, t1, n, *rest = fields
-                    record = (tag, float(t0), float(t1), int(n), *map(float, rest))
-                else:   # H and EST hold str fields
-                    record = (tag, *map(_convert, converters, fields))
-                    # every EST status holds an "n"; H holds no number
-                    numbers = fields[0] + "".join(fields[2:]) if tag == "EST" else ""
-                # a finite float's repr has no "n"; nan, inf and infinity do
-                if ("n" in numbers or "N" in numbers) and not all(
-                        math.isfinite(v) for v in record if type(v) is float):
-                    raise ValueError(f"non-finite number in {tag} record")
-                if tag in last_stamp:
-                    if record[1] <= last_stamp[tag]:
-                        raise ValueError(f"{tag} stamp {record[1]!r} is not greater than "
-                                         f"the previous {tag} stamp {last_stamp[tag]!r}")
-                    last_stamp[tag] = record[1]
-                records.append(record)
-            except ValueError as exc:
-                raise LogParseError(str(exc), lineno) from exc
-        if not records or records[-1][0] != "END":
-            raise LogParseError("log is truncated: no END record", lineno + 1)
-        return log
-
-    @classmethod
-    def load(cls, path: str) -> "EventLog":
-        """``loads`` of a file; bytes that are not UTF-8 are a LogParseError
-        naming their line."""
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise LogParseError(f"not UTF-8 text ({exc.reason})",
-                                data.count(b"\n", 0, exc.start) + 1) from exc
-        return cls.loads(text)
+from .config import ScenarioConfig, format_value
+from .eventlog import EventLog
+from .geometry import Detection, TimedPose, rot_z, wrap_heading
+from .guider import Guider
+from .paths import ReferencePath, Trajectory, generate_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +135,7 @@ def lidar_detect(
 
 
 # ---------------------------------------------------------------------------
-# primary motion and desired trajectories
+# primary motion
 
 
 def primary_pose(values, t: float) -> tuple[np.ndarray, float]:
@@ -338,124 +170,6 @@ def primary_pose(values, t: float) -> tuple[np.ndarray, float]:
         pos = (cx - half, cy + half - r)
         heading = -math.pi / 2
     return np.array([pos[0], pos[1], cz]), heading
-
-
-def generate_trajectory(values) -> Trajectory:
-    """Desired secondary-agent trajectory in frame L from the config."""
-    pattern = values["trajectory.pattern"]
-    speed = values["trajectory.speed"]
-    spacing = values["trajectory.spacing"]
-    start = values["trajectory.start"]
-    cx, cy, cz = values["trajectory.center"]
-    if pattern == "circle":
-        radius = values["trajectory.radius"]
-        laps = values["trajectory.laps"]
-        total = laps * 2.0 * math.pi * radius / speed
-        omega = speed / radius
-        offsets = [k * spacing for k in range(int(math.floor(total / spacing)) + 1)]
-        angles = [omega * ts for ts in offsets]
-        return Trajectory(
-            Frame.LIDAR,
-            [start + ts for ts in offsets],
-            [(cx + radius * math.cos(ang), cy + radius * math.sin(ang), cz) for ang in angles],
-            [ang + math.pi / 2 for ang in angles],
-        )
-    if pattern == "eight":
-        radius = values["trajectory.radius"]
-        laps = values["trajectory.laps"]
-        # Gerono lemniscate, arc-length parameterized numerically.
-        u = np.linspace(0.0, 2.0 * math.pi, 4001)
-        x = radius * np.sin(u)
-        y = radius * np.sin(u) * np.cos(u)
-        seg = np.hypot(np.diff(x), np.diff(y))
-        arc = np.concatenate([[0.0], np.cumsum(seg)])
-        lap_len = arc[-1]
-        total = laps * lap_len / speed
-        offsets = [k * spacing for k in range(int(math.floor(total / spacing)) + 1)]
-        params = [float(np.interp((speed * ts) % lap_len, arc, u)) for ts in offsets]
-        return Trajectory(
-            Frame.LIDAR,
-            [start + ts for ts in offsets],
-            [(cx + radius * math.sin(ui), cy + radius * math.sin(ui) * math.cos(ui), cz)
-             for ui in params],
-            [math.atan2(math.cos(2.0 * ui), math.cos(ui)) for ui in params],
-        )
-    # waypoints: constant-speed polyline
-    wp = np.asarray(values["trajectory.waypoints"], dtype=float)  # >= 2, ScenarioConfig checks
-    seg_vec = np.diff(wp, axis=0)
-    seg_len = np.linalg.norm(seg_vec, axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg_len)])
-    total = arc[-1] / speed
-    offsets = [k * spacing for k in range(int(math.floor(total / spacing)) + 1)]
-    positions, headings = [], []
-    for ts in offsets:
-        s = min(speed * ts, arc[-1])
-        i = min(int(np.searchsorted(arc, s, side="right")) - 1, len(seg_len) - 1)
-        u = (s - arc[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
-        positions.append(wp[i] + u * seg_vec[i])
-        headings.append(math.atan2(seg_vec[i][1], seg_vec[i][0]))
-    return Trajectory(Frame.LIDAR, [start + ts for ts in offsets], positions, headings)
-
-
-def streamed_references(log: EventLog) -> list[tuple[float, float, Trajectory]]:
-    """(t_emit, t_arrive, batch in V) of every REF record of ``log``.
-
-    A batch is the desired trajectory of the log's config echo over
-    [t_emit, t_emit + STREAM_HORIZON], mapped with the record's
-    transform: bit for bit the batch the run streamed.  Raises ValueError when
-    a record's point count does not match that window.
-    """
-    desired = generate_trajectory(log.config().values)
-    out = []
-    for _, t_emit, t_arrive, n, tx, ty, tz, heading in log.iter_tag("REF"):
-        window = desired.slice_window(t_emit, t_emit + STREAM_HORIZON)
-        if len(window) != n:
-            raise ValueError(f"REF at t={t_emit!r} holds {n} points, "
-                             f"but its window holds {len(window)}")
-        out.append((t_emit, t_arrive, window.mapped(np.array([tx, ty, tz]), heading)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# reference path distance (abort checks and evaluation share the formula)
-
-
-class ReferencePath:
-    """Geometric form of the desired path for point-to-path distance queries."""
-
-    def __init__(self, values, trajectory: Trajectory):
-        self.kind = values["trajectory.pattern"]
-        if self.kind == "circle":
-            self.center = np.asarray(values["trajectory.center"], float)
-            self.radius = values["trajectory.radius"]
-            self.polyline = None
-        else:
-            self.polyline = trajectory.positions
-            self.center = None
-            self.radius = 0.0
-
-    def distance(self, point: np.ndarray) -> float:
-        if self.kind == "circle":
-            dxy = math.hypot(point[0] - self.center[0], point[1] - self.center[1])
-            dz = point[2] - self.center[2]
-            return math.hypot(dxy - self.radius, dz)
-        return polyline_distance(self.polyline, point)
-
-
-def polyline_distance(polyline: np.ndarray, point: np.ndarray) -> float:
-    """Minimum distance from a point to an (N,3) polyline; a one-point
-    polyline is its vertex."""
-    if len(polyline) == 1:
-        return float(np.linalg.norm(polyline[0] - point))
-    a = polyline[:-1]
-    b = polyline[1:]
-    ab = b - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    denom[denom == 0.0] = 1.0
-    u = np.clip(np.einsum("ij,ij->i", point - a, ab) / denom, 0.0, 1.0)
-    proj = a + u[:, None] * ab
-    d = np.linalg.norm(proj - point, axis=1)
-    return float(d.min())
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +267,8 @@ def plant_step(
 # ---------------------------------------------------------------------------
 # scenario loop
 
+
+REF_RATE = 5.0               # Hz, reference transmission rate
 
 _STREAM_DET_NOISE = 1
 _STREAM_DET_DELAY = 2
@@ -694,7 +410,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             else:
                 # operator-assisted start: true transform until initialization
                 translation, heading = [t0x + ox, t0y + oy, t0z + oz], theta0
-                streamed = desired.slice_window(t, t + STREAM_HORIZON).mapped(translation, heading)
+                streamed = desired.streamed(t, translation, heading)
             if streamed is not None and len(streamed):
                 arrival = t + comm_mean + comm_jitter * float(ref_delay_rng.random())
                 log.append(("REF", t, arrival, len(streamed), *translation, heading))

@@ -17,8 +17,9 @@ from coopguide.alignment import AlignmentConfig, closed_form_align, solve_alignm
 from coopguide.cli import main
 from coopguide.config import build_config
 from coopguide.evaluation import evaluate_log, format_report
+from coopguide.eventlog import EventLog
 from coopguide.geometry import rot_z, wrap_heading
-from coopguide.simulator import EventLog, run_scenario
+from coopguide.simulator import run_scenario
 from coopguide.tracker import (
     HistoryBuffer,
     Measurement,

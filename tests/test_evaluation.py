@@ -18,9 +18,11 @@ from coopguide.evaluation import (
     format_report,
     mean_path_deviation,
 )
+from coopguide.eventlog import EventLog
 from coopguide.geometry import interp_columns, rot_z
 from coopguide.guider import DETECTION_STALENESS
-from coopguide.simulator import EventLog, ReferencePath, generate_trajectory, run_scenario
+from coopguide.paths import ReferencePath, generate_trajectory
+from coopguide.simulator import run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -24,8 +24,8 @@ from coopguide.guider import (
     Guider,
     GuiderError,
     GuiderStatus,
-    Trajectory,
 )
+from coopguide.paths import Trajectory
 from coopguide.tracker import (
     GATE_CRITICAL,
     HistoryBuffer,

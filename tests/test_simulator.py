@@ -7,25 +7,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coopguide import simulator
+from coopguide import eventlog, simulator
 from coopguide.config import ConfigError, build_config, load_config_file
+from coopguide.eventlog import EventLog, LogParseError, streamed_references
 from coopguide.geometry import Frame, rot_z, wrap_heading
-from coopguide.guider import GuiderStatus, Trajectory
+from coopguide.guider import GuiderStatus
+from coopguide.paths import Trajectory, generate_trajectory, polyline_distance
 from coopguide.simulator import (
     Drift,
-    EventLog,
-    LogParseError,
     PlantParams,
     PlantState,
     ReferenceBatch,
-    generate_trajectory,
     lidar_detect,
     line_of_sight,
     plant_step,
-    polyline_distance,
     primary_pose,
     run_scenario,
-    streamed_references,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -350,7 +347,7 @@ RECORD_LINES = {
 
 
 def test_record_lines_cover_every_tag():
-    assert set(RECORD_LINES) == set(simulator._RECORD_FIELDS)
+    assert set(RECORD_LINES) == set(eventlog._RECORD_FIELDS)
     assert len(RECORD_LINES) == 8
 
 
@@ -403,6 +400,34 @@ def test_event_log_parses_an_est_line_of_each_status_without_a_finiteness_call(m
         log = EventLog.loads(f"{line}\nEND 3.0\n")
         assert log.records[0][2] == status.value
     assert calls == [3.0] * len(GuiderStatus)   # the END line's "N" only
+
+
+@pytest.mark.parametrize("line", [
+    "EST 0.2 bogus 1.0 2.0 1.5 0.25 5.0 -3.0 1.0 0.7",
+    "EST 0.2 Tracking 1.0 2.0 1.5 0.25 5.0 -3.0 1.0 0.7",
+    "EST 0.2 GuiderStatus.TRACKING 1.0 2.0 1.5 0.25 5.0 -3.0 1.0 0.7",
+])
+def test_event_log_rejects_an_est_status_outside_guider_status(line):
+    with pytest.raises(LogParseError) as exc_info:
+        EventLog.loads(f"END 0.0\n{line}\nEND 3.0\n")
+    assert exc_info.value.lineno == 2
+    assert "status" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("tag", sorted(set(RECORD_LINES) - {"H"}))
+def test_event_log_rejects_a_digit_group_underscore_in_every_number_field(tag):
+    # float("1_0.5") is 10.5 and int("1_0") is 10; dumps never writes "_"
+    fields = RECORD_LINES[tag].split(" ")
+    for i, field in enumerate(fields[1:], start=1):
+        if not field[-1].isdigit():
+            continue  # the EST status
+        bad = "1_" + field.lstrip("-")
+        assert float(bad) == float("1" + field.lstrip("-"))
+        broken = " ".join(fields[:i] + [bad] + fields[i + 1:])
+        with pytest.raises(LogParseError) as exc_info:
+            EventLog.loads(f"END 0.0\n{broken}\nEND 3.0\n")
+        assert exc_info.value.lineno == 2
+        assert "underscore" in str(exc_info.value)
 
 
 def test_event_log_rejects_points_payload_ref_record():

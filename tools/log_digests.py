@@ -28,7 +28,8 @@ runs:
 The digest is taken over ``EventLog.dumps()``, the bytes ``coopguide run``
 writes to ``events.log``; the report digest over the text it writes to
 ``report.txt``, so an evaluation change shows run by run, not only through
-the two metrics.
+the two metrics.  Each row reads its log back with ``EventLog.loads`` first,
+so a check that passes also shows that every log of the set parses.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import bench  # noqa: E402  (perfbench/bench.py: workloads and sub-seeds)
 from coopguide.cli import _report  # noqa: E402
 from coopguide.config import ScenarioConfig, build_config, load_config_file  # noqa: E402
+from coopguide.eventlog import EventLog  # noqa: E402
 from coopguide.simulator import run_scenario  # noqa: E402
 
 
@@ -85,8 +87,8 @@ def digest(config: ScenarioConfig, exclude: tuple[str, ...] = ()) -> str:
 def row(config: ScenarioConfig, exclude: tuple[str, ...] = ()) -> str:
     """``sha256 report_sha256 rel_loc_rmse mean_path_deviation`` of one run
     of ``config``; the report and the metrics are evaluated on the whole
-    log, before ``exclude`` applies."""
-    log = run_scenario(config)
+    log, read back with ``EventLog.loads``, before ``exclude`` applies."""
+    log = EventLog.loads(run_scenario(config).dumps())
     report, text = _report(log, config)
     return (f"{_log_sha256(log, exclude)} {_sha256(text)} "
             f"{report.rel_loc_rmse!r} {report.mean_path_deviation!r}")
