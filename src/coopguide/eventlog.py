@@ -5,8 +5,8 @@ shortest-round-trip floats.  A REF record keeps the transform its batch was
 mapped with, not the points; ``streamed_references`` rebuilds the batches
 from it and the config echo.  Open-loop series that the config echo alone
 determines are not logged: the primary's pose is ``primary_pose(values, t)``
-and the drift offset is ``make_drift(values)`` stepped once per tick on the
-drift sub-stream (both in ``simulator``).
+and the drift offset at tick k is value k, counted from 0, of
+``drift_offsets`` on the drift sub-stream (both in ``simulator``).
 """
 
 from __future__ import annotations
@@ -127,7 +127,17 @@ class EventLog:
         tag has an exact field count (an H value may be empty), every
         number is finite and written without digit-group underscores, an
         EST status is a ``GuiderStatus`` value, and the TS and EST stamps
-        each increase strictly, as the evaluation's interpolation assumes."""
+        each increase strictly, as the evaluation's interpolation assumes.
+
+        Numbers are checked by value, not by spelling: ``+0.25``, ``01.5``
+        or ``2.5e-1`` load as the number they spell, and
+        ``loads(text).dumps()`` is the canonical text.  A tab or a non-ASCII
+        character, which ``float`` and ``int`` would strip around a number,
+        is rejected anywhere in the text."""
+        if "\t" in text or not text.isascii():
+            lineno = next(i for i, line in enumerate(text.splitlines(keepends=True), start=1)
+                          if "\t" in line or not line.isascii())
+            raise LogParseError("tab or non-ASCII character", lineno)
         log = cls()
         records = log.records
         last_stamp = {"TS": -math.inf, "EST": -math.inf}

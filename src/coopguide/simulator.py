@@ -5,10 +5,14 @@ moves on a scripted pattern and "detects" the secondary agent (plus optional
 hovering false targets) with configurable noise, rate, processing delay and
 wall occlusion; the secondary agent is a first-order plant that tracks
 streamed references in its own drifting VIO frame; the guider closes the
-loop on board the primary.  All randomness comes from named sub-streams of
-one seed, so a fixed config+seed reproduces the event log byte for byte.
-The tick loop keeps the drift offset, the plant state and the true pose as
-(x, y, z) float tuples updated element by element, and logs those floats.
+loop on board the primary.  All randomness comes from six dedicated
+sub-streams of one seed (detection noise and delay, VIO noise and delay,
+reference delay, drift walk), so a fixed config+seed reproduces the event
+log byte for byte.  Each sub-stream is drawn ``DRAW_BLOCK`` values per numpy
+call (``_draws``, ``drift_offsets``) and read one value at a time, in the
+order of one call per value.  The tick loop keeps the drift offset, the
+plant state and the true pose as (x, y, z) floats updated element by
+element, and logs those floats.
 
 True frame relation maintained by the engine:
 
@@ -16,12 +20,12 @@ True frame relation maintained by the engine:
 
 with (t0, theta0) the initial VIO frame offset and o(t) the accumulated
 position drift: the ``vio_drift.x/y/z`` rate times t plus a random walk of
-intensity ``vio_drift.sigma`` (``Drift``), the two terms adding up.  Until
-the guider initializes, the engine streams references through this true
-transform (operator-assisted start); afterwards the guider streams through
-its own estimate.  Either way a batch is ``Trajectory.streamed`` of the
-desired trajectory at t with that transform, and the run's record is an
-``EventLog``.
+intensity ``vio_drift.sigma`` (``drift_offsets``), the two terms adding
+up.  Until the guider initializes, the engine streams references through
+this true transform (operator-assisted start); afterwards the guider
+streams through its own estimate.  Either way a batch is
+``Trajectory.streamed`` of the desired trajectory at t with that transform,
+and the run's record is an ``EventLog``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,50 +47,70 @@ from .paths import ReferencePath, Trajectory, generate_trajectory
 
 
 # ---------------------------------------------------------------------------
-# drift
+# random sub-streams and drift
 
 
-class Drift:
-    """Accumulated position drift of the VIO frame: a constant ``rate`` (m/s)
-    plus a random walk of intensity ``sigma`` (m/sqrt(s)), each zero when unset.
+DRAW_BLOCK = 256             # values drawn per numpy call of a sub-stream
 
-    ``offset`` and ``rate`` are (x, y, z) float tuples, stepped element by
-    element once per tick; the walk draws from ``rng`` only when sigma > 0.
+
+def _draws(draw, shape: tuple = ()) -> Iterator:
+    """The values of one dedicated sub-stream, in order, as Python floats
+    (``shape`` () gives floats, (3,) lists of three).
+
+    Each ``draw(size=(DRAW_BLOCK, *shape))`` call fills one block.  A
+    ``Generator`` fills an array in the order of per-value calls, and
+    nothing else reads the sub-stream, so the sequence is that of one
+    ``draw(size=shape)`` call per value.  Nothing is drawn before the first
+    value is read.
     """
-
-    def __init__(self, rate: Sequence[float] = (0.0, 0.0, 0.0), sigma: float = 0.0):
-        self.offset = (0.0, 0.0, 0.0)
-        self.rate = tuple(map(float, rate))
-        self.sigma = float(sigma)
-
-    def step(self, dt: float, rng: np.random.Generator) -> None:
-        (ox, oy, oz), (rx, ry, rz) = self.offset, self.rate
-        ox, oy, oz = ox + rx * dt, oy + ry * dt, oz + rz * dt
-        if self.sigma > 0.0:
-            scale = self.sigma * math.sqrt(dt)
-            nx, ny, nz = rng.standard_normal(3).tolist()
-            ox, oy, oz = ox + scale * nx, oy + scale * ny, oz + scale * nz
-        self.offset = (ox, oy, oz)
+    size = (DRAW_BLOCK, *shape)
+    while True:
+        yield from draw(size=size).tolist()
 
 
-def make_drift(values) -> Drift:
-    return Drift((values["vio_drift.x"], values["vio_drift.y"], values["vio_drift.z"]),
-                 values["vio_drift.sigma"])
+def drift_offsets(rate: Sequence[float], sigma: float, rng: np.random.Generator,
+                  dt: float) -> Iterator[list]:
+    """Accumulated position drift of the VIO frame at ticks 0, 1, 2, ...:
+    (x, y, z) float lists, starting at zero, of a constant ``rate`` (m/s)
+    plus a random walk of intensity ``sigma`` (m/sqrt(s)).
+
+    Tick k's offset is tick k-1's plus ``rate * dt``, then plus
+    ``sigma * sqrt(dt) * n`` with ``n`` a ``standard_normal`` triple of
+    ``rng``, added in that order.  Each block of ``DRAW_BLOCK`` ticks is one
+    ``np.cumsum`` over [previous offset, r*dt, s*n1, r*dt, s*n2, ...], or over
+    the rate steps alone when sigma is 0, which leaves ``rng`` undrawn.
+    """
+    step = np.asarray(rate, float) * dt
+    scale = sigma * math.sqrt(dt)
+    walk = sigma > 0.0
+    terms = np.zeros(((2 if walk else 1) * DRAW_BLOCK + 1, 3))
+    offsets = terms[2::2] if walk else terms[1:]
+    yield [0.0, 0.0, 0.0]
+    while True:
+        terms[0] = terms[-1]
+        if walk:
+            terms[1::2] = step
+            terms[2::2] = scale * rng.standard_normal((DRAW_BLOCK, 3))
+        else:
+            terms[1:] = step
+        np.cumsum(terms, axis=0, out=terms)
+        yield from offsets.tolist()
 
 
 # ---------------------------------------------------------------------------
 # occlusion and detection
 
 
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
 def _segments_intersect(p1, p2, q1, q2) -> bool:
     """2D segment intersection (touching counts as intersecting)."""
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
     if ((d1 > 0) != (d2 > 0) or d1 == 0 or d2 == 0) and \
        ((d3 > 0) != (d4 > 0) or d3 == 0 or d4 == 0):
         # possible intersection incl. collinear overlap; confirm with boxes
@@ -110,26 +135,26 @@ def line_of_sight(primary_xy, target_xy, walls) -> bool:
 def lidar_detect(
     stamp: float,
     truth_secondary: Sequence[float],
-    truth_primary: np.ndarray,
+    truth_primary: Sequence[float],
     false_targets: Sequence[Sequence[float]],
     walls: Sequence[Sequence[float]],
-    rng: np.random.Generator,
+    noise: Iterator[Sequence[float]],
     sigma: float,
 ) -> list[Detection]:
     """One detection per visible target, with isotropic Gaussian noise.
 
     Track id 0 is the secondary agent; false targets get ids 1..n in order.
     Walls occlude in the xy plane (modeled as full-height).  Positions are
-    finite (x, y, z) float sequences, and each detection adds the three
-    noise draws to them as floats.
+    finite (x, y, z) float sequences, and each detection adds the next
+    (x, y, z) float triple of ``noise``, the detection-noise sub-stream
+    drawn with standard deviation ``sigma``.
     """
     out = []
-    # the sightline test in floats: numpy scalars would slow its arithmetic
-    p_xy = (float(truth_primary[0]), float(truth_primary[1]))
+    p_xy = truth_primary[:2]
     for track_id, (x, y, z) in enumerate((truth_secondary, *false_targets)):
         if walls and not line_of_sight(p_xy, (x, y), walls):
             continue
-        nx, ny, nz = rng.normal(0.0, sigma, 3).tolist()
+        nx, ny, nz = next(noise)
         out.append(Detection(stamp, x + nx, y + ny, z + nz, sigma, track_id))
     return out
 
@@ -138,20 +163,20 @@ def lidar_detect(
 # primary motion
 
 
-def primary_pose(values, t: float) -> tuple[np.ndarray, float]:
-    """Scripted primary-agent pose (position, heading) at time t."""
+def primary_pose(values, t: float) -> tuple[tuple[float, float, float], float]:
+    """Scripted primary-agent pose ((x, y, z), heading) at time t, in floats."""
     cx, cy, cz = values["primary.center"]
     pattern = values["primary.pattern"]
     size = values["primary.size"]
     speed = values["primary.speed"]
     if size <= 0 or speed <= 0:
-        return np.array([cx, cy, cz]), 0.0
+        return (cx, cy, cz), 0.0
     if pattern == "line":
         cycle = 2.0 * size
         m = (speed * t) % cycle
         u = m if m <= size else cycle - m
         heading = 0.0 if m <= size else math.pi
-        return np.array([cx - 0.5 * size + u, cy, cz]), heading
+        return (cx - 0.5 * size + u, cy, cz), heading
     # square perimeter, counterclockwise from the lower-left corner
     half = 0.5 * size
     s = (speed * t) % (4.0 * size)
@@ -169,7 +194,7 @@ def primary_pose(values, t: float) -> tuple[np.ndarray, float]:
     else:
         pos = (cx - half, cy + half - r)
         heading = -math.pi / 2
-    return np.array([pos[0], pos[1], cz]), heading
+    return (*pos, cz), heading
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +320,17 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     duration = v["scenario.duration"] or (traj_end + 5.0)
     n_ticks = int(round(duration * tick_rate))
 
-    det_noise_rng = _stream_rng(seed, _STREAM_DET_NOISE)
-    det_delay_rng = _stream_rng(seed, _STREAM_DET_DELAY)
-    vio_noise_rng = _stream_rng(seed, _STREAM_VIO_NOISE)
-    vio_delay_rng = _stream_rng(seed, _STREAM_VIO_DELAY)
-    ref_delay_rng = _stream_rng(seed, _STREAM_REF_DELAY)
-    drift_rng = _stream_rng(seed, _STREAM_DRIFT)
-
-    drift = make_drift(v)
+    det_sigma = v["detection.sigma"]
+    vio_sigma = v["vio.noise_sigma"]
+    det_noise = _draws(partial(_stream_rng(seed, _STREAM_DET_NOISE).normal, 0.0, det_sigma),
+                       (3,))
+    det_delays = _draws(_stream_rng(seed, _STREAM_DET_DELAY).random)
+    vio_noise = _draws(partial(_stream_rng(seed, _STREAM_VIO_NOISE).normal, 0.0, vio_sigma),
+                       (3,))
+    vio_delays = _draws(_stream_rng(seed, _STREAM_VIO_DELAY).random)
+    ref_delays = _draws(_stream_rng(seed, _STREAM_REF_DELAY).random)
+    offsets = drift_offsets((v["vio_drift.x"], v["vio_drift.y"], v["vio_drift.z"]),
+                            v["vio_drift.sigma"], _stream_rng(seed, _STREAM_DRIFT), dt)
     theta0 = v["vio.initial_heading"]
     t0 = np.asarray(v["vio.initial_offset"], float)
     t0x, t0y, t0z = t0.tolist()
@@ -327,12 +355,10 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     vio_period = 1.0 / v["vio.rate"]
     ref_period = 1.0 / REF_RATE
     decim = v["scenario.truth_log_decimation"]
-    det_sigma = v["detection.sigma"]
     det_delay_mean = v["detection.delay_mean"]
     det_delay_jitter = v["detection.delay_jitter"]
     comm_mean = v["comm.delay_mean"]
     comm_jitter = v["comm.delay_jitter"]
-    vio_noise = v["vio.noise_sigma"]
     abort_radius = v["scenario.abort_radius"]
 
     next_det = 0.0
@@ -349,13 +375,13 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
 
     for k in range(n_ticks + 1):
         t = k * dt
+        ox, oy, oz = next(offsets)
         if k:
-            drift.step(dt, drift_rng)
             plant = plant_step(plant, pending_refs, t, dt, plant_params)
 
         # ground truth of the secondary in L, derived from the plant's V pose
         # (scalar form of R0_inv @ (p - t0 - offset); this runs per tick)
-        (px, py, pz), (ox, oy, oz) = plant.position, drift.offset
+        px, py, pz = plant.position
         dx = px - t0x - ox
         dy = py - t0y - oy
         dz = pz - t0z - oz
@@ -377,9 +403,9 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             next_det += det_period
             prim_pos, _ = primary_pose(v, t)
             dets = lidar_detect(t, truth_pos, prim_pos, false_targets, walls,
-                                det_noise_rng, det_sigma)
+                                det_noise, det_sigma)
             if dets:
-                arrival = t + det_delay_mean + det_delay_jitter * float(det_delay_rng.random())
+                arrival = t + det_delay_mean + det_delay_jitter * next(det_delays)
                 for d in dets:
                     log.append(("DET", t, arrival, d.track_id, d.x, d.y, d.z, det_sigma))
                 seq += 1
@@ -388,11 +414,11 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
         if t >= next_vio - eps:
             next_vio += vio_period
             pos = plant.position
-            if vio_noise > 0.0:
-                nx, ny, nz = vio_noise_rng.normal(0.0, vio_noise, 3).tolist()
+            if vio_sigma > 0.0:
+                nx, ny, nz = next(vio_noise)
                 pos = (px + nx, py + ny, pz + nz)
             pose = TimedPose(t, *pos, plant.heading, *plant.velocity, plant.heading_rate)
-            arrival = t + comm_mean + comm_jitter * float(vio_delay_rng.random())
+            arrival = t + comm_mean + comm_jitter * next(vio_delays)
             log.append(("VIO", t, arrival, *pos, *plant.velocity,
                         plant.heading, plant.heading_rate))
             seq += 1
@@ -412,7 +438,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
                 translation, heading = [t0x + ox, t0y + oy, t0z + oz], theta0
                 streamed = desired.streamed(t, translation, heading)
             if streamed is not None and len(streamed):
-                arrival = t + comm_mean + comm_jitter * float(ref_delay_rng.random())
+                arrival = t + comm_mean + comm_jitter * next(ref_delays)
                 log.append(("REF", t, arrival, len(streamed), *translation, heading))
                 seq += 1
                 heapq.heappush(events, (arrival, seq, "ref", streamed))

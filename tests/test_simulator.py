@@ -2,6 +2,8 @@
 
 import heapq
 import math
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,12 @@ from coopguide.geometry import Frame, rot_z, wrap_heading
 from coopguide.guider import GuiderStatus
 from coopguide.paths import Trajectory, generate_trajectory, polyline_distance
 from coopguide.simulator import (
-    Drift,
+    DRAW_BLOCK,
     PlantParams,
     PlantState,
     ReferenceBatch,
+    _draws,
+    drift_offsets,
     lidar_detect,
     line_of_sight,
     plant_step,
@@ -36,17 +40,67 @@ def _bits(*values) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# drift
+# random sub-streams and drift
+
+
+def _drift_oracle(rate, sigma, rng, dt, n):
+    """The offsets at ticks 0..n-1, stepped one tick and one ``standard_normal``
+    call at a time: the per-tick arithmetic that ``drift_offsets`` sums in
+    blocks."""
+    (rx, ry, rz), offset = rate, (0.0, 0.0, 0.0)
+    out = [offset]
+    for _ in range(n - 1):
+        ox, oy, oz = offset
+        ox, oy, oz = ox + rx * dt, oy + ry * dt, oz + rz * dt
+        if sigma > 0.0:
+            scale = sigma * math.sqrt(dt)
+            nx, ny, nz = rng.standard_normal(3).tolist()
+            ox, oy, oz = ox + scale * nx, oy + scale * ny, oz + scale * nz
+        offset = (ox, oy, oz)
+        out.append(offset)
+    return out
+
+
+def _config_offsets(cfg):
+    """The drift offset series of a run of ``cfg``, as ``run_scenario`` reads it."""
+    v = cfg.values
+    return drift_offsets((v["vio_drift.x"], v["vio_drift.y"], v["vio_drift.z"]),
+                         v["vio_drift.sigma"],
+                         simulator._stream_rng(cfg.seed, simulator._STREAM_DRIFT),
+                         1.0 / v["scenario.tick_rate"])
+
+
+def test_draws_equal_one_call_per_value():
+    n = 3 * DRAW_BLOCK + 7
+    for method, args, shape in (("random", (), ()), ("normal", (0.0, 0.3), (3,)),
+                                ("standard_normal", (), (3,))):
+        blocked = _draws(partial(getattr(np.random.default_rng(5), method), *args), shape)
+        rng = np.random.default_rng(5)
+        want = [getattr(rng, method)(*args, size=shape or None) for _ in range(n)]
+        got = list(islice(blocked, n))
+        assert all(type(x) is float for g in got for x in (g if shape else [g])), method
+        assert _bits(*got) == _bits(*want), method
+
+
+@pytest.mark.parametrize("rate, sigma", [((0.3, -0.2, 0.05), 0.0),
+                                         ((0.0, 0.0, 0.0), 0.04),
+                                         ((0.3, -0.2, 0.05), 0.04)])
+def test_drift_offsets_equal_the_per_tick_oracle(rate, sigma):
+    dt, rng = 0.02, np.random.default_rng(9)
+    got = list(islice(drift_offsets(rate, sigma, rng, dt), 600))
+    want = _drift_oracle(rate, sigma, np.random.default_rng(9), dt, 600)
+    assert _bits(*got) == _bits(*want)
+    assert got[0] == [0.0, 0.0, 0.0]
+    if sigma == 0.0:   # a rate-only series leaves its generator undrawn
+        assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
 
 
 def test_vio_sample_constant_drift_accumulates_linearly():
-    drift = Drift([0.1, 0.0, 0.0])
-    rng = np.random.default_rng(1)
-    for _ in range(1000):  # 10 s at 100 Hz
-        drift.step(0.01, rng)
-    assert np.allclose(drift.offset, [1.0, 0.0, 0.0], atol=1e-9)
+    offsets = drift_offsets([0.1, 0.0, 0.0], 0.0, np.random.default_rng(1), 0.01)
+    series = np.array(list(islice(offsets, 1001)))   # ticks 0..1000: 10 s at 100 Hz
+    assert np.allclose(series[-1], [1.0, 0.0, 0.0], atol=1e-9)
     # VIO-perceived velocity includes the drift rate
-    assert np.allclose(drift.rate, [0.1, 0.0, 0.0])
+    assert np.allclose(np.diff(series, axis=0) / 0.01, [0.1, 0.0, 0.0])
 
 
 def test_random_walk_drift_variance_growth():
@@ -59,11 +113,10 @@ def test_random_walk_drift_variance_growth():
     dt = t_final / steps
     finals = np.empty(n_paths)
     for i in range(n_paths):
-        d = Drift(sigma=sigma)
         rng = np.random.default_rng(10_000 + i)
-        for _ in range(steps):
-            d.step(dt, rng)
-        finals[i] = d.offset[0]
+        # the offset after `steps` ticks: its draws are the first 400 of 512
+        offsets = drift_offsets((0.0, 0.0, 0.0), sigma, rng, dt)
+        finals[i] = next(islice(offsets, steps, None))[0]
     var = float(np.var(finals))
     oracle = sigma ** 2 * t_final  # 0.25
     assert abs(var - oracle) < 0.05 * 5  # CI half-width ~ oracle*sqrt(2/n)*3
@@ -73,14 +126,19 @@ def test_random_walk_drift_variance_growth():
 # lidar_detect and occlusion
 
 
+def _noise(seed, sigma):
+    """A detection-noise sub-stream as ``run_scenario`` reads it."""
+    return _draws(partial(np.random.default_rng(seed).normal, 0.0, sigma), (3,))
+
+
 def test_lidar_detect_noise_within_3_sigma():
-    rng = np.random.default_rng(2)
     sigma = 0.1
+    noise = _noise(2, sigma)
     hits = 0
     n = 2000
     for _ in range(n):
         dets = lidar_detect(0.0, np.array([1.0, 2.0, 3.0]), np.zeros(3),
-                            (), (), rng, sigma)
+                            (), (), noise, sigma)
         err = np.linalg.norm(np.array(dets[0][1:4]) - [1, 2, 3])
         if err < 3 * sigma * math.sqrt(3):
             hits += 1
@@ -90,18 +148,18 @@ def test_lidar_detect_noise_within_3_sigma():
 def test_lidar_detect_occluded_target_emits_nothing():
     wall = (-1.0, 1.0, 1.0, 1.0)  # segment y=1, x in [-1, 1]
     dets = lidar_detect(0.0, np.array([0.0, 2.0, 1.0]), np.zeros(3),
-                        (), (wall,), np.random.default_rng(3), 0.1)
+                        (), (wall,), _noise(3, 0.1), 0.1)
     assert dets == []
     # move the primary to the side: line of sight restored
     dets = lidar_detect(0.0, np.array([0.0, 2.0, 1.0]), np.array([5.0, 0.0, 0.0]),
-                        (), (wall,), np.random.default_rng(3), 0.1)
+                        (), (wall,), _noise(3, 0.1), 0.1)
     assert len(dets) == 1 and dets[0].track_id == 0
 
 
 def test_lidar_detect_false_targets_have_distinct_ids():
     dets = lidar_detect(0.0, np.array([0.0, 2.0, 1.0]), np.zeros(3),
                         ((5.0, 5.0, 1.0), (-5.0, 5.0, 1.0)), (),
-                        np.random.default_rng(4), 0.1)
+                        _noise(4, 0.1), 0.1)
     assert sorted(d.track_id for d in dets) == [0, 1, 2]
 
 
@@ -220,25 +278,24 @@ def test_drift_models_step_bit_identical_to_the_array_updates():
     # the rate-only drift shares the walk's generator: it must draw nothing
     rng = np.random.default_rng(72)
     for case in range(20):
-        rate, start = rng.normal(0.0, 1.0, 3), rng.normal(0.0, 5.0, 3)
+        rate = rng.normal(0.0, 1.0, 3)
         sigma = float(rng.uniform(0.0, 1.0))
-        constant, walk, both = Drift(rate), Drift(sigma=sigma), Drift(rate, sigma)
-        constant.offset = walk.offset = both.offset = tuple(start.tolist())
-        constant_ref = walk_ref = both_ref = start
+        dt = float(rng.uniform(0.001, 0.1))
         rng_walk, rng_ref = np.random.default_rng(case), np.random.default_rng(case)
         rng_both, rng_both_ref = np.random.default_rng(case), np.random.default_rng(case)
+        constant = drift_offsets(rate, 0.0, rng_walk, dt)
+        walk = drift_offsets((0.0, 0.0, 0.0), sigma, rng_walk, dt)
+        both = drift_offsets(rate, sigma, rng_both, dt)
+        constant_ref = walk_ref = both_ref = np.zeros(3)
+        assert next(constant) == next(walk) == next(both) == [0.0, 0.0, 0.0]
         for _ in range(200):
-            dt = float(rng.uniform(0.001, 0.1))
-            constant.step(dt, rng_walk)
-            walk.step(dt, rng_walk)
-            both.step(dt, rng_both)
             constant_ref = constant_ref + rate * dt
             walk_ref = walk_ref + sigma * math.sqrt(dt) * rng_ref.standard_normal(3)
             both_ref = ((both_ref + rate * dt)
                         + sigma * math.sqrt(dt) * rng_both_ref.standard_normal(3))
-            assert _bits(constant.offset) == _bits(constant_ref)
-            assert _bits(walk.offset) == _bits(walk_ref)
-            assert _bits(both.offset) == _bits(both_ref)
+            assert _bits(next(constant)) == _bits(constant_ref)
+            assert _bits(next(walk)) == _bits(walk_ref)
+            assert _bits(next(both)) == _bits(both_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +410,7 @@ def test_record_lines_cover_every_tag():
 
 @pytest.mark.parametrize("line", [
     "TP 0.1 1.0 2.0 1.5 0.25",    # primary pose: primary_pose(values, t)
-    "DR 0.1 0.01 0.0 -0.02",      # drift offset: make_drift(values), stepped
+    "DR 0.1 0.01 0.0 -0.02",      # drift offset: drift_offsets, value k at tick k
     "XYZ 0.1",
 ])
 def test_event_log_rejects_unknown_tag(line):
@@ -428,6 +485,35 @@ def test_event_log_rejects_a_digit_group_underscore_in_every_number_field(tag):
             EventLog.loads(f"END 0.0\n{broken}\nEND 3.0\n")
         assert exc_info.value.lineno == 2
         assert "underscore" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("bad", ["\t", "\xa0", "\u2003", "\x85"])
+@pytest.mark.parametrize("tag", sorted(RECORD_LINES))
+def test_event_log_rejects_a_tab_or_a_non_ascii_character_naming_its_line(tag, bad):
+    # float() and int() strip a tab or a non-ASCII space around a number;
+    # dumps writes neither
+    line = RECORD_LINES[tag]
+    head, _, last = line.rpartition(" ")
+    for broken in (line + bad, f"{head} {bad}{last}"):
+        with pytest.raises(LogParseError) as exc_info:
+            EventLog.loads(f"END 0.0\n{broken}\nEND 3.0\n")
+        assert exc_info.value.lineno == 2
+        assert "tab or non-ASCII" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("line, canonical", [
+    ("TS 0.1 1.0 2.0 1.5 +0.25", "TS 0.1 1.0 2.0 1.5 0.25"),
+    ("TS 0.1 1.0 2.0 01.5 -0.25", "TS 0.1 1.0 2.0 1.5 -0.25"),
+    ("TS 0.1 1.0 2.0 1.5 2.5e-1", "TS 0.1 1.0 2.0 1.5 0.25"),
+    ("TS 0.1 1.0 2.0 1.5 .25", "TS 0.1 1.0 2.0 1.5 0.25"),
+    ("DET 0.1 0.15 00 1.0 2.0 1.5 0.1", "DET 0.1 0.15 0 1.0 2.0 1.5 0.1"),
+])
+def test_event_log_checks_numbers_by_value_and_dumps_the_canonical_text(line, canonical):
+    log = EventLog.loads(f"{line}\nEND 3.0\n")
+    assert log.records == EventLog.loads(f"{canonical}\nEND 3.0\n").records
+    text = log.dumps()
+    assert text == f"{canonical}\nEND 3.0\n"
+    assert EventLog.loads(text).dumps() == text
 
 
 def test_event_log_rejects_points_payload_ref_record():
@@ -540,9 +626,8 @@ def test_determinism_byte_identical():
 
 def test_conservation_of_frames():
     # mapping any logged V-frame pose back through the true transform, with
-    # the drift offset rebuilt by stepping the drift model once per tick on
-    # the drift sub-stream as the simulator does, recovers the logged ground
-    # truth (noise-free VIO)
+    # the drift offset rebuilt from the drift sub-stream as the simulator
+    # reads it, recovers the logged ground truth (noise-free VIO)
     cfg = build_config({
         "trajectory.laps": 1,
         "scenario.duration": 30.0,
@@ -556,13 +641,8 @@ def test_conservation_of_frames():
     ts_t, ts_p, ts_h = log.truth()
     tick_rate = cfg["scenario.tick_rate"]
     dt = 1.0 / tick_rate
-    model = simulator.make_drift(cfg.values)
-    rng = simulator._stream_rng(cfg.seed, simulator._STREAM_DRIFT)
-    drift = {}
-    for k in range(int(round(cfg["scenario.duration"] * tick_rate)) + 1):
-        if k:
-            model.step(dt, rng)
-        drift[k * dt] = model.offset
+    n_ticks = int(round(cfg["scenario.duration"] * tick_rate)) + 1
+    drift = {k * dt: offset for k, offset in zip(range(n_ticks), _config_offsets(cfg))}
     checked = 0
     truth_by_t = {t: p for t, p in zip(ts_t, ts_p)}
     for rec in log.iter_tag("VIO"):
@@ -580,7 +660,7 @@ def test_conservation_of_frames():
 def test_a_drift_value_set_alone_drifts_the_vio_frame(key, value):
     # each drift term counts as written, with no selector naming it: the last
     # VIO sample sits off the truth mapped by the initial transform by the
-    # offset make_drift rebuilds (noise-free VIO)
+    # offset drift_offsets rebuilds (noise-free VIO)
     base = {"trajectory.laps": 1, "scenario.duration": 10.0}
     cfg = build_config({**base, key: value})
     log = run_scenario(cfg)
@@ -592,12 +672,9 @@ def test_a_drift_value_set_alone_drifts_the_vio_frame(key, value):
     truth = ts_p[list(ts_t).index(vio[1])]
     gap = np.array(vio[3:6]) - rot_z(cfg["vio.initial_heading"]) @ truth \
         - np.asarray(cfg["vio.initial_offset"])
-    tick_rate = cfg["scenario.tick_rate"]
-    model = simulator.make_drift(cfg.values)
-    rng = simulator._stream_rng(cfg.seed, simulator._STREAM_DRIFT)
-    for _ in range(int(round(vio[1] * tick_rate))):
-        model.step(1.0 / tick_rate, rng)
-    assert np.allclose(gap, model.offset, atol=1e-9)
+    offset = next(islice(_config_offsets(cfg), int(round(vio[1] * cfg["scenario.tick_rate"])),
+                         None))
+    assert np.allclose(gap, offset, atol=1e-9)
     assert np.linalg.norm(gap) > 0.05
     if key == "vio_drift.x":
         assert gap == pytest.approx([0.3 * vio[1], 0.0, 0.0], abs=1e-9)
@@ -614,6 +691,68 @@ def test_delay_bounds_respected():
         delay = rec[2] - rec[1]
         assert cfg["comm.delay_mean"] - 1e-12 <= delay
         assert delay <= cfg["comm.delay_mean"] + cfg["comm.delay_jitter"] + 1e-12
+
+
+def test_each_random_quantity_reads_back_from_the_log_in_its_stream_order():
+    # every random quantity of one lap, read back from the log, equals the
+    # one-call-per-value draws of its own sub-stream, in log order
+    cfg = build_config({**load_config_file(str(CONFIGS / "baseline.cfg")),
+                        "trajectory.laps": 1, "vio.noise_sigma": 0.05,
+                        "vio_drift.sigma": 0.05,
+                        "false_targets.positions": "3.4,0.6,1.5; 2.0,6.8,1.5"})
+    v = cfg.values
+    log = run_scenario(cfg)
+    assert not log.failed
+    stream = partial(simulator._stream_rng, cfg.seed)
+
+    # delays: one uniform per DET batch, VIO sample and REF batch, each exact
+    det_batches = {}
+    for r in log.iter_tag("DET"):
+        det_batches.setdefault(r[1], r[2])
+    for tag, records, index, mean, jitter in (
+            ("DET", det_batches.items(), simulator._STREAM_DET_DELAY,
+             v["detection.delay_mean"], v["detection.delay_jitter"]),
+            ("VIO", [r[1:3] for r in log.iter_tag("VIO")], simulator._STREAM_VIO_DELAY,
+             v["comm.delay_mean"], v["comm.delay_jitter"]),
+            ("REF", [r[1:3] for r in log.iter_tag("REF")], simulator._STREAM_REF_DELAY,
+             v["comm.delay_mean"], v["comm.delay_jitter"])):
+        rng = stream(index)
+        assert len(records) > 100, tag
+        assert all(arrive == t + mean + jitter * float(rng.random())
+                   for t, arrive in records), tag
+
+    # detection noise: DET minus the truth (track 0) or the hovering target
+    truth = {r[1]: r[2:5] for r in log.iter_tag("TS")}
+    targets = (None, *v["false_targets.positions"])
+    rng = stream(simulator._STREAM_DET_NOISE)
+    seen = set()
+    for r in log.iter_tag("DET"):
+        noise = rng.normal(0.0, v["detection.sigma"], 3)
+        _, t, _, track, x, y, z, _ = r
+        origin = targets[track] if track else truth[t]
+        assert np.allclose(np.subtract((x, y, z), origin), noise, rtol=0.0, atol=1e-9)
+        seen.add(track)
+    assert seen == {0, 1, 2}
+
+    # VIO noise and drift walk: VIO minus the truth mapped into V, on shared ticks
+    dt = 1.0 / v["scenario.tick_rate"]
+    n_ticks = int(round(log.records[-1][1] / dt)) + 1
+    offsets = _drift_oracle((v["vio_drift.x"], v["vio_drift.y"], v["vio_drift.z"]),
+                            v["vio_drift.sigma"], stream(simulator._STREAM_DRIFT), dt,
+                            n_ticks)
+    rng = stream(simulator._STREAM_VIO_NOISE)
+    R0, t0 = rot_z(v["vio.initial_heading"]), np.asarray(v["vio.initial_offset"])
+    checked = 0
+    for r in log.iter_tag("VIO"):
+        noise = rng.normal(0.0, v["vio.noise_sigma"], 3)
+        t = r[1]
+        if t in truth:
+            gap = np.asarray(r[3:6]) - (R0 @ truth[t] + t0)
+            want = np.asarray(offsets[int(round(t / dt))]) + noise
+            assert np.allclose(gap, want, rtol=0.0, atol=1e-9)
+            checked += 1
+    assert checked > 1000
+    assert np.linalg.norm(offsets[-1]) > 0.05
 
 
 def test_figure_eight_closed_loop():
