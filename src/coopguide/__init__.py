@@ -1,8 +1,8 @@
 """Cooperative guidance of a VIO-localized agent by a lidar-localized agent.
 
 Library layout:
-    geometry    frame labels, heading arithmetic and rotations, stamped
-                record buffers, interpolation
+    geometry    heading arithmetic and rotations, stamped record buffers,
+                interpolation
     alignment   sliding-window robust alignment of detection/VIO trajectories
     tracker     delay-tolerant constant-velocity Kalman tracking + gating
     guider      estimation pipeline + reference transformation/streaming
@@ -35,7 +35,6 @@ from .evaluation import (
 from .eventlog import EventLog
 from .geometry import (
     Detection,
-    Frame,
     StampedColumns,
     TimedPose,
     detection_columns,

@@ -81,9 +81,14 @@ def cmd_run(config_path: str, seed: Optional[int], out_dir: str) -> int:
     return 2 if report is None or report.failure else 0
 
 
+#: run seeds of consecutive sweep values lie this far apart
+SEED_STRIDE = 1009
+
+
 def _sweep_seed(base_seed: int, value_index: int, run_index: int) -> int:
-    # deterministic, collision-free for any sane sweep size
-    return base_seed + 1009 * value_index + run_index
+    # deterministic; collision-free while runs_per_value <= SEED_STRIDE,
+    # which cmd_sweep checks
+    return base_seed + SEED_STRIDE * value_index + run_index
 
 
 def _sweep_run(args) -> tuple:
@@ -114,6 +119,10 @@ def cmd_sweep(config_path: str, seed: Optional[int], out_dir: str, jobs: int) ->
             # each run's seed derives from the base seed, and sweep.* keys
             # configure the sweep itself: neither can be swept
             raise ConfigError(f"sweep.parameter cannot be {parameter}")
+        if config["sweep.runs_per_value"] > SEED_STRIDE:
+            # a longer run range would reach the next value's run seeds
+            raise ConfigError(f"sweep.runs_per_value must be at most {SEED_STRIDE}, "
+                              f"got {config['sweep.runs_per_value']}")
         for value in values:  # reject a bad value before any run starts
             build_config({**overrides, parameter: value})
     except (ConfigError, OSError) as exc:

@@ -8,8 +8,11 @@ fail fast.  Values are coerced to the type of the default: int, float, bool
 ("true"/"false"), string, or points ("x,y,z" for one position, "x,y,z; x,y,z"
 for a list of them, "x1,y1,x2,y2; ..." for wall segments); a point of the
 wrong length is a config error.  ScenarioConfig then checks every value
-against its declared valid values, plus the two rules that join keys and
-the rule that a non-empty ``sweep.parameter`` names a key.  The
+against its declared valid values, plus the rules that join keys (a
+positive radius for the circle and eight patterns, two waypoints for the
+waypoints pattern, ``detection.rate`` and ``vio.rate`` at most
+``scenario.tick_rate``, since sensors sample on the tick grid) and the rule
+that a non-empty ``sweep.parameter`` names a key.  The
 ``alignment.*`` keys are generated from the fields of AlignmentConfig, one
 key per field with the field's default and its ``valid`` metadata; an
 estimator setting that no shipped scenario changes is a constant of its
@@ -231,6 +234,10 @@ class ScenarioConfig:
         if v["trajectory.pattern"] != "waypoints" and v["trajectory.radius"] <= 0:
             raise ConfigError(f"trajectory.radius must be positive for the "
                               f"{v['trajectory.pattern']} pattern, got {v['trajectory.radius']}")
+        for key in ("detection.rate", "vio.rate"):
+            if v[key] > v["scenario.tick_rate"]:   # sensors sample on the tick grid
+                raise ConfigError(f"{key} must be at most scenario.tick_rate "
+                                  f"({v['scenario.tick_rate']}), got {v[key]}")
         object.__setattr__(self, "alignment", AlignmentConfig(**{
             f.name: v[f"alignment.{f.name}"] for f in fields(AlignmentConfig)}))
 

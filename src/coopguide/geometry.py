@@ -1,4 +1,4 @@
-"""Frames, gravity-aligned 4-DOF transforms, heading arithmetic, stamped
+"""Gravity-aligned 4-DOF transforms, heading arithmetic, stamped
 record buffers and their interpolation.
 
 All frames are gravity-aligned (roll/pitch identically zero), so the only
@@ -7,12 +7,12 @@ relative pose between two frames is fully described by a 3D translation plus
 one heading angle.
 
 Conventions:
-    - Frames: L (lidar-SLAM local frame of the primary agent) and V (VIO
-      local frame of the secondary agent).
-    - Frame labels belong to trajectories, not to records.  A pose
-      (``TimedPose``) or a detection (``Detection``) is a plain float record
-      in the frame of the buffer, trajectory or argument that holds it; only
-      ``Trajectory`` carries a label.
+    - The two frames are L (lidar-SLAM local frame of the primary agent)
+      and V (VIO local frame of the secondary agent).
+    - Nothing carries a frame label.  A pose (``TimedPose``), a detection
+      (``Detection``) or a ``Trajectory`` is in the frame of the buffer,
+      argument or producer that holds it: detections and the desired path
+      are in L, VIO samples and streamed reference batches in V.
     - Heading angles are wrapped to the half-open interval (-pi, pi], so that
       every angle has a unique representative, wherever they are computed or
       read; a record keeps the heading it was given.
@@ -25,7 +25,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -34,13 +33,6 @@ TWO_PI = 2.0 * math.pi
 
 #: Tolerance (s) for interpolation queries slightly outside a buffer.
 STALE_TOLERANCE = 0.1
-
-
-class Frame(str, Enum):
-    """Reference frame labels."""
-
-    LIDAR = "L"
-    VIO = "V"
 
 
 class StaleQueryError(ValueError):

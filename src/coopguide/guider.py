@@ -14,7 +14,8 @@ drift rate that every VIO measurement is corrected with.
 Each reference tick makes one output: ``current_output(t)`` computes the
 estimate, the status and the L->V transform once, and ``transform_and_stream``
 streams the desired trajectory's batch (``Trajectory.streamed``) with that
-output's transform.
+output's transform.  The desired trajectory is in L because
+``generate_trajectory`` builds it there; it carries no frame label to check.
 
 Initialization and re-initialization are one path (``try_initialize`` over
 the tracks that still produce detections; once a filter exists, only over
@@ -69,7 +70,6 @@ from .geometry import (
     DETECTION_FIELDS,
     POSE_FIELDS,
     Detection,
-    Frame,
     StaleQueryError,
     StampedColumns,
     TimedPose,
@@ -393,7 +393,7 @@ class Guider:
 
     def transform_and_stream(self, desired: Trajectory,
                              output: GuiderOutput) -> Optional[Trajectory]:
-        """Transform the unflown suffix of ``desired`` into the secondary's frame.
+        """Transform the unflown suffix of ``desired`` (in L) into the secondary's frame.
 
         ``output`` is the tick's ``current_output``.  Points stamped before
         ``output.stamp`` are dropped (already completed); the remaining points
@@ -401,8 +401,6 @@ class Guider:
         ``output.transform_l_to_s``.  Returns None when ``output.status``
         pauses streaming (stale VIO).
         """
-        if desired.frame != Frame.LIDAR:
-            raise ValueError("desired trajectory must be given in the lidar frame")
         if output.status not in _STREAMING_STATUSES:
             return None
         *translation, heading = output.transform_l_to_s

@@ -1,5 +1,5 @@
 """The desired path in frame L: built from the config (``generate_trajectory``),
-streamed in batches (``Trajectory.streamed``) and measured against
+cut and mapped into V in batches (``Trajectory.streamed``) and measured against
 (``ReferencePath``, shared by the abort check and the evaluation).
 """
 
@@ -9,22 +9,24 @@ import math
 
 import numpy as np
 
-from .geometry import Frame, rot_z, wrap_heading
+from .geometry import rot_z, wrap_heading
 
 STREAM_HORIZON = 10.0        # s of trajectory transmitted per stream
 
 
 class Trajectory:
-    """Stamped position + heading references in a named frame, as arrays.
+    """Stamped position + heading references, as arrays.
 
     ``stamps`` (N,) strictly increasing, ``positions`` (N, 3), ``headings``
     (N,) wrapped to (-pi, pi]; every value finite.  The constructor checks
-    this; slices and transforms of a checked trajectory skip the checks.
+    this; a batch that ``streamed`` cuts from a checked trajectory skips the
+    checks.  A trajectory's frame is where it comes from: the desired path is
+    in L, a streamed batch in V.
     """
 
-    __slots__ = ("frame", "stamps", "positions", "headings")
+    __slots__ = ("stamps", "positions", "headings")
 
-    def __init__(self, frame: Frame, stamps, positions, headings):
+    def __init__(self, stamps, positions, headings):
         stamps = np.asarray(stamps, dtype=float)
         positions = np.asarray(positions, dtype=float)
         headings = np.asarray(headings, dtype=float)
@@ -37,40 +39,25 @@ class Trajectory:
             raise ValueError("non-finite trajectory stamp or position")
         if not np.all(stamps[1:] > stamps[:-1]):
             raise ValueError("trajectory stamps must be strictly increasing")
-        self.frame, self.stamps, self.positions = frame, stamps, positions
+        self.stamps, self.positions = stamps, positions
         self.headings = wrap_heading(headings)
-
-    @classmethod
-    def _unchecked(cls, frame: Frame, stamps, positions, headings) -> "Trajectory":
-        """Wrap arrays derived from a checked trajectory: no copy, no checks."""
-        traj = cls.__new__(cls)
-        traj.frame, traj.stamps, traj.positions, traj.headings = frame, stamps, positions, headings
-        return traj
 
     def __len__(self) -> int:
         return len(self.stamps)
 
-    def slice_window(self, start: float, end: float) -> "Trajectory":
-        """Points with start <= stamp <= end (binary search, inclusive).
-
-        The result's arrays are views into this trajectory's arrays.
-        """
-        lo = self.stamps.searchsorted(start, side="left")
-        hi = self.stamps.searchsorted(end, side="right")
-        return Trajectory._unchecked(self.frame, self.stamps[lo:hi], self.positions[lo:hi],
-                                     self.headings[lo:hi])
-
-    def mapped(self, translation, heading: float) -> "Trajectory":
-        """This L-frame trajectory mapped into V by ``Rz(heading) @ p + translation``."""
-        return Trajectory._unchecked(Frame.VIO, self.stamps,
-                                     self.positions @ rot_z(heading).T + translation,
-                                     wrap_heading(self.headings + heading))
-
     def streamed(self, stamp: float, translation, heading: float) -> "Trajectory":
-        """The batch streamed at ``stamp``: the points within [stamp, stamp +
-        STREAM_HORIZON] mapped into V.  Every streamed batch is made here, so
-        a batch is rebuilt bit for bit from its stamp and transform."""
-        return self.slice_window(stamp, stamp + STREAM_HORIZON).mapped(translation, heading)
+        """The batch streamed at ``stamp``: the points with stamp <= s <=
+        stamp + STREAM_HORIZON (binary search, inclusive) mapped from L into V
+        by ``Rz(heading) @ p + translation``.  Every streamed batch is made
+        here, so a batch is rebuilt bit for bit from its stamp and transform.
+        """
+        lo = self.stamps.searchsorted(stamp, side="left")
+        hi = self.stamps.searchsorted(stamp + STREAM_HORIZON, side="right")
+        batch = Trajectory.__new__(Trajectory)
+        batch.stamps = self.stamps[lo:hi]
+        batch.positions = self.positions[lo:hi] @ rot_z(heading).T + translation
+        batch.headings = wrap_heading(self.headings[lo:hi] + heading)
+        return batch
 
 
 def generate_trajectory(values) -> Trajectory:
@@ -88,7 +75,6 @@ def generate_trajectory(values) -> Trajectory:
         offsets = [k * spacing for k in range(int(math.floor(total / spacing)) + 1)]
         angles = [omega * ts for ts in offsets]
         return Trajectory(
-            Frame.LIDAR,
             [start + ts for ts in offsets],
             [(cx + radius * math.cos(ang), cy + radius * math.sin(ang), cz) for ang in angles],
             [ang + math.pi / 2 for ang in angles],
@@ -107,7 +93,6 @@ def generate_trajectory(values) -> Trajectory:
         offsets = [k * spacing for k in range(int(math.floor(total / spacing)) + 1)]
         params = [float(np.interp((speed * ts) % lap_len, arc, u)) for ts in offsets]
         return Trajectory(
-            Frame.LIDAR,
             [start + ts for ts in offsets],
             [(cx + radius * math.sin(ui), cy + radius * math.sin(ui) * math.cos(ui), cz)
              for ui in params],
@@ -127,7 +112,7 @@ def generate_trajectory(values) -> Trajectory:
         u = (s - arc[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
         positions.append(wp[i] + u * seg_vec[i])
         headings.append(math.atan2(seg_vec[i][1], seg_vec[i][0]))
-    return Trajectory(Frame.LIDAR, [start + ts for ts in offsets], positions, headings)
+    return Trajectory([start + ts for ts in offsets], positions, headings)
 
 
 class ReferencePath:

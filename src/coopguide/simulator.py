@@ -107,21 +107,14 @@ def _orient(a, b, c):
 
 def _segments_intersect(p1, p2, q1, q2) -> bool:
     """2D segment intersection (touching counts as intersecting)."""
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0) or d1 == 0 or d2 == 0) and \
-       ((d3 > 0) != (d4 > 0) or d3 == 0 or d4 == 0):
-        # possible intersection incl. collinear overlap; confirm with boxes
-        if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
-            return (min(p1[0], p2[0]) <= max(q1[0], q2[0])
-                    and min(q1[0], q2[0]) <= max(p1[0], p2[0])
-                    and min(p1[1], p2[1]) <= max(q1[1], q2[1])
-                    and min(q1[1], q2[1]) <= max(p1[1], p2[1]))
-        return ((d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)) or \
-            d1 == 0 or d2 == 0 or d3 == 0 or d4 == 0
-    return False
+    d1, d2 = _orient(q1, q2, p1), _orient(q1, q2, p2)
+    d3, d4 = _orient(p1, p2, q1), _orient(p1, p2, q2)
+    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0) or (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
+        return False    # one segment lies strictly on one side of the other
+    if d1 == d2 == d3 == d4 == 0:   # collinear: the bounding boxes decide
+        return all(min(p1[i], p2[i]) <= max(q1[i], q2[i])
+                   and min(q1[i], q2[i]) <= max(p1[i], p2[i]) for i in (0, 1))
+    return True
 
 
 def line_of_sight(primary_xy, target_xy, walls) -> bool:

@@ -96,6 +96,9 @@ _BAD_LINES = [
                  id="eight trajectory.radius = 0"),
     pytest.param("trajectory.pattern = waypoints\ntrajectory.waypoints = 0,0,1",
                  id="waypoints trajectory.waypoints = 0,0,1"),
+    pytest.param("scenario.tick_rate = 50\nvio.rate = 60", id="tick_rate 50 vio.rate = 60"),
+    pytest.param("scenario.tick_rate = 50\ndetection.rate = 200",
+                 id="tick_rate 50 detection.rate = 200"),
     # values further outside a bound
     "scenario.abort_radius = -1",
     "alignment.window = -1",
@@ -469,6 +472,24 @@ sweep.runs_per_value = 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "sweep.parameter" in err
         assert not out.exists()
+
+
+def test_sweep_rejects_more_runs_per_value_than_the_seed_stride(tmp_path, capsys):
+    # run seeds are base + 1009 * value index + run index: a 1010th run of
+    # the first value would share its seed with the first run of the second
+    assert cli._sweep_seed(1, 0, 1009) == cli._sweep_seed(1, 1, 0)
+    cfg = _write(tmp_path, "s.cfg", """
+scenario.duration = 0.5
+sweep.parameter = vio_drift.x
+sweep.values = 0.0, 0.1
+sweep.runs_per_value = 1010
+""")
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "sweep.runs_per_value" in err
+    assert not out.exists()
 
 
 def test_sweep_rejects_non_integral_value_for_integer_key(tmp_path, capsys):

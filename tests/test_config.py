@@ -110,6 +110,16 @@ def test_readme_library_use_block_runs(capsys):
     assert 0.0 < float(rmse) < 0.2 and 0.0 < float(deviation) < 0.5
 
 
+@pytest.mark.parametrize("key", ["detection.rate", "vio.rate"])
+def test_a_sensor_rate_above_the_tick_rate_is_a_config_error(key):
+    # sensors sample on the tick grid, so a faster rate would be capped to
+    # the tick rate while the config echo still named the faster one
+    for rate in (60.0, 200.0):
+        with pytest.raises(ConfigError, match=f"{key} must be at most scenario.tick_rate"):
+            build_config({"scenario.tick_rate": 50.0, key: rate})
+    assert build_config({"scenario.tick_rate": 50.0, key: 50.0})[key] == 50.0
+
+
 @pytest.mark.parametrize("key, raw", [("trajectory.laps", 1.5), ("scenario.seed", 2.9)])
 def test_integer_key_rejects_non_integral_number(key, raw):
     # int() would silently truncate the value

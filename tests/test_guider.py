@@ -13,7 +13,6 @@ from coopguide.evaluation import evaluate_log
 from coopguide.geometry import (
     STALE_TOLERANCE,
     Detection,
-    Frame,
     TimedPose,
     detection_columns,
     interpolate,
@@ -25,7 +24,7 @@ from coopguide.guider import (
     GuiderError,
     GuiderStatus,
 )
-from coopguide.paths import Trajectory
+from coopguide.paths import STREAM_HORIZON, Trajectory
 from coopguide.tracker import (
     GATE_CRITICAL,
     HistoryBuffer,
@@ -202,7 +201,7 @@ def test_innovations_are_chi_square_consistent_on_the_baseline_run(monkeypatch):
 
 def test_trajectory_rejects_malformed_arrays():
     ok = dict(stamps=[0.0, 1.0], positions=np.zeros((2, 3)), headings=[0.0, 0.0])
-    assert len(Trajectory(Frame.LIDAR, **ok)) == 2
+    assert len(Trajectory(**ok)) == 2
     bad = [
         dict(ok, positions=np.zeros((3, 3))),          # shape mismatches
         dict(ok, positions=np.zeros((2, 2))),
@@ -217,41 +216,57 @@ def test_trajectory_rejects_malformed_arrays():
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
-            Trajectory(Frame.LIDAR, **kwargs)
+            Trajectory(**kwargs)
 
 
 def test_trajectory_wraps_headings():
     headings = [3 * math.pi / 2, -math.pi, math.pi, -0.0, 7.0]
-    traj = Trajectory(Frame.LIDAR, np.arange(5.0), np.zeros((5, 3)), headings)
+    traj = Trajectory(np.arange(5.0), np.zeros((5, 3)), headings)
     assert [repr(h) for h in traj.headings.tolist()] == [repr(wrap_heading(h)) for h in headings]
     assert np.all(traj.headings > -math.pi) and np.all(traj.headings <= math.pi)
 
 
-def test_slice_window_matches_brute_force_mask():
+def test_streamed_cuts_the_horizon_window_like_a_brute_force_mask():
+    # with the identity transform a batch is the cut alone, bit for bit
     rng = np.random.default_rng(3)
     stamps = np.cumsum(rng.uniform(0.1, 1.0, 50))
-    traj = Trajectory(Frame.LIDAR, stamps, rng.normal(size=(50, 3)), rng.uniform(-3, 3, 50))
-    windows = [
-        (stamps[10], stamps[20]),                      # both bounds on a stamp
-        (stamps[0], stamps[0]),                        # a single stamp
-        (stamps[-1], stamps[-1] + 5.0),
-        (stamps[5] + 1e-9, stamps[6] - 1e-9),          # between two stamps: empty
-        (-10.0, -1.0),                                 # before the trajectory: empty
-        (stamps[-1] + 1.0, stamps[-1] + 2.0),          # after it: empty
-        (stamps[30], stamps[29]),                      # reversed: empty
+    traj = Trajectory(stamps, rng.normal(size=(50, 3)), rng.uniform(-3, 3, 50))
+    assert stamps[-1] - stamps[0] > 2 * STREAM_HORIZON
+
+    def ending_on(stamp):
+        # the start whose window ends exactly on ``stamp``
+        start = stamp - STREAM_HORIZON
+        while start + STREAM_HORIZON < stamp:
+            start = np.nextafter(start, math.inf)
+        while start + STREAM_HORIZON > stamp:
+            start = np.nextafter(start, -math.inf)
+        assert start + STREAM_HORIZON == stamp
+        return start
+
+    starts = [
+        stamps[10],                                    # starts on a stamp
+        stamps[0],
+        stamps[-1],                                    # the last stamp alone
+        ending_on(stamps[40]),                         # ends on a stamp
+        ending_on(stamps[25]),
+        stamps[5] + 1e-9,                              # starts between two stamps
+        stamps[0] - STREAM_HORIZON - 1.0,              # before the path: empty
+        stamps[0] - 0.5 * STREAM_HORIZON,              # runs into the path
+        stamps[-1] + 1e-9,                             # after the path: empty
+        stamps[-1] + 5.0,
     ]
-    windows += [tuple(sorted(rng.uniform(stamps[0] - 1.0, stamps[-1] + 1.0, 2)))
-                for _ in range(200)]
+    starts += rng.uniform(stamps[0] - STREAM_HORIZON - 1.0, stamps[-1] + 1.0, 200).tolist()
     empty = 0
-    for start, end in windows:
-        mask = (start <= stamps) & (stamps <= end)
-        got = traj.slice_window(start, end)
-        assert got.frame is Frame.LIDAR and len(got) == mask.sum()
+    for start in starts:
+        mask = (start <= stamps) & (stamps <= start + STREAM_HORIZON)
+        got = traj.streamed(start, np.zeros(3), 0.0)
+        assert len(got) == mask.sum()
         assert np.array_equal(got.stamps, stamps[mask])
         assert np.array_equal(got.positions, traj.positions[mask])
         assert np.array_equal(got.headings, traj.headings[mask])
         empty += not mask.any()
-    assert empty >= 4
+    assert empty >= 3
+    assert traj.streamed(ending_on(stamps[40]), np.zeros(3), 0.0).stamps[-1] == stamps[40]
 
 
 def test_uninitialized_output_raises():
@@ -587,20 +602,18 @@ def test_transform_and_stream_drops_completed_and_transforms():
     g = make_guider()
     t = drive(g, 0.0, 8.0)
     i = np.arange(20)
-    traj = Trajectory(Frame.LIDAR, t - 5.0 + i,
+    traj = Trajectory(t - 5.0 + i,
                       np.column_stack([i, np.zeros(20), np.ones(20)]), 0.1 * i)
     output = g.current_output(t)
     out = g.transform_and_stream(traj, output)
     # points with stamp < t dropped; horizon keeps stamps <= t + 10
     kept = [k for k in range(20) if t <= traj.stamps[k] <= t + 10.0]
     assert len(out) == len(kept)
-    assert out.frame is Frame.VIO
     assert np.array_equal(out.stamps, traj.stamps[kept])
     # mapped bit for bit with the transform of the output it was given
     *translation, theta = output.transform_l_to_s
-    want = traj.slice_window(t, t + 10.0).mapped(translation, theta)
-    assert np.array_equal(out.positions, want.positions)
-    assert np.array_equal(out.headings, want.headings)
+    assert np.array_equal(out.positions, traj.positions[kept] @ rot_z(theta).T + translation)
+    assert np.array_equal(out.headings, wrap_heading(traj.headings[kept] + theta))
 
 
 def test_streamed_references_recover_lidar_frame_trajectory():
@@ -610,7 +623,7 @@ def test_streamed_references_recover_lidar_frame_trajectory():
     g = make_guider()
     t = drive(g, 0.0, 10.0)
     stamps = [t + 0.5 * i for i in range(10)]
-    desired = Trajectory(Frame.LIDAR, stamps,
+    desired = Trajectory(stamps,
                          [secondary_position(s) for s in stamps],
                          [secondary_heading(s) for s in stamps])
     out = g.transform_and_stream(desired, g.current_output(t))
@@ -621,20 +634,12 @@ def test_streamed_references_recover_lidar_frame_trajectory():
         assert abs(wrap_heading(got_h - THETA - src_h)) < 0.02
 
 
-def test_transform_and_stream_rejects_a_vio_frame_desired():
-    g = make_guider()
-    t = drive(g, 0.0, 8.0)
-    traj = Trajectory(Frame.VIO, [t + 1.0], [secondary_position(t)], [0.0])
-    with pytest.raises(ValueError, match="lidar frame"):
-        g.transform_and_stream(traj, g.current_output(t))
-
-
 def test_stream_paused_when_heading_frozen():
     g = make_guider()
     t = drive(g, 0.0, 8.0)
     t = drive(g, t, t + 2.0, vio_on=False)
     assert g.status(t) is GuiderStatus.HEADING_FROZEN
-    traj = Trajectory(Frame.LIDAR, [t + 1.0], [secondary_position(t)], [0.0])
+    traj = Trajectory([t + 1.0], [secondary_position(t)], [0.0])
     assert g.transform_and_stream(traj, g.current_output(t)) is None
 
 

@@ -49,13 +49,14 @@ def test_the_desired_path_imports_only_geometry():
     assert package_imports("paths") == {"geometry"}
 
 
-@pytest.mark.parametrize("method", ["slice_window", "mapped"])
-def test_only_paths_cuts_or_maps_a_batch(method):
-    callers = {path.stem for path in SRC.glob("*.py") if method_calls(path.stem, method)}
+def test_only_paths_builds_a_trajectory_without_its_checks():
+    # ``Trajectory.streamed`` builds its batch with ``__new__``, skipping the
+    # checks its source trajectory already passed; nothing else may
+    callers = {path.stem for path in SRC.glob("*.py") if method_calls(path.stem, "__new__")}
     assert callers == {"paths"}
 
 
 def test_package_imports_reads_every_import_form():
     assert package_imports("simulator") >= {"config", "eventlog", "guider", "paths"}
     assert "simulator" in package_imports("__init__")
-    assert method_calls("paths", "slice_window") == 1
+    assert method_calls("paths", "__new__") == 1

@@ -12,7 +12,7 @@ import pytest
 from coopguide import eventlog, simulator
 from coopguide.config import ConfigError, build_config, load_config_file
 from coopguide.eventlog import EventLog, LogParseError, streamed_references
-from coopguide.geometry import Frame, rot_z, wrap_heading
+from coopguide.geometry import rot_z, wrap_heading
 from coopguide.guider import GuiderStatus
 from coopguide.paths import Trajectory, generate_trajectory, polyline_distance
 from coopguide.simulator import (
@@ -21,6 +21,8 @@ from coopguide.simulator import (
     PlantState,
     ReferenceBatch,
     _draws,
+    _orient,
+    _segments_intersect,
     drift_offsets,
     lidar_detect,
     line_of_sight,
@@ -169,13 +171,48 @@ def test_line_of_sight_basics():
     assert line_of_sight((0.0, 0.0), (2.0, 0.5), (wall,))
 
 
+def _segments_intersect_oracle(p1, p2, q1, q2) -> bool:
+    """The earlier body of ``simulator._segments_intersect``."""
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
+    if ((d1 > 0) != (d2 > 0) or d1 == 0 or d2 == 0) and \
+       ((d3 > 0) != (d4 > 0) or d3 == 0 or d4 == 0):
+        # possible intersection incl. collinear overlap; confirm with boxes
+        if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
+            return (min(p1[0], p2[0]) <= max(q1[0], q2[0])
+                    and min(q1[0], q2[0]) <= max(p1[0], p2[0])
+                    and min(p1[1], p2[1]) <= max(q1[1], q2[1])
+                    and min(q1[1], q2[1]) <= max(p1[1], p2[1]))
+        return ((d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)) or \
+            d1 == 0 or d2 == 0 or d3 == 0 or d4 == 0
+    return False
+
+
+def test_segment_test_matches_the_earlier_body():
+    # random real segments, and a small integer grid, which gives collinear,
+    # touching and zero-length segments
+    rng = np.random.default_rng(17)
+    cases = [rng.uniform(-5.0, 5.0, (4, 2)).tolist() for _ in range(5000)]
+    cases += [rng.integers(0, 4, (4, 2)).astype(float).tolist() for _ in range(20000)]
+    outcomes = set()
+    for p1, p2, q1, q2 in cases:
+        got = _segments_intersect(p1, p2, q1, q2)
+        assert got is _segments_intersect_oracle(p1, p2, q1, q2), (p1, p2, q1, q2)
+        collinear = _orient(q1, q2, p1) == _orient(q1, q2, p2) == 0 == \
+            _orient(p1, p2, q1) == _orient(p1, p2, q2)
+        outcomes.add((collinear, got))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
 # ---------------------------------------------------------------------------
 # plant
 
 
 def _refs(points):
     stamps, positions, headings = zip(*points)
-    return ReferenceBatch(Trajectory(Frame.VIO, stamps, positions, headings))
+    return ReferenceBatch(Trajectory(stamps, positions, headings))
 
 
 def test_plant_step_equilibrium():
@@ -259,7 +296,7 @@ def test_plant_step_is_bit_identical_to_the_array_update():
         n = int(rng.integers(1, 6))
         stamps = np.cumsum(rng.uniform(0.05, 0.5, n))
         refs = None if case % 10 == 0 else Trajectory(
-            Frame.VIO, stamps, rng.normal(0.0, 3.0, (n, 3)), rng.uniform(-math.pi, math.pi, n))
+            stamps, rng.normal(0.0, 3.0, (n, 3)), rng.uniform(-math.pi, math.pi, n))
         state = PlantState(tuple(rng.normal(0.0, 3.0, 3).tolist()),
                            float(rng.uniform(-math.pi, math.pi)), (0.0, 0.0, 0.0), 0.0)
         t = float(rng.uniform(stamps[0] - 0.2, stamps[-1] + 0.2))
@@ -546,7 +583,6 @@ def test_streamed_references_rebuild_every_pushed_batch(monkeypatch, name):
     assert rebuilt[0][0] < first_est < rebuilt[-1][0]  # batches before and after init
     for (t_emit, t_arrive, batch), (arrival, _, _, streamed) in zip(rebuilt, pushed):
         assert t_arrive == arrival and t_emit < t_arrive
-        assert batch.frame is streamed.frame is Frame.VIO
         for field in ("stamps", "positions", "headings"):
             assert getattr(batch, field).tobytes() == getattr(streamed, field).tobytes()
 
