@@ -2,9 +2,9 @@
 
 Library layout:
     geometry    heading arithmetic and rotations, stamped record buffers,
-                interpolation
+                interpolation and extrapolation
     alignment   sliding-window robust alignment of detection/VIO trajectories
-    tracker     delay-tolerant constant-velocity Kalman tracking + gating
+    tracker     delay-tolerant Kalman filter of the L->V frame + gating
     guider      estimation pipeline + reference transformation/streaming
     paths       desired path: trajectory model, streamed batch, path distance
     config      scenario configuration (one key table, file format, overrides)
@@ -37,9 +37,7 @@ from .geometry import (
     Detection,
     StampedColumns,
     TimedPose,
-    detection_columns,
     interpolate,
-    pose_columns,
     wrap_heading,
 )
 from .guider import Guider, GuiderOutput, GuiderStatus
@@ -49,11 +47,8 @@ from .tracker import (
     GateDecision,
     HistoryBuffer,
     Measurement,
-    MeasurementKind,
     TrackerState,
     associate,
-    make_heading_measurement,
-    make_vio_measurement,
     predict,
     try_initialize,
     update,

@@ -11,7 +11,9 @@ wrong length is a config error.  ScenarioConfig then checks every value
 against its declared valid values, plus the rules that join keys (a
 positive radius for the circle and eight patterns, two waypoints for the
 waypoints pattern, ``detection.rate`` and ``vio.rate`` at most
-``scenario.tick_rate``, since sensors sample on the tick grid) and the rule
+``scenario.tick_rate`` and ``scenario.tick_rate`` at least
+``paths.REF_RATE``, since sensors sample and references stream on the tick
+grid) and the rule
 that a non-empty ``sweep.parameter`` names a key.  The
 ``alignment.*`` keys are generated from the fields of AlignmentConfig, one
 key per field with the field's default and its ``valid`` metadata; an
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional
 
 from .alignment import AlignmentConfig
+from .paths import REF_RATE
 
 
 class ConfigError(ValueError):
@@ -238,6 +241,9 @@ class ScenarioConfig:
             if v[key] > v["scenario.tick_rate"]:   # sensors sample on the tick grid
                 raise ConfigError(f"{key} must be at most scenario.tick_rate "
                                   f"({v['scenario.tick_rate']}), got {v[key]}")
+        if v["scenario.tick_rate"] < REF_RATE:   # references stream on the tick grid
+            raise ConfigError(f"scenario.tick_rate must be at least the reference rate "
+                              f"({REF_RATE}), got {v['scenario.tick_rate']}")
         object.__setattr__(self, "alignment", AlignmentConfig(**{
             f.name: v[f"alignment.{f.name}"] for f in fields(AlignmentConfig)}))
 

@@ -1,5 +1,5 @@
 """Gravity-aligned 4-DOF transforms, heading arithmetic, stamped
-record buffers and their interpolation.
+record buffers, their interpolation and the extrapolation of a pose.
 
 All frames are gravity-aligned (roll/pitch identically zero), so the only
 rotational degree of freedom is the heading angle about the z axis and a
@@ -25,7 +25,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -192,24 +192,6 @@ class StampedColumns:
         self._data, self._start, self._end = data, 0, n
 
 
-def pose_columns(poses: Iterable[TimedPose]) -> StampedColumns:
-    """A VIO pose buffer holding ``poses`` (any order; a repeated stamp is
-    dropped)."""
-    buf = StampedColumns(len(POSE_FIELDS))
-    for pose in poses:
-        buf.insert(pose)
-    return buf
-
-
-def detection_columns(detections: Iterable[Detection]) -> StampedColumns:
-    """A detection buffer holding ``detections`` (any order; a repeated stamp
-    is dropped)."""
-    buf = StampedColumns(len(DETECTION_FIELDS))
-    for det in detections:
-        buf.insert(det)
-    return buf
-
-
 def interpolate(buffer: StampedColumns, t: float) -> TimedPose:
     """Linearly interpolate a pose buffer (:data:`POSE_FIELDS`) at time ``t``.
 
@@ -250,6 +232,21 @@ def interpolate(buffer: StampedColumns, t: float) -> TimedPose:
                 r0 + u * (r1 - r0),
             )
     return TimedPose(t, *row[1:])
+
+
+def extrapolate(pose: Sequence[float], t: float) -> TimedPose:
+    """A pose record (:data:`POSE_FIELDS`) moved to time ``t`` as a
+    coordinated turn: the heading turns at the record's heading rate, the
+    planar velocity turns with it, and z moves at its rate (the
+    coordinated-turn model; Bar-Shalom, Li and Kirubarajan 2001, ch. 11)."""
+    stamp, x, y, z, heading, vx, vy, vz, rate = pose
+    dt = t - stamp
+    turn = rate * dt
+    c, s = math.cos(turn), math.sin(turn)
+    # the integrals of cos and sin of the turn angle over the step
+    a, b = (dt, 0.0) if turn == 0.0 else (s / rate, (1.0 - c) / rate)
+    return TimedPose(t, x + a * vx - b * vy, y + b * vx + a * vy, z + dt * vz,
+                     wrap_heading(heading + turn), c * vx - s * vy, s * vx + c * vy, vz, rate)
 
 
 def interp_columns(t: np.ndarray, stamps: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -1,34 +1,38 @@
-"""Guidance orchestration: alignment + tracking + reference transformation.
+"""Guidance orchestration: frame initialization, the frame filter and
+reference transformation.
 
 The guider owns the estimation pipeline for one secondary agent: it buffers
 raw detections per track id and VIO poses, each buffer a stamp-sorted
 ``StampedColumns`` that stores the ``Detection`` and ``TimedPose`` records as
-they arrive, initializes the estimate by aligning detection tracks
-against the VIO trajectory, keeps the estimate updated through the
-history-buffered Kalman filter, periodically re-solves
-the frame alignment, and transforms the not-yet-flown part of a desired
-lidar-frame trajectory into the secondary agent's local frame for streaming.
-The last accepted alignment supplies the heading and the co-estimated VIO
-drift rate that every VIO measurement is corrected with.
+they arrive, initializes the L->V frame by aligning detection tracks against
+the VIO trajectory, keeps the frame updated through the history-buffered
+frame filter (``tracker``), and transforms the not-yet-flown part of a
+desired lidar-frame trajectory into the secondary agent's local frame for
+streaming.  VIO is not a filter measurement: it is buffered, and each
+detection is fused with the VIO position interpolated at its stamp.
 
 Each reference tick makes one output: ``current_output(t)`` computes the
 estimate, the status and the L->V transform once, and ``transform_and_stream``
 streams the desired trajectory's batch (``Trajectory.streamed``) with that
-output's transform.  The desired trajectory is in L because
+output's transform.  The transform is the frame at the newest VIO stamp; the
+secondary's pose in L is its newest VIO pose, extrapolated to t, mapped
+through the frame at t.  The desired trajectory is in L because
 ``generate_trajectory`` builds it there; it carries no frame label to check.
 
 Initialization and re-initialization are one path (``try_initialize`` over
 the tracks that still produce detections; once a filter exists, only over
 tracks with a detection newer than the last fused one, so an occlusion does
-not reset the filter to a detection it already holds); realignment runs the
-same alignment steps on the fused detections: build the window, test its
-geometry with ``window_observable`` at the newest fused detection's noise,
-solve, accept with ``degeneracy_check``.
+not reset the filter to a detection it already holds).  Realignment runs the
+same alignment steps on the fused detections as a check: build the window,
+test its geometry with ``window_observable`` at the newest fused detection's
+noise, solve, accept with ``degeneracy_check``.  Its outcome sets the status
+(TRACKING or TRANSFORM_FROZEN) and never touches the filter state.
 
 Degenerate input streams map to explicit statuses:
-    - detections stale        -> DEAD_RECKONING_VIO (position rides the VIO chain)
-    - VIO stale               -> HEADING_FROZEN (heading states stop updating,
-      streaming pauses: without fresh VIO there is no valid V-frame anchor)
+    - detections stale        -> DEAD_RECKONING_VIO (the pose rides VIO
+      through the predicted frame)
+    - VIO stale               -> HEADING_FROZEN (streaming pauses: without
+      fresh VIO there is no valid V-frame anchor)
     - non-finite VIO samples  -> dropped on ingest, so a stream of them reads
       as VIO stale
     - malformed detection batch -> ValueError, nothing changes (stamps that
@@ -37,10 +41,12 @@ Degenerate input streams map to explicit statuses:
       batch whose stamp is already buffered), so each is fused once
     - late detection batch    -> buffered in stamp order; the history buffer
       replays the filter through it
-    - VIO lagging detections  -> a sample not newer than the newest fused
-      detection chains from the newest fused detection stamped before it
+    - VIO lagging detections  -> a batch stamped after the newest VIO sample
+      waits until ``ingest_vio`` buffers a sample at or after its stamp;
+      waiting batches more than the history span older than the newest one
+      are dropped, so a stale VIO link leaves a bounded list
     - last alignment rejected -> TRANSFORM_FROZEN (guidance continues with the
-      previous transform)
+      filter's transform)
 
 The realignment period is the guider's one setting, passed as a float (the
 scenario key ``guider.realign_period``); the staleness limits and the reject
@@ -51,16 +57,15 @@ All ingest and query calls must be externally serialized (single writer).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .alignment import (
     AlignmentConfig,
-    AlignmentResult,
     build_correspondence_arrays,
     degeneracy_check,
     solve_alignment_arrays,
@@ -70,22 +75,18 @@ from .geometry import (
     DETECTION_FIELDS,
     POSE_FIELDS,
     Detection,
-    StaleQueryError,
     StampedColumns,
     TimedPose,
+    extrapolate,
     interpolate,
-    rot_z,
-    wrap_heading,
 )
 from .paths import Trajectory
 from .tracker import (
     HistoryBuffer,
     Measurement,
-    MeasurementKind,
     StaleMeasurementError,
+    TrackerState,
     associate,
-    make_heading_measurement,
-    make_vio_measurement,
     try_initialize,
 )
 
@@ -142,15 +143,12 @@ class Guider:
         self._vio_buffer = StampedColumns(len(POSE_FIELDS))
         self._fused_detections = StampedColumns(len(DETECTION_FIELDS))
         self._history: Optional[HistoryBuffer] = None
-        self._alignment: Optional[AlignmentResult] = None   # the last accepted solve
-        # of the last accepted solve: heading, rot_z(-heading), drift rate floats
-        self._correction: Optional[tuple[float, np.ndarray, tuple]] = None
-        # newest fused detection record, VIO pose at its stamp, oldest VIO
-        # stamp that pose depends on: see _vio_anchor
-        self._anchor: Optional[tuple[list, Optional[TimedPose], float]] = None
+        # (stamp, batch) of the detection batches stamped after the newest
+        # VIO sample, in stamp order
+        self._pending: list[tuple[float, list[Detection]]] = []
         self._alignment_accepted = False
-        self._next_alignment_time = -np.inf
-        self._next_init_attempt = -np.inf
+        self._next_alignment_time = -math.inf
+        self._next_init_attempt = -math.inf
         self._consecutive_rejects = 0
 
     # ------------------------------------------------------------------ state
@@ -180,7 +178,9 @@ class Guider:
 
         Arrival order may differ from stamps: the buffers stay sorted by
         stamp.  A batch whose stamp a track buffer already holds is a
-        duplicate delivery and is dropped, changing nothing.
+        duplicate delivery and is dropped, changing nothing.  Once the
+        frame is initialized, a batch the VIO buffer covers is associated
+        and fused at once; a newer one waits for ``ingest_vio``.
         """
         if not detections:
             return
@@ -208,23 +208,58 @@ class Guider:
                 self._next_init_attempt = stamp + 0.3
                 self._initialize(stamp)
             return
+        if stamp <= self._vio_buffer.newest_stamp:
+            self._fuse(stamp, detections)
+            return
+        # a stale VIO link leaves the list at most a history span long
+        pending = self._pending
+        bisect.insort(pending, (stamp, detections), key=itemgetter(0))
+        cutoff = pending[-1][0] - self._history.span
+        while pending[0][0] < cutoff:
+            del pending[0]
 
+    def ingest_vio(self, pose: TimedPose) -> None:
+        """Feed one VIO pose sample (arrival order may differ from stamps).
+
+        A sample with a non-finite value is dropped before it is buffered, so
+        it cannot turn the filter state to NaN; a stream of them reads as
+        stale VIO (HEADING_FROZEN).  A sample whose stamp is already buffered
+        is a duplicate delivery and is dropped too.  Once the frame is
+        initialized, the waiting detection batches the buffer now covers are
+        fused in stamp order, and the alignment check runs every
+        ``realign_period``.
+        """
+        if not all(map(math.isfinite, pose)):
+            return
+        buf = self._vio_buffer
+        if buf.insert(pose) is None:
+            return
+        buf.prune(buf.newest_stamp - self._buffer_span)
+        if self._history is None:
+            return
+        pending = self._pending
+        while pending and pending[0][0] <= buf.newest_stamp:
+            self._fuse(*pending.pop(0))
+        if pose.stamp >= self._next_alignment_time:
+            self._realign(pose.stamp)
+
+    def _fuse(self, stamp: float, detections: list[Detection]) -> None:
+        """Associate a batch that the VIO buffer covers and fuse the accepted
+        detection with the VIO position at its stamp."""
         try:
             predicted = self._history.estimate_at(stamp)
+            vio = interpolate(self._vio_buffer, stamp)[1:4]
         except ValueError:
-            return  # batch predates the buffer anchor: too stale to use
-        decision = associate(detections, predicted)
+            return  # batch predates the history anchor or the VIO buffer: too stale
+        decision = associate(detections, predicted, vio)
         if decision.accepted:
             det = decision.detection
-            r = det.sigma ** 2
-            z = Measurement(stamp, MeasurementKind.LIDAR_POSITION, det[1:4], (r,))
             try:
-                self._history.insert(z)
+                self._history.insert(Measurement(stamp, det[1:4], vio, det.sigma ** 2))
             except StaleMeasurementError:
                 return
             fused = self._fused_detections
-            if fused.insert(det) == len(fused) - 1:
-                self._anchor = None   # a new newest fused detection
+            fused.insert(det)
             fused.prune(fused.newest_stamp - self._buffer_span)
             self._consecutive_rejects = 0
         else:
@@ -236,91 +271,6 @@ class Guider:
                 # from a live track whose trajectory matches the VIO buffer.
                 self._consecutive_rejects = 0
                 self._initialize(stamp)
-
-    def ingest_vio(self, pose: TimedPose) -> None:
-        """Feed one VIO pose sample (arrival order may differ from stamps).
-
-        A sample with a non-finite value is dropped before it is buffered, so
-        it cannot turn the filter state to NaN; a stream of them reads as
-        stale VIO (HEADING_FROZEN).  A sample whose stamp is already buffered
-        is a duplicate delivery and is dropped too.
-        """
-        if not all(map(math.isfinite, pose)):
-            return
-        buf = self._vio_buffer
-        i = buf.insert(pose)
-        if i is None:
-            return
-        late = i < len(buf) - 1
-        cutoff = buf.newest_stamp - self._buffer_span
-        buf.prune(cutoff)
-        if self._anchor is not None and (late or cutoff > self._anchor[2]):
-            # a late sample may fall between the samples the anchor was
-            # interpolated from, and the prune may have dropped the older one
-            self._anchor = None
-
-        if self._history is None:
-            return
-        theta, r_lv, drift_rate = self._correction
-        if pose.stamp > self._fused_detections.newest_stamp:
-            last_det, vio_at_det = self._vio_anchor()
-        else:
-            # a lagging VIO link: a newer detection is fused already
-            last_det, vio_at_det = self._anchor_before(pose.stamp)
-        try:
-            if vio_at_det is not None:
-                z = make_vio_measurement(pose, last_det, vio_at_det, theta, drift_rate, r_lv)
-            else:
-                # no fused detection before the sample, or it lies outside
-                # the VIO buffer: heading-only measurement
-                z = make_heading_measurement(pose, theta)
-            self._history.insert(z)
-        except StaleMeasurementError:
-            pass  # over-delayed sample: skip, streams continue
-
-        if pose.stamp >= self._next_alignment_time:
-            self._realign(pose.stamp)
-
-    def _vio_anchor(self) -> tuple[list, Optional[TimedPose]]:
-        """The newest fused detection record (a row of the fused buffer) and
-        the VIO pose interpolated at its stamp, None when the stamp lies
-        outside the VIO buffer.
-
-        Called only once a VIO sample newer than the detection is buffered,
-        so the pose depends on the samples from the one at or before the
-        stamp onward and never on appended ones.  It is cached until the
-        newest fused detection changes, a sample arrives out of order or
-        pruning removes that sample (see ``ingest_vio`` and
-        ``ingest_detections``).
-        """
-        if self._anchor is None:
-            buf = self._vio_buffer
-            det = self._fused_detections.row(-1)
-            stamp = det[0]
-            try:
-                vio_at_det = interpolate(buf, stamp)
-            except StaleQueryError:
-                vio_at_det = None
-            stamps = buf.stamps
-            oldest = stamps[max(int(stamps.searchsorted(stamp, side="right")) - 1, 0)]
-            self._anchor = (det, vio_at_det, float(oldest))
-        return self._anchor[0], self._anchor[1]
-
-    def _anchor_before(self, stamp: float) -> tuple[Optional[list], Optional[TimedPose]]:
-        """The newest fused detection record stamped before ``stamp`` and the
-        VIO pose interpolated at its stamp; None for the record when there is
-        none, None for the pose when its stamp lies outside the VIO buffer.
-        Not cached: a lagging link reads a different detection per sample.
-        """
-        fused = self._fused_detections
-        i = int(fused.stamps.searchsorted(stamp)) - 1
-        if i < 0:
-            return None, None
-        det = fused.row(i)
-        try:
-            return det, interpolate(self._vio_buffer, det[0])
-        except StaleQueryError:
-            return det, None
 
     # ------------------------------------------------------------ initialization
 
@@ -336,35 +286,28 @@ class Guider:
             return
         out = try_initialize(fresh, self._vio_buffer, self.align_config)
         if out is not None:
-            self._adopt(*out)
+            state, _, track_id = out
+            self._adopt(state, track_id)
 
-    def _adopt(self, state, result, track_id: int) -> None:
+    def _adopt(self, state: TrackerState, track_id: int) -> None:
         self._history = HistoryBuffer(state)
-        self._accept(result)
         self._alignment_accepted = True
         self._next_alignment_time = state.stamp + self.realign_period
         self._fused_detections = self._track_buffers[track_id].copy()
-        self._anchor = None
         self._consecutive_rejects = 0
 
-    def _accept(self, result: AlignmentResult) -> None:
-        self._alignment = result
-        theta = result.heading
-        self._correction = (theta, rot_z(-theta), tuple(result.drift_rate.tolist()))
-
     def _realign(self, now: float) -> None:
+        """The alignment check: the windowed solve of the fused detections
+        sets TRACKING when it is observable and accepted, else
+        TRANSFORM_FROZEN; the filter state is left as it is."""
         self._next_alignment_time = now + self.realign_period
         config = self.align_config
         fused = self._fused_detections
         arrays = build_correspondence_arrays(fused, self._vio_buffer, config)
         *_, sigma, _ = fused.row(-1)
-        if arrays is None or not window_observable(arrays[1], sigma):
-            self._alignment_accepted = False
-            return
-        result = solve_alignment_arrays(*arrays, config)
-        self._alignment_accepted = degeneracy_check(result, config)
-        if self._alignment_accepted:
-            self._accept(result)
+        self._alignment_accepted = (
+            arrays is not None and window_observable(arrays[1], sigma)
+            and degeneracy_check(solve_alignment_arrays(*arrays, config), config))
 
     # ------------------------------------------------------------------ output
 
@@ -372,24 +315,19 @@ class Guider:
         """The estimate at ``t``, the status and the L->V transform of this
         reference tick; raises GuiderError when uninitialized.
 
-        The transform composes the estimated secondary pose in L with the
-        secondary's own newest VIO pose, both at that pose's stamp, so the
-        mapping follows VIO drift at the filter rate instead of lagging with
-        the windowed alignment.
+        The transform is the frame ``(ox, oy, oz, theta)`` at the newest VIO
+        stamp.  The pose is the newest VIO pose extrapolated to ``t``
+        (:func:`~coopguide.geometry.extrapolate`) and mapped into L through
+        the frame at ``t`` (``TrackerState.pose``).  Every fused detection
+        is stamped at most at the newest VIO sample, so neither stamp
+        precedes the history's anchor.
         """
         if self._history is None:
             raise GuiderError("guider is uninitialized: no accepted alignment yet")
-        stamp, x, y, z, heading = self._vio_buffer.row(-1)[:5]
-        try:
-            est = self._history.estimate_at(stamp)
-        except ValueError:
-            est = self._history.latest_state
-        _, ex, ey, ez, est_heading = est.pose(stamp)[:5]
-        theta = wrap_heading(heading - est_heading)
-        c, s = np.cos(theta), np.sin(theta)
-        transform = (float(x - (c * ex - s * ey)), float(y - (s * ex + c * ey)),
-                     z - ez, theta)
-        return GuiderOutput(t, self._history.estimate_at(t).pose(t), transform, self.status(t))
+        vio = self._vio_buffer.row(-1)
+        ox, _, oy, _, theta, oz, _ = self._history.estimate_at(vio[0]).mean
+        pose = self._history.estimate_at(t).pose(extrapolate(vio, t))
+        return GuiderOutput(t, pose, (ox, oy, oz, theta), self.status(t))
 
     def transform_and_stream(self, desired: Trajectory,
                              output: GuiderOutput) -> Optional[Trajectory]:

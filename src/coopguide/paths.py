@@ -12,6 +12,7 @@ import numpy as np
 from .geometry import rot_z, wrap_heading
 
 STREAM_HORIZON = 10.0        # s of trajectory transmitted per stream
+REF_RATE = 5.0               # Hz, reference transmission rate
 
 
 class Trajectory:

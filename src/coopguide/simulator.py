@@ -21,9 +21,11 @@ True frame relation maintained by the engine:
 with (t0, theta0) the initial VIO frame offset and o(t) the accumulated
 position drift: the ``vio_drift.x/y/z`` rate times t plus a random walk of
 intensity ``vio_drift.sigma`` (``drift_offsets``), the two terms adding
-up.  Until the guider initializes, the engine streams references through
-this true transform (operator-assisted start); afterwards the guider
-streams through its own estimate.  Either way a batch is
+up.  The guider's frame filter (``tracker``) estimates this relation, its
+offset standing for t0 + o(t) and its heading for theta0.  Until the guider
+initializes, the engine streams references through this true transform
+(operator-assisted start); afterwards the guider streams through its own
+estimate.  Either way a batch is
 ``Trajectory.streamed`` of the desired trajectory at t with that transform,
 and the run's record is an ``EventLog``.
 """
@@ -43,7 +45,7 @@ from .config import ScenarioConfig, format_value
 from .eventlog import EventLog
 from .geometry import Detection, TimedPose, rot_z, wrap_heading
 from .guider import Guider
-from .paths import ReferencePath, Trajectory, generate_trajectory
+from .paths import REF_RATE, ReferencePath, Trajectory, generate_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +287,6 @@ def plant_step(
 # ---------------------------------------------------------------------------
 # scenario loop
 
-
-REF_RATE = 5.0               # Hz, reference transmission rate
 
 _STREAM_DET_NOISE = 1
 _STREAM_DET_DELAY = 2

@@ -21,9 +21,9 @@ from coopguide.eventlog import EventLog
 from coopguide.geometry import rot_z, wrap_heading
 from coopguide.simulator import run_scenario
 from coopguide.tracker import (
+    GATE_CRITICAL,
     HistoryBuffer,
     Measurement,
-    MeasurementKind,
     TrackerState,
     associate,
 )
@@ -95,13 +95,9 @@ def test_criterion_2_robust_alignment(estimate_drift):
 
 def test_criterion_3_replay_equivalence():
     with criterion(3, "1000 interleavings replay equivalence") as d:
-        kinds = [MeasurementKind.LIDAR_POSITION, MeasurementKind.VIO_FULL,
-                 MeasurementKind.VIO_HEADING]
-        dims = {k: d_ for k, d_ in zip(kinds, (3, 8, 2))}
-        # the drawn variance of each block component's first element: x, y
-        # and z share theirs
-        per_block = {k: i for k, i in zip(kinds, ((0,), (0, 3, 6, 7), (0, 1)))}
-        anchor = TrackerState(0.0, (0.0,) * 8, (1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
+        # unit diagonal covariance over (ox, rx, oy, ry, theta) and (oz, rz)
+        planar = tuple(1.0 if i == j else 0.0 for i in range(5) for j in range(i, 5))
+        anchor = TrackerState(0.0, (0.0,) * 7, planar, (1.0, 0.0, 1.0))
         worst = 0.0
         for case in range(100):
             rng = np.random.default_rng(3000 + case)
@@ -109,43 +105,51 @@ def test_criterion_3_replay_equivalence():
             t = 0.0
             for _ in range(12):
                 t += float(rng.uniform(0.02, 0.15))
-                kind = kinds[int(rng.integers(0, 3))]
-                m = dims[kind]
-                value = tuple(rng.normal(0.0, 1.0, m).tolist())
-                variance = rng.uniform(0.05, 0.5, m)[list(per_block[kind])]
-                measurements.append(Measurement(t, kind, value, tuple(variance.tolist())))
+                lidar = tuple(rng.normal(0.0, 3.0, 3).tolist())
+                vio = tuple(rng.normal(0.0, 1.0, 3).tolist())
+                measurements.append(Measurement(t, lidar, vio, float(rng.uniform(0.05, 0.5))))
             ordered = HistoryBuffer(anchor, span=1e9)
             for z in measurements:
                 expected = ordered.insert(z)
+            want = np.concatenate([expected.mean, expected.planar, expected.vertical])
             for perm_i in range(10):
                 buf = HistoryBuffer(anchor, span=1e9)
                 for i in rng.permutation(len(measurements)):
                     buf.insert(measurements[i])
                 got = buf.latest_state
-                worst = max(worst,
-                            float(np.max(np.abs(got.mean - expected.mean))),
-                            float(np.max(np.abs(got.covariance - expected.covariance))))
-                assert np.allclose(got.mean, expected.mean, atol=1e-9)
-                assert np.allclose(got.covariance, expected.covariance, atol=1e-9)
+                got = np.concatenate([got.mean, got.planar, got.vertical])
+                worst = max(worst, float(np.max(np.abs(got - want))))
+                assert np.allclose(got, want, atol=1e-9)
         d["note"] = f"max deviation {worst:.2e}"
 
 
 def test_criterion_4_gate_calibration():
     with criterion(4, "chi-square gate acceptance rate at p=0.95") as d:
         rng = np.random.default_rng(4000)
-        # (value variance, covariance, rate variance) of x, y and z, and of
-        # heading
-        state = TrackerState(0.0, (0.0,) * 8, (0.3, 0.0, 0.5), (0.1, 0.0, 0.1))
+        # (ox, rx, oy, ry, theta) with variances 0.3, 0.01, 0.3, 0.01 and
+        # 0.01, and (oz, rz) with 0.3 and 0.01
+        planar = (0.3, 0.0, 0.0, 0.0, 0.0, 0.01, 0.0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.01, 0.0, 0.01)
+        state = TrackerState(0.0, (0.5, 0.0, -0.3, 0.0, 0.8, 0.2, 0.0), planar, (0.3, 0.0, 0.01))
         sigma = 0.15
-        L = np.linalg.cholesky(np.diag(state.covariance[:3, 0, 0]) + sigma ** 2 * np.eye(3))
-        # S = 0.3225 on each axis: an innovation beyond the 2 m pre-gate has
-        # d^2 > 12.4, so the pre-gate rejects nothing the chi-square test keeps
+        lidar = np.array([3.0, 1.0, 1.0])
+        c, s = math.cos(0.8), math.sin(0.8)
+        # h(x) = Rz(theta) d + o and the rows of its Jacobian over (ox, oy,
+        # theta, oz): theta couples x and y
+        h = rot_z(0.8) @ lidar + np.array([0.5, -0.3, 0.2])
+        H = np.array([[1.0, 0.0, -s * lidar[0] - c * lidar[1], 0.0],
+                      [0.0, 1.0, c * lidar[0] - s * lidar[1], 0.0],
+                      [0.0, 0.0, 0.0, 1.0]])
+        S = H @ np.diag([0.3, 0.3, 0.01, 0.3]) @ H.T + sigma ** 2 * np.eye(3)
+        # an innovation beyond the 2 m pre-gate has d^2 >= 4 / max eig(S),
+        # above the gate: the pre-gate rejects nothing the chi-square test keeps
+        assert 4.0 / np.linalg.eigvalsh(S)[-1] > GATE_CRITICAL
+        L = np.linalg.cholesky(S)
+        det = Detection(0.0, *lidar.tolist(), sigma, track_id=0)
         accepted = 0
         trials = 10_000
         for _ in range(trials):
-            z = L @ rng.normal(0.0, 1.0, 3)
-            det = Detection(0.0, *z.tolist(), sigma, track_id=0)
-            if associate([det], state).accepted:
+            vio = h + L @ rng.normal(0.0, 1.0, 3)
+            if associate([det], state, vio.tolist()).accepted:
                 accepted += 1
         rate = accepted / trials
         assert 0.93 <= rate <= 0.97

@@ -26,11 +26,11 @@ from coopguide.geometry import (
     STALE_TOLERANCE,
     Detection,
     TimedPose,
-    detection_columns,
-    pose_columns,
     rot_z,
     wrap_heading,
 )
+
+from columns import detection_columns, pose_columns
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from coopguide.config import (
     format_value,
     load_config_file,
 )
+from coopguide.paths import REF_RATE
+from coopguide.simulator import run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -118,6 +120,18 @@ def test_a_sensor_rate_above_the_tick_rate_is_a_config_error(key):
         with pytest.raises(ConfigError, match=f"{key} must be at most scenario.tick_rate"):
             build_config({"scenario.tick_rate": 50.0, key: rate})
     assert build_config({"scenario.tick_rate": 50.0, key: 50.0})[key] == 50.0
+
+
+def test_a_tick_rate_below_the_reference_rate_is_a_config_error():
+    # references stream on the tick grid, so a slower tick would cap the
+    # reference rate: a 10 s run at tick rate 2 logged 21 REF records, not 51
+    for tick_rate in (2.0, 4.0, REF_RATE - 1e-9):
+        with pytest.raises(ConfigError, match="scenario.tick_rate must be at least"):
+            build_config({"scenario.tick_rate": tick_rate, "detection.rate": 2.0,
+                          "vio.rate": 2.0})
+    config = build_config({"scenario.tick_rate": REF_RATE, "detection.rate": 5.0,
+                           "vio.rate": 5.0, "scenario.duration": 10.0})
+    assert len(list(run_scenario(config).iter_tag("REF"))) == 51
 
 
 @pytest.mark.parametrize("key, raw", [("trajectory.laps", 1.5), ("scenario.seed", 2.9)])

@@ -10,10 +10,11 @@ from coopguide.geometry import (
     StampedColumns,
     TimedPose,
     interpolate,
-    pose_columns,
     rot_z,
     wrap_heading,
 )
+
+from columns import pose_columns
 
 
 def test_wrap_heading_identity():

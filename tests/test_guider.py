@@ -11,11 +11,8 @@ from coopguide.alignment import AlignmentConfig
 from coopguide.config import build_config, load_config_file
 from coopguide.evaluation import evaluate_log
 from coopguide.geometry import (
-    STALE_TOLERANCE,
     Detection,
     TimedPose,
-    detection_columns,
-    interpolate,
     rot_z,
     wrap_heading,
 )
@@ -28,11 +25,11 @@ from coopguide.paths import STREAM_HORIZON, Trajectory
 from coopguide.tracker import (
     GATE_CRITICAL,
     HistoryBuffer,
-    MeasurementKind,
-    make_vio_measurement,
     predict,
     update,
 )
+
+from columns import detection_columns
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THETA = 0.8
@@ -110,8 +107,9 @@ def test_initialization_transition():
     assert g.status(t) is GuiderStatus.TRACKING
     out = g.current_output(t)
     assert np.allclose(position_of(out.secondary_pose_in_l), secondary_position(t), atol=0.05)
-    assert abs(wrap_heading(g._alignment.heading - THETA)) < 1e-3
-    assert np.allclose(g._alignment.translation, T_OFFSET, atol=0.02)
+    ox, _, oy, _, theta, oz, _ = g._history.latest_state.mean
+    assert abs(wrap_heading(theta - THETA)) < 1e-3
+    assert np.allclose([ox, oy, oz], T_OFFSET, atol=0.02)
 
 
 def test_empty_detection_batch_is_noop():
@@ -132,7 +130,7 @@ def test_detection_batch_with_differing_stamps_is_rejected():
 
 def _ingest_state(g):
     return (len(g._track_buffers[0]), len(g._fused_detections), len(g._vio_buffer),
-            len(g._history), g._history.latest_state.mean.tobytes())
+            len(g._history), g._history.latest_state.mean)
 
 
 @pytest.mark.parametrize("field", ["x", "z", "sigma"])
@@ -160,9 +158,10 @@ def test_detection_batch_with_two_detections_of_one_track_is_rejected():
 
 
 def test_high_drift_lap_tracks_through_the_drift_without_reinitializing(monkeypatch):
-    # drift_sweep.cfg at 0.8 m/s: the accepted alignment's drift rate is
-    # removed from every VIO measurement, so the gate keeps passing and the
-    # first adoption is the only one (without the correction: 51 per lap)
+    # drift_sweep.cfg at 0.8 m/s: the frame's offset rate follows the drift,
+    # so the gate keeps passing and the first adoption is the only one
+    # (an agent filter without a drift correction re-initialized 51 times
+    # per lap)
     from coopguide.simulator import run_scenario
 
     adoptions = []
@@ -197,6 +196,80 @@ def test_innovations_are_chi_square_consistent_on_the_baseline_run(monkeypatch):
     assert len(nis) > 1000
     assert 2.55 <= np.mean(nis) <= 3.45
     assert 0.025 <= np.mean(np.array(nis) > GATE_CRITICAL) <= 0.10
+
+
+def _position_covariance(state, pose):
+    """The covariance of the position Rz(theta)^T (p_V - o) of ``pose`` in L
+    under the state's covariance of (ox, oy, theta, oz)."""
+    P = np.zeros((7, 7))
+    for (i, j), v in zip([(i, j) for i in range(5) for j in range(i, 5)], state.planar):
+        P[i, j] = P[j, i] = v
+    c00, c01, c11 = state.vertical
+    P[5:, 5:] = [[c00, c01], [c01, c11]]
+    c, s = math.cos(state.mean[4]), math.sin(state.mean[4])
+    J = np.zeros((3, 7))
+    J[:2, 0] = -c, s
+    J[:2, 2] = -s, -c
+    J[:, 4] = pose.y, -pose.x, 0.0
+    J[2, 5] = -1.0
+    return J @ P @ J.T
+
+
+def test_baseline_nees_is_consistent(monkeypatch):
+    # The normalized estimation error squared of each output's position
+    # against the truth, over the filter's own covariance of that position,
+    # has mean 3 when the filter is consistent (Bar-Shalom, Li and
+    # Kirubarajan 2001, §5.4); an agent filter fusing every VIO sample read
+    # 4.96 here.
+    from coopguide.simulator import run_scenario
+
+    outputs = []
+    current_output = Guider.current_output
+
+    def recording(self, t):
+        out = current_output(self, t)
+        pose = out.secondary_pose_in_l
+        outputs.append((t, [pose.x, pose.y, pose.z],
+                        _position_covariance(self._history.estimate_at(t), pose)))
+        return out
+
+    monkeypatch.setattr(Guider, "current_output", recording)
+    log = run_scenario(build_config(load_config_file(str(CONFIGS / "baseline.cfg"))))
+    assert not log.failed and len(outputs) > 700
+    ts_t, ts_p, _ = log.truth()
+    nees = []
+    for t, position, covariance in outputs:
+        truth = [np.interp(t, ts_t, ts_p[:, i]) for i in range(3)]
+        error = np.subtract(position, truth)
+        nees.append(float(error @ np.linalg.solve(covariance, error)))
+    assert np.mean(nees) < 4.0
+
+
+def test_the_gate_accepts_the_secondary_within_half_a_second_of_each_restoration(
+        monkeypatch):
+    # criterion 6's scenario: after each occlusion of the secondary, the
+    # gate accepts one of its detections within 0.5 s of the first one
+    from coopguide.simulator import run_scenario
+
+    from test_acceptance import NLOS_SCENARIO
+
+    accepted = []
+    associate = guider.associate
+
+    def record(detections, *args):
+        decision = associate(detections, *args)
+        if decision.accepted and decision.detection.track_id == 0:
+            accepted.append(decision.detection.stamp)
+        return decision
+
+    monkeypatch.setattr(guider, "associate", record)
+    log = run_scenario(build_config(NLOS_SCENARIO))
+    det0 = log.detection_stamps(0)
+    restorations = det0[1:][np.diff(det0) > 1.0]
+    assert len(restorations) >= 5
+    accepted = np.sort(accepted)
+    lags = [accepted[accepted >= r][0] - r for r in restorations]
+    assert max(lags) <= 0.5, dict(zip(restorations.tolist(), lags))
 
 
 def test_trajectory_rejects_malformed_arrays():
@@ -305,11 +378,25 @@ def test_vio_staleness_maps_to_heading_frozen():
     t = drive(g, t, t + 2.0, vio_on=False)  # comms lost: detections only
     assert g.status(t) is GuiderStatus.HEADING_FROZEN
     out = g.current_output(t)
-    # heading stopped updating but position still corrects from detections
+    # the detections wait for VIO; the pose rides the last VIO sample, whose
+    # velocity turns at its heading rate (the secondary flies a circle)
     assert out.secondary_pose_in_l.heading_rate == pytest.approx(frozen.heading_rate, abs=1e-12)
     assert np.allclose(position_of(out.secondary_pose_in_l), secondary_position(t), atol=0.05)
     t = drive(g, t, t + 1.0)
     assert g.status(t) is GuiderStatus.TRACKING
+
+
+def test_batches_waiting_for_a_stale_vio_link_stay_within_the_history_span():
+    # detection batches stamped after the newest VIO sample wait for it; while
+    # VIO stays stale the list keeps at most a history span of them
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    fused = len(g._history)
+    t = drive(g, t, t + 5.0, vio_on=False)
+    stamps = [stamp for stamp, _ in g._pending]
+    assert stamps == sorted(stamps) and len(g._history) == fused
+    assert stamps[-1] == pytest.approx(t - 0.1)
+    assert stamps[-1] - stamps[0] <= g._history.span < stamps[-1] - stamps[0] + 0.1 + 1e-9
 
 
 def test_non_finite_vio_sample_is_dropped(monkeypatch):
@@ -387,15 +474,6 @@ def _floats(value, n):
     return type(value) is tuple and len(value) == n and all(type(v) is float for v in value)
 
 
-#: (value, variance) lengths of each measurement kind: x, y and z share
-#: one variance per block component
-MEASUREMENT_LENGTHS = {
-    MeasurementKind.LIDAR_POSITION: (3, 1),
-    MeasurementKind.VIO_FULL: (8, 4),
-    MeasurementKind.VIO_HEADING: (2, 2),
-}
-
-
 def test_the_filter_records_hold_floats(monkeypatch):
     # TrackerState and Measurement store what they are given, so the records
     # the filter builds from a run's own input must hold plain floats: the
@@ -417,18 +495,15 @@ def test_the_filter_records_hold_floats(monkeypatch):
     monkeypatch.setattr(guider, "try_initialize", initialize)
     monkeypatch.setattr(HistoryBuffer, "insert", inserting)
     assert len(_est_records(monkeypatch, {})) > 100
-    kinds = [z.kind for z in inserted]
-    assert adopted and min(kinds.count(MeasurementKind.LIDAR_POSITION),
-                           kinds.count(MeasurementKind.VIO_FULL)) > 100
+    assert adopted and len(inserted) > 100
     state = adopted[0]
-    z = next(z for z in inserted if z.stamp > state.stamp
-             and z.kind is MeasurementKind.LIDAR_POSITION)
+    z = next(z for z in inserted if z.stamp > state.stamp)
     predicted = predict(state, z.stamp - state.stamp)
     for s in (state, predicted, update(predicted, z)):
-        assert _floats(s._mean, 8) and _floats(s._pos, 3) and _floats(s._head, 3)
+        assert type(s.stamp) is float
+        assert _floats(s.mean, 7) and _floats(s.planar, 15) and _floats(s.vertical, 3)
     for z in inserted:
-        n_value, n_variance = MEASUREMENT_LENGTHS[z.kind]
-        assert _floats(z.value, n_value) and _floats(z.variance, n_variance)
+        assert _floats((z.stamp, z.variance), 2) and _floats(z.lidar, 3) and _floats(z.vio, 3)
 
 
 def test_baseline_initializes_with_a_vio_link_delay_of_0_2_s():
@@ -444,23 +519,17 @@ def test_baseline_initializes_with_a_vio_link_delay_of_0_2_s():
     assert next(log.iter_tag("EST"), None) is not None
 
 
-def test_baseline_lap_tracks_through_a_vio_link_delay_of_0_2_s(monkeypatch):
-    # with VIO 0.2 s behind the detections, each sample arrives after a newer
-    # detection is fused; it chains from the newest fused detection stamped
-    # before it instead of becoming a heading-only measurement (which held
-    # the one-lap RMSE at 0.208 m)
+def test_baseline_lap_tracks_through_a_vio_link_delay_of_0_2_s():
+    # with VIO 0.2 s behind the detections, each detection batch arrives
+    # before VIO covers its stamp and waits for it (an agent filter that
+    # fused such VIO samples as heading-only measurements held the one-lap
+    # RMSE at 0.208 m)
     from coopguide.simulator import run_scenario
 
-    kinds = []
-    insert = HistoryBuffer.insert
-    monkeypatch.setattr(HistoryBuffer, "insert",
-                        lambda self, z: kinds.append(z.kind) or insert(self, z))
     overrides = load_config_file(str(CONFIGS / "baseline.cfg"))
     overrides.update({"trajectory.laps": 1, "comm.delay_mean": 0.2})
     report = evaluate_log(run_scenario(build_config(overrides)))
     assert report.rel_loc_rmse < 0.08
-    assert kinds.count(MeasurementKind.VIO_FULL) > 1000
-    assert kinds.count(MeasurementKind.VIO_HEADING) == 0
 
 
 def test_occlusion_does_not_readopt_the_fused_track_from_its_last_detection(monkeypatch):
@@ -497,51 +566,6 @@ def test_stream_of_non_finite_vio_reads_as_heading_frozen():
     assert np.all(np.isfinite(position_of(g.current_output(t + 1.0).secondary_pose_in_l)))
 
 
-def test_ingest_vio_full_measurement_when_detection_inside_vio_buffer():
-    g = make_guider()
-    t = drive(g, 0.0, 8.0)
-    g.ingest_vio(vio_pose(t))
-    newest = g._history.entries[-1]
-    assert newest.stamp == t
-    assert newest.kind is MeasurementKind.VIO_FULL
-
-
-def test_ingest_vio_heading_measurement_when_detection_predates_vio_buffer():
-    g = make_guider()
-    t = drive(g, 0.0, 8.0)
-    last_detection = g._fused_detections.newest_stamp
-    # detections stop for longer than the window + 2 s the VIO buffer spans
-    t = drive(g, t, t + g.align_config.window + 3.0, det_on=False)
-    g.ingest_vio(vio_pose(t))
-    oldest_vio = g._vio_buffer.stamps[0]
-    assert last_detection < oldest_vio - STALE_TOLERANCE
-    newest = g._history.entries[-1]
-    assert newest.stamp == t
-    assert newest.kind is MeasurementKind.VIO_HEADING
-
-
-def test_late_vio_inside_the_anchor_bracket_renews_the_anchor():
-    # the VIO pose at the last fused detection is cached per detection; a
-    # late sample between the two samples that bracket the detection must
-    # replace it
-    g = make_guider()
-    t = drive(g, 0.0, 8.0)   # the last VIO sample is at t - 1/30
-    t_det = t + 0.05         # off the VIO grid
-    g.ingest_detections([detection(t_det)])
-    assert g._fused_detections.newest_stamp == t_det
-    g.ingest_vio(vio_pose(t + 0.1))   # anchor: between t - 1/30 and t + 0.1
-    late = vio_pose(t + 0.02)
-    g.ingest_vio(late._replace(x=late.x + 0.05, y=late.y + 0.05, z=late.z + 0.05))
-    theta, drift_rate = g._alignment.heading, g._alignment.drift_rate
-    pose = vio_pose(t + 0.13)
-    g.ingest_vio(pose)
-    got = g._history.entries[-1]
-    want = make_vio_measurement(pose, detection(t_det), interpolate(g._vio_buffer, t_det),
-                                theta, drift_rate)
-    assert got.kind is MeasurementKind.VIO_FULL
-    assert (got.stamp, got.value, got.variance) == (want.stamp, want.value, want.variance)
-
-
 def test_small_motion_freezes_transform():
     g = make_guider()
     t = drive(g, 0.0, 8.0)
@@ -557,8 +581,7 @@ def test_small_motion_freezes_transform():
                                      wrap_heading(hover_heading + THETA)))
     t = t + 20.0
     assert g.status(t) is GuiderStatus.TRANSFORM_FROZEN
-    before = g._alignment
-    assert before is not None  # transform unchanged, not dropped
+    assert g.initialized  # the frame is kept, not dropped
 
 
 def test_realign_freezes_unobservable_window_without_solving(monkeypatch):
@@ -575,7 +598,7 @@ def test_realign_freezes_unobservable_window_without_solving(monkeypatch):
     g._realign(t)
     assert len(calls) == 1
     assert g.status(t) is GuiderStatus.TRACKING
-    before = g._alignment
+    before = g._history.latest_state
     # same VIO window, but the fused detections hover at one point
     hover = secondary_position(t)
     g._fused_detections = detection_columns(detection_record(0.1 * k, hover, 0)
@@ -583,7 +606,7 @@ def test_realign_freezes_unobservable_window_without_solving(monkeypatch):
     g._realign(t)
     assert len(calls) == 1
     assert g.status(t) is GuiderStatus.TRANSFORM_FROZEN
-    assert g._alignment is before
+    assert g._history.latest_state is before   # the check leaves the frame as it is
 
 
 def test_transform_round_trip():

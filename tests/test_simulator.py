@@ -642,8 +642,8 @@ def test_drift_run_completes_with_nonempty_log():
     assert len(log.estimates()[0]) == 263
     assert len(list(log.iter_tag("DET"))) > 100
     report = evaluate_log(log)
-    assert report.rel_loc_rmse == pytest.approx(0.06765714734727046, rel=1e-9)
-    assert report.mean_path_deviation == pytest.approx(0.17078993144895513, rel=1e-9)
+    assert report.rel_loc_rmse == pytest.approx(0.04902541597649166, rel=1e-9)
+    assert report.mean_path_deviation == pytest.approx(0.1676463045081649, rel=1e-9)
 
 
 def test_determinism_byte_identical():
