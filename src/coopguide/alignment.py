@@ -13,10 +13,13 @@ reweighted least squares, one path for both window models.  Every weighted
 subproblem, drift term included when enabled, has an exact closed form:
 weighted centring (and, with drift, a weighted projection on the stamps)
 eliminates the translation (and the drift rate), and the heading is atan2
-of the weighted planar cross and dot sums.  The first solve uses unit
-weights, so there is no warm start from an earlier transform.  The
-unit-weight solve, :func:`closed_form_align`, doubles as the evaluation
-module's trajectory aligner.
+of the weighted planar cross and dot sums.  Those are weighted second
+moments (Umeyama 1991), so a solve builds X = [1 | d | p | tau] once and
+each pass reads them from one Gram matrix X^T diag(w) X and its residuals
+from one product X M.  The first solve uses unit weights, so there is no
+warm start from an earlier transform.  The unit-weight solve,
+:func:`closed_form_align`, doubles as the evaluation module's trajectory
+aligner.
 
 A window is adopted only when two conditions hold, each decided in one
 place.  Before the solve, :func:`window_observable` tests the geometry (too
@@ -42,7 +45,6 @@ from .geometry import (
     STALE_TOLERANCE,
     StampedColumns,
     interp_columns,
-    rot_z,
     wrap_heading,
 )
 
@@ -100,13 +102,6 @@ def soft_l1(s) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _cauchy_cost(s: np.ndarray) -> float:
-    """The minimized cost: the sum of the Cauchy loss rho(s) = c^2 log(1 +
-    s / c^2) over squared residuals s, c = :data:`CAUCHY_SCALE`."""
-    c2 = CAUCHY_SCALE * CAUCHY_SCALE
-    return c2 * float(np.sum(np.log1p(s / c2)))
-
-
 #: s; VIO stamps inside a longer detection gap get no correspondence, because
 #: interpolating the detection track across an occlusion gap would pair VIO
 #: samples with chord points that never existed
@@ -144,15 +139,15 @@ def build_correspondence_arrays(
         return None
     stamps = vio_stamps[first:end]
     vio_positions = vio_buffer.columns[1:4, first:end].T
-    if len(det_stamps) > 1:
-        # interpolation is only meaningful between nearby detections: drop
-        # VIO stamps falling inside longer detection gaps (e.g. occlusions)
-        idx = np.searchsorted(det_stamps, stamps)
-        inner = (idx > 0) & (idx < len(det_stamps))
-        safe_idx = np.clip(idx, 1, len(det_stamps) - 1)
-        gap = det_stamps[safe_idx] - det_stamps[safe_idx - 1]
-        at_node = inner & (det_stamps[np.clip(idx, 0, len(det_stamps) - 1)] == stamps)
-        ok = ~inner | (gap <= MAX_DETECTION_GAP) | at_node
+    gaps = det_stamps[1:] - det_stamps[:-1]
+    if len(gaps) and gaps.max() > MAX_DETECTION_GAP:
+        # interpolation is only meaningful between nearby detections: drop VIO
+        # stamps strictly inside a longer gap (an occlusion); the first gap
+        # ending after a stamp is the only one that can hold it
+        longer = np.flatnonzero(gaps > MAX_DETECTION_GAP)
+        starts = np.append(det_stamps[longer], np.inf)
+        ends = np.append(det_stamps[longer + 1], np.inf)
+        ok = starts[ends.searchsorted(stamps, side="right")] >= stamps
         if not ok.all():
             if np.count_nonzero(ok) < MIN_CORRESPONDENCES:
                 return None
@@ -179,76 +174,112 @@ def closed_form_align(lidar_points: np.ndarray, vio_points: np.ndarray) -> tuple
     return t, theta
 
 
-def _weighted_closed_form(w: np.ndarray, D: np.ndarray, P: np.ndarray, tau=None):
-    """(t, theta, r) minimizing sum w_i ||Rz(theta) d_i + t + tau_i r - p_i||^2.
-
-    Without ``tau`` the drift term is absent and r is None.  For a fixed
-    heading, (t, r) is a per-axis weighted linear fit on the regressors 1 and
-    tau.  Removing the weighted mean and the weighted projection on the
-    weight-centred tau from D and P eliminates (t, r); a rotation about z acts
-    on the points and the projection on the samples, so they commute and the
-    heading is the weighted planar Procrustes solution of the residualized
-    sets, theta = atan2(sum w cross, sum w dot).  t is referred to the tau
-    origin the caller uses, not to the weighted mean of tau.
-    """
-    sw = float(np.sum(w))
-    mu_d = w @ D / sw
-    mu_p = w @ P / sw
-    Dc = D - mu_d
-    Pc = P - mu_p
+def _design(D: np.ndarray, P: np.ndarray, tau):
+    """X^T, the rows [1; D - mean(D); P - mean(P); tau] ((7, N), or (8, N) with
+    ``tau``, which the caller centres), and the six unweighted means.  The
+    centring keeps the moments of X^T diag(w) X well conditioned."""
+    XT = np.empty((7 if tau is None else 8, len(D)))
+    XT[0] = 1.0
+    XT[1:4] = D.T
+    XT[4:7] = P.T
+    means = XT[1:7].sum(axis=1) / len(D)
+    XT[1:7] -= means[:, None]
     if tau is not None:
-        tau_mean = float(w @ tau) / sw
-        tc = tau - tau_mean
-        wt = w * tc
-        tt = float(wt @ tc)
-        proj_d = wt @ D / tt
-        proj_p = wt @ P / tt
-        Dc = Dc - np.outer(tc, proj_d)
-        Pc = Pc - np.outer(tc, proj_p)
-    wx = w * Dc[:, 0]
-    wy = w * Dc[:, 1]
-    dot = float(wx @ Pc[:, 0] + wy @ Pc[:, 1])
-    cross = float(wx @ Pc[:, 1] - wy @ Pc[:, 0])
+        XT[7] = tau
+    return XT, means.tolist()
+
+
+def _moment_solve(G: np.ndarray):
+    """(t, theta, r) minimizing sum w_i ||Rz(theta) d_i + t + tau_i r - p_i||^2
+    in the centred coordinates of :func:`_design`, from G = X^T diag(w) X.
+
+    For a fixed heading, (t, r) is a per-axis weighted linear fit on the
+    regressors 1 and tau (r is None when G has no tau row).  Removing the
+    weighted means and the weighted projections on the weight-centred tau
+    eliminates (t, r); a rotation about z acts on the points and the
+    projection on the samples, so they commute and the heading is the
+    weighted planar Procrustes solution, theta = atan2(cross, dot).  Each of
+    those sums is an entry of G less its mean (and tau) terms.
+    """
+    g = G.tolist()
+    sw, sdx, sdy, sdz, spx, spy, spz, *s_tau = g[0]
+    dot = g[1][4] + g[2][5] - (sdx * spx + sdy * spy) / sw
+    cross = g[1][5] - g[2][4] - (sdx * spy - sdy * spx) / sw
+    if s_tau:
+        tau_mean = s_tau[0] / sw
+        tt = g[7][7] - s_tau[0] * tau_mean
+        # the projections of d and p on the weight-centred tau
+        ax, ay, az, bx, by, bz = [(g[7][j] - tau_mean * g[0][j]) / tt for j in range(1, 7)]
+        dot -= tt * (ax * bx + ay * by)
+        cross -= tt * (ax * by - ay * bx)
     # (0, 0): heading unobservable (e.g. a single point); pick identity
     theta = math.atan2(cross, dot) if dot != 0.0 or cross != 0.0 else 0.0
-    R = rot_z(theta)
-    t = mu_p - R @ mu_d
-    r = None
-    if tau is not None:
-        r = proj_p - R @ proj_d
-        t = t - tau_mean * r
-    return t, wrap_heading(theta), r
+    c, s = math.cos(theta), math.sin(theta)
+    mdx, mdy = sdx / sw, sdy / sw
+    t = [spx / sw - (c * mdx - s * mdy), spy / sw - (s * mdx + c * mdy), (spz - sdz) / sw]
+    if not s_tau:
+        return t, theta, None
+    r = [bx - (c * ax - s * ay), by - (s * ax + c * ay), bz - az]
+    return [ti - tau_mean * ri for ti, ri in zip(t, r)], theta, r
 
 
-def _squared_residuals(D, P, t, theta, drift=None, tau=None) -> np.ndarray:
-    residuals = D @ rot_z(theta).T + t - P
-    if drift is not None:
-        residuals = residuals + tau[:, None] * drift
-    return np.einsum("ij,ij->i", residuals, residuals)
+def _scaled_squares(XT: np.ndarray, t, theta: float, r) -> np.ndarray:
+    """s_i / c^2 at (t, theta, r) in the centred coordinates of ``XT``: the
+    squared columns of E^T = M^T X^T, M = [t; Rz(theta)^T; -I; r] / c."""
+    k = 1.0 / CAUCHY_SCALE
+    kc, ks = k * math.cos(theta), k * math.sin(theta)
+    tail = [[]] * 3 if r is None else [[k * ri] for ri in r]
+    E = np.dot(np.array([[k * t[0], kc, -ks, 0.0, -k, 0.0, 0.0, *tail[0]],
+                         [k * t[1], ks, kc, 0.0, 0.0, -k, 0.0, *tail[1]],
+                         [k * t[2], 0.0, 0.0, k, 0.0, 0.0, -k, *tail[2]]]), XT)
+    return np.einsum("ij,ij->j", E, E)
+
+
+def _solution(t, theta: float, r, means):
+    """(t, theta, r) of the original coordinates: t + mean(P) - Rz mean(D),
+    the heading wrapped, arrays for t and r."""
+    c, s = math.cos(theta), math.sin(theta)
+    dx, dy, dz, px, py, pz = means
+    t = np.array((t[0] + px - (c * dx - s * dy), t[1] + py - (s * dx + c * dy), t[2] + pz - dz))
+    return t, wrap_heading(theta), None if r is None else np.array(r)
+
+
+def _weighted_closed_form(w: np.ndarray, D: np.ndarray, P: np.ndarray, tau=None):
+    """(t, theta, r) minimizing sum w_i ||Rz(theta) d_i + t + tau_i r - p_i||^2,
+    one weighted pass of :func:`_irls`; r is None without ``tau``, and t is
+    referred to the tau origin the caller uses."""
+    XT, means = _design(D, P, tau)
+    return _solution(*_moment_solve(np.dot(XT * w, XT.T)), means)
 
 
 def _irls(D, P, tau):
     """IRLS on the Cauchy cost from the unit-weight closed form.
 
-    Returns (t, theta, r, s, iterations, stopped): the last iterate, its
-    squared residuals, the number of weighted solves and whether the cost
-    test ended the loop within :data:`MAX_ITERATIONS`.
+    Once per solve, :func:`_design` builds X^T.  Once per pass, one Gram
+    matrix X^T diag(w) X gives the weighted closed form
+    (:func:`_moment_solve`), one product E = X M the squared residuals over
+    c^2 (:func:`_scaled_squares`), and those the Cauchy cost and the next
+    weights w = 1 / (1 + s / c^2).  Returns (t, theta, r, s, iterations,
+    stopped): the last iterate, its squared residuals, the number of
+    weighted solves and whether the cost test ended the loop within
+    :data:`MAX_ITERATIONS`.
     """
     c2 = CAUCHY_SCALE * CAUCHY_SCALE
-    t, theta, r = _weighted_closed_form(np.ones(len(D)), D, P, tau)
-    s = _squared_residuals(D, P, t, theta, r, tau)
-    cost = _cauchy_cost(s)
+    XT, means = _design(D, P, tau)
+    X = XT.T
+    t, theta, r = _moment_solve(np.dot(XT, X))
+    q = _scaled_squares(XT, t, theta, r)
+    cost = c2 * float(np.log1p(q).sum())
     for iterations in range(1, MAX_ITERATIONS + 1):
-        t_new, theta_new, r_new = _weighted_closed_form(1.0 / (1.0 + s / c2), D, P, tau)
-        s_new = _squared_residuals(D, P, t_new, theta_new, r_new, tau)
-        cost_new = _cauchy_cost(s_new)
-        if cost_new > cost:
-            return t, theta, r, s, iterations, True  # round-off: keep the previous iterate
-        decrease = cost - cost_new
-        t, theta, r, s, cost = t_new, theta_new, r_new, s_new, cost_new
-        if decrease <= COST_TOLERANCE * max(cost, 1e-300):
-            return t, theta, r, s, iterations, True
-    return t, theta, r, s, MAX_ITERATIONS, False
+        t_new, theta_new, r_new = _moment_solve(np.dot(XT / (1.0 + q), X))
+        q_new = _scaled_squares(XT, t_new, theta_new, r_new)
+        cost_new = c2 * float(np.log1p(q_new).sum())
+        stopped = cost_new > cost or cost - cost_new <= COST_TOLERANCE * max(cost_new, 1e-300)
+        if cost_new <= cost:  # a cost that rises through round-off keeps the previous iterate
+            t, theta, r, q, cost = t_new, theta_new, r_new, q_new, cost_new
+        if stopped:
+            break
+    return (*_solution(t, theta, r, means), c2 * q, iterations, stopped)
 
 
 def solve_alignment_arrays(
@@ -265,7 +296,8 @@ def solve_alignment_arrays(
     with the Cauchy loss replaced by the squared residual, so a noiseless
     window is solved before the first iteration and there is no warm start.
     Each iteration sets the weights w_i = rho'(s_i) = 1 / (1 + s_i / c^2)
-    at the current residuals and solves the weighted problem in closed form.
+    at the current residuals and solves the weighted problem in closed form,
+    from one Gram matrix of the design built once per solve (:func:`_irls`).
     rho is concave in s, so this is a majorize-minimize scheme and no
     iteration can raise the Cauchy cost.  The loop stops when the relative
     cost decrease is at most :data:`COST_TOLERANCE`; a cost that rises
@@ -290,23 +322,17 @@ def solve_alignment_arrays(
     n = len(stamps)
     if n < MIN_CORRESPONDENCES:
         raise InsufficientDataError(f"{n} correspondences < minimum {MIN_CORRESPONDENCES}")
-    with_drift = config.estimate_drift
-    tau = stamps - stamps.mean() if with_drift else None
+    stamp_mean = float(stamps.sum()) / n
+    tau = stamps - stamp_mean if config.estimate_drift else None
     t, theta, drift, s, iterations, converged = _irls(D, P, tau)
-
-    final_cost = float(np.mean(soft_l1(s)))
-    if with_drift:
+    if drift is not None:
         # refer the translation to the newest stamp, the time the guider
         # applies the transform at
-        t = t + drift * (float(stamps[-1]) - float(stamps.mean()))
-    return AlignmentResult(
-        translation=t,
-        heading=theta,
-        converged=converged,
-        final_cost=final_cost,
-        iterations=iterations,
-        drift_rate=drift if with_drift else np.zeros(3),
-    )
+        t = t + drift * (float(stamps[-1]) - stamp_mean)
+    # the mean of soft_l1(s), bit for bit; s >= 0 needs no check
+    final_cost = 2.0 * float((np.sqrt(1.0 + s) - 1.0).sum()) / n
+    return AlignmentResult(t, theta, converged, final_cost, iterations,
+                           np.zeros(3) if drift is None else drift)
 
 
 def window_observable(D: np.ndarray, sigma: float) -> bool:
@@ -321,7 +347,8 @@ def window_observable(D: np.ndarray, sigma: float) -> bool:
     geometry test; it needs no solve, so only a window that passes is solved.
     """
     xy = D[:, :2] - D[0, :2]  # identical positions give exactly zero spread
-    spread = float(np.sum((xy - xy.mean(axis=0)) ** 2))
+    sx, sy = xy.sum(axis=0).tolist()
+    spread = float(np.vdot(xy, xy)) - (sx * sx + sy * sy) / len(D)
     return spread > MIN_SPREAD_RATIO * len(D) * 2.0 * sigma * sigma
 
 

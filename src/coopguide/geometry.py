@@ -253,4 +253,7 @@ def interp_columns(t: np.ndarray, stamps: np.ndarray, values: np.ndarray) -> np.
     """Each column of ``values`` (N, k), sampled at ``stamps``, linearly
     interpolated at ``t`` (M,): an (M, k) array.  Like ``np.interp``, values
     are held at the ends, not extrapolated."""
-    return np.column_stack([np.interp(t, stamps, values[:, i]) for i in range(values.shape[1])])
+    out = np.empty((len(t), values.shape[1]))
+    for i in range(values.shape[1]):
+        out[:, i] = np.interp(t, stamps, values[:, i])
+    return out

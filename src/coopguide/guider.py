@@ -45,6 +45,9 @@ Degenerate input streams map to explicit statuses:
       waits until ``ingest_vio`` buffers a sample at or after its stamp;
       waiting batches more than the history span older than the newest one
       are dropped, so a stale VIO link leaves a bounded list
+    - batch inside a VIO outage -> dropped when it is fused (a stamp strictly
+      between two buffered VIO samples more than ``VIO_STALENESS`` apart), as
+      a too-stale batch is: its VIO position would be the chord across the gap
     - last alignment rejected -> TRANSFORM_FROZEN (guidance continues with the
       filter's transform)
 
@@ -245,7 +248,14 @@ class Guider:
 
     def _fuse(self, stamp: float, detections: list[Detection]) -> None:
         """Associate a batch that the VIO buffer covers and fuse the accepted
-        detection with the VIO position at its stamp."""
+        detection with the VIO position at its stamp.  A batch stamped inside
+        a VIO outage is dropped: the interpolated position would lie on the
+        chord across it."""
+        vio_stamps = self._vio_buffer.stamps
+        after = int(vio_stamps.searchsorted(stamp))
+        if (0 < after < len(vio_stamps) and stamp < vio_stamps[after]
+                and vio_stamps[after] - vio_stamps[after - 1] > VIO_STALENESS):
+            return
         try:
             predicted = self._history.estimate_at(stamp)
             vio = interpolate(self._vio_buffer, stamp)[1:4]

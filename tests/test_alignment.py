@@ -94,6 +94,58 @@ def oracle_heading_information(points, theta):
     return float(F_thth - F_tth @ np.linalg.solve(F_tt, F_tth))
 
 
+def loop_weighted_closed_form(w, D, P, tau=None):
+    """The weighted closed form as array formulas over the samples (oracle):
+    weighted centring, the projection on the weight-centred tau, then the
+    planar cross and dot sums."""
+    sw = float(np.sum(w))
+    mu_d, mu_p = w @ D / sw, w @ P / sw
+    Dc, Pc = D - mu_d, P - mu_p
+    if tau is not None:
+        tau_mean = float(w @ tau) / sw
+        tc = tau - tau_mean
+        tt = float((w * tc) @ tc)
+        proj_d, proj_p = (w * tc) @ D / tt, (w * tc) @ P / tt
+        Dc, Pc = Dc - np.outer(tc, proj_d), Pc - np.outer(tc, proj_p)
+    wx, wy = w * Dc[:, 0], w * Dc[:, 1]
+    dot = float(wx @ Pc[:, 0] + wy @ Pc[:, 1])
+    cross = float(wx @ Pc[:, 1] - wy @ Pc[:, 0])
+    theta = math.atan2(cross, dot) if dot != 0.0 or cross != 0.0 else 0.0
+    R = rot_z(theta)
+    t, r = mu_p - R @ mu_d, None
+    if tau is not None:
+        r = proj_p - R @ proj_d
+        t = t - tau_mean * r
+    return t, wrap_heading(theta), r
+
+
+def loop_squared_residuals(D, P, t, theta, r=None, tau=None):
+    e = D @ rot_z(theta).T + t - P
+    if r is not None:
+        e = e + tau[:, None] * r
+    return np.einsum("ij,ij->i", e, e)
+
+
+def loop_irls(D, P, tau):
+    """IRLS on the Cauchy cost with the array formulas above (oracle); the
+    same stopping rules and return tuple as ``alignment._irls``."""
+    c2 = CAUCHY_SCALE ** 2
+    t, theta, r = loop_weighted_closed_form(np.ones(len(D)), D, P, tau)
+    s = loop_squared_residuals(D, P, t, theta, r, tau)
+    cost = c2 * float(np.sum(np.log1p(s / c2)))
+    for iterations in range(1, alignment.MAX_ITERATIONS + 1):
+        t_new, theta_new, r_new = loop_weighted_closed_form(1.0 / (1.0 + s / c2), D, P, tau)
+        s_new = loop_squared_residuals(D, P, t_new, theta_new, r_new, tau)
+        cost_new = c2 * float(np.sum(np.log1p(s_new / c2)))
+        if cost_new > cost:
+            return t, theta, r, s, iterations, True
+        decrease = cost - cost_new
+        t, theta, r, s, cost = t_new, theta_new, r_new, s_new, cost_new
+        if decrease <= alignment.COST_TOLERANCE * max(cost, 1e-300):
+            return t, theta, r, s, iterations, True
+    return t, theta, r, s, alignment.MAX_ITERATIONS, False
+
+
 def assert_spread_is(D, information):
     """window_observable's spread equals ``information`` to 1e-9: the decision
     flips between the noise at which the threshold is ``information`` times
@@ -256,8 +308,9 @@ def test_column_windows_are_bit_identical_to_the_list_windows():
     """Random streams through both buffer kinds, pruned as the guider prunes:
     every window matches the list formula bit for bit."""
     rng = np.random.default_rng(2024)
-    outcomes = {"window": 0, "gap_filtered": 0, "too_few": 0, "too_few_after_gaps": 0}
-    for _ in range(40):
+    outcomes = {"no_long_gap": 0, "window": 0, "gap_filtered": 0, "too_few": 0,
+                "too_few_after_gaps": 0}
+    for stream in range(40):
         config = AlignmentConfig(window=float(rng.uniform(1.0, 6.0)))
         span = config.window + 2.0
         # VIO near 30 Hz; detections near 10 Hz with occlusion gaps up to 2.5 s
@@ -270,6 +323,10 @@ def test_column_windows_are_bit_identical_to_the_list_windows():
         while t < vio_t[-1]:
             t += 0.1 if rng.random() > 0.05 else float(rng.uniform(0.5, 2.5))
             det_t.append(t + float(rng.normal(0.0, 0.003)))
+        if stream % 2:
+            # detections on the VIO clock, as on the simulator's tick grid:
+            # window stamps then fall on detection stamps and on gap ends
+            det_t = {float(vio_t[np.abs(vio_t - t).argmin()]) for t in det_t}
         dets = [_det(t, rng.normal(0.0, 5.0, 3)) for t in sorted(det_t)]
         # interleave the two streams by stamp, then disturb the order
         stream = sorted([(p.stamp, 1, p) for p in vio] + [(d.stamp, 0, d) for d in dets],
@@ -300,7 +357,11 @@ def test_column_windows_are_bit_identical_to_the_list_windows():
             for g, w in zip(got, want):
                 assert g.flags.c_contiguous and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
-            outcomes["gap_filtered" if len(got[0]) < before_gaps else "window"] += 1
+            if all(b.stamp - a.stamp <= alignment.MAX_DETECTION_GAP
+                   for a, b in zip(det_list, det_list[1:])):
+                outcomes["no_long_gap"] += 1   # the gap filter does not run
+            else:
+                outcomes["gap_filtered" if len(got[0]) < before_gaps else "window"] += 1
     assert min(outcomes.values()) > 0, outcomes
 
 
@@ -545,6 +606,48 @@ def test_irls_matches_independent_minimizer_of_cauchy_cost(with_drift):
             assert np.array_equal(res.translation, t)
 
 
+def _offset_windows(rng, with_drift):
+    """Noisy windows with 20% outliers of 1-5 m and V offsets up to 1e3 m."""
+    for scale in (1.0, 10.0, 100.0, 1000.0):
+        for theta_star in (math.pi, -math.pi / 3, 0.0, float(rng.uniform(-math.pi, math.pi))):
+            stamps, D, P, t_star, r_star = _drifting_corrs(rng, theta_star, n=int(rng.integers(40, 400)))
+            offset = rng.uniform(-scale, scale, 3)
+            P = P + offset if with_drift else D @ rot_z(theta_star).T + t_star + offset
+            P = P + rng.normal(0.0, 0.05, P.shape)
+            bad = rng.choice(len(P), size=len(P) // 5, replace=False)
+            direction = rng.normal(0.0, 1.0, (len(bad), 3))
+            P[bad] += (direction / np.linalg.norm(direction, axis=1, keepdims=True)
+                       * rng.uniform(1.0, 5.0, (len(bad), 1)))
+            yield stamps, D, P
+
+
+@pytest.mark.parametrize("with_drift", [False, True])
+def test_gram_solve_matches_the_array_formulas(with_drift):
+    rng = np.random.default_rng(71 + with_drift)
+    cfg = AlignmentConfig(estimate_drift=with_drift)
+    for stamps, D, P in _offset_windows(rng, with_drift):
+        tau = stamps - stamps.mean() if with_drift else None
+        w = rng.uniform(0.05, 1.0, len(D))
+        t, theta, r = _weighted_closed_form(w, D, P, tau)
+        t_or, theta_or, r_or = loop_weighted_closed_form(w, D, P, tau)
+        assert np.allclose(t, t_or, rtol=0.0, atol=1e-9)
+        assert abs(wrap_heading(theta - theta_or)) < 1e-9
+        assert (r is None) == (r_or is None)
+        if with_drift:
+            assert np.allclose(r, r_or, rtol=0.0, atol=1e-9)
+        t, theta, r, s, iterations, stopped = _irls(D, P, tau)
+        t_or, theta_or, r_or, s_or, iterations_or, stopped_or = loop_irls(D, P, tau)
+        assert (iterations, stopped) == (iterations_or, stopped_or)
+        assert np.allclose(t, t_or, rtol=0.0, atol=1e-9)
+        assert abs(wrap_heading(theta - theta_or)) < 1e-9
+        if with_drift:
+            assert np.allclose(r, r_or, rtol=0.0, atol=1e-9)
+        assert np.allclose(s, s_or, rtol=1e-9, atol=1e-12)
+        res = solve_alignment_arrays(stamps, D, P, cfg)
+        assert res.converged == stopped and res.iterations == iterations
+        assert res.final_cost == float(np.mean(soft_l1(s)))
+
+
 @pytest.mark.parametrize("with_drift", [False, True])
 def test_irls_cost_does_not_rise_with_the_iteration_budget(with_drift, monkeypatch):
     rng = np.random.default_rng(59 + with_drift)
@@ -693,6 +796,21 @@ def test_window_geometry_matches_oracle_and_gates_the_solve():
         res = solve_alignment_arrays(stamps, D, P, cfg)
         assert degeneracy_check(res, cfg)
     assert {"clutter", "segment"} <= failed
+
+
+def test_window_observable_decides_as_the_two_pass_spread():
+    rng = np.random.default_rng(35)
+    decisions = set()
+    for _, D in _geometry_windows(rng):
+        for offset in (np.zeros(3), np.array([250.0, -125.0, 7.0])):
+            xy = (D + offset)[:, :2]
+            spread = float(np.sum((xy - xy.mean(0)) ** 2))
+            for ratio in rng.uniform(0.5, 2.0, 5):
+                sigma = math.sqrt(ratio * spread / (MIN_SPREAD_RATIO * len(D) * 2.0))
+                observable = window_observable(D + offset, sigma)
+                assert observable == (spread > MIN_SPREAD_RATIO * len(D) * 2.0 * sigma ** 2)
+                decisions.add(observable)
+    assert decisions == {True, False}
 
 
 def test_window_observable_is_invariant_to_translating_the_window():

@@ -399,6 +399,21 @@ def test_batches_waiting_for_a_stale_vio_link_stay_within_the_history_span():
     assert stamps[-1] - stamps[0] <= g._history.span < stamps[-1] - stamps[0] + 0.1 + 1e-9
 
 
+def test_batches_waiting_through_a_vio_outage_are_not_fused_against_its_chord():
+    # after a 5 s outage the first VIO sample covers the waiting batches; the
+    # VIO position at their stamps would be the chord across the outage, not
+    # the circle the secondary flew, so those batches are dropped
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    t = drive(g, t, t + 5.0, vio_on=False)
+    errors = []
+    for _ in range(10):
+        t = drive(g, t, t + 0.1)
+        out = g.current_output(t)
+        errors.append(np.linalg.norm(position_of(out.secondary_pose_in_l) - secondary_position(t)))
+    assert max(errors) < 0.01
+
+
 def test_non_finite_vio_sample_is_dropped(monkeypatch):
     g = make_guider()
     t = drive(g, 0.0, 8.0)

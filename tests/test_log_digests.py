@@ -110,8 +110,21 @@ def test_check_prints_the_workload_means_before_the_count(tmp_path, capsys):
                      f"{deviation}\n", encoding="utf-8")
     assert tool.main(["--check", str(saved)]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[1] == (f"bench:drift_none sub-seed means: rel_loc_rmse "
+    assert out[1].startswith("largest |delta| over the 1 changed runs: ")
+    assert out[2] == (f"bench:drift_none sub-seed means: rel_loc_rmse "
                       f"{float(rmse) * 2:.5f} -> {float(rmse):.5f} (-50.00%), "
                       f"mean_path_deviation {float(deviation):.5f} -> "
                       f"{float(deviation):.5f} (+0.00%)")
-    assert out[2] == f"1 of 1 runs differ from {saved}"
+    assert out[3] == f"1 of 1 runs differ from {saved}"
+
+
+def test_largest_deltas_give_the_size_of_a_numerical_change():
+    tool = _tool()
+    saved = ("a.cfg 0f aa 0.5 0.25\nb.cfg 1e bb 0.125 0.0\nc.cfg 5a cc 1.0 1.0\n"
+             "gone.cfg 2d dd 9.0 9.0\n")
+    current = ["a.cfg 0f aa 0.5 0.25", "b.cfg 3c bb 0.25 -0.0625", "c.cfg 4b ee 0.75 1.03125",
+               "new.cfg 69 ff 9.0 9.0"]
+    assert tool.largest_deltas(saved, current) == [
+        "largest |delta| over the 2 changed runs: rel_loc_rmse 2.500e-01, "
+        "mean_path_deviation 6.250e-02"]
+    assert tool.largest_deltas(saved, saved.splitlines()) == []

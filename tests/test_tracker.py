@@ -670,7 +670,8 @@ def test_detections_lost_position_dead_reckons_vio_chain():
 def test_vio_lost_heading_states_untouched_by_detections():
     # With VIO stale, a detection batch stamped after the newest VIO sample
     # waits: the frame, heading included, is not updated by it until VIO
-    # covers its stamp.
+    # covers its stamp.  The lagging link then delivers samples 0.4 s apart,
+    # so no waiting batch lies inside a VIO outage (those are dropped).
     theta, offset = 0.8, np.array([5.0, -3.0, 1.0])
     g = Guider(AlignmentConfig(window=15.0), 1.0)
     g._track_buffers[0] = detection_columns([])
@@ -682,7 +683,8 @@ def test_vio_lost_heading_states_untouched_by_detections():
         g.ingest_detections([_det(0.1 * k, rng.normal(0.0, 0.1, 3))])
         assert g._history.latest_state is state and len(g._history) == 0
     assert len(g._pending) == 19
-    g.ingest_vio(_vio_pose(2.0, offset))   # VIO covers every waiting batch
+    for k in range(1, 6):   # VIO covers every waiting batch
+        g.ingest_vio(_vio_pose(0.4 * k, offset))
     assert g._pending == [] and len(g._history) > 0
     assert g._history.latest_state.mean[4] != theta
 

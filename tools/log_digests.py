@@ -11,7 +11,8 @@ newer checkout) in both checkouts, so both outputs have the same columns.
 ``--check FILE`` does the comparison itself: it runs the set, prints
 each run whose line differs from ``FILE`` (an earlier output of this tool,
 made with the same ``--exclude``) with its digest and report changes and its
-metric deltas, then one line per
+metric deltas, then one line with the largest |delta| of each metric over
+those runs (the size of a numerical change), then one line per
 benchmark workload with the sub-seed means of both metrics in ``FILE`` and
 now and their relative change (the accuracy ``perfbench`` reports), and
 exits 1 on any difference.  ``--exclude REF`` digests the log without its
@@ -94,15 +95,16 @@ def row(config: ScenarioConfig, exclude: tuple[str, ...] = ()) -> str:
             f"{report.rel_loc_rmse!r} {report.mean_path_deviation!r}")
 
 
+def _by_label(lines) -> dict[str, list[str]]:
+    return {line.split(" ", 1)[0]: line.split(" ")[1:] for line in lines if line.strip()}
+
+
 def differences(saved: str, current: list[str]) -> list[str]:
     """One line per run whose output line differs between ``saved`` (text
     this tool printed) and ``current`` (its lines now): the label, whether
     the log digest and the report differ, and the change of each metric,
     current minus saved.  A label on one side only is a difference too."""
-    def by_label(lines):
-        return {line.split(" ", 1)[0]: line.split(" ")[1:] for line in lines if line.strip()}
-
-    before, after = by_label(saved.splitlines()), by_label(current)
+    before, after = _by_label(saved.splitlines()), _by_label(current)
     out = []
     for label in [*after, *(label for label in before if label not in after)]:
         old, new = before.get(label), after.get(label)
@@ -116,6 +118,20 @@ def differences(saved: str, current: list[str]) -> list[str]:
                    f"report {'differs' if old[1] != new[1] else 'equal'}, "
                    "rel_loc_rmse {:+.3e}, mean_path_deviation {:+.3e}".format(*deltas))
     return out
+
+
+def largest_deltas(saved: str, current: list[str]) -> list[str]:
+    """The size of a numerical change: one line with the largest |change| of
+    each metric over the runs whose line differs and that both sides hold,
+    or no line when there are none."""
+    before, after = _by_label(saved.splitlines()), _by_label(current)
+    changed = [(before[label], new) for label, new in after.items()
+               if label in before and before[label] != new]
+    if not changed:
+        return []
+    largest = [max(abs(float(new[i]) - float(old[i])) for old, new in changed) for i in (2, 3)]
+    return [f"largest |delta| over the {len(changed)} changed runs: "
+            "rel_loc_rmse {:.3e}, mean_path_deviation {:.3e}".format(*largest)]
 
 
 def workload_means(saved: str, current: list[str]) -> list[str]:
@@ -161,7 +177,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return 0
     saved = args.check.read_text(encoding="utf-8")
     diffs = differences(saved, lines)
-    for line in diffs + workload_means(saved, lines):
+    for line in diffs + largest_deltas(saved, lines) + workload_means(saved, lines):
         print(line)
     print(f"{len(diffs)} of {len(lines)} runs differ from {args.check}")
     return 1 if diffs else 0
