@@ -49,6 +49,7 @@ from .tracker import (
     Measurement,
     TrackerState,
     associate,
+    innovation,
     predict,
     try_initialize,
     update,

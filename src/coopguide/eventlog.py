@@ -29,26 +29,23 @@ class LogParseError(ValueError):
         self.lineno = lineno
 
 
-#: field converters of each record tag, in order (see ``EventLog``)
-_RECORD_FIELDS: dict[str, tuple] = {
-    "H": (str, str),
-    "TS": (float,) * 5,
-    "DET": (float, float, int, float, float, float, float),
-    "VIO": (float,) * 10,
-    "REF": (float, float, int, float, float, float, float),
-    "EST": (float, str) + (float,) * 8,
-    "FAIL": (float,),
-    "END": (float,),
+#: each record tag's field count and kind (see ``EventLog``); the kind decides
+#: how the fields parse and which checks a line runs: "float" and "TS" hold
+#: floats only, "counted" two floats, an int (a track id or a count) and
+#: floats, "H" two strings and "EST" a float, a status and floats; the TS and
+#: the EST stamps each increase strictly
+_RECORD_FIELDS: dict[str, tuple[int, str]] = {
+    "H": (2, "H"),
+    "TS": (5, "TS"),
+    "DET": (7, "counted"),
+    "VIO": (10, "float"),
+    "REF": (7, "counted"),
+    "EST": (10, "EST"),
+    "FAIL": (1, "float"),
+    "END": (1, "float"),
 }
-#: tags whose every field is a float
-_FLOAT_TAGS = frozenset(tag for tag, fields in _RECORD_FIELDS.items() if set(fields) == {float})
 #: the status names an EST record may hold
 _STATUSES = frozenset(status.value for status in GuiderStatus)
-
-
-def _convert(converter, field: str):
-    # map(_convert, ...) parses a record faster than a comprehension over zip
-    return converter(field)
 
 
 class EventLog:
@@ -146,25 +143,28 @@ class EventLog:
             if not line.strip():
                 continue
             tag, *fields = line.split(" ")
-            numbers = line   # the text of the number fields
             try:
-                converters = _RECORD_FIELDS.get(tag)
-                if converters is None:
+                spec = _RECORD_FIELDS.get(tag)
+                if spec is None:
                     raise ValueError(f"unknown record tag {tag!r}")
-                if len(fields) != len(converters):
-                    raise ValueError(f"{tag} record needs {len(converters)} fields, "
-                                     f"got {len(fields)}")
-                if tag in _FLOAT_TAGS:
+                count, kind = spec
+                if len(fields) != count:
+                    raise ValueError(f"{tag} record needs {count} fields, got {len(fields)}")
+                if kind == "H":
+                    records.append((tag, *fields))
+                    continue
+                numbers = line   # the text of the number fields
+                if kind == "float" or kind == "TS":
                     record = (tag, *map(float, fields))
-                elif tag == "DET" or tag == "REF":   # the third field is a track id or count
+                elif kind == "counted":
                     t0, t1, n, *rest = fields
                     record = (tag, float(t0), float(t1), int(n), *map(float, rest))
-                else:   # H and EST hold str fields
-                    record = (tag, *map(_convert, converters, fields))
-                    # every EST status holds an "n"; H holds no number
-                    numbers = fields[0] + "".join(fields[2:]) if tag == "EST" else ""
-                    if tag == "EST" and fields[1] not in _STATUSES:
-                        raise ValueError(f"unknown EST status {fields[1]!r}")
+                else:   # EST: every status holds an "n"
+                    stamp, status, *rest = fields
+                    record = (tag, float(stamp), status, *map(float, rest))
+                    if status not in _STATUSES:
+                        raise ValueError(f"unknown EST status {status!r}")
+                    numbers = stamp + "".join(rest)
                 # a finite float's repr has no "n"; nan, inf and infinity do
                 if ("n" in numbers or "N" in numbers) and not all(
                         math.isfinite(v) for v in record if type(v) is float):
@@ -172,7 +172,7 @@ class EventLog:
                 # float() and int() read "1_0" as 10; dumps never writes "_"
                 if "_" in numbers:
                     raise ValueError(f"digit-group underscore in a {tag} number")
-                if tag in last_stamp:
+                if kind == "TS" or kind == "EST":
                     if record[1] <= last_stamp[tag]:
                         raise ValueError(f"{tag} stamp {record[1]!r} is not greater than "
                                          f"the previous {tag} stamp {last_stamp[tag]!r}")

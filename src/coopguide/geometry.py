@@ -1,5 +1,6 @@
 """Gravity-aligned 4-DOF transforms, heading arithmetic, stamped
-record buffers, their interpolation and the extrapolation of a pose.
+record buffers, the position of a pose buffer at a stamp and the
+extrapolation of a pose.
 
 All frames are gravity-aligned (roll/pitch identically zero), so the only
 rotational degree of freedom is the heading angle about the z axis and a
@@ -45,11 +46,15 @@ def wrap_heading(angle):
     Angles already in range come back unchanged, so an array and its
     elements one by one give the same bits.  Raises ValueError on non-finite
     input.  An in-range Python float, the common case, returns at the first
-    test.
+    test, and a non-empty array whose every angle is in range returns as it
+    is: the result is the input array itself, not a copy.
     """
     if type(angle) is float and -math.pi < angle <= math.pi:
         return angle
     if isinstance(angle, np.ndarray):
+        # NaN fails both comparisons and reaches the finiteness test
+        if angle.size and angle.min() > -math.pi and angle.max() <= math.pi:
+            return angle
         if not np.all(np.isfinite(angle)):
             raise ValueError("non-finite heading angle")
         # the shift formula alone would turn an in-range -0.0 into 0.0
@@ -151,18 +156,24 @@ class StampedColumns:
     def insert(self, row: Sequence[float]) -> Optional[int]:
         """Buffer one record in stamp order; return its index, or None when
         its stamp is already buffered (a duplicate: nothing changes)."""
-        if self._end == self._data.shape[1]:
+        stamp = row[0]
+        end = self._end
+        if stamp > self.newest_stamp:   # the common case: append
+            i = end - self._start
+            if end == self._data.shape[1]:
+                self._make_room()
+                end = self._end
+            self._data[:, end] = row
+            self._end = end + 1
+            self.newest_stamp = float(stamp)
+            return i
+        if end == self._data.shape[1]:
             self._make_room()
         data, start, end = self._data, self._start, self._end
-        stamp = row[0]
-        if stamp > self.newest_stamp:
-            i = end
-            self.newest_stamp = float(stamp)
-        else:
-            i = start + int(data[0, start:end].searchsorted(stamp))
-            if i < end and data[0, i] == stamp:
-                return None
-            data[:, i + 1:end + 1] = data[:, i:end]
+        i = start + int(data[0, start:end].searchsorted(stamp))
+        if i < end and data[0, i] == stamp:
+            return None
+        data[:, i + 1:end + 1] = data[:, i:end]
         data[:, i] = row
         self._end = end + 1
         return i - start
@@ -170,7 +181,11 @@ class StampedColumns:
     def prune(self, cutoff: float) -> None:
         """Drop the records stamped before ``cutoff``."""
         # a scalar scan: a prune usually drops no record or one
-        stamps, start, end = self._data[0], self._start, self._end
+        start, end = self._start, self._end
+        if start == end or not self._data[0, start] < cutoff:
+            return
+        stamps = self._data[0]
+        start += 1
         while start < end and stamps[start] < cutoff:
             start += 1
         if start == end:
@@ -192,46 +207,43 @@ class StampedColumns:
         self._data, self._start, self._end = data, 0, n
 
 
-def interpolate(buffer: StampedColumns, t: float) -> TimedPose:
-    """Linearly interpolate a pose buffer (:data:`POSE_FIELDS`) at time ``t``.
+def interpolate(buffer: StampedColumns, t: float, max_gap: float) -> tuple[float, float, float]:
+    """The position ``(x, y, z)`` of a pose buffer (:data:`POSE_FIELDS`) at
+    time ``t``, as floats in the buffer's frame, from one search of its stamps.
 
-    Returns a :class:`TimedPose` stamped ``t``, made of floats and in the
-    buffer's frame.  Between two records, position, velocity and heading
-    rate interpolate linearly and the heading follows the shortest angular
-    arc, wrapped; at a buffered stamp the record's own values come back.
-    Queries up to :data:`STALE_TOLERANCE` seconds outside the buffer span
-    are clamped to the nearest endpoint (held, not extrapolated); anything
-    further raises :class:`StaleQueryError`.
+    Between two records the position interpolates linearly, ``a + u * (b -
+    a)`` per coordinate; at a buffered stamp the record's own position comes
+    back.  Queries up to :data:`STALE_TOLERANCE` seconds outside the buffer
+    span are clamped to the nearest endpoint (held, not extrapolated).
+    Raises :class:`StaleQueryError` for a query further outside, and for one
+    stamped strictly between two records more than ``max_gap`` seconds apart
+    (an outage: the position would lie on the chord across it).
     """
-    if not len(buffer):
+    columns = buffer.columns
+    stamps = columns[0]
+    n = len(stamps)
+    if not n:
         raise StaleQueryError("stale query: empty pose buffer")
-    stamps = buffer.stamps
-    first, last = float(stamps[0]), float(stamps[-1])
-    if t < first - STALE_TOLERANCE or t > last + STALE_TOLERANCE:
-        raise StaleQueryError(
-            f"stale query: t={t:.6f} outside buffer span "
-            f"[{first:.6f}, {last:.6f}] by more than {STALE_TOLERANCE} s"
-        )
-    if t <= first:
-        row = buffer.row(0)
-    elif t >= last:
-        row = buffer.row(-1)
-    else:
-        hi = int(stamps.searchsorted(t))
-        row = buffer.row(hi)
-        if stamps[hi] != t:
-            # a + u * (b - a) in floats, element by element: the same IEEE
-            # operations as on the arrays, without a ufunc call per operation
-            s0, ax, ay, az, h0, vx, vy, vz, r0 = buffer.row(hi - 1)
-            s1, bx, by, bz, h1, wx, wy, wz, r1 = row
+    hi = int(stamps.searchsorted(t))
+    if hi == n or stamps[hi] != t:
+        if hi == 0 or hi == n:
+            first, last = float(stamps[0]), float(stamps[-1])
+            if t < first - STALE_TOLERANCE or t > last + STALE_TOLERANCE:
+                raise StaleQueryError(
+                    f"stale query: t={t:.6f} outside buffer span "
+                    f"[{first:.6f}, {last:.6f}] by more than {STALE_TOLERANCE} s"
+                )
+            hi = min(hi, n - 1)
+        else:
+            (s0, s1), (ax, bx), (ay, by), (az, bz) = columns[:4, hi - 1:hi + 1].tolist()
+            if s1 - s0 > max_gap:
+                raise StaleQueryError(
+                    f"stale query: t={t:.6f} inside an outage [{s0:.6f}, {s1:.6f}] "
+                    f"longer than {max_gap} s"
+                )
             u = (t - s0) / (s1 - s0)
-            return TimedPose(
-                t, ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az),
-                wrap_heading(h0 + u * wrap_heading(h1 - h0)),
-                vx + u * (wx - vx), vy + u * (wy - vy), vz + u * (wz - vz),
-                r0 + u * (r1 - r0),
-            )
-    return TimedPose(t, *row[1:])
+            return ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)
+    return tuple(columns[1:4, hi].tolist())
 
 
 def extrapolate(pose: Sequence[float], t: float) -> TimedPose:

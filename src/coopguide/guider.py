@@ -9,7 +9,12 @@ the VIO trajectory, keeps the frame updated through the history-buffered
 frame filter (``tracker``), and transforms the not-yet-flown part of a
 desired lidar-frame trajectory into the secondary agent's local frame for
 streaming.  VIO is not a filter measurement: it is buffered, and each
-detection is fused with the VIO position interpolated at its stamp.
+detection is fused with the VIO position interpolated at its stamp.  A
+fused detection costs one search of the VIO stamps (``interpolate``, which
+also finds an outage), one prediction (the history's ``estimate_at`` its
+stamp) and one innovation: the gate (``associate``) tests it, and the
+history stores ``update`` of that prior with it.  Only a late batch replays
+the filter, through the entries stamped after it.
 
 Each reference tick makes one output: ``current_output(t)`` computes the
 estimate, the status and the L->V transform once, and ``transform_and_stream``
@@ -188,15 +193,20 @@ class Guider:
         if not detections:
             return
         stamp = detections[0].stamp
-        if any(det.stamp != stamp for det in detections):
-            raise ValueError("a detection batch must share one stamp")
-        if not all(math.isfinite(value) for det in detections for value in det):
-            raise ValueError("a detection batch must hold finite values only")
-        if len({det.track_id for det in detections}) < len(detections):
-            raise ValueError("a detection batch must hold one detection per track id")
         buffers = self._track_buffers
-        if any(det.track_id in buffers and buffers[det.track_id].holds(stamp)
-               for det in detections):
+        track_ids = set()
+        duplicate = False
+        for det in detections:   # one pass checks the batch
+            if det.stamp != stamp:
+                raise ValueError("a detection batch must share one stamp")
+            if not all(map(math.isfinite, det)):
+                raise ValueError("a detection batch must hold finite values only")
+            track_id = det.track_id
+            if track_id in track_ids:
+                raise ValueError("a detection batch must hold one detection per track id")
+            track_ids.add(track_id)
+            duplicate = duplicate or (track_id in buffers and buffers[track_id].holds(stamp))
+        if duplicate:
             return
         detections = sorted(detections, key=lambda d: d.track_id)
         for det in detections:
@@ -248,24 +258,21 @@ class Guider:
 
     def _fuse(self, stamp: float, detections: list[Detection]) -> None:
         """Associate a batch that the VIO buffer covers and fuse the accepted
-        detection with the VIO position at its stamp.  A batch stamped inside
-        a VIO outage is dropped: the interpolated position would lie on the
-        chord across it."""
-        vio_stamps = self._vio_buffer.stamps
-        after = int(vio_stamps.searchsorted(stamp))
-        if (0 < after < len(vio_stamps) and stamp < vio_stamps[after]
-                and vio_stamps[after] - vio_stamps[after - 1] > VIO_STALENESS):
-            return
+        detection with the VIO position at its stamp, from one prior and one
+        innovation: the gate's.  A batch stamped inside a VIO outage is
+        dropped (the interpolated position would lie on the chord across
+        it), as is one older than the VIO buffer or the history anchor."""
         try:
-            predicted = self._history.estimate_at(stamp)
-            vio = interpolate(self._vio_buffer, stamp)[1:4]
+            vio = interpolate(self._vio_buffer, stamp, VIO_STALENESS)
+            prior = self._history.estimate_at(stamp)
         except ValueError:
-            return  # batch predates the history anchor or the VIO buffer: too stale
-        decision = associate(detections, predicted, vio)
+            return
+        decision = associate(detections, prior, vio)
         if decision.accepted:
             det = decision.detection
             try:
-                self._history.insert(Measurement(stamp, det[1:4], vio, det.sigma ** 2))
+                self._history.insert(Measurement(stamp, det[1:4], vio, det.sigma ** 2),
+                                     prior, decision.terms)
             except StaleMeasurementError:
                 return
             fused = self._fused_detections

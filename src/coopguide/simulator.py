@@ -12,7 +12,8 @@ log byte for byte.  Each sub-stream is drawn ``DRAW_BLOCK`` values per numpy
 call (``_draws``, ``drift_offsets``) and read one value at a time, in the
 order of one call per value.  The tick loop keeps the drift offset, the
 plant state and the true pose as (x, y, z) floats updated element by
-element, and logs those floats.
+element, and logs those floats; the true pose is derived only on the ticks
+that read it (a detection, a TS record or an abort test).
 
 True frame relation maintained by the engine:
 
@@ -103,14 +104,17 @@ def drift_offsets(rate: Sequence[float], sigma: float, rng: np.random.Generator,
 # occlusion and detection
 
 
-def _orient(a, b, c):
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
 def _segments_intersect(p1, p2, q1, q2) -> bool:
-    """2D segment intersection (touching counts as intersecting)."""
-    d1, d2 = _orient(q1, q2, p1), _orient(q1, q2, p2)
-    d3, d4 = _orient(p1, p2, q1), _orient(p1, p2, q2)
+    """2D segment intersection of p1-p2 and q1-q2, each end an (x, y) pair
+    (touching counts as intersecting)."""
+    # d1, d2: the orientation of p1 and p2 against q1->q2; d3, d4 of q1 and q2
+    # against p1->p2 (the cross products, as one expression each)
+    (px1, py1), (px2, py2), (qx1, qy1), (qx2, qy2) = p1, p2, q1, q2
+    qx, qy, px, py = qx2 - qx1, qy2 - qy1, px2 - px1, py2 - py1
+    d1 = qx * (py1 - qy1) - qy * (px1 - qx1)
+    d2 = qx * (py2 - qy1) - qy * (px2 - qx1)
+    d3 = px * (qy1 - py1) - py * (qx1 - px1)
+    d4 = px * (qy2 - py1) - py * (qx2 - px1)
     if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0) or (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
         return False    # one segment lies strictly on one side of the other
     if d1 == d2 == d3 == d4 == 0:   # collinear: the bounding boxes decide
@@ -341,8 +345,9 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
     pending_refs: Optional[ReferenceBatch] = None
 
     log = EventLog()
+    append = log.records.append
     for key, value in config.effective_items():
-        log.append(("H", key, format_value(value)))
+        append(("H", key, format_value(value)))
 
     det_period = 1.0 / v["detection.rate"]
     vio_period = 1.0 / v["vio.rate"]
@@ -373,13 +378,17 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             plant = plant_step(plant, pending_refs, t, dt, plant_params)
 
         # ground truth of the secondary in L, derived from the plant's V pose
-        # (scalar form of R0_inv @ (p - t0 - offset); this runs per tick)
-        px, py, pz = plant.position
-        dx = px - t0x - ox
-        dy = py - t0y - oy
-        dz = pz - t0z - oz
-        truth_pos = (c0 * dx - s0 * dy, s0 * dx + c0 * dy, dz)
-        truth_heading = wrap_heading(plant.heading - theta0)
+        # (scalar form of R0_inv @ (p - t0 - offset)), on the ticks that read
+        # it: a detection, a TS record or an abort test
+        sample_det = t >= next_det - eps
+        log_truth = k % decim == 0
+        test_abort = t >= traj_start and k % abort_every == 0
+        if sample_det or log_truth or test_abort:
+            px, py, pz = plant.position
+            dx = px - t0x - ox
+            dy = py - t0y - oy
+            dz = pz - t0z - oz
+            truth_pos = (c0 * dx - s0 * dy, s0 * dx + c0 * dy, dz)
 
         # deliver due events
         while events and events[0][0] <= t + eps:
@@ -392,7 +401,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
                 pending_refs = ReferenceBatch(payload)
 
         # sensor sampling on the tick grid
-        if t >= next_det - eps:
+        if sample_det:
             next_det += det_period
             prim_pos, _ = primary_pose(v, t)
             dets = lidar_detect(t, truth_pos, prim_pos, false_targets, walls,
@@ -400,7 +409,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             if dets:
                 arrival = t + det_delay_mean + det_delay_jitter * next(det_delays)
                 for d in dets:
-                    log.append(("DET", t, arrival, d.track_id, d.x, d.y, d.z, det_sigma))
+                    append(("DET", t, arrival, d.track_id, d.x, d.y, d.z, det_sigma))
                 seq += 1
                 heapq.heappush(events, (arrival, seq, "det", dets))
 
@@ -409,10 +418,11 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             pos = plant.position
             if vio_sigma > 0.0:
                 nx, ny, nz = next(vio_noise)
+                px, py, pz = pos
                 pos = (px + nx, py + ny, pz + nz)
             pose = TimedPose(t, *pos, plant.heading, *plant.velocity, plant.heading_rate)
             arrival = t + comm_mean + comm_jitter * next(vio_delays)
-            log.append(("VIO", t, arrival, *pos, *plant.velocity,
+            append(("VIO", t, arrival, *pos, *plant.velocity,
                         plant.heading, plant.heading_rate))
             seq += 1
             heapq.heappush(events, (arrival, seq, "vio", pose))
@@ -422,7 +432,7 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
             if guider.initialized:
                 out = guider.current_output(t)
                 est = out.secondary_pose_in_l
-                log.append(("EST", t, out.status.value, est.x, est.y, est.z, est.heading,
+                append(("EST", t, out.status.value, est.x, est.y, est.z, est.heading,
                             *out.transform_l_to_s))
                 *translation, heading = out.transform_l_to_s   # the batch's transform
                 streamed = guider.transform_and_stream(desired, out)
@@ -432,17 +442,16 @@ def run_scenario(config: ScenarioConfig) -> EventLog:
                 streamed = desired.streamed(t, translation, heading)
             if streamed is not None and len(streamed):
                 arrival = t + comm_mean + comm_jitter * next(ref_delays)
-                log.append(("REF", t, arrival, len(streamed), *translation, heading))
+                append(("REF", t, arrival, len(streamed), *translation, heading))
                 seq += 1
                 heapq.heappush(events, (arrival, seq, "ref", streamed))
 
-        if k % decim == 0:
-            log.append(("TS", t, *truth_pos, truth_heading))
+        if log_truth:
+            append(("TS", t, *truth_pos, wrap_heading(plant.heading - theta0)))
 
-        if (t >= traj_start and k % abort_every == 0
-                and path.distance(truth_pos) > abort_radius):
-            log.append(("FAIL", t))
+        if test_abort and path.distance(truth_pos) > abort_radius:
+            append(("FAIL", t))
             break
 
-    log.append(("END", t))
+    append(("END", t))
     return log

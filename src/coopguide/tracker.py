@@ -18,13 +18,19 @@ Only lidar detections update the state.  A detection d, in L, is paired with
 the VIO position p_V interpolated at its stamp, and h(x) = Rz(theta) @ d + o.
 The extended Kalman update runs as three scalar steps, linearized once at
 the prior, which is the joint update: the x row has entries at ox and theta,
-the y row at oy and theta, the z row at oz only.  ``predict`` and ``update``
-are straight-line float code.
+the y row at oy and theta, the z row at oz only.  ``innovation`` computes
+the steps' innovations and gains against a prior, and ``update`` applies
+them; ``predict``, ``innovation`` and ``update`` are straight-line float
+code.
 
-Because detections arrive with processing delay and out of order, a
-recalculating history buffer keeps recent measurements sorted by stamp and
-re-derives the state from the oldest retained entry whenever a late
-measurement is inserted.
+Each fused detection has one prior and one innovation: the gate
+(``associate``) tests the innovation of the prior ``estimate_at`` its stamp,
+and the history buffer stores ``update`` of that same prior with those same
+terms (the textbook filter gates on the innovation it updates with;
+Bar-Shalom, Li and Kirubarajan 2001, §5.4).  Because detections arrive
+with processing delay and out of order, the recalculating history buffer
+keeps recent measurements sorted by stamp; only a late arrival replays the
+filter, through the entries stamped after it.
 
 ``TrackerState`` and ``Measurement`` each have one constructor, which stores
 what it is given; the checks live where records enter, in ``Guider.ingest_vio``
@@ -108,8 +114,8 @@ class Measurement:
     """A fused detection: its stamp, its position ``lidar`` in L, the VIO
     position ``vio`` interpolated at its stamp (float 3-tuples) and the
     detection variance per axis.  Stored as given and read directly by
-    ``update``; the guider makes them from checked records, and the
-    constructor checks nothing.
+    ``innovation`` when the history replays it; the guider makes them from
+    checked records, and the constructor checks nothing.
     """
 
     __slots__ = ("stamp", "lidar", "vio", "variance")
@@ -125,6 +131,8 @@ class GateDecision:
     mahalanobis_sq: float
     accepted: bool
     detection: Optional[Detection] = None   # the selected one, None without a candidate
+    #: the selected detection's ``innovation`` against the gated state
+    terms: Optional[tuple] = None
 
 
 def predict(state: TrackerState, dt: float) -> TrackerState:
@@ -158,9 +166,11 @@ def predict(state: TrackerState, dt: float) -> TrackerState:
         (c00 + dt * (2.0 * c01 + dt * c11) + qa, c01 + dt * c11 + qb, c11 + qc))
 
 
-def _steps(state: TrackerState, lidar: Sequence[float], vio: Sequence[float], r: float):
+def innovation(state: TrackerState, lidar: Sequence[float], vio: Sequence[float],
+               r: float) -> tuple:
     """The three scalar steps of a detection at ``lidar`` paired with the
-    VIO position ``vio``, with variance ``r`` per axis.
+    VIO position ``vio``, with variance ``r`` per axis, against the prior
+    ``state``: the terms that the gate tests and ``update`` applies.
 
     Returns ``(ex, gx, sx, ey, gy, sy, ez, sz)``: per planar step the
     innovation, the column P H^T (5 floats) and the innovation variance, the
@@ -192,20 +202,15 @@ def _steps(state: TrackerState, lidar: Sequence[float], vio: Sequence[float], r:
     return ex, (g0, g1, g2, g3, g4), sx, ey, (h0, h1, h2, h3, h4), sy, pz - (dz + oz), sz
 
 
-def update(state: TrackerState, z: Measurement) -> TrackerState:
-    """Kalman correction by one detection, as the three scalar steps of
-    :func:`_steps`: each adds its gain P H^T / s times its innovation to the
-    mean and takes (P H^T)(P H^T)^T / s from its block.  Theta is wrapped;
-    only the upper triangle of the planar block is computed, so it stays
-    exactly symmetric.
+def update(state: TrackerState, terms: tuple) -> TrackerState:
+    """Kalman correction of the prior ``state`` by one detection, given its
+    :func:`innovation` ``terms`` against that prior: each of the three
+    scalar steps adds its gain P H^T / s times its innovation to the mean
+    and takes (P H^T)(P H^T)^T / s from its block.  Theta is wrapped; only
+    the upper triangle of the planar block is computed, so it stays exactly
+    symmetric.
     """
-    if abs(z.stamp - state.stamp) > 1e-9:
-        raise ValueError(
-            f"measurement stamp {z.stamp} does not match state stamp {state.stamp}; "
-            "predict first"
-        )
-    ex, (g0, g1, g2, g3, g4), sx, ey, (h0, h1, h2, h3, h4), sy, ez, sz = _steps(
-        state, z.lidar, z.vio, z.variance)
+    ex, (g0, g1, g2, g3, g4), sx, ey, (h0, h1, h2, h3, h4), sy, ez, sz = terms
     ox, rx, oy, ry, theta, oz, rz = state.mean
     p00, p01, p02, p03, p04, p11, p12, p13, p14, p22, p23, p24, p33, p34, p44 = state.planar
     c00, c01, c11 = state.vertical
@@ -227,26 +232,21 @@ def update(state: TrackerState, z: Measurement) -> TrackerState:
         (c00 - k0 * c00, c01 - k0 * c01, c11 - k1 * c01))
 
 
-def innovation_gate(state: TrackerState, detection: Detection, vio: Sequence[float]) -> float:
-    """Squared Mahalanobis distance y^T S^-1 y of a detection paired with
-    the VIO position ``vio``: S is the 2x2 planar block plus the z scalar,
-    and the sum over the three scalar steps of :func:`_steps` is that
-    quadratic form."""
-    ex, _, sx, ey, _, sy, ez, sz = _steps(state, detection[1:4], vio, detection.sigma ** 2)
-    return ex * ex / sx + ey * ey / sy + ez * ez / sz
-
-
 def associate(detections: Sequence[Detection], state: TrackerState,
               vio: Sequence[float]) -> GateDecision:
     """Select the detection nearest in Mahalanobis distance and gate it.
 
     ``vio`` is the VIO position at the detections' stamp.  Candidates
     within ``EUCLID_GATE`` of the predicted position in L, Rz(theta)^T
-    (p_V - o), compete; the lowest squared Mahalanobis distance among them
-    is accepted when it is at most ``GATE_CRITICAL``.
+    (p_V - o), compete; the lowest squared Mahalanobis distance y^T S^-1 y
+    among them is accepted when it is at most ``GATE_CRITICAL``.  S is the
+    2x2 planar block plus the z scalar, so the sum over the three scalar
+    steps of :func:`innovation` is that quadratic form.  The decision
+    carries the winner's innovation terms, for ``update``.
     """
     best: Optional[Detection] = None
     best_d2 = math.inf
+    best_terms = None
     ox, _, oy, _, theta, oz, _ = state.mean
     c, s = math.cos(theta), math.sin(theta)
     px, py, pz = vio[0] - ox, vio[1] - oy, vio[2] - oz
@@ -254,21 +254,23 @@ def associate(detections: Sequence[Detection], state: TrackerState,
     for det in detections:
         if math.hypot(det.x - lx, det.y - ly, det.z - pz) > EUCLID_GATE:
             continue
-        d2 = innovation_gate(state, det, vio)
+        terms = innovation(state, det[1:4], vio, det.sigma ** 2)
+        ex, _, sx, ey, _, sy, ez, sz = terms
+        d2 = ex * ex / sx + ey * ey / sy + ez * ez / sz
         if d2 < best_d2:
-            best_d2 = d2
-            best = det
+            best_d2, best, best_terms = d2, det, terms
     if best is None:
         return GateDecision(math.inf, False)
-    return GateDecision(best_d2, best_d2 <= GATE_CRITICAL, best)
+    return GateDecision(best_d2, best_d2 <= GATE_CRITICAL, best, best_terms)
 
 
 class HistoryBuffer:
     """Measurement log enabling exact filter re-runs for late arrivals.
 
     Entries are kept sorted by stamp; the posterior state after each entry
-    is cached so an in-order arrival costs one predict/update and a late
-    arrival recomputes only the suffix behind its insertion point —
+    is cached.  An entry's posterior is ``update`` of the gate's prior with
+    the gate's innovation terms, so an in-order arrival costs that one
+    update, and a late arrival also replays the suffix behind it —
     numerically identical to a full replay from the anchor.  Entries older
     than ``span`` behind the newest are marginalized into the anchor state.
     ``_stamps`` holds each entry's stamp, parallel to ``entries`` and
@@ -289,8 +291,13 @@ class HistoryBuffer:
     def latest_state(self) -> TrackerState:
         return self._posts[-1] if self._posts else self.anchor_state
 
-    def insert(self, z: Measurement) -> TrackerState:
-        """Insert a measurement in stamp order and return the newest state."""
+    def insert(self, z: Measurement, prior: TrackerState, terms: tuple) -> TrackerState:
+        """Insert a measurement in stamp order and return the newest state.
+
+        ``prior`` is ``estimate_at(z.stamp)`` and ``terms`` its
+        :func:`innovation` of ``z``, as the gate computed them; the entries
+        stamped after ``z`` are replayed from its posterior.
+        """
         if z.stamp < self.anchor_state.stamp - 1e-12:
             raise StaleMeasurementError(
                 f"measurement at {z.stamp:.6f} is too stale: older than the "
@@ -302,11 +309,17 @@ class HistoryBuffer:
                 f"measurement at {z.stamp:.6f} is too stale: more than "
                 f"{self.span} s behind the newest entry"
             )
+        if abs(z.stamp - prior.stamp) > 1e-9:
+            raise ValueError(
+                f"measurement stamp {z.stamp} does not match prior stamp {prior.stamp}; "
+                "predict first"
+            )
+        post = update(prior, terms)
         idx = bisect.bisect_right(stamps, z.stamp)
         stamps.insert(idx, z.stamp)
         self.entries.insert(idx, z)
-        self._posts.insert(idx, None)  # placeholder, recomputed below
-        self._recompute_from(idx)
+        self._posts.insert(idx, post)
+        self._recompute_from(idx + 1)
         self._prune()
         return self._posts[-1]
 
@@ -315,7 +328,8 @@ class HistoryBuffer:
         for i in range(idx, len(self.entries)):
             z = self.entries[i]
             dt = max(0.0, z.stamp - state.stamp)  # guard float round-off on ties
-            state = update(predict(state, dt), z)
+            state = predict(state, dt)
+            state = update(state, innovation(state, z.lidar, z.vio, z.variance))
             self._posts[i] = state
 
     def _prune(self) -> None:

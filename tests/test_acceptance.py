@@ -29,6 +29,8 @@ from coopguide.tracker import (
 )
 from coopguide.geometry import Detection
 
+from columns import fuse
+
 
 @contextlib.contextmanager
 def criterion(number: int, title: str):
@@ -110,12 +112,12 @@ def test_criterion_3_replay_equivalence():
                 measurements.append(Measurement(t, lidar, vio, float(rng.uniform(0.05, 0.5))))
             ordered = HistoryBuffer(anchor, span=1e9)
             for z in measurements:
-                expected = ordered.insert(z)
+                expected = fuse(ordered, z)
             want = np.concatenate([expected.mean, expected.planar, expected.vertical])
             for perm_i in range(10):
                 buf = HistoryBuffer(anchor, span=1e9)
                 for i in rng.permutation(len(measurements)):
-                    buf.insert(measurements[i])
+                    fuse(buf, measurements[i])
                 got = buf.latest_state
                 got = np.concatenate([got.mean, got.planar, got.vertical])
                 worst = max(worst, float(np.max(np.abs(got - want))))

@@ -61,7 +61,7 @@ def test_bench_file_and_summary_carry_both_line_counts(tmp_path, monkeypatch, ca
     out = capsys.readouterr().out
     assert "nlos src/ lines: 10 -> 7 (-3)" in out
     assert ("nlos wall_s: median 2 -> 1.9 (medians -5.0%, median pair gap -20.0%), "
-            "change better in 1 of 2 pairs") in out
+            "change better in 1 of 2 pairs; claim rule fails, within the 25% bound") in out
 
 
 def test_one_traced_run_per_side_is_stored_and_its_changed_layers_printed(
@@ -124,3 +124,33 @@ def test_one_seed_is_rejected_before_any_run(tmp_path, monkeypatch, capsys):
         assert exc_info.value.code == 2
         assert "at least two" in capsys.readouterr().err
     assert runs == [] and not (tmp_path / "BENCH_probe.json").exists()
+
+
+def _pairs(parent: list, change: list, name: str = "wall_s") -> list:
+    return [{"parent": {"metrics": {name: p}}, "change": {"metrics": {name: c}}}
+            for p, c in zip(parent, change)]
+
+
+def test_summary_verdicts_follow_the_claim_rule_and_the_bound():
+    summarize = _tool().summarize
+    wall = [{"name": "wall_s", "better": "lower", "bound": 0.25}]
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]   # IQR 0.045
+    faster = [0.9 * p for p in parent]
+
+    def verdict(change, metrics=wall, base=parent):
+        row = summarize(_pairs(base, change, metrics[0]["name"]), metrics)[metrics[0]["name"]]
+        return row["pairs_change_better"], row["claim_holds"], row["within_bound"]
+
+    assert verdict(faster) == (10, True, True)
+    # a tie counts for neither side: 9 of 10 pairs still hold, 8 do not
+    assert verdict(parent[:1] + faster[1:]) == (9, True, True)
+    assert verdict(parent[:2] + faster[2:]) == (8, False, True)
+    # every pair better, but the medians closer than the parent's IQR
+    assert verdict([p - 0.04 for p in parent]) == (10, False, True)
+    # a slower change: within 25% of the parent's median, then beyond it
+    assert verdict([1.2 * p for p in parent]) == (0, False, True)
+    assert verdict([1.3 * p for p in parent]) == (0, False, False)
+    # a metric that is better higher
+    rate = [{"name": "rate", "better": "higher", "bound": 0.05}]
+    assert verdict([1.1 * p for p in parent], rate) == (10, True, True)
+    assert verdict([0.94 * p for p in parent], rate) == (0, False, False)

@@ -14,7 +14,7 @@ from coopguide.geometry import (
     wrap_heading,
 )
 
-from columns import pose_columns
+from columns import interpolate_pose, pose_columns
 
 
 def test_wrap_heading_identity():
@@ -60,6 +60,17 @@ def test_wrap_heading_array_matches_scalar_bit_for_bit():
     for subset in (np.array([-0.0, 1.0, -1.0]), np.array([-0.0, 1.0, 4.0])):
         got = [repr(x) for x in wrap_heading(subset).tolist()]
         assert got == [repr(wrap_heading(a)) for a in subset.tolist()]
+    # an all-in-range array returns at the range test, as the input itself
+    in_range = np.array([-0.0, math.pi, -math.pi + 1e-15, 0.5])
+    assert wrap_heading(in_range) is in_range
+    assert [repr(x) for x in in_range.tolist()] == [repr(wrap_heading(a))
+                                                    for a in in_range.tolist()]
+    # a 0-d array, in range or not, and an empty array
+    for angle in (1.0, -0.0, math.pi, -math.pi, 4.0):
+        got = wrap_heading(np.array(angle))
+        assert got.shape == () and repr(got.tolist()) == repr(wrap_heading(angle))
+    empty = wrap_heading(np.array([]))
+    assert empty.shape == (0,)
 
 
 def test_wrap_heading_float_int_and_float64_agree_with_the_array_path():
@@ -127,16 +138,8 @@ def _pose(t, pos, heading=0.0):
 
 def test_interpolate_linear_midpoint():
     buf = pose_columns([_pose(0.0, [0, 0, 0]), _pose(1.0, [1, 0, 0])])
-    mid = interpolate(buf, 0.5)
-    assert np.allclose((mid.x, mid.y, mid.z), [0.5, 0.0, 0.0])
-
-
-def test_interpolate_heading_shortest_arc():
-    a = math.radians(170.0)
-    b = math.radians(-170.0)
-    buf = pose_columns([_pose(0.0, [0, 0, 0], a), _pose(1.0, [0, 0, 0], b)])
-    mid = interpolate(buf, 0.5)
-    assert mid.heading == pytest.approx(math.pi, abs=1e-12)
+    mid = interpolate(buf, 0.5, 1.0)
+    assert np.allclose(mid, [0.5, 0.0, 0.0])
 
 
 def _bits(*values) -> bytes:
@@ -144,35 +147,31 @@ def _bits(*values) -> bytes:
     return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
 
 
-def _pose_bits(pose):
-    return _bits(*pose)
+def _float_triple(value) -> bool:
+    return type(value) is tuple and len(value) == 3 and all(type(v) is float for v in value)
 
 
 def test_interpolate_exact_stamp_returns_stored_pose():
     poses = [_pose(0.0, [0, 0, 0]), _pose(0.4, [2, 1, 0], 0.3), _pose(1.0, [1, 0, 0])]
-    got = interpolate(pose_columns(poses), 0.4)
-    assert _pose_bits(got) == _pose_bits(poses[1])
+    got = interpolate(pose_columns(poses), 0.4, 1.0)
+    assert _float_triple(got) and _bits(*got) == _bits(*poses[1][1:4])
 
 
-def numpy_lerp_pose(a, b, t):
-    """The array lerp ``interpolate`` used before its float path (oracle)."""
+def numpy_lerp_position(a, b, t):
+    """The array lerp of a position that ``interpolate`` used before its
+    float path (oracle)."""
     if b.stamp <= a.stamp:
-        return a
+        return a[1:4]
     u = (t - a.stamp) / (b.stamp - a.stamp)
-    heading = wrap_heading(a.heading + u * wrap_heading(b.heading - a.heading))
-    (pa, va), (pb, vb) = [(np.array(p[1:4]), np.array(p[5:8])) for p in (a, b)]
-    return TimedPose(
-        t,
-        *(pa + u * (pb - pa)).tolist(),
-        heading,
-        *(va + u * (vb - va)).tolist(),
-        a.heading_rate + u * (b.heading_rate - a.heading_rate),
-    )
+    pa, pb = np.array(a[1:4]), np.array(b[1:4])
+    return tuple((pa + u * (pb - pa)).tolist())
 
 
 def test_interpolate_is_bit_identical_to_the_array_lerp():
+    # and to the nine-field interpolation that fused detections read their
+    # VIO position from before
     rng = np.random.default_rng(17)
-    kinds = {"lerp": 0, "exact": 0, "clamp": 0, "wrap": 0}
+    kinds = {"lerp": 0, "exact": 0, "clamp": 0}
     for _ in range(200):
         n = int(rng.integers(2, 12))
         stamps = np.cumsum(rng.uniform(0.001, 0.1, n)) + rng.uniform(-5.0, 5.0)
@@ -186,30 +185,48 @@ def test_interpolate_is_bit_identical_to_the_array_lerp():
                     float(stamps[-1] + rng.uniform(0.0, 0.1))]
         columns = pose_columns(reversed(buf))   # inserted newest first
         for t in queries:
-            got = interpolate(columns, t)
+            got = interpolate(columns, t, 0.1)
             hi = int(np.searchsorted(stamps, t))
             if t <= stamps[0] or t >= stamps[-1]:
                 end = buf[0] if t <= stamps[0] else buf[-1]
-                want, kind = end._replace(stamp=t), "clamp"
+                want, kind = end[1:4], "clamp"
             elif stamps[hi] == t:
-                want, kind = buf[hi], "exact"
+                want, kind = buf[hi][1:4], "exact"
             else:
-                a, b = buf[hi - 1], buf[hi]
-                want = numpy_lerp_pose(a, b, t)
-                kind = "wrap" if abs(b.heading - a.heading) > math.pi else "lerp"
+                want, kind = numpy_lerp_position(buf[hi - 1], buf[hi], t), "lerp"
             kinds[kind] += 1
-            assert _pose_bits(got) == _pose_bits(want), (kind, t)
+            assert _float_triple(got), (kind, t)
+            assert _bits(*got) == _bits(*want), (kind, t)
+            assert _bits(*got) == _bits(*interpolate_pose(columns, t)[1:4]), (kind, t)
     assert min(kinds.values()) > 0, kinds
 
 
 def test_interpolate_stale_query_raises():
     buf = pose_columns([_pose(0.0, [0, 0, 0]), _pose(1.0, [1, 0, 0])])
     with pytest.raises(StaleQueryError):
-        interpolate(buf, 1.2)
+        interpolate(buf, 1.2, 1.0)
     with pytest.raises(StaleQueryError):
-        interpolate(buf, -0.2)
+        interpolate(buf, -0.2, 1.0)
+    with pytest.raises(StaleQueryError):
+        interpolate(pose_columns([]), 0.0, 1.0)
     # within tolerance: clamped, not raised
-    assert np.allclose(interpolate(buf, 1.05)[1:4], [1, 0, 0])
+    assert np.allclose(interpolate(buf, 1.05, 1.0), [1, 0, 0])
+    assert np.allclose(interpolate(buf, -0.05, 1.0), [0, 0, 0])
+
+
+def test_interpolate_refuses_a_query_inside_an_outage():
+    # a query strictly between two records more than max_gap apart would
+    # read the chord across the outage; at or beyond either record it reads
+    # the record, and a gap of max_gap exactly is no outage
+    buf = pose_columns([_pose(0.0, [0, 0, 0]), _pose(0.5, [1, 0, 0]), _pose(2.5, [3, 0, 0])])
+    for t in (0.6, 1.5, 2.4):
+        with pytest.raises(StaleQueryError, match="outage"):
+            interpolate(buf, t, 0.5)
+    assert interpolate(buf, 2.5, 0.5) == (3.0, 0.0, 0.0)
+    assert interpolate(buf, 2.55, 0.5) == (3.0, 0.0, 0.0)
+    assert interpolate(buf, 0.5, 0.5) == (1.0, 0.0, 0.0)
+    assert interpolate(buf, 0.25, 0.5) == (0.5, 0.0, 0.0)
+    assert np.allclose(interpolate(buf, 1.5, 2.0), [2.0, 0.0, 0.0])
 
 
 def test_stamped_columns_match_a_sorted_list_through_inserts_and_prunes():

@@ -25,11 +25,12 @@ from coopguide.paths import STREAM_HORIZON, Trajectory
 from coopguide.tracker import (
     GATE_CRITICAL,
     HistoryBuffer,
+    innovation,
     predict,
     update,
 )
 
-from columns import detection_columns
+from columns import corrected, detection_columns, interpolate_pose
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THETA = 0.8
@@ -414,6 +415,85 @@ def test_batches_waiting_through_a_vio_outage_are_not_fused_against_its_chord():
     assert max(errors) < 0.01
 
 
+def _bits(*values) -> bytes:
+    """The exact IEEE bits of floats and float tuples, in order."""
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
+
+
+def _state_bits(state) -> bytes:
+    return _bits(state.stamp, state.mean, state.planar, state.vertical)
+
+
+@pytest.mark.parametrize("vio_rate", [None, 27.0])
+def test_each_fused_detection_is_the_predict_and_update_of_its_prior(monkeypatch, vio_rate):
+    # one nlos lap, every association and every fused detection checked
+    # against the filter's steps taken afresh: the VIO position is the
+    # nine-field interpolation's, and an in-order posterior is update of
+    # the newest posterior predicted to its stamp, with the innovation
+    # computed again, bit for bit.  Both sensors sample on the tick grid:
+    # at the config's 30 Hz VIO every detection stamp is a VIO stamp, at
+    # 27 Hz two in five lie between two VIO samples.
+    from coopguide.simulator import run_scenario
+
+    guiders, paired, between, fused = [], [], [], []
+    fuse, associate, insert = Guider._fuse, guider.associate, HistoryBuffer.insert
+
+    def fusing(self, stamp, detections):
+        guiders.append(self)
+        return fuse(self, stamp, detections)
+
+    def associating(detections, prior, vio):
+        want = interpolate_pose(guiders[-1]._vio_buffer, detections[0].stamp)[1:4]
+        assert type(vio) is tuple and _bits(*vio) == _bits(*want)
+        paired.append(vio)
+        between.append(not guiders[-1]._vio_buffer.holds(detections[0].stamp))
+        return associate(detections, prior, vio)
+
+    def inserting(self, z, prior, terms):
+        in_order = not self._stamps or z.stamp >= self._stamps[-1]
+        newest = self.latest_state
+        out = insert(self, z, prior, terms)
+        if in_order:
+            predicted = predict(newest, max(0.0, z.stamp - newest.stamp))
+            want = update(predicted, innovation(predicted, z.lidar, z.vio, z.variance))
+            assert _state_bits(out) == _state_bits(want)
+            fused.append(z)
+        return out
+
+    monkeypatch.setattr(Guider, "_fuse", fusing)
+    monkeypatch.setattr(guider, "associate", associating)
+    monkeypatch.setattr(HistoryBuffer, "insert", inserting)
+    overrides = load_config_file(str(CONFIGS / "nlos.cfg"))
+    overrides["trajectory.laps"] = 1
+    if vio_rate is not None:
+        overrides["vio.rate"] = vio_rate
+    log = run_scenario(build_config(overrides))
+    assert not log.failed
+    assert len(paired) > 300 and len(fused) > 250
+    assert sum(between) == 0 if vio_rate is None else sum(between) > 100
+
+
+def test_batches_inside_a_vio_outage_or_before_the_history_are_dropped(monkeypatch):
+    # neither kind of batch reaches the gate or the history
+    g = make_guider()
+    t0 = drive(g, 0.0, 8.0)
+    calls = []
+    associate = guider.associate
+    monkeypatch.setattr(guider, "associate", lambda *a: calls.append(a) or associate(*a))
+    t1 = drive(g, t0, t0 + 5.0, vio_on=False)
+    waiting = [stamp for stamp, _ in g._pending]
+    assert len(waiting) > 10 and calls == []
+    drive(g, t1, t1 + 0.1)   # VIO resumes: every waiting batch lies in the outage
+    assert [a[0][0].stamp for a in calls] == [pytest.approx(t1)]
+    assert not set(waiting) & set(g._fused_detections.stamps.tolist())
+    calls.clear()
+    history = (len(g._history), g._history.latest_state, g._consecutive_rejects)
+    stale = g._history.anchor_state.stamp - 0.05
+    g.ingest_detections([detection(stale, track=1)])   # older than the anchor
+    assert calls == [] and g._track_buffers[1].holds(stale)
+    assert (len(g._history), g._history.latest_state, g._consecutive_rejects) == history
+
+
 def test_non_finite_vio_sample_is_dropped(monkeypatch):
     g = make_guider()
     t = drive(g, 0.0, 8.0)
@@ -461,6 +541,12 @@ def test_duplicate_deliveries_are_fused_once(monkeypatch):
     plain = _est_records(monkeypatch, {})
     assert len(plain) > 100
     assert _est_records(monkeypatch, {}, twice) == plain
+    # a batch is a duplicate when any of its tracks holds its stamp
+    g = make_guider()
+    t = drive(g, 0.0, 8.0)
+    g.ingest_detections([detection(t)])
+    g.ingest_detections([detection(t), detection(t, track=1, offset=(0.2, 0.0, 0.0))])
+    assert 1 not in g._track_buffers and len(g._pending) == 1
 
 
 def test_late_detection_batches_keep_the_buffers_in_stamp_order(monkeypatch):
@@ -503,9 +589,9 @@ def test_the_filter_records_hold_floats(monkeypatch):
             adopted.append(out[0])
         return out
 
-    def inserting(self, z):
+    def inserting(self, z, *prior_and_terms):
         inserted.append(z)
-        return insert(self, z)
+        return insert(self, z, *prior_and_terms)
 
     monkeypatch.setattr(guider, "try_initialize", initialize)
     monkeypatch.setattr(HistoryBuffer, "insert", inserting)
@@ -514,7 +600,7 @@ def test_the_filter_records_hold_floats(monkeypatch):
     state = adopted[0]
     z = next(z for z in inserted if z.stamp > state.stamp)
     predicted = predict(state, z.stamp - state.stamp)
-    for s in (state, predicted, update(predicted, z)):
+    for s in (state, predicted, corrected(predicted, z)):
         assert type(s.stamp) is float
         assert _floats(s.mean, 7) and _floats(s.planar, 15) and _floats(s.vertical, 3)
     for z in inserted:

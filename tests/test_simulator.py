@@ -21,7 +21,6 @@ from coopguide.simulator import (
     PlantState,
     ReferenceBatch,
     _draws,
-    _orient,
     _segments_intersect,
     drift_offsets,
     lidar_detect,
@@ -169,6 +168,12 @@ def test_line_of_sight_basics():
     wall = (-1.0, 1.0, 1.0, 1.0)
     assert not line_of_sight((0.0, 0.0), (0.0, 2.0), (wall,))
     assert line_of_sight((0.0, 0.0), (2.0, 0.5), (wall,))
+
+
+def _orient(a, b, c):
+    """The orientation of c against a->b (a cross product), as the simulator
+    computed it before it wrote the four out in ``_segments_intersect``."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 def _segments_intersect_oracle(p1, p2, q1, q2) -> bool:

@@ -21,12 +21,12 @@ from coopguide.tracker import (
     StaleMeasurementError,
     TrackerState,
     associate,
+    innovation,
     predict,
     try_initialize,
-    update,
 )
 
-from columns import detection_columns, pose_columns
+from columns import corrected, detection_columns, fuse, pose_columns
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +180,14 @@ def test_predict_covariance_grows_and_stays_symmetric():
 def test_update_equal_weight_fusion_1d_slice():
     # z: the offset's prior variance equals the detection's
     s = make_state(var=1.0)
-    out = update(s, _meas(0.0, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], sigma=1.0))
+    out = corrected(s, _meas(0.0, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], sigma=1.0))
     assert out.mean[5] == pytest.approx(0.5)
     assert out.vertical[0] == pytest.approx(0.5)
 
 
 def test_update_non_informative_measurement_is_identity():
     s = make_state(offset=(1, 2, 3), rate=(0.5, 0, 0), var=2.0)
-    out = update(s, _meas(0.0, [1.0, 1.0, 1.0], [50.0, 50.0, 50.0], sigma=1e7))
+    out = corrected(s, _meas(0.0, [1.0, 1.0, 1.0], [50.0, 50.0, 50.0], sigma=1e7))
     for got, want in ((out.mean, s.mean), (out.planar, s.planar), (out.vertical, s.vertical)):
         assert np.allclose(got, want, atol=1e-9)
 
@@ -208,7 +208,7 @@ def test_update_sequence_matches_batch_ls_oracle():
     state = state0
     for _ in range(5):
         d, p, r = rng.normal(0.0, 2.0, 3), rng.normal(0.0, 2.0, 3), float(rng.uniform(0.05, 0.5))
-        state = update(state, _meas(0.0, d, p, math.sqrt(r)))
+        state = corrected(state, _meas(0.0, d, p, math.sqrt(r)))
         H = np.zeros((3, 6))
         H[[0, 1, 2], [0, 2, 4]] = 1.0
         lam = lam + H.T @ H / r
@@ -226,7 +226,7 @@ def test_update_wraps_heading_innovation_across_boundary():
     s = state_from(0.0, (0, 0, 0, 0, 3.1, 0, 0), (1.0, 1.0, 1.0, 1.0, 0.5))
     d = [3.0, 0.0, 0.0]
     z = _meas(0.0, d, rot_z(3.3) @ np.array(d), sigma=0.1)
-    out = update(s, z)
+    out = corrected(s, z)
     m, _, _ = dense_update(*dense(s), z.lidar, z.vio, z.variance)
     assert -math.pi < out.mean[4] < 0.0
     assert out.mean[4] == pytest.approx(m[4], abs=1e-12)
@@ -235,9 +235,9 @@ def test_update_wraps_heading_innovation_across_boundary():
 def test_update_rejects_singular_innovation():
     s = state_from(0.0, np.zeros(7), (0.0,) * 5, (0.0, 0.0))
     with pytest.raises(ValueError):
-        update(s, _meas(0.0, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], sigma=0.0))
+        innovation(s, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0)
     with pytest.raises(ValueError):
-        tracker.innovation_gate(s, Detection(0.0, 1.0, 0.0, 0.0, 0.0, 0), [1.0, 0.0, 0.0])
+        associate([Detection(0.0, 1.0, 0.0, 0.0, 0.0, 0)], s, [1.0, 0.0, 0.0])
 
 
 def test_covariance_psd_through_random_cycles():
@@ -247,7 +247,7 @@ def test_covariance_psd_through_random_cycles():
     for i in range(10_000):
         state = predict(state, float(rng.uniform(0.0, 0.2)))
         d, p, r = _random_detection(rng, state)
-        state = update(state, _meas(state.stamp, d, p, math.sqrt(r)))
+        state = corrected(state, _meas(state.stamp, d, p, math.sqrt(r)))
         if i % 100 == 0:
             assert float(np.linalg.eigvalsh(dense(state)[1])[0]) > -1e-9
     assert float(np.linalg.eigvalsh(dense(state)[1])[0]) > -1e-9
@@ -258,7 +258,7 @@ def test_frame_filter_matches_dense_7_state_oracle():
     # states with theta near +-pi half of the time, so that the update
     # wraps theta
     rng = np.random.default_rng(23)
-    wraps = 0
+    wraps = gated = 0
     for i in range(5000):
         state = _random_state(rng, float(i))
         dt = [0.0, 1e-3, 0.02, 0.5, 3.0][i % 5]
@@ -267,17 +267,21 @@ def test_frame_filter_matches_dense_7_state_oracle():
         got_m, got_P = dense(pred)
         assert np.allclose(got_m, m, atol=1e-9) and np.allclose(got_P, P, atol=1e-9)
         d, p, r = _random_detection(rng, pred)
-        out = update(pred, _meas(pred.stamp, d, p, math.sqrt(r)))
+        out = corrected(pred, _meas(pred.stamp, d, p, math.sqrt(r)))
         m, P, d2 = dense_update(got_m, got_P, d, p, r)
         got_m, got_P = dense(out)
         assert wrap_heading(got_m[4] - m[4]) == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(np.delete(got_m, 4), np.delete(m, 4), atol=1e-9)
         assert np.allclose(got_P, P, atol=1e-9)
         assert np.all(got_P[5:, :5] == 0.0)
-        det = Detection(pred.stamp, *d, math.sqrt(r), 0)
-        assert tracker.innovation_gate(pred, det, p) == pytest.approx(d2, rel=1e-9, abs=1e-12)
+        # the gate tests the innovation that the update applies
+        decision = associate([Detection(pred.stamp, *d, math.sqrt(r), 0)], pred, p)
+        if decision.detection is not None:   # inside the Euclidean pre-gate
+            gated += 1
+            assert decision.mahalanobis_sq == pytest.approx(d2, rel=1e-9, abs=1e-12)
+            assert decision.terms == innovation(pred, d, p, math.sqrt(r) ** 2)
         wraps += abs(out.mean[4] - pred.mean[4]) > math.pi
-    assert wraps > 100
+    assert wraps > 100 and gated > 4000, (wraps, gated)
 
 
 def test_update_input_state_is_not_mutated():
@@ -285,7 +289,7 @@ def test_update_input_state_is_not_mutated():
     state = _random_state(rng, 0.0)
     before = repr((state.stamp, state.mean, state.planar, state.vertical))
     d, p, r = _random_detection(rng, state)
-    update(state, _meas(0.0, d, p, math.sqrt(r)))
+    corrected(state, _meas(0.0, d, p, math.sqrt(r)))
     assert repr((state.stamp, state.mean, state.planar, state.vertical)) == before
 
 
@@ -298,7 +302,7 @@ def test_every_step_of_every_kind_rejects_a_non_positive_innovation_variance(ste
     state = state_from(0.0, np.zeros(7), (10.0, 1.0, 5.0, 1.0, 0.0), (1.0, 1.0))
     for bad in ((-11.0, -7.0, -3.0)[step], -math.inf, math.nan):
         with pytest.raises(ValueError, match="singular innovation covariance"):
-            update(state, Measurement(0.0, (1.0, 2.0, 3.0), (0.5, 0.5, 0.5), bad))
+            innovation(state, (1.0, 2.0, 3.0), (0.5, 0.5, 0.5), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +458,8 @@ def test_associate_prefers_nearer_candidate():
     far = Detection(0.0, 1.0, 0.0, 0.0, sigma=math.sqrt(0.5), track_id=2)
     d = associate([far, near], s, [0.0, 0.0, 0.0])
     assert d.detection.track_id == 1
+    # the decision carries the winner's innovation, not the first candidate's
+    assert d.terms == innovation(s, near[1:4], [0.0, 0.0, 0.0], near.sigma ** 2)
 
 
 def test_associate_euclidean_pregate_excludes_candidates():
@@ -523,10 +529,10 @@ def test_in_order_insertion_equals_streaming():
     measurements = _random_measurements(rng, 12)
     buf = HistoryBuffer(anchor, span=10.0)
     for z in measurements:
-        state = buf.insert(z)
+        state = fuse(buf, z)
     stream = anchor
     for z in measurements:
-        stream = update(predict(stream, z.stamp - stream.stamp), z)
+        stream = corrected(predict(stream, z.stamp - stream.stamp), z)
     assert np.allclose(_arrays(state), _arrays(stream), atol=1e-12)
 
 
@@ -535,12 +541,12 @@ def test_delayed_insertion_equals_chronological():
     anchor = make_state(var=1.0)
     z1, z2, z3 = _random_measurements(rng, 3, spacing=0.1)
     buf = HistoryBuffer(anchor, span=10.0)
-    buf.insert(z1)
-    buf.insert(z3)
-    final = buf.insert(z2)  # late arrival
+    fuse(buf, z1)
+    fuse(buf, z3)
+    final = fuse(buf, z2)  # late arrival
     ordered = HistoryBuffer(anchor, span=10.0)
     for z in (z1, z2, z3):
-        expected = ordered.insert(z)
+        expected = fuse(ordered, z)
     assert np.allclose(_arrays(final), _arrays(expected), atol=1e-9)
 
 
@@ -550,11 +556,11 @@ def test_replay_equivalence_random_interleavings():
     measurements = _random_measurements(rng, 20)
     ordered = HistoryBuffer(anchor, span=100.0)
     for z in measurements:
-        expected = ordered.insert(z)
+        expected = fuse(ordered, z)
     for _ in range(50):
         buf = HistoryBuffer(anchor, span=100.0)
         for i in rng.permutation(len(measurements)):
-            buf.insert(measurements[i])
+            fuse(buf, measurements[i])
         assert np.allclose(_arrays(buf.latest_state), _arrays(expected), atol=1e-9)
 
 
@@ -569,7 +575,7 @@ def _full_replay(anchor, entries, t):
     for z in entries:
         if z.stamp > t:
             break
-        state = update(predict(state, max(0.0, z.stamp - state.stamp)), z)
+        state = corrected(predict(state, max(0.0, z.stamp - state.stamp)), z)
     return predict(state, max(0.0, t - state.stamp))
 
 
@@ -584,7 +590,10 @@ def test_history_keys_and_estimates_hold_through_late_stale_and_pruned_inserts()
         anchor = buf.anchor_state
         late += bool(buf.entries) and z.stamp < buf.entries[-1].stamp
         try:
-            buf.insert(z)
+            if z.stamp < anchor.stamp:   # no prior to gate it against
+                buf.insert(z, anchor, ())
+            else:
+                fuse(buf, z)
         except StaleMeasurementError:
             stale += 1
         pruned += buf.anchor_state is not anchor
@@ -601,15 +610,16 @@ def test_history_keys_and_estimates_hold_through_late_stale_and_pruned_inserts()
 
 def test_measurement_older_than_span_rejected():
     buf = HistoryBuffer(make_state(stamp=0.0), span=2.0)
-    buf.insert(_meas(5.0, [0, 0, 0], [0, 0, 0]))
+    fuse(buf, _meas(5.0, [0, 0, 0], [0, 0, 0]))
     with pytest.raises(StaleMeasurementError):
-        buf.insert(_meas(2.5, [0, 0, 0], [0, 0, 0]))
+        fuse(buf, _meas(2.5, [0, 0, 0], [0, 0, 0]))
 
 
 def test_measurement_older_than_anchor_rejected():
     buf = HistoryBuffer(make_state(stamp=1.0), span=2.0)
+    # estimate_at refuses the stamp too, so the anchor stands in for the prior
     with pytest.raises(StaleMeasurementError):
-        buf.insert(_meas(0.5, [0, 0, 0], [0, 0, 0]))
+        buf.insert(_meas(0.5, [0, 0, 0], [0, 0, 0]), buf.anchor_state, ())
 
 
 def test_pruning_preserves_replay_result():
@@ -619,8 +629,8 @@ def test_pruning_preserves_replay_result():
     pruned = HistoryBuffer(anchor, span=2.0)
     full = HistoryBuffer(anchor, span=1e9)
     for z in measurements:
-        got = pruned.insert(z)
-        expected = full.insert(z)
+        got = fuse(pruned, z)
+        expected = fuse(full, z)
     assert len(pruned) < len(full)
     assert np.allclose(_arrays(got), _arrays(expected), atol=1e-9)
 
@@ -629,7 +639,7 @@ def test_estimate_at_newest_entry_equals_replay():
     rng = np.random.default_rng(54)
     buf = HistoryBuffer(make_state(var=1.0), span=10.0)
     for z in _random_measurements(rng, 8):
-        state = buf.insert(z)
+        state = fuse(buf, z)
     q = buf.estimate_at(buf.entries[-1].stamp)
     assert np.allclose(_arrays(q), _arrays(state), atol=1e-12)
 

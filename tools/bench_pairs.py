@@ -8,17 +8,21 @@
 ``perfbench/run.py --workload W --seed S --trace 0`` one after the other,
 at the run length that ``run.py`` fixes; the side that goes first
 alternates from pair to pair, so a slow stretch of the host does not always
-land on the same side.  Every run's
-end-to-end metrics and raw samples are stored, and per metric each side's
-median and quartiles over the pairs, the median relative gap and the number
-of pairs in which the change is better, next to each side's ``src/`` line
-count.  The script prints each pair's ``wall_s`` gap as it goes and, at the
-end, the line counts and that per-metric summary: both medians with the
-relative change from one to the other ("medians"), and the median of the
-pairs' relative gaps ("median pair gap"), which need not agree.  After the
-pairs, each side makes one ``--trace 1`` run on the first seed; the file
-stores both sides' per-layer metrics, and the script prints each one that
-differs, a time with its call count when that count is equal on both sides.
+land on the same side.  Every run's end-to-end metrics and raw samples are
+stored, and per metric each side's median and quartiles over the pairs, the
+median relative gap, the number of pairs in which the change is better and
+two acceptance verdicts, next to each side's ``src/`` line count.  The
+verdicts are whether the claim rule holds (the change better in at least 9
+of 10 pairs and its median better by more than the parent's interquartile
+range) and whether the change's median stays within the metric's
+``BENCHMARK.json`` bound.  The script prints each pair's ``wall_s`` gap as
+it goes and, at the end, the line counts and that per-metric summary: both
+medians with the relative change from one to the other ("medians"), the
+median of the pairs' relative gaps ("median pair gap"), which need not
+agree, the pairs won and both verdicts.  After the pairs, each side makes
+one ``--trace 1`` run on the first seed; the file stores both sides'
+per-layer metrics, and the script prints each one that differs, a time with
+its call count when that count is equal on both sides.
 Running the script again with the same ``--label`` adds the workload to the
 file and keeps the others.
 """
@@ -67,19 +71,34 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, the gap, the pairs won."""
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric of BENCHMARK.json (``name``, ``better``,
+    ``bound``): each side's median and quartiles, the gap, the pairs won,
+    and the two acceptance verdicts.
+
+    ``claim_holds``: the change is better in at least 9 of 10 pairs (a tie
+    counts for neither side) and its median is better than the parent's by
+    more than the parent's interquartile range.  ``within_bound``: the
+    change's median is worse than the parent's by at most ``bound``, a
+    fraction of the parent's median.
+    """
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
-        sign = 1.0 if direction == "lower" else -1.0
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        before, after = _quartiles(parent), _quartiles(change)
+        won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        gain = sign * (before["median"] - after["median"])   # > 0 when better
         out[name] = {
-            "parent": _quartiles(parent),
-            "change": _quartiles(change),
+            "parent": before,
+            "change": after,
             "median_rel_change": statistics.median(c / p - 1.0 for p, c in zip(parent, change)),
-            "pairs_change_better": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "pairs_change_better": won,
             "pairs_equal": sum(c == p for p, c in zip(parent, change)),
+            "claim_holds": 10 * won >= 9 * len(pairs) and gain > before["iqr"],
+            "within_bound": -gain <= metric["bound"] * abs(before["median"]),
         }
     return out
 
@@ -119,7 +138,6 @@ def main(argv: "list[str] | None" = None) -> int:
                      "quartiles need at least two pairs")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     pairs = []
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -136,7 +154,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     path = ROOT / f"BENCH_{args.label}.json"
     data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    summary = summarize(pairs, better)
+    summary = summarize(pairs, spec["end_to_end"])
     lines = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
     data.setdefault("workloads", {})[args.workload] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed S --trace 0",
@@ -149,12 +167,16 @@ def main(argv: "list[str] | None" = None) -> int:
     path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     print(f"{args.workload} src/ lines: {lines['parent']} -> {lines['change']} "
           f"({lines['change'] - lines['parent']:+d})")
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     for name, row in summary.items():
         parent, change = row["parent"]["median"], row["change"]["median"]
         print(f"{args.workload} {name}: median {parent:.6g} -> {change:.6g} "
               f"(medians {change / parent - 1.0:+.1%}, "
               f"median pair gap {row['median_rel_change']:+.1%}), "
-              f"change better in {row['pairs_change_better']} of {len(pairs)} pairs")
+              f"change better in {row['pairs_change_better']} of {len(pairs)} pairs; "
+              f"claim rule {'holds' if row['claim_holds'] else 'fails'}, "
+              f"{'within' if row['within_bound'] else 'outside'} "
+              f"the {bounds[name]:.0%} bound")
     changed = layer_changes(traced["parent"], traced["change"])
     for line in changed:
         print(f"{args.workload} traced seed {seeds[0]} {line}")
